@@ -15,19 +15,17 @@ python -m pytest -x -q -m "not slow"
 # workload versus the reference Figure 2 scan.
 python -m repro.experiments.matchbench --smoke
 
-# Radio-channel perf smoke: the indexed channel must produce verdicts
-# identical to the reference O(N) scan, and its carrier-sense scan
-# counter must track active transmitters while the reference's grows
-# with network size (again counters, not wall time).  With numpy
-# present this also gates the vectorized engine: it must engage
-# (batch_engaged) and match both scalar engines outcome-for-outcome.
-python -m repro.experiments.channelbench --smoke
+# Perf-harness tests: perf/spans.py wraps the stack's layer entry
+# points by name (Channel.start_transmission, carrier_busy, ...) and
+# reads Channel/NeighborhoodIndex counters by attribute; nothing in
+# tests/ would notice if one of those vanished.
+python -m pytest perf -q
 
-# Scalar-fallback gate: force the batch engine off and re-run the
-# channel equivalence suite (vectorized cases skip; every vectorize()
-# call must degrade to the scalar fast path bit-identically), so the
-# numpy-free configuration can never rot.
-REPRO_NO_NUMPY=1 python -m pytest -x -q tests/test_channel_equivalence.py
+# Radio-channel perf smoke: Channel must produce verdicts identical to
+# the ReferenceChannel O(N) scan, and its carrier-sense scan counter
+# must track active transmitters while the reference's grows with
+# network size (again counters, not wall time).
+python -m repro.experiments.channelbench --smoke
 
 # Sharded-kernel smoke: spatially partitioned conservative execution
 # must produce outcomes bit-identical to the single-queue oracle across

@@ -44,16 +44,11 @@ def _build_scenario(args):
         isi_testbed_network,
     )
 
-    vectorized = bool(getattr(args, "vectorized", False))
     if args.scenario == "isi":
-        network = isi_testbed_network(
-            seed=args.seed, channel_vectorized=vectorized
-        )
+        network = isi_testbed_network(seed=args.seed)
         return network, FIG8_SINK, list(FIG8_SOURCES[: args.sources])
     topology = Topology.line(args.nodes, spacing=15.0)
-    network = SensorNetwork(
-        topology, seed=args.seed, channel_vectorized=vectorized
-    )
+    network = SensorNetwork(topology, seed=args.seed)
     node_ids = network.node_ids()
     return network, node_ids[0], [node_ids[-1]]
 
@@ -391,11 +386,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="seconds between data sends (paper cadence: ~6s)",
     )
     rec.add_argument("--seed", type=int, default=1)
-    rec.add_argument(
-        "--vectorized", action="store_true",
-        help="route the channel through the numpy batch engine "
-        "(DESIGN.md §11); falls back scalar when numpy is absent",
-    )
     rec.set_defaults(func=_run_record)
 
     summ = sub.add_parser("summarize", help="run-level statistics")

@@ -10,16 +10,13 @@ audibility/carrier sets and an active-transmitter registry, making the
 per-fragment cost O(audible) and the carrier-sense cost O(active
 transmitters).
 
-Three engines run each scenario on identical seeds, verdict-checked
+Two engines run each scenario on identical seeds, verdict-checked
 against each other before reporting:
 
-* ``reference`` — the O(N) per-fragment scan;
-* ``indexed`` — the PR-4 neighborhood fast path (scalar memo walks);
-* ``vectorized`` — the numpy batch engine
-  (:mod:`repro.radio.vectorized`): struct-of-arrays bound rows, cached
-  exact delivery rows, and set-membership carrier sense.  Skipped (and
-  reported null) when numpy is unavailable or ``REPRO_NO_NUMPY`` is
-  set.
+* ``reference`` — :class:`~repro.radio.ReferenceChannel`, the O(N)
+  per-fragment scan;
+* ``indexed`` — :class:`~repro.radio.Channel`, the neighborhood fast
+  path every production run uses.
 
 Two scenarios:
 
@@ -65,9 +62,8 @@ from repro.radio import (
     Channel,
     DistancePropagation,
     Modem,
+    ReferenceChannel,
     Topology,
-    vectorize,
-    vectorized_available,
 )
 from repro.sim import SeedSequence, Simulator
 from repro.testbed import SensorNetwork
@@ -76,7 +72,8 @@ from repro.testbed import SensorNetwork
 DEFAULT_GRIDS: Tuple[Tuple[int, int], ...] = ((7, 2), (10, 5), (15, 10))
 
 #: the benchmark's engine axis, in report order.
-ENGINES: Tuple[str, ...] = ("reference", "indexed", "vectorized")
+ENGINES: Tuple[str, ...] = ("reference", "indexed")
+_CHANNEL_CLS = {"reference": ReferenceChannel, "indexed": Channel}
 
 #: wall-time runs per engine; the best is reported.
 REPS = 3
@@ -123,8 +120,8 @@ def _result(channel: Channel, wall: float, outcome: Dict) -> Dict:
             else 0.0
         ),
     }
-    if channel.index is not None:
-        index = channel.index
+    index = getattr(channel, "index", None)
+    if index is not None:
         memo_total = index.memo_hits + index.memo_misses
         result["index"] = {
             "rebuilds": index.rebuilds,
@@ -133,19 +130,7 @@ def _result(channel: Channel, wall: float, outcome: Dict) -> Dict:
                 index.memo_hits / memo_total if memo_total else 0.0
             ),
         }
-        result["batch_engaged"] = index.has_batch
     return result
-
-
-def _normalize_engine(engine) -> str:
-    """Accept the historical bool axis (False=reference, True=indexed)."""
-    if engine is False:
-        return "reference"
-    if engine is True:
-        return "indexed"
-    if engine not in ENGINES:
-        raise ValueError(f"unknown channel engine {engine!r}")
-    return engine
 
 
 def run_flood(
@@ -156,16 +141,11 @@ def run_flood(
     seed: int = 1,
 ) -> Dict:
     """Every node beacons through its CSMA MAC; no upper layers."""
-    engine = _normalize_engine(engine)
     topo = Topology.grid(columns, rows, spacing=FLOOD_SPACING)
     sim = Simulator()
     seeds = SeedSequence(seed)
-    propagation = DistancePropagation(topo, seed=seed)
-    if engine == "vectorized":
-        propagation = vectorize(propagation)
-    channel = Channel(
-        sim, propagation, seeds=seeds,
-        indexed=engine != "reference",
+    channel = _CHANNEL_CLS[engine](
+        sim, DistancePropagation(topo, seed=seed), seeds=seeds
     )
     heard = [0]
 
@@ -211,15 +191,12 @@ def run_diffusion(
     seed: int = 1,
 ) -> Dict:
     """Full-stack run: two corner sources stream to a corner sink."""
-    engine = _normalize_engine(engine)
     # msg ids draw from a process-global counter; restart it so paired
     # runs are bit-identical, not merely equivalent.
     core_messages._msg_counter = itertools.count(1)
     topo = Topology.grid(columns, rows, spacing=DIFFUSION_SPACING)
     net = SensorNetwork(
-        topo, config=CONFIG, seed=seed,
-        channel_indexed=engine != "reference",
-        channel_vectorized=engine == "vectorized",
+        topo, config=CONFIG, seed=seed, channel_cls=_CHANNEL_CLS[engine],
     )
     n_nodes = columns * rows
 
@@ -258,26 +235,20 @@ def run_engines(
     duration: float = 30.0,
     seed: int = 1,
     reps: int = 1,
-    engines: Tuple[str, ...] = ENGINES,
 ) -> Dict[str, Dict]:
-    """Run one scenario under every engine, verdict-checked.
+    """Run one scenario under both engines, verdict-checked.
 
-    Every engine's outcome must equal the reference's — the whole
-    benchmark is void if the fast paths change any verdict.  With
-    ``reps > 1`` each engine runs that many times and reports its best
-    wall time (outcomes are deterministic, so they are checked on every
-    rep).  The vectorized engine is skipped (absent from the result)
-    when numpy is unavailable.
+    The fast path's outcome must equal the reference's — the whole
+    benchmark is void if it changes any verdict.  With ``reps > 1``
+    each engine runs that many times and reports its best wall time
+    (outcomes are deterministic, so they are checked on every rep).
     """
-    engines = tuple(
-        e for e in engines if e != "vectorized" or vectorized_available()
-    )
     best: Dict[str, Dict] = {}
     for _ in range(reps):
-        for engine in engines:
+        for engine in ENGINES:
             result = runner(columns, rows, engine, duration, seed)
-            baseline = best.get("reference", result if engine == "reference" else None)
-            if baseline is not None and result["outcome"] != baseline["outcome"]:
+            baseline = best.get("reference", result)  # reference runs first
+            if result["outcome"] != baseline["outcome"]:
                 raise AssertionError(
                     f"{engine} channel diverged from reference on the "
                     f"{columns}x{rows} grid: {baseline['outcome']} != "
@@ -287,22 +258,6 @@ def run_engines(
             if held is None or result["wall_seconds"] < held["wall_seconds"]:
                 best[engine] = result
     return best
-
-
-def run_pair(
-    runner: Callable[..., Dict],
-    columns: int,
-    rows: int,
-    duration: float = 30.0,
-    seed: int = 1,
-    reps: int = 1,
-) -> Tuple[Dict, Dict]:
-    """Reference + indexed runs of one scenario, verdict-checked."""
-    results = run_engines(
-        runner, columns, rows, duration, seed, reps,
-        engines=("reference", "indexed"),
-    )
-    return results["reference"], results["indexed"]
 
 
 def _engine_cell(result: Dict) -> Dict:
@@ -322,7 +277,7 @@ def _report_row(
 ) -> Dict:
     reference = results["reference"]
     fast = results["indexed"]
-    row = {
+    return {
         "scenario": scenario,
         "grid": f"{columns}x{rows}",
         "n_nodes": columns * rows,
@@ -333,19 +288,6 @@ def _report_row(
             reference["wall_seconds"] / fast["wall_seconds"], 2
         ),
     }
-    vectorized = results.get("vectorized")
-    if vectorized is not None:
-        row["vectorized"] = _engine_cell(vectorized)
-        row["vectorized"]["batch_engaged"] = vectorized.get(
-            "batch_engaged", False
-        )
-        row["speedup_vectorized"] = round(
-            reference["wall_seconds"] / vectorized["wall_seconds"], 2
-        )
-        row["speedup_vectorized_vs_indexed"] = round(
-            fast["wall_seconds"] / vectorized["wall_seconds"], 2
-        )
-    return row
 
 
 def run_bench(
@@ -410,9 +352,8 @@ def main(argv=None) -> int:
         smoke_duration = 12.0
         rows = []
         for columns, nrows in ((7, 2), (10, 5)):
-            reference, fast = run_pair(
-                run_flood, columns, nrows, smoke_duration
-            )
+            results = run_engines(run_flood, columns, nrows, smoke_duration)
+            reference, fast = results["reference"], results["indexed"]
             rows.append((reference, fast))
             n = columns * nrows
             print(
@@ -455,37 +396,8 @@ def main(argv=None) -> int:
             return 1
         # Full-stack equivalence on one small grid (the pytest suite
         # covers this in depth; here it guards the CLI wiring).
-        run_pair(run_diffusion, 7, 2, smoke_duration)
+        run_engines(run_diffusion, 7, 2, smoke_duration)
         print("channel smoke diffusion 7x2: outcomes identical")
-        # Vectorized gate: the batch engine must produce identical
-        # verdicts, and must actually engage when numpy is present.
-        if vectorized_available():
-            results = run_engines(run_flood, 10, 5, smoke_duration)
-            if "vectorized" not in results:
-                print("FAIL: vectorized engine did not run", file=sys.stderr)
-                return 1
-            vec = results["vectorized"]
-            if vec["outcome"] != results["reference"]["outcome"]:
-                print(
-                    "FAIL: vectorized outcome diverged", file=sys.stderr
-                )
-                return 1
-            if not vec.get("batch_engaged"):
-                print(
-                    "FAIL: vectorized run fell back to the scalar path",
-                    file=sys.stderr,
-                )
-                return 1
-            run_engines(run_diffusion, 7, 2, smoke_duration)
-            print(
-                "channel smoke vectorized: outcomes identical, batch "
-                "path engaged"
-            )
-        else:
-            print(
-                "channel smoke vectorized: skipped (numpy unavailable "
-                "or REPRO_NO_NUMPY set)"
-            )
         return 0
 
     report = run_bench(duration=args.duration)
@@ -499,12 +411,6 @@ def main(argv=None) -> int:
             f"{row['indexed']['wall_seconds']:>7.3f}s "
             f"({row['speedup']:.2f}x)"
         )
-        if "vectorized" in row:
-            line += (
-                f" -> {row['vectorized']['wall_seconds']:>7.3f}s vectorized "
-                f"({row['speedup_vectorized']:.2f}x vs reference, "
-                f"{row['speedup_vectorized_vs_indexed']:.2f}x vs indexed)"
-            )
         line += (
             f", carrier checks/query "
             f"{row['reference']['carrier_checks_per_query']} -> "

@@ -77,7 +77,6 @@ def _trial_params(
         "duration": duration,
         "send_interval": send_interval,
         "mode": mode,
-        "vectorized": True,
         "hierarchy": dict(BENCH_HIERARCHY, **(hierarchy or {})),
     }
 
@@ -202,7 +201,7 @@ def flat_equivalence(
     """
     shared = dict(
         columns=columns, rows=rows, spacing=15.0, region=region,
-        duration=duration, send_interval=2.0, vectorized=True,
+        duration=duration, send_interval=2.0,
     )
     classic = run_oracle(
         ShardPlan(

@@ -42,8 +42,6 @@ from repro.faults.plan import (
     NodeCrash,
     Partition,
 )
-from repro.radio.channel import Channel
-from repro.radio.neighborhood import NeighborhoodIndex
 from repro.sim.clock import NodeClock
 from repro.sim.metrics import current_registry
 from repro.sim.rng import derive_seed, make_rng
@@ -86,18 +84,12 @@ class FaultEngine:
 
     def _install_overlay(self) -> None:
         """Splice the link-fault overlay between the channel and its
-        propagation model, rebuilding the neighborhood index so the
-        fast path keeps honoring the (now overlay-owned) epoch."""
+        propagation model; the channel re-indexes itself so the fast
+        path keeps honoring the (now overlay-owned) epoch."""
         network = self.network
         overlay = FaultOverlayPropagation(network.propagation)
         network.propagation = overlay
-        channel = network.channel
-        channel.propagation = overlay
-        if channel.index is not None:
-            index = NeighborhoodIndex(overlay, Channel.CARRIER_SENSE_THRESHOLD)
-            for node_id in channel.node_ids():
-                index.add_node(node_id)
-            channel.index = index
+        network.channel.set_propagation(overlay)
         self.overlay = overlay
 
     def clock(self, node_id: int) -> NodeClock:

@@ -16,15 +16,12 @@ from repro.radio.propagation import (
     PropagationModel,
     TablePropagation,
 )
+from repro.radio.reference import ReferenceChannel
 from repro.radio.topology import Position, Topology
-from repro.radio.vectorized import (
-    VectorizedPropagation,
-    available as vectorized_available,
-    vectorize,
-)
 
 __all__ = [
     "Channel",
+    "ReferenceChannel",
     "Transmission",
     "Modem",
     "RadioParams",
@@ -38,7 +35,4 @@ __all__ = [
     "supports_fast_path",
     "Position",
     "Topology",
-    "VectorizedPropagation",
-    "vectorize",
-    "vectorized_available",
 ]

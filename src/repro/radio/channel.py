@@ -11,47 +11,28 @@ PRR from the sender is non-zero.  Reception fails when:
 
 The channel also answers carrier-sense queries for the MAC layer.
 
-Two delivery engines share the verdict logic:
-
-* the **reference scan** probes every attached modem per fragment and
-  per carrier-sense query — O(N) each, the behaviour (and cost) of the
-  original channel, kept as the equivalence baseline;
-* the **neighborhood fast path** (default whenever the propagation
-  model implements the protocol in
-  :class:`~repro.radio.propagation.FastPathPropagation`) walks only the
-  sender's cached audibility set, answers carrier sense from an
-  active-transmitter registry, and finalizes all of a fragment's
-  receptions in one simulator event.  Verdicts are bit-identical by
-  construction (supersets re-checked against exact memoized PRRs);
-  tests/test_channel_equivalence.py proves it on seeded scenarios.
+Delivery and carrier sense never scan the whole network: a fragment
+visits only the sender's cached audibility set, carrier sense consults
+an active-transmitter registry, and all of a fragment's receptions
+finalize in one simulator event (:mod:`repro.radio.neighborhood` holds
+the caches and their invalidation contract).  The original O(N)
+per-link scan survives as :class:`repro.radio.reference.
+ReferenceChannel`, a subclass that replaces only how receivers and PRRs
+are found; tests/test_channel_equivalence.py proves the two
+verdict-identical on seeded scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional
 
-from repro.radio.neighborhood import NeighborhoodIndex, supports_fast_path
-from repro.radio.vectorized import batch_hash_units
+from repro.radio.neighborhood import NeighborhoodIndex
 from repro.sim import Simulator, TraceBus, trace_id_of
 from repro.sim.metrics import MetricsRegistry, current_registry
 from repro.sim.rng import SeedSequence, derive_seed
 
 _MASK64 = (1 << 64) - 1
-
-
-def _hash_unit(key: tuple) -> float:
-    """Deterministic uniform in [0, 1) keyed by ``key``.
-
-    Python's numeric hashing is stable across processes (hash
-    randomization covers only str/bytes), and the splitmix64 finalizer
-    decorrelates the structured tuple hashes into usable uniforms.
-    """
-    x = (hash(key) + 0x9E3779B97F4A7C15) & _MASK64
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-    x ^= x >> 31
-    return (x >> 11) * (2.0 ** -53)
 
 
 @dataclass
@@ -112,13 +93,11 @@ class Channel:
         trace: Optional[TraceBus] = None,
         capture_effect: bool = True,
         metrics: Optional[MetricsRegistry] = None,
-        indexed: Optional[bool] = None,
         loss_mode: str = "stream",
     ) -> None:
         if loss_mode not in ("stream", "hashed"):
             raise ValueError(f"unknown loss_mode {loss_mode!r}")
         self.sim = sim
-        self.propagation = propagation
         self.capture_effect = capture_effect
         self.loss_mode = loss_mode
         self.trace = trace or TraceBus()
@@ -134,30 +113,17 @@ class Channel:
         self._m_drop_loss = registry.counter(
             "channel.drops", reason="channel-loss"
         )
-        # Batch-engine observability (ISSUE: campaigns should record how
-        # much of the workload actually hit the batch path).
-        self._m_batch_size = registry.histogram("radio.batch_size")
-        self._m_vec_fallbacks = registry.counter("radio.vectorized_fallbacks")
         seeds = seeds or SeedSequence(1)
         self._loss_rng = seeds.stream("channel-loss")
-        # Bound method: one loss draw per clean reception makes the
-        # attribute chain worth hoisting.
-        self._stream_draw = self._loss_rng.random
         self._loss_seed = derive_seed(seeds.root_seed, "channel-loss-hash")
         self._modems: Dict[int, Any] = {}
         # Per-receiver in-progress receptions keyed by transmission
         # seqno, for collision marking and O(1) completion.
         self._receiving: Dict[int, Dict[int, _Reception]] = {}
-        # Active-transmitter registry (fast path): src -> Transmission.
+        # Active-transmitter registry: src -> Transmission.
         # Entries leave via transmission_ended or a lazy carrier-sense
         # purge; the modem's transmitting flag stays authoritative.
         self._active: Dict[int, Transmission] = {}
-        # Batch engine only: src -> (entries, valid_until, generation)
-        # where entries are (node_id, modem, in_progress, prr) rows — the
-        # delivery row enriched with channel-side receiver state.  Valid
-        # while the PRR window holds and the index generation (bumped on
-        # every membership change and epoch move) is unchanged.
-        self._enriched: Dict[int, Tuple[list, float, int]] = {}
         # Ghost transmissions admitted from other shards: src ->
         # Transmission still on the air.  A remote sender has no local
         # modem, so its airtime is tracked here for carrier sense and
@@ -167,39 +133,27 @@ class Channel:
         # Called with each local Transmission as it starts; the shard
         # worker exports boundary transmissions through this.
         self.on_transmission: Optional[Callable[[Transmission], None]] = None
-        if indexed is None:
-            indexed = supports_fast_path(propagation)
-        self.index: Optional[NeighborhoodIndex] = (
-            NeighborhoodIndex(propagation, self.CARRIER_SENSE_THRESHOLD)
-            if indexed
-            else None
-        )
-        # The model opted into the batch engine (a VectorizedPropagation
-        # adapter, or anything else exposing batch_kernel); whether it
-        # actually engaged depends on numpy and the index being live.
-        self._vec_intended = callable(getattr(propagation, "batch_kernel", None))
-        vec_active = self.index is not None and self.index.has_batch
-        # Hashed loss draws batch per finalization event when the batch
-        # engine is live; stream mode must keep consuming the shared RNG
-        # in scalar finalization order, so it never batches.
-        self._hash_batcher = (
-            batch_hash_units if (vec_active and loss_mode == "hashed") else None
-        )
+        self.set_propagation(propagation)
         self._seqno = 0
         # Statistics.
         self.fragments_sent = 0
         self.fragments_delivered = 0
         self.fragments_collided = 0
         self.fragments_lost = 0
-        # Carrier-sense cost accounting: links examined per query.  The
-        # reference scan grows with N, the indexed scan with the number
-        # of active transmitters (the channelbench smoke asserts this).
+        # Carrier-sense cost accounting: links examined per query —
+        # tracks the number of active transmitters here, N in the
+        # reference scan (the channelbench smoke asserts both).
         self.carrier_queries = 0
         self.carrier_checks = 0
 
-    @property
-    def indexed(self) -> bool:
-        return self.index is not None
+    def set_propagation(self, propagation) -> None:
+        """Put ``propagation`` under the channel, with a fresh
+        neighborhood index over the attached modems (the fault overlay
+        splices itself in this way after the network is built)."""
+        self.propagation = propagation
+        self.index = NeighborhoodIndex(propagation, self.CARRIER_SENSE_THRESHOLD)
+        for node_id in self._modems:
+            self.index.add_node(node_id)
 
     def attach(self, modem: Any) -> None:
         if modem.node_id in self._modems:
@@ -208,8 +162,7 @@ class Channel:
         # Pre-create the in-progress map so the admission hot path can
         # index it unconditionally (detach pops it, voiding receptions).
         self._receiving.setdefault(modem.node_id, {})
-        if self.index is not None:
-            self.index.add_node(modem.node_id)
+        self._member_added(modem.node_id)
 
     def detach(self, node_id: int) -> Any:
         """Remove a node from the medium (death, decommissioning).
@@ -229,9 +182,14 @@ class Channel:
             for reception in pending.values():
                 reception.corrupted = True
                 reception.reason = "detached"
-        if self.index is not None:
-            self.index.remove_node(node_id)
+        self._member_removed(node_id)
         return modem
+
+    def _member_added(self, node_id: int) -> None:
+        self.index.add_node(node_id)
+
+    def _member_removed(self, node_id: int) -> None:
+        self.index.remove_node(node_id)
 
     def transmission_ended(self, src: int) -> None:
         """Modem callback: ``src``'s fragment finished its airtime."""
@@ -247,79 +205,7 @@ class Channel:
         self.carrier_queries += 1
         now = self.sim.now
         index = self.index
-        if index is None:
-            for modem in self._modems.values():
-                if modem.node_id == node_id:
-                    continue
-                self.carrier_checks += 1
-                if not modem.transmitting:
-                    continue
-                prr = self.propagation.link_prr(modem.node_id, node_id, now)
-                if prr >= self.CARRIER_SENSE_THRESHOLD:
-                    return True
-            if self._remote_active:
-                for src, tx in list(self._remote_active.items()):
-                    if tx.end <= now:
-                        del self._remote_active[src]
-                        continue
-                    self.carrier_checks += 1
-                    prr = self.propagation.link_prr(src, node_id, now)
-                    if prr >= self.CARRIER_SENSE_THRESHOLD:
-                        return True
-            return False
         index.sync()
-        state = index._batch  # populated lazily; None on the scalar path
-        if state is None and index.has_batch:
-            state = index.batch_state()
-        if state is not None:
-            # Batch engine: each active sender owns an exact carrier
-            # hearer set (derived from its delivery row, so the PRRs are
-            # the scalar model's); the verdict per sender is one set
-            # membership test, same predicate and scan order as below.
-            # The window cache is read inline (carrier sense cannot move
-            # the epoch); misses fall back to the building call.
-            exact = state._carrier_exact
-            modems = self._modems
-            busy = False
-            checks = 0
-            stale: Optional[List[int]] = None
-            for src in self._active:
-                modem = modems.get(src)
-                if modem is None or not modem.transmitting:
-                    if stale is None:
-                        stale = []
-                    stale.append(src)
-                    continue
-                if src == node_id:
-                    continue
-                checks += 1
-                cached = exact.get(src)
-                if cached is not None and now < cached[1]:
-                    hearers = cached[0]
-                else:
-                    hearers = state.carrier_row(src, now)[0]
-                if node_id in hearers:
-                    busy = True
-                    break
-            if stale:
-                for src in stale:
-                    self._active.pop(src, None)
-            if not busy and self._remote_active:
-                for src, tx in list(self._remote_active.items()):
-                    if tx.end <= now:
-                        del self._remote_active[src]
-                        continue
-                    checks += 1
-                    cached = exact.get(src)
-                    if cached is not None and now < cached[1]:
-                        hearers = cached[0]
-                    else:
-                        hearers = state.carrier_row(src, now)[0]
-                    if node_id in hearers:
-                        busy = True
-                        break
-            self.carrier_checks += checks
-            return busy
         prr_memo = index.prr_memo
         carrier_map = index.carrier_map
         busy = False
@@ -404,9 +290,7 @@ class Channel:
             )
         if self.on_transmission is not None:
             self.on_transmission(tx)
-        if self.index is not None:
-            self.index.sync()
-            self._active[src] = tx
+        self._active[src] = tx
         self._deliver_to(tx, duration)
         return tx
 
@@ -445,8 +329,6 @@ class Channel:
         self.sim.schedule(
             duration, self._end_remote, src, tx, name="channel.ghost_end"
         )
-        if self.index is not None:
-            self.index.sync()
         self._deliver_to(tx, duration)
         return tx
 
@@ -456,108 +338,52 @@ class Channel:
             del self._remote_active[src]
 
     def _deliver_to(self, tx: Transmission, duration: float) -> None:
-        """Admit ``tx`` at every candidate receiver and schedule the
-        finalization event(s).
+        """Admit ``tx`` at every receiver that can hear it and schedule
+        their finalization.
 
-        One helper serves all four admission paths (local and ghost
-        transmissions under either engine): the paths differ only in how
-        the receiver set and its exact PRRs are produced — reference
-        O(N) probe, indexed memo walk, or one cached batch delivery
-        row — never in the verdict logic, which lives solely in
-        _admit_reception.  A ghost's src never appears in the local
-        modem map, so the self-skip below is vacuous for it.
+        Serves local and ghost transmissions alike: an audibility set
+        never lists its own sender, and a ghost's src has no local
+        modem to list.  The common admission — idle receiver, empty
+        in-progress map — is inlined; anything else goes through
+        _admit_reception, the sole owner of the collision/capture
+        verdict logic.
         """
         now = self.sim.now
         src = tx.src
         modems = self._modems
         index = self.index
-        if index is None:
-            if self._vec_intended:
-                self._m_vec_fallbacks.inc()
-            # Reference scan: one finalization event per reception,
-            # exactly the original channel's behaviour (and cost).
-            for node_id, modem in modems.items():
-                if node_id == src:
-                    continue
-                prr = self.propagation.link_prr(src, node_id, now)
-                if prr <= 0.0:
-                    continue
-                reception = self._admit_reception(tx, node_id, modem, prr)
-                self.sim.schedule(
-                    duration, self._finish_reception, node_id, reception,
-                    name="channel.rx",
-                )
-            return
-        # The caller synced the index when the transmission started.
-        # Batch entries carry the receiver's modem and in-progress map so
+        admit = self._admit_reception
+        receiving = self._receiving
+        seqno = tx.seqno
+        # Entries carry the receiver's modem and in-progress map so
         # finalization never re-resolves either (safe: a detach voids its
         # receptions with reason="detached", which short-circuits before
         # the modem is consulted, and popping a voided reception from the
         # pre-detach map is inert — even across a re-attach mid-flight).
-        # The common admission — idle receiver, empty in-progress map —
-        # is inlined; anything else goes through _admit_reception, the
-        # sole owner of the collision/capture verdict logic.
-        admit = self._admit_reception
-        receiving = self._receiving
-        seqno = tx.seqno
         batch: Optional[list] = None
-        state = index.batch_state()
-        if state is not None:
-            # Batch engine: the delivery row already holds this window's
-            # exact (receiver, PRR) pairs in attach order; the enriched
-            # copy pins each receiver's modem and in-progress map for the
-            # life of the window (any attach/detach bumps the generation).
-            generation = index.generation
-            cached = self._enriched.get(src)
-            if (
-                cached is not None
-                and now < cached[1]
-                and cached[2] == generation
-            ):
-                entries = cached[0]
+        audible = index.audible_from(src)  # syncs; foreign srcs cache fine
+        prr_memo = index.prr_memo
+        for node_id in audible:
+            # Inline memo hit (nothing in this loop can move the
+            # epoch); misses fall back to the full windowed lookup.
+            cached = prr_memo.get((src, node_id))
+            if cached is not None and now < cached[1]:
+                index.memo_hits += 1
+                prr = cached[0]
             else:
-                pairs, valid = state.delivery_row(src, now)
-                entries = [
-                    (node_id, modems[node_id], receiving[node_id], prr)
-                    for node_id, prr in pairs
-                ]
-                self._enriched[src] = (entries, valid, generation)
-            self._m_batch_size.observe(len(entries))
-            for node_id, modem, in_progress, prr in entries:
-                if in_progress or modem.transmitting or modem.sleeping:
-                    reception = admit(tx, node_id, modem, prr)
-                else:
-                    reception = _Reception(tx, prr)
-                    in_progress[seqno] = reception
-                if batch is None:
-                    batch = []
-                batch.append((node_id, modem, in_progress, reception))
-        else:
-            if self._vec_intended:
-                self._m_vec_fallbacks.inc()
-            audible = index.audible_from(src)  # foreign srcs cache fine
-            prr_memo = index.prr_memo
-            for node_id in audible:
-                # Inline memo hit (nothing in this loop can move the
-                # epoch); misses fall back to the full windowed lookup.
-                cached = prr_memo.get((src, node_id))
-                if cached is not None and now < cached[1]:
-                    index.memo_hits += 1
-                    prr = cached[0]
-                else:
-                    prr = index.link_prr(src, node_id, now)
-                if prr <= 0.0:
-                    continue
-                modem = modems[node_id]
-                in_progress = receiving[node_id]
-                if in_progress or modem.transmitting or modem.sleeping:
-                    reception = admit(tx, node_id, modem, prr)
-                else:
-                    reception = _Reception(tx, prr)
-                    in_progress[seqno] = reception
-                if batch is None:
-                    batch = []
-                batch.append((node_id, modem, in_progress, reception))
+                prr = index.link_prr(src, node_id, now)
+            if prr <= 0.0:
+                continue
+            modem = modems[node_id]
+            in_progress = receiving[node_id]
+            if in_progress or modem.transmitting or modem.sleeping:
+                reception = admit(tx, node_id, modem, prr)
+            else:
+                reception = _Reception(tx, prr)
+                in_progress[seqno] = reception
+            if batch is None:
+                batch = []
+            batch.append((node_id, modem, in_progress, reception))
         if batch is not None:
             # One simulator event finalizes every reception of this
             # fragment.  All its receptions end at the same instant with
@@ -601,45 +427,14 @@ class Channel:
         in_progress[tx.seqno] = reception
         return reception
 
-    #: below this many receivers the numpy call overhead for a batched
-    #: hashed-draw exceeds the scalar hashing it replaces.
-    _BATCH_DRAW_MIN = 4
-
-    def _finish_reception(self, node_id: int, reception: _Reception) -> None:
-        in_progress = self._receiving.get(node_id)
-        if in_progress is not None:
-            in_progress.pop(reception.transmission.seqno, None)
-        self._finalize_reception(
-            node_id, self._modems.get(node_id), reception, None
-        )
-
     def _finish_transmission(self, batch: list) -> None:
         finalize = self._finalize_reception
-        draws = None
-        if self._hash_batcher is not None and len(batch) >= self._BATCH_DRAW_MIN:
-            # Hashed draws depend only on (seed, src, dst, start), never
-            # on finalization order or on whether the scalar path would
-            # have drawn at all — so the whole receiver set's uniforms
-            # can be precomputed in one uint64 batch (bit-identical to
-            # the scalar hash; unused lanes are simply discarded).
-            tx = batch[0][3].transmission
-            draws = self._hash_batcher(
-                self._loss_seed, tx.src, [entry[0] for entry in batch], tx.start
-            )
-        if draws is None:
-            for node_id, modem, in_progress, reception in batch:
-                in_progress.pop(reception.transmission.seqno, None)
-                finalize(node_id, modem, reception, None)
-        else:
-            for (node_id, modem, in_progress, reception), draw in zip(
-                batch, draws
-            ):
-                in_progress.pop(reception.transmission.seqno, None)
-                finalize(node_id, modem, reception, draw)
+        for node_id, modem, in_progress, reception in batch:
+            in_progress.pop(reception.transmission.seqno, None)
+            finalize(node_id, modem, reception)
 
     def _finalize_reception(
-        self, node_id: int, modem: Any, reception: _Reception,
-        draw: Optional[float],
+        self, node_id: int, modem: Any, reception: _Reception
     ) -> None:
         if reception.reason == "detached":
             # The receiver left the medium mid-flight; nothing to record.
@@ -665,13 +460,7 @@ class Channel:
             self._m_drop_half_duplex.inc()
             self._note_radio_drop(node_id, tx, "half-duplex")
             return
-        if draw is None:
-            # _loss_draw, inlined: this runs once per clean reception.
-            if self.loss_mode == "stream":
-                draw = self._stream_draw()
-            else:
-                draw = _hash_unit((self._loss_seed, tx.src, node_id, tx.start))
-        if draw >= reception.prr:
+        if self._loss_draw(node_id, tx) >= reception.prr:
             self.fragments_lost += 1
             self._m_drop_loss.inc()
             if trace._active:
@@ -704,7 +493,16 @@ class Channel:
         """
         if self.loss_mode == "stream":
             return self._loss_rng.random()
-        return _hash_unit((self._loss_seed, tx.src, node_id, tx.start))
+        # Python's numeric hashing is stable across processes (hash
+        # randomization covers only str/bytes), and the splitmix64
+        # finalizer decorrelates the structured tuple hashes into
+        # usable uniforms.
+        x = hash((self._loss_seed, tx.src, node_id, tx.start))
+        x = (x + 0x9E3779B97F4A7C15) & _MASK64
+        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
+        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
+        x ^= x >> 31
+        return (x >> 11) * (2.0 ** -53)
 
     def _note_radio_drop(self, node_id: int, tx: Transmission, reason: str) -> None:
         """Attribute one failed reception to its cause.

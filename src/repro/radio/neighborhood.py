@@ -1,10 +1,10 @@
 """Neighborhood index: the radio layer's fast path.
 
-The reference :class:`~repro.radio.channel.Channel` pays O(N) per
-fragment (every attached modem is probed for audibility) and O(N) per
-carrier-sense query (every modem is scanned for an audible transmitter),
-which makes dense-traffic runs quadratic in network size.  This module
-caches what those scans recompute:
+The reference scan (:class:`~repro.radio.reference.ReferenceChannel`)
+pays O(N) per fragment (every attached modem is probed for audibility)
+and O(N) per carrier-sense query (every modem is scanned for an audible
+transmitter), which makes dense-traffic runs quadratic in network size.
+This module caches what those scans recompute:
 
 * **audibility sets** — per sender, the nodes whose link PRR *can* be
   non-zero during the current propagation epoch (``link_prr_bound > 0``);
@@ -67,7 +67,8 @@ class NeighborhoodIndex:
             raise ValueError(
                 f"{type(propagation).__name__} does not implement the "
                 "radio fast-path protocol (prr_epoch/link_prr_bound/"
-                "link_prr_window); use the reference channel scan instead"
+                "link_prr_window); run it on "
+                "repro.radio.reference.ReferenceChannel instead"
             )
         self.propagation = propagation
         self.carrier_threshold = carrier_threshold
@@ -75,16 +76,6 @@ class NeighborhoodIndex:
         # in exactly the order the reference modem scan would.
         self._members: List[int] = []
         self._epoch: object = propagation.prr_epoch()
-        # Batch engine (repro.radio.vectorized): models opting in expose
-        # batch_kernel(); it returns None when numpy is unavailable, and
-        # the scalar code below then serves every query unchanged.
-        kernel_fn = getattr(propagation, "batch_kernel", None)
-        self._kernel = kernel_fn() if callable(kernel_fn) else None
-        self._batch = None
-        #: bumped whenever cached link state may have changed (epoch
-        #: move or membership edit); consumers caching derived rows
-        #: (the channel's delivery path) key on it.
-        self.generation = 0
         self._audible: Dict[int, List[int]] = {}
         #: lazily built carrier-sense candidate sets, exposed (like
         #: :attr:`prr_memo`) for the channel's carrier-scan loop: after
@@ -115,12 +106,7 @@ class NeighborhoodIndex:
         self._reset()
 
     def _reset(self) -> None:
-        # Membership changed (or the epoch moved): derived row caches are
-        # stale even when the scalar caches below were never populated.
-        self.generation += 1
-        had_state = self._batch is not None
-        self._batch = None
-        if not (had_state or self._audible or self.carrier_map or self.prr_memo):
+        if not (self._audible or self.carrier_map or self.prr_memo):
             return
         self._audible.clear()
         self.carrier_map.clear()
@@ -142,29 +128,6 @@ class NeighborhoodIndex:
             self._epoch = epoch
             self._reset()
 
-    # -- batch engine -------------------------------------------------------
-
-    @property
-    def has_batch(self) -> bool:
-        """Did the propagation model yield a working batch kernel?"""
-        return self._kernel is not None
-
-    def batch_state(self):
-        """The struct-of-arrays link state for the current generation.
-
-        None on the scalar path.  Callers must :meth:`sync` first (the
-        channel already does, once per operation); the state is dropped
-        by :meth:`_reset` and lazily rebuilt here, so the arrays always
-        describe the live membership and epoch.
-        """
-        batch = self._batch
-        if batch is None and self._kernel is not None:
-            batch = self._kernel.build_state(
-                self._members, self.propagation, self.carrier_threshold
-            )
-            self._batch = batch
-        return batch
-
     # -- queries ------------------------------------------------------------
 
     def audible_from(self, src: int) -> List[int]:
@@ -172,18 +135,11 @@ class NeighborhoodIndex:
         self.sync()
         audible = self._audible.get(src)
         if audible is None:
-            batch = self.batch_state()
-            if batch is not None:
-                # One vector compare; a superset of the scalar cut (the
-                # batch bounds are inflated) in the same member order,
-                # which the exact per-lane re-check makes equivalent.
-                audible = batch.audible_ids(src)
-            else:
-                bound = self.propagation.link_prr_bound
-                audible = [
-                    dst for dst in self._members
-                    if dst != src and bound(src, dst) > 0.0
-                ]
+            bound = self.propagation.link_prr_bound
+            audible = [
+                dst for dst in self._members
+                if dst != src and bound(src, dst) > 0.0
+            ]
             self._audible[src] = audible
             self.set_builds += 1
         return audible
@@ -193,15 +149,11 @@ class NeighborhoodIndex:
         self.sync()
         candidates = self.carrier_map.get(src)
         if candidates is None:
-            batch = self.batch_state()
-            if batch is not None:
-                candidates = batch.carrier_ids(src)
-            else:
-                bound = self.propagation.link_prr_bound
-                candidates = {
-                    dst for dst in self._members
-                    if dst != src and bound(src, dst) >= self.carrier_threshold
-                }
+            bound = self.propagation.link_prr_bound
+            candidates = {
+                dst for dst in self._members
+                if dst != src and bound(src, dst) >= self.carrier_threshold
+            }
             self.carrier_map[src] = candidates
             self.set_builds += 1
         return candidates
@@ -272,22 +224,9 @@ class BoundaryIndex:
         # listeners; absent key = nothing audible across the cut.
         self._out: Dict[int, List[int]] = {}
         self._in: Dict[int, List[int]] = {}
-        # Batch engine: with a *symmetric* kernel (distance-family
-        # bounds) one row per owned node answers both cut directions.
-        # Asymmetric kernels (tables) and oversized cross products stay
-        # on the scalar grid walk, which is O(boundary).
-        kernel_fn = getattr(propagation, "batch_kernel", None)
-        kernel = kernel_fn() if callable(kernel_fn) else None
-        self._kernel = kernel if kernel is not None and kernel.symmetric else None
         # Statistics (scalebench reports these).
         self.rebuilds = 0
         self.pair_checks = 0
-
-    #: dense-rebuild ceiling: beyond this many owned x foreign lanes the
-    #: spatially bucketed scalar walk beats materializing full rows
-    #: (10k-node mobile cuts rebuild per epoch; rows there would be
-    #: quadratic work and tens of MB of temporaries).
-    BATCH_LANE_LIMIT = 4_000_000
 
     # -- epoch sync ---------------------------------------------------------
 
@@ -330,45 +269,9 @@ class BoundaryIndex:
                     for f in buckets.get((cx + dx, cy + dy), ()):
                         yield o, f
 
-    def _batch_rebuild(self) -> bool:
-        """Row-per-owned-node rebuild on the batch kernel.
-
-        The rows use inflated bounds, so the cross-cut sets come out as
-        supersets of the scalar ones — safe for the same reason the
-        in-shard sets are: an exported transmission with no real
-        listener admits zero receptions, and ghost carrier verdicts
-        re-check exact PRRs.  Symmetry lets one row serve both the
-        out-cut (owned may be heard) and the in-cut (owned may hear).
-        """
-        kernel = self._kernel
-        if kernel is None or not self.owned or not self.foreign:
-            return False
-        if len(self.owned) * len(self.foreign) > self.BATCH_LANE_LIMIT:
-            return False
-        prepared = kernel.prepare(self.foreign)
-        foreign = self.foreign
-        lanes = len(foreign)
-        for o in self.owned:
-            row = prepared.bound_row(o)
-            self.pair_checks += lanes
-            hits = [foreign[i] for i in (row > 0.0).nonzero()[0]]
-            if not hits:
-                continue
-            self._out[o] = hits  # foreign is sorted, so hits are too
-            for f in hits:
-                self._in.setdefault(f, []).append(o)
-        # owned is sorted, so each _in list already is; keep the sort
-        # for parity with the scalar path (cheap on sorted input).
-        for listeners in self._in.values():
-            listeners.sort()
-        return True
-
     def _rebuild(self) -> None:
         self._out.clear()
         self._in.clear()
-        if self._batch_rebuild():
-            self.rebuilds += 1
-            return
         bound = self.propagation.link_prr_bound
         for o, f in self._candidate_pairs():
             self.pair_checks += 1

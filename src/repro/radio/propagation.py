@@ -14,14 +14,9 @@ here:
   tests and by calibrated testbed scenarios.
 
 All three implement the :class:`FastPathPropagation` protocol consumed
-by :mod:`repro.radio.neighborhood`, and all three are recognised by
-:func:`repro.radio.vectorized.vectorize`, which mirrors their epoch
-state into struct-of-arrays form so audibility cuts and carrier-sense
-candidate sets can be computed as whole-fragment numpy operations.
-That layering is deliberately one-way: this module stays scalar and
-dependency-free, and the batch engine reproduces its *bounds* (which
-may widen, never narrow) while delegating every exact PRR back to the
-scalar methods below.
+by :mod:`repro.radio.neighborhood`: bounds that may overestimate (never
+underestimate) build the cached candidate sets, and every exact PRR
+still comes from the scalar methods below.
 """
 
 from __future__ import annotations

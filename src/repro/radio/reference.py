@@ -1,0 +1,73 @@
+"""The O(N) per-link channel scan: the oracle the fast path is held to.
+
+:class:`ReferenceChannel` finds receivers and carrier the way the
+original channel did — probe every attached modem per fragment and per
+carrier-sense query, one finalization event per reception — and needs
+nothing from the propagation model beyond ``link_prr``.  Every verdict
+(half-duplex, collision, capture, loss draw) is inherited from
+:class:`~repro.radio.channel.Channel`, so the two can differ only in
+*which* links they examine, which is exactly what
+tests/test_channel_equivalence.py and ``channelbench --smoke`` compare.
+It is also what runs a propagation model that predates the fast-path
+protocol (:func:`~repro.radio.neighborhood.supports_fast_path`).
+"""
+
+from __future__ import annotations
+
+from repro.radio.channel import Channel, Transmission, _Reception
+
+
+class ReferenceChannel(Channel):
+    """A :class:`Channel` without the neighborhood index."""
+
+    def set_propagation(self, propagation) -> None:
+        self.propagation = propagation
+
+    def _member_added(self, node_id: int) -> None:
+        pass
+
+    def _member_removed(self, node_id: int) -> None:
+        pass
+
+    def carrier_busy(self, node_id: int) -> bool:
+        self.carrier_queries += 1
+        now = self.sim.now
+        link_prr = self.propagation.link_prr
+        for modem in self._modems.values():
+            if modem.node_id == node_id:
+                continue
+            self.carrier_checks += 1
+            if not modem.transmitting:
+                continue
+            if link_prr(modem.node_id, node_id, now) >= self.CARRIER_SENSE_THRESHOLD:
+                return True
+        for src, tx in list(self._remote_active.items()):
+            if tx.end <= now:
+                del self._remote_active[src]
+                continue
+            self.carrier_checks += 1
+            if link_prr(src, node_id, now) >= self.CARRIER_SENSE_THRESHOLD:
+                return True
+        return False
+
+    def _deliver_to(self, tx: Transmission, duration: float) -> None:
+        now = self.sim.now
+        src = tx.src
+        link_prr = self.propagation.link_prr
+        for node_id, modem in self._modems.items():
+            if node_id == src:
+                continue
+            prr = link_prr(src, node_id, now)
+            if prr <= 0.0:
+                continue
+            reception = self._admit_reception(tx, node_id, modem, prr)
+            self.sim.schedule(
+                duration, self._finish_reception, node_id, reception,
+                name="channel.rx",
+            )
+
+    def _finish_reception(self, node_id: int, reception: _Reception) -> None:
+        in_progress = self._receiving.get(node_id)
+        if in_progress is not None:
+            in_progress.pop(reception.transmission.seqno, None)
+        self._finalize_reception(node_id, self._modems.get(node_id), reception)

@@ -30,13 +30,7 @@ from repro.core import DiffusionConfig
 from repro.mac import CsmaMac
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
-from repro.radio import (
-    Channel,
-    DistancePropagation,
-    Modem,
-    Topology,
-    vectorize,
-)
+from repro.radio import Channel, DistancePropagation, Modem, Topology
 from repro.sim import SeedSequence, Simulator
 from repro.testbed import SensorNetwork
 
@@ -112,11 +106,6 @@ class FloodScenario(Scenario):
         sim = Simulator()
         seeds = SeedSequence(seed)
         propagation = DistancePropagation(topology, seed=seed)
-        # params["vectorized"]: opt into the numpy batch engine.  Safe on
-        # any worker — without numpy the wrapper is inert and the scalar
-        # fast path runs, bit-identically (hashed draws are engine-free).
-        if params.get("vectorized"):
-            propagation = vectorize(propagation)
         channel = Channel(
             sim, propagation, seeds=seeds, loss_mode="hashed"
         )
@@ -235,7 +224,6 @@ class DiffusionScenario(Scenario):
             config=DIFFUSION_CONFIG,
             seed=seed,
             loss_mode="hashed",
-            channel_vectorized=bool(params.get("vectorized")),
             nodes=owned,
         )
         delivered: List[float] = []

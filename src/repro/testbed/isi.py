@@ -106,7 +106,6 @@ def isi_testbed_network(
     config: Optional[DiffusionConfig] = None,
     asymmetry: float = 0.10,
     radio_params: Optional[RadioParams] = None,
-    channel_vectorized: bool = False,
 ) -> SensorNetwork:
     """A ready-to-run simulation of the ISI testbed."""
     topology = isi_testbed_topology()
@@ -123,5 +122,4 @@ def isi_testbed_network(
         seed=seed,
         propagation=propagation,
         radio_params=radio_params,
-        channel_vectorized=channel_vectorized,
     )

@@ -23,8 +23,9 @@ from repro.radio import (
     DistancePropagation,
     Modem,
     RadioParams,
+    ReferenceChannel,
     Topology,
-    vectorize,
+    supports_fast_path,
 )
 from repro.sim import SeedSequence, Simulator, TraceBus
 
@@ -131,8 +132,7 @@ class SensorNetwork:
         propagation=None,
         mac_queue_limit: int = 64,
         mac_factory=None,
-        channel_indexed: Optional[bool] = None,
-        channel_vectorized: bool = False,
+        channel_cls: Optional[type] = None,
         loss_mode: str = "stream",
         nodes: Optional[Iterable[int]] = None,
     ) -> None:
@@ -144,20 +144,17 @@ class SensorNetwork:
         self.seeds = SeedSequence(seed)
         self.radio_params = radio_params or RadioParams()
         self.propagation = propagation or DistancePropagation(topology, seed=seed)
-        # channel_vectorized: opt the propagation model into the numpy
-        # batch engine (repro.radio.vectorized).  The wrapper delegates
-        # every scalar query verbatim, so when numpy is missing (or
-        # REPRO_NO_NUMPY is set) the run silently continues on the
-        # scalar fast path — verdicts are bit-identical either way, and
-        # the channel's radio.vectorized_fallbacks counter records it.
-        if channel_vectorized:
-            self.propagation = vectorize(self.propagation)
-        # channel_indexed: None = use the neighborhood fast path when the
-        # propagation model supports it; False forces the reference O(N)
-        # scan (the equivalence suite and channelbench compare the two).
-        self.channel = Channel(
+        # channel_cls: None = Channel when the propagation model supports
+        # the neighborhood fast path, else the reference O(N) scan (the
+        # equivalence suite and channelbench pass it to compare the two).
+        if channel_cls is None:
+            channel_cls = (
+                Channel if supports_fast_path(self.propagation)
+                else ReferenceChannel
+            )
+        self.channel = channel_cls(
             self.sim, self.propagation, seeds=self.seeds, trace=self.trace,
-            indexed=channel_indexed, loss_mode=loss_mode,
+            loss_mode=loss_mode,
         )
         self.energy_account = NetworkEnergyAccount()
         # mac_factory(sim, modem, rng, queue_limit) -> Mac; None = CSMA.

@@ -1,14 +1,14 @@
-"""Indexed-channel equivalence suite.
+"""Channel equivalence suite.
 
-The neighborhood fast path must be *verdict-identical* to the reference
-O(N) channel scan: same fragments delivered, collided, and lost, in the
-same order, on seeded scenarios — including mobility (epoch
-invalidation), Gilbert–Elliot links (per-link window expiry), capture
-effect on and off, duty-cycled sleeping radios, and mid-run node
-failures.  Each case here builds the same scenario twice — once with
-``channel_indexed=False`` (reference) and once with ``True`` — runs an
-identical workload, and compares full channel trace event sequences
-plus every outcome counter.
+The neighborhood fast path (``Channel``) must be *verdict-identical* to
+the reference O(N) scan (``ReferenceChannel``): same fragments
+delivered, collided, and lost, in the same order, on seeded scenarios —
+including mobility (epoch invalidation), Gilbert–Elliot links (per-link
+window expiry), capture effect on and off, duty-cycled sleeping radios,
+mid-run node failures, and both loss modes.  Each case here builds the
+same scenario twice — once per ``channel_cls`` — runs an identical
+workload, and compares full channel trace event sequences plus every
+outcome counter.
 """
 
 import itertools
@@ -21,8 +21,10 @@ from repro import AttributeVector, Key
 from repro.core import DiffusionConfig
 from repro.mac import DutyCycledCsmaMac
 from repro.radio import (
+    Channel,
     DistancePropagation,
     GilbertElliotLink,
+    ReferenceChannel,
     Topology,
 )
 from repro.radio.dynamics import (
@@ -59,7 +61,7 @@ def random_topology(n_nodes: int, seed: int, side: float = 70.0) -> Topology:
 
 
 def run_scenario(
-    indexed: bool,
+    channel_cls: type,
     seed: int,
     n_nodes: int = 10,
     duration: float = 30.0,
@@ -69,7 +71,6 @@ def run_scenario(
     mobile: bool = False,
     duty_cycle: bool = False,
     failures: bool = False,
-    vectorized: bool = False,
     loss_mode: str = "stream",
 ):
     """Build + run one seeded scenario; return (trace events, outcome)."""
@@ -93,11 +94,10 @@ def run_scenario(
             )
     net = SensorNetwork(
         topo, config=CONFIG, seed=seed, propagation=propagation,
-        mac_factory=mac_factory, channel_indexed=indexed,
-        channel_vectorized=vectorized, loss_mode=loss_mode,
+        mac_factory=mac_factory, channel_cls=channel_cls, loss_mode=loss_mode,
     )
     net.channel.capture_effect = capture
-    assert net.channel.indexed is indexed
+    assert type(net.channel) is channel_cls
 
     events = []
     for category in CHANNEL_CATEGORIES:
@@ -162,30 +162,14 @@ def run_scenario(
 
 
 def assert_equivalent(**kwargs):
-    ref_events, ref_outcome, ref_channel = run_scenario(indexed=False, **kwargs)
-    fast_events, fast_outcome, fast_channel = run_scenario(indexed=True, **kwargs)
+    ref_events, ref_outcome, ref_channel = run_scenario(ReferenceChannel, **kwargs)
+    fast_events, fast_outcome, fast_channel = run_scenario(Channel, **kwargs)
     assert fast_outcome == ref_outcome
     assert fast_events == ref_events
     # The scenario has to produce real traffic for the comparison to
     # mean anything.
     assert ref_outcome["sent"] > 20
     return ref_channel, fast_channel
-
-
-def assert_vectorized_equivalent(**kwargs):
-    """All three engines — reference, indexed, vectorized — must agree
-    event for event; the vectorized run must really engage the batch."""
-    ref_events, ref_outcome, _ = run_scenario(indexed=False, **kwargs)
-    idx_events, idx_outcome, _ = run_scenario(indexed=True, **kwargs)
-    vec_events, vec_outcome, vec_channel = run_scenario(
-        indexed=True, vectorized=True, **kwargs
-    )
-    assert idx_outcome == ref_outcome
-    assert idx_events == ref_events
-    assert vec_outcome == ref_outcome
-    assert vec_events == ref_events
-    assert ref_outcome["sent"] > 20
-    return vec_channel
 
 
 class TestStaticEquivalence:
@@ -195,6 +179,9 @@ class TestStaticEquivalence:
 
     def test_capture_effect_off(self):
         assert_equivalent(seed=6, capture=False)
+
+    def test_hashed_loss_draws(self):
+        assert_equivalent(seed=5, loss_mode="hashed")
 
     def test_static_topology_builds_sets_once(self):
         _, fast_channel = assert_equivalent(seed=2)
@@ -216,6 +203,9 @@ class TestDynamicEquivalence:
         # in the set while its instantaneous PRR is exactly zero.
         assert_equivalent(seed=4, gilbert=True, bad_scale=0.0)
 
+    def test_hashed_loss_draws_with_gilbert(self):
+        assert_equivalent(seed=6, gilbert=True, loss_mode="hashed")
+
     @pytest.mark.parametrize("seed", [1, 2])
     def test_mobility_epoch_invalidation(self, seed):
         ref, fast = assert_equivalent(seed=seed, mobile=True)
@@ -233,63 +223,8 @@ class TestDynamicEquivalence:
             seed=8, gilbert=True, mobile=True, duty_cycle=True, failures=True
         )
 
-
-needs_numpy = pytest.mark.skipif(
-    not __import__("repro.radio.vectorized", fromlist=["available"]).available(),
-    reason="numpy unavailable or REPRO_NO_NUMPY set",
-)
-
-
-@needs_numpy
-class TestVectorizedEquivalence:
-    """The numpy batch engine against both scalar engines.
-
-    Same contract as the indexed suite, one level up: batch audibility
-    cuts, delivery rows, exact carrier hearer sets, and batched hashed
-    loss draws must leave every channel trace event and counter
-    bit-identical.
-    """
-
-    @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_static_topologies(self, seed):
-        chan = assert_vectorized_equivalent(seed=seed)
-        assert chan.index.has_batch
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_gilbert_elliot_links(self, seed):
-        assert_vectorized_equivalent(seed=seed, gilbert=True)
-
-    def test_gilbert_elliot_dead_bad_state(self):
-        assert_vectorized_equivalent(seed=4, gilbert=True, bad_scale=0.0)
-
-    @pytest.mark.parametrize("seed", [1, 2])
-    def test_mobility_epoch_invalidation(self, seed):
-        chan = assert_vectorized_equivalent(seed=seed, mobile=True)
-        assert chan.index.rebuilds > 0
-
-    @pytest.mark.parametrize("loss_mode", ["stream", "hashed"])
-    def test_loss_modes(self, loss_mode):
-        assert_vectorized_equivalent(seed=5, loss_mode=loss_mode)
-
-    def test_hashed_draws_with_gilbert(self):
-        assert_vectorized_equivalent(seed=6, gilbert=True, loss_mode="hashed")
-
-    def test_everything_at_once(self):
-        assert_vectorized_equivalent(
+    def test_everything_at_once_hashed(self):
+        assert_equivalent(
             seed=8, gilbert=True, mobile=True, duty_cycle=True, failures=True,
             loss_mode="hashed",
         )
-
-    def test_numpy_disabled_falls_back_bit_identically(self, monkeypatch):
-        # With REPRO_NO_NUMPY the vectorize() wrapper must be inert:
-        # same verdicts via the scalar fast path, fallbacks counted.
-        vec_events, vec_outcome, _ = run_scenario(
-            indexed=True, vectorized=True, seed=3
-        )
-        monkeypatch.setenv("REPRO_NO_NUMPY", "1")
-        off_events, off_outcome, off_channel = run_scenario(
-            indexed=True, vectorized=True, seed=3
-        )
-        assert not off_channel.index.has_batch
-        assert off_outcome == vec_outcome
-        assert off_events == vec_events

@@ -16,7 +16,7 @@ from repro.faults import (
     NodeCrash,
     Partition,
 )
-from repro.radio import DistancePropagation, Topology
+from repro.radio import DistancePropagation, ReferenceChannel, Topology
 from repro.sim import TraceCollector
 from repro.testbed import SensorNetwork
 
@@ -127,8 +127,27 @@ class TestEngine:
         assert isinstance(net.propagation, FaultOverlayPropagation)
         assert net.propagation.base is original
         assert net.channel.propagation is net.propagation
-        assert net.channel.index is not None
         assert net.channel.index.propagation is engine.overlay
+        assert net.channel.index.audible_from(0) == [1, 2]
+
+    def test_link_plan_on_reference_channel_needs_no_index(self):
+        class SlowModel:
+            def link_prr(self, src, dst, now):
+                return 1.0 if abs(src - dst) == 1 else 0.0
+
+        net = SensorNetwork(line_topology(2), seed=5, propagation=SlowModel())
+        engine = FaultEngine(
+            net, FaultPlan((LinkFlap(a=0, b=1, at=5.0, down=2.0),))
+        )
+        assert type(net.channel) is ReferenceChannel
+        assert net.channel.propagation is engine.overlay
+        assert not hasattr(net.channel, "index")
+        net.run(until=6.0)
+        assert engine.overlay.is_cut(0, 1)
+        modem = net.stack(0).modem
+        if not modem.transmitting:
+            modem.transmit_fragment("x", 10)
+        assert not net.channel.carrier_busy(1)  # the only neighbor is cut off
 
     def test_crash_only_plan_skips_overlay(self):
         net = self._network()

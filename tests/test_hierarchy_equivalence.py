@@ -18,7 +18,6 @@ def _params(mode, hierarchy):
         "duration": 20.0,
         "send_interval": 2.0,
         "mode": mode,
-        "vectorized": True,
         "hierarchy": hierarchy,
     }
 

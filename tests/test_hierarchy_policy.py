@@ -130,7 +130,6 @@ def _oracle(mode, hierarchy=None):
         "duration": 30.0,
         "send_interval": 2.0,
         "mode": mode,
-        "vectorized": True,
         "hierarchy": hierarchy or {},
     }
     plan = ShardPlan(

@@ -6,6 +6,7 @@ import math
 
 import pytest
 
+from repro import AttributeVector, Key
 from repro.link.neighbor import EphemeralIdAllocator
 from repro.mac import CsmaMac
 from repro.radio import (
@@ -14,18 +15,18 @@ from repro.radio import (
     GilbertElliotLink,
     Modem,
     NeighborhoodIndex,
+    ReferenceChannel,
     TablePropagation,
     Topology,
     supports_fast_path,
 )
 from repro.sim import SeedSequence, Simulator
+from repro.testbed import SensorNetwork
 
 
-def make_net(links, n_nodes=3, indexed=None):
+def make_net(links, n_nodes=3, channel_cls=Channel):
     sim = Simulator()
-    channel = Channel(
-        sim, TablePropagation(links), seeds=SeedSequence(1), indexed=indexed
-    )
+    channel = channel_cls(sim, TablePropagation(links), seeds=SeedSequence(1))
     modems = [Modem(sim, channel, node_id=i) for i in range(n_nodes)]
     return sim, channel, modems
 
@@ -53,22 +54,30 @@ class TestFastPathSupport:
         assert not supports_fast_path(GilbertElliotLink(LegacyModel()))
 
     def test_channel_auto_detects(self):
-        sim = Simulator()
-        assert Channel(sim, TablePropagation({})).indexed
-        assert not Channel(sim, LegacyModel()).indexed
+        topo = Topology.line(2)
+        assert type(SensorNetwork(topo).channel) is Channel
+        legacy = SensorNetwork(topo, propagation=LegacyModel())
+        assert type(legacy.channel) is ReferenceChannel
 
     def test_forcing_index_on_legacy_model_rejected(self):
-        with pytest.raises(ValueError):
-            Channel(Simulator(), LegacyModel(), indexed=True)
+        with pytest.raises(ValueError, match="ReferenceChannel"):
+            Channel(Simulator(), LegacyModel())
 
     def test_legacy_model_still_delivers(self):
-        sim = Simulator()
-        channel = Channel(sim, LegacyModel(), seeds=SeedSequence(1))
-        modems = [Modem(sim, channel, node_id=i) for i in range(2)]
+        net = SensorNetwork(Topology.line(2), propagation=LegacyModel())
         got = []
-        modems[1].receive_callback = lambda *args: got.append(args)
-        modems[0].transmit_fragment("x", 10)
-        sim.run()
+        net.api(0).subscribe(
+            AttributeVector.builder().eq(Key.TYPE, "legacy").build(),
+            lambda attrs, msg: got.append(msg),
+        )
+        pub = net.api(1).publish(
+            AttributeVector.builder().actual(Key.TYPE, "legacy").build()
+        )
+        net.sim.schedule(
+            2.0, net.api(1).send, pub,
+            AttributeVector.builder().actual(Key.SEQUENCE, 0).build(),
+        )
+        net.run(until=10.0)
         assert len(got) == 1
 
 
@@ -163,7 +172,6 @@ class TestActiveRegistry:
     def test_carrier_checks_scale_with_transmitters(self):
         links = {(i, 9): 1.0 for i in range(9)}
         sim, channel, modems = make_net(links, n_nodes=10)
-        assert channel.indexed
         channel.carrier_busy(9)
         assert channel.carrier_checks == 0  # nobody on the air
         modems[0].transmit_fragment("a", 27)
@@ -175,7 +183,9 @@ class TestActiveRegistry:
 
     def test_reference_scan_counts_all_modems(self):
         links = {(i, 9): 1.0 for i in range(9)}
-        sim, channel, modems = make_net(links, n_nodes=10, indexed=False)
+        sim, channel, modems = make_net(
+            links, n_nodes=10, channel_cls=ReferenceChannel
+        )
         channel.carrier_busy(9)
         assert channel.carrier_checks == 9
 

@@ -92,40 +92,6 @@ def test_single_shard_inline_matches_oracle_stats():
     assert stats["ghosts_admitted"] == 0
 
 
-needs_numpy = pytest.mark.skipif(
-    not __import__("repro.radio.vectorized", fromlist=["available"]).available(),
-    reason="numpy unavailable or REPRO_NO_NUMPY set",
-)
-
-
-@needs_numpy
-@pytest.mark.parametrize("case", sorted(CASES))
-def test_vectorized_shards_match_scalar_oracle(case):
-    """The numpy batch engine must be invisible to sharding: vectorized
-    workers (including ghost admission through the batch delivery rows)
-    merge to the same outcome as the scalar single-queue oracle."""
-    spec = CASES[case]
-    plan = ShardPlan(
-        shards=2, scenario=spec["scenario"],
-        params={**spec["params"], "vectorized": True},
-        seed=spec["seed"], duration=spec["duration"],
-    )
-    result = run_sharded(plan, transport="inline")
-    assert result["outcome"] == oracle_outcome(case)
-    assert sum(s["ghosts_admitted"] for s in result["shards"]) > 0
-
-
-@needs_numpy
-def test_vectorized_oracle_matches_scalar_oracle():
-    spec = CASES["flood"]
-    plan = ShardPlan(
-        shards=1, scenario=spec["scenario"],
-        params={**spec["params"], "vectorized": True},
-        seed=spec["seed"], duration=spec["duration"],
-    )
-    assert run_oracle(plan) == oracle_outcome("flood")
-
-
 def test_shard_stats_and_metrics_are_reported():
     plan = ShardPlan(shards=2, **CASES["flood"])
     result = run_sharded(plan, transport="inline")
