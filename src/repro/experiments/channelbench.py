@@ -18,7 +18,7 @@ against each other before reporting:
 * ``indexed`` — :class:`~repro.radio.Channel`, the neighborhood fast
   path every production run uses.
 
-Two scenarios:
+Three scenarios:
 
 * **radio flood** (primary) — every node broadcasts a periodic beacon
   through its CSMA MAC on a grid whose radio neighborhood stays
@@ -26,6 +26,10 @@ Two scenarios:
   diffusion on top), so the measured speedup is the channel's own:
   the per-fragment audibility scan and the per-backoff carrier scan
   dominate the run.
+* **mobile radio flood** — the same flood while one node walks across
+  the grid, so the propagation epoch changes every few milliseconds of
+  simulated time; shows what the index pays per epoch (set builds and
+  ``link_prr_bound`` probes, which stay local to the mover).
 * **diffusion** (secondary) — the full stack (diffusion → frag → MAC →
   radio) with two corner sources streaming to a corner sink; shows
   what the fast path buys a whole-application run where upper layers
@@ -47,6 +51,7 @@ Reported per scenario and size:
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import sys
@@ -83,6 +88,11 @@ REPS = 3
 #: pure channel-scan overhead.
 FLOOD_SPACING = 26.0
 FLOOD_BEACON_INTERVAL = 0.5
+
+#: mobile flood: node 0 walks the top row, one step this often.  Every
+#: step is a new propagation epoch, so what the index pays per epoch
+#: (its set builds and their bound probes) is what the row shows.
+MOVE_INTERVAL = 0.05
 
 #: diffusion scenario spacing keeps multihop links solid.
 DIFFUSION_SPACING = 18.0
@@ -126,6 +136,7 @@ def _result(channel: Channel, wall: float, outcome: Dict) -> Dict:
         result["index"] = {
             "rebuilds": index.rebuilds,
             "set_builds": index.set_builds,
+            "bound_probes": index.bound_probes,
             "memo_hit_rate": (
                 index.memo_hits / memo_total if memo_total else 0.0
             ),
@@ -139,6 +150,7 @@ def run_flood(
     engine="indexed",
     duration: float = 30.0,
     seed: int = 1,
+    mobile: bool = False,
 ) -> Dict:
     """Every node beacons through its CSMA MAC; no upper layers."""
     topo = Topology.grid(columns, rows, spacing=FLOOD_SPACING)
@@ -175,12 +187,25 @@ def run_flood(
             rng.random() * interval, beacon_tick, node_id, rng, name="beacon"
         )
 
+    if mobile:
+        steps = int(duration / MOVE_INTERVAL)
+        width = FLOOD_SPACING * (columns - 1)
+        for step in range(1, steps):
+            sim.schedule_at(
+                step * MOVE_INTERVAL, topo.move_node, 0,
+                width * step / steps, 0.0, name="move", priority=-2,
+            )
+
     start = time.perf_counter()
     sim.run(until=duration)
     wall = time.perf_counter() - start
     return _result(
         channel, wall, _channel_outcome(channel, {"heard": heard[0]})
     )
+
+
+#: the flood with one node on the move throughout.
+run_mobile_flood = functools.partial(run_flood, mobile=True)
 
 
 def run_diffusion(
@@ -299,8 +324,15 @@ def run_bench(
             run_flood, columns, rows, duration, seed, reps=REPS
         )
         results.append(_report_row("radio-flood", columns, rows, engines))
-    # One full-stack data point at the largest size.
+    # The largest flood again with a node on the move, and one
+    # full-stack data point.
     columns, rows = grids[-1]
+    engines = run_engines(
+        run_mobile_flood, columns, rows, duration, seed, reps=REPS
+    )
+    results.append(
+        _report_row("radio-flood-mobile", columns, rows, engines)
+    )
     engines = run_engines(
         run_diffusion, columns, rows, duration, seed, reps=REPS
     )
@@ -313,6 +345,10 @@ def run_bench(
                 f"~{FLOOD_BEACON_INTERVAL}s through CSMA on a grid at "
                 f"spacing {FLOOD_SPACING} (constant radio neighborhood), "
                 f"{duration}s simulated"
+            ),
+            "radio-flood-mobile": (
+                f"radio-flood with node 0 walking the top row, one "
+                f"step (= one propagation epoch) every {MOVE_INTERVAL}s"
             ),
             "diffusion": (
                 f"full diffusion stack at spacing {DIFFUSION_SPACING}, two "
@@ -391,6 +427,28 @@ def main(argv=None) -> int:
             print(
                 f"FAIL: reference carrier-sense cost should grow with N "
                 f"({small_ref:.2f} -> {large_ref:.2f} checks/query)",
+                file=sys.stderr,
+            )
+            return 1
+        # Mobility: every step of the mover is a new epoch.  Verdicts
+        # must still equal the reference scan's, and a set build may
+        # probe only the sender's neighbourhood — 3x3 reach-sized cells
+        # of at most 4 grid points each — however large N is.
+        results = run_engines(run_mobile_flood, 16, 16, smoke_duration)
+        index = results["indexed"]["index"]
+        probes_per_build = index["bound_probes"] / index["set_builds"]
+        print(
+            f"channel smoke mobile flood 16x16: outcomes identical "
+            f"({results['indexed']['outcome']['delivered']} delivered), "
+            f"{index['rebuilds']} epochs repaired, "
+            f"{probes_per_build:.1f} bound probes per set build"
+        )
+        if index["rebuilds"] == 0 or probes_per_build > 36:
+            print(
+                f"FAIL: set builds under mobility should probe the "
+                f"sender's neighbourhood (<= 36 members), not the "
+                f"network of 256 ({probes_per_build:.1f} per build, "
+                f"{index['rebuilds']} epochs seen)",
                 file=sys.stderr,
             )
             return 1

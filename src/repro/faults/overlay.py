@@ -11,10 +11,13 @@ The overlay honors the radio fast-path contract
 pairs an overlay version counter with the base epoch, and every
 mutation (block, unblock, partition, heal) bumps the version — so a
 :class:`~repro.radio.neighborhood.NeighborhoodIndex` built over the
-overlay drops its cached audibility/carrier sets the moment the fault
-landscape changes, exactly as it would for a topology move.  A cut
-link's bound is 0 (never underestimating the truth — the truth *is* 0)
-and its window is valid forever (any change bumps the epoch first).
+overlay drops every cached audibility/carrier set the moment the fault
+landscape changes (``moved_since`` answers "unknown" across a
+mutation: a partition cuts links anywhere).  While the landscape holds,
+the base's movers, spatial reach and topology pass straight through, so
+mobility under a fault plan is repaired as locally as without one.  A
+cut link's bound is 0 (never underestimating the truth — the truth *is*
+0) and its window is valid forever (any change bumps the epoch first).
 
 Partition semantics: nodes assigned to different groups cannot hear
 each other; nodes in the same group, and nodes assigned to *no* group,
@@ -25,7 +28,7 @@ for modelling a mobile node that both islands can still reach.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 
 class FaultOverlayPropagation:
@@ -105,3 +108,22 @@ class FaultOverlayPropagation:
             # and drops every memoized window anyway.
             return 0.0, math.inf
         return self.base.link_prr_window(src, dst, now)
+
+    def audible_reach(self) -> Optional[float]:
+        # A cut only removes links, so the base's spatial bound still
+        # covers every audible pair.
+        reach = getattr(self.base, "audible_reach", None)
+        return reach() if reach is not None else None
+
+    @property
+    def topology(self):
+        return getattr(self.base, "topology", None)
+
+    def moved_since(self, epoch: Tuple[int, object]) -> Optional[List[int]]:
+        # A cut or heal since ``epoch`` can change bounds anywhere in
+        # the network; only with the fault landscape unchanged is the
+        # base's list of movers the whole story.
+        moved = getattr(self.base, "moved_since", None)
+        if moved is None or epoch[0] != self._version:
+            return None
+        return moved(epoch[1])

@@ -19,17 +19,42 @@ exact memoized PRR, so channel verdicts are bit-identical to the
 reference scan.  Invalidation is two-tier:
 
 * the model's ``prr_epoch()`` token changes whenever a link *bound* may
-  have changed (topology moves, table edits) — everything is dropped;
+  have changed (topology moves, table edits, fault cuts);
 * per-link windows expire on their own (Gilbert–Elliot state flips),
   which a global counter could not express because flips are discovered
   lazily at query time.
 
-Static topologies therefore compute each set exactly once per run.
+Both what a set build looks at and what an epoch change drops are kept
+local to the nodes involved whenever the model lets them be:
+
+* **Builds.**  Over a model that offers ``audible_reach()`` and a
+  ``topology``, members are bucketed into reach-sized grid cells
+  (:class:`CellBuckets`) and a set build probes only the 3x3 block
+  around the sender; a model with no spatial bound
+  (``TablePropagation``) gets the scan over every member.
+* **The repair rule.**  When the token changes and the model's
+  ``moved_since(old_token)`` names the nodes that moved, each mover is
+  re-bucketed and loses its own sets; every sender bucketed around the
+  cell it left or the cell it entered loses its sets; and the memo
+  entries of links touching the mover go.  Everything else stays.
+  Attaching or detaching a node on a warm index is the same repair.
+* **The ghost-sender rule.**  Senders that are not members (a shard's
+  ghost transmitters) have cached sets and memo entries too.  They are
+  bucketed by the position they were first seen at, so a member moving
+  near one drops that ghost's sets; a ghost that itself moves loses its
+  own sets and links, and — sitting in no set — disturbs nothing else.
+* **The fallback.**  ``moved_since`` missing or answering ``None`` (a
+  table edit, a cut or heal, a node placed, an index that fell behind
+  the topology's bounded move journal), or no buckets to look senders
+  up in: every set, every memo entry and the buckets are dropped.
+
+Static topologies therefore compute each set exactly once per run, and
+a moving node costs its two neighbourhoods per move, not the network.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
 def supports_fast_path(model) -> bool:
@@ -53,13 +78,70 @@ def supports_fast_path(model) -> bool:
     return True
 
 
+Cell = Tuple[int, int]
+
+
+def _audible_reach(model) -> Optional[float]:
+    """The model's spatial bound, or None when it offers none."""
+    reach = getattr(model, "audible_reach", None)
+    return reach() if reach is not None else None
+
+
+class CellBuckets:
+    """Nodes bucketed into square grid cells one audible reach wide.
+
+    Planar distance never exceeds effective distance, so two nodes with
+    a non-zero link bound sit in the same or in adjacent cells: the 3x3
+    block around a node's cell holds every candidate for its sets.
+    """
+
+    def __init__(self, reach: float) -> None:
+        self.reach = reach
+        self._cells: Dict[Cell, List[int]] = {}
+        self._cell_of: Dict[int, Cell] = {}
+
+    def cell_at(self, pos) -> Cell:
+        return (int(pos.x // self.reach), int(pos.y // self.reach))
+
+    def cell_of(self, node: int) -> Optional[Cell]:
+        return self._cell_of.get(node)
+
+    def place(self, node: int, pos) -> Cell:
+        cell = self._cell_of[node] = self.cell_at(pos)
+        self._cells.setdefault(cell, []).append(node)
+        return cell
+
+    def discard(self, node: int) -> Optional[Cell]:
+        """Take ``node`` out; returns the cell it was in, if any."""
+        cell = self._cell_of.pop(node, None)
+        if cell is not None:
+            members = self._cells[cell]
+            members.remove(node)
+            if not members:
+                del self._cells[cell]
+        return cell
+
+    def around(self, cell: Cell) -> List[int]:
+        """Every node in the 3x3 block of cells centred on ``cell``."""
+        cx, cy = cell
+        cells = self._cells
+        found: List[int] = []
+        for x in (cx - 1, cx, cx + 1):
+            for y in (cy - 1, cy, cy + 1):
+                members = cells.get((x, y))
+                if members:
+                    found += members
+        return found
+
+
 class NeighborhoodIndex:
     """Cached audibility / carrier-sense sets plus a windowed PRR memo.
 
     Membership (which nodes exist) is pushed in by the channel via
     :meth:`add_node` / :meth:`remove_node`; link data is pulled lazily
-    from the propagation model and dropped wholesale whenever its
-    ``prr_epoch()`` token changes.
+    from the propagation model and repaired (or, when the model cannot
+    say what changed, dropped wholesale) whenever its ``prr_epoch()``
+    token changes.
     """
 
     def __init__(self, propagation, carrier_threshold: float) -> None:
@@ -72,10 +154,18 @@ class NeighborhoodIndex:
             )
         self.propagation = propagation
         self.carrier_threshold = carrier_threshold
-        # Attach order, preserved so reception scheduling walks receivers
+        # Member -> attach rank.  Insertion order is attach order, which
+        # audibility lists keep so reception scheduling walks receivers
         # in exactly the order the reference modem scan would.
-        self._members: List[int] = []
+        self._order: Dict[int, int] = {}
+        self._attached = 0
         self._epoch: object = propagation.prr_epoch()
+        # Members by position, and the senders seen so far that are not
+        # members (a shard's ghosts).  Both are built on the first set
+        # build after a reset and stay None over a model with no
+        # spatial bound.
+        self._cells: Optional[CellBuckets] = None
+        self._ghosts: Optional[CellBuckets] = None
         self._audible: Dict[int, List[int]] = {}
         #: lazily built carrier-sense candidate sets, exposed (like
         #: :attr:`prr_memo`) for the channel's carrier-scan loop: after
@@ -87,48 +177,130 @@ class NeighborhoodIndex:
         #: expiry exceeds ``now`` may be read directly (saving a method
         #: call per link); misses must go through :meth:`link_prr`.
         self.prr_memo: Dict[Tuple[int, int], Tuple[float, float]] = {}
-        # Statistics (channelbench reports these).
+        # Node -> the nodes it shares a memoized link with (either
+        # direction, member or not), so one node's entries can be
+        # dropped without walking the memo.
+        self._memo_peers: Dict[int, Set[int]] = {}
+        # Statistics (channelbench and the perf ledger report these).
+        #: epoch or membership changes that found something cached.
         self.rebuilds = 0
         self.set_builds = 0
+        #: ``link_prr_bound`` calls made by those set builds.
+        self.bound_probes = 0
         self.memo_hits = 0
         self.memo_misses = 0
 
     # -- membership ---------------------------------------------------------
 
     def add_node(self, node_id: int) -> None:
-        self._members.append(node_id)
-        # A new node must appear in every other sender's sets; attaching
-        # before any set was built (network construction) costs nothing.
-        self._reset()
+        self._attached += 1
+        self._order[node_id] = self._attached
+        # A new node must appear in the sets of the senders around it;
+        # attaching before any set was built (network construction)
+        # costs nothing.
+        self._invalidate((node_id,))
 
     def remove_node(self, node_id: int) -> None:
-        self._members.remove(node_id)
-        self._reset()
+        del self._order[node_id]
+        self._invalidate((node_id,))
 
-    def _reset(self) -> None:
-        if not (self._audible or self.carrier_map or self.prr_memo):
-            return
-        self._audible.clear()
-        self.carrier_map.clear()
-        self.prr_memo.clear()
-        self.rebuilds += 1
-
-    # -- epoch sync ---------------------------------------------------------
+    # -- invalidation -------------------------------------------------------
 
     def sync(self) -> None:
-        """Drop every cache if the propagation epoch moved on.
+        """Bring the caches up to the propagation epoch.
 
         The channel calls this once per operation (transmission,
-        carrier-sense query) and may then read :attr:`prr_memo`
-        directly; the query methods below also call it, so external
-        callers holding no memo references never need to.
+        carrier-sense query) and may then read :attr:`prr_memo` and
+        :attr:`carrier_map` directly; the query methods below also call
+        it, so external callers holding no references never need to.
         """
         epoch = self.propagation.prr_epoch()
         if epoch != self._epoch:
+            moved_since = getattr(self.propagation, "moved_since", None)
+            moved = (
+                moved_since(self._epoch) if moved_since is not None else None
+            )
             self._epoch = epoch
-            self._reset()
+            self._invalidate(moved)
+
+    def _invalidate(self, nodes: Optional[Iterable[int]]) -> None:
+        """``nodes`` moved, attached or detached; None = anything may
+        have changed.  Without buckets there is no telling which senders
+        sit near a node, so that drops everything too."""
+        if self._audible or self.carrier_map or self.prr_memo:
+            self.rebuilds += 1
+        if nodes is None or self._cells is None:
+            self._cells = self._ghosts = None
+            self._audible.clear()
+            self.carrier_map.clear()
+            self.prr_memo.clear()
+            self._memo_peers.clear()
+        else:
+            for node in dict.fromkeys(nodes):
+                self._repair(node)
+
+    def _repair(self, node: int) -> None:
+        """Drop only what ``node`` can have made stale: its own sets,
+        the sets of every sender (member or ghost) bucketed around the
+        cell it left and the cell it is in now, and the memo entries of
+        links that touch it.  A node that is no member sits in no set,
+        so for a ghost that moved, its own sets and links are all there
+        is."""
+        cells, ghosts = self._cells, self._ghosts
+        stale = [node]
+        ghosts.discard(node)
+        left = cells.discard(node)
+        if left is not None:
+            stale += cells.around(left) + ghosts.around(left)
+        if node in self._order:
+            entered = cells.place(
+                node, self.propagation.topology.position(node)
+            )
+            if entered != left:
+                stale += cells.around(entered) + ghosts.around(entered)
+        for sender in stale:
+            self._audible.pop(sender, None)
+            self.carrier_map.pop(sender, None)
+        memo, peers = self.prr_memo, self._memo_peers
+        for peer in peers.pop(node, ()):
+            memo.pop((node, peer), None)
+            memo.pop((peer, node), None)
+            if peer != node:
+                peers[peer].discard(node)
 
     # -- queries ------------------------------------------------------------
+
+    def _buckets(self) -> Optional[CellBuckets]:
+        """Members by cell, bucketed on first use after a reset; None
+        over a model that does not bound audibility in space."""
+        if self._cells is None:
+            reach = _audible_reach(self.propagation)
+            topology = getattr(self.propagation, "topology", None)
+            if reach is not None and topology is not None:
+                cells = CellBuckets(reach)
+                for node in self._order:
+                    cells.place(node, topology.position(node))
+                self._cells, self._ghosts = cells, CellBuckets(reach)
+        return self._cells
+
+    def _candidates(self, src: int) -> Iterable[int]:
+        """The members ``src``'s sets are picked from: those bucketed
+        around it, or all of them when there are no buckets."""
+        cells = self._buckets()
+        if cells is None:
+            near: Iterable[int] = self._order
+        else:
+            # A sender that is no member is remembered by position, so
+            # that a member moving nearby finds its sets too.
+            ghosts = self._ghosts
+            cell = (
+                cells.cell_of(src)
+                or ghosts.cell_of(src)
+                or ghosts.place(src, self.propagation.topology.position(src))
+            )
+            near = cells.around(cell)
+        self.bound_probes += len(near) - (src in self._order)
+        return near
 
     def audible_from(self, src: int) -> List[int]:
         """Nodes that may hear ``src`` this epoch, in attach order."""
@@ -137,9 +309,10 @@ class NeighborhoodIndex:
         if audible is None:
             bound = self.propagation.link_prr_bound
             audible = [
-                dst for dst in self._members
+                dst for dst in self._candidates(src)
                 if dst != src and bound(src, dst) > 0.0
             ]
+            audible.sort(key=self._order.__getitem__)
             self._audible[src] = audible
             self.set_builds += 1
         return audible
@@ -151,7 +324,7 @@ class NeighborhoodIndex:
         if candidates is None:
             bound = self.propagation.link_prr_bound
             candidates = {
-                dst for dst in self._members
+                dst for dst in self._candidates(src)
                 if dst != src and bound(src, dst) >= self.carrier_threshold
             }
             self.carrier_map[src] = candidates
@@ -170,6 +343,10 @@ class NeighborhoodIndex:
             return cached[0]
         self.memo_misses += 1
         prr, expires = self.propagation.link_prr_window(src, dst, now)
+        if cached is None:
+            peers = self._memo_peers
+            peers.setdefault(src, set()).add(dst)
+            peers.setdefault(dst, set()).add(src)
         self.prr_memo[key] = (prr, expires)
         return prr
 
@@ -186,14 +363,15 @@ class BoundaryIndex:
     so the sets are supersets and every actual delivery still re-checks
     the exact PRR — identical to the fast-path correctness contract.
 
-    Invalidation mirrors :class:`NeighborhoodIndex`: all sets drop when
-    the model's ``prr_epoch()`` token moves (mobility crossing the cut
-    is just a topology version bump).  When the model offers an
-    ``audible_reach()`` spatial bound and positions are available, the
-    rebuild buckets foreign nodes into reach-sized grid cells and probes
-    only geometrically plausible pairs — O(boundary), not
-    O(owned x foreign), which is what keeps 10k-node sharded rebuilds
-    affordable under mobility.
+    Invalidation rides the same ``prr_epoch()`` token as
+    :class:`NeighborhoodIndex`, without the repair: all sets drop when
+    it moves (mobility crossing the cut is just a topology version
+    bump).  When the model offers an ``audible_reach()`` spatial bound
+    and positions are available, the rebuild buckets foreign nodes into
+    reach-sized grid cells (:class:`CellBuckets`) and probes only
+    geometrically plausible pairs — O(boundary), not O(owned x foreign),
+    which is what keeps 10k-node sharded rebuilds affordable under
+    mobility.
     """
 
     def __init__(
@@ -245,29 +423,19 @@ class BoundaryIndex:
         Falls back to the full cross product when no spatial bound is
         available (table models, extreme asymmetry).
         """
-        reach_fn = getattr(self.propagation, "audible_reach", None)
-        reach = reach_fn() if reach_fn is not None else None
+        reach = _audible_reach(self.propagation)
         topo = self.topology
         if reach is None or topo is None:
             for o in self.owned:
                 for f in self.foreign:
                     yield o, f
             return
-        # Cell size = reach, so any audible pair lands in the same or an
-        # adjacent cell (planar distance never exceeds effective
-        # distance).
-        buckets: Dict[Tuple[int, int], List[int]] = {}
+        buckets = CellBuckets(reach)
         for f in self.foreign:
-            pos = topo.position(f)
-            key = (int(pos.x // reach), int(pos.y // reach))
-            buckets.setdefault(key, []).append(f)
+            buckets.place(f, topo.position(f))
         for o in self.owned:
-            pos = topo.position(o)
-            cx, cy = int(pos.x // reach), int(pos.y // reach)
-            for dx in (-1, 0, 1):
-                for dy in (-1, 0, 1):
-                    for f in buckets.get((cx + dx, cy + dy), ()):
-                        yield o, f
+            for f in buckets.around(buckets.cell_at(topo.position(o))):
+                yield o, f
 
     def _rebuild(self) -> None:
         self._out.clear()

@@ -22,7 +22,7 @@ still comes from the scalar methods below.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional, Protocol, Tuple
+from typing import Dict, List, Optional, Protocol, Tuple
 
 from repro.sim.rng import make_rng
 from repro.radio.topology import Topology
@@ -59,6 +59,20 @@ class FastPathPropagation(PropagationModel, Protocol):
       rather than the global epoch, because flips are discovered lazily
       at query time — a global counter alone could not invalidate a
       memoized link the moment its own state silently changed.
+
+    Two further methods are optional; the index observes whether the
+    model has them and scans every member / drops every cache when not:
+
+    * ``audible_reach()`` with a ``topology`` attribute — a planar
+      distance beyond which no link is ever audible (``None`` = no such
+      bound), and the positions it applies to.  Candidate sets are then
+      built from the reach-sized grid cells around the sender only.
+    * ``moved_since(epoch)`` — given an earlier :meth:`prr_epoch` token,
+      the nodes whose position changed since, *provided nothing else
+      that feeds a bound did*; ``None`` = unknown.  With an answer the
+      index repairs the neighbourhoods of those nodes and keeps the
+      rest; with ``None`` it starts over.  An overlay delegates to its
+      base only while its own part of the token is unchanged.
     """
 
     def prr_epoch(self) -> object:
@@ -139,9 +153,9 @@ class DistancePropagation:
             return 0.0
         # Geometric upper bound: the per-link factor shrinks the
         # effective distance by at most (1 - asymmetry), so evaluating
-        # the ramp there can only overestimate the PRR.  This keeps the
-        # O(N^2) candidate-set build from materializing a derived RNG
-        # for every far-out-of-range pair; audible candidates are
+        # the ramp there can only overestimate the PRR.  This keeps a
+        # candidate-set build from materializing a derived RNG for
+        # every out-of-range pair it probes; audible candidates are
         # re-checked with the exact PRR per query.
         distance = self.topology.effective_distance(src, dst)
         return self.base_prr(distance * (1.0 - self.asymmetry))
@@ -157,13 +171,17 @@ class DistancePropagation:
         The per-link factor shrinks effective distance by at most
         ``(1 - asymmetry)``, and the floor penalty only adds distance,
         so ``max_range / (1 - asymmetry)`` bounds the planar separation
-        of any audible pair.  :class:`~repro.radio.neighborhood.
-        BoundaryIndex` uses this to bucket boundary scans spatially
-        instead of probing every cross-cut pair.
+        of any audible pair.  Both indexes of
+        :mod:`repro.radio.neighborhood` bucket nodes into cells of this
+        size and probe only neighbouring cells instead of every pair.
         """
         if self.asymmetry >= 1.0:
             return None
         return self.max_range / (1.0 - self.asymmetry)
+
+    def moved_since(self, epoch: int) -> Optional[List[int]]:
+        # Positions are the only input that ever changes here.
+        return self.topology.moved_since(epoch)
 
 
 class TablePropagation:
@@ -292,3 +310,13 @@ class GilbertElliotLink:
         # the base model's spatial bound carries over unchanged.
         reach = getattr(self.base, "audible_reach", None)
         return reach() if reach is not None else None
+
+    @property
+    def topology(self) -> Optional[Topology]:
+        return getattr(self.base, "topology", None)
+
+    def moved_since(self, epoch: Tuple[str, object]) -> Optional[List[int]]:
+        # The overlay's own part of the token never changes: flips are
+        # carried by the per-link windows.
+        moved = getattr(self.base, "moved_since", None)
+        return moved(epoch[1]) if moved is not None else None

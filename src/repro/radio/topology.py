@@ -8,8 +8,10 @@ extra effective distance per floor crossed.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from itertools import islice
+from typing import Deque, Dict, Iterable, Iterator, List, Optional, Tuple
 
 
 @dataclass(frozen=True)
@@ -27,6 +29,12 @@ class Position:
 class Topology:
     """Maps node ids to positions and answers distance queries."""
 
+    #: moves remembered for :meth:`moved_since`.  A cache that falls
+    #: further behind than this is told "unknown" and starts over, so a
+    #: long random-waypoint run costs a fixed few KiB, not one entry per
+    #: step for the whole horizon.
+    JOURNAL_LIMIT = 1024
+
     def __init__(self, floor_penalty: float = 12.0) -> None:
         # floor_penalty: metres of effective extra path per floor crossed,
         # standing in for slab attenuation.
@@ -37,12 +45,18 @@ class Topology:
         #: (repro.radio.neighborhood) invalidate exactly when geometry
         #: changes and never otherwise.
         self.version = 0
+        # Move journal: the nodes whose moves produced the last
+        # ``len(_journal)`` versions, oldest first.
+        self._journal: Deque[int] = deque(maxlen=self.JOURNAL_LIMIT)
 
     def add_node(self, node_id: int, x: float, y: float, floor: int = 0) -> None:
         if node_id in self._positions:
             raise ValueError(f"node {node_id} already placed")
         self._positions[node_id] = Position(x, y, floor)
         self.version += 1
+        # A placement is not a move: whoever cached anything before it
+        # must start over.
+        self._journal.clear()
 
     def move_node(self, node_id: int, x: float, y: float, floor: Optional[int] = None) -> None:
         """Relocate a node (mobility support).
@@ -55,6 +69,16 @@ class Topology:
             x, y, current.floor if floor is None else floor
         )
         self.version += 1
+        self._journal.append(node_id)
+
+    def moved_since(self, version: int) -> Optional[List[int]]:
+        """Nodes moved after ``version`` (oldest first, repeats kept),
+        or ``None`` when that is no longer known: a node was placed
+        since, or the bounded journal has dropped part of the span."""
+        known_from = self.version - len(self._journal)
+        if version < known_from:
+            return None
+        return list(islice(self._journal, version - known_from, None))
 
     def position(self, node_id: int) -> Position:
         return self._positions[node_id]
