@@ -10,7 +10,8 @@ periodic sources do.
 Two kinds of assertion:
 
 * comparison *counts* (``MatchStats``-style) are deterministic and must
-  drop >=5x — this is also what the CI tier-1 smoke checks;
+  drop >=5x — tier-1 holds the 50-entry case too
+  (``tests/test_match_engine.py``);
 * wall-clock throughput must improve >=3x at 50 entries (the
   acceptance bar; measured speedups are far higher).
 

@@ -1,8 +1,10 @@
 #!/usr/bin/env bash
-# Tier-1 CI gate: the fast test suite, a single-process campaign smoke
-# run (exercises the CLI, the worker pool's serial path, the
-# content-addressed store, and cache-hit resume end to end), and a
-# trace record/summarize smoke over the observability CLI.
+# Tier-1 CI gate: the fast test suite (every pass/fail check lives
+# there), the perf harness's own tests, and the only out-of-process CLI
+# drives: a single-process campaign smoke run (the CLI, the worker
+# pool's serial path, the content-addressed store, and cache-hit resume
+# end to end), a trace record/summarize/paths smoke over the
+# observability CLI, and the flight-recorder postmortem.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -10,59 +12,11 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 python -m pytest -x -q -m "not slow"
 
-# Matching-engine perf smoke: deterministic comparison *counts* (not
-# wall time, so it cannot flake) must drop >=5x on a 50-entry matching
-# workload versus the reference Figure 2 scan.
-python -m repro.experiments.matchbench --smoke
-
 # Perf-harness tests: perf/spans.py wraps the stack's layer entry
 # points by name (Channel.start_transmission, carrier_busy, ...) and
 # reads Channel/NeighborhoodIndex counters by attribute; nothing in
 # tests/ would notice if one of those vanished.
 python -m pytest perf -q
-
-# Radio-channel perf smoke: Channel must produce verdicts identical to
-# the ReferenceChannel O(N) scan, and its carrier-sense scan counter
-# must track active transmitters while the reference's grows with
-# network size (again counters, not wall time).
-python -m repro.experiments.channelbench --smoke
-
-# Sharded-kernel smoke: spatially partitioned conservative execution
-# must produce outcomes bit-identical to the single-queue oracle across
-# scenarios (flood, mobility, diffusion), shard counts (1/2/4), and
-# both transports (inline and worker processes), with real boundary
-# traffic exchanged (outcome equality, not wall time, so it cannot
-# flake).
-python -m repro.experiments.scalebench --smoke
-
-# Hierarchy smoke: flat propagation mode must stay bit-identical to
-# the classic regional scenario, clustered mode must elect heads
-# (0 < heads < N) and suppress member interest rebroadcasts, rendezvous
-# mode must suppress out-of-corridor copies, every mode must deliver
-# data, and the sharded outcomes must match the single-queue oracle
-# (counters and outcome equality, never wall time).
-python -m repro.experiments.hierarchybench --smoke
-
-# DTN smoke: with custody off the stack must be bit-identical to a
-# build where the custody plumbing never existed; under a 60% partition
-# duty custody must engage with every loss attributed; the data mule
-# must deliver >= 2x the baseline with blocks crossing *while*
-# partitioned; and a same-seed replay must reproduce the armed run bit
-# for bit (outcome equality and counters, never wall time).
-python -m repro.experiments.dtnbench --smoke
-
-# Fault-injection smoke: a seeded FaultPlan must replay bit-identically
-# (same timeline, same repair metrics), invariants must hold, and
-# repair must land within a bounded number of exploratory intervals
-# (counters and event times, not wall time).
-python -m repro faults --smoke
-
-# Shard-sync profiler smoke: every conservative window must be
-# attributed to a promise term (shares sum to 100%), window-span
-# histograms must count every round, and real exchange volume must be
-# reported (counters again, not wall time).
-python -m repro trace shards --scenario flood --shards 2 \
-    --columns 8 --rows 4 --duration 5 --smoke
 
 store="$(mktemp -d)"
 trap 'rm -rf "$store"' EXIT

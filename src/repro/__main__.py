@@ -6,10 +6,9 @@ Usage::
     python -m repro campaign run scale-aggregation --jobs 4
     python -m repro trace record --out run.jsonl --scenario isi
     python -m repro trace paths run.jsonl
+    python -m repro trace shards --scenario flood --shards 2
     python -m repro faults run --fault partition
-    python -m repro faults --smoke
     python -m repro dtn run --duty 0.6
-    python -m repro dtn --smoke
     python -m repro example quickstart
     python -m repro info
 """
@@ -17,6 +16,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import pkgutil
 import runpy
 import sys
 from pathlib import Path
@@ -75,20 +75,16 @@ def main(argv=None) -> int:
 
     flt = sub.add_parser(
         "faults",
-        help="validate/run/report fault plans; --smoke for the CI gate",
+        help="validate/run/report fault plans",
         add_help=False,
     )
-    # REMAINDER does not capture a *leading* option, so the smoke flag
-    # (the one bare-option invocation) is declared here and forwarded.
-    flt.add_argument("--smoke", action="store_true")
     flt.add_argument("args", nargs=argparse.REMAINDER)
 
     dtn = sub.add_parser(
         "dtn",
-        help="run/report disruption-tolerant transfers; --smoke for CI",
+        help="run/report disruption-tolerant transfers",
         add_help=False,
     )
-    dtn.add_argument("--smoke", action="store_true")
     dtn.add_argument("args", nargs=argparse.REMAINDER)
 
     ex = sub.add_parser("example", help="run a narrated example")
@@ -119,11 +115,11 @@ def main(argv=None) -> int:
     if args.command == "faults":
         from repro.faults.cli import main as faults_main
 
-        return faults_main((["--smoke"] if args.smoke else []) + args.args)
+        return faults_main(args.args)
     if args.command == "dtn":
         from repro.dtn.cli import main as dtn_main
 
-        return dtn_main((["--smoke"] if args.smoke else []) + args.args)
+        return dtn_main(args.args)
     if args.command == "example":
         script = _examples_dir() / EXAMPLES[args.name]
         if not script.exists():
@@ -134,9 +130,12 @@ def main(argv=None) -> int:
     if args.command == "info":
         print(f"repro {repro.__version__}")
         print(__doc__)
-        print("subpackages: naming, core, filters, micro, transfer, apps,")
-        print("             sim, radio, mac, link, energy, testbed,")
-        print("             analysis, experiments, campaign, faults")
+        names = sorted(
+            module.name
+            for module in pkgutil.iter_modules(repro.__path__)
+            if module.ispkg
+        )
+        print(f"subpackages: {', '.join(names)}")
         return 0
     parser.print_help()
     return 2

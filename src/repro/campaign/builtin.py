@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import os
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.campaign.aggregate import format_pivot, format_table, aggregate, pivot
 from repro.campaign.spec import Campaign
@@ -393,33 +393,79 @@ def resilience_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
 # ---------------------------------------------------------------------------
 # hierarchy — propagation-mode ablation (flat / clustered / rendezvous)
 
+#: first application send of the regional workload
+#: (:class:`repro.shard.scenario.DiffusionScenario`'s schedule).
+HIERARCHY_SEND_START = 2.0
+
+#: announcements at 3x the interest interval (their only steady-state
+#: job is liveness), refresh damping past the second sink refresh but
+#: safely inside the gradient timeout.
+HIERARCHY_TUNING = {
+    "announce_interval": 24.0,
+    "announce_jitter": 3.0,
+    "refresh_damping": 17.0,
+}
+
 
 def hierarchy_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One propagation mode on the regional workload, via the sharded
-    kernel; flattened for aggregation."""
-    from repro.experiments.hierarchybench import run_trial
+    """One propagation mode on the regional workload (one local
+    source→sink pair per region block), via the sharded kernel;
+    flattened for aggregation.
 
-    row = run_trial(
-        mode=str(params["mode"]),
-        columns=int(params["columns"]),
-        rows=int(params["rows"]),
-        region=int(params.get("region", 8)),
-        duration=float(params.get("duration", 90.0)),
-        send_interval=float(params.get("send_interval", 2.0)),
+    Control traffic is interest transmissions plus cluster-control
+    announcements; ``time_to_first_data`` runs from the first
+    application send to the first sink delivery (-1.0 = none).
+    """
+    from repro.shard import ShardPlan, run_oracle, run_sharded
+
+    mode = str(params["mode"])
+    columns, rows = int(params["columns"]), int(params["rows"])
+    region = int(params.get("region", 8))
+    duration = float(params.get("duration", 90.0))
+    send_interval = float(params.get("send_interval", 2.0))
+    shards = int(params.get("shards", 1))
+    plan = ShardPlan(
+        scenario="hierarchy",
+        params={
+            "columns": columns,
+            "rows": rows,
+            "spacing": 15.0,
+            "region": region,
+            "duration": duration,
+            "send_interval": send_interval,
+            "mode": mode,
+            # The rendezvous grid grows with the deployment so region
+            # cells keep a roughly constant node count.
+            "hierarchy": dict(
+                HIERARCHY_TUNING, regions=max(4, columns * 3 // 16)
+            ),
+        },
         seed=seed,
-        shards=int(params.get("shards", 1)),
+        duration=duration,
+        shards=shards,
     )
-    h = row["hierarchy"]
+    outcome = run_sharded(plan)["outcome"] if shards > 1 else run_oracle(plan)
+
+    pairs = len(range(0, rows - region + 1, region)) * len(
+        range(0, columns - region + 1, region)
+    )
+    offered = pairs * int((duration - HIERARCHY_SEND_START) / send_interval)
+    messages = outcome["messages_by_class"]
+    nbytes = outcome["bytes_by_class"]
+    arrivals = outcome["delivery_times"]
+    h = outcome["hierarchy"]
     return {
-        "mode": row["mode"],
-        "n_nodes": row["n_nodes"],
-        "control_messages": row["control_messages"],
-        "control_bytes": row["control_bytes"],
-        "delivered": row["delivered"],
-        "delivery_ratio": row["delivery_ratio"],
+        "mode": mode,
+        "n_nodes": columns * rows,
+        "control_messages": messages["interest"] + messages["control"],
+        "control_bytes": nbytes["interest"] + nbytes["control"],
+        "delivered": outcome["app_delivered"],
+        "delivery_ratio": (
+            round(outcome["app_delivered"] / offered, 4) if offered else 0.0
+        ),
         "time_to_first_data": (
-            row["time_to_first_data"]
-            if row["time_to_first_data"] is not None
+            round(min(arrivals) - HIERARCHY_SEND_START, 3)
+            if arrivals
             else -1.0
         ),
         "heads": h["heads"],
@@ -429,16 +475,23 @@ def hierarchy_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 
 def hierarchy_campaign(quick: bool = False, root_seed: int = 3) -> Campaign:
+    if quick:
+        grid = {"mode": ["flat", "clustered", "rendezvous"]}
+        fixed = {"columns": 10, "rows": 10, "region": 5, "duration": 30.0}
+    else:
+        # 256 to 1024 nodes through four shards: the cross product of
+        # the sides, so the 512-node rectangles come along.
+        grid = {
+            "mode": ["flat", "clustered", "rendezvous"],
+            "columns": [16, 32],
+            "rows": [16, 32],
+        }
+        fixed = {"region": 8, "duration": 90.0, "shards": 4}
     return Campaign(
         name="hierarchy",
         trial="repro.campaign.builtin:hierarchy_trial",
-        grid={"mode": ["flat", "clustered", "rendezvous"]},
-        fixed={
-            "columns": 10 if quick else 16,
-            "rows": 10 if quick else 16,
-            "region": 5 if quick else 8,
-            "duration": 30.0 if quick else 90.0,
-        },
+        grid=grid,
+        fixed=fixed,
         seeds=[root_seed],
         description=(
             "control overhead and delivery across interest propagation "
@@ -494,13 +547,16 @@ def dtn_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 
 def dtn_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
+    grid: Dict[str, List[Any]] = {
+        "custody": [False, True],
+        "duty": [0.0, 0.6] if quick else [0.0, 0.3, 0.6],
+    }
+    if not quick:
+        grid["mode"] = ["flat", "clustered"]
     return Campaign(
         name="dtn",
         trial="repro.campaign.builtin:dtn_trial",
-        grid={
-            "custody": [False, True],
-            "duty": [0.0, 0.6] if quick else [0.0, 0.3, 0.6],
-        },
+        grid=grid,
         # One horizon for both forms: the custody arm keeps delivering
         # through the final heal window, so a clipped quick horizon
         # under-reports it against a baseline that already stalled.
@@ -541,6 +597,16 @@ def get_campaign(
     if root_seed is None:
         return factory(quick=quick)
     return factory(quick=quick, root_seed=root_seed)
+
+
+def _swept(outcomes, names: Sequence[str]) -> Tuple[str, ...]:
+    """Those of ``names`` that take more than one value in the run, so a
+    table grows a column only for an axis its grid really sweeps."""
+    return tuple(
+        name
+        for name in names
+        if len({outcome.spec.params.get(name) for outcome in outcomes}) > 1
+    )
 
 
 def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
@@ -587,23 +653,36 @@ def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
             title="time-to-repair in exploratory intervals (-1 = never)",
         )
     if name == "dtn":
-        delivery = pivot(outcomes, "delivery_ratio", row="duty", col="custody")
-        depth = aggregate(outcomes, "custody_depth", by=("duty", "custody"))
+        by_mode = _swept(outcomes, ("mode",))
+        per_mode: Dict[Any, List[Any]] = {}
+        for outcome in outcomes:
+            per_mode.setdefault(outcome.spec.params.get("mode"), []).append(
+                outcome
+            )
+        title = "delivery ratio vs partition duty (custody False / True)"
+        lines = [
+            format_pivot(
+                pivot(group, "delivery_ratio", row="duty", col="custody"),
+                "duty",
+                title=f"{title}, {mode}" if by_mode else title,
+            )
+            for mode, group in sorted(per_mode.items(), key=repr)
+        ]
+        depth = aggregate(
+            outcomes, "custody_depth", by=by_mode + ("duty", "custody")
+        )
         unattributed = sum(
             o.result.get("unattributed", 0) for o in outcomes if o.ok
         )
-        lines = [
-            format_pivot(
-                delivery, "duty",
-                title="delivery ratio vs partition duty (custody False / True)",
-            ),
+        lines += [
             format_table(depth, "custody depth"),
             f"unattributed losses across all trials: {unattributed}",
         ]
         return "\n".join(lines)
     if name == "hierarchy":
-        ctrl = aggregate(outcomes, "control_messages", by=("mode",))
-        delivery = aggregate(outcomes, "delivery_ratio", by=("mode",))
+        by = _swept(outcomes, ("columns", "rows")) + ("mode",)
+        ctrl = aggregate(outcomes, "control_messages", by=by)
+        delivery = aggregate(outcomes, "delivery_ratio", by=by)
         lines = [
             format_table(
                 ctrl, "control msgs",

@@ -17,12 +17,14 @@ to that:
   as one-hop carrier beacons while dark — the data-mule handoff), and
   releases on one-hop custody acks, flooded receiver acks, or delivery;
 * :func:`~repro.dtn.scenario.dtn_run` — the canned
-  partition/mobility scenario behind the ``dtn`` campaign,
-  ``dtnbench``, and the scenario tests, with per-block loss attribution.
+  partition/mobility scenario behind the ``dtn`` campaign, the
+  ``dtn_grid`` ledger workload, and the scenario tests, with per-block
+  loss attribution.
 
 Everything is opt-in per campaign: with no agent attached (or
 ``DtnConfig(enabled=False)``) the stack is bit-identical to the legacy
-behavior — ``python -m repro.experiments.dtnbench --smoke`` gates that.
+behavior — ``tests/test_dtn_scenario.py::TestGrid::
+test_dtn_off_is_bit_identical_to_never_built`` gates that.
 """
 
 from repro.dtn.config import DtnConfig

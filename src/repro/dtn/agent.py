@@ -24,7 +24,8 @@ transfer block *before* the core decides its fate.  Three behaviors:
 
 The filter is only installed when ``config.enabled`` — a disabled
 agent touches nothing, which is what keeps DTN-off runs bit-identical
-(``dtnbench --smoke`` enforces it).
+(``tests/test_dtn_scenario.py::TestGrid::
+test_dtn_off_is_bit_identical_to_never_built`` enforces it).
 """
 
 from __future__ import annotations

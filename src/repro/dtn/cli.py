@@ -4,11 +4,9 @@ Subcommands::
 
     dtn run [--duty 0.6] [--no-custody] [--mule]    run a scenario
     dtn report result.json                           render a saved result
-    dtn --smoke                                      deterministic CI gate
 
 ``dtn run`` exits 0 iff invariants held and no loss went unattributed,
-so it doubles as a scriptable check.  The smoke gate delegates to
-:mod:`repro.experiments.dtnbench` (the same four checks CI runs).
+so it doubles as a scriptable check.
 """
 
 from __future__ import annotations
@@ -19,6 +17,13 @@ import sys
 
 from repro.analysis.dtn import format_dtn_report
 from repro.dtn.scenario import dtn_run, mule_run
+
+
+def _duty(text: str) -> float:
+    duty = float(text)
+    if not 0.0 <= duty <= 1.0:
+        raise argparse.ArgumentTypeError(f"must be in [0, 1], got {text}")
+    return duty
 
 
 def _cmd_run(args) -> int:
@@ -61,17 +66,12 @@ def main(argv=None) -> int:
         description="disruption-tolerant bulk transfer: custody, "
         "retransmission, and partition-resilient delivery",
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the deterministic CI gate (dtnbench --smoke) and exit",
-    )
     sub = parser.add_subparsers(dest="command")
 
     run = sub.add_parser("run", help="run a disruption scenario")
     run.add_argument("--seed", type=int, default=1)
     run.add_argument(
-        "--duty", type=float, default=0.6,
+        "--duty", type=_duty, default=0.6,
         help="fraction of each period the grid spends partitioned",
     )
     run.add_argument("--duration", type=float, default=260.0)
@@ -98,10 +98,6 @@ def main(argv=None) -> int:
     rep.add_argument("result")
 
     args = parser.parse_args(argv)
-    if args.smoke:
-        from repro.experiments.dtnbench import run_smoke
-
-        return run_smoke()
     if args.command == "run":
         return _cmd_run(args)
     if args.command == "report":

@@ -3,7 +3,8 @@
 Everything here is opt-in per campaign: constructing a
 :class:`DtnConfig` with ``enabled=False`` (or simply not attaching the
 custody agents) leaves the stack bit-identical to the legacy behavior —
-the equivalence gate in ``dtnbench --smoke`` holds the layer to that.
+``tests/test_dtn_scenario.py::TestGrid::
+test_dtn_off_is_bit_identical_to_never_built`` holds the layer to that.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
 """Canned disruption-tolerant transfer scenarios.
 
-:func:`dtn_run` is the workhorse behind the ``dtn`` campaign,
-``dtnbench``, and the scenario tests: the standard 4×3 resilience grid
-with a corner source bulk-transferring one object to the opposite-corner
-sink while a repeating :class:`~repro.faults.plan.Partition` plan splits
+:func:`dtn_run` is the workhorse behind the ``dtn`` campaign, the
+``dtn_grid`` ledger workload, and the scenario tests: the standard 4×3
+resilience grid (:mod:`repro.faults.scenarios`) with a corner source
+bulk-transferring one object to the opposite-corner sink while a
+repeating :class:`~repro.faults.plan.Partition` plan splits
 the grid at a configurable disruption duty cycle.  With ``custody=True``
 the full DTN stack is armed — custody agents on every node, per-block
 sender retransmission, receiver acks and persistent NACK keepalive —
@@ -25,12 +26,22 @@ import itertools
 from typing import Any, Dict, List, Optional, Tuple
 
 import repro.core.messages as core_messages
-from repro.core import DiffusionConfig
 from repro.dtn.agent import CustodyAgent
 from repro.dtn.config import DtnConfig
 from repro.faults.engine import FaultEngine
 from repro.faults.monitors import MonitorSuite
 from repro.faults.plan import FaultPlan, Partition
+from repro.faults.scenarios import (
+    GRID_COLUMNS,
+    GRID_ROWS,
+    GRID_SPACING,
+    SINK,
+    SOURCE,
+    close_flight_recorder,
+    compressed_config,
+    grid_halves,
+    watch,
+)
 from repro.naming.keys import Key
 from repro.radio import Topology
 from repro.sim.rng import make_rng
@@ -43,13 +54,6 @@ from repro.transfer import (
     RetransmitPolicy,
 )
 
-#: the standard resilience grid (mirrors repro.faults.scenarios).
-GRID_COLUMNS = 4
-GRID_ROWS = 3
-GRID_SPACING = 15.0
-SINK = 0
-SOURCE = GRID_COLUMNS * GRID_ROWS - 1
-
 OBJECT_ID = "dtn-object"
 
 #: reasons that describe a *duplicate* copy dying, not the block: they
@@ -57,29 +61,22 @@ OBJECT_ID = "dtn-object"
 _WEAK_REASONS = ("cache-suppression",)
 
 
-def _dtn_diffusion_config(exploratory_interval: float) -> DiffusionConfig:
-    """The compressed resilience timer set (paper timers scaled down).
-
-    Interest refresh (10 s) runs on the subscription, *not* on data
-    liveness — that decoupling is what lets demand outlive a partition
-    longer than any individual gradient entry.
-    """
-    return DiffusionConfig(
-        interest_interval=10.0,
-        interest_jitter=0.5,
-        gradient_timeout=25.0,
-        exploratory_interval=exploratory_interval,
-        reinforced_timeout=20.0,
-        reinforcement_jitter=0.3,
-    )
-
-
 def partition_windows(
     start: float, duration: float, duty: float, period: float,
     heal_tail: float = 30.0,
 ) -> List[Tuple[float, float]]:
-    """Repeating down-windows at the given disruption duty cycle."""
-    if duty <= 0.0:
+    """Repeating down-windows at the given disruption duty cycle.
+
+    ``duty`` is the fraction of each ``period`` spent partitioned: past
+    1 the windows would overlap (the first heal lifting a partition the
+    next window claims is active), and a non-positive period never
+    advances.
+    """
+    if not 0.0 <= duty <= 1.0:
+        raise ValueError(f"duty must be in [0, 1], got {duty!r}")
+    if not period > 0.0:
+        raise ValueError(f"period must be positive, got {period!r}")
+    if duty == 0.0:
         return []
     windows = []
     down = duty * period
@@ -88,20 +85,6 @@ def partition_windows(
         windows.append((at, at + down))
         at += period
     return windows
-
-
-def _grid_groups() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    left = tuple(
-        row * GRID_COLUMNS + col
-        for row in range(GRID_ROWS)
-        for col in (0, 1)
-    )
-    right = tuple(
-        row * GRID_COLUMNS + col
-        for row in range(GRID_ROWS)
-        for col in (2, 3)
-    )
-    return left, right
 
 
 class _TimedReceiver(BlockReceiver):
@@ -219,21 +202,24 @@ def _arm_transfer(
     block_interval: float,
     payload: bytes,
     offer_at: float,
+    source: int,
+    sink: int,
     receiver_rounds: int,
-    cache_capacity: int = 64,
+    with_caches: bool,
     install_disabled: bool = False,
 ):
-    """Sender, receiver, per-node caches, and (optionally) custody."""
+    """Sender at ``source``, receiver at ``sink``, a block cache on
+    every relay (``with_caches``), and (optionally) custody agents."""
     obj = DataObject(OBJECT_ID, payload)
     policy = RetransmitPolicy() if custody else None
     sender = BlockSender(
-        network.api(SOURCE),
+        network.api(source),
         block_interval=block_interval,
         reliability=policy,
         rng=make_rng(seed, "dtn:sender") if custody else None,
     )
     receiver = _TimedReceiver(
-        network.api(SINK),
+        network.api(sink),
         OBJECT_ID,
         on_complete=lambda data, stats: None,
         quiet_timeout=4.0,
@@ -243,11 +229,10 @@ def _arm_transfer(
         rng=make_rng(seed, "dtn:receiver") if custody else None,
         persistent=custody,
     )
-    caches = {
-        node_id: BlockCacheFilter(network.node(node_id), capacity=cache_capacity)
-        for node_id in network.node_ids()
-        if node_id not in (SOURCE, SINK)
-    }
+    if with_caches:
+        for node_id in network.node_ids():
+            if node_id not in (source, sink):
+                BlockCacheFilter(network.node(node_id), capacity=64)
     agents: Dict[int, CustodyAgent] = {}
     if custody or install_disabled:
         config = dtn_config or DtnConfig()
@@ -267,7 +252,7 @@ def _arm_transfer(
                 ),
             )
     network.sim.schedule(offer_at, sender.offer, obj, 0.0)
-    return obj, sender, receiver, caches, agents
+    return obj, sender, receiver, agents
 
 
 def _finish_run(
@@ -372,17 +357,17 @@ def dtn_run(
 
     ``custody=False`` is the legacy baseline; ``install_disabled=True``
     (with ``custody=False``) additionally constructs every DTN object
-    with ``enabled=False`` — the outcome must be bit-identical, which is
-    the dtnbench equivalence gate.  ``mode`` may be ``"clustered"`` to
-    run the same disruption over the hierarchy backbone.
+    with ``enabled=False`` — the outcome must be bit-identical
+    (``tests/test_dtn_scenario.py::TestGrid::
+    test_dtn_off_is_bit_identical_to_never_built``).  ``mode`` may be
+    ``"clustered"`` to run the same disruption over the hierarchy
+    backbone.
     """
     core_messages._msg_counter = itertools.count(1)
-    from repro.sim.trace import FlightRecorder
-
     network = SensorNetwork(
         Topology.grid(GRID_COLUMNS, GRID_ROWS, spacing=GRID_SPACING),
         seed=seed,
-        config=_dtn_diffusion_config(exploratory_interval),
+        config=compressed_config(exploratory_interval),
     )
     hierarchy = None
     if mode != "flat":
@@ -393,26 +378,23 @@ def dtn_run(
             params={"announce_interval": 12.0, "announce_jitter": 1.0},
         )
     windows = partition_windows(30.0, duration, duty, period)
-    left, right = _grid_groups()
     plan = FaultPlan(
         tuple(
-            Partition(groups=(left, right), at=at, heal_at=until)
+            Partition(groups=grid_halves(), at=at, heal_at=until)
             for at, until in windows
         )
     )
     engine = FaultEngine(network, plan)
-    recorder = (
-        FlightRecorder(network.trace) if flight_recorder is not None else None
-    )
-    monitors = MonitorSuite(
-        network, recorder=recorder, dump_path=flight_recorder
-    )
+    monitors = watch(network, flight_recorder)
     tap = _AttributionTap(network.trace)
-    obj, sender, receiver, caches, agents = _arm_transfer(
+    obj, sender, receiver, agents = _arm_transfer(
         network, seed, custody, dtn_config, block_interval,
         payload=bytes(range(256)) * (payload_bytes // 256),
         offer_at=8.0,
+        source=SOURCE,
+        sink=SINK,
         receiver_rounds=6,
+        with_caches=True,
         install_disabled=install_disabled,
     )
     for agent in agents.values():
@@ -433,14 +415,10 @@ def dtn_run(
     )
     if hierarchy is not None:
         result["hierarchy_mode"] = mode
-    if recorder is not None:
-        recorder.detach()
-        if monitors.dumped is None:
-            monitors.dumped = recorder.dump(flight_recorder, reason="end-of-run")
-        result["flight_recorder"] = {
-            "path": str(flight_recorder),
-            "records": monitors.dumped,
-        }
+    if flight_recorder is not None:
+        result["flight_recorder"] = close_flight_recorder(
+            monitors, flight_recorder
+        )
     return result
 
 
@@ -470,7 +448,7 @@ def mule_run(
     network = SensorNetwork(
         Topology.line(3, spacing=GRID_SPACING),
         seed=seed,
-        config=_dtn_diffusion_config(8.0),
+        config=compressed_config(8.0),
     )
     windows = [(10.0, 50.0), (50.0, 90.0)]
     plan = FaultPlan(
@@ -488,38 +466,17 @@ def mule_run(
     engine = FaultEngine(network, plan)
     monitors = MonitorSuite(network)
     tap = _AttributionTap(network.trace)
-
-    obj = DataObject(OBJECT_ID, bytes(range(256)) * (payload_bytes // 256))
-    policy = RetransmitPolicy() if custody else None
-    sender = BlockSender(
-        network.api(MULE_SOURCE),
-        block_interval=0.5,
-        reliability=policy,
-        rng=make_rng(seed, "dtn:sender") if custody else None,
+    obj, sender, receiver, agents = _arm_transfer(
+        network, seed, custody, dtn_config, block_interval=0.5,
+        payload=bytes(range(256)) * (payload_bytes // 256),
+        offer_at=12.0,
+        source=MULE_SOURCE,
+        sink=MULE_SINK,
+        receiver_rounds=5,
+        with_caches=False,
     )
-    # Overriding SOURCE/SINK globals locally: _finish_run only needs the
-    # sender/receiver/agent objects, not the grid ids.
-    receiver = _TimedReceiver(
-        network.api(MULE_SINK),
-        OBJECT_ID,
-        on_complete=lambda data, stats: None,
-        quiet_timeout=4.0,
-        max_repair_rounds=5,
-        max_quiet_timeout=20.0,
-        reliability=policy,
-        rng=make_rng(seed, "dtn:receiver") if custody else None,
-        persistent=custody,
-    )
-    agents: Dict[int, CustodyAgent] = {}
-    if custody:
-        for node_id in network.node_ids():
-            agents[node_id] = CustodyAgent(
-                network.node(node_id),
-                rng=make_rng(seed, f"dtn:agent:{node_id}"),
-                config=dtn_config or DtnConfig(),
-            )
-            monitors.watch_custody(agents[node_id])
-    network.sim.schedule(12.0, sender.offer, obj, 0.0)
+    for agent in agents.values():
+        monitors.watch_custody(agent)
     network.run(until=duration)
     extra = {
         "scenario": "dtn-mule",

@@ -14,11 +14,10 @@ Two measurement axes per table size:
   versus :func:`reference_matching_data` (the pre-optimization linear
   Figure 2 scan, kept here verbatim for before/after comparison);
 * **comparison counts** — ``MatchStats.comparisons`` per data message,
-  which is deterministic and therefore what the CI perf smoke asserts
-  on (wall time would flake).
+  which is deterministic and therefore what tier-1 asserts on
+  (``tests/test_match_engine.py``; wall time would flake).
 
-``python -m repro.experiments.matchbench`` writes BENCH_matching.json;
-``--smoke`` runs the deterministic comparison-count check only.
+``python -m repro.experiments.matchbench`` writes BENCH_matching.json.
 """
 
 from __future__ import annotations
@@ -26,7 +25,6 @@ from __future__ import annotations
 import argparse
 import json
 import random
-import sys
 import time
 from typing import Dict, List, Tuple
 
@@ -221,34 +219,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--messages", type=int, default=2000, help="messages per timed stream"
     )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help=(
-            "deterministic CI mode: assert the engine's comparison count "
-            "drops >=5x vs the reference scan on a 50-entry workload "
-            "(counts, not wall time, so it cannot flake)"
-        ),
-    )
     args = parser.parse_args(argv)
-
-    if args.smoke:
-        counts = count_comparisons(n_entries=50, messages=200)
-        ref = counts["reference_comparisons"]
-        eng = counts["engine_comparisons"]
-        ratio = ref / eng if eng else float("inf")
-        print(
-            f"match perf smoke: reference={ref} engine={eng} "
-            f"comparisons over {counts['messages']} messages "
-            f"({ratio:.1f}x reduction, "
-            f"memo hits={counts['memo_hits']} misses={counts['memo_misses']})"
-        )
-        if ratio < 5.0:
-            print(
-                "FAIL: expected >=5x comparison-count reduction", file=sys.stderr
-            )
-            return 1
-        return 0
 
     report = run_bench(messages=args.messages)
     with open(args.out, "w") as fh:

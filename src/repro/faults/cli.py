@@ -5,14 +5,10 @@ Subcommands::
     faults validate plan.json [--nodes 12]   check a plan file
     faults run [--fault crash] [--plan f]    run a resilience scenario
     faults report result.json                render a saved result
-    faults --smoke                           deterministic CI gate
 
-The smoke gate is counter-based, not wall-time (matchbench/channelbench
-precedent): it replays the crash scenario twice on one seed and demands
-*bit-identical* results — same fault timeline, same repair metrics —
-then checks that invariants held and repair landed within a bounded
-number of exploratory intervals, for both the crash and the partition
-plans.
+``faults run`` exits 0 iff every invariant held.  The pass/fail gates
+(bit-identical replay, repair within a bounded number of exploratory
+intervals) live in ``tests/test_faults_scenarios.py``.
 """
 
 from __future__ import annotations
@@ -20,14 +16,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional
+from typing import Optional
 
 from repro.analysis.resilience import format_resilience_report
 from repro.faults.plan import FaultPlan, PlanError
-from repro.faults.scenarios import builtin_names, builtin_plan, resilience_run
-
-#: smoke bound: repair must land within this many exploratory intervals.
-SMOKE_REPAIR_INTERVALS = 4.0
+from repro.faults.scenarios import builtin_names, resilience_run
 
 
 def _load_plan(path: str) -> FaultPlan:
@@ -102,78 +95,10 @@ def _cmd_report(args) -> int:
     return 0
 
 
-def _check(condition: bool, message: str, failures: List[str]) -> None:
-    if not condition:
-        failures.append(message)
-
-
-def _smoke() -> int:
-    failures: List[str] = []
-
-    # 1. Bit-identical replay: one seed, two runs, equal dicts.
-    first = resilience_run(
-        fault="crash", seed=7, duration=140.0, exploratory_interval=8.0
-    )
-    second = resilience_run(
-        fault="crash", seed=7, duration=140.0, exploratory_interval=8.0
-    )
-    _check(first == second, "crash run is not replay-identical", failures)
-    _check(first["invariants_ok"], "crash run violated invariants", failures)
-    crash = first["report"]["faults"][0]
-    _check(
-        crash["time_to_repair"] is not None,
-        "crash run never repaired",
-        failures,
-    )
-    if crash["repair_intervals"] is not None:
-        _check(
-            crash["repair_intervals"] <= SMOKE_REPAIR_INTERVALS,
-            f"crash repair took {crash['repair_intervals']:.2f} exploratory "
-            f"intervals (bound {SMOKE_REPAIR_INTERVALS})",
-            failures,
-        )
-
-    # 2. Partition: delivery must collapse during the cut and repair
-    #    within the bound after the heal.
-    part = resilience_run(
-        fault="partition", seed=7, duration=160.0, exploratory_interval=8.0
-    )
-    _check(part["invariants_ok"], "partition run violated invariants", failures)
-    entry = part["report"]["faults"][0]
-    during = entry["delivery_during"]
-    _check(
-        during is not None and during < 0.2,
-        f"partition did not cut delivery (during={during})",
-        failures,
-    )
-    _check(
-        entry["repair_intervals"] is not None
-        and entry["repair_intervals"] <= SMOKE_REPAIR_INTERVALS,
-        f"partition repair_intervals={entry['repair_intervals']} "
-        f"(bound {SMOKE_REPAIR_INTERVALS})",
-        failures,
-    )
-
-    if failures:
-        for failure in failures:
-            print(f"SMOKE FAIL: {failure}", file=sys.stderr)
-        return 1
-    print(
-        "faults smoke OK: replay bit-identical, invariants held, "
-        f"repair within {SMOKE_REPAIR_INTERVALS:g} exploratory intervals"
-    )
-    return 0
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="repro faults",
         description="deterministic fault injection and resilience verification",
-    )
-    parser.add_argument(
-        "--smoke",
-        action="store_true",
-        help="run the deterministic CI gate and exit",
     )
     sub = parser.add_subparsers(dest="command")
 
@@ -211,8 +136,6 @@ def main(argv=None) -> int:
     rep.add_argument("result")
 
     args = parser.parse_args(argv)
-    if args.smoke:
-        return _smoke()
     if args.command == "validate":
         return _cmd_validate(args)
     if args.command == "run":

@@ -18,7 +18,7 @@ back — repair measured in sync rounds instead of exploratory intervals.
 from __future__ import annotations
 
 import itertools
-from typing import List, Optional
+from typing import List, Optional, Tuple
 
 import repro.core.messages as core_messages
 from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
@@ -38,6 +38,7 @@ from repro.faults.plan import (
 )
 from repro.radio import Topology
 from repro.sim.rng import make_rng
+from repro.sim.trace import FlightRecorder
 from repro.testbed import SensorNetwork
 
 #: the standard resilience grid: 4 columns × 3 rows, 15 m spacing,
@@ -53,6 +54,22 @@ RELAY = GRID_COLUMNS + 1
 
 DATA_TYPE = "fault-demo"
 
+
+def grid_halves() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """The standard grid split down the middle: (left, right) node ids."""
+    left = tuple(
+        row * GRID_COLUMNS + col
+        for row in range(GRID_ROWS)
+        for col in range(GRID_COLUMNS // 2)
+    )
+    right = tuple(
+        row * GRID_COLUMNS + col
+        for row in range(GRID_ROWS)
+        for col in range(GRID_COLUMNS // 2, GRID_COLUMNS)
+    )
+    return left, right
+
+
 #: name -> plan factory over the standard grid.  Fault windows sit in
 #: the middle of the default 160 s run, after paths have formed.
 _BUILTIN_PLANS = {
@@ -66,24 +83,7 @@ _BUILTIN_PLANS = {
     ),
     # Split the grid down the middle for twice the gradient lifetime.
     "partition": lambda: FaultPlan(
-        (
-            Partition(
-                groups=(
-                    tuple(
-                        row * GRID_COLUMNS + col
-                        for row in range(GRID_ROWS)
-                        for col in (0, 1)
-                    ),
-                    tuple(
-                        row * GRID_COLUMNS + col
-                        for row in range(GRID_ROWS)
-                        for col in (2, 3)
-                    ),
-                ),
-                at=40.0,
-                heal_at=90.0,
-            ),
-        )
+        (Partition(groups=grid_halves(), at=40.0, heal_at=90.0),)
     ),
     # Step a relay's clock by two seconds (timesync scenarios use this).
     "clock-skew": lambda: FaultPlan(
@@ -114,9 +114,14 @@ def builtin_plan(name: str) -> FaultPlan:
     return factory()
 
 
-def _compressed_config(exploratory_interval: float) -> DiffusionConfig:
+def compressed_config(exploratory_interval: float) -> DiffusionConfig:
     """Timer set compressed so soft state turns over inside short runs
-    (the paper's 60 s/100 s timers scaled down together)."""
+    (the paper's 60 s/100 s timers scaled down together).
+
+    Interest refresh (10 s) runs on the subscription, *not* on data
+    liveness — that decoupling is what lets demand outlive a partition
+    longer than any individual gradient entry.
+    """
     return DiffusionConfig(
         interest_interval=10.0,
         interest_jitter=0.5,
@@ -125,6 +130,40 @@ def _compressed_config(exploratory_interval: float) -> DiffusionConfig:
         reinforced_timeout=20.0,
         reinforcement_jitter=0.3,
     )
+
+
+def watch(
+    network: SensorNetwork,
+    flight_recorder: Optional[str] = None,
+    max_entries: int = 32,
+) -> MonitorSuite:
+    """Invariant monitors over ``network``; with a ``flight_recorder``
+    path, a :class:`~repro.sim.trace.FlightRecorder` rides the trace bus
+    and the monitors dump its rings there on the first violation."""
+    recorder = (
+        FlightRecorder(network.trace) if flight_recorder is not None else None
+    )
+    return MonitorSuite(
+        network,
+        max_entries=max_entries,
+        recorder=recorder,
+        dump_path=flight_recorder,
+    )
+
+
+def close_flight_recorder(monitors: MonitorSuite, path: str) -> dict:
+    """Detach the recorder :func:`watch` armed; the run's dump record."""
+    recorder = monitors.recorder
+    recorder.detach()
+    if monitors.dumped is None:
+        # Clean run: dump the tail anyway so the requested postmortem
+        # file always exists.
+        monitors.dumped = recorder.dump(path, reason="end-of-run")
+    return {
+        "path": str(path),
+        "records": monitors.dumped,
+        "records_seen": recorder.records_seen,
+    }
 
 
 def resilience_run(
@@ -148,29 +187,19 @@ def resilience_run(
     provoke a violation on an otherwise healthy run.
     """
     # msg ids draw from a process-global counter; restart it so paired
-    # runs are bit-identical, not merely equivalent (channelbench does
-    # the same for its reference/indexed comparisons).
+    # runs are bit-identical, not merely equivalent.
     core_messages._msg_counter = itertools.count(1)
     from repro.naming import AttributeVector
     from repro.naming.keys import Key
-    from repro.sim.trace import FlightRecorder
 
     network = SensorNetwork(
         Topology.grid(GRID_COLUMNS, GRID_ROWS, spacing=GRID_SPACING),
         seed=seed,
-        config=_compressed_config(exploratory_interval),
+        config=compressed_config(exploratory_interval),
     )
     active_plan = plan if plan is not None else builtin_plan(fault)
     engine = FaultEngine(network, active_plan)
-    recorder = (
-        FlightRecorder(network.trace) if flight_recorder is not None else None
-    )
-    monitors = MonitorSuite(
-        network,
-        max_entries=monitor_max_entries,
-        recorder=recorder,
-        dump_path=flight_recorder,
-    )
+    monitors = watch(network, flight_recorder, monitor_max_entries)
     probe = ResilienceProbe(network, SINK, sources=[SOURCE])
 
     delivered: List[float] = []
@@ -208,19 +237,10 @@ def resilience_run(
         "violations": [v.describe() for v in monitors.violations],
         "invariants_ok": monitors.ok,
     }
-    if recorder is not None:
-        recorder.detach()
-        if monitors.dumped is None:
-            # Clean run: dump the tail anyway so the requested
-            # postmortem file always exists.
-            monitors.dumped = recorder.dump(
-                flight_recorder, reason="end-of-run"
-            )
-        result["flight_recorder"] = {
-            "path": str(flight_recorder),
-            "records": monitors.dumped,
-            "records_seen": recorder.records_seen,
-        }
+    if flight_recorder is not None:
+        result["flight_recorder"] = close_flight_recorder(
+            monitors, flight_recorder
+        )
     return result
 
 
@@ -245,7 +265,7 @@ def clock_skew_run(
     topology.add_node(2, 0.0, 12.0)
     topology.add_node(3, 12.0, 12.0)   # the clock that gets skewed
     network = SensorNetwork(
-        topology, seed=seed, config=_compressed_config(10.0)
+        topology, seed=seed, config=compressed_config(10.0)
     )
     plan = FaultPlan((ClockSkew(node=3, at=skew_at, offset=skew),))
     engine = FaultEngine(network, plan)

@@ -142,7 +142,8 @@ class Channel:
         self.fragments_lost = 0
         # Carrier-sense cost accounting: links examined per query —
         # tracks the number of active transmitters here, N in the
-        # reference scan (the channelbench smoke asserts both).
+        # reference scan (tests/test_channel_equivalence.py::
+        # TestBeaconFlood asserts both).
         self.carrier_queries = 0
         self.carrier_checks = 0
 

@@ -181,7 +181,7 @@ class NeighborhoodIndex:
         # direction, member or not), so one node's entries can be
         # dropped without walking the memo.
         self._memo_peers: Dict[int, Set[int]] = {}
-        # Statistics (channelbench and the perf ledger report these).
+        # Statistics (the perf ledger reports these).
         #: epoch or membership changes that found something cached.
         self.rebuilds = 0
         self.set_builds = 0
@@ -402,7 +402,7 @@ class BoundaryIndex:
         # listeners; absent key = nothing audible across the cut.
         self._out: Dict[int, List[int]] = {}
         self._in: Dict[int, List[int]] = {}
-        # Statistics (scalebench reports these).
+        # Statistics.
         self.rebuilds = 0
         self.pair_checks = 0
 

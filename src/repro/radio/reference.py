@@ -7,7 +7,7 @@ nothing from the propagation model beyond ``link_prr``.  Every verdict
 (half-duplex, collision, capture, loss draw) is inherited from
 :class:`~repro.radio.channel.Channel`, so the two can differ only in
 *which* links they examine, which is exactly what
-tests/test_channel_equivalence.py and ``channelbench --smoke`` compare.
+tests/test_channel_equivalence.py compares.
 It is also what runs a propagation model that predates the fast-path
 protocol (:func:`~repro.radio.neighborhood.supports_fast_path`).
 """

@@ -146,7 +146,7 @@ class SensorNetwork:
         self.propagation = propagation or DistancePropagation(topology, seed=seed)
         # channel_cls: None = Channel when the propagation model supports
         # the neighborhood fast path, else the reference O(N) scan (the
-        # equivalence suite and channelbench pass it to compare the two).
+        # equivalence suite passes it to compare the two).
         if channel_cls is None:
             channel_cls = (
                 Channel if supports_fast_path(self.propagation)

@@ -24,7 +24,13 @@ from repro.campaign import (
     run_campaign,
     trial_key,
 )
-from repro.campaign.builtin import demo_campaign, demo_trial, get_campaign
+from repro.campaign.builtin import (
+    demo_campaign,
+    demo_trial,
+    get_campaign,
+    hierarchy_trial,
+    report_table,
+)
 from repro.campaign.spec import code_version
 from repro.sim import TraceBus
 from repro.sim.rng import make_rng
@@ -382,3 +388,76 @@ class TestProgressAndAggregation:
         assert report.done == 2
         assert len(report.results()) == 2
         assert report.wall_time >= 0.0
+
+
+class TestBuiltinSweeps:
+    """The `hierarchy` and `dtn` campaigns are the only sweep surface
+    for those subsystems: their grids hold the sizes the recorded
+    headlines were measured at."""
+
+    def test_full_grids_hold_the_headline_points(self):
+        points = [
+            spec.params for spec in get_campaign("hierarchy").expand()
+        ]
+        for mode in ("flat", "clustered", "rendezvous"):
+            for columns in (16, 32):
+                assert any(
+                    p["mode"] == mode and p["shards"] == 4
+                    and p["columns"] == p["rows"] == columns
+                    for p in points
+                )
+        points = [spec.params for spec in get_campaign("dtn").expand()]
+        assert {(p["mode"], p["duty"], p["custody"]) for p in points} == {
+            (mode, duty, custody)
+            for mode in ("flat", "clustered")
+            for duty in (0.0, 0.3, 0.6)
+            for custody in (False, True)
+        }
+
+    def test_quick_grids_stay_small(self):
+        points = [
+            spec.params
+            for spec in get_campaign("hierarchy", quick=True).expand()
+        ]
+        assert [p["mode"] for p in points] == [
+            "flat", "clustered", "rendezvous",
+        ]
+        assert all(
+            (p["columns"], p["rows"], p.get("shards", 1)) == (10, 10, 1)
+            for p in points
+        )
+        points = [
+            spec.params for spec in get_campaign("dtn", quick=True).expand()
+        ]
+        assert len(points) == 4 and all("mode" not in p for p in points)
+
+    def test_hierarchy_trial_row(self):
+        params = {
+            "mode": "clustered", "columns": 8, "rows": 8, "region": 4,
+            "duration": 20.0,
+        }
+        row = hierarchy_trial(params, seed=5)
+        assert row["n_nodes"] == 64
+        assert 0 < row["heads"] < 64
+        assert row["suppressed_interests"] > 0
+        assert row["control_messages"] > 0 and row["control_bytes"] > 0
+        # 4 region blocks x 9 sends each.
+        assert row["delivery_ratio"] == round(row["delivered"] / 36, 4)
+        assert row["delivered"] > 0 and row["time_to_first_data"] >= 0.0
+        # Shard count is an execution detail, never a result.
+        assert hierarchy_trial(dict(params, shards=2), seed=5) == row
+
+    def test_tables_grow_a_column_only_for_a_swept_axis(self, monkeypatch):
+        monkeypatch.setattr(
+            "repro.campaign.builtin.hierarchy_trial",
+            lambda params, seed: {
+                "control_messages": params["columns"],
+                "delivery_ratio": 0.5,
+            },
+        )
+        quick = get_campaign("hierarchy", quick=True)
+        table = report_table("hierarchy", run_campaign(quick))
+        assert "columns" not in table and "rows" not in table
+        full = get_campaign("hierarchy")
+        table = report_table("hierarchy", run_campaign(full))
+        assert table.splitlines()[1].split()[:3] == ["columns", "rows", "mode"]

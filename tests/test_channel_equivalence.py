@@ -32,6 +32,7 @@ from repro.radio.dynamics import (
     FailureSchedule,
     RandomWaypointMobility,
 )
+from repro.shard import ShardPlan, run_oracle
 from repro.testbed import SensorNetwork
 
 #: channel-layer categories whose full event sequence must match.
@@ -228,3 +229,69 @@ class TestDynamicEquivalence:
             seed=8, gilbert=True, mobile=True, duty_cycle=True, failures=True,
             loss_mode="hashed",
         )
+
+
+def beacon_flood(monkeypatch, channel_cls, scenario="flood", **params):
+    """The shard kernel's beacon flood (every node beacons through its
+    CSMA MAC, no upper layers) in one queue, on either engine."""
+    built = []
+
+    def build_channel(*args, **kwargs):
+        built.append(channel_cls(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("repro.shard.scenario.Channel", build_channel)
+    outcome = run_oracle(
+        ShardPlan(
+            scenario=scenario, params=params, seed=1, duration=12.0, shards=1
+        )
+    )
+    (channel,) = built
+    return outcome, channel
+
+
+def checks_per_query(channel):
+    return channel.carrier_checks / channel.carrier_queries
+
+
+class TestBeaconFlood:
+    """Radio neighbourhood constant, N growing: what one carrier-sense
+    query costs on each engine (counters, not wall time)."""
+
+    def test_scan_cost_grows_with_n_only_on_the_reference(self, monkeypatch):
+        per_query = {}
+        for columns, rows in ((7, 2), (10, 5)):
+            n = columns * rows
+            want, reference = beacon_flood(
+                monkeypatch, ReferenceChannel, columns=columns, rows=rows
+            )
+            got, fast = beacon_flood(
+                monkeypatch, Channel, columns=columns, rows=rows
+            )
+            assert got == want
+            assert want["delivered"] > 0 and want["collided"] > 0
+            per_query[n] = checks_per_query(reference)
+            # The reference walks the whole modem table per query (an
+            # early exit on a busy carrier keeps it just under N - 1);
+            # the index examines only transmitters on the air.
+            assert per_query[n] >= (n - 1) / 2
+            assert checks_per_query(fast) <= per_query[n] / 8
+        assert per_query[50] >= 2 * per_query[14]
+
+    def test_set_builds_stay_local_under_mobility(self, monkeypatch):
+        # One node walks the top row of a 16x16 grid, a propagation
+        # epoch every 0.05 s.  Verdicts must still equal the reference
+        # scan's, and a set build may probe only the sender's 3x3
+        # reach-sized cells (<= 4 grid points each) however large N is.
+        walk = dict(
+            columns=16, rows=16, movers=1, move_steps=200,
+            move_start=1.0, move_interval=0.05,
+        )
+        want, _ = beacon_flood(
+            monkeypatch, ReferenceChannel, "mobility", **walk
+        )
+        got, fast = beacon_flood(monkeypatch, Channel, "mobility", **walk)
+        assert got == want
+        index = fast.index
+        assert index.rebuilds > 100
+        assert index.bound_probes <= 36 * index.set_builds

@@ -10,7 +10,10 @@ class TestCli:
         assert main(["info"]) == 0
         out = capsys.readouterr().out
         assert "repro 1.0.0" in out
-        assert "subpackages" in out
+        inventory = out[out.index("subpackages"):]
+        for name in ("naming", "core", "dtn", "hierarchy", "shard", "query"):
+            assert name in inventory
+        assert "trace shards" in out
 
     def test_experiments_quick_single(self, capsys):
         assert main(["experiments", "--quick", "--only", "micro"]) == 0

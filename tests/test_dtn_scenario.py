@@ -17,6 +17,27 @@ class TestPartitionWindows:
     def test_zero_duty_means_no_windows(self):
         assert partition_windows(30.0, 260.0, duty=0.0, period=50.0) == []
 
+    @pytest.mark.parametrize("duty", [1.5, -0.1, float("nan")])
+    def test_duty_outside_unit_interval_rejected(self, duty):
+        # Past 1 the windows would overlap: the first heal would lift a
+        # partition the second window still claims.
+        with pytest.raises(ValueError, match="duty"):
+            partition_windows(30.0, 260.0, duty=duty, period=50.0)
+
+    @pytest.mark.parametrize("period", [0.0, -50.0])
+    def test_non_positive_period_rejected(self, period):
+        # `at += period` would never reach the horizon.
+        with pytest.raises(ValueError, match="period"):
+            partition_windows(30.0, 260.0, duty=0.6, period=period)
+
+    def test_cli_rejects_duty_as_a_usage_error(self, capsys):
+        from repro.dtn.cli import main as dtn_cli
+
+        with pytest.raises(SystemExit) as exit_info:
+            dtn_cli(["run", "--duty", "1.5"])
+        assert exit_info.value.code == 2
+        assert "--duty" in capsys.readouterr().err
+
 
 class TestMule:
     """Endpoints never share a connected component until the final
@@ -77,6 +98,11 @@ class TestGrid:
             seed=2, duty=0.6, custody=False, install_disabled=True
         )
         assert plain == disabled
+
+    def test_armed_grid_replay_is_deterministic(self):
+        first = dtn_run(seed=3, duty=0.6, custody=True)
+        assert first["custody_stats"]["accepted"] > 0
+        assert dtn_run(seed=3, duty=0.6, custody=True) == first
 
     def test_flight_recorder_dump(self, tmp_path):
         path = tmp_path / "dtn-flight.jsonl"

@@ -217,7 +217,7 @@ class TestFlightRecorderIntegration:
         assert result["flight_recorder"]["records"] == len(records) - 1
 
     def test_without_recorder_result_shape_unchanged(self):
-        """The faults smoke gate compares two runs for bit-identical
+        """The replay tests compare two runs for bit-identical
         equality; the flight_recorder key must not appear unless asked
         for."""
         from repro.faults.scenarios import resilience_run

@@ -15,6 +15,7 @@ import pytest
 
 from repro.core.gradient import GradientTable
 from repro.core.messages import MessageType, make_data, make_interest
+from repro.experiments.matchbench import count_comparisons
 from repro.naming import (
     Attribute,
     AttributeVector,
@@ -223,6 +224,17 @@ class TestGradientTableIntegration:
                 if one_way_match(list(e.attrs), list(data))
             }
             assert got == want
+
+    def test_comparison_count_drops_on_a_steady_stream(self):
+        """50 interest entries, 200 data messages cycling 16 distinct
+        vectors: the engine must spend >= 5x fewer value comparisons
+        than the Figure 2 scan (counts, not wall time), with verdicts
+        checked equal message by message inside ``count_comparisons``."""
+        counts = count_comparisons(n_entries=50, messages=200)
+        assert (
+            counts["reference_comparisons"] >= 5 * counts["engine_comparisons"]
+        )
+        assert counts["memo_hits"] > counts["memo_misses"]
 
     def test_sweep_invalidates_match_index(self):
         table = GradientTable()

@@ -53,6 +53,9 @@ def test_sharded_outcome_matches_oracle(case, shards):
     plan = ShardPlan(shards=shards, **CASES[case])
     result = run_sharded(plan, transport="inline")
     assert result["outcome"] == oracle_outcome(case)
+    if shards > 1:
+        # Equality is only evidence if ghosts actually crossed the cut.
+        assert sum(s["ghosts_admitted"] for s in result["shards"]) > 0
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
