@@ -12,20 +12,22 @@ PRR from the sender is non-zero.  Reception fails when:
 The channel also answers carrier-sense queries for the MAC layer.
 
 Delivery and carrier sense never scan the whole network: a fragment
-visits only the sender's cached audibility set, carrier sense consults
-an active-transmitter registry, and all of a fragment's receptions
-finalize in one simulator event (:mod:`repro.radio.neighborhood` holds
-the caches and their invalidation contract).  The original O(N)
-per-link scan survives as :class:`repro.radio.reference.
-ReferenceChannel`, a subclass that replaces only how receivers and PRRs
-are found; tests/test_channel_equivalence.py proves the two
-verdict-identical on seeded scenarios.
+visits only the sender's cached audibility set, carrier sense looks up
+the exact PRR only of transmitters that are both on the air and in the
+listener's cached carrier-source set, and all of a fragment's
+receptions finalize in one simulator event
+(:mod:`repro.radio.neighborhood` holds the caches and their
+invalidation contract).  The original O(N) per-link scan survives as
+:class:`repro.radio.reference.ReferenceChannel`, a subclass that
+replaces only how receivers and PRRs are found;
+tests/test_channel_equivalence.py proves the two verdict-identical on
+seeded scenarios.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.radio.neighborhood import NeighborhoodIndex
 from repro.sim import Simulator, TraceBus, trace_id_of
@@ -120,10 +122,11 @@ class Channel:
         # Per-receiver in-progress receptions keyed by transmission
         # seqno, for collision marking and O(1) completion.
         self._receiving: Dict[int, Dict[int, _Reception]] = {}
-        # Active-transmitter registry: src -> Transmission.
-        # Entries leave via transmission_ended or a lazy carrier-sense
-        # purge; the modem's transmitting flag stays authoritative.
-        self._active: Dict[int, Transmission] = {}
+        # Active-transmitter registry: exactly the attached modems with
+        # ``transmitting`` set.  Entered by start_transmission and by
+        # attach (a modem re-attached mid-airtime), left by
+        # transmission_ended and detach.
+        self._active: Set[int] = set()
         # Ghost transmissions admitted from other shards: src ->
         # Transmission still on the air.  A remote sender has no local
         # modem, so its airtime is tracked here for carrier sense and
@@ -140,8 +143,8 @@ class Channel:
         self.fragments_delivered = 0
         self.fragments_collided = 0
         self.fragments_lost = 0
-        # Carrier-sense cost accounting: links examined per query —
-        # tracks the number of active transmitters here, N in the
+        # Carrier-sense cost accounting: links examined per query — one
+        # per (source, listener) PRR actually looked up here, N in the
         # reference scan (tests/test_channel_equivalence.py::
         # TestBeaconFlood asserts both).
         self.carrier_queries = 0
@@ -163,6 +166,9 @@ class Channel:
         # Pre-create the in-progress map so the admission hot path can
         # index it unconditionally (detach pops it, voiding receptions).
         self._receiving.setdefault(modem.node_id, {})
+        if modem.transmitting:
+            # Back within one airtime of its detach: still keyed up.
+            self._active.add(modem.node_id)
         self._member_added(modem.node_id)
 
     def detach(self, node_id: int) -> Any:
@@ -177,7 +183,7 @@ class Channel:
         modem = self._modems.pop(node_id, None)
         if modem is None:
             raise ValueError(f"modem {node_id} is not attached")
-        self._active.pop(node_id, None)
+        self._active.discard(node_id)
         pending = self._receiving.pop(node_id, None)
         if pending:
             for reception in pending.values():
@@ -194,7 +200,7 @@ class Channel:
 
     def transmission_ended(self, src: int) -> None:
         """Modem callback: ``src``'s fragment finished its airtime."""
-        self._active.pop(src, None)
+        self._active.discard(src)
 
     def node_ids(self) -> List[int]:
         return sorted(self._modems)
@@ -208,38 +214,28 @@ class Channel:
         index = self.index
         index.sync()
         prr_memo = index.prr_memo
-        carrier_map = index.carrier_map
         busy = False
-        stale: Optional[List[int]] = None
-        for src in self._active:
-            modem = self._modems.get(src)
-            if modem is None or not modem.transmitting:
-                if stale is None:
-                    stale = []
-                stale.append(src)
-                continue
-            if src == node_id:
-                continue
-            self.carrier_checks += 1
-            candidates = carrier_map.get(src)
-            if candidates is None:
-                candidates = index.carrier_candidates(src)
-            if node_id not in candidates:
-                continue
-            # Inline memo hit (nothing in this loop can move the epoch);
-            # misses fall back to the full windowed lookup.
-            cached = prr_memo.get((src, node_id))
-            if cached is not None and now < cached[1]:
-                index.memo_hits += 1
-                prr = cached[0]
-            else:
-                prr = index.link_prr(src, node_id, now)
-            if prr >= self.CARRIER_SENSE_THRESHOLD:
-                busy = True
-                break
-        if stale:
-            for src in stale:
-                self._active.pop(src, None)
+        active = self._active
+        if active:
+            # Set intersection walks the smaller side and probes the
+            # other, so only transmitters this listener may hear get
+            # their PRR looked up.
+            sources = index.carrier_sets.get(node_id)
+            if sources is None:
+                sources = index.carrier_sources(node_id)
+            for src in active & sources:
+                self.carrier_checks += 1
+                # Inline memo hit (nothing in this loop can move the
+                # epoch); misses fall back to the full windowed lookup.
+                cached = prr_memo.get((src, node_id))
+                if cached is not None and now < cached[1]:
+                    index.memo_hits += 1
+                    prr = cached[0]
+                else:
+                    prr = index.link_prr(src, node_id, now)
+                if prr >= self.CARRIER_SENSE_THRESHOLD:
+                    busy = True
+                    break
         if not busy and self._remote_active:
             for src, tx in list(self._remote_active.items()):
                 if tx.end <= now:
@@ -291,7 +287,8 @@ class Channel:
             )
         if self.on_transmission is not None:
             self.on_transmission(tx)
-        self._active[src] = tx
+        if src in self._modems:  # a detached radio asserts no carrier
+            self._active.add(src)
         self._deliver_to(tx, duration)
         return tx
 

@@ -8,8 +8,10 @@ This module caches what those scans recompute:
 
 * **audibility sets** — per sender, the nodes whose link PRR *can* be
   non-zero during the current propagation epoch (``link_prr_bound > 0``);
-* **carrier-sense sets** — per sender, the nodes whose PRR can reach the
-  carrier-sense threshold;
+* **carrier-source sets** — per listener, the members whose PRR *to* it
+  can reach the carrier-sense threshold (the transpose of the above at a
+  higher bar: carrier sense asks "whom can I hear?", and intersects the
+  answer with who is on the air);
 * a **per-directed-link PRR memo** holding the exact PRR returned by the
   propagation model plus the absolute time it stays valid.
 
@@ -34,15 +36,17 @@ local to the nodes involved whenever the model lets them be:
   (``TablePropagation``) gets the scan over every member.
 * **The repair rule.**  When the token changes and the model's
   ``moved_since(old_token)`` names the nodes that moved, each mover is
-  re-bucketed and loses its own sets; every sender bucketed around the
-  cell it left or the cell it entered loses its sets; and the memo
+  re-bucketed and loses its own sets; every node bucketed around the
+  cell it left or the cell it entered loses its sets — as a sender
+  (audibility) and as a listener (carrier sources) alike; and the memo
   entries of links touching the mover go.  Everything else stays.
   Attaching or detaching a node on a warm index is the same repair.
-* **The ghost-sender rule.**  Senders that are not members (a shard's
-  ghost transmitters) have cached sets and memo entries too.  They are
-  bucketed by the position they were first seen at, so a member moving
-  near one drops that ghost's sets; a ghost that itself moves loses its
-  own sets and links, and — sitting in no set — disturbs nothing else.
+* **The ghost rule.**  Nodes that are not members (a shard's ghost
+  transmitters, a detached node whose MAC still listens) have cached
+  sets and memo entries too.  They are bucketed by the position they
+  were first seen at, so a member moving near one drops that ghost's
+  sets; a ghost that itself moves loses its own sets and links, and —
+  sitting in no set — disturbs nothing else.
 * **The fallback.**  ``moved_since`` missing or answering ``None`` (a
   table edit, a cut or heal, a node placed, an index that fell behind
   the topology's bounded move journal), or no buckets to look senders
@@ -167,11 +171,11 @@ class NeighborhoodIndex:
         self._cells: Optional[CellBuckets] = None
         self._ghosts: Optional[CellBuckets] = None
         self._audible: Dict[int, List[int]] = {}
-        #: lazily built carrier-sense candidate sets, exposed (like
-        #: :attr:`prr_memo`) for the channel's carrier-scan loop: after
-        #: :meth:`sync`, present entries may be read directly; misses
-        #: must go through :meth:`carrier_candidates`.
-        self.carrier_map: Dict[int, Set[int]] = {}
+        #: lazily built carrier-source sets, exposed (like
+        #: :attr:`prr_memo`) for the channel's carrier-sense query:
+        #: after :meth:`sync`, a present entry may be read directly;
+        #: misses must go through :meth:`carrier_sources`.
+        self.carrier_sets: Dict[int, Set[int]] = {}
         #: the windowed PRR memo, exposed for the channel's hot loops:
         #: after calling :meth:`sync`, a ``(src, dst)`` entry whose
         #: expiry exceeds ``now`` may be read directly (saving a method
@@ -211,7 +215,7 @@ class NeighborhoodIndex:
 
         The channel calls this once per operation (transmission,
         carrier-sense query) and may then read :attr:`prr_memo` and
-        :attr:`carrier_map` directly; the query methods below also call
+        :attr:`carrier_sets` directly; the query methods below also call
         it, so external callers holding no references never need to.
         """
         epoch = self.propagation.prr_epoch()
@@ -227,12 +231,12 @@ class NeighborhoodIndex:
         """``nodes`` moved, attached or detached; None = anything may
         have changed.  Without buckets there is no telling which senders
         sit near a node, so that drops everything too."""
-        if self._audible or self.carrier_map or self.prr_memo:
+        if self._audible or self.carrier_sets or self.prr_memo:
             self.rebuilds += 1
         if nodes is None or self._cells is None:
             self._cells = self._ghosts = None
             self._audible.clear()
-            self.carrier_map.clear()
+            self.carrier_sets.clear()
             self.prr_memo.clear()
             self._memo_peers.clear()
         else:
@@ -241,11 +245,11 @@ class NeighborhoodIndex:
 
     def _repair(self, node: int) -> None:
         """Drop only what ``node`` can have made stale: its own sets,
-        the sets of every sender (member or ghost) bucketed around the
-        cell it left and the cell it is in now, and the memo entries of
-        links that touch it.  A node that is no member sits in no set,
-        so for a ghost that moved, its own sets and links are all there
-        is."""
+        the sets of every sender or listener (member or ghost) bucketed
+        around the cell it left and the cell it is in now, and the memo
+        entries of links that touch it.  A node that is no member sits
+        in no set, so for a ghost that moved, its own sets and links
+        are all there is."""
         cells, ghosts = self._cells, self._ghosts
         stale = [node]
         ghosts.discard(node)
@@ -258,9 +262,9 @@ class NeighborhoodIndex:
             )
             if entered != left:
                 stale += cells.around(entered) + ghosts.around(entered)
-        for sender in stale:
-            self._audible.pop(sender, None)
-            self.carrier_map.pop(sender, None)
+        for near in stale:
+            self._audible.pop(near, None)
+            self.carrier_sets.pop(near, None)
         memo, peers = self.prr_memo, self._memo_peers
         for peer in peers.pop(node, ()):
             memo.pop((node, peer), None)
@@ -283,23 +287,23 @@ class NeighborhoodIndex:
                 self._cells, self._ghosts = cells, CellBuckets(reach)
         return self._cells
 
-    def _candidates(self, src: int) -> Iterable[int]:
-        """The members ``src``'s sets are picked from: those bucketed
+    def _candidates(self, node: int) -> Iterable[int]:
+        """The members ``node``'s sets are picked from: those bucketed
         around it, or all of them when there are no buckets."""
         cells = self._buckets()
         if cells is None:
             near: Iterable[int] = self._order
         else:
-            # A sender that is no member is remembered by position, so
+            # A node that is no member is remembered by position, so
             # that a member moving nearby finds its sets too.
             ghosts = self._ghosts
             cell = (
-                cells.cell_of(src)
-                or ghosts.cell_of(src)
-                or ghosts.place(src, self.propagation.topology.position(src))
+                cells.cell_of(node)
+                or ghosts.cell_of(node)
+                or ghosts.place(node, self.propagation.topology.position(node))
             )
             near = cells.around(cell)
-        self.bound_probes += len(near) - (src in self._order)
+        self.bound_probes += len(near) - (node in self._order)
         return near
 
     def audible_from(self, src: int) -> List[int]:
@@ -317,19 +321,20 @@ class NeighborhoodIndex:
             self.set_builds += 1
         return audible
 
-    def carrier_candidates(self, src: int) -> Set[int]:
-        """Nodes where ``src``'s carrier may exceed the sense threshold."""
+    def carrier_sources(self, dst: int) -> Set[int]:
+        """Members whose carrier may exceed the sense threshold at
+        ``dst`` this epoch."""
         self.sync()
-        candidates = self.carrier_map.get(src)
-        if candidates is None:
+        sources = self.carrier_sets.get(dst)
+        if sources is None:
             bound = self.propagation.link_prr_bound
-            candidates = {
-                dst for dst in self._candidates(src)
-                if dst != src and bound(src, dst) >= self.carrier_threshold
+            sources = {
+                src for src in self._candidates(dst)
+                if src != dst and bound(src, dst) >= self.carrier_threshold
             }
-            self.carrier_map[src] = candidates
+            self.carrier_sets[dst] = sources
             self.set_builds += 1
-        return candidates
+        return sources
 
     def link_prr(self, src: int, dst: int, now: float) -> float:
         """Exact ``propagation.link_prr(src, dst, now)``, memoized while

@@ -19,12 +19,16 @@ import pytest
 import repro.core.messages as core_messages
 from repro import AttributeVector, Key
 from repro.core import DiffusionConfig
+from repro.faults.overlay import FaultOverlayPropagation
 from repro.mac import DutyCycledCsmaMac
 from repro.radio import (
     Channel,
     DistancePropagation,
     GilbertElliotLink,
+    Modem,
+    RadioParams,
     ReferenceChannel,
+    TablePropagation,
     Topology,
 )
 from repro.radio.dynamics import (
@@ -33,6 +37,7 @@ from repro.radio.dynamics import (
     RandomWaypointMobility,
 )
 from repro.shard import ShardPlan, run_oracle
+from repro.sim import SeedSequence, Simulator
 from repro.testbed import SensorNetwork
 
 #: channel-layer categories whose full event sequence must match.
@@ -231,6 +236,194 @@ class TestDynamicEquivalence:
         )
 
 
+def on_both_engines(script, make_model, n_nodes):
+    """Run ``script(sim, channel, modems, model)`` on a bare radio (no
+    MAC, no upper layers) under each engine, each over its own model
+    from ``make_model()``; the two must report the same thing, which is
+    returned.  Scripts record carrier verdicts and outcome counters."""
+    reports = []
+    for channel_cls in (ReferenceChannel, Channel):
+        sim = Simulator()
+        model = make_model()
+        channel = channel_cls(sim, model, seeds=SeedSequence(1))
+        modems = [Modem(sim, channel, node_id=n) for n in range(n_nodes)]
+        reports.append(script(sim, channel, modems, model))
+    assert reports[0] == reports[1]
+    return reports[0]
+
+
+def sense_all(channel, listeners):
+    return [channel.carrier_busy(node) for node in listeners]
+
+
+#: One full fragment's time on the air (~19.7 ms); scripts act inside it.
+AIRTIME = RadioParams().fragment_airtime(27)
+
+
+class TestCarrierSenseMidAirtime:
+    """Carrier sense is answered from the listener's cached source set
+    intersected with who is on the air.  Whatever changes between a
+    transmission's start and a neighbour's query — positions, link
+    state, cuts, membership — the verdict must be the oracle's."""
+
+    @staticmethod
+    def line_model(wrap=lambda model: model):
+        def make():
+            topo = Topology()
+            topo.add_node(0, 0.0, 0.0)       # the transmitter
+            topo.add_node(1, 10.0, 0.0)      # hears it
+            topo.add_node(2, 200.0, 0.0)     # far out of range
+            topo.add_node(3, 0.0, 10.0)      # hears it throughout
+            return wrap(DistancePropagation(topo, asymmetry=0.0))
+        return make
+
+    def test_walking_into_and_out_of_range_of_a_fragment_on_the_air(self):
+        def script(sim, channel, modems, model):
+            before = sense_all(channel, (1, 2, 3))      # caches warm, idle
+            modems[0].transmit_fragment("x", 27)
+            started = sense_all(channel, (1, 2, 3))
+            sim.run(until=AIRTIME / 3)
+            model.topology.move_node(1, 300.0, 0.0)     # walks out
+            model.topology.move_node(2, 10.0, 5.0)      # walks in
+            moved = sense_all(channel, (1, 2, 3))
+            sim.run(until=2 * AIRTIME / 3)
+            model.topology.move_node(1, 10.0, 0.0)      # and back
+            back = sense_all(channel, (1, 2, 3))
+            sim.run()
+            return before, started, moved, back, sense_all(channel, (1, 2, 3))
+
+        assert on_both_engines(script, self.line_model(), 4) == (
+            [False, False, False],
+            [True, False, True],
+            [False, True, True],
+            [True, True, True],
+            [False, False, False],
+        )
+
+    def test_gilbert_elliot_flips_under_a_fragment(self):
+        def make():
+            # Dwell times of a few ms: each link flips several times
+            # inside one airtime, and a bad state is dead silence.
+            return GilbertElliotLink(
+                self.line_model()(), mean_good=0.004, mean_bad=0.004,
+                bad_scale=0.0, seed=3,
+            )
+
+        def script(sim, channel, modems, model):
+            modems[0].transmit_fragment("x", 27)
+            verdicts = []
+            for step in range(1, 19):
+                sim.run(until=step * 0.001)
+                verdicts.append(sense_all(channel, (1, 2, 3)))
+            return verdicts
+
+        verdicts = on_both_engines(script, make, 4)
+        assert {v[0] for v in verdicts} == {True, False}    # 0->1 flipped
+        assert {v[2] for v in verdicts} == {True, False}    # 0->3 flipped
+        assert not any(v[1] for v in verdicts)
+
+    def test_fault_cut_lands_under_a_fragment(self):
+        def script(sim, channel, modems, model):
+            sense_all(channel, (1, 2, 3))               # caches warm
+            modems[0].transmit_fragment("x", 27)
+            sim.run(until=AIRTIME / 3)
+            model.block_link(0, 1)
+            cut = sense_all(channel, (1, 2, 3))
+            sim.run(until=2 * AIRTIME / 3)
+            model.unblock_link(0, 1)
+            model.set_partition([[0, 1, 2], [3]])
+            healed = sense_all(channel, (1, 2, 3))
+            sim.run()
+            return cut, healed, channel.fragments_delivered
+
+        cut, healed, delivered = on_both_engines(
+            script, self.line_model(FaultOverlayPropagation), 4
+        )
+        assert cut == [False, False, True]
+        assert healed == [True, False, False]
+        assert delivered == 2       # receptions keep the PRR they began with
+
+    def test_asymmetric_links(self):
+        # 0 is loud at 1; 1 reaches 0 (audibly, PRR 0.02) but below the
+        # carrier threshold; 2 hears both, nobody hears 2.
+        links = {(0, 1): 1.0, (1, 0): 0.02, (0, 2): 0.5, (1, 2): 0.05}
+
+        def script(sim, channel, modems, model):
+            verdicts = []
+            for sender in (0, 1, 2):
+                modems[sender].transmit_fragment("x", 27)
+                verdicts.append(sense_all(channel, (0, 1, 2)))
+                sim.run()
+            modems[0].transmit_fragment("x", 27)
+            modems[1].transmit_fragment("y", 27)
+            verdicts.append(sense_all(channel, (0, 1, 2)))
+            sim.run()
+            return verdicts, channel.fragments_sent, channel.fragments_collided
+
+        verdicts, _, _ = on_both_engines(
+            script, lambda: TablePropagation(links), 3
+        )
+        assert verdicts == [
+            [False, True, True],        # 0 on the air
+            [False, False, True],       # 1 on the air: too faint at 0
+            [False, False, False],      # 2 on the air: heard nowhere
+            [False, True, True],        # 0 and 1 together
+        ]
+
+    def test_radio_outage_shorter_than_one_airtime(self):
+        """detach then attach while the node's own fragment is on the
+        air: it is still keyed up, and its neighbours still sense it."""
+        links = {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0}
+
+        def script(sim, channel, modems, model):
+            modems[0].transmit_fragment("x", 27)
+            sim.run(until=AIRTIME / 4)
+            modem = channel.detach(0)
+            out = sense_all(channel, (0, 1, 2))
+            sim.run(until=AIRTIME / 2)
+            channel.attach(modem)
+            back = sense_all(channel, (0, 1, 2))
+            sim.run()
+            return out, back, sense_all(channel, (0, 1, 2))
+
+        out, back, done = on_both_engines(
+            script, lambda: TablePropagation(links), 3
+        )
+        assert out == [False, False, False]
+        assert back == [False, True, False]
+        assert done == [False, False, False]
+
+    def test_detached_node_still_listening_and_sending(self):
+        """A node taken off the medium is in nobody's sets, but nothing
+        stops its MAC from asking, or its modem from keying up: it
+        senses what it would hear, and asserts no carrier itself."""
+        def script(sim, channel, modems, model):
+            sense_all(channel, (0, 1, 2, 3))            # caches warm
+            listener = channel.detach(1)
+            modems[0].transmit_fragment("x", 27)
+            verdicts = [sense_all(channel, (1, 2, 3))]
+            sim.run(until=AIRTIME / 2)
+            model.topology.move_node(0, 190.0, 0.0)     # next to node 2
+            verdicts.append(sense_all(channel, (1, 2, 3)))
+            sim.run()
+            listener.transmit_fragment("y", 27)         # off the medium
+            verdicts.append(sense_all(channel, (0, 2, 3)))
+            sim.run(until=sim.now + AIRTIME / 2)
+            channel.attach(listener)                    # mid-airtime
+            verdicts.append(sense_all(channel, (0, 2, 3)))
+            sim.run()
+            return verdicts, channel.fragments_delivered
+
+        verdicts, delivered = on_both_engines(script, self.line_model(), 4)
+        assert verdicts == [
+            [True, False, True],
+            [False, True, False],
+            [False, False, False],
+            [False, False, True],
+        ]
+        assert delivered > 0
+
+
 def beacon_flood(monkeypatch, channel_cls, scenario="flood", **params):
     """The shard kernel's beacon flood (every node beacons through its
     CSMA MAC, no upper layers) in one queue, on either engine."""
@@ -277,6 +470,23 @@ class TestBeaconFlood:
             assert per_query[n] >= (n - 1) / 2
             assert checks_per_query(fast) <= per_query[n] / 8
         assert per_query[50] >= 2 * per_query[14]
+
+    def test_fast_path_cost_does_not_grow_with_n(self, monkeypatch):
+        # The fast path counts one check per (source, listener) PRR it
+        # actually looks up: transmitters on the air that are also in
+        # the listener's carrier-source set.  At constant density that
+        # is the same handful at 14, 50 and 256 nodes (measured 0.13,
+        # 0.17, 0.18 — the 7x2 strip is nearly all edge), where a walk
+        # over every transmitter on the air cost 0.50, 1.77, 9.20.
+        per_query = {}
+        for columns, rows in ((7, 2), (10, 5), (16, 16)):
+            _, fast = beacon_flood(
+                monkeypatch, Channel, columns=columns, rows=rows
+            )
+            per_query[columns * rows] = checks_per_query(fast)
+        assert per_query[50] <= 1.5 * per_query[14]
+        assert per_query[256] <= 1.5 * per_query[14]
+        assert max(per_query.values()) < 1.0
 
     def test_set_builds_stay_local_under_mobility(self, monkeypatch):
         # One node walks the top row of a 16x16 grid, a propagation

@@ -96,8 +96,12 @@ class TestNeighborhoodIndex:
         for node in (0, 1, 2):
             index.add_node(node)
         assert index.audible_from(0) == [1, 2]
-        assert index.carrier_candidates(0) == {1}
         assert index.audible_from(2) == []
+        # The listener's side: 0 hears 1, 1 hears 0, and 2 hears 0 too
+        # weakly to ever sense its carrier.
+        assert index.carrier_sources(0) == {1}
+        assert index.carrier_sources(1) == {0}
+        assert index.carrier_sources(2) == set()
 
     def test_sets_follow_attach_order(self):
         prop = TablePropagation({(0, 2): 1.0, (0, 1): 1.0})
@@ -184,8 +188,9 @@ def fresh_index(model, members):
 
 def assert_index_matches(index, model, members, senders, now=0.0):
     """``index`` (warm, repaired) answers exactly what an index built
-    from scratch and a scan over every member answer, for each sender.
-    ``members`` is in attach order."""
+    from scratch and a scan over every member answer, for each of
+    ``senders`` — as a sender (whom it reaches) and as a listener (whose
+    carrier it may sense).  ``members`` is in attach order."""
     for node, peers in index._memo_peers.items():   # no leftovers
         for peer in peers:
             assert {(node, peer), (peer, node)} & index.prr_memo.keys()
@@ -194,12 +199,12 @@ def assert_index_matches(index, model, members, senders, now=0.0):
         others = [dst for dst in members if dst != src]
         audible = [d for d in others if model.link_prr_bound(src, d) > 0.0]
         carrier = {
-            d for d in others if model.link_prr_bound(src, d) >= THRESHOLD
+            s for s in others if model.link_prr_bound(s, src) >= THRESHOLD
         }
         assert index.audible_from(src) == fresh.audible_from(src) == audible
         assert (
-            index.carrier_candidates(src)
-            == fresh.carrier_candidates(src)
+            index.carrier_sources(src)
+            == fresh.carrier_sources(src)
             == carrier
         )
         for dst in members:
@@ -287,12 +292,16 @@ class TestLocalRepair:
         index = fresh_index(model, members)
         heard_before = index.audible_from(ghost)
         assert mover not in heard_before
+        assert mover not in index.carrier_sources(ghost)    # cached now
         assert index.link_prr(ghost, mover, 0.0) == 0.0
         assert index.link_prr(mover, ghost, 0.0) == 0.0
         pos = topo.position(ghost)
         topo.move_node(mover, pos.x - 5.0, pos.y)
         assert index.audible_from(ghost) == [mover] + heard_before
-        assert mover in index.carrier_candidates(ghost)
+        # The listener side is repaired too: the ghost would now sense
+        # the mover's carrier (never the reverse — a ghost is no member).
+        assert mover in index.carrier_sources(ghost)
+        assert ghost not in index.carrier_sources(mover)
         assert index.link_prr(ghost, mover, 1.0) == 1.0
         assert_index_matches(index, model, members, members + [ghost])
         topo.move_node(mover, 0.0, 0.0)         # and away again
@@ -521,8 +530,13 @@ class TestActiveRegistry:
         modems[0].transmit_fragment("a", 27)
         before = channel.carrier_checks
         channel.carrier_busy(9)
-        # One active transmitter -> exactly one link examined, despite
-        # ten attached modems.
+        # carrier_checks counts one per (source, listener) PRR actually
+        # looked up: one transmitter on the air that the listener may
+        # hear -> exactly one, despite ten attached modems.
+        assert channel.carrier_checks == before + 1
+        # A listener with the transmitter outside its carrier-source
+        # set looks nothing up at all.
+        assert not channel.carrier_busy(5)
         assert channel.carrier_checks == before + 1
 
     def test_reference_scan_counts_all_modems(self):
@@ -533,13 +547,52 @@ class TestActiveRegistry:
         channel.carrier_busy(9)
         assert channel.carrier_checks == 9
 
+    def test_registry_is_exactly_the_attached_modems_keyed_up(self):
+        """Sampled through a run in which a radio drops off the medium
+        and comes back inside its own fragment's airtime, and another
+        keys up while detached."""
+        links = {
+            (a, b): 1.0 for a in range(4) for b in range(4) if a != b
+        }
+        sim, channel, modems = make_net(links, n_nodes=4)
+        samples = []
+
+        def sample():
+            keyed_up = {
+                node for node, modem in channel._modems.items()
+                if modem.transmitting
+            }
+            assert channel._active == keyed_up
+            samples.append(sorted(keyed_up))
+
+        def outage(node, downtime):
+            modem = channel.detach(node)
+            sample()
+            sim.schedule(downtime, back, modem)
+
+        def back(modem):
+            channel.attach(modem)
+            sample()
+
+        for tick in range(60):
+            sim.schedule(tick * 0.001, sample)
+        sim.schedule(0.000, modems[0].transmit_fragment, "a", 27)
+        sim.schedule(0.004, outage, 0, 0.005)       # back mid-airtime
+        sim.schedule(0.010, outage, 1, 0.012)       # keys up while out,
+        sim.schedule(0.012, modems[1].transmit_fragment, "b", 27)  # back
+        sim.schedule(0.030, modems[2].transmit_fragment, "c", 27)
+        sim.schedule(0.035, outage, 2, 0.030)       # back after it ended
+        sim.run()
+        assert [0] in samples and [1] in samples and [2] in samples
+        assert samples[-1] == [] and not channel._active
+
     def test_registry_drains_after_transmission(self):
         sim, channel, modems = make_net({(0, 1): 1.0})
         modems[0].transmit_fragment("a", 27)
         assert channel.carrier_busy(1)
         sim.run()
         assert not channel.carrier_busy(1)
-        assert channel._active == {}
+        assert not channel._active
 
 
 class TestDetach:
