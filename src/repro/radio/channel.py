@@ -323,12 +323,25 @@ class Channel:
             link_dst=link_dst,
             seqno=self._ghost_seqno,
         )
-        self._remote_active[src] = tx
-        self.sim.schedule(
-            duration, self._end_remote, src, tx, name="channel.ghost_end"
-        )
+        self._hold_remote_carrier(tx)
         self._deliver_to(tx, duration)
         return tx
+
+    def admit_remote_carrier(self, src: int, end: float) -> None:
+        """Admit only the carrier of a remote fragment already on the
+        air: no local radio was in its range when it keyed up, so there
+        is nothing to receive, but one a move brought into range since
+        must sense it until ``end``."""
+        self._hold_remote_carrier(Transmission(
+            src=src, start=self.sim.now, end=end, payload=None, nbytes=0,
+            link_dst=None, seqno=0,
+        ))
+
+    def _hold_remote_carrier(self, tx: Transmission) -> None:
+        self._remote_active[tx.src] = tx
+        self.sim.schedule_at(
+            tx.end, self._end_remote, tx.src, tx, name="channel.ghost_end"
+        )
 
     def _end_remote(self, src: int, tx: Transmission) -> None:
         """A ghost's airtime ended; stop asserting carrier for it."""

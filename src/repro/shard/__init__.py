@@ -17,14 +17,11 @@ exchange cost scales with the cut, not the network.
 The protocol is exact: outcomes are bit-identical to the single-queue
 oracle (:func:`~repro.shard.runner.run_oracle`), which stays the
 trusted reference — tests/test_shard_equivalence.py holds the two
-paths equal on every supported scenario at 1, 2, and 4 shards.
+paths equal on every supported scenario at 1, 2, and 4 shards, and over
+seeds x shard counts under frequent moves.
 """
 
-from repro.shard.partition import (
-    grid_partition,
-    kmeans_partition,
-    partition_nodes,
-)
+from repro.shard.partition import grid_partition, partition_nodes
 from repro.shard.runner import (
     merge_outcomes,
     run_oracle,
@@ -38,7 +35,6 @@ from repro.shard.worker import (
     ShardRuntime,
     ShardStats,
     next_horizon,
-    next_horizon_ex,
     shard_worker_main,
 )
 
@@ -52,10 +48,8 @@ __all__ = [
     "ShardStats",
     "get_scenario",
     "grid_partition",
-    "kmeans_partition",
     "merge_outcomes",
     "next_horizon",
-    "next_horizon_ex",
     "partition_nodes",
     "run_oracle",
     "run_sharded",

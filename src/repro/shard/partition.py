@@ -2,28 +2,23 @@
 
 A good shard cut for conservative parallel simulation minimizes the
 boundary (nodes audible across the cut) while balancing population, so
-per-window work is even and the export traffic small.  Two methods:
+per-window work is even and the export traffic small.
+:func:`grid_partition` cuts quantile slabs: split the x axis into
+near-equal-population slabs, then each slab along y.  Deterministic,
+parameter-free, and near-optimal on the uniform-ish deployments the
+paper's scenarios use.
 
-* :func:`grid_partition` — quantile slabs: split the x axis into
-  near-equal-population slabs, then each slab along y.  Deterministic,
-  parameter-free, and near-optimal on the uniform-ish deployments the
-  paper's scenarios use.
-* :func:`kmeans_partition` — Lloyd's iterations over node positions
-  with deterministic farthest-point seeding, for irregular deployments
-  where axis-aligned slabs cut through dense clusters.
-
-Both return a list of ``shards`` sorted node-id lists covering every
-node exactly once, and both are pure functions of (topology, shards,
-seed) so every worker — and the oracle — derives the identical cut.
+It returns a list of ``shards`` sorted node-id lists covering every
+node exactly once, and is a pure function of (topology, shards), so
+every worker derives the identical cut.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from repro.radio.topology import Topology
-from repro.sim.rng import make_rng
 
 
 def _axis_factors(shards: int) -> Tuple[int, int]:
@@ -70,103 +65,12 @@ def grid_partition(topology: Topology, shards: int) -> List[List[int]]:
     return [sorted(part) for part in parts]
 
 
-def kmeans_partition(
-    topology: Topology,
-    shards: int,
-    seed: int = 1,
-    iterations: int = 25,
-) -> List[List[int]]:
-    """Lloyd's k-means over positions, balanced by capacity-capped
-    assignment.
-
-    Seeding is farthest-point from a seed-derived start node, so the
-    result is a pure function of (topology, shards, seed).  Assignment
-    fills shards nearest-centroid-first with a hard capacity of
-    ``ceil(N / shards)``, which keeps populations balanced even when
-    the geometry is lopsided (an unbalanced shard would dominate every
-    synchronization window).
-    """
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    ids = topology.node_ids()
-    if shards == 1:
-        return [ids]
-    if shards > len(ids):
-        raise ValueError(
-            f"cannot cut {len(ids)} nodes into {shards} shards"
-        )
-    points: Dict[int, Tuple[float, float]] = {
-        n: (topology.position(n).x, topology.position(n).y) for n in ids
-    }
-    rng = make_rng(seed, "kmeans-partition")
-    first = ids[rng.randrange(len(ids))]
-    centroids: List[Tuple[float, float]] = [points[first]]
-    while len(centroids) < shards:
-        far = max(
-            ids,
-            key=lambda n: (
-                min(
-                    (points[n][0] - cx) ** 2 + (points[n][1] - cy) ** 2
-                    for cx, cy in centroids
-                ),
-                n,
-            ),
-        )
-        centroids.append(points[far])
-
-    capacity = -(-len(ids) // shards)  # ceil
-    assignment: Dict[int, int] = {}
-    for _ in range(iterations):
-        # Greedy balanced assignment: closest (node, centroid) pairs
-        # claim their slots first.
-        ranked = sorted(
-            (
-                (points[n][0] - cx) ** 2 + (points[n][1] - cy) ** 2,
-                n,
-                k,
-            )
-            for n in ids
-            for k, (cx, cy) in enumerate(centroids)
-        )
-        fill = [0] * shards
-        new_assignment: Dict[int, int] = {}
-        for _dist, n, k in ranked:
-            if n in new_assignment or fill[k] >= capacity:
-                continue
-            new_assignment[n] = k
-            fill[k] += 1
-        if new_assignment == assignment:
-            break
-        assignment = new_assignment
-        for k in range(shards):
-            members = [n for n in ids if assignment[n] == k]
-            if members:
-                centroids[k] = (
-                    sum(points[n][0] for n in members) / len(members),
-                    sum(points[n][1] for n in members) / len(members),
-                )
-    parts: List[List[int]] = [[] for _ in range(shards)]
-    for n in ids:
-        parts[assignment[n]].append(n)
-    return [sorted(part) for part in parts]
-
-
-def partition_nodes(
-    topology: Topology,
-    shards: int,
-    method: str = "grid",
-    seed: int = 1,
-) -> List[List[int]]:
-    """Dispatch to a partition method; every shard list is non-empty."""
-    if method == "grid":
-        parts = grid_partition(topology, shards)
-    elif method == "kmeans":
-        parts = kmeans_partition(topology, shards, seed=seed)
-    else:
-        raise ValueError(f"unknown partition method {method!r}")
+def partition_nodes(topology: Topology, shards: int) -> List[List[int]]:
+    """The cut every shard runtime derives; every shard list is non-empty."""
+    parts = grid_partition(topology, shards)
     if any(not part for part in parts):
         raise ValueError(
-            f"{method} partition produced an empty shard for "
+            f"grid partition produced an empty shard for "
             f"{len(topology)} nodes / {shards} shards"
         )
     return parts

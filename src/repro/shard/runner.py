@@ -5,15 +5,20 @@ Three ways to execute the same :class:`~repro.shard.worker.ShardPlan`:
 * :func:`run_oracle` — the whole network in one
   :class:`~repro.sim.Simulator`.  This is the trusted reference: the
   sharded paths exist to reproduce its outcome faster, never to define
-  a different one.
+  a different one, and it shares none of their machinery.
 * :func:`run_sharded` with ``transport="inline"`` — all shard runtimes
-  in the calling process, stepped through the same conservative
-  protocol as the process mode.  Deterministic and debuggable; this is
-  what the equivalence suite sweeps.
+  in the calling process, each handed the others' messages directly.
+  Deterministic and debuggable; this is what the equivalence suite
+  sweeps.
 * :func:`run_sharded` with ``transport="process"`` — one OS process
   per shard via :class:`~repro.campaign.workers.WorkerCrew`, all-to-all
   pipes, no coordinator on the hot path.  This is the mode that buys
   wall-clock speedup on multi-core hosts.
+
+Both transports drive the one round in
+:meth:`~repro.shard.worker.ShardRuntime.step`; a transport owns only
+how messages travel and what it can measure about that (blocked-in-recv
+seconds and bytes on the pipes; their counterfactuals inline).
 
 Outcomes are merged with :func:`merge_outcomes` (ints/floats sum,
 lists concatenate sorted, dicts recurse), so a K-shard result is
@@ -23,7 +28,6 @@ directly comparable to the oracle's dict.
 from __future__ import annotations
 
 import itertools
-import math
 import pickle
 import time
 from typing import Any, Dict, List, Optional
@@ -31,14 +35,7 @@ from typing import Any, Dict, List, Optional
 import repro.core.messages as core_messages
 from repro.campaign.workers import WorkerCrew
 from repro.shard.scenario import get_scenario
-from repro.shard.worker import (
-    STALL_LIMIT,
-    ExportedTx,
-    ShardPlan,
-    ShardRuntime,
-    next_horizon_ex,
-    shard_worker_main,
-)
+from repro.shard.worker import ShardPlan, ShardRuntime, shard_worker_main
 from repro.sim.metrics import MetricsRegistry, current_registry, use_registry
 
 
@@ -159,7 +156,7 @@ def _run_process(
 
 
 def _run_inline(plan: ShardPlan) -> List[Dict[str, Any]]:
-    """All shards in-process, same round protocol as the worker loop.
+    """All shards in-process: hand every runtime the others' messages.
 
     Each runtime gets its own metrics registry so per-shard kernel
     gauges don't collide; message ids share one counter (uniqueness
@@ -171,76 +168,29 @@ def _run_inline(plan: ShardPlan) -> List[Dict[str, Any]]:
     for rank in range(plan.shards):
         with use_registry(registries[rank]):
             runtimes.append(ShardRuntime(plan, rank))
-    duration = plan.duration
-    outboxes: List[List[ExportedTx]] = [[] for _ in runtimes]
-    finalized = [False] * plan.shards
-    stalled = 0
-    while not all(finalized):
-        # Identical ordering to the process mode: promises are computed
-        # before this round's ghosts are injected; the export term of
-        # next_horizon() compensates.
-        promises = [
-            (math.inf, "idle") if finalized[i] else rt.promise_ex()
-            for i, rt in enumerate(runtimes)
-        ]
-        all_exports = [rec for outbox in outboxes for rec in outbox]
-        events_before = sum(rt.stats.events for rt in runtimes)
-        for i, rt in enumerate(runtimes):
-            if finalized[i]:
-                continue
+    while not all(rt.done for rt in runtimes):
+        messages = [rt.outgoing() for rt in runtimes]
+        walls = []
+        for rank, rt in enumerate(runtimes):
             # What the process transport would have shipped this round;
             # measured (outside the busy timers) so inline runs report
-            # comparable exchange volume.
+            # the same exchange volume.
             rt.stats.exchange_bytes += len(
-                pickle.dumps(
-                    (promises[i][0], promises[i][1], outboxes[i],
-                     finalized[i]),
-                    protocol=pickle.HIGHEST_PROTOCOL,
-                )
-            ) * (len(runtimes) - 1)
-            rt.inject(
-                rec
-                for j, outbox in enumerate(outboxes)
-                if j != i
-                for rec in outbox
-            )
-        next_outboxes: List[List[ExportedTx]] = [[] for _ in runtimes]
-        window_walls = [0.0] * len(runtimes)
-        for i, rt in enumerate(runtimes):
-            if finalized[i]:
-                continue
-            horizon, bound_term = next_horizon_ex(
-                (p for j, p in enumerate(promises) if j != i),
-                all_exports, rt.lookahead, duration,
-            )
-            window_started = time.perf_counter()
-            if horizon >= duration:
-                next_outboxes[i], finalized[i] = rt.advance(
-                    duration, inclusive=True, final=True, term=bound_term
-                )
-            else:
-                next_outboxes[i], _reached = rt.advance(
-                    horizon, inclusive=promises[i][0] <= horizon,
-                    term=bound_term,
-                )
-            window_walls[i] = time.perf_counter() - window_started
+                pickle.dumps(messages[rank], protocol=pickle.HIGHEST_PROTOCOL)
+            ) * (plan.shards - 1)
+            started = time.perf_counter()
+            rt.step({
+                peer: message
+                for peer, message in enumerate(messages)
+                if peer != rank
+            })
+            walls.append(time.perf_counter() - started)
         # Inline shards run serially, so barrier stall is *counter-
         # factual*: had the round run in parallel, each shard would
-        # have waited for the round's slowest window.
-        slowest = max(window_walls)
-        for i, rt in enumerate(runtimes):
-            if window_walls[i] > 0.0:
-                rt.stats.stall_seconds += slowest - window_walls[i]
-        outboxes = next_outboxes
-        if (
-            sum(rt.stats.events for rt in runtimes) == events_before
-            and not all_exports
-        ):
-            stalled += 1
-            if stalled > STALL_LIMIT:
-                raise RuntimeError("conservative sync stalled")
-        else:
-            stalled = 0
+        # have waited for the round's slowest step.
+        slowest = max(walls)
+        for rt, wall in zip(runtimes, walls):
+            rt.stats.stall_seconds += slowest - wall
     results = []
     for rank, rt in enumerate(runtimes):
         result = rt.result()

@@ -2,14 +2,19 @@
 
 A :class:`ShardRuntime` owns one shard's :class:`~repro.sim.Simulator`
 and :class:`~repro.radio.Channel`, built by a scenario for the shard's
-owned node subset against the *global* topology.  Execution alternates
-windows and exchanges:
+owned node subset against the *global* topology.  Execution is a
+sequence of rounds, and the round lives in one place:
+:meth:`ShardRuntime.outgoing` says what to tell every peer,
+:meth:`ShardRuntime.step` takes what the peers said and runs the next
+window.  A transport only carries the messages — pipes between worker
+processes (:func:`shard_worker_main`) or a list in one process
+(:mod:`repro.shard.runner`) — so both execute the same protocol:
 
-1. **Promise.**  After each window the shard computes the earliest
-   simulation time at which it could possibly start a transmission some
-   foreign node hears.  Three terms, each a lower bound by the MAC
-   timing contract (every ``channel.start_transmission`` happens inside
-   a ``csma.attempt``/``csma.backoff`` event, and every new attempt is
+1. **Promise.**  The shard computes the earliest simulation time at
+   which it could possibly start a transmission some foreign node
+   hears.  Three terms, each a lower bound by the MAC timing contract
+   (every ``channel.start_transmission`` happens inside a
+   ``csma.attempt``/``csma.backoff`` event, and every new attempt is
    scheduled at least ``interframe_gap`` after its trigger):
 
    * the earliest queued attempt event of a *frontier* node (a node
@@ -23,27 +28,26 @@ windows and exchanges:
      *other* event can only trigger an attempt at least one interframe
      gap later.
 
-2. **Exchange.**  Shards swap ``(promise, outbox)`` all-to-all and each
-   computes the identical next horizon ``H = min(all promises, min
-   over exported transmissions of end-of-airtime + lookahead,
-   duration)``.  The second term covers influence that is in flight but
-   not yet injected: a ghost's earliest downstream transmission follows
-   its delivery at end-of-airtime by at least the lookahead.
+2. **Exchange.**  Shards swap ``(promise, term, outbox, done)``
+   all-to-all.
 
 3. **Inject.**  Foreign transmissions audible to some owned node are
    scheduled at their exact start times as ghost admissions
    (:meth:`~repro.radio.channel.Channel.admit_remote_transmission`)
    with priority ``-1`` so they precede same-instant local events.
 
-4. **Window.**  Every shard runs to ``H`` — exclusively, unless its own
-   promise equals ``H`` (then inclusively: it owns the earliest
-   potential boundary transmission, and executing it is what guarantees
-   global progress).  Transmissions by frontier nodes are captured via
-   the channel's ``on_transmission`` hook into the next outbox.
+4. **Window.**  Each shard runs to its own horizon (:func:`next_horizon`:
+   the peers' promises, every exported transmission's end of airtime
+   plus the lookahead, the duration) or to its own next move, whichever
+   is earlier — exclusively, unless its own promise is within the
+   horizon (then inclusively: it owns the earliest potential boundary
+   transmission, and executing it is what guarantees global progress).
+   Transmissions by frontier nodes are captured via the channel's
+   ``on_transmission`` hook into the next outbox; when a move makes a
+   node a frontier node, what it already has on the air joins them.
 
-When ``H`` reaches the trial duration, all promises are ≥ duration —
-no shard can transmit across any cut again within the horizon — and
-every shard finishes independently with one inclusive window.
+A shard whose horizon reaches the trial duration finishes with one
+inclusive window, and keeps exchanging until every peer has finished.
 
 The protocol is exact, not approximate: outcomes match the single-queue
 oracle event-for-event, up to cross-shard events scheduled at exactly
@@ -87,7 +91,6 @@ class ShardPlan:
     seed: int
     duration: float
     shards: int
-    partition: str = "grid"
 
 
 @dataclass(frozen=True)
@@ -100,6 +103,12 @@ class ExportedTx:
     nbytes: int
     payload: Any
     link_dst: Optional[int]
+
+
+#: what a shard tells every peer each round: its promise, the term that
+#: produced it, the boundary transmissions of its last window, and
+#: whether it has run its final window.
+Message = Tuple[float, str, List[ExportedTx], bool]
 
 
 @dataclass
@@ -151,10 +160,7 @@ class ShardRuntime:
         self.rank = rank
         scenario = get_scenario(plan.scenario)
         topology = scenario.topology(plan.params)
-        parts = partition_nodes(
-            topology, plan.shards, method=plan.partition, seed=plan.seed
-        )
-        self.owned: List[int] = parts[rank]
+        self.owned: List[int] = partition_nodes(topology, plan.shards)[rank]
         self.net: ShardNet = scenario.build(
             topology, self.owned, plan.params, plan.seed
         )
@@ -203,9 +209,18 @@ class ShardRuntime:
         ]
 
         self._outbox: List[ExportedTx] = []
+        # Latest transmission of each owned sender, for re-announcing
+        # what is on the air when a move grows the frontier.
+        self._on_air: Dict[int, Any] = {}
         self._attempts: List[Tuple[float, int, Any]] = []
         self._window_horizon = math.inf
         self._window_truncated = False
+        # Round state, see step().
+        self.done = False
+        self._finalized = False
+        self._promised = math.inf
+        self._stalled = 0
+        self._last_horizon = -math.inf
         if plan.shards > 1:
             owned_set = set(self.owned)
             foreign = [
@@ -238,15 +253,19 @@ class ShardRuntime:
                     self._attempts, (event.time, event.seq, event)
                 )
 
-    def _on_transmission(self, tx) -> None:
-        if tx.src in self._frontier:
-            self._outbox.append(
-                ExportedTx(
-                    src=tx.src, start=tx.start, end=tx.end,
-                    nbytes=tx.nbytes, payload=tx.payload,
-                    link_dst=tx.link_dst,
-                )
+    def _export(self, tx) -> None:
+        self._outbox.append(
+            ExportedTx(
+                src=tx.src, start=tx.start, end=tx.end,
+                nbytes=tx.nbytes, payload=tx.payload,
+                link_dst=tx.link_dst,
             )
+        )
+
+    def _on_transmission(self, tx) -> None:
+        self._on_air[tx.src] = tx
+        if tx.src in self._frontier:
+            self._export(tx)
             # Boomerang cap: peers were promised nothing before this
             # round's horizon, but *this* transmission can provoke a
             # foreign reaction as early as its end of airtime plus one
@@ -272,24 +291,36 @@ class ShardRuntime:
         """After a window: if geometry moved, recompute the frontier and
         rebuild the attempt bookkeeping (an interior node may have
         become audible across the cut, and its already-queued attempts
-        must start counting)."""
+        must start counting).  What such a node has on the air was not
+        exported when it keyed up, and a foreign listener the move just
+        brought into range must sense its carrier: announce it now."""
         if self.boundary is None:
             return
         epoch = self.net.propagation.prr_epoch()
         if epoch == self._epoch:
             return
         self._epoch = epoch
+        before = self._frontier
         self._frontier = self.boundary.boundary_senders()
         self._rebuild_attempts()
+        now = self.sim.now
+        for src in sorted(self._frontier - before):
+            tx = self._on_air.get(src)
+            if tx is not None and tx.end > now:
+                self._export(tx)
+
+    def _next_move(self) -> float:
+        """Time of the earliest move this shard has not executed yet."""
+        moves = self._move_events
+        while moves and moves[0]._owner is None:
+            moves.pop(0)
+        return moves[0].time if moves else math.inf
 
     # -- protocol steps -------------------------------------------------------
 
-    def promise(self) -> float:
-        """Earliest time this shard could start a boundary transmission."""
-        return self.promise_ex()[0]
-
-    def promise_ex(self) -> Tuple[float, str]:
-        """The promise plus which term produced it.
+    def promise(self) -> Tuple[float, str]:
+        """Earliest time this shard could start a boundary transmission,
+        plus which term produced it.
 
         The term names the bound that is actually pacing this shard's
         peers: ``"attempt"`` (a queued frontier attempt event),
@@ -307,10 +338,7 @@ class ShardRuntime:
                 continue
             break
         t_attempt = attempts[0][0] if attempts else math.inf
-        moves = self._move_events
-        while moves and moves[0]._owner is None:
-            moves.pop(0)
-        t_move = moves[0].time if moves else math.inf
+        t_move = self._next_move()
         peek = self.sim.peek_time()
         t_other = peek + self.lookahead if peek is not None else math.inf
         value = min(t_attempt, t_move, t_other)
@@ -325,42 +353,50 @@ class ShardRuntime:
         return value, "lookahead"
 
     def inject(self, records: Iterable[ExportedTx]) -> None:
-        """Schedule foreign transmissions as ghost admissions."""
+        """Schedule foreign transmissions as ghost admissions.
+
+        A record nobody here can hear is skipped, unless a move still
+        pending on this shard falls inside its airtime: the move may
+        bring a listener into carrier range of it.  A record whose start
+        is already behind this shard's clock is one a peer re-announced
+        after a move (:meth:`_refresh_boundary`): no reception began
+        here when it keyed up, so it is admitted as carrier only.
+        """
         boundary = self.boundary
         if boundary is None:
             return
+        now = self.sim.now
+        next_move = self._next_move()
         for rec in records:
-            if not boundary.listeners_across(rec.src):
+            if not boundary.listeners_across(rec.src) and next_move >= rec.end:
                 self.stats.ghosts_skipped += 1
                 continue
-            self.sim.schedule_at(
-                rec.start,
-                self.channel.admit_remote_transmission,
-                rec.src, rec.payload, rec.nbytes, rec.end - rec.start,
-                rec.link_dst,
-                name="shard.ghost", priority=-1,
-            )
+            if rec.start < now:
+                self.channel.admit_remote_carrier(rec.src, rec.end)
+            else:
+                self.sim.schedule_at(
+                    rec.start,
+                    self.channel.admit_remote_transmission,
+                    rec.src, rec.payload, rec.nbytes, rec.end - rec.start,
+                    rec.link_dst,
+                    name="shard.ghost", priority=-1,
+                )
             self.stats.ghosts_admitted += 1
             self._m_ghosts.inc()
 
     def advance(
-        self,
-        horizon: float,
-        inclusive: bool,
-        final: bool = False,
-        term: str = "peer",
-    ) -> Tuple[List[ExportedTx], bool]:
-        """Run one window.
+        self, horizon: float, inclusive: bool, final: bool, term: str
+    ) -> bool:
+        """Run one window; its boundary transmissions land in the outbox.
 
-        Returns ``(exports, reached)`` — the boundary transmissions the
-        window made, and whether it ran all the way to ``horizon``
-        (False when the boomerang cap in :meth:`_on_transmission` ended
-        it early; a final window that was cut short has NOT finished
-        the run and the caller must keep exchanging).
+        Returns whether the window ran all the way to ``horizon`` (False
+        when the boomerang cap in :meth:`_on_transmission` ended it
+        early; a final window that was cut short has NOT finished the
+        run and the shard must keep exchanging).
 
         ``term`` names the promise term that bound ``horizon`` (from
-        :func:`next_horizon_ex`); the profiler attributes the window to
-        it so a report can say *why* windows were the size they were.
+        :func:`next_horizon`); the profiler attributes the window to it
+        so a report can say *why* windows were the size they were.
         """
         span = max(0.0, horizon - self.sim.now)
         window_start = time.perf_counter()
@@ -369,7 +405,6 @@ class ShardRuntime:
         processed = self.sim.run_window(
             horizon, inclusive=inclusive, advance_clock=final
         )
-        reached = not self._window_truncated
         self._window_horizon = math.inf
         self.stats.busy_seconds += time.perf_counter() - window_start
         self.stats.rounds += 1
@@ -384,11 +419,75 @@ class ShardRuntime:
             "shard.windows", shard=self.rank, term=term
         ).inc()
         self._refresh_boundary()
-        outbox = self._outbox
-        self._outbox = []
-        self.stats.exports += len(outbox)
-        self._m_exports.inc(len(outbox))
-        return outbox, reached
+        self.stats.exports += len(self._outbox)
+        self._m_exports.inc(len(self._outbox))
+        return not self._window_truncated
+
+    # -- the round ------------------------------------------------------------
+
+    def outgoing(self) -> Message:
+        """This round's message to every peer: ``(promise, term, outbox,
+        done)``.  Because horizons are per-shard, shards finish at
+        different rounds: a finished shard keeps announcing ``(inf,
+        "idle", outbox, True)`` — its final window's exports still
+        matter to slower peers — until :attr:`done`."""
+        promise, term = (
+            (math.inf, "idle") if self._finalized else self.promise()
+        )
+        self._promised = promise
+        return promise, term, self._outbox, self._finalized
+
+    def step(self, received: Dict[int, Message]) -> None:
+        """One round, given every peer's :meth:`outgoing` by rank: inject
+        their outboxes in rank order, take the horizon, run the window.
+
+        The promise sent was computed before this round's ghosts were
+        injected anywhere; the export term of :func:`next_horizon`
+        compensates.  The window is inclusive when this shard's own
+        promise is within the horizon: it owns the earliest potential
+        boundary transmission, and executing it is what guarantees
+        global progress.  :attr:`done` turns true once this shard has
+        finished and every peer has said the same, so no transport is
+        ever left with a blocked reader.
+        """
+        # A copy: the list itself is in the message peers are reading.
+        exports, self._outbox = list(self._outbox), []
+        if self._finalized:
+            self.done = all(m[3] for m in received.values())
+            return
+        peer_promises = []
+        for peer in sorted(received):
+            promise, term, outbox, _done = received[peer]
+            peer_promises.append((promise, term))
+            exports.extend(outbox)
+            self.inject(outbox)
+        horizon, term = next_horizon(
+            peer_promises, exports, self.lookahead, self.plan.duration
+        )
+        # The horizon leaves this shard's own promise out, so the move
+        # barrier its peers stop at would not stop the shard itself.
+        # Its promise is never later than its next move, which makes
+        # this window inclusive: the move runs, and the frontier is
+        # fresh before anything behind it does.
+        own_move = self._next_move()
+        if own_move < horizon:
+            horizon, term = own_move, "move"
+        final = horizon >= self.plan.duration
+        if final or horizon != self._last_horizon or exports:
+            self._stalled = 0
+        else:
+            self._stalled += 1
+            if self._stalled > STALL_LIMIT:
+                raise RuntimeError(
+                    f"shard {self.rank}: conservative sync stalled at "
+                    f"t={horizon}"
+                )
+        self._last_horizon = horizon
+        reached = self.advance(
+            horizon, inclusive=final or self._promised <= horizon,
+            final=final, term=term,
+        )
+        self._finalized = final and reached
 
     def result(self) -> Dict[str, Any]:
         """Outcome plus shard accounting, after the final window."""
@@ -404,12 +503,13 @@ class ShardRuntime:
 
 
 def next_horizon(
-    peer_promises: Iterable[float],
+    peer_promises: Iterable[Tuple[float, str]],
     exports: Iterable[ExportedTx],
     lookahead: float,
     duration: float,
-) -> float:
-    """One shard's private window horizon for this round.
+) -> Tuple[float, str]:
+    """One shard's private window horizon for this round, and *which
+    term bound it*.
 
     Deliberately excludes the shard's *own* promise: a shard's future
     transmissions are events it will simulate itself, so only foreign
@@ -422,23 +522,9 @@ def next_horizon(
     promises in this round's messages were computed before this round's
     ghosts were injected anywhere, and a ghost cannot trigger a
     downstream transmission before its airtime ends plus one lookahead.
-    """
-    horizon, _term = next_horizon_ex(
-        ((p, "peer") for p in peer_promises), exports, lookahead, duration
-    )
-    return horizon
-
-
-def next_horizon_ex(
-    peer_promises: Iterable[Tuple[float, str]],
-    exports: Iterable[ExportedTx],
-    lookahead: float,
-    duration: float,
-) -> Tuple[float, str]:
-    """:func:`next_horizon` plus *which term bound it*.
 
     ``peer_promises`` carries ``(value, term)`` pairs as produced by
-    :meth:`ShardRuntime.promise_ex`, so when a peer's promise wins, the
+    :meth:`ShardRuntime.promise`, so when a peer's promise wins, the
     attribution names the peer's own binding term ("attempt", "move",
     "lookahead") rather than an opaque "peer".  The two extra outcomes
     are ``"export"`` (an in-flight boundary transmission bounds the
@@ -461,14 +547,9 @@ def next_horizon_ex(
 
 
 def shard_worker_main(rank, size, peers, plan: ShardPlan):
-    """:class:`~repro.campaign.workers.WorkerCrew` entry point.
-
-    Runs the exchange/inject/window loop against all-to-all peer pipes;
-    there is no coordinator on the hot path.  Because horizons are
-    per-shard, shards finish at different rounds: a finished shard
-    keeps exchanging ``(inf, outbox, done=True)`` — its final window's
-    exports still matter to slower peers — until every peer has
-    reported done, so no pipe is ever left with a blocked reader.
+    """:class:`~repro.campaign.workers.WorkerCrew` entry point: drive
+    :meth:`ShardRuntime.step` over all-to-all peer pipes; there is no
+    coordinator on the hot path.
     """
     cpu_start = time.process_time()
     wall_start = time.perf_counter()
@@ -478,59 +559,15 @@ def shard_worker_main(rank, size, peers, plan: ShardPlan):
     core_messages._msg_counter = itertools.count(1 + rank * 10 ** 9)
     with use_registry() as registry:
         runtime = ShardRuntime(plan, rank)
-        duration = plan.duration
-        peer_order = sorted(peers)
-        pending: List[ExportedTx] = []
-        finalized = False
-        peers_done = {r: False for r in peer_order}
-        stalled = 0
-        last_horizon = -math.inf
-        while True:
-            promise, my_term = (
-                (math.inf, "idle") if finalized else runtime.promise_ex()
-            )
-            my_exports = pending
+        while not runtime.done:
             received, recv_wait, sent_bytes = _exchange_all(
-                rank, peers, (promise, my_term, pending, finalized)
+                rank, peers, runtime.outgoing()
             )
             # Time blocked in recv is time spent waiting for slower
             # peers — the barrier-stall share of this shard's wall.
             runtime.stats.stall_seconds += recv_wait
             runtime.stats.exchange_bytes += sent_bytes
-            pending = []
-            for peer_rank, (_p, _t, _outbox, done) in received.items():
-                peers_done[peer_rank] = peers_done[peer_rank] or done
-            if finalized:
-                if all(peers_done.values()):
-                    break
-                continue
-            all_exports = list(my_exports)
-            for _p, _t, outbox, _done in received.values():
-                all_exports.extend(outbox)
-            for peer_rank in peer_order:
-                runtime.inject(received[peer_rank][2])
-            horizon, bound_term = next_horizon_ex(
-                ((received[r][0], received[r][1]) for r in peer_order),
-                all_exports, runtime.lookahead, duration,
-            )
-            if horizon >= duration:
-                pending, finalized = runtime.advance(
-                    duration, inclusive=True, final=True, term=bound_term
-                )
-                continue
-            if horizon == last_horizon and not all_exports:
-                stalled += 1
-                if stalled > STALL_LIMIT:
-                    raise RuntimeError(
-                        f"shard {rank}: conservative sync stalled at "
-                        f"t={horizon}"
-                    )
-            else:
-                stalled = 0
-            last_horizon = horizon
-            pending, _reached = runtime.advance(
-                horizon, inclusive=promise <= horizon, term=bound_term
-            )
+            runtime.step(received)
         runtime.stats.cpu_seconds = time.process_time() - cpu_start
         runtime.stats.wall_seconds = time.perf_counter() - wall_start
         result = runtime.result()

@@ -5,16 +5,19 @@ detail, never a modelling choice: for any deterministic scenario the
 merged K-shard outcome must be bit-identical to the single-queue
 oracle's.  These tests sweep the three scenario families (flood,
 mobility, diffusion) across 1/2/4 shards on the inline transport, plus
-one process-transport case and one k-means-partition case, asserting
-dict equality of the full outcome (including sorted delivery lists
-where the scenario reports them).
+one process-transport case and one three-slab case, asserting dict
+equality of the full outcome (including sorted delivery lists where the
+scenario reports them); then seeds x shard counts under frequent moves,
+where the contract is hardest to keep; and last that both transports
+run the same rounds, so what the inline sweeps prove holds for the
+process runs too.
 """
 
 import functools
 
 import pytest
 
-from repro.shard import ShardPlan, run_oracle, run_sharded
+from repro.shard import ShardPlan, get_scenario, run_oracle, run_sharded
 
 # Small deployments with real boundary traffic; durations chosen so
 # every scenario family does meaningful work (diffusion data flows
@@ -68,10 +71,10 @@ def test_multi_shard_runs_exercise_the_cut(case):
     assert sum(s["ghosts_admitted"] for s in result["shards"]) > 0
 
 
-def test_kmeans_partition_is_also_equivalent():
-    """The protocol must not depend on the grid cut's shape."""
-    spec = dict(CASES["flood"], partition="kmeans")
-    plan = ShardPlan(shards=3, **spec)
+def test_three_slab_cut_is_also_equivalent():
+    """Three x-slabs: a middle shard with a seam on either side, a cut
+    shape the 1/2/4 sweep does not have."""
+    plan = ShardPlan(shards=3, **CASES["flood"])
     result = run_sharded(plan, transport="inline")
     assert result["outcome"] == oracle_outcome("flood")
 
@@ -111,3 +114,77 @@ def test_shard_stats_and_metrics_are_reported():
             k.startswith("kernel.events_processed")
             for k in snapshot["gauges"]
         )
+
+
+# ---------------------------------------------------------------------------
+# Frequent moves.  A move every 0.1-0.5 s makes windows end on a move
+# all the time and puts fragments on the air across one; the seeds
+# listed for B and C are ones where a shard once ran across its own move
+# or missed the carrier of a fragment keyed up before one.
+
+MOBILITY_PLANS = {
+    "A": ({"columns": 10, "rows": 5,
+           "move_start": 1.0, "move_interval": 0.5}, 6.0),
+    # B and C: overlapping walkers.
+    "B": ({"columns": 10, "rows": 5, "movers": 3, "move_steps": 16,
+           "move_start": 0.5, "move_interval": 0.11}, 5.0),
+    "C": ({"columns": 12, "rows": 6, "movers": 4, "move_steps": 8,
+           "move_start": 0.8, "move_interval": 0.27}, 5.0),
+}
+MOBILITY_SWEEP = [("A", seed) for seed in range(1, 13)] + [
+    ("B", 1), ("B", 12), ("B", 32), ("C", 8), ("C", 26), ("C", 28),
+]
+
+
+def mobility_plan(name: str, seed: int, shards: int) -> ShardPlan:
+    params, duration = MOBILITY_PLANS[name]
+    return ShardPlan("mobility", params, seed, duration, shards)
+
+
+@functools.lru_cache(maxsize=None)
+def mobility_oracle(name: str, seed: int):
+    plan = mobility_plan(name, seed, 1)
+    scenario = get_scenario(plan.scenario)
+    moves = scenario.move_schedule(
+        plan.params, scenario.topology(plan.params)
+    )
+    # Every move must happen inside the run or the sweep proves nothing.
+    assert len(moves) >= 8
+    assert max(t for t, _node, _x, _y in moves) < plan.duration
+    return run_oracle(plan)
+
+
+@pytest.mark.parametrize("shards", [2, 4])
+@pytest.mark.parametrize("name,seed", MOBILITY_SWEEP)
+def test_sharded_outcome_matches_oracle_under_frequent_moves(
+    name, seed, shards
+):
+    result = run_sharded(mobility_plan(name, seed, shards))
+    assert result["outcome"] == mobility_oracle(name, seed)
+
+
+# ---------------------------------------------------------------------------
+# One round loop under both transports.
+
+ROUND_COUNTERS = (
+    "rounds", "events", "exports", "ghosts_admitted", "ghosts_skipped",
+    "windows_by_term",
+)
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_transports_run_identical_rounds(case):
+    """Inline and process drive the same ``ShardRuntime.step``, so every
+    per-shard protocol counter agrees, and so do the bytes exchanged
+    (except diffusion's: its payloads carry message ids, which the two
+    transports draw from different namespaces)."""
+    plan = ShardPlan(shards=2, **CASES[case])
+    inline = run_sharded(plan, transport="inline")
+    process = run_sharded(plan, transport="process", timeout=120)
+    counters = ROUND_COUNTERS
+    if case != "diffusion":
+        counters += ("exchange_bytes",)
+    for ours, theirs in zip(inline["shards"], process["shards"]):
+        assert {k: ours[k] for k in counters} == {
+            k: theirs[k] for k in counters
+        }

@@ -1,7 +1,7 @@
 """Spatial partitioners for the sharded kernel.
 
 A partition must be a true partition (every node in exactly one
-shard), deterministic (the same topology and arguments always produce
+shard), deterministic (the same topology and shard count always produce
 the same cut — shard equivalence depends on it), and balanced enough
 that the critical path is not one overloaded shard.
 """
@@ -9,7 +9,7 @@ that the critical path is not one overloaded shard.
 import pytest
 
 from repro.radio import Topology
-from repro.shard import grid_partition, kmeans_partition, partition_nodes
+from repro.shard import grid_partition, partition_nodes
 
 
 def grid_topology(columns, rows, spacing=10.0):
@@ -27,27 +27,24 @@ def assert_is_partition(parts, topology):
     assert all(part for part in parts)
 
 
-@pytest.mark.parametrize("method", ["grid", "kmeans"])
-@pytest.mark.parametrize("shards", [1, 2, 3, 4, 7])
-def test_every_node_lands_in_exactly_one_shard(method, shards):
+@pytest.mark.parametrize("shards", [1, 2, 3, 4, 7], ids="{}-grid".format)
+def test_every_node_lands_in_exactly_one_shard(shards):
     topo = grid_topology(8, 6)
-    parts = partition_nodes(topo, shards, method=method)
+    parts = partition_nodes(topo, shards)
     assert len(parts) == shards
     assert_is_partition(parts, topo)
 
 
-@pytest.mark.parametrize("method", ["grid", "kmeans"])
-def test_partition_is_deterministic(method):
-    a = partition_nodes(grid_topology(9, 5), 4, method=method)
-    b = partition_nodes(grid_topology(9, 5), 4, method=method)
+def test_partition_is_deterministic():
+    a = partition_nodes(grid_topology(9, 5), 4)
+    b = partition_nodes(grid_topology(9, 5), 4)
     assert a == b
 
 
-@pytest.mark.parametrize("method", ["grid", "kmeans"])
-@pytest.mark.parametrize("shards", [2, 4, 8])
-def test_partition_is_balanced(method, shards):
+@pytest.mark.parametrize("shards", [2, 4, 8], ids="{}-grid".format)
+def test_partition_is_balanced(shards):
     topo = grid_topology(16, 8)   # 128 nodes
-    parts = partition_nodes(topo, shards, method=method)
+    parts = partition_nodes(topo, shards)
     sizes = [len(p) for p in parts]
     ideal = len(topo) / shards
     assert max(sizes) <= ideal * 1.5
@@ -70,47 +67,12 @@ def test_grid_partition_single_shard_owns_everything():
     assert parts == [topo.node_ids()]
 
 
-def test_kmeans_clusters_are_spatially_coherent():
-    """Each k-means shard's nodes sit nearer their own centroid than
-    any other shard's — the property that keeps the boundary small."""
-    topo = grid_topology(12, 12, spacing=5.0)
-    parts = kmeans_partition(topo, 4)
-    centroids = [
-        (
-            sum(topo.position(n).x for n in part) / len(part),
-            sum(topo.position(n).y for n in part) / len(part),
-        )
-        for part in parts
-    ]
-
-    def dist2(n, c):
-        pos = topo.position(n)
-        return (pos.x - c[0]) ** 2 + (pos.y - c[1]) ** 2
-
-    # Capacity capping can strand a few nodes with a foreign centroid;
-    # the overwhelming majority must be home.
-    misplaced = sum(
-        1
-        for i, part in enumerate(parts)
-        for n in part
-        if min(range(len(parts)), key=lambda j: dist2(n, centroids[j])) != i
-    )
-    assert misplaced <= len(topo) * 0.1
-
-
 def test_more_shards_than_nodes_is_rejected():
     topo = grid_topology(2, 2)
     with pytest.raises(ValueError):
-        partition_nodes(topo, 5, method="grid")
-    with pytest.raises(ValueError):
-        partition_nodes(topo, 5, method="kmeans")
+        partition_nodes(topo, 5)
 
 
 def test_zero_shards_is_rejected():
     with pytest.raises(ValueError):
-        partition_nodes(grid_topology(2, 2), 0, method="grid")
-
-
-def test_unknown_method_is_rejected():
-    with pytest.raises(ValueError, match="unknown partition method"):
-        partition_nodes(grid_topology(2, 2), 2, method="voronoi")
+        partition_nodes(grid_topology(2, 2), 0)

@@ -19,7 +19,6 @@ from repro.shard import (
     ShardRuntime,
     ShardStats,
     next_horizon,
-    next_horizon_ex,
     run_oracle,
     run_sharded,
     sync_profile,
@@ -46,18 +45,12 @@ def export(src=0, start=1.0, end=1.01):
 
 
 class TestPromiseTerms:
-    def test_promise_ex_matches_promise(self):
-        rt = ShardRuntime(FLOOD_PLAN, rank=0)
-        value, term = rt.promise_ex()
-        assert value == rt.promise()
-        assert term in ("attempt", "move", "lookahead")
-
     def test_empty_queue_is_idle(self):
         rt = ShardRuntime(FLOOD_PLAN, rank=0)
         for event in list(rt.sim.pending_events()):
             event.cancel()
         rt._move_events.clear()
-        assert rt.promise_ex() == (math.inf, "idle")
+        assert rt.promise() == (math.inf, "idle")
 
     def test_move_term_attributed(self):
         plan = ShardPlan(
@@ -70,32 +63,25 @@ class TestPromiseTerms:
         for event in list(rt.sim.pending_events()):
             if event.name != "shard.move":
                 event.cancel()
-        value, term = rt.promise_ex()
+        value, term = rt.promise()
         assert term == "move"
         assert value == rt._move_events[0].time
 
-    def test_next_horizon_ex_duration_term(self):
-        assert next_horizon_ex([], [], 0.002, 10.0) == (10.0, "duration")
+    def test_next_horizon_duration_term(self):
+        assert next_horizon([], [], 0.002, 10.0) == (10.0, "duration")
 
-    def test_next_horizon_ex_propagates_peer_term(self):
-        horizon, term = next_horizon_ex(
+    def test_next_horizon_propagates_peer_term(self):
+        horizon, term = next_horizon(
             [(3.0, "attempt"), (7.0, "move")], [], 0.002, 10.0
         )
         assert (horizon, term) == (3.0, "attempt")
 
-    def test_next_horizon_ex_export_term(self):
-        horizon, term = next_horizon_ex(
+    def test_next_horizon_attributes_export_term(self):
+        horizon, term = next_horizon(
             [(5.0, "attempt")], [export(end=2.0)], 0.002, 10.0
         )
         assert horizon == pytest.approx(2.002)
         assert term == "export"
-
-    def test_next_horizon_wrapper_agrees(self):
-        pairs = [(3.0, "attempt"), (7.0, "move")]
-        exports = [export(end=2.0)]
-        assert next_horizon(
-            [p for p, _t in pairs], exports, 0.002, 10.0
-        ) == next_horizon_ex(pairs, exports, 0.002, 10.0)[0]
 
 
 # ---------------------------------------------------------------------------

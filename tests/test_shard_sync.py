@@ -3,7 +3,7 @@
 The equivalence suite (tests/test_shard_equivalence.py) proves the
 end-to-end property; these tests pin down the pieces it rests on:
 horizon computation, the promise's lower-bound terms, ghost admission
-filtering, order-independent hashed loss draws, outcome merging, and a
+filtering, the round itself, order-independent hashed loss draws, outcome merging, and a
 real :class:`~repro.campaign.workers.WorkerCrew` round trip through
 the worker entry point.
 """
@@ -30,6 +30,10 @@ FLOOD_PLAN = ShardPlan(
     scenario="flood", params={"columns": 8, "rows": 4},
     seed=11, duration=5.0, shards=2,
 )
+MOBILITY_PLAN = ShardPlan(
+    scenario="mobility", params={"columns": 8, "rows": 4},
+    seed=11, duration=8.0, shards=2,
+)
 
 
 def export(src=0, start=1.0, end=1.01):
@@ -45,24 +49,30 @@ def export(src=0, start=1.0, end=1.01):
 
 class TestNextHorizon:
     def test_duration_caps_the_horizon(self):
-        assert next_horizon([], [], 0.002, 10.0) == 10.0
-        assert next_horizon([math.inf], [], 0.002, 10.0) == 10.0
+        assert next_horizon([], [], 0.002, 10.0)[0] == 10.0
+        h, _term = next_horizon([(math.inf, "idle")], [], 0.002, 10.0)
+        assert h == 10.0
 
     def test_earliest_peer_promise_wins(self):
-        assert next_horizon([3.0, 7.0], [], 0.002, 10.0) == 3.0
+        h, _term = next_horizon(
+            [(3.0, "attempt"), (7.0, "attempt")], [], 0.002, 10.0
+        )
+        assert h == 3.0
 
     def test_export_term_bounds_unreacted_influence(self):
         # A transmission ending at t=2.0 can provoke a downstream
         # transmission anywhere from 2.0 + lookahead on; the horizon
         # must not pass that point even if every promise is later.
-        h = next_horizon([5.0], [export(end=2.0)], 0.002, 10.0)
+        h, _term = next_horizon(
+            [(5.0, "attempt")], [export(end=2.0)], 0.002, 10.0
+        )
         assert h == pytest.approx(2.002)
 
     def test_own_promise_is_not_an_argument(self):
         """The caller passes peer promises only: a shard's own future
         transmissions are simulated locally and must not throttle its
         own window (that is the differentiated-horizon design)."""
-        assert next_horizon([], [], 0.002, 10.0) == 10.0
+        assert next_horizon([], [], 0.002, 10.0)[0] == 10.0
 
 
 # ---------------------------------------------------------------------------
@@ -72,7 +82,7 @@ class TestNextHorizon:
 class TestPromise:
     def test_promise_lower_bounds_the_next_window(self):
         rt = ShardRuntime(FLOOD_PLAN, rank=0)
-        p = rt.promise()
+        p, _term = rt.promise()
         assert rt.sim.now <= p < math.inf
         # The promise is at least the earliest queued event: nothing
         # can transmit before it.
@@ -80,7 +90,7 @@ class TestPromise:
 
     def test_promise_reflects_frontier_attempts(self):
         rt = ShardRuntime(FLOOD_PLAN, rank=0)
-        p = rt.promise()
+        p, _term = rt.promise()
         earliest_attempt = min(
             (t for t, _seq, e in rt._attempts
              if not e.cancelled and e._owner is not None),
@@ -91,21 +101,17 @@ class TestPromise:
         assert p == expected
 
     def test_moves_are_promise_barriers(self):
-        plan = ShardPlan(
-            scenario="mobility", params={"columns": 8, "rows": 4},
-            seed=11, duration=8.0, shards=2,
-        )
-        rt = ShardRuntime(plan, rank=0)
+        rt = ShardRuntime(MOBILITY_PLAN, rank=0)
         assert rt._move_events
         first_move = rt._move_events[0].time
-        assert rt.promise() <= first_move
+        assert rt.promise()[0] <= first_move
 
     def test_empty_queue_promises_infinity(self):
         rt = ShardRuntime(FLOOD_PLAN, rank=0)
         for event in list(rt.sim.pending_events()):
             event.cancel()
         rt._move_events.clear()
-        assert rt.promise() == math.inf
+        assert rt.promise()[0] == math.inf
 
     def test_lookahead_is_the_min_mac_gap(self):
         rt = ShardRuntime(FLOOD_PLAN, rank=0)
@@ -150,6 +156,43 @@ class TestInject:
             assert rt.stats.ghosts_admitted == 1
             assert rt.stats.ghosts_skipped == 1
 
+    def test_inaudible_export_across_a_pending_move_is_admitted(self):
+        """Nobody hears it when it keys up, but the move may bring a
+        listener into its carrier range before it ends."""
+        rt = ShardRuntime(MOBILITY_PLAN, rank=0)
+        far = next(
+            n for n in rt.net.topology.node_ids()
+            if n not in rt.owned and not rt.boundary.listeners_across(n)
+        )
+        move = rt._move_events[0].time
+        rt.inject([export(src=far, start=move - 0.02, end=move - 0.01)])
+        assert (rt.stats.ghosts_admitted, rt.stats.ghosts_skipped) == (0, 1)
+        rt.inject([export(src=far, start=move - 0.005, end=move + 0.005)])
+        assert (rt.stats.ghosts_admitted, rt.stats.ghosts_skipped) == (1, 1)
+
+    def test_export_behind_the_clock_is_admitted_as_carrier_only(self):
+        """A fragment re-announced after a move is already on the air:
+        it cannot be received here, only sensed until it ends."""
+        rt = ShardRuntime(FLOOD_PLAN, rank=0)
+        near = next(
+            n for n in rt.net.topology.node_ids()
+            if n not in rt.owned and rt.boundary.listeners_across(n)
+        )
+        listener = rt.boundary.listeners_across(near)[0]
+        # A silent shard whose clock stands at t=0.1.
+        for event in list(rt.sim.pending_events()):
+            event.cancel()
+        rt.sim.schedule_at(0.1, lambda: None)
+        rt.sim.run_window(0.2)
+        rt.inject([export(src=near, start=0.095, end=0.104)])
+        assert rt.stats.ghosts_admitted == 1
+        assert [e.name for e in rt.sim.pending_events()] == [
+            "channel.ghost_end"
+        ]
+        assert rt.channel.carrier_busy(listener)
+        rt.sim.run_window(0.2)
+        assert not rt.channel.carrier_busy(listener)
+
     def test_single_shard_runtime_ignores_injection(self):
         plan = ShardPlan(
             scenario="flood", params={"columns": 8, "rows": 4},
@@ -158,6 +201,39 @@ class TestInject:
         rt = ShardRuntime(plan, rank=0)
         rt.inject([export()])
         assert rt.stats.ghosts_admitted == 0
+
+
+# ---------------------------------------------------------------------------
+# The round: outgoing() / step() / done
+
+
+class TestStep:
+    def test_own_move_bounds_the_window(self):
+        """A peer that has executed a move no longer promises it; the
+        shard must still stop on its own copy of the event."""
+        rt = ShardRuntime(MOBILITY_PLAN, rank=0)
+        first_move = rt._move_events[0].time
+        quiet_peer = {1: (math.inf, "idle", [], True)}
+        while rt.sim.now < first_move:
+            rt.outgoing()
+            rt.step(quiet_peer)
+        assert rt.sim.now == first_move
+        assert rt.stats.windows_by_term["move"] >= 1
+
+    def test_done_waits_for_every_peer(self):
+        plan = ShardPlan(
+            scenario="flood", params={"columns": 8, "rows": 4},
+            seed=11, duration=0.2, shards=2,
+        )
+        rt = ShardRuntime(plan, rank=0)
+        while not rt.outgoing()[3]:
+            rt.step({1: (math.inf, "idle", [], False)})
+        assert rt.outgoing()[:2] == (math.inf, "idle")
+        rt.step({1: (math.inf, "idle", [], False)})
+        assert not rt.done
+        rt.outgoing()
+        rt.step({1: (math.inf, "idle", [], True)})
+        assert rt.done
 
 
 # ---------------------------------------------------------------------------

@@ -137,7 +137,7 @@ class TestShards:
         rc = tracecli.main([
             "shards", "--scenario", "flood", "--shards", "2",
             "--columns", "8", "--rows", "4", "--duration", "5",
-            "--seed", "11", "--out", str(out), "--smoke",
+            "--seed", "11", "--out", str(out),
         ])
         assert rc == 0
         return out
@@ -180,25 +180,3 @@ class TestShards:
         assert "metrics:" in stdout
         assert "shard.rounds{shard=0}" in stdout
         assert "shard.rounds{shard=1}" in stdout
-
-    def test_smoke_catches_broken_attribution(self, monkeypatch, capsys):
-        """If a window ever goes unattributed, the smoke gate fails."""
-        from repro.shard import runner
-
-        real = runner.run_sharded
-
-        def sabotage(plan, transport="inline", timeout=None):
-            result = real(plan, transport=transport)
-            result["shards"][0]["windows_by_term"] = {}
-            return result
-
-        monkeypatch.setattr(
-            "repro.shard.run_sharded", sabotage
-        )
-        rc = tracecli.main([
-            "shards", "--scenario", "flood", "--shards", "2",
-            "--columns", "8", "--rows", "4", "--duration", "5",
-            "--smoke",
-        ])
-        assert rc == 1
-        assert "attributed windows" in capsys.readouterr().err
