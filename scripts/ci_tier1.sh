@@ -3,8 +3,9 @@
 # there), the perf harness's own tests, and the only out-of-process CLI
 # drives: a single-process campaign smoke run (the CLI, the worker
 # pool's serial path, the content-addressed store, and cache-hit resume
-# end to end), a trace record/summarize/paths smoke over the
-# observability CLI, and the flight-recorder postmortem.
+# end to end), a `repro run --trace` / `trace summarize|paths` smoke
+# over the run and observability CLIs, and the flight-recorder
+# postmortem of a `repro run` whose invariant is made to break.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -30,8 +31,7 @@ grep -q "cached=2" <<<"$rerun" \
 
 # Observability smoke: record a tiny traced run, then summarize it.
 trace="$store/smoke-trace.jsonl"
-python -m repro trace record --out "$trace" --scenario line --nodes 3 \
-    --duration 20 --seed 1
+python -m repro run line -p nodes=3 --duration 20 --seed 1 --trace "$trace"
 python -m repro trace summarize "$trace" > "$store/summary.txt"
 grep -q "diffusion.tx" "$store/summary.txt" \
     || { echo "trace summarize missing diffusion.tx" >&2; exit 1; }
@@ -43,8 +43,10 @@ grep -q "data messages:" "$store/paths.txt" \
 # gradient-table bound) and require the postmortem dump to hold the
 # causal lead-up — at least 64 trace events behind its header line.
 flight="$store/flight.jsonl"
-python -m repro faults run --fault crash --duration 60 \
-    --demo-violation --flight-recorder "$flight"
+if python -m repro run resilience -p fault=crash -p monitor_max_entries=0 \
+    -p flight_recorder="$flight" --duration 60; then
+    echo "a broken invariant did not fail the run" >&2; exit 1
+fi
 lines="$(wc -l < "$flight")"
 [ "$lines" -ge 65 ] \
     || { echo "flight recorder dumped only $lines lines" >&2; exit 1; }

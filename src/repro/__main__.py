@@ -4,13 +4,20 @@ Usage::
 
     python -m repro experiments [--quick] [--only fig8] [--jobs 4]
     python -m repro campaign run scale-aggregation --jobs 4
-    python -m repro trace record --out run.jsonl --scenario isi
+    python -m repro run --list
+    python -m repro run isi --trace run.jsonl
+    python -m repro run resilience -p fault=partition --out part.json
+    python -m repro run dtn -p duty=0.6 -p mode=clustered
+    python -m repro run flood --shards 2
+    python -m repro report part.json
     python -m repro trace paths run.jsonl
-    python -m repro trace shards --scenario flood --shards 2
-    python -m repro faults run --fault partition
-    python -m repro dtn run --duty 0.6
+    python -m repro faults validate plan.json
     python -m repro example quickstart
     python -m repro info
+
+Every single run — any scenario of the registry, any of its params,
+single-queue or sharded, traced or not — is ``run``
+(:mod:`repro.shard.cli`); ``trace`` analyses what ``run --trace`` wrote.
 """
 
 from __future__ import annotations
@@ -66,26 +73,39 @@ def main(argv=None) -> int:
     )
     camp.add_argument("args", nargs=argparse.REMAINDER)
 
+    run = sub.add_parser("run", help="run one scenario of the registry")
+    run.add_argument("scenario", nargs="?", help="see --list")
+    run.add_argument(
+        "-p", "--param", action="append", default=[], metavar="KEY=VALUE",
+        help="a scenario param: JSON, text or @file.json",
+    )
+    run.add_argument("--seed", type=int, default=1)
+    run.add_argument("--duration", type=float, help="default: the scenario's")
+    run.add_argument("--shards", type=int, default=1)
+    run.add_argument(
+        "--transport", choices=["inline", "process"], default="inline"
+    )
+    run.add_argument(
+        "--trace", metavar="FILE",
+        help="record the trace bus (with --shards: the sync profile) as JSONL",
+    )
+    run.add_argument("--out", metavar="FILE", help="save the outcome JSON")
+    run.add_argument(
+        "--list", action="store_true",
+        help="print every scenario with its params and defaults",
+    )
+    report = sub.add_parser("report", help="render a saved run outcome")
+    report.add_argument("result", metavar="FILE")
+
     trace = sub.add_parser(
         "trace",
-        help="record/summarize/paths/timeline/profile over JSONL traces",
+        help="summarize/paths/timeline/profile over JSONL traces",
         add_help=False,
     )
     trace.add_argument("args", nargs=argparse.REMAINDER)
 
-    flt = sub.add_parser(
-        "faults",
-        help="validate/run/report fault plans",
-        add_help=False,
-    )
+    flt = sub.add_parser("faults", help="validate fault plans", add_help=False)
     flt.add_argument("args", nargs=argparse.REMAINDER)
-
-    dtn = sub.add_parser(
-        "dtn",
-        help="run/report disruption-tolerant transfers",
-        add_help=False,
-    )
-    dtn.add_argument("args", nargs=argparse.REMAINDER)
 
     ex = sub.add_parser("example", help="run a narrated example")
     ex.add_argument("name", choices=sorted(EXAMPLES))
@@ -116,10 +136,14 @@ def main(argv=None) -> int:
         from repro.faults.cli import main as faults_main
 
         return faults_main(args.args)
-    if args.command == "dtn":
-        from repro.dtn.cli import main as dtn_main
+    if args.command == "run":
+        from repro.shard.cli import run_command
 
-        return dtn_main(args.args)
+        return run_command(args, run)
+    if args.command == "report":
+        from repro.shard.cli import report_command
+
+        return report_command(args, report)
     if args.command == "example":
         script = _examples_dir() / EXAMPLES[args.name]
         if not script.exists():

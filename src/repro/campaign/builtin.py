@@ -393,8 +393,8 @@ def resilience_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
 # ---------------------------------------------------------------------------
 # hierarchy — propagation-mode ablation (flat / clustered / rendezvous)
 
-#: first application send of the regional workload
-#: (:class:`repro.shard.scenario.DiffusionScenario`'s schedule).
+#: first application send of the regional workload (the ``send_start``
+#: default of :data:`repro.shard.scenario.STREAM_DEFAULTS`).
 HIERARCHY_SEND_START = 2.0
 
 #: announcements at 3x the interest interval (their only steady-state

@@ -16,15 +16,13 @@ to that:
   with seed-deterministic backoff (through the core when demand returns,
   as one-hop carrier beacons while dark — the data-mule handoff), and
   releases on one-hop custody acks, flooded receiver acks, or delivery;
-* :func:`~repro.dtn.scenario.dtn_run` — the canned
-  partition/mobility scenario behind the ``dtn`` campaign, the
+* :func:`~repro.dtn.scenario.dtn_run` — the front door of the ``dtn``
+  preset (:mod:`repro.shard.scenario`) behind the ``dtn`` campaign, the
   ``dtn_grid`` ledger workload, and the scenario tests, with per-block
   loss attribution.
 
-Everything is opt-in per campaign: with no agent attached (or
-``DtnConfig(enabled=False)``) the stack is bit-identical to the legacy
-behavior — ``tests/test_dtn_scenario.py::TestGrid::
-test_dtn_off_is_bit_identical_to_never_built`` gates that.
+Everything is opt-in per campaign: with no agent attached the stack is
+the legacy one.
 """
 
 from repro.dtn.config import DtnConfig

@@ -22,10 +22,8 @@ transfer block *before* the core decides its fate.  Three behaviors:
   release custody (``custody.transfer``); everything else ends in an
   explicit ``custody.expire``.
 
-The filter is only installed when ``config.enabled`` — a disabled
-agent touches nothing, which is what keeps DTN-off runs bit-identical
-(``tests/test_dtn_scenario.py::TestGrid::
-test_dtn_off_is_bit_identical_to_never_built`` enforces it).
+Custody is off by not attaching an agent: nothing else in the stack
+knows this layer exists.
 """
 
 from __future__ import annotations
@@ -104,14 +102,12 @@ class CustodyAgent:
         #: object id -> when this node last had a live gradient for it;
         #: the beacon-grace reference (see ``DtnConfig.beacon_grace``).
         self._routable_at: Dict[str, float] = {}
-        self.handle: Optional[FilterHandle] = None
-        if self.config.enabled:
-            self.handle = node.add_filter(
-                AttributeVector(),
-                CUSTODY_FILTER_PRIORITY,
-                self._callback,
-                name="dtn-custody",
-            )
+        self.handle: Optional[FilterHandle] = node.add_filter(
+            AttributeVector(),
+            CUSTODY_FILTER_PRIORITY,
+            self._callback,
+            name="dtn-custody",
+        )
 
     # -- pipeline --------------------------------------------------------
 

@@ -1,10 +1,7 @@
 """Tuning knobs for the custody layer.
 
-Everything here is opt-in per campaign: constructing a
-:class:`DtnConfig` with ``enabled=False`` (or simply not attaching the
-custody agents) leaves the stack bit-identical to the legacy behavior —
-``tests/test_dtn_scenario.py::TestGrid::
-test_dtn_off_is_bit_identical_to_never_built`` holds the layer to that.
+Everything here is opt-in per campaign: a node without a custody agent
+runs the legacy stack, so "off" is not attaching one.
 """
 
 from __future__ import annotations
@@ -24,7 +21,6 @@ class DtnConfig:
     and co-located custodians do not retry in lockstep.
     """
 
-    enabled: bool = True
     #: custody depth watermark — oldest-first eviction beyond this.
     capacity: int = 64
     #: custody age watermark (seconds) — older entries expire (never

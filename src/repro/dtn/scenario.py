@@ -1,51 +1,35 @@
-"""Canned disruption-tolerant transfer scenarios.
+"""The disruption-tolerant transfer workload and its two presets' doors.
 
-:func:`dtn_run` is the workhorse behind the ``dtn`` campaign, the
-``dtn_grid`` ledger workload, and the scenario tests: the standard 4×3
-resilience grid (:mod:`repro.faults.scenarios`) with a corner source
-bulk-transferring one object to the opposite-corner sink while a
-repeating :class:`~repro.faults.plan.Partition` plan splits
-the grid at a configurable disruption duty cycle.  With ``custody=True``
-the full DTN stack is armed — custody agents on every node, per-block
-sender retransmission, receiver acks and persistent NACK keepalive —
-and every block that does not arrive is attributed to a cause (a
-``custody.*`` event or an existing per-layer drop reason).  With
-``custody=False`` the run is the legacy stack, bit-identical to a build
-where :mod:`repro.dtn` was never imported (``install_disabled=True``
-constructs the disabled plumbing to prove it).
+The ``dtn`` and ``mule`` presets of :mod:`repro.shard.scenario` arm the
+workload defined here: a corner source bulk-transferring one object to
+the opposite-corner sink while :class:`~repro.faults.plan.Partition`
+windows split the network.  With ``custody=True`` the full DTN stack is
+armed — custody agents on every node, per-block sender retransmission,
+receiver acks and persistent NACK keepalive — and every block that does
+not arrive is attributed to a cause (a ``custody.*`` event or an
+existing per-layer drop reason).  With ``custody=False`` no agent is
+attached and the run is the legacy stack.
 
-:func:`mule_run` is the 2-partition data-mule variant: a 3-node line
-whose middle node is alternately connected to the source side and the
-sink side but never both — delivery is possible *only* by carrying
-custody across the gap.
+:func:`dtn_run` (the ``dtn`` campaign, the ``dtn_grid`` ledger
+workload, the scenario tests) is the front door of ``dtn``: the
+standard 4×3 resilience grid (:mod:`repro.faults.scenarios`) split down
+the middle at a configurable disruption duty cycle.  :func:`mule_run`
+is the front door of ``mule``, the 2-partition data-mule variant: a
+3-node line whose middle node is alternately connected to the source
+side and the sink side but never both — delivery is possible *only* by
+carrying custody across the gap.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import repro.core.messages as core_messages
 from repro.dtn.agent import CustodyAgent
 from repro.dtn.config import DtnConfig
-from repro.faults.engine import FaultEngine
-from repro.faults.monitors import MonitorSuite
 from repro.faults.plan import FaultPlan, Partition
-from repro.faults.scenarios import (
-    GRID_COLUMNS,
-    GRID_ROWS,
-    GRID_SPACING,
-    SINK,
-    SOURCE,
-    close_flight_recorder,
-    compressed_config,
-    grid_halves,
-    watch,
-)
+from repro.faults.scenarios import grid_halves
 from repro.naming.keys import Key
-from repro.radio import Topology
 from repro.sim.rng import make_rng
-from repro.testbed import SensorNetwork
 from repro.transfer import (
     BlockCacheFilter,
     BlockReceiver,
@@ -194,27 +178,67 @@ class _AttributionTap:
         return causes
 
 
+#: what a transfer preset can be told beyond the stack's own params.
+TRANSFER_DEFAULTS: Dict[str, Any] = {
+    "custody": True,
+    "dtn_config": None,
+    "payload_bytes": 2048,
+    "block_interval": 0.5,
+    "send_start": 8.0,
+    "receiver_rounds": 6,
+    "caches": True,
+}
+
+
+def duty_cycle_plan(p: Dict[str, Any]) -> FaultPlan:
+    """The grid split down the middle for ``duty`` of every ``period``."""
+    halves = grid_halves(int(p["columns"]), int(p["rows"]))
+    return FaultPlan(
+        tuple(
+            Partition(groups=halves, at=at, heal_at=until)
+            for at, until in partition_windows(
+                30.0, float(p["duration"]), float(p["duty"]),
+                float(p["period"]),
+            )
+        )
+    )
+
+
+def mule_plan(p: Dict[str, Any]) -> FaultPlan:
+    """The middle node alternates sides — first ``{source, mule} |
+    {sink}``, then ``{source} | {mule, sink}`` — so the endpoints are
+    *never* simultaneously connected until the final heal."""
+    return FaultPlan(
+        (
+            Partition(
+                groups=((MULE_SOURCE, MULE), (MULE_SINK,)),
+                at=10.0, heal_at=50.0,
+            ),
+            Partition(
+                groups=((MULE_SOURCE,), (MULE, MULE_SINK)),
+                at=50.0, heal_at=90.0,
+            ),
+        )
+    )
+
+
 def _arm_transfer(
-    network: SensorNetwork,
-    seed: int,
-    custody: bool,
-    dtn_config: Optional[DtnConfig],
-    block_interval: float,
-    payload: bytes,
-    offer_at: float,
-    source: int,
-    sink: int,
-    receiver_rounds: int,
-    with_caches: bool,
-    install_disabled: bool = False,
-):
+    network, p, seed, harness, source: int, sink: int, header: Dict[str, Any]
+) -> Callable[[], Dict[str, Any]]:
     """Sender at ``source``, receiver at ``sink``, a block cache on
-    every relay (``with_caches``), and (optionally) custody agents."""
-    obj = DataObject(OBJECT_ID, payload)
+    every relay (``caches``) and, with ``custody``, an agent on every
+    node; returns the transfer section of the outcome, ``header``
+    first.  The harness's :class:`Partition` windows split deliveries
+    into during / after."""
+    custody = bool(p["custody"])
+    tap = _AttributionTap(network.trace)
+    obj = DataObject(
+        OBJECT_ID, bytes(range(256)) * (int(p["payload_bytes"]) // 256)
+    )
     policy = RetransmitPolicy() if custody else None
     sender = BlockSender(
         network.api(source),
-        block_interval=block_interval,
+        block_interval=float(p["block_interval"]),
         reliability=policy,
         rng=make_rng(seed, "dtn:sender") if custody else None,
     )
@@ -223,24 +247,21 @@ def _arm_transfer(
         OBJECT_ID,
         on_complete=lambda data, stats: None,
         quiet_timeout=4.0,
-        max_repair_rounds=receiver_rounds,
+        max_repair_rounds=int(p["receiver_rounds"]),
         max_quiet_timeout=20.0,
         reliability=policy,
         rng=make_rng(seed, "dtn:receiver") if custody else None,
         persistent=custody,
     )
-    if with_caches:
+    if p["caches"]:
         for node_id in network.node_ids():
             if node_id not in (source, sink):
                 BlockCacheFilter(network.node(node_id), capacity=64)
     agents: Dict[int, CustodyAgent] = {}
-    if custody or install_disabled:
-        config = dtn_config or DtnConfig()
-        if install_disabled:
-            config = DtnConfig(enabled=False)
+    if custody:
+        config = p["dtn_config"] or DtnConfig()
         for node_id in network.node_ids():
-            stack = network.stack(node_id)
-            ledger = stack.energy
+            ledger = network.stack(node_id).energy
             agents[node_id] = CustodyAgent(
                 network.node(node_id),
                 rng=make_rng(seed, f"dtn:agent:{node_id}"),
@@ -251,92 +272,113 @@ def _arm_transfer(
                     )
                 ),
             )
-    network.sim.schedule(offer_at, sender.offer, obj, 0.0)
-    return obj, sender, receiver, agents
+    network.sim.schedule(float(p["send_start"]), sender.offer, obj, 0.0)
+    if harness.monitors is not None:
+        for agent in agents.values():
+            harness.monitors.watch_custody(agent)
+    windows = [
+        (action.at, action.heal_at)
+        for action in harness.engine.plan.actions
+        if isinstance(action, Partition)
+    ]
+
+    def outcome() -> Dict[str, Any]:
+        tap.detach()
+        held_at_end = {
+            entry.index
+            for agent in agents.values()
+            for entry in agent.store.entries()
+            if entry.object_id == obj.object_id
+        }
+        delivered = set(receiver.arrivals)
+        causes = tap.attribute(
+            obj.object_id, obj.block_count, delivered,
+            sender.block_traces, held_at_end,
+        )
+        attribution: Dict[str, int] = {}
+        for cause in causes.values():
+            attribution[cause] = attribution.get(cause, 0) + 1
+        during = sum(
+            1
+            for t in receiver.arrivals.values()
+            if any(at <= t < until for at, until in windows)
+        )
+        stores = [agent.store for agent in agents.values()]
+        return {
+            **header,
+            "seed": seed,
+            "custody": custody,
+            "duration": p["duration"],
+            "offered": obj.block_count,
+            "delivered": len(delivered),
+            "delivery_ratio": round(len(delivered) / obj.block_count, 4),
+            "completed": receiver.stats.complete,
+            "completed_at": (
+                round(receiver.stats.completed_at, 3)
+                if receiver.stats.completed_at is not None
+                else None
+            ),
+            "delivery_during_partition": during,
+            "delivery_after_partition": len(receiver.arrivals) - during,
+            "partition_windows": [
+                [round(a, 3), round(b, 3)] for a, b in windows
+            ],
+            "custody_stats": {
+                "accepted": sum(s.accepted for s in stores),
+                "transferred": sum(s.transferred for s in stores),
+                "expired": sum(s.expired for s in stores),
+                "refused_energy": sum(s.refused_energy for s in stores),
+                "depth_high_water": max(
+                    (s.depth_high_water for s in stores), default=0
+                ),
+                "held_at_end": len(held_at_end),
+                "reinjections": sum(a.reinjections for a in agents.values()),
+                "beacons": sum(a.beacons for a in agents.values()),
+                "contacts": sum(a.contacts for a in agents.values()),
+                "custody_acks": sum(a.acks_sent for a in agents.values()),
+            },
+            "transfer": {
+                "blocks_sent": sender.blocks_sent,
+                "retransmits": sender.retransmits,
+                "acks_received": sender.acks_received,
+                "acks_sent": receiver.acks_sent,
+                "repairs_served": sender.repairs_served,
+                "repair_rounds": receiver.stats.repair_rounds,
+                "duplicate_blocks": receiver.stats.duplicate_blocks,
+            },
+            "attribution": dict(sorted(attribution.items())),
+            "unattributed": attribution.get("unattributed", 0),
+        }
+
+    return outcome
 
 
-def _finish_run(
-    network: SensorNetwork,
-    engine: FaultEngine,
-    monitors: MonitorSuite,
-    tap: _AttributionTap,
-    obj: DataObject,
-    sender: BlockSender,
-    receiver: "_TimedReceiver",
-    agents: Dict[int, CustodyAgent],
-    windows: List[Tuple[float, float]],
-    extra: Dict[str, Any],
-) -> Dict[str, Any]:
-    monitors.check()
-    monitors.detach()
-    tap.detach()
-    held_at_end = {
-        entry.index
-        for agent in agents.values()
-        for entry in agent.store.entries()
-        if entry.object_id == obj.object_id
-    }
-    delivered = set(receiver.arrivals)
-    causes = tap.attribute(
-        obj.object_id, obj.block_count, delivered,
-        sender.block_traces, held_at_end,
-    )
-    attribution: Dict[str, int] = {}
-    for cause in causes.values():
-        attribution[cause] = attribution.get(cause, 0) + 1
-
-    def in_window(t: float) -> bool:
-        return any(at <= t < until for at, until in windows)
-
-    during = sum(1 for t in receiver.arrivals.values() if in_window(t))
-    after = len(receiver.arrivals) - during
-    custody_stats = {
-        "accepted": sum(a.store.accepted for a in agents.values()),
-        "transferred": sum(a.store.transferred for a in agents.values()),
-        "expired": sum(a.store.expired for a in agents.values()),
-        "refused_energy": sum(a.store.refused_energy for a in agents.values()),
-        "depth_high_water": max(
-            (a.store.depth_high_water for a in agents.values()), default=0
-        ),
-        "held_at_end": len(held_at_end),
-        "reinjections": sum(a.reinjections for a in agents.values()),
-        "beacons": sum(a.beacons for a in agents.values()),
-        "contacts": sum(a.contacts for a in agents.values()),
-        "custody_acks": sum(a.acks_sent for a in agents.values()),
-    }
-    result = {
-        "offered": obj.block_count,
-        "delivered": len(delivered),
-        "delivery_ratio": round(len(delivered) / obj.block_count, 4),
-        "completed": receiver.stats.complete,
-        "completed_at": (
-            round(receiver.stats.completed_at, 3)
-            if receiver.stats.completed_at is not None
-            else None
-        ),
-        "delivery_during_partition": during,
-        "delivery_after_partition": after,
-        "partition_windows": [
-            [round(a, 3), round(b, 3)] for a, b in windows
-        ],
-        "custody_stats": custody_stats,
-        "transfer": {
-            "blocks_sent": sender.blocks_sent,
-            "retransmits": sender.retransmits,
-            "acks_received": sender.acks_received,
-            "acks_sent": receiver.acks_sent,
-            "repairs_served": sender.repairs_served,
-            "repair_rounds": receiver.stats.repair_rounds,
-            "duplicate_blocks": receiver.stats.duplicate_blocks,
+def arm_grid_transfer(network, p, seed, harness):
+    """Last node to first, reported with the grid's duty cycle."""
+    ids = network.topology.node_ids()
+    return _arm_transfer(
+        network, p, seed, harness, source=ids[-1], sink=ids[0],
+        header={
+            "scenario": "dtn-grid",
+            "duty": p["duty"],
+            "period": p["period"],
+            # No mode named is the flat stack.
+            "mode": p["mode"] or "flat",
         },
-        "attribution": dict(sorted(attribution.items())),
-        "unattributed": attribution.get("unattributed", 0),
-        "timeline": engine.timeline,
-        "violations": [v.describe() for v in monitors.violations],
-        "invariants_ok": monitors.ok,
-    }
-    result.update(extra)
-    return result
+    )
+
+
+#: mule line: source — mule — sink.
+MULE_SOURCE = 0
+MULE = 1
+MULE_SINK = 2
+
+
+def arm_mule_transfer(network, p, seed, harness):
+    return _arm_transfer(
+        network, p, seed, harness, source=MULE_SOURCE, sink=MULE_SINK,
+        header={"scenario": "dtn-mule"},
+    )
 
 
 def dtn_run(
@@ -345,7 +387,6 @@ def dtn_run(
     period: float = 50.0,
     duration: float = 260.0,
     custody: bool = True,
-    install_disabled: bool = False,
     payload_bytes: int = 2048,
     block_interval: float = 0.5,
     exploratory_interval: float = 8.0,
@@ -355,77 +396,27 @@ def dtn_run(
 ) -> Dict[str, Any]:
     """One bulk transfer across a grid partitioned at ``duty``.
 
-    ``custody=False`` is the legacy baseline; ``install_disabled=True``
-    (with ``custody=False``) additionally constructs every DTN object
-    with ``enabled=False`` — the outcome must be bit-identical
-    (``tests/test_dtn_scenario.py::TestGrid::
-    test_dtn_off_is_bit_identical_to_never_built``).  ``mode`` may be
-    ``"clustered"`` to run the same disruption over the hierarchy
-    backbone.
+    The front door of the ``dtn`` preset: it is
+    ``run_oracle(ShardPlan("dtn", params, seed, duration, 1))`` with
+    ``params`` naming every keyword but ``seed`` and ``duration`` —
+    ``mode`` only when it is not ``"flat"`` (``"clustered"`` runs the
+    same disruption over the hierarchy backbone and adds that mode's
+    outcome sections).  ``custody=False`` is the legacy baseline.
     """
-    core_messages._msg_counter = itertools.count(1)
-    network = SensorNetwork(
-        Topology.grid(GRID_COLUMNS, GRID_ROWS, spacing=GRID_SPACING),
-        seed=seed,
-        config=compressed_config(exploratory_interval),
-    )
-    hierarchy = None
-    if mode != "flat":
-        from repro.hierarchy import install_hierarchy
+    from repro.shard import ShardPlan, run_oracle
 
-        hierarchy = install_hierarchy(
-            network, mode=mode,
-            params={"announce_interval": 12.0, "announce_jitter": 1.0},
-        )
-    windows = partition_windows(30.0, duration, duty, period)
-    plan = FaultPlan(
-        tuple(
-            Partition(groups=grid_halves(), at=at, heal_at=until)
-            for at, until in windows
-        )
-    )
-    engine = FaultEngine(network, plan)
-    monitors = watch(network, flight_recorder)
-    tap = _AttributionTap(network.trace)
-    obj, sender, receiver, agents = _arm_transfer(
-        network, seed, custody, dtn_config, block_interval,
-        payload=bytes(range(256)) * (payload_bytes // 256),
-        offer_at=8.0,
-        source=SOURCE,
-        sink=SINK,
-        receiver_rounds=6,
-        with_caches=True,
-        install_disabled=install_disabled,
-    )
-    for agent in agents.values():
-        monitors.watch_custody(agent)
-    network.run(until=duration)
-    extra = {
-        "scenario": "dtn-grid",
-        "seed": seed,
+    params = {
         "duty": duty,
         "period": period,
-        "duration": duration,
         "custody": custody,
-        "mode": mode,
+        "payload_bytes": payload_bytes,
+        "block_interval": block_interval,
+        "exploratory_interval": exploratory_interval,
+        "mode": None if mode == "flat" else mode,
+        "dtn_config": dtn_config,
+        "flight_recorder": flight_recorder,
     }
-    result = _finish_run(
-        network, engine, monitors, tap, obj, sender, receiver,
-        agents, windows, extra,
-    )
-    if hierarchy is not None:
-        result["hierarchy_mode"] = mode
-    if flight_recorder is not None:
-        result["flight_recorder"] = close_flight_recorder(
-            monitors, flight_recorder
-        )
-    return result
-
-
-#: mule line: source — mule — sink.
-MULE_SOURCE = 0
-MULE = 1
-MULE_SINK = 2
+    return run_oracle(ShardPlan("dtn", params, seed, duration, 1))
 
 
 def mule_run(
@@ -435,56 +426,20 @@ def mule_run(
     payload_bytes: int = 1536,
     dtn_config: Optional[DtnConfig] = None,
 ) -> Dict[str, Any]:
-    """The 2-partition data-mule scenario.
+    """The 2-partition data-mule scenario (see :func:`mule_plan`).
 
-    A 3-node line where the middle node alternates sides — first
-    ``{source, mule} | {sink}``, then ``{source} | {mule, sink}`` — so
-    the endpoints are *never* simultaneously connected until the final
-    heal.  Without custody nothing can cross; with custody the source
-    hands blocks to the mule during the first window (one-hop carrier
-    beacons + custody acks) and the mule re-injects them when the
-    sink's interests reach it in the second."""
-    core_messages._msg_counter = itertools.count(1)
-    network = SensorNetwork(
-        Topology.line(3, spacing=GRID_SPACING),
-        seed=seed,
-        config=compressed_config(8.0),
-    )
-    windows = [(10.0, 50.0), (50.0, 90.0)]
-    plan = FaultPlan(
-        (
-            Partition(
-                groups=((MULE_SOURCE, MULE), (MULE_SINK,)),
-                at=windows[0][0], heal_at=windows[0][1],
-            ),
-            Partition(
-                groups=((MULE_SOURCE,), (MULE, MULE_SINK)),
-                at=windows[1][0], heal_at=windows[1][1],
-            ),
-        )
-    )
-    engine = FaultEngine(network, plan)
-    monitors = MonitorSuite(network)
-    tap = _AttributionTap(network.trace)
-    obj, sender, receiver, agents = _arm_transfer(
-        network, seed, custody, dtn_config, block_interval=0.5,
-        payload=bytes(range(256)) * (payload_bytes // 256),
-        offer_at=12.0,
-        source=MULE_SOURCE,
-        sink=MULE_SINK,
-        receiver_rounds=5,
-        with_caches=False,
-    )
-    for agent in agents.values():
-        monitors.watch_custody(agent)
-    network.run(until=duration)
-    extra = {
-        "scenario": "dtn-mule",
-        "seed": seed,
+    Without custody nothing can cross; with custody the source hands
+    blocks to the mule during the first window (one-hop carrier beacons
+    + custody acks) and the mule re-injects them when the sink's
+    interests reach it in the second.  The front door of the ``mule``
+    preset: ``run_oracle(ShardPlan("mule", params, seed, duration, 1))``
+    with ``params`` naming ``custody``, ``payload_bytes`` and
+    ``dtn_config``."""
+    from repro.shard import ShardPlan, run_oracle
+
+    params = {
         "custody": custody,
-        "duration": duration,
+        "payload_bytes": payload_bytes,
+        "dtn_config": dtn_config,
     }
-    return _finish_run(
-        network, engine, monitors, tap, obj, sender, receiver,
-        agents, windows, extra,
-    )
+    return run_oracle(ShardPlan("mule", params, seed, duration, 1))

@@ -15,8 +15,10 @@ here:
   loops, gradient bounds, reinforcement uniqueness, reboot coherence);
 * :mod:`repro.faults.metrics` — delivery-ratio and time-to-repair
   accounting;
-* :mod:`repro.faults.scenarios` — canned resilience runs behind the
-  tests, the builtin campaign, and ``python -m repro faults``.
+* :mod:`repro.faults.scenarios` — the resilience grid, its builtin
+  plans, the fault harness every scenario preset arms
+  (:mod:`repro.shard.scenario`), and the ``resilience`` preset's front
+  door behind the tests and the builtin campaign.
 """
 
 from repro.faults.engine import FaultEngine

@@ -288,7 +288,7 @@ class FaultPlan:
 
     @classmethod
     def from_json(cls, data: dict) -> "FaultPlan":
-        raw_actions = data.get("actions")
+        raw_actions = data.get("actions") if isinstance(data, dict) else None
         if not isinstance(raw_actions, list):
             raise PlanError("plan JSON must have an 'actions' list")
         actions: List[FaultAction] = []

@@ -1,14 +1,18 @@
-"""Canned resilience scenarios: one network, one fault, measured repair.
+"""The resilience grid, its builtin fault plans, and the fault harness.
 
-:func:`resilience_run` is the workhorse behind the scenario tests, the
-builtin resilience campaign, and the ``faults`` CLI: a 4×3 grid with a
-corner sink and the opposite-corner source streaming data, one
-:func:`builtin_plan` fault injected mid-run, invariants monitored
-throughout, and the repair report returned as a JSON-safe dict.  Runs
-are bit-identical per (plan, seed): the fault timeline and every repair
-metric replay exactly.
+What every faulted run shares lives here: the standard 4×3 grid (corner
+sink, opposite-corner source, everything else a potential relay), the
+six :func:`builtin_plan` faults over it, the compressed timer set, and
+:class:`FaultHarness` — engine + invariant monitors + optional flight
+recorder, armed in one order and finished into one outcome section.
+The ``resilience`` preset of :mod:`repro.shard.scenario` puts them
+together; :func:`resilience_run` is its front door (scenario tests, the
+builtin resilience campaign): one fault injected mid-run, invariants
+monitored throughout, the repair report returned as a JSON-safe dict,
+bit-identical per (plan, seed).
 
-:func:`clock_skew_run` is the timesync variant: a single-hop square
+:func:`clock_skew_run` is the timesync variant, the one canned run that
+is not a preset (no publish/subscribe workload): a single-hop square
 running RBS (:mod:`repro.apps.timesync`) whose participant clocks live
 in the fault engine, so a :class:`~repro.faults.plan.ClockSkew` action
 knocks one clock out mid-run and the periodic sync rounds must pull it
@@ -24,7 +28,6 @@ import repro.core.messages as core_messages
 from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
 from repro.core import DiffusionConfig
 from repro.faults.engine import FaultEngine
-from repro.faults.metrics import ResilienceProbe
 from repro.faults.monitors import MonitorSuite
 from repro.faults.plan import (
     ClockSkew,
@@ -48,24 +51,26 @@ GRID_COLUMNS = 4
 GRID_ROWS = 3
 GRID_SPACING = 15.0
 SINK = 0
-SOURCE = GRID_COLUMNS * GRID_ROWS - 1
 #: a mid-grid relay on the sink–source diagonal.
 RELAY = GRID_COLUMNS + 1
 
 DATA_TYPE = "fault-demo"
 
 
-def grid_halves() -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
-    """The standard grid split down the middle: (left, right) node ids."""
+def grid_halves(
+    columns: int = GRID_COLUMNS, rows: int = GRID_ROWS
+) -> Tuple[Tuple[int, ...], Tuple[int, ...]]:
+    """A row-major grid (default: the standard one) split down the
+    middle: (left, right) node ids."""
     left = tuple(
-        row * GRID_COLUMNS + col
-        for row in range(GRID_ROWS)
-        for col in range(GRID_COLUMNS // 2)
+        row * columns + col
+        for row in range(rows)
+        for col in range(columns // 2)
     )
     right = tuple(
-        row * GRID_COLUMNS + col
-        for row in range(GRID_ROWS)
-        for col in range(GRID_COLUMNS // 2, GRID_COLUMNS)
+        row * columns + col
+        for row in range(rows)
+        for col in range(columns // 2, columns)
     )
     return left, right
 
@@ -132,38 +137,69 @@ def compressed_config(exploratory_interval: float) -> DiffusionConfig:
     )
 
 
-def watch(
-    network: SensorNetwork,
-    flight_recorder: Optional[str] = None,
-    max_entries: int = 32,
-) -> MonitorSuite:
-    """Invariant monitors over ``network``; with a ``flight_recorder``
-    path, a :class:`~repro.sim.trace.FlightRecorder` rides the trace bus
-    and the monitors dump its rings there on the first violation."""
-    recorder = (
-        FlightRecorder(network.trace) if flight_recorder is not None else None
-    )
-    return MonitorSuite(
-        network,
-        max_entries=max_entries,
-        recorder=recorder,
-        dump_path=flight_recorder,
-    )
+class FaultHarness:
+    """What every faulted run arms, in this order: the engine for
+    ``plan`` (no plan: an empty one), the invariant monitors, and — with
+    a ``flight_recorder`` path — a
+    :class:`~repro.sim.trace.FlightRecorder` riding the trace bus, whose
+    rings the monitors dump there on the first violation.
+    ``monitor_max_entries`` is the gradient-bound threshold; a demo
+    tightens it to provoke a violation on a healthy run."""
 
+    def __init__(
+        self,
+        network: SensorNetwork,
+        plan: Optional[FaultPlan] = None,
+        monitors: bool = True,
+        flight_recorder: Optional[str] = None,
+        monitor_max_entries: int = 32,
+    ) -> None:
+        if flight_recorder is not None and not monitors:
+            raise ValueError(
+                "flight_recorder needs monitors: they trigger its dump"
+            )
+        self.engine = FaultEngine(
+            network, plan if plan is not None else FaultPlan(())
+        )
+        self.monitors: Optional[MonitorSuite] = None
+        if monitors:
+            self.monitors = MonitorSuite(
+                network,
+                max_entries=monitor_max_entries,
+                recorder=(
+                    FlightRecorder(network.trace)
+                    if flight_recorder is not None else None
+                ),
+                dump_path=flight_recorder,
+            )
 
-def close_flight_recorder(monitors: MonitorSuite, path: str) -> dict:
-    """Detach the recorder :func:`watch` armed; the run's dump record."""
-    recorder = monitors.recorder
-    recorder.detach()
-    if monitors.dumped is None:
-        # Clean run: dump the tail anyway so the requested postmortem
-        # file always exists.
-        monitors.dumped = recorder.dump(path, reason="end-of-run")
-    return {
-        "path": str(path),
-        "records": monitors.dumped,
-        "records_seen": recorder.records_seen,
-    }
+    def finish(self) -> dict:
+        """Final probe, detach, and this run's fault section: the
+        timeline, plus the monitors' verdict and the flight-recorder
+        dump record where those are armed."""
+        section: dict = {"timeline": self.engine.timeline}
+        monitors = self.monitors
+        if monitors is None:
+            return section
+        monitors.check()
+        monitors.detach()
+        section["violations"] = [v.describe() for v in monitors.violations]
+        section["invariants_ok"] = monitors.ok
+        recorder = monitors.recorder
+        if recorder is not None:
+            recorder.detach()
+            if monitors.dumped is None:
+                # Clean run: dump the tail anyway so the requested
+                # postmortem file always exists.
+                monitors.dumped = recorder.dump(
+                    monitors.dump_path, reason="end-of-run"
+                )
+            section["flight_recorder"] = {
+                "path": str(monitors.dump_path),
+                "records": monitors.dumped,
+                "records_seen": recorder.records_seen,
+            }
+        return section
 
 
 def resilience_run(
@@ -178,70 +214,23 @@ def resilience_run(
 ) -> dict:
     """One fault on the standard grid; returns the JSON-safe verdict.
 
-    With ``flight_recorder`` set to a path, a
-    :class:`~repro.sim.trace.FlightRecorder` rides the trace bus and the
-    monitors dump its rings there on the first invariant violation (or,
-    if the run stays clean, at the end — a postmortem of a healthy run
-    is still a trace worth keeping).  ``monitor_max_entries`` is the
-    gradient-bound threshold, exposed so demos/tests can tighten it to
-    provoke a violation on an otherwise healthy run.
+    The front door of the ``resilience`` preset: it is
+    ``run_oracle(ShardPlan("resilience", params, seed, duration, 1))``
+    with ``params`` naming ``fault``, ``plan``, ``exploratory_interval``,
+    ``send_interval`` (= ``data_period``), ``flight_recorder`` and
+    ``monitor_max_entries`` (see :class:`FaultHarness` for the last two).
     """
-    # msg ids draw from a process-global counter; restart it so paired
-    # runs are bit-identical, not merely equivalent.
-    core_messages._msg_counter = itertools.count(1)
-    from repro.naming import AttributeVector
-    from repro.naming.keys import Key
+    from repro.shard import ShardPlan, run_oracle
 
-    network = SensorNetwork(
-        Topology.grid(GRID_COLUMNS, GRID_ROWS, spacing=GRID_SPACING),
-        seed=seed,
-        config=compressed_config(exploratory_interval),
-    )
-    active_plan = plan if plan is not None else builtin_plan(fault)
-    engine = FaultEngine(network, active_plan)
-    monitors = watch(network, flight_recorder, monitor_max_entries)
-    probe = ResilienceProbe(network, SINK, sources=[SOURCE])
-
-    delivered: List[float] = []
-    network.api(SINK).subscribe(
-        AttributeVector.builder().eq(Key.TYPE, DATA_TYPE).build(),
-        lambda attrs, msg: delivered.append(network.sim.now),
-    )
-    publication = network.api(SOURCE).publish(
-        AttributeVector.builder().actual(Key.TYPE, DATA_TYPE).build()
-    )
-    sends = int((duration - 7.0) / data_period)
-    for i in range(sends):
-        network.sim.schedule(
-            5.0 + i * data_period,
-            network.api(SOURCE).send,
-            publication,
-            AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
-            name="faults.source-send",
-        )
-
-    network.run(until=duration)
-    monitors.check()
-    monitors.detach()
-    probe.record_metrics()
-    probe.detach()
-    report = probe.report(engine.timeline, exploratory_interval, duration)
-    result = {
-        "fault": fault if plan is None else "custom",
-        "seed": seed,
+    params = {
+        "fault": fault,
+        "plan": plan,
         "exploratory_interval": exploratory_interval,
-        "duration": duration,
-        "timeline": engine.timeline,
-        "report": report,
-        "fragments_corrupted": engine.fragments_corrupted,
-        "violations": [v.describe() for v in monitors.violations],
-        "invariants_ok": monitors.ok,
+        "send_interval": data_period,
+        "flight_recorder": flight_recorder,
+        "monitor_max_entries": monitor_max_entries,
     }
-    if flight_recorder is not None:
-        result["flight_recorder"] = close_flight_recorder(
-            monitors, flight_recorder
-        )
-    return result
+    return run_oracle(ShardPlan("resilience", params, seed, duration, 1))
 
 
 def clock_skew_run(
@@ -267,9 +256,10 @@ def clock_skew_run(
     network = SensorNetwork(
         topology, seed=seed, config=compressed_config(10.0)
     )
-    plan = FaultPlan((ClockSkew(node=3, at=skew_at, offset=skew),))
-    engine = FaultEngine(network, plan)
-    monitors = MonitorSuite(network)
+    harness = FaultHarness(
+        network, FaultPlan((ClockSkew(node=3, at=skew_at, offset=skew),))
+    )
+    engine = harness.engine
 
     # Start the participant clocks deterministically off-true, so the
     # first sync rounds do real work before the fault ever lands.
@@ -300,8 +290,6 @@ def clock_skew_run(
     network.sim.schedule(sync_interval, sync_round, name="rbs.sync-round")
     network.run(until=duration)
     beacon.stop()
-    monitors.check()
-    monitors.detach()
 
     repaired_at: Optional[float] = None
     for t, error in errors:
@@ -323,7 +311,5 @@ def clock_skew_run(
             if repaired_at is not None
             else None
         ),
-        "timeline": engine.timeline,
-        "violations": [v.describe() for v in monitors.violations],
-        "invariants_ok": monitors.ok,
+        **harness.finish(),
     }

@@ -1,24 +1,21 @@
-"""Network dynamics: mobility and scheduled failures.
+"""Network dynamics: mobility.
 
 The paper motivates diffusion's soft state with "changing
 communications, moving nodes, and limited battery power" and notes that
 periodic exploratory messages "adjust gradients in the case of network
-changes (due to node failure, energy depletion, or mobility)".  This
-module provides the dynamics that exercise those repair paths:
-
-* :class:`RandomWaypointMobility` moves a node between waypoints inside
-  a rectangle; propagation models read positions per transmission, so
-  link quality changes continuously as the node moves;
-* :class:`FailureSchedule` kills (and optionally resurrects) nodes at
-  chosen times on a :class:`~repro.testbed.network.SensorNetwork`.
+changes (due to node failure, energy depletion, or mobility)".
+:class:`RandomWaypointMobility` moves a node between waypoints inside a
+rectangle; propagation models read positions per transmission, so link
+quality changes continuously as the node moves.  (Scheduled node
+failures are :class:`~repro.faults.plan.NodeCrash` actions on a
+:class:`~repro.faults.engine.FaultEngine`.)
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 from repro.radio.topology import Topology
 from repro.sim import Simulator
@@ -99,54 +96,3 @@ class RandomWaypointMobility:
             self.distance_travelled += reach
             delay = self.step
         self._timer = self.sim.schedule(delay, self._tick, name="mobility.tick")
-
-
-@dataclass(frozen=True)
-class FailureEvent:
-    """One scheduled failure (and optional recovery)."""
-
-    node_id: int
-    fail_at: float
-    recover_at: Optional[float] = None
-
-
-class FailureSchedule:
-    """Applies failure events to a SensorNetwork.
-
-    Failure mutes the node's radio and timers via
-    :meth:`SensorNetwork.fail_node`.  Recovery semantics depend on
-    ``clear_state``: by default the node *reboots* — gradients, cache,
-    and reassembly buffers are wiped and its applications re-flood
-    interests, so soft state re-forms from protocol traffic, which is
-    exactly the recovery story the paper tells.  ``clear_state=False``
-    keeps the legacy behaviour of re-attaching the radio with pre-crash
-    state intact (a radio outage, not a power cycle).
-    """
-
-    def __init__(
-        self, network, events: List[FailureEvent], clear_state: bool = True
-    ) -> None:
-        self.network = network
-        self.clear_state = clear_state
-        self.events = list(events)
-        self.failures_applied = 0
-        self.recoveries_applied = 0
-        for event in self.events:
-            network.sim.schedule_at(
-                event.fail_at, self._fail, event.node_id, name="failure"
-            )
-            if event.recover_at is not None:
-                if event.recover_at <= event.fail_at:
-                    raise ValueError("recovery must come after failure")
-                network.sim.schedule_at(
-                    event.recover_at, self._recover, event.node_id,
-                    name="recovery",
-                )
-
-    def _fail(self, node_id: int) -> None:
-        self.network.fail_node(node_id)
-        self.failures_applied += 1
-
-    def _recover(self, node_id: int) -> None:
-        self.network.resurrect_node(node_id, clear_state=self.clear_state)
-        self.recoveries_applied += 1

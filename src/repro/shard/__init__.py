@@ -23,12 +23,20 @@ seeds x shard counts under frequent moves.
 
 from repro.shard.partition import grid_partition, partition_nodes
 from repro.shard.runner import (
+    build_whole,
     merge_outcomes,
     run_oracle,
     run_sharded,
     sync_profile,
 )
-from repro.shard.scenario import SCENARIOS, Scenario, ShardNet, get_scenario
+from repro.shard.scenario import (
+    SCENARIOS,
+    Scenario,
+    ShardNet,
+    StackScenario,
+    get_scenario,
+    scenario_names,
+)
 from repro.shard.worker import (
     ExportedTx,
     ShardPlan,
@@ -46,6 +54,8 @@ __all__ = [
     "ShardPlan",
     "ShardRuntime",
     "ShardStats",
+    "StackScenario",
+    "build_whole",
     "get_scenario",
     "grid_partition",
     "merge_outcomes",
@@ -53,6 +63,7 @@ __all__ = [
     "partition_nodes",
     "run_oracle",
     "run_sharded",
+    "scenario_names",
     "shard_worker_main",
     "sync_profile",
 ]

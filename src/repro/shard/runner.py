@@ -34,7 +34,7 @@ from typing import Any, Dict, List, Optional
 
 import repro.core.messages as core_messages
 from repro.campaign.workers import WorkerCrew
-from repro.shard.scenario import get_scenario
+from repro.shard.scenario import ShardNet, get_scenario
 from repro.shard.worker import ShardPlan, ShardRuntime, shard_worker_main
 from repro.sim.metrics import MetricsRegistry, current_registry, use_registry
 
@@ -66,23 +66,27 @@ def merge_outcomes(parts: List[Dict[str, Any]]) -> Dict[str, Any]:
     return merged
 
 
-def run_oracle(plan: ShardPlan) -> Dict[str, Any]:
-    """The whole plan in one event queue — the ground-truth outcome.
-
-    Builds with every node owned, schedules the identical move events
-    at the same priority the shards use, and runs straight through.
-    """
+def build_whole(plan: ShardPlan) -> ShardNet:
+    """The only single-queue build: restart the process-global message
+    ids (so paired runs are bit-identical, not merely equivalent), build
+    with every node owned, and schedule the identical move events at the
+    same priority the shards use."""
     core_messages._msg_counter = itertools.count(1)
     scenario = get_scenario(plan.scenario)
-    topology = scenario.topology(plan.params)
-    net = scenario.build(
-        topology, topology.node_ids(), plan.params, plan.seed
-    )
-    for t, node, x, y in sorted(scenario.move_schedule(plan.params, topology)):
+    params = plan.build_params()
+    topology = scenario.topology(params)
+    net = scenario.build(topology, topology.node_ids(), params, plan.seed)
+    for t, node, x, y in sorted(scenario.move_schedule(params, topology)):
         net.sim.schedule_at(
             t, topology.move_node, node, x, y,
             name="shard.move", priority=-2,
         )
+    return net
+
+
+def run_oracle(plan: ShardPlan) -> Dict[str, Any]:
+    """The whole plan in one event queue — the ground-truth outcome."""
+    net = build_whole(plan)
     net.sim.run(until=plan.duration)
     return net.outcome()
 
@@ -200,6 +204,7 @@ def _run_inline(plan: ShardPlan) -> List[Dict[str, Any]]:
 
 
 __all__ = [
+    "build_whole",
     "merge_outcomes",
     "run_oracle",
     "run_sharded",

@@ -1,38 +1,78 @@
-"""Deterministic scenarios the sharded kernel can run and verify.
+"""The scenario registry: every canned run is a recipe named here.
 
-A shard scenario is a recipe every worker evaluates independently: the
-*same* topology and move schedule on every shard (geometry is global —
-a foreign node's movement changes what an owned node hears), but node
-stacks, traffic sources, and sinks built only for the shard's *owned*
-subset.  Per-node RNG streams are derived by label
+A scenario is a recipe every runner evaluates the same way (the
+single-queue :func:`~repro.shard.runner.build_whole`, each shard worker,
+the perf ledger): the *same* topology and move schedule everywhere
+(geometry is global — a foreign node's movement changes what an owned
+node hears), but node stacks, traffic sources, and sinks built only for
+the *owned* subset.  Per-node RNG streams are derived by label
 (:class:`~repro.sim.rng.SeedSequence`), so a subset build consumes
 exactly the streams those nodes would consume in a whole-network build
 — which is what makes the single-queue oracle and the sharded runs
 comparable event-for-event.
 
-Scenarios always build their channels with ``loss_mode="hashed"``: the
-default stream mode draws loss uniforms in global finalization order,
-which no partitioned execution can reproduce, while hashed draws are a
-pure function of (seed, src, dst, airtime start).
+``flood`` and ``mobility`` drive the radio alone.  Every full-stack run
+is a **preset** of one template, :class:`StackScenario`, which builds in
+one fixed order: the network for the owned nodes → the fault harness
+(:class:`~repro.faults.scenarios.FaultHarness`, iff a plan, monitors or
+a flight recorder is named) → the workload → the propagation mode (iff
+named).  The order is part of every outcome: each step schedules kernel
+events as it is constructed, and events at equal times run in
+scheduling order (a crash at t=40.0 ties with the resilience stream's
+send at 5.0 + 35 x 1.0).  Every option is a param with a per-preset
+default, so presets differ only by their defaults and by the workload
+they arm, any preset takes any option, and ``outcome()`` is the
+workload's dict plus one section per armed option.
 
-The ``outcome`` of a run is a plain dict designed to merge across
-shards (ints/floats sum, lists concatenate, dicts recurse — see
+A subset build (a shard) needs ``loss_mode="hashed"`` — stream mode
+draws loss uniforms in global finalization order, which no partitioned
+execution can reproduce, while hashed draws are a pure function of
+(seed, src, dst, airtime start) — and no fault harness;
+:meth:`StackScenario.build` refuses the rest by name.
+
+An ``outcome`` is a plain dict designed to merge across shards
+(ints/floats sum, lists concatenate, dicts recurse — see
 :func:`repro.shard.runner.merge_outcomes`) and to compare exactly
 against the oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core import DiffusionConfig
+from repro.core.node import MESSAGE_CLASS_LABELS
+from repro.dtn.scenario import (
+    TRANSFER_DEFAULTS,
+    arm_grid_transfer,
+    arm_mule_transfer,
+    duty_cycle_plan,
+    mule_plan,
+)
+from repro.faults.metrics import ResilienceProbe
+from repro.faults.plan import FaultPlan
+from repro.faults.scenarios import (
+    DATA_TYPE,
+    GRID_COLUMNS,
+    GRID_ROWS,
+    GRID_SPACING,
+    FaultHarness,
+    builtin_plan,
+    compressed_config,
+)
 from repro.mac import CsmaMac
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import Channel, DistancePropagation, Modem, Topology
 from repro.sim import SeedSequence, Simulator
-from repro.testbed import SensorNetwork
+from repro.testbed import (
+    FIG8_SINK,
+    FIG8_SOURCES,
+    SensorNetwork,
+    isi_propagation,
+    isi_testbed_topology,
+)
 
 #: (time, node, new_x, new_y) — one topology move.
 Move = Tuple[float, int, float, float]
@@ -40,7 +80,7 @@ Move = Tuple[float, int, float, float]
 
 @dataclass
 class ShardNet:
-    """Everything the shard runtime needs from one built scenario."""
+    """Everything a runner needs from one built scenario."""
 
     sim: Simulator
     channel: Channel
@@ -48,13 +88,21 @@ class ShardNet:
     topology: Topology
     macs: Dict[int, CsmaMac]
     outcome: Callable[[], Dict[str, Any]]
-    extra: Dict[str, Any] = field(default_factory=dict)
+    #: the full stack (and its trace bus), where the recipe builds one.
+    network: Optional[SensorNetwork] = None
 
 
 class Scenario:
-    """One deterministic workload, buildable whole or per shard."""
+    """One deterministic recipe, buildable whole or per shard."""
 
     name = "?"
+    #: every param the recipe reads, with its default; ``duration`` is
+    #: how long ``repro run`` runs it when not told.
+    defaults: Dict[str, Any] = {}
+
+    def resolve(self, params: Dict[str, Any]) -> Dict[str, Any]:
+        """``params`` over the defaults (unknown keys ride along)."""
+        return {**self.defaults, **params}
 
     def topology(self, params: Dict[str, Any]) -> Topology:
         raise NotImplementedError
@@ -75,6 +123,12 @@ class Scenario:
         raise NotImplementedError
 
 
+def _grid(p: Dict[str, Any]) -> Topology:
+    return Topology.grid(
+        int(p["columns"]), int(p["rows"]), spacing=float(p["spacing"])
+    )
+
+
 def _channel_outcome(channel: Channel) -> Dict[str, int]:
     return {
         "sent": channel.fragments_sent,
@@ -93,16 +147,19 @@ class FloodScenario(Scenario):
     """
 
     name = "flood"
+    defaults = {
+        "duration": 20.0,
+        "columns": 10,
+        "rows": 5,
+        "spacing": 26.0,
+        "interval": 0.5,
+    }
 
     def topology(self, params: Dict[str, Any]) -> Topology:
-        return Topology.grid(
-            int(params.get("columns", 10)),
-            int(params.get("rows", 5)),
-            spacing=float(params.get("spacing", 26.0)),
-        )
+        return _grid(self.resolve(params))
 
     def build(self, topology, owned, params, seed) -> ShardNet:
-        interval = float(params.get("interval", 0.5))
+        interval = float(self.resolve(params)["interval"])
         sim = Simulator()
         seeds = SeedSequence(seed)
         propagation = DistancePropagation(topology, seed=seed)
@@ -153,20 +210,26 @@ class MobilityFloodScenario(FloodScenario):
     """
 
     name = "mobility"
+    defaults = {
+        **FloodScenario.defaults,
+        "movers": 2,
+        "move_steps": 4,
+        "move_start": 5.0,
+        "move_interval": 3.0,
+    }
 
     def move_schedule(self, params, topology) -> List[Move]:
-        columns = int(params.get("columns", 10))
-        rows = int(params.get("rows", 5))
-        spacing = float(params.get("spacing", 26.0))
-        movers = int(params.get("movers", 2))
-        steps = int(params.get("move_steps", 4))
-        start = float(params.get("move_start", 5.0))
-        step_dt = float(params.get("move_interval", 3.0))
+        p = self.resolve(params)
+        columns, rows = int(p["columns"]), int(p["rows"])
+        spacing = float(p["spacing"])
+        steps = int(p["move_steps"])
+        start = float(p["move_start"])
+        step_dt = float(p["move_interval"])
         moves: List[Move] = []
         # Leftmost-column nodes walk east across the whole deployment,
         # one column per step past the midline.
         ids = topology.node_ids()
-        for m in range(min(movers, rows)):
+        for m in range(min(int(p["movers"]), rows)):
             node = ids[m * columns]  # column 0 of row m
             y = topology.position(node).y
             for s in range(1, steps + 1):
@@ -175,9 +238,21 @@ class MobilityFloodScenario(FloodScenario):
         return moves
 
 
+# -- the full-stack template --------------------------------------------------
+
+TIMER_KEYS = (
+    "interest_interval", "interest_jitter", "exploratory_interval",
+    "gradient_timeout", "reinforced_timeout", "reinforcement_jitter",
+)
+
+
+def _timers(config: DiffusionConfig) -> Dict[str, float]:
+    return {key: getattr(config, key) for key in TIMER_KEYS}
+
+
 #: compressed diffusion timers so a short run exercises interest
 #: flooding, reinforcement, and steady-state forwarding.
-DIFFUSION_CONFIG = DiffusionConfig(
+SHORT_TIMERS = DiffusionConfig(
     interest_interval=8.0,
     interest_jitter=0.3,
     exploratory_interval=8.0,
@@ -185,179 +260,309 @@ DIFFUSION_CONFIG = DiffusionConfig(
     reinforced_timeout=20.0,
 )
 
+#: what every preset can be told, and what it gets when it is not.
+STACK_DEFAULTS: Dict[str, Any] = {
+    "duration": 30.0,
+    # "grid" (columns x rows), "line" (nodes) or "isi" (Fig. 7)
+    "shape": "grid", "columns": 10, "rows": 5, "nodes": 3, "spacing": 18.0,
+    **_timers(SHORT_TIMERS),
+    "loss_mode": "hashed",
+    # fault harness: a builtin plan's name, or a FaultPlan / its JSON
+    "fault": None, "plan": None, "monitors": False,
+    "flight_recorder": None, "monitor_max_entries": 32,
+    # propagation mode and its HierarchyParams overrides
+    "mode": None, "hierarchy": None,
+}
 
-class DiffusionScenario(Scenario):
-    """Full stack: corner sources stream to a corner sink.
-
-    The multihop path crosses every shard cut, so application delivery
-    depends on ghost fragments carrying real payloads across shards and
-    being reassembled and routed on the far side.
-    """
-
-    name = "diffusion"
-
-    def topology(self, params: Dict[str, Any]) -> Topology:
-        return Topology.grid(
-            int(params.get("columns", 10)),
-            int(params.get("rows", 5)),
-            spacing=float(params.get("spacing", 18.0)),
-        )
-
-    def _pairs(
-        self, params: Dict[str, Any], topology: Topology
-    ) -> List[Tuple[int, int, str]]:
-        """(source, sink, tag) workload triples."""
-        columns = int(params.get("columns", 10))
-        rows = int(params.get("rows", 5))
-        n = columns * rows
-        return [
-            (n - 1, 0, "diffbench"),
-            (columns - 1, 0, "diffbench"),
-        ]
-
-    def build(self, topology, owned, params, seed) -> ShardNet:
-        duration = float(params.get("duration", 30.0))
-        send_interval = float(params.get("send_interval", 0.5))
-        owned_set = set(owned)
-        net = SensorNetwork(
-            topology,
-            config=DIFFUSION_CONFIG,
-            seed=seed,
-            loss_mode="hashed",
-            nodes=owned,
-        )
-        delivered: List[float] = []
-        for source, sink, tag in self._pairs(params, topology):
-            if sink in owned_set:
-                sub = (
-                    AttributeVector.builder().eq(Key.TYPE, tag).build()
-                )
-                net.api(sink).subscribe(
-                    sub,
-                    lambda attrs, msg: delivered.append(net.sim.now),
-                )
-            if source in owned_set:
-                pub = net.api(source).publish(
-                    AttributeVector.builder().actual(Key.TYPE, tag).build()
-                )
-                sends = int((duration - 2.0) / send_interval)
-                for i in range(sends):
-                    net.sim.schedule(
-                        2.0 + i * send_interval,
-                        net.api(source).send,
-                        pub,
-                        AttributeVector.builder()
-                        .actual(Key.SEQUENCE, i)
-                        .build(),
-                    )
-
-        def outcome() -> Dict[str, Any]:
-            return {
-                "channel": _channel_outcome(net.channel),
-                "app_delivered": len(delivered),
-                "delivery_times": sorted(delivered),
-                "diffusion_messages": net.total_diffusion_messages_sent(),
-            }
-
-        return ShardNet(
-            net.sim, net.channel, net.propagation, topology,
-            {nid: net.stack(nid).mac for nid in owned}, outcome,
-            extra={"network": net},
-        )
+SHAPES = {
+    "grid": _grid,
+    "line": lambda p: Topology.line(
+        int(p["nodes"]), spacing=float(p["spacing"])
+    ),
+    "isi": lambda p: isi_testbed_topology(),
+}
 
 
-class RegionalDiffusionScenario(DiffusionScenario):
-    """Scattered local source→sink pairs: the scale workload.
-
-    Each pair lives inside one region of the grid a few hops across, so
+def _region_pairs(p, ids) -> List[Tuple[int, int, str]]:
+    """One local source→sink pair per ``region`` x ``region`` block, so
     traffic is everywhere but mostly local — the deployment shape the
     paper argues sensor networks take (many concurrent local tasks),
     and the one where a spatial cut pays: each shard carries its own
-    regions' load and only region-straddling paths cross the cut.
+    regions' load and only region-straddling paths cross the cut."""
+    columns, rows, region = int(p["columns"]), int(p["rows"]), int(p["region"])
+    pairs: List[Tuple[int, int, str]] = []
+    for base_row in range(0, rows - region + 1, region):
+        for base_col in range(0, columns - region + 1, region):
+            # Source near one region corner, sink a few hops away
+            # toward the opposite corner.
+            src = (base_row + 1) * columns + (base_col + 1)
+            dst = (base_row + region - 2) * columns + (base_col + region - 2)
+            pairs.append((src, dst, f"region{len(pairs)}"))
+    return pairs
+
+
+#: name -> (params, sorted node ids) -> [(source, sink, tag)].
+PAIR_LAYOUTS = {
+    # Two far-corner sources to one corner sink: the multihop paths
+    # cross every shard cut.
+    "corners": lambda p, ids: [
+        (ids[-1], ids[0], "diffbench"),
+        (ids[int(p["columns"]) - 1], ids[0], "diffbench"),
+    ],
+    "regions": _region_pairs,
+    "ends": lambda p, ids: [(ids[-1], ids[0], "trace-demo")],
+    "fig8": lambda p, ids: [
+        (source, FIG8_SINK, "trace-demo")
+        for source in FIG8_SOURCES[: int(p["sources"])]
+    ],
+}
+
+STREAM_DEFAULTS: Dict[str, Any] = {
+    "pairs": "corners", "region": 8, "sources": 4,
+    "send_start": 2.0, "send_interval": 0.5,
+}
+
+
+def _choice(table: Dict[str, Any], p: Dict[str, Any], key: str):
+    try:
+        return table[p[key]]
+    except KeyError:
+        raise ValueError(
+            f"unknown {key} {p[key]!r}; have {sorted(table)}"
+        ) from None
+
+
+def _stream(net, delivered, pair, p, quiet_tail=0.0, name="") -> None:
+    """Subscribe the pair's sink and have its source publish one
+    sequence-numbered datum every ``send_interval`` from ``send_start``
+    until ``quiet_tail`` before ``duration`` — whichever ends the
+    network owns."""
+    source, sink, tag = pair
+    if sink in net.stacks:
+        net.api(sink).subscribe(
+            AttributeVector.builder().eq(Key.TYPE, tag).build(),
+            lambda attrs, msg: delivered.append(net.sim.now),
+        )
+    if source in net.stacks:
+        start, interval = float(p["send_start"]), float(p["send_interval"])
+        api = net.api(source)
+        pub = api.publish(
+            AttributeVector.builder().actual(Key.TYPE, tag).build()
+        )
+        sends = int((float(p["duration"]) - (start + quiet_tail)) / interval)
+        for i in range(sends):
+            net.sim.schedule(
+                start + i * interval, api.send, pub,
+                AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
+                name=name,
+            )
+
+
+def arm_streams(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """The ``pairs`` layout's source→sink streams."""
+    delivered: List[float] = []
+    for pair in _choice(PAIR_LAYOUTS, p, "pairs")(p, net.topology.node_ids()):
+        _stream(net, delivered, pair, p)
+    return lambda: {
+        "channel": _channel_outcome(net.channel),
+        "app_delivered": len(delivered),
+        "delivery_times": sorted(delivered),
+        "diffusion_messages": net.total_diffusion_messages_sent(),
+    }
+
+
+def arm_resilience(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """One probed stream from the last node to the first, silent for
+    the final 2 s so the last data can land; reports repair per fault."""
+    ids = net.topology.node_ids()
+    probe = ResilienceProbe(net, ids[0], sources=[ids[-1]])
+    _stream(
+        net, [], (ids[-1], ids[0], DATA_TYPE), p,
+        quiet_tail=2.0, name="faults.source-send",
+    )
+
+    def outcome() -> Dict[str, Any]:
+        probe.record_metrics()
+        probe.detach()
+        engine = harness.engine if harness is not None else None
+        return {
+            "fault": p["fault"] if p["plan"] is None else "custom",
+            "seed": seed,
+            "exploratory_interval": p["exploratory_interval"],
+            "duration": p["duration"],
+            "report": probe.report(
+                engine.timeline if engine else [],
+                p["exploratory_interval"], p["duration"],
+            ),
+            "fragments_corrupted": engine.fragments_corrupted if engine else 0,
+        }
+
+    return outcome
+
+
+def _traffic_by_class(net: SensorNetwork) -> Dict[str, Dict[str, int]]:
+    """Per-message-class traffic, merge-friendly (ints sum)."""
+    messages: Dict[str, int] = dict.fromkeys(MESSAGE_CLASS_LABELS.values(), 0)
+    nbytes = dict(messages)
+    for nid in net.node_ids():
+        stats = net.node(nid).stats
+        for msg_type, label in MESSAGE_CLASS_LABELS.items():
+            messages[label] += stats.messages_by_type[msg_type]
+            nbytes[label] += stats.bytes_by_type[msg_type]
+    return {"messages_by_class": messages, "bytes_by_class": nbytes}
+
+
+class StackScenario(Scenario):
+    """A full-stack preset: the one template, a workload, and defaults.
+
+    ``arm(net, p, seed, harness)`` wires the workload onto the built
+    network and returns its ``outcome()``; ``disruption(p)`` is the
+    fault plan the workload brings when neither ``plan`` nor ``fault``
+    names one (the transfers' partitions).  The module docstring has
+    the build order and why it is fixed.
     """
 
-    name = "regional"
+    def __init__(self, name, doc, arm, defaults, disruption=None) -> None:
+        self.name = name
+        self.__doc__ = doc
+        self.arm = arm
+        self.defaults = {**STACK_DEFAULTS, **defaults}
+        self.disruption = disruption
 
-    def _pairs(self, params, topology) -> List[Tuple[int, int, str]]:
-        columns = int(params.get("columns", 32))
-        rows = int(params.get("rows", 32))
-        region = int(params.get("region", 8))
-        pairs: List[Tuple[int, int, str]] = []
-        k = 0
-        for base_row in range(0, rows - region + 1, region):
-            for base_col in range(0, columns - region + 1, region):
-                # Source near one region corner, sink a few hops away
-                # toward the opposite corner.
-                src = (base_row + 1) * columns + (base_col + 1)
-                dst = (base_row + region - 2) * columns + (
-                    base_col + region - 2
-                )
-                pairs.append((src, dst, f"region{k}"))
-                k += 1
-        return pairs
+    def topology(self, params: Dict[str, Any]) -> Topology:
+        p = self.resolve(params)
+        return _choice(SHAPES, p, "shape")(p)
 
-
-class HierarchyScenario(RegionalDiffusionScenario):
-    """The regional workload under a selectable propagation mode.
-
-    ``params["mode"]`` picks flat / clustered / rendezvous;
-    ``params["hierarchy"]`` carries :class:`~repro.hierarchy.
-    HierarchyParams` overrides.  Flat mode installs nothing, so its
-    outcome is bit-identical to :class:`RegionalDiffusionScenario` on
-    the same params — the equivalence gate the hierarchy CI relies on.
-    The outcome adds per-message-class traffic and hierarchy counters,
-    all merge-friendly (ints sum, nested dicts recurse).
-    """
-
-    name = "hierarchy"
+    def _fault_plan(self, p: Dict[str, Any]) -> Optional[FaultPlan]:
+        plan = p["plan"]
+        if plan is None:
+            if p["fault"] is not None:
+                return builtin_plan(str(p["fault"]))
+            return self.disruption(p) if self.disruption else None
+        if isinstance(plan, FaultPlan):
+            return plan
+        return FaultPlan.from_json(plan)
 
     def build(self, topology, owned, params, seed) -> ShardNet:
-        from repro.core.node import MESSAGE_CLASS_LABELS
-        from repro.hierarchy import install_hierarchy
-
-        shardnet = super().build(topology, owned, params, seed)
-        net = shardnet.extra["network"]
-        mode = str(params.get("mode", "flat"))
-        runtime = install_hierarchy(
-            net, mode=mode, params=params.get("hierarchy")
+        p = self.resolve(params)
+        plan = self._fault_plan(p)
+        monitors, recorder = bool(p["monitors"]), p["flight_recorder"]
+        faulted = plan is not None or monitors or recorder is not None
+        if len(owned) < len(topology.node_ids()):
+            # Stream loss draws in whole-network finalization order; a
+            # plan validates against, and with the monitors acts on,
+            # the whole network.
+            if p["loss_mode"] != "hashed":
+                raise ValueError(
+                    f"{self.name}: a subset build needs loss_mode='hashed', "
+                    f"not {p['loss_mode']!r}"
+                )
+            if faulted:
+                raise ValueError(
+                    f"{self.name}: a subset build cannot arm a fault harness"
+                )
+        isi = p["shape"] == "isi"
+        net = SensorNetwork(
+            topology,
+            config=DiffusionConfig(**{k: float(p[k]) for k in TIMER_KEYS}),
+            seed=seed,
+            propagation=isi_propagation(topology, seed) if isi else None,
+            loss_mode=p["loss_mode"],
+            nodes=owned,
         )
-        shardnet.extra["hierarchy"] = runtime
-        base_outcome = shardnet.outcome
+        harness = None
+        if faulted:
+            harness = FaultHarness(
+                net, plan, monitors, recorder, int(p["monitor_max_entries"])
+            )
+        workload = self.arm(net, p, seed, harness)
+        mode = None
+        if p["mode"] is not None:
+            # Imported here so only mode-armed builds pay for it.
+            from repro.hierarchy import install_hierarchy
+
+            mode = install_hierarchy(net, p["mode"], p["hierarchy"])
 
         def outcome() -> Dict[str, Any]:
-            result = base_outcome()
-            by_class_msgs: Dict[str, int] = {}
-            by_class_bytes: Dict[str, int] = {}
-            for nid in net.node_ids():
-                stats = net.node(nid).stats
-                for msg_type, label in MESSAGE_CLASS_LABELS.items():
-                    by_class_msgs[label] = (
-                        by_class_msgs.get(label, 0)
-                        + stats.messages_by_type[msg_type]
-                    )
-                    by_class_bytes[label] = (
-                        by_class_bytes.get(label, 0)
-                        + stats.bytes_by_type[msg_type]
-                    )
-            result["messages_by_class"] = by_class_msgs
-            result["bytes_by_class"] = by_class_bytes
-            result["hierarchy"] = runtime.counters()
+            result = workload()
+            if harness is not None:
+                result.update(harness.finish())
+            if mode is not None:
+                result.update(_traffic_by_class(net), hierarchy=mode.counters())
             return result
 
-        shardnet.outcome = outcome
-        return shardnet
+        return ShardNet(
+            net.sim, net.channel, net.propagation, topology,
+            {nid: net.stack(nid).mac for nid in owned}, outcome, network=net,
+        )
 
+
+_REGIONAL = {**STREAM_DEFAULTS, "columns": 32, "rows": 32, "pairs": "regions"}
+#: the paper's timers, as the testbed ran them.
+_TRACED = {
+    **STREAM_DEFAULTS, **_timers(DiffusionConfig()), "loss_mode": "stream",
+    "spacing": 15.0, "send_start": 3.0, "send_interval": 5.0, "duration": 60.0,
+}
+#: the standard resilience grid under stream loss, monitored.
+_FAULTED = {
+    "columns": GRID_COLUMNS, "rows": GRID_ROWS, "spacing": GRID_SPACING,
+    **_timers(compressed_config(8.0)), "loss_mode": "stream", "monitors": True,
+}
+_TRANSFER = {**_FAULTED, **TRANSFER_DEFAULTS}
 
 SCENARIOS: Dict[str, Scenario] = {
     scenario.name: scenario
     for scenario in (
         FloodScenario(),
         MobilityFloodScenario(),
-        DiffusionScenario(),
-        RegionalDiffusionScenario(),
-        HierarchyScenario(),
+        StackScenario(
+            "diffusion", "Corner sources stream to a corner sink.",
+            arm_streams, STREAM_DEFAULTS,
+        ),
+        StackScenario(
+            "regional", "Scattered local source→sink pairs, at scale.",
+            arm_streams, _REGIONAL,
+        ),
+        StackScenario(
+            "hierarchy", "The regional workload, propagation mode reported.",
+            arm_streams, {**_REGIONAL, "mode": "flat"},
+        ),
+        StackScenario(
+            "line", "A chain at the paper's timers, far end to node 0.",
+            arm_streams, {**_TRACED, "shape": "line", "pairs": "ends"},
+        ),
+        StackScenario(
+            "isi", "The ISI 14-node testbed: Fig. 8's sources to its sink.",
+            arm_streams, {**_TRACED, "shape": "isi", "pairs": "fig8"},
+        ),
+        StackScenario(
+            "resilience", "One fault on the 4x3 grid, repair measured.",
+            arm_resilience,
+            {**_FAULTED, "fault": "crash", "send_start": 5.0,
+             "send_interval": 1.0, "duration": 160.0},
+        ),
+        StackScenario(
+            "dtn", "Bulk transfer across the 4x3 grid partitioned at `duty`.",
+            arm_grid_transfer,
+            {**_TRANSFER, "duty": 0.6, "period": 50.0, "duration": 260.0,
+             "hierarchy": {"announce_interval": 12.0, "announce_jitter": 1.0}},
+            disruption=duty_cycle_plan,
+        ),
+        StackScenario(
+            "mule", "Bulk transfer over a 3-node line whose middle node "
+            "carries custody between two never-joined partitions.",
+            arm_mule_transfer,
+            {**_TRANSFER, "shape": "line", "payload_bytes": 1536,
+             "send_start": 12.0, "receiver_rounds": 5, "caches": False,
+             "duration": 140.0},
+            disruption=mule_plan,
+        ),
     )
 }
+
+
+def scenario_names() -> List[str]:
+    return sorted(SCENARIOS)
 
 
 def get_scenario(name: str) -> Scenario:
@@ -365,5 +570,5 @@ def get_scenario(name: str) -> Scenario:
         return SCENARIOS[name]
     except KeyError:
         raise ValueError(
-            f"unknown shard scenario {name!r}; have {sorted(SCENARIOS)}"
+            f"unknown scenario {name!r}; have {scenario_names()}"
         ) from None

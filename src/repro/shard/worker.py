@@ -92,6 +92,12 @@ class ShardPlan:
     duration: float
     shards: int
 
+    def build_params(self) -> Dict[str, Any]:
+        """``params`` as every build of this plan sees them: the run's
+        ``duration`` is the default of ``params["duration"]``, so a
+        workload's send schedule cannot stop short of the run."""
+        return {"duration": self.duration, **self.params}
+
 
 @dataclass(frozen=True)
 class ExportedTx:
@@ -159,10 +165,11 @@ class ShardRuntime:
         self.plan = plan
         self.rank = rank
         scenario = get_scenario(plan.scenario)
-        topology = scenario.topology(plan.params)
+        params = plan.build_params()
+        topology = scenario.topology(params)
         self.owned: List[int] = partition_nodes(topology, plan.shards)[rank]
         self.net: ShardNet = scenario.build(
-            topology, self.owned, plan.params, plan.seed
+            topology, self.owned, params, plan.seed
         )
         self.sim = self.net.sim
         self.channel = self.net.channel
@@ -204,7 +211,7 @@ class ShardRuntime:
                 name="shard.move", priority=-2,
             )
             for t, node, x, y in sorted(
-                scenario.move_schedule(plan.params, topology)
+                scenario.move_schedule(params, topology)
             )
         ]
 

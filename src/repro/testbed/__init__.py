@@ -1,7 +1,7 @@
 """Network assembly: full radio stacks, ideal transports, and the ISI
 testbed of paper Figure 7."""
 
-from repro.testbed.network import IdealNetwork, SensorNetwork
+from repro.testbed.network import IdealNetwork, SensorNetwork, ideal_line
 from repro.testbed.calibration import (
     link_reports,
     summarize,
@@ -12,6 +12,7 @@ from repro.testbed.isi import (
     format_testbed_map,
     ISI_NODE_IDS,
     ISI_TENTH_FLOOR,
+    isi_propagation,
     isi_testbed_topology,
     isi_testbed_network,
     FIG8_SINK,
@@ -24,8 +25,10 @@ from repro.testbed.isi import (
 __all__ = [
     "IdealNetwork",
     "SensorNetwork",
+    "ideal_line",
     "ISI_NODE_IDS",
     "ISI_TENTH_FLOOR",
+    "isi_propagation",
     "isi_testbed_topology",
     "isi_testbed_network",
     "format_testbed_map",

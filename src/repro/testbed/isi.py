@@ -101,6 +101,19 @@ def format_testbed_map(width: int = 66, height: int = 16) -> str:
     return "\n".join(line for line in lines)
 
 
+def isi_propagation(
+    topology: Topology, seed: int, asymmetry: float = 0.10
+) -> DistancePropagation:
+    """The radio calibration that goes with the testbed geometry."""
+    return DistancePropagation(
+        topology,
+        full_range=ISI_FULL_RANGE,
+        max_range=ISI_MAX_RANGE,
+        asymmetry=asymmetry,
+        seed=seed,
+    )
+
+
 def isi_testbed_network(
     seed: int = 1,
     config: Optional[DiffusionConfig] = None,
@@ -109,17 +122,10 @@ def isi_testbed_network(
 ) -> SensorNetwork:
     """A ready-to-run simulation of the ISI testbed."""
     topology = isi_testbed_topology()
-    propagation = DistancePropagation(
-        topology,
-        full_range=ISI_FULL_RANGE,
-        max_range=ISI_MAX_RANGE,
-        asymmetry=asymmetry,
-        seed=seed,
-    )
     return SensorNetwork(
         topology,
         config=config,
         seed=seed,
-        propagation=propagation,
+        propagation=isi_propagation(topology, seed, asymmetry),
         radio_params=radio_params,
     )

@@ -107,6 +107,29 @@ class IdealNetwork:
             transport.deliver_callback(message, src, nbytes)
 
 
+def ideal_line(
+    hops: int,
+    config: Optional[DiffusionConfig] = None,
+    delay: float = 0.01,
+    loss: float = 0.0,
+    seed: int = 1,
+) -> Tuple[
+    Simulator, IdealNetwork, Dict[int, DiffusionNode], Dict[int, DiffusionRouting]
+]:
+    """A lossless/lossy ideal-transport chain for protocol-logic work."""
+    sim = Simulator()
+    net = IdealNetwork(sim, delay=delay, loss=loss, seed=seed)
+    nodes: Dict[int, DiffusionNode] = {}
+    apis: Dict[int, DiffusionRouting] = {}
+    for i in range(hops + 1):
+        transport = net.add_node(i)
+        nodes[i] = DiffusionNode(sim, i, transport, config=config)
+        apis[i] = DiffusionRouting(nodes[i])
+    for i in range(hops):
+        net.connect(i, i + 1)
+    return sim, net, nodes, apis
+
+
 class NodeStack:
     """All layers of one node in a :class:`SensorNetwork`."""
 

@@ -19,6 +19,7 @@ import pytest
 import repro.core.messages as core_messages
 from repro import AttributeVector, Key
 from repro.core import DiffusionConfig
+from repro.faults import FaultEngine, FaultPlan, NodeCrash
 from repro.faults.overlay import FaultOverlayPropagation
 from repro.mac import DutyCycledCsmaMac
 from repro.radio import (
@@ -31,11 +32,7 @@ from repro.radio import (
     TablePropagation,
     Topology,
 )
-from repro.radio.dynamics import (
-    FailureEvent,
-    FailureSchedule,
-    RandomWaypointMobility,
-)
+from repro.radio.dynamics import RandomWaypointMobility
 from repro.shard import ShardPlan, run_oracle
 from repro.sim import SeedSequence, Simulator
 from repro.testbed import SensorNetwork
@@ -139,16 +136,12 @@ def run_scenario(
                 speed=4.0, step=0.5, rng=random.Random(seed * 1013 + node_id),
             )
     if failures:
-        FailureSchedule(
+        FaultEngine(
             net,
-            [
-                FailureEvent(node_id=1, fail_at=duration / 3),
-                FailureEvent(
-                    node_id=2,
-                    fail_at=duration / 4,
-                    recover_at=duration / 2,
-                ),
-            ],
+            FaultPlan((
+                NodeCrash(node=1, at=duration / 3),
+                NodeCrash(node=2, at=duration / 4, recover_at=duration / 2),
+            )),
         )
 
     net.run(until=duration)

@@ -1,4 +1,4 @@
-"""Tests for ASCII charts and canned scenarios."""
+"""Tests for ASCII charts and the ideal-transport chain builder."""
 
 import pytest
 
@@ -6,12 +6,7 @@ from repro.analysis.charts import bar_chart, line_chart
 from repro.core import DiffusionConfig
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
-from repro.testbed.scenarios import (
-    diamond_scenario,
-    grid_scenario,
-    ideal_line,
-    line_scenario,
-)
+from repro.testbed import ideal_line
 
 
 class TestLineChart:
@@ -72,44 +67,6 @@ class TestBarChart:
 
 
 class TestScenarios:
-    def test_line_scenario_roles(self):
-        scenario = line_scenario(hops=3)
-        assert scenario.roles["sink"] == 0
-        assert scenario.roles["source"] == 3
-        assert scenario.api("sink").node_id == 0
-
-    def test_line_scenario_delivers(self):
-        scenario = line_scenario(hops=3, seed=4)
-        received = []
-        sub = AttributeVector.builder().eq(Key.TYPE, "x").build()
-        scenario.api("sink").subscribe(sub, lambda a, m: received.append(a))
-        pub = scenario.api("source").publish(
-            AttributeVector.builder().actual(Key.TYPE, "x").build()
-        )
-        scenario.network.sim.schedule(
-            2.0, scenario.api("source").send, pub,
-            AttributeVector.builder().actual(Key.SEQUENCE, 0).build(),
-        )
-        scenario.network.run(until=10.0)
-        assert len(received) == 1
-
-    def test_grid_scenario_size(self):
-        scenario = grid_scenario(columns=4, rows=3)
-        assert len(scenario.network.node_ids()) == 12
-        assert scenario.roles["source"] == 11
-
-    def test_diamond_scenario_two_paths(self):
-        scenario = diamond_scenario(seed=2)
-        topo = scenario.network.topology
-        # Both relays are within range of sink and source; the direct
-        # sink-source link is out of range.
-        from repro.testbed.isi import ISI_FULL_RANGE
-
-        assert topo.effective_distance(0, 3) > 30.0
-        assert topo.effective_distance(0, 1) < 20.0
-        assert topo.effective_distance(1, 3) < 20.0
-        assert topo.effective_distance(0, 2) < 20.0
-
     def test_ideal_line_builder(self):
         sim, net, nodes, apis = ideal_line(
             2, config=DiffusionConfig(reinforcement_jitter=0.05)

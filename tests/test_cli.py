@@ -13,7 +13,7 @@ class TestCli:
         inventory = out[out.index("subpackages"):]
         for name in ("naming", "core", "dtn", "hierarchy", "shard", "query"):
             assert name in inventory
-        assert "trace shards" in out
+        assert "run --list" in out
 
     def test_experiments_quick_single(self, capsys):
         assert main(["experiments", "--quick", "--only", "micro"]) == 0
@@ -35,6 +35,68 @@ class TestCli:
         assert main(["example", "quickstart"]) == 0
         out = capsys.readouterr().out
         assert "after interest propagation" in out
+
+
+class TestRunCli:
+    def test_list_names_every_scenario_with_its_params(self, capsys):
+        from repro.shard import SCENARIOS
+
+        assert main(["run", "--list"]) == 0
+        out = capsys.readouterr().out
+        for name, scenario in SCENARIOS.items():
+            assert f"\n{name}: " in "\n" + out
+            for key in scenario.defaults:
+                assert f"{key}=" in out
+        assert 'fault="crash"' in out and "duty=0.6" in out
+
+    def test_unknown_param_is_a_usage_error_listing_the_keys(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "mule", "-p", "duty=0.5"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "no param duty" in err
+        assert "custody" in err and "payload_bytes" in err
+
+    def test_bad_plan_file_is_a_usage_error(self, tmp_path, capsys):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"actions": [{"kind": "asteroid"}]}')
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "resilience", "-p", f"plan=@{plan}"])
+        assert exit_info.value.code == 2
+        assert "unknown kind" in capsys.readouterr().err
+
+    def test_refused_subset_build_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "resilience", "--shards", "2"])
+        assert exit_info.value.code == 2
+        assert "subset build" in capsys.readouterr().err
+
+    def test_exit_code_follows_the_invariants(self, tmp_path, capsys):
+        """What `faults run --demo-violation` demonstrated: a zero-entry
+        gradient bound breaks at once and the lead-up is dumped."""
+        flight = tmp_path / "flight.jsonl"
+        rc = main([
+            "run", "resilience", "-p", "monitor_max_entries=0",
+            "-p", f"flight_recorder={flight}", "--duration", "30",
+        ])
+        assert rc == 1
+        out = capsys.readouterr().out
+        assert "INVARIANT VIOLATIONS" in out and "flight recorder:" in out
+        assert len(flight.read_text().splitlines()) > 1
+
+    def test_composition_from_the_command_line(self, capsys):
+        rc = main([
+            "run", "resilience", "-p", "mode=clustered", "--duration", "60",
+        ])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert "invariants: all held" in out and "hierarchy:" in out
+
+    def test_report_of_a_missing_file_is_a_usage_error(self, tmp_path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["report", str(tmp_path / "nope.json")])
+        assert exit_info.value.code == 2
+        assert "cannot read result" in capsys.readouterr().err
 
 
 class TestCampaignCli:

@@ -123,14 +123,6 @@ def small_network():
 
 
 class TestCustodyAgent:
-    def test_disabled_agent_installs_no_filter(self):
-        net = small_network()
-        agent = CustodyAgent(
-            net.node(1), rng=make_rng(3, "dtn:agent:1"),
-            config=DtnConfig(enabled=False),
-        )
-        assert agent.handle is None
-
     def test_retry_schedule_is_seed_deterministic(self):
         delays = []
         for _ in range(2):

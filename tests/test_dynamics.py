@@ -7,11 +7,8 @@ import pytest
 from repro import AttributeVector, Key
 from repro.core import DiffusionConfig
 from repro.radio import DistancePropagation, Topology
-from repro.radio.dynamics import (
-    FailureEvent,
-    FailureSchedule,
-    RandomWaypointMobility,
-)
+from repro.faults import FaultEngine, FaultPlan, NodeCrash
+from repro.radio.dynamics import RandomWaypointMobility
 from repro.sim import Simulator
 from repro.testbed import SensorNetwork
 
@@ -129,7 +126,7 @@ class TestRandomWaypoint:
         assert mob2.rng.random() != bare.random()
 
 
-class TestFailureSchedule:
+class TestScheduledCrash:
     def _network(self):
         # Diamond: 0 - {1, 2} - 3, alternate relays.
         topo = Topology()
@@ -159,7 +156,7 @@ class TestFailureSchedule:
                 2.0 + i, net.api(3).send, pub,
                 AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
             )
-        FailureSchedule(net, [FailureEvent(node_id=1, fail_at=20.0)])
+        FaultEngine(net, FaultPlan((NodeCrash(node=1, at=20.0),)))
         net.run(until=80.0)
         # Deliveries continue well after the failure: exploratory
         # messages re-discover the surviving relay.
@@ -168,20 +165,20 @@ class TestFailureSchedule:
 
     def test_recovery_restores_listening(self):
         net = self._network()
-        schedule = FailureSchedule(
-            net,
-            [FailureEvent(node_id=1, fail_at=5.0, recover_at=15.0)],
+        engine = FaultEngine(
+            net, FaultPlan((NodeCrash(node=1, at=5.0, recover_at=15.0),))
         )
         net.run(until=30.0)
-        assert schedule.failures_applied == 1
-        assert schedule.recoveries_applied == 1
+        phases = [entry["phase"] for entry in engine.timeline]
+        assert phases.count("inject") == 1
+        assert phases.count("heal") == 1
         assert net.stack(1).modem.receive_callback is not None
 
     def test_recovery_before_failure_rejected(self):
         net = self._network()
         with pytest.raises(ValueError):
-            FailureSchedule(
-                net, [FailureEvent(node_id=1, fail_at=10.0, recover_at=5.0)]
+            FaultEngine(
+                net, FaultPlan((NodeCrash(node=1, at=10.0, recover_at=5.0),))
             )
 
     def _run_with_planted_gradient(self, clear_state):
@@ -199,10 +196,13 @@ class TestFailureSchedule:
                 2.0 + i, net.api(3).send, pub,
                 AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
             )
-        FailureSchedule(
+        FaultEngine(
             net,
-            [FailureEvent(node_id=1, fail_at=20.0, recover_at=40.0)],
-            clear_state=clear_state,
+            FaultPlan((
+                NodeCrash(
+                    node=1, at=20.0, recover_at=40.0, clear_state=clear_state
+                ),
+            )),
         )
         sentinel = AttributeVector.builder().eq(Key.TYPE, "sentinel").build()
 

@@ -13,6 +13,7 @@ from repro.faults import (
     clock_skew_run,
     resilience_run,
 )
+from repro.__main__ import main as repro_main
 from repro.faults.cli import main as faults_cli
 
 #: reconvergence bound for all scenario assertions: repair must land
@@ -127,13 +128,13 @@ class TestCli:
 
     def test_run_and_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "result.json"
-        rc = faults_cli([
-            "run", "--fault", "crash", "--seed", "3",
+        rc = repro_main([
+            "run", "resilience", "-p", "fault=crash", "--seed", "3",
             "--duration", "100", "--out", str(out),
         ])
         assert rc == 0
         capsys.readouterr()
-        assert faults_cli(["report", str(out)]) == 0
+        assert repro_main(["report", str(out)]) == 0
         rendered = capsys.readouterr().out
         assert "node-crash" in rendered
         assert "invariants: all held" in rendered
@@ -142,8 +143,9 @@ class TestCli:
         plan = FaultPlan.from_json(builtin_plan("link-flap").to_json())
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(plan.to_json()))
-        rc = faults_cli([
-            "run", "--plan", str(plan_file), "--seed", "3", "--duration", "100",
+        rc = repro_main([
+            "run", "resilience", "-p", f"plan=@{plan_file}",
+            "--seed", "3", "--duration", "100",
         ])
         assert rc == 0
         assert "fault=custom" in capsys.readouterr().out

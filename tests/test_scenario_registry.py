@@ -1,0 +1,287 @@
+"""The scenario registry as a whole: every preset replays, every front
+door is its plan, options compose across presets, and a subset build is
+either exact or refused."""
+
+import json
+import os
+import subprocess
+import sys
+
+import pytest
+
+from repro.dtn.scenario import dtn_run, mule_run
+from repro.faults import FaultPlan, NodeCrash, resilience_run
+from repro.shard import (
+    ShardPlan,
+    ShardRuntime,
+    build_whole,
+    get_scenario,
+    run_oracle,
+    run_sharded,
+    scenario_names,
+)
+from repro.shard.scenario import PAIR_LAYOUTS
+
+#: name -> (params, seconds): every scenario at a size tier-1 can afford.
+SMALL = {
+    "flood": ({"columns": 6, "rows": 3}, 3.0),
+    "mobility": (
+        {"columns": 6, "rows": 3, "move_start": 1.0, "move_interval": 0.5},
+        4.0,
+    ),
+    "diffusion": ({"columns": 6, "rows": 4}, 8.0),
+    "regional": ({"columns": 8, "rows": 8, "region": 4}, 4.0),
+    "hierarchy": (
+        {"columns": 8, "rows": 8, "region": 4, "mode": "clustered"}, 6.0
+    ),
+    "line": ({"nodes": 4, "send_interval": 2.0}, 20.0),
+    "isi": ({"sources": 2}, 20.0),
+    "resilience": ({"fault": "link-flap"}, 70.0),
+    "dtn": ({"duty": 0.5}, 110.0),
+    "mule": ({}, 100.0),
+}
+
+
+def small_plan(name, shards=1, **extra):
+    params, seconds = SMALL[name]
+    return ShardPlan(name, {**params, **extra}, 5, seconds, shards)
+
+
+def test_every_scenario_has_a_small_plan():
+    assert sorted(SMALL) == scenario_names()
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_oracle_replays_and_is_json_safe(name):
+    plan = small_plan(name)
+    first = run_oracle(plan)
+    assert run_oracle(plan) == first
+    assert json.loads(json.dumps(first)) == first
+
+
+class TestFrontDoors:
+    """A front door makes the plan its docstring names and runs it."""
+
+    def test_resilience_run(self):
+        door = resilience_run(
+            fault="link-flap", seed=3, exploratory_interval=5.0,
+            duration=80.0, data_period=0.5,
+        )
+        params = {
+            "fault": "link-flap", "exploratory_interval": 5.0,
+            "send_interval": 0.5,
+        }
+        assert door == run_oracle(ShardPlan("resilience", params, 3, 80.0, 1))
+
+    def test_dtn_run(self):
+        door = dtn_run(
+            seed=2, duty=0.3, duration=120.0, custody=False, mode="clustered"
+        )
+        params = {"duty": 0.3, "custody": False, "mode": "clustered"}
+        assert door == run_oracle(ShardPlan("dtn", params, 2, 120.0, 1))
+        assert door["hierarchy"]["heads"] > 0
+
+    def test_dtn_run_flat_arms_no_mode(self):
+        door = dtn_run(seed=2, duty=0.3, duration=120.0, custody=False)
+        assert door["mode"] == "flat"
+        assert "hierarchy" not in door
+        params = {"duty": 0.3, "custody": False}
+        assert door == run_oracle(ShardPlan("dtn", params, 2, 120.0, 1))
+
+    def test_mule_run(self):
+        door = mule_run(seed=2, custody=False, duration=100.0)
+        assert door == run_oracle(
+            ShardPlan("mule", {"custody": False}, 2, 100.0, 1)
+        )
+
+
+class TestSubsetBuilds:
+    """Over 2 shards a preset either equals its oracle or is refused."""
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_sharded_equals_oracle_or_guard_fires(self, name):
+        plan = small_plan(name, shards=2)
+        scenario = get_scenario(name)
+        p = scenario.resolve(plan.params)
+        if p.get("loss_mode", "hashed") == "hashed" and not p.get("monitors"):
+            assert run_sharded(plan)["outcome"] == run_oracle(plan)
+        else:
+            with pytest.raises(ValueError, match="subset build"):
+                ShardRuntime(plan, 0)
+
+    def test_hashed_line_shards(self):
+        plan = small_plan("line", shards=2, loss_mode="hashed")
+        oracle = run_oracle(plan)
+        assert oracle["app_delivered"] > 0
+        assert run_sharded(plan)["outcome"] == oracle
+
+    def test_guard_names_stream_loss(self):
+        with pytest.raises(ValueError, match="line.*loss_mode='hashed'"):
+            ShardRuntime(small_plan("line", shards=2), 0)
+
+    @pytest.mark.parametrize("name,extra", [
+        ("resilience", {"loss_mode": "hashed"}),
+        ("regional", {"monitors": True}),
+        ("diffusion", {"fault": "crash"}),
+    ])
+    def test_guard_names_the_fault_harness(self, name, extra):
+        with pytest.raises(ValueError, match=f"{name}.*fault harness"):
+            ShardRuntime(small_plan(name, shards=2, **extra), 0)
+
+    def test_whole_build_takes_what_a_subset_cannot(self):
+        outcome = run_oracle(small_plan("diffusion", fault="crash"))
+        assert outcome["timeline"] == []  # the crash is due at t=40
+        assert "invariants_ok" not in outcome  # monitors were not named
+
+
+class TestComposition:
+    """The cases no hand-written runner could express."""
+
+    @pytest.mark.parametrize("fault", ["crash", "partition"])
+    @pytest.mark.parametrize("mode", ["flat", "clustered"])
+    def test_resilience_under_a_propagation_mode(self, mode, fault):
+        plan = ShardPlan(
+            "resilience", {"fault": fault, "mode": mode}, 7, 110.0, 1
+        )
+        outcome = run_oracle(plan)
+        assert outcome["invariants_ok"], outcome["violations"][:3]
+        assert outcome["report"]["faults"][0]["inject_at"] == 40.0
+        assert outcome["report"]["messages_delivered"] > 0
+        assert (outcome["hierarchy"]["heads"] > 0) == (mode == "clustered")
+        assert run_oracle(plan) == outcome
+
+    @pytest.mark.parametrize("mode", ["flat", "rendezvous"])
+    def test_regional_monitored(self, mode):
+        params = {
+            "columns": 8, "rows": 8, "region": 4, "monitors": True,
+            "mode": mode, "hierarchy": {"regions": 3},
+        }
+        plan = ShardPlan("regional", params, 5, 12.0, 1)
+        outcome = run_oracle(plan)
+        assert outcome["invariants_ok"], outcome["violations"][:3]
+        assert outcome["timeline"] == []
+        assert outcome["app_delivered"] > 0
+        assert (
+            outcome["hierarchy"]["suppressed_interests"] > 0
+        ) == (mode == "rendezvous")
+        assert run_oracle(plan) == outcome
+
+    def test_monitors_off_reports_only_the_timeline(self):
+        outcome = run_oracle(ShardPlan(
+            "resilience", {"monitors": False}, 7, 60.0, 1
+        ))
+        assert [e["phase"] for e in outcome["timeline"]] == ["inject"]
+        assert "invariants_ok" not in outcome
+
+    def test_flight_recorder_needs_monitors(self, tmp_path):
+        params = {"monitors": False, "flight_recorder": str(tmp_path / "f")}
+        with pytest.raises(ValueError, match="monitors"):
+            build_whole(ShardPlan("resilience", params, 7, 60.0, 1))
+
+
+class TestBuildOrderIsEventOrder:
+    """FaultEngine schedules at construction, so the template's build
+    order is the event order at equal times: a crash at t=40.0 ties
+    with the stream's send at 5.0 + 35 x 1.0.  Values are PR 18's."""
+
+    def test_source_crash_wins_its_tie_with_the_send(self):
+        # Harness before workload: the source dies before its 36th
+        # send.  Built the other way round the send goes out first and
+        # the run differs (48 delivered, repair after 10.3 s).
+        plan = FaultPlan((NodeCrash(node=11, at=40.0, recover_at=70.0),))
+        report = resilience_run(plan=plan, seed=7, duration=120.0)["report"]
+        assert report["messages_delivered"] == 53
+        assert report["faults"][0]["time_to_repair"] == 2.3861130543184714
+
+    def test_resilience_report_is_pinned(self):
+        report = resilience_run(fault="crash", seed=7, duration=120.0)["report"]
+        assert report == {
+            "faults": [{
+                "index": 0,
+                "kind": "node-crash",
+                "inject_at": 40.0,
+                "heal_at": 70.0,
+                "delivery_during": 0.5666666666666667,
+                "delivery_after": 0.8541666666666666,
+                "time_to_repair": 1.2102234820290363,
+                "repair_intervals": 0.15127793525362954,
+            }],
+            "overall_delivery": 0.7610619469026548,
+            "messages_originated": 113,
+            "messages_delivered": 86,
+            "exploratory_interval": 8.0,
+        }
+
+    def test_dtn_delivery_is_pinned(self):
+        armed = dtn_run(seed=2, duty=0.6, duration=200.0)
+        assert (armed["delivered"], armed["offered"]) == (18, 32)
+        assert sum(armed["attribution"].values()) == 14
+        assert armed["attribution"]["custody.held-at-end"] == 1
+
+    def test_dtn_attribution_is_pinned(self):
+        # Which layer a lost block is charged to follows set order in
+        # the custody arm (ROADMAP item 5), so pin it where the ledger
+        # does: under PYTHONHASHSEED=0, in a process of its own.
+        code = (
+            "import json; from repro.dtn.scenario import dtn_run; "
+            "print(json.dumps(dtn_run(seed=2, duty=0.6, duration=200.0)"
+            "['attribution']))"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="0")
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, check=True,
+            capture_output=True, text=True,
+        )
+        assert json.loads(done.stdout) == {
+            "custody.held-at-end": 1, "no-route": 8, "reassembly-failure": 5,
+        }
+
+
+class TestRegionalDefaults:
+    def test_empty_params_build_the_grid_the_pairs_assume(self):
+        """At PR 18 ``params={}`` built a 10x5 grid and placed the pairs
+        for 32x32: zero traffic, no error."""
+        scenario = get_scenario("regional")
+        net = build_whole(ShardPlan("regional", {}, 1, 3.0, 1))
+        assert len(net.macs) == 1024
+        pairs = PAIR_LAYOUTS["regions"](scenario.defaults, net.topology)
+        assert len(pairs) == 16
+        assert all(
+            net.topology.has_node(src) and net.topology.has_node(dst)
+            for src, dst, _tag in pairs
+        )
+        sends = [
+            event for event in net.sim.pending_events()
+            if getattr(event.callback, "__name__", "") == "send"
+        ]
+        assert len(sends) == 16 * 2  # t=2.0 and 2.5 of a 3 s run
+
+
+class TestPlanDurationIsTheDefault:
+    """At PR 18 a plan whose params lacked ``duration`` stopped sending
+    at t=30 whatever ``plan.duration`` said (86 deliveries for 190)."""
+
+    GRID = {"columns": 6, "rows": 4}
+
+    @pytest.mark.parametrize("shards", [1, 2])
+    def test_sends_run_to_the_plans_horizon(self, shards):
+        bare = ShardPlan("diffusion", dict(self.GRID), 11, 60.0, shards)
+        named = ShardPlan(
+            "diffusion", dict(self.GRID, duration=60.0), 11, 60.0, shards
+        )
+
+        def run(plan):
+            return (
+                run_sharded(plan)["outcome"] if shards > 1 else run_oracle(plan)
+            )
+
+        outcome = run(bare)
+        assert outcome == run(named)
+        assert outcome["app_delivered"] == 190
+        assert max(outcome["delivery_times"]) > 55.0
+
+    def test_explicit_param_still_wins(self):
+        short = ShardPlan(
+            "diffusion", dict(self.GRID, duration=30.0), 11, 60.0, 1
+        )
+        assert run_oracle(short)["app_delivered"] == 86

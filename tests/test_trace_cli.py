@@ -1,9 +1,12 @@
-"""End-to-end tests for ``python -m repro trace`` (repro.analysis.tracecli)."""
+"""End-to-end tests for ``python -m repro run --trace`` (the recorder,
+repro.shard.cli) and ``python -m repro trace`` (the analysis,
+repro.analysis.tracecli)."""
 
 import json
 
 import pytest
 
+from repro.__main__ import main as repro_main
 from repro.analysis import tracecli
 from repro.analysis.tracelog import load_trace
 
@@ -12,10 +15,9 @@ from repro.analysis.tracelog import load_trace
 def recorded(tmp_path_factory):
     """One tiny recorded line run shared by the read-only subcommands."""
     out = tmp_path_factory.mktemp("trace") / "run.jsonl"
-    rc = tracecli.main([
-        "record", "--out", str(out), "--scenario", "line",
-        "--nodes", "3", "--duration", "25", "--interval", "4",
-        "--seed", "7",
+    rc = repro_main([
+        "run", "line", "--trace", str(out), "-p", "nodes=3",
+        "--duration", "25", "-p", "send_interval=4", "--seed", "7",
     ])
     assert rc == 0
     return out
@@ -39,8 +41,8 @@ class TestRecord:
 
     def test_record_prints_summary_line(self, tmp_path, capsys):
         out = tmp_path / "t.jsonl"
-        tracecli.main([
-            "record", "--out", str(out), "--nodes", "2",
+        repro_main([
+            "run", "line", "--trace", str(out), "-p", "nodes=2",
             "--duration", "10", "--seed", "3",
         ])
         stdout = capsys.readouterr().out
@@ -109,21 +111,21 @@ class TestProfile:
 
 class TestDispatch:
     def test_module_entrypoint_routes_trace(self, tmp_path, capsys):
-        from repro.__main__ import main as repro_main
-
         out = tmp_path / "m.jsonl"
         rc = repro_main([
-            "trace", "record", "--out", str(out),
-            "--nodes", "2", "--duration", "8", "--seed", "5",
+            "run", "line", "--trace", str(out),
+            "-p", "nodes=2", "--duration", "8", "--seed", "5",
         ])
         assert rc == 0
         assert out.exists()
+        assert repro_main(["trace", "summarize", str(out)]) == 0
+        assert "records:" in capsys.readouterr().out
 
     def test_isi_scenario_records(self, tmp_path):
         out = tmp_path / "isi.jsonl"
-        rc = tracecli.main([
-            "record", "--out", str(out), "--scenario", "isi",
-            "--sources", "1", "--duration", "20", "--seed", "2",
+        rc = repro_main([
+            "run", "isi", "--trace", str(out),
+            "-p", "sources=1", "--duration", "20", "--seed", "2",
         ])
         assert rc == 0
         records = load_trace(out)
@@ -134,18 +136,18 @@ class TestShards:
     @pytest.fixture(scope="class")
     def shards_out(self, tmp_path_factory):
         out = tmp_path_factory.mktemp("shards") / "shards.jsonl"
-        rc = tracecli.main([
-            "shards", "--scenario", "flood", "--shards", "2",
-            "--columns", "8", "--rows", "4", "--duration", "5",
-            "--seed", "11", "--out", str(out),
+        rc = repro_main([
+            "run", "flood", "--shards", "2",
+            "-p", "columns=8", "-p", "rows=4", "--duration", "5",
+            "--seed", "11", "--trace", str(out),
         ])
         assert rc == 0
         return out
 
     def test_report_attributes_all_windows(self, shards_out, capsys):
-        rc = tracecli.main([
-            "shards", "--scenario", "flood", "--shards", "2",
-            "--columns", "8", "--rows", "4", "--duration", "5",
+        rc = repro_main([
+            "run", "flood", "--shards", "2",
+            "-p", "columns=8", "-p", "rows=4", "--duration", "5",
             "--seed", "11",
         ])
         stdout = capsys.readouterr().out
@@ -172,8 +174,8 @@ class TestShards:
         )
 
     def test_summarize_reads_sharded_output(self, shards_out, capsys):
-        """`trace summarize` on a sharded run's JSONL — the previously
-        untested path: merged shard metrics render as counters."""
+        """`trace summarize` on a `run --shards 2 --trace` JSONL: merged
+        shard metrics render as counters."""
         assert tracecli.main(["summarize", str(shards_out)]) == 0
         stdout = capsys.readouterr().out
         assert "shard.stats" in stdout

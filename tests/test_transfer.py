@@ -4,7 +4,7 @@
 import pytest
 
 from repro.core import DiffusionConfig
-from repro.testbed.scenarios import ideal_line
+from repro.testbed import ideal_line
 from repro.transfer import (
     BLOCK_PAYLOAD_BYTES,
     BlockReceiver,
