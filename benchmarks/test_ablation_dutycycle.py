@@ -7,33 +7,41 @@ power-aware MAC approaches"); this bench runs the measurement its
 analysis predicts: the same surveillance workload over always-on CSMA
 vs duty-cycled CSMA, reporting delivery and total radio energy.
 
-The workload lives in :mod:`repro.campaign.builtin`
-(``dutycycle_trial``) and runs here through the campaign subsystem,
-the same path ``python -m repro campaign run ablation-dutycycle``
-takes.
+The workload is the ``line`` preset with ``duty_cycle`` named (a
+5-node chain, one event every 6 s) and runs here through the campaign
+subsystem, the same path ``python -m repro campaign run
+ablation-dutycycle`` takes.
 """
 
 import pytest
 
 from repro.campaign import run_campaign
-from repro.campaign.builtin import dutycycle_campaign, dutycycle_trial
+from repro.campaign.builtin import dutycycle_campaign, plan_trial
+from repro.shard.scenario import get_scenario, stream_sends
 
 pytestmark = pytest.mark.slow
 
-DURATION = 600.0
-
 
 def run_workload(duty_cycle: float, seed: int = 5):
-    return dutycycle_trial(
-        {"duty_cycle": duty_cycle, "duration": DURATION}, seed=seed
-    )
+    fixed = dutycycle_campaign().fixed
+    return plan_trial({**fixed, "duty_cycle": duty_cycle}, seed=seed)
 
 
 @pytest.fixture(scope="module")
 def sweep():
-    report = run_campaign(dutycycle_campaign())
+    """One row per duty cycle, 1.0 first: energy and delivery ratio."""
+    campaign = dutycycle_campaign()
+    report = run_campaign(campaign)
     assert report.ok
-    return [outcome.result for outcome in report.outcomes]
+    sends = stream_sends(get_scenario("line").resolve(campaign.fixed))
+    return [
+        {
+            "duty_cycle": outcome.spec.params["duty_cycle"],
+            "delivery": outcome.result["app_delivered"] / sends,
+            "energy": outcome.result["energy"]["total"],
+        }
+        for outcome in report.outcomes
+    ]
 
 
 def test_duty_cycle_sweep(benchmark, sweep):

@@ -13,60 +13,58 @@ Shape assertions encode the paper's claims:
 
 import pytest
 
-from repro.experiments.fig8_aggregation import (
-    format_table,
-    run_fig8,
-    savings_at,
-)
+from repro.campaign import get_campaign, pivot, report_table, run_campaign
+from repro.campaign.builtin import fig8_pivot
+from repro.experiments.runner import savings_at
+from repro.shard import ShardPlan, run_oracle
 
 pytestmark = pytest.mark.slow
 
-TRIALS = 5
 DURATION = 1800.0
 
 
 @pytest.fixture(scope="module")
-def fig8_points():
-    return run_fig8(trials=TRIALS, duration=DURATION)
+def fig8_report():
+    """The ``fig8`` campaign: 5 seeds x 1800 s per point."""
+    report = run_campaign(get_campaign("fig8"))
+    assert report.ok
+    return report
 
 
-def test_fig8_full_sweep(benchmark, fig8_points):
+@pytest.fixture(scope="module")
+def fig8_points(fig8_report):
+    """``{sources: {suppression: bytes/event}}``."""
+    return fig8_pivot(fig8_report.outcomes)
+
+
+def test_fig8_full_sweep(benchmark, fig8_report, fig8_points):
     """Record the sweep cost and print the paper-style table."""
 
     def one_point():
         # One representative point re-run for timing purposes.
-        from repro.experiments.fig8_aggregation import run_fig8_trial
-
-        return run_fig8_trial(4, True, seed=999, duration=DURATION)
+        return run_oracle(ShardPlan("fig8", {"sources": 4}, 999, DURATION, 1))
 
     benchmark.pedantic(one_point, rounds=1, iterations=1)
     print()
-    print(format_table(fig8_points))
+    print(report_table("fig8", fig8_report))
     print(f"savings at 4 sources: {savings_at(fig8_points, 4):.0%} (paper: 42%)")
 
     # Shape claims (also checked individually by the non-benchmark
     # tests below, which --benchmark-only skips).
-    supp_means = [p.bytes_per_event.mean for p in fig8_points if p.suppression]
+    supp_means = [cells[True].mean for cells in fig8_points.values()]
     assert max(supp_means) / min(supp_means) < 1.8, "suppression curve not flat"
-    nosupp = {p.sources: p.bytes_per_event.mean
-              for p in fig8_points if not p.suppression}
+    nosupp = {n: cells[False].mean for n, cells in fig8_points.items()}
     assert nosupp[4] > nosupp[1] * 1.2, "unsuppressed curve did not grow"
     assert 0.25 <= savings_at(fig8_points, 4) <= 0.70
 
 
 def test_suppression_curve_roughly_flat(fig8_points):
-    means = [
-        p.bytes_per_event.mean for p in fig8_points if p.suppression
-    ]
+    means = [cells[True].mean for cells in fig8_points.values()]
     assert max(means) / min(means) < 1.8
 
 
 def test_unsuppressed_curve_grows(fig8_points):
-    by_sources = {
-        p.sources: p.bytes_per_event.mean
-        for p in fig8_points
-        if not p.suppression
-    }
+    by_sources = {n: cells[False].mean for n, cells in fig8_points.items()}
     assert by_sources[4] > by_sources[1] * 1.2
 
 
@@ -80,19 +78,17 @@ def test_savings_at_four_sources(fig8_points):
 def test_one_source_curves_agree(fig8_points):
     """With one source there is nothing to suppress: both curves start
     from (nearly) the same point, as in the paper."""
-    with_supp = next(
-        p for p in fig8_points if p.suppression and p.sources == 1
-    )
-    without = next(
-        p for p in fig8_points if not p.suppression and p.sources == 1
-    )
-    ratio = with_supp.bytes_per_event.mean / without.bytes_per_event.mean
+    ratio = fig8_points[1][True].mean / fig8_points[1][False].mean
     assert 0.8 <= ratio <= 1.2
 
 
-def test_delivery_rates_in_paper_band(fig8_points):
+def test_delivery_rates_in_paper_band(fig8_report):
     """Paper: 'Only 55-80% of events generated in the experiment were
     delivered to the sink.'  Allow a wider band, but delivery must be
     partial (congested, best-effort) rather than perfect or collapsed."""
-    for p in fig8_points:
-        assert 0.25 <= p.delivery_ratio.mean <= 0.99
+    delivery = pivot(
+        fig8_report.outcomes, "delivery_ratio", row="sources", col="suppression"
+    )
+    for cells in delivery.values():
+        for ci in cells.values():
+            assert 0.25 <= ci.mean <= 0.99

@@ -12,33 +12,38 @@ point, 95% CIs.  Shape assertions encode the paper's claims:
 
 import pytest
 
-from repro.experiments.fig9_nested import (
-    format_table,
-    loss_reduction_at,
-    run_fig9,
-)
+from repro.campaign import get_campaign, report_table, run_campaign
+from repro.campaign.builtin import fig9_pivot
+from repro.experiments.runner import loss_reduction_at
+from repro.shard import ShardPlan, run_oracle
 
 pytestmark = pytest.mark.slow
 
-TRIALS = 3
 DURATION = 1200.0
 LIGHT_COUNTS = (1, 2, 3, 4)
 
 
 @pytest.fixture(scope="module")
-def fig9_points():
-    return run_fig9(light_counts=LIGHT_COUNTS, trials=TRIALS, duration=DURATION)
+def fig9_report():
+    """The ``fig9`` campaign: 3 seeds x 1200 s per point."""
+    report = run_campaign(get_campaign("fig9"))
+    assert report.ok
+    return report
 
 
-def test_fig9_full_sweep(benchmark, fig9_points):
+@pytest.fixture(scope="module")
+def fig9_points(fig9_report):
+    """``{num_lights: {nested: % delivered}}``."""
+    return fig9_pivot(fig9_report.outcomes)
+
+
+def test_fig9_full_sweep(benchmark, fig9_report, fig9_points):
     def one_point():
-        from repro.experiments.fig9_nested import run_fig9_trial
-
-        return run_fig9_trial(4, True, seed=999, duration=DURATION)
+        return run_oracle(ShardPlan("fig9", {"num_lights": 4}, 999, DURATION, 1))
 
     benchmark.pedantic(one_point, rounds=1, iterations=1)
     print()
-    print(format_table(fig9_points))
+    print(report_table("fig9", fig9_report))
     for n in LIGHT_COUNTS:
         print(
             f"loss reduction from nesting at {n} sensor(s): "
@@ -48,32 +53,19 @@ def test_fig9_full_sweep(benchmark, fig9_points):
     # Shape claims (duplicated from the granular tests, which
     # --benchmark-only skips).
     for n in LIGHT_COUNTS:
-        nested = next(p for p in fig9_points if p.nested and p.num_lights == n)
-        flat = next(p for p in fig9_points if not p.nested and p.num_lights == n)
-        assert nested.delivery_percentage.mean >= flat.delivery_percentage.mean
+        assert fig9_points[n][True].mean >= fig9_points[n][False].mean
     reductions = [loss_reduction_at(fig9_points, n) for n in LIGHT_COUNTS]
     assert any(10.0 <= r <= 45.0 for r in reductions)
 
 
 def test_nested_beats_flat_everywhere(fig9_points):
     for n in LIGHT_COUNTS:
-        nested = next(
-            p for p in fig9_points if p.nested and p.num_lights == n
-        )
-        flat = next(
-            p for p in fig9_points if not p.nested and p.num_lights == n
-        )
-        assert nested.delivery_percentage.mean >= flat.delivery_percentage.mean
+        assert fig9_points[n][True].mean >= fig9_points[n][False].mean
 
 
 def test_delivery_degrades_with_sensor_count(fig9_points):
     for nested in (True, False):
-        by_count = {
-            p.num_lights: p.delivery_percentage.mean
-            for p in fig9_points
-            if p.nested == nested
-        }
-        assert by_count[4] < by_count[1]
+        assert fig9_points[4][nested].mean < fig9_points[1][nested].mean
 
 
 def test_loss_reduction_in_paper_band_somewhere(fig9_points):
@@ -81,18 +73,17 @@ def test_loss_reduction_in_paper_band_somewhere(fig9_points):
     assert any(10.0 <= r <= 45.0 for r in reductions)
 
 
-def test_nested_latency_not_worse(fig9_points):
+def test_nested_latency_not_worse(fig9_report):
     """Section 5.2: 'A nested query localizes data traffic near the
     triggering event ... reduction in latency can be substantial.'
     Compare mean change->audio latency across all points."""
 
     def mean_latency(nested):
         values = [
-            r.mean_latency
-            for p in fig9_points
-            if p.nested == nested
-            for r in p.trials
-            if r.mean_latency is not None
+            o.result["mean_latency"]
+            for o in fig9_report.outcomes
+            if o.spec.params["nested"] == nested
+            and o.result["mean_latency"] is not None
         ]
         return sum(values) / len(values)
 
@@ -105,9 +96,7 @@ def test_nested_latency_not_worse(fig9_points):
 
 def test_absolute_delivery_sane(fig9_points):
     """Best-effort multi-hop delivery: partial, not zero, not perfect."""
-    for p in fig9_points:
-        assert 0.0 <= p.delivery_percentage.mean <= 100.0
-    nested_one = next(
-        p for p in fig9_points if p.nested and p.num_lights == 1
-    )
-    assert nested_one.delivery_percentage.mean > 40.0
+    for cells in fig9_points.values():
+        for ci in cells.values():
+            assert 0.0 <= ci.mean <= 100.0
+    assert fig9_points[1][True].mean > 40.0

@@ -45,16 +45,20 @@ def test_model_brackets_experiment_shape(model):
     relative to experiment because collisions 'drive bytes-per-event to
     the middle'.  Verify the same relationship against our simulated
     testbed at a reduced scale."""
-    from repro.experiments.fig8_aggregation import run_fig8_trial
+    from repro.shard import ShardPlan, run_oracle
 
-    measured_agg = run_fig8_trial(4, True, seed=5, duration=900.0)
-    measured_noagg = run_fig8_trial(4, False, seed=5, duration=900.0)
+    measured_agg, measured_noagg = (
+        run_oracle(ShardPlan(
+            "fig8", {"sources": 4, "suppression": suppression}, 5, 900.0, 1
+        ))["bytes_per_event"]
+        for suppression in (True, False)
+    )
     predicted_agg = model.bytes_per_event(4, True)
     predicted_noagg = model.bytes_per_event(4, False)
     # Model underpredicts the aggregated case...
-    assert measured_agg.bytes_per_event > predicted_agg * 0.8
+    assert measured_agg > predicted_agg * 0.8
     # ...and overpredicts the unaggregated one.
-    assert measured_noagg.bytes_per_event < predicted_noagg * 1.2
+    assert measured_noagg < predicted_noagg * 1.2
     # And the ordering matches in both worlds.
     assert predicted_agg < predicted_noagg
-    assert measured_agg.bytes_per_event < measured_noagg.bytes_per_event
+    assert measured_agg < measured_noagg

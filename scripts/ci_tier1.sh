@@ -1,11 +1,13 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the fast test suite (every pass/fail check lives
 # there), the perf harness's own tests, and the only out-of-process CLI
-# drives: a single-process campaign smoke run (the CLI, the worker
-# pool's serial path, the content-addressed store, and cache-hit resume
-# end to end), a `repro run --trace` / `trace summarize|paths` smoke
-# over the run and observability CLIs, and the flight-recorder
-# postmortem of a `repro run` whose invariant is made to break.
+# drives: a single-process campaign smoke run of a plan grid (the CLI,
+# `plan_trial` over the scenario registry, the worker pool's serial
+# path, the content-addressed store, and cache-hit resume end to end)
+# with `repro report` over one of its store entries, a `repro run
+# --trace` / `trace summarize|paths` smoke over the run and
+# observability CLIs, and the flight-recorder postmortem of a `repro
+# run` whose invariant is made to break.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -21,13 +23,18 @@ python -m pytest perf -q
 
 store="$(mktemp -d)"
 trap 'rm -rf "$store"' EXIT
-python -m repro campaign run scale-aggregation --quick --jobs 1 --store "$store"
+python -m repro campaign run resilience --quick --jobs 1 --store "$store/campaign"
 # An immediate re-run must be served entirely from cache.
 # Buffer the output: grep -q would close the pipe mid-print and kill
 # the CLI with SIGPIPE under pipefail.
-rerun="$(python -m repro campaign run scale-aggregation --quick --jobs 1 --store "$store")"
-grep -q "cached=2" <<<"$rerun" \
+rerun="$(python -m repro campaign run resilience --quick --jobs 1 --store "$store/campaign")"
+grep -q "cached=6" <<<"$rerun" \
     || { echo "campaign cache miss on re-run" >&2; exit 1; }
+# A stored trial is the plan's whole outcome: it renders like `run --out`.
+entry="$(find "$store/campaign" -name '*.json' | sort | head -n 1)"
+rendered="$(python -m repro report "$entry")"
+grep -q "invariants: all held" <<<"$rendered" \
+    || { echo "repro report did not render a store entry" >&2; exit 1; }
 
 # Observability smoke: record a tiny traced run, then summarize it.
 trace="$store/smoke-trace.jsonl"

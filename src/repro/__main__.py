@@ -3,9 +3,9 @@
 Usage::
 
     python -m repro experiments [--quick] [--only fig8] [--jobs 4]
-    python -m repro campaign run scale-aggregation --jobs 4
+    python -m repro campaign run fig9 --jobs 4
     python -m repro run --list
-    python -m repro run isi --trace run.jsonl
+    python -m repro run fig8 -p sources=2 --trace run.jsonl
     python -m repro run resilience -p fault=partition --out part.json
     python -m repro run dtn -p duty=0.6 -p mode=clustered
     python -m repro run flood --shards 2
@@ -58,13 +58,24 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command")
 
     exp = sub.add_parser("experiments", help="regenerate the paper's figures")
-    exp.add_argument("--quick", action="store_true")
+    exp.add_argument(
+        "--quick", action="store_true",
+        help="reduced trials and durations (~20x faster, noisier CIs)",
+    )
     exp.add_argument(
         "--only",
         action="append",
         choices=["fig8", "fig9", "fig11", "duty", "model", "micro"],
+        help="run a single section (repeatable)",
     )
-    exp.add_argument("--jobs", type=int, default=1)
+    exp.add_argument(
+        "--jobs", type=int, default=1,
+        help="worker processes for the fig8 / fig9 campaign trials",
+    )
+    exp.add_argument(
+        "--output", metavar="FILE",
+        help="also write the report to this file (fenced for markdown)",
+    )
 
     camp = sub.add_parser(
         "campaign",
@@ -114,16 +125,9 @@ def main(argv=None) -> int:
 
     args = parser.parse_args(argv)
     if args.command == "experiments":
-        from repro.experiments.runner import main as runner_main
+        from repro.experiments.runner import run_experiments
 
-        runner_args = []
-        if args.quick:
-            runner_args.append("--quick")
-        for only in args.only or ():
-            runner_args.extend(["--only", only])
-        if args.jobs != 1:
-            runner_args.extend(["--jobs", str(args.jobs)])
-        return runner_main(runner_args)
+        return run_experiments(args.quick, args.only, args.jobs, args.output)
     if args.command == "campaign":
         from repro.campaign.cli import main as campaign_main
 

@@ -281,6 +281,10 @@ class NestedQueryExperiment:
 
     def run(self, duration: float) -> NestedQueryResult:
         self.network.run(until=duration)
+        return self.result(duration)
+
+    def result(self, duration: float) -> NestedQueryResult:
+        """What a run of ``duration`` seconds has measured so far."""
         return NestedQueryResult(
             nested=self.nested,
             num_lights=len(self.light_ids),

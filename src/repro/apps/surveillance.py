@@ -120,6 +120,10 @@ class SurveillanceExperiment:
 
     def run(self, duration: float) -> SurveillanceResult:
         self.network.run(until=duration)
+        return self.result(duration)
+
+    def result(self, duration: float) -> SurveillanceResult:
+        """What a run of ``duration`` seconds has measured so far."""
         # Sequence numbers are synchronized, so the distinct events
         # generated equal what any single source emitted.
         generated = max((s.events_generated for s in self.sources), default=0)

@@ -9,7 +9,7 @@ tables in the same shape as EXPERIMENTS.md.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis import ConfidenceInterval, mean_ci
 
@@ -20,6 +20,17 @@ def _getter(value: ValueGetter) -> Callable[[Any], float]:
     if callable(value):
         return value
     return lambda result: float(result[value])
+
+
+def value_order(values: Iterable[Any]) -> Callable[[Any], Any]:
+    """A sort key for ``values``: the value itself where they all
+    compare (5.0 before 10.0), its text where they do not (``None``
+    beside a mode name)."""
+    try:
+        sorted(values)
+    except TypeError:
+        return repr
+    return lambda value: value
 
 
 @dataclass(frozen=True)
@@ -51,7 +62,12 @@ def aggregate(
         AggregateRow(params=dict(zip(by, group)), ci=mean_ci(values))
         for group, values in groups.items()
     ]
-    rows.sort(key=lambda row: tuple(repr(row.params[name]) for name in by))
+    orders = [value_order({row.params[name] for row in rows}) for name in by]
+    rows.sort(
+        key=lambda row: tuple(
+            order(row.params[name]) for order, name in zip(orders, by)
+        )
+    )
     return rows
 
 
@@ -94,18 +110,26 @@ def format_pivot(
     table: Dict[Any, Dict[Any, ConfidenceInterval]],
     row_label: str,
     title: Optional[str] = None,
+    columns: Optional[Mapping[Any, str]] = None,
 ) -> str:
-    """Fixed-width rendering of a :func:`pivot` table."""
+    """Fixed-width rendering of a :func:`pivot` table.  ``columns``
+    maps column values to the headings to print, in the order to print
+    them (the paper's ``with suppression`` before ``without``)."""
     lines: List[str] = []
     if title:
         lines.append(title)
     if not table:
         lines.append("(no successful trials)")
         return "\n".join(lines)
-    cols = sorted({col for cells in table.values() for col in cells}, key=repr)
-    header = " ".join(f"{str(col):>24}" for col in cols)
+    cols = {col for cells in table.values() for col in cells}
+    if columns is not None:
+        cols = [col for col in columns if col in cols]
+    else:
+        cols = sorted(cols, key=value_order(cols))
+    names = columns or {}
+    header = " ".join(f"{str(names.get(col, col)):>24}" for col in cols)
     lines.append(f"{row_label:>12} {header}")
-    for row_value in sorted(table, key=repr):
+    for row_value in sorted(table, key=value_order(table)):
         cells = []
         for col in cols:
             ci = table[row_value].get(col)

@@ -2,9 +2,17 @@
 
 Each trial function is module-level, takes ``(params, seed)``, and
 returns a JSON-serializable dict, so it can be dispatched to worker
-processes and its results content-addressed.  The campaign factories
-below bundle them with the parameter grids the benchmarks and paper
-tables use; ``benchmarks/`` now runs these instead of private copies.
+processes and its results content-addressed.  Every full-stack campaign
+— the paper's Figure 8 and Figure 9 sweeps, ``resilience``, ``dtn``,
+``hierarchy``, ``ablation-dutycycle`` — is a grid of plans over the
+scenario registry (:mod:`repro.shard.scenario`) run by the one
+:func:`plan_trial`, whose result is the plan's whole outcome;
+:func:`report_table` reads its tables off those outcomes.  ``demo`` is
+a toy, and ``scale-aggregation`` / ``ablation-push-pull`` are protocol
+logic on an :class:`~repro.testbed.IdealNetwork`, no MAC and no radio,
+which is not something a stack preset builds.  ``benchmarks/`` and
+``python -m repro experiments`` run these campaigns instead of private
+copies.
 """
 
 from __future__ import annotations
@@ -156,79 +164,43 @@ def scale_campaign(
 
 
 # ---------------------------------------------------------------------------
+# plan grids — a full-stack sweep is a grid of plans over the registry
+
+PLAN_TRIAL = "repro.campaign.builtin:plan_trial"
+
+
+def plan_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """One plan of the scenario registry, run to its whole outcome.
+
+    ``scenario`` names the recipe and ``shards`` (default 1) how it
+    executes; every other key is a param of that scenario
+    (``python -m repro run --list``).  The result is what ``repro run
+    --out`` saves, so ``repro report`` renders a store entry too.
+    """
+    from repro.shard import ShardPlan, run_oracle, run_sharded
+
+    params = dict(params)
+    scenario = params.pop("scenario")
+    shards = int(params.pop("shards", 1))
+    plan = ShardPlan.named(scenario, params, seed, shards)
+    return run_sharded(plan)["outcome"] if shards > 1 else run_oracle(plan)
+
+
+# ---------------------------------------------------------------------------
 # ablation-dutycycle — energy vs delivery across MAC duty cycles
 # (see benchmarks/test_ablation_dutycycle.py)
-
-
-def dutycycle_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """A 4-hop line pushing one event every 6 s, like the Fig 8 source."""
-    from repro import AttributeVector, Key
-    from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
-    from repro.energy import EnergyLedger
-    from repro.link import FragmentationLayer
-    from repro.mac import CsmaMac, DutyCycledCsmaMac
-    from repro.radio import Channel, DistancePropagation, Modem, Topology
-    from repro.sim import SeedSequence, Simulator, TraceBus
-
-    duty_cycle = float(params["duty_cycle"])
-    duration = float(params.get("duration", 600.0))
-    seed = int(params.get("seed", seed))
-
-    topology = Topology.line(5, spacing=15.0)
-    sim = Simulator()
-    seeds = SeedSequence(seed)
-    trace = TraceBus()
-    channel = Channel(sim, DistancePropagation(topology, seed=seed),
-                      seeds=seeds, trace=trace)
-    apis, ledgers = {}, {}
-    for node_id in topology.node_ids():
-        ledger = EnergyLedger()
-        ledgers[node_id] = ledger
-        modem = Modem(sim, channel, node_id, energy=ledger)
-        if duty_cycle >= 1.0:
-            mac = CsmaMac(sim, modem, rng=seeds.stream(f"mac:{node_id}"))
-        else:
-            mac = DutyCycledCsmaMac(
-                sim, modem, duty_cycle=duty_cycle, period=1.0,
-                rng=seeds.stream(f"mac:{node_id}"),
-            )
-            ledger.duty_cycle = duty_cycle
-        frag = FragmentationLayer(sim, mac, node_id)
-        node = DiffusionNode(sim, node_id, frag,
-                             config=DiffusionConfig(), trace=trace,
-                             rng=seeds.stream(f"diff:{node_id}"))
-        apis[node_id] = DiffusionRouting(node)
-
-    received: List[Any] = []
-    sub = AttributeVector.builder().eq(Key.TYPE, "det").build()
-    apis[0].subscribe(sub, lambda a, m: received.append(a))
-    pub = apis[4].publish(
-        AttributeVector.builder().actual(Key.TYPE, "det").build()
-    )
-    sent = 0
-    t = 5.0
-    while t < duration:
-        sim.schedule(
-            t, apis[4].send, pub,
-            AttributeVector.builder().actual(Key.SEQUENCE, sent).build(),
-        )
-        sent += 1
-        t += 6.0
-    sim.run(until=duration)
-    energy = sum(l.energy(elapsed=duration) for l in ledgers.values())
-    return {
-        "duty_cycle": duty_cycle,
-        "delivery": len(received) / sent,
-        "energy": energy,
-    }
 
 
 def dutycycle_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
     return Campaign(
         name="ablation-dutycycle",
-        trial="repro.campaign.builtin:dutycycle_trial",
+        trial=PLAN_TRIAL,
         grid={"duty_cycle": [1.0, 0.5, 0.2, 0.1]},
-        fixed={"duration": 300.0 if quick else 600.0},
+        # A 4-hop line pushing one event every 6 s, like the Fig 8 source.
+        fixed={
+            "scenario": "line", "nodes": 5, "send_start": 5.0,
+            "send_interval": 6.0, "duration": 300.0 if quick else 600.0,
+        },
         seeds=[5],
         description="duty-cycled MAC energy vs delivery trade-off",
     )
@@ -305,37 +277,47 @@ def pushpull_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
 
 
 # ---------------------------------------------------------------------------
-# fig8 — the paper's Figure 8 sweep, seeds pinned like the original harness
-
-
-def fig8_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One Figure 8 trial, flattened to a JSON-safe dict."""
-    from dataclasses import asdict
-
-    from repro.experiments.fig8_aggregation import run_fig8_trial
-
-    result = run_fig8_trial(
-        sources=int(params["sources"]),
-        suppression=bool(params["suppression"]),
-        seed=seed,
-        duration=float(params.get("duration", 1800.0)),
-    )
-    payload = asdict(result)
-    payload["bytes_per_event"] = result.bytes_per_event
-    payload["delivery_ratio"] = result.delivery_ratio
-    return payload
+# fig8, fig9 — the paper's two testbed sweeps, seeds pinned ("the mean of
+# five 30-minute experiments", "three 20-minute experiments", Section 6)
 
 
 def fig8_campaign(quick: bool = False, root_seed: int = 100) -> Campaign:
     trials = 2 if quick else 5
     return Campaign(
         name="fig8",
-        trial="repro.campaign.builtin:fig8_trial",
+        trial=PLAN_TRIAL,
         grid={"sources": [1, 2, 3, 4], "suppression": [True, False]},
-        fixed={"duration": 240.0 if quick else 1800.0},
+        fixed={"scenario": "fig8", "duration": 600.0 if quick else 1800.0},
         seeds=[root_seed + trial for trial in range(trials)],
         description="Figure 8: bytes per distinct event vs number of sources",
     )
+
+
+def fig9_campaign(quick: bool = False, root_seed: int = 200) -> Campaign:
+    trials = 2 if quick else 3
+    return Campaign(
+        name="fig9",
+        trial=PLAN_TRIAL,
+        grid={"num_lights": [1, 2, 3, 4], "nested": [True, False]},
+        fixed={"scenario": "fig9", "duration": 600.0 if quick else 1200.0},
+        seeds=[root_seed + trial for trial in range(trials)],
+        description="Figure 9: % of audio events delivered, nested vs flat",
+    )
+
+
+#: the paper's curve names, in the paper's order.
+FIG8_COLUMNS = {True: "with suppression", False: "without suppression"}
+FIG9_COLUMNS = {True: "nested", False: "flat"}
+
+
+def fig8_pivot(outcomes) -> Dict[Any, Dict[Any, Any]]:
+    """Figure 8's points: ``{sources: {suppression: bytes/event}}``."""
+    return pivot(outcomes, "bytes_per_event", row="sources", col="suppression")
+
+
+def fig9_pivot(outcomes) -> Dict[Any, Dict[Any, Any]]:
+    """Figure 9's points: ``{num_lights: {nested: % delivered}}``."""
+    return pivot(outcomes, "delivery_percentage", row="num_lights", col="nested")
 
 
 # ---------------------------------------------------------------------------
@@ -343,48 +325,17 @@ def fig8_campaign(quick: bool = False, root_seed: int = 100) -> Campaign:
 # (exploratory-interval sensitivity across the builtin fault plans)
 
 
-def resilience_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One fault on the standard grid, flattened for aggregation.
-
-    ``time_to_repair``/``repair_intervals`` use -1.0 as the "never
-    repaired" sentinel (aggregation needs numbers, not nulls); delivery
-    ratios use 0.0 when nothing was originated in the window.
-    """
-    from repro.faults import resilience_run
-
-    result = resilience_run(
-        fault=str(params["fault"]),
-        seed=int(params.get("seed", seed)),
-        exploratory_interval=float(params["exploratory_interval"]),
-        duration=float(params.get("duration", 160.0)),
-    )
-    fault = result["report"]["faults"][0]
-    ttr = fault["time_to_repair"]
-    intervals = fault["repair_intervals"]
-    return {
-        "fault": result["fault"],
-        "exploratory_interval": result["exploratory_interval"],
-        "overall_delivery": result["report"]["overall_delivery"] or 0.0,
-        "delivery_during": fault["delivery_during"] or 0.0,
-        "delivery_after": fault["delivery_after"] or 0.0,
-        "time_to_repair": ttr if ttr is not None else -1.0,
-        "repair_intervals": intervals if intervals is not None else -1.0,
-        "violations": len(result["violations"]),
-        "invariants_ok": result["invariants_ok"],
-    }
-
-
 def resilience_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
     return Campaign(
         name="resilience",
-        trial="repro.campaign.builtin:resilience_trial",
+        trial=PLAN_TRIAL,
         grid={
             "fault": ["crash", "link-flap", "partition"],
             "exploratory_interval": (
                 [5.0, 10.0] if quick else [5.0, 10.0, 20.0]
             ),
         },
-        fixed={"duration": 120.0 if quick else 200.0},
+        fixed={"scenario": "resilience", "duration": 120.0 if quick else 200.0},
         seeds=[root_seed],
         description="repair time and delivery under faults vs exploratory interval",
     )
@@ -392,10 +343,6 @@ def resilience_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
 
 # ---------------------------------------------------------------------------
 # hierarchy — propagation-mode ablation (flat / clustered / rendezvous)
-
-#: first application send of the regional workload (the ``send_start``
-#: default of :data:`repro.shard.scenario.STREAM_DEFAULTS`).
-HIERARCHY_SEND_START = 2.0
 
 #: announcements at 3x the interest interval (their only steady-state
 #: job is liveness), refresh damping past the second sink refresh but
@@ -406,72 +353,34 @@ HIERARCHY_TUNING = {
     "refresh_damping": 17.0,
 }
 
+#: the sweep's own workload, sparser and denser-packed than the
+#: ``hierarchy`` preset's (0.5 s sends, 18 m spacing).
+HIERARCHY_DEFAULTS = {
+    "scenario": "hierarchy", "spacing": 15.0, "region": 8,
+    "duration": 90.0, "send_interval": 2.0,
+}
+
 
 def hierarchy_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
     """One propagation mode on the regional workload (one local
-    source→sink pair per region block), via the sharded kernel;
-    flattened for aggregation.
+    source→sink pair per region block): the :func:`plan_trial` of
+    ``params`` over :data:`HIERARCHY_DEFAULTS`, with the one param a
+    grid cannot hold because it is derived, and ``offered`` — the data
+    all the pairs sent — added to the outcome."""
+    from repro.shard import get_scenario
+    from repro.shard.scenario import PAIR_LAYOUTS, stream_sends
 
-    Control traffic is interest transmissions plus cluster-control
-    announcements; ``time_to_first_data`` runs from the first
-    application send to the first sink delivery (-1.0 = none).
-    """
-    from repro.shard import ShardPlan, run_oracle, run_sharded
-
-    mode = str(params["mode"])
-    columns, rows = int(params["columns"]), int(params["rows"])
-    region = int(params.get("region", 8))
-    duration = float(params.get("duration", 90.0))
-    send_interval = float(params.get("send_interval", 2.0))
-    shards = int(params.get("shards", 1))
-    plan = ShardPlan(
-        scenario="hierarchy",
-        params={
-            "columns": columns,
-            "rows": rows,
-            "spacing": 15.0,
-            "region": region,
-            "duration": duration,
-            "send_interval": send_interval,
-            "mode": mode,
-            # The rendezvous grid grows with the deployment so region
-            # cells keep a roughly constant node count.
-            "hierarchy": dict(
-                HIERARCHY_TUNING, regions=max(4, columns * 3 // 16)
-            ),
-        },
-        seed=seed,
-        duration=duration,
-        shards=shards,
+    params = {**HIERARCHY_DEFAULTS, **params}
+    # The rendezvous grid grows with the deployment so region cells
+    # keep a roughly constant node count.
+    params["hierarchy"] = dict(
+        HIERARCHY_TUNING, regions=max(4, int(params["columns"]) * 3 // 16)
     )
-    outcome = run_sharded(plan)["outcome"] if shards > 1 else run_oracle(plan)
-
-    pairs = len(range(0, rows - region + 1, region)) * len(
-        range(0, columns - region + 1, region)
-    )
-    offered = pairs * int((duration - HIERARCHY_SEND_START) / send_interval)
-    messages = outcome["messages_by_class"]
-    nbytes = outcome["bytes_by_class"]
-    arrivals = outcome["delivery_times"]
-    h = outcome["hierarchy"]
-    return {
-        "mode": mode,
-        "n_nodes": columns * rows,
-        "control_messages": messages["interest"] + messages["control"],
-        "control_bytes": nbytes["interest"] + nbytes["control"],
-        "delivered": outcome["app_delivered"],
-        "delivery_ratio": (
-            round(outcome["app_delivered"] / offered, 4) if offered else 0.0
-        ),
-        "time_to_first_data": (
-            round(min(arrivals) - HIERARCHY_SEND_START, 3)
-            if arrivals
-            else -1.0
-        ),
-        "heads": h["heads"],
-        "reelections": h["reelections"],
-        "suppressed_interests": h["suppressed_interests"],
-    }
+    outcome = plan_trial(params, seed)
+    p = get_scenario("hierarchy").resolve(params)
+    # The regions layout places its pairs by row and column, not by id.
+    outcome["offered"] = len(PAIR_LAYOUTS["regions"](p, ())) * stream_sends(p)
+    return outcome
 
 
 def hierarchy_campaign(quick: bool = False, root_seed: int = 3) -> Campaign:
@@ -504,48 +413,6 @@ def hierarchy_campaign(quick: bool = False, root_seed: int = 3) -> Campaign:
 # dtn — disruption-tolerant transfer: custody vs the legacy stack
 
 
-def dtn_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """One bulk transfer under a repeating partition, flattened for
-    aggregation.
-
-    ``completed_at`` uses -1.0 as the "never completed" sentinel
-    (aggregation needs numbers, not nulls).  ``unattributed`` must stay
-    zero — every undelivered block is charged to a ``custody.*`` event
-    or a per-layer drop reason.
-    """
-    from repro.dtn.scenario import dtn_run
-
-    result = dtn_run(
-        seed=int(params.get("seed", seed)),
-        duty=float(params["duty"]),
-        custody=bool(params["custody"]),
-        mode=str(params.get("mode", "flat")),
-        duration=float(params.get("duration", 260.0)),
-    )
-    stats = result["custody_stats"]
-    return {
-        "duty": result["duty"],
-        "custody": result["custody"],
-        "delivered": result["delivered"],
-        "delivery_ratio": result["delivery_ratio"],
-        "delivered_during_partition": result["delivery_during_partition"],
-        "delivered_after_heal": result["delivery_after_partition"],
-        "completed_at": (
-            result["completed_at"]
-            if result["completed_at"] is not None
-            else -1.0
-        ),
-        "custody_accepted": stats["accepted"],
-        "custody_depth": stats["depth_high_water"],
-        "custody_expired": stats["expired"],
-        "reinjections": stats["reinjections"],
-        "retransmits": result["transfer"]["retransmits"],
-        "unattributed": result["unattributed"],
-        "violations": len(result["violations"]),
-        "invariants_ok": result["invariants_ok"],
-    }
-
-
 def dtn_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
     grid: Dict[str, List[Any]] = {
         "custody": [False, True],
@@ -555,12 +422,12 @@ def dtn_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
         grid["mode"] = ["flat", "clustered"]
     return Campaign(
         name="dtn",
-        trial="repro.campaign.builtin:dtn_trial",
+        trial=PLAN_TRIAL,
         grid=grid,
         # One horizon for both forms: the custody arm keeps delivering
         # through the final heal window, so a clipped quick horizon
         # under-reports it against a baseline that already stalled.
-        fixed={"duration": 260.0},
+        fixed={"scenario": "dtn", "duration": 260.0},
         seeds=[root_seed],
         description=(
             "bulk-transfer delivery and custody depth vs partition duty "
@@ -579,6 +446,7 @@ CAMPAIGNS: Dict[str, Callable[..., Campaign]] = {
     "ablation-dutycycle": dutycycle_campaign,
     "ablation-push-pull": pushpull_campaign,
     "fig8": fig8_campaign,
+    "fig9": fig9_campaign,
     "resilience": resilience_campaign,
     "hierarchy": hierarchy_campaign,
     "dtn": dtn_campaign,
@@ -609,8 +477,15 @@ def _swept(outcomes, names: Sequence[str]) -> Tuple[str, ...]:
     )
 
 
+def _never(value: Optional[float]) -> float:
+    """-1.0 for "it never happened": aggregation needs numbers."""
+    return -1.0 if value is None else value
+
+
 def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
-    """The campaign's headline aggregate table (EXPERIMENTS.md shape)."""
+    """The campaign's headline aggregate table (EXPERIMENTS.md shape).
+    A plan campaign stores whole outcomes: its getters name the
+    outcome path a cell is read off."""
     outcomes = report.outcomes
     if name == "demo":
         rows = aggregate(outcomes, "value", by=("x",))
@@ -627,26 +502,43 @@ def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
             table += f"\nsavings factor: {factor:.1f}x (paper cites 3-5x)"
         return table
     if name == "ablation-dutycycle":
-        energy = aggregate(outcomes, "energy", by=("duty_cycle",))
-        delivery = aggregate(outcomes, "delivery", by=("duty_cycle",))
+        from repro.shard.scenario import get_scenario, stream_sends
+
+        energy = aggregate(
+            outcomes, lambda r: r["energy"]["total"], by=("duty_cycle",)
+        )
+        # The send schedule is fixed across the grid.
+        sends = stream_sends(
+            get_scenario("line").resolve(outcomes[0].spec.params)
+        )
+        delivery = aggregate(
+            outcomes, lambda r: r["app_delivered"] / sends, by=("duty_cycle",)
+        )
         lines = [format_table(energy, "total energy", title="duty-cycle sweep")]
         lines.append(format_table(delivery, "delivery"))
         return "\n".join(lines)
     if name == "ablation-push-pull":
         table = pivot(outcomes, "bytes", row="shape", col="push")
         return format_pivot(
-            table, "sinks x srcs",
-            title="bytes by shape (pull=False / push=True)",
+            table, "sinks x srcs", title="bytes by shape",
+            columns={False: "pull", True: "push"},
         )
     if name == "fig8":
-        table = pivot(outcomes, "bytes_per_event", row="sources", col="suppression")
         return format_pivot(
-            table, "sources",
-            title="Figure 8 — bytes/event (suppression True / False)",
+            fig8_pivot(outcomes), "sources", columns=FIG8_COLUMNS,
+            title="Figure 8 — bytes sent per distinct event (mean ± 95% CI)",
+        )
+    if name == "fig9":
+        return format_pivot(
+            fig9_pivot(outcomes), "sensors", columns=FIG9_COLUMNS,
+            title="Figure 9 — % audio events delivered to the user "
+            "(mean ± 95% CI)",
         )
     if name == "resilience":
         table = pivot(
-            outcomes, "repair_intervals", row="fault", col="exploratory_interval"
+            outcomes,
+            lambda r: _never(r["report"]["faults"][0]["repair_intervals"]),
+            row="fault", col="exploratory_interval",
         )
         return format_pivot(
             table, "fault",
@@ -659,30 +551,45 @@ def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
             per_mode.setdefault(outcome.spec.params.get("mode"), []).append(
                 outcome
             )
-        title = "delivery ratio vs partition duty (custody False / True)"
+        title = "delivery ratio vs partition duty"
         lines = [
             format_pivot(
                 pivot(group, "delivery_ratio", row="duty", col="custody"),
                 "duty",
                 title=f"{title}, {mode}" if by_mode else title,
+                columns={False: "custody off", True: "custody on"},
             )
             for mode, group in sorted(per_mode.items(), key=repr)
         ]
+        by = by_mode + ("duty", "custody")
         depth = aggregate(
-            outcomes, "custody_depth", by=by_mode + ("duty", "custody")
+            outcomes, lambda r: r["custody_stats"]["depth_high_water"], by=by
         )
-        unattributed = sum(
-            o.result.get("unattributed", 0) for o in outcomes if o.ok
+        completed = aggregate(
+            outcomes, lambda r: _never(r["completed_at"]), by=by
         )
+        unattributed = sum(o.result["unattributed"] for o in outcomes if o.ok)
         lines += [
             format_table(depth, "custody depth"),
+            format_table(
+                completed, "completed at", title="seconds (-1 = never)"
+            ),
             f"unattributed losses across all trials: {unattributed}",
         ]
         return "\n".join(lines)
     if name == "hierarchy":
         by = _swept(outcomes, ("columns", "rows")) + ("mode",)
-        ctrl = aggregate(outcomes, "control_messages", by=by)
-        delivery = aggregate(outcomes, "delivery_ratio", by=by)
+
+        def control(r):
+            messages = r["messages_by_class"]
+            return messages["interest"] + messages["control"]
+
+        ctrl = aggregate(outcomes, control, by=by)
+        delivery = aggregate(
+            outcomes,
+            lambda r: r["app_delivered"] / r["offered"] if r["offered"] else 0.0,
+            by=by,
+        )
         lines = [
             format_table(
                 ctrl, "control msgs",

@@ -9,9 +9,11 @@ content-addressed keys, which is what makes resuming and caching safe.
 
 The trial key hashes *everything that could change the result*: the
 campaign name, the trial-function path, the merged parameter point, the
-trial seed, and a code-version digest of the trial function's module —
-so editing the trial code invalidates old cache entries instead of
-silently serving stale results.
+trial seed, and a code-version digest of the whole ``repro`` package
+(plus the trial's own module where it lives elsewhere) — one
+``plan_trial`` runs every full-stack campaign, so the code that computes
+a result is the stack under it, and editing any of it invalidates old
+cache entries instead of silently serving stale results.
 """
 
 from __future__ import annotations
@@ -44,20 +46,33 @@ def resolve_trial(path: str) -> Callable[[Dict[str, Any], int], Any]:
         raise ValueError(f"{module_name} has no function {func_name!r}") from None
 
 
-def code_version(trial: str) -> str:
-    """Digest of the trial function's module source plus package version.
+def package_sources() -> List[Path]:
+    """Every ``*.py`` of the ``repro`` package, sorted."""
+    import repro
 
-    Editing the trial module (or bumping the package) changes every
-    trial key derived from it, forcing re-execution.
+    return sorted(Path(repro.__file__).parent.rglob("*.py"))
+
+
+def code_version(trial: str) -> str:
+    """Digest of the package version, every source file of the package
+    and the trial function's module when it lives outside it.
+
+    Editing any of them (or bumping the package) changes every trial
+    key, forcing re-execution: a trial's result is computed by the whole
+    stack under it, not by the module that names it.
     """
     import repro
 
+    sources = package_sources()
     module = importlib.import_module(trial.partition(":")[0])
+    source_file = getattr(module, "__file__", None)
+    if source_file and Path(source_file) not in sources:
+        sources.append(Path(source_file))
     digest = hashlib.sha256()
     digest.update(repro.__version__.encode("utf-8"))
-    source_file = getattr(module, "__file__", None)
-    if source_file:
-        digest.update(Path(source_file).read_bytes())
+    for path in sources:
+        digest.update(path.name.encode("utf-8"))
+        digest.update(path.read_bytes())
     return digest.hexdigest()[:16]
 
 

@@ -101,7 +101,12 @@ class _AttributionTap:
 
     def __init__(self, trace) -> None:
         self.trace = trace
-        self.drops_by_trace: Dict[str, List[str]] = {}
+        #: per trace id, its latest strong and its latest weak drop as
+        #: (record order, reason): record order is simulation order, so
+        #: "the drop that happened last" needs no more than these.
+        self.drops_seen = 0
+        self.last_strong: Dict[str, Tuple[int, str]] = {}
+        self.last_weak: Dict[str, Tuple[int, str]] = {}
         self.tx_traces: set = set()
         self.block_traces: Dict[Tuple[str, int], set] = {}
         self.expire_reason: Dict[Tuple[str, int], str] = {}
@@ -113,9 +118,13 @@ class _AttributionTap:
         if record.category == "path.drop":
             tid = data.get("trace")
             if tid is not None:
-                self.drops_by_trace.setdefault(tid, []).append(
-                    data.get("reason", "unknown")
+                self.drops_seen += 1
+                reason = data.get("reason", "unknown")
+                latest = (
+                    self.last_weak if reason in _WEAK_REASONS
+                    else self.last_strong
                 )
+                latest[tid] = (self.drops_seen, reason)
             return
         if record.category == "diffusion.tx":
             tid = data.get("trace")
@@ -144,7 +153,8 @@ class _AttributionTap:
         sender_traces: Dict[Tuple[str, int], List[str]],
         held_at_end: set,
     ) -> Dict[int, str]:
-        """One cause per undelivered block, never 'unattributed' unless
+        """One cause per undelivered block — the last strong drop of
+        any copy, else the last weak one — never 'unattributed' unless
         the evidence really is empty (the dtn campaign gates on zero)."""
         causes: Dict[int, str] = {}
         for index in range(block_count):
@@ -159,16 +169,14 @@ class _AttributionTap:
             if key in self.expire_reason:
                 causes[index] = f"custody.expire-{self.expire_reason[key]}"
                 continue
-            reasons = [
-                reason
-                for tid in family
-                for reason in self.drops_by_trace.get(tid, ())
+            drops = [
+                self.last_strong[tid] for tid in family
+                if tid in self.last_strong
+            ] or [
+                self.last_weak[tid] for tid in family if tid in self.last_weak
             ]
-            strong = [r for r in reasons if r not in _WEAK_REASONS]
-            if strong:
-                causes[index] = strong[-1]
-            elif reasons:
-                causes[index] = reasons[-1]
+            if drops:
+                causes[index] = max(drops)[1]
             elif family & self.tx_traces:
                 causes[index] = "in-flight-loss"
             elif family:

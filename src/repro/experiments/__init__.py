@@ -1,12 +1,16 @@
-"""Experiment harnesses: one module per paper artifact.
+"""Experiment harnesses for the paper artifacts that are not full-stack
+runs: Figure 11's matching cost, the Section 6.1 duty-cycle analysis
+and the matching benchmark.  Each module exposes a ``run_*`` function
+returning structured results and a ``main()`` that prints the
+paper-style table.
 
-Each module exposes a ``run_*`` function returning structured results
-and a ``main()`` that prints the paper-style table.  The benchmarks in
-``benchmarks/`` are thin wrappers over these.
+Figures 8 and 9 are not here: a full-stack experiment is a preset of
+the scenario registry (``python -m repro run fig8|fig9``) and its sweep
+a campaign (``python -m repro campaign run fig8|fig9``);
+:mod:`repro.experiments.runner` prints both with the rest of the report
+(``python -m repro experiments``).
 """
 
-from repro.experiments.fig8_aggregation import Fig8Point, run_fig8, run_fig8_trial
-from repro.experiments.fig9_nested import Fig9Point, run_fig9, run_fig9_trial
 from repro.experiments.fig11_matching import (
     MatchingVariant,
     build_set_a,
@@ -17,12 +21,6 @@ from repro.experiments.fig11_matching import (
 from repro.experiments.duty_cycle import run_duty_cycle_analysis
 
 __all__ = [
-    "Fig8Point",
-    "run_fig8",
-    "run_fig8_trial",
-    "Fig9Point",
-    "run_fig9",
-    "run_fig9_trial",
     "MatchingVariant",
     "build_set_a",
     "build_set_b",

@@ -1,38 +1,82 @@
-"""Run every experiment and emit the EXPERIMENTS.md-style report.
+"""``python -m repro experiments`` — the EXPERIMENTS.md-style report.
 
-Usage::
-
-    python -m repro.experiments.runner            # full paper scale
-    python -m repro.experiments.runner --quick    # reduced trials/durations
-    python -m repro.experiments.runner --jobs 4   # sections in parallel
-    python -m repro.experiments.runner --output report.md
-
-With ``--jobs N`` the experiment sections are dispatched through the
-:mod:`repro.campaign` worker pool and run in separate processes;
-``--jobs 1`` (the default) preserves the original serial in-process
-behaviour.
+Figures 8 and 9 are the ``fig8`` / ``fig9`` campaigns of
+:mod:`repro.campaign.builtin` run through the campaign pool, so
+``--jobs N`` spreads their *trials* over N worker processes; the other
+sections are sub-second and run here.  The flags (``--quick --only
+--jobs --output``) are declared in :mod:`repro.__main__`.
 """
 
 from __future__ import annotations
 
-import argparse
 import contextlib
 import io
 import sys
 import time
-from typing import Any, Callable, Dict, List, Optional
+from typing import List, Optional
 
-from repro.experiments import (
-    fig8_aggregation,
-    fig9_nested,
-    fig11_matching,
-    duty_cycle,
+from repro.analysis import TrafficModel
+from repro.analysis.charts import line_chart
+from repro.campaign import get_campaign, report_table, run_campaign
+from repro.campaign.builtin import (
+    FIG8_COLUMNS,
+    FIG9_COLUMNS,
+    fig8_pivot,
+    fig9_pivot,
 )
+from repro.experiments import duty_cycle, fig11_matching
 from repro.micro import MicroConfig
 from repro.micro.footprint import footprint_report
-from repro.analysis import TrafficModel
 
 EXPERIMENT_ORDER = ("fig8", "fig9", "fig11", "duty", "model", "micro")
+
+#: figure -> (its pivot, its curves, chart title, x label, y label)
+FIGURES = {
+    "fig8": (
+        fig8_pivot, FIG8_COLUMNS, "Figure 8: bytes/event vs sources",
+        "number of sources", "B/event",
+    ),
+    "fig9": (
+        fig9_pivot, FIG9_COLUMNS,
+        "Figure 9: % audio events delivered vs sensors",
+        "number of initial sensors", "%",
+    ),
+}
+
+
+def savings_at(table, sources: int) -> float:
+    """Fractional traffic saved by suppression, off a ``fig8_pivot``."""
+    return 1.0 - table[sources][True].mean / table[sources][False].mean
+
+
+def loss_reduction_at(table, num_lights: int) -> float:
+    """Percentage points of loss removed by nesting, off a ``fig9_pivot``."""
+    return table[num_lights][True].mean - table[num_lights][False].mean
+
+
+def run_figure(name: str, quick: bool, jobs: int) -> None:
+    """Run one figure's campaign; print its table, chart and headline."""
+    report = run_campaign(get_campaign(name, quick=quick), jobs=jobs)
+    if not report.ok:
+        errors = [o.error for o in report.outcomes if o.error]
+        raise RuntimeError(f"{name}: campaign did not finish: {errors[:1]}")
+    make_pivot, columns, title, x_label, y_label = FIGURES[name]
+    table = make_pivot(report.outcomes)
+    curves = {
+        label: [(x, cells[flag].mean) for x, cells in sorted(table.items())]
+        for flag, label in columns.items()
+    }
+    print(report_table(name, report))
+    print()
+    print(line_chart(curves, title=title, x_label=x_label, y_label=y_label))
+    if name == "fig8":
+        print(f"savings at 4 sources: {savings_at(table, 4):.0%} (paper: 42%)")
+    else:
+        for n in sorted(table):
+            print(
+                f"loss reduction from nesting at {n} sensor(s): "
+                f"{loss_reduction_at(table, n):.0f} points (paper: 15-30)"
+            )
 
 
 def run_traffic_model() -> None:
@@ -57,118 +101,37 @@ def run_micro_footprint() -> None:
         print(f"   {key}: {value}")
 
 
-def _experiment_callable(name: str, quick: bool) -> Callable[[], None]:
-    if quick:
-        fig8_kwargs = {"trials": 2, "duration": 600.0}
-        fig9_kwargs = {"trials": 2, "duration": 600.0}
-        fig11_kwargs = {"iterations": 500}
-    else:
-        fig8_kwargs = {"trials": 5, "duration": 1800.0}
-        fig9_kwargs = {"trials": 3, "duration": 1200.0}
-        fig11_kwargs = {"iterations": 2000}
-    table: Dict[str, Callable[[], None]] = {
-        "fig8": lambda: fig8_aggregation.main(**fig8_kwargs),
-        "fig9": lambda: fig9_nested.main(**fig9_kwargs),
-        "fig11": lambda: fig11_matching.main(**fig11_kwargs),
+def run_experiments(
+    quick: bool, only: Optional[List[str]], jobs: int, output: Optional[str]
+) -> int:
+    """Run the ``only`` sections (default all) in report order, echoing
+    each as it finishes; ``output`` also gets them, fenced for markdown."""
+    sections = {
+        "fig8": lambda: run_figure("fig8", quick, jobs),
+        "fig9": lambda: run_figure("fig9", quick, jobs),
+        "fig11": lambda: fig11_matching.main(iterations=500 if quick else 2000),
         "duty": duty_cycle.main,
         "model": run_traffic_model,
         "micro": run_micro_footprint,
     }
-    return table[name]
-
-
-def _run_experiment_captured(name: str, quick: bool) -> str:
-    """One experiment section, stdout captured, timing line included."""
-    buffer = io.StringIO()
-    with contextlib.redirect_stdout(buffer):
-        print("=" * 72)
-        print(f"[{name}]")
-        start = time.time()
-        _experiment_callable(name, quick)()
-        print(f"({name} took {time.time() - start:.1f}s)")
-        print()
-    return buffer.getvalue()
-
-
-def _experiment_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
-    """Campaign trial wrapper: one section per worker process."""
-    name = params["name"]
-    return {"name": name, "text": _run_experiment_captured(name, params["quick"])}
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument(
-        "--quick",
-        action="store_true",
-        help="reduced trials and durations (~20x faster, noisier CIs)",
-    )
-    parser.add_argument(
-        "--only",
-        action="append",
-        choices=list(EXPERIMENT_ORDER),
-        help="run a single experiment (repeatable)",
-    )
-    parser.add_argument(
-        "--jobs",
-        type=int,
-        default=1,
-        help="run experiment sections across N worker processes",
-    )
-    parser.add_argument(
-        "--output",
-        help="also write the report to this file (fenced for markdown)",
-    )
-    args = parser.parse_args(argv)
-
-    selected = [
-        name for name in EXPERIMENT_ORDER
-        if not args.only or name in args.only
-    ]
-
-    if args.jobs > 1 and len(selected) > 1:
-        captured = _run_parallel(selected, args.quick, args.jobs)
-    else:
-        captured = []
-        for name in selected:
-            captured.append(_run_experiment_captured(name, args.quick))
-    for text in captured:
-        sys.stdout.write(text)
-    if args.output:
-        with open(args.output, "w") as handle:
+    captured: List[str] = []
+    for name in EXPERIMENT_ORDER:
+        if only and name not in only:
+            continue
+        buffer = io.StringIO()
+        with contextlib.redirect_stdout(buffer):
+            print("=" * 72)
+            print(f"[{name}]")
+            start = time.time()
+            sections[name]()
+            print(f"({name} took {time.time() - start:.1f}s)")
+            print()
+        sys.stdout.write(buffer.getvalue())
+        captured.append(buffer.getvalue())
+    if output:
+        with open(output, "w") as handle:
             handle.write("# Experiment report\n\n```text\n")
             handle.write("".join(captured))
             handle.write("```\n")
-        print(f"report written to {args.output}")
+        print(f"report written to {output}")
     return 0
-
-
-def _run_parallel(selected: List[str], quick: bool, jobs: int) -> List[str]:
-    from repro.campaign import Campaign, run_campaign
-
-    campaign = Campaign(
-        name="experiments",
-        trial="repro.experiments.runner:_experiment_trial",
-        grid={"name": selected},
-        fixed={"quick": quick},
-        description="the EXPERIMENTS.md report, one section per trial",
-    )
-    report = run_campaign(campaign, jobs=jobs)
-    by_name = {
-        outcome.result["name"]: outcome.result["text"]
-        for outcome in report.outcomes
-        if outcome.ok
-    }
-    for outcome in report.outcomes:
-        if not outcome.ok:
-            by_name[outcome.spec.params["name"]] = (
-                "=" * 72
-                + f"\n[{outcome.spec.params['name']}] FAILED\n"
-                + (outcome.error or "")
-                + "\n"
-            )
-    return [by_name[name] for name in selected if name in by_name]
-
-
-if __name__ == "__main__":
-    sys.exit(main())

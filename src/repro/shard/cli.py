@@ -6,7 +6,7 @@
               [--shards K --transport inline|process]
               [--trace FILE] [--out FILE]
     repro run --list
-    repro report FILE
+    repro report FILE        (what --out wrote, or a campaign store entry)
 
 A run is a :class:`~repro.shard.ShardPlan` over the scenario registry
 (:mod:`repro.shard.scenario`): ``-p`` sets a scenario param (JSON where
@@ -31,7 +31,7 @@ from repro.analysis.dtn import format_dtn_report
 from repro.analysis.resilience import format_resilience_report
 from repro.analysis.tracelog import TraceLogger
 from repro.shard.runner import build_whole, run_sharded
-from repro.shard.scenario import SCENARIOS, get_scenario
+from repro.shard.scenario import SCENARIOS
 from repro.shard.worker import ShardPlan
 from repro.sim import TraceBus, use_registry
 
@@ -79,7 +79,8 @@ def format_outcome(outcome: Dict[str, Any]) -> str:
     elif "custody_stats" in outcome:
         lines = [format_dtn_report(outcome)]
     else:
-        lines, keys = [], sorted(outcome)
+        # "metrics" is the registry snapshot the campaign pool attaches.
+        lines, keys = [], sorted(set(outcome) - {"metrics"})
     for key in keys:
         value = outcome.get(key)
         if isinstance(value, list):
@@ -213,20 +214,11 @@ def run_command(args, parser) -> int:
         return 0
     if args.scenario is None:
         parser.error("name a scenario, or --list them")
-    defaults = _or_usage(parser, get_scenario, args.scenario).defaults
     params = dict(_or_usage(parser, _param, text) for text in args.param)
-    unknown = sorted(set(params) - set(defaults))
-    if unknown:
-        parser.error(
-            f"{args.scenario} has no param {', '.join(unknown)}; "
-            f"it takes: {', '.join(sorted(defaults))}"
-        )
-    duration = args.duration
-    if duration is None:
-        duration = _or_usage(
-            parser, float, params.get("duration", defaults["duration"])
-        )
-    plan = ShardPlan(args.scenario, params, args.seed, duration, args.shards)
+    plan = _or_usage(
+        parser, ShardPlan.named,
+        args.scenario, params, args.seed, args.shards, args.duration,
+    )
     run = _run_sharded if args.shards > 1 else _run_single
     outcome = run(plan, args, parser)
     if args.out:
@@ -245,10 +237,12 @@ def run_command(args, parser) -> int:
 
 
 def report_command(args, parser) -> int:
-    """``repro report FILE``: render what ``run --out`` saved."""
+    """``repro report FILE``: render what ``run --out`` saved, or the
+    outcome a campaign stored (a store entry keeps it under ``result``)."""
     try:
         with open(args.result, "r", encoding="utf-8") as handle:
-            print(format_outcome(json.load(handle)))
+            saved = json.load(handle)
     except (OSError, ValueError) as exc:
         parser.error(f"cannot read result: {exc}")
+    print(format_outcome(saved["result"] if "trial" in saved else saved))
     return 0

@@ -12,7 +12,8 @@ exactly the streams those nodes would consume in a whole-network build
 comparable event-for-event.
 
 ``flood`` and ``mobility`` drive the radio alone.  Every full-stack run
-is a **preset** of one template, :class:`StackScenario`, which builds in
+— the paper's two testbed sweeps (``fig8``, ``fig9``) included — is a
+**preset** of one template, :class:`StackScenario`, which builds in
 one fixed order: the network for the owned nodes → the fault harness
 (:class:`~repro.faults.scenarios.FaultHarness`, iff a plan, monitors or
 a flight recorder is named) → the workload → the propagation mode (iff
@@ -22,12 +23,15 @@ scheduling order (a crash at t=40.0 ties with the resilience stream's
 send at 5.0 + 35 x 1.0).  Every option is a param with a per-preset
 default, so presets differ only by their defaults and by the workload
 they arm, any preset takes any option, and ``outcome()`` is the
-workload's dict plus one section per armed option.
+workload's dict plus one section per armed option.  A sweep is a grid
+of plans over this registry (:func:`repro.campaign.builtin.plan_trial`).
 
 A subset build (a shard) needs ``loss_mode="hashed"`` — stream mode
 draws loss uniforms in global finalization order, which no partitioned
 execution can reproduce, while hashed draws are a pure function of
-(seed, src, dst, airtime start) — and no fault harness;
+(seed, src, dst, airtime start) — no fault harness, and no
+``duty_cycle`` (a duty-cycled MAC transmits at wake-ups, outside the
+attempt events the shards' lookahead is derived from);
 :meth:`StackScenario.build` refuses the rest by name.
 
 An ``outcome`` is a plain dict designed to merge across shards
@@ -38,9 +42,11 @@ against the oracle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.apps.nestedquery import NestedQueryExperiment
+from repro.apps.surveillance import SurveillanceExperiment
 from repro.core import DiffusionConfig
 from repro.core.node import MESSAGE_CLASS_LABELS
 from repro.dtn.scenario import (
@@ -61,7 +67,7 @@ from repro.faults.scenarios import (
     builtin_plan,
     compressed_config,
 )
-from repro.mac import CsmaMac
+from repro.mac import CsmaMac, DutyCycledCsmaMac
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import Channel, DistancePropagation, Modem, Topology
@@ -69,6 +75,9 @@ from repro.sim import SeedSequence, Simulator
 from repro.testbed import (
     FIG8_SINK,
     FIG8_SOURCES,
+    FIG9_AUDIO,
+    FIG9_LIGHTS,
+    FIG9_USER,
     SensorNetwork,
     isi_propagation,
     isi_testbed_topology,
@@ -267,6 +276,8 @@ STACK_DEFAULTS: Dict[str, Any] = {
     "shape": "grid", "columns": 10, "rows": 5, "nodes": 3, "spacing": 18.0,
     **_timers(SHORT_TIMERS),
     "loss_mode": "hashed",
+    # listen fraction of a 1 s frame (DutyCycledCsmaMac); None: plain CSMA
+    "duty_cycle": None,
     # fault harness: a builtin plan's name, or a FaultPlan / its JSON
     "fault": None, "plan": None, "monitors": False,
     "flight_recorder": None, "monitor_max_entries": 32,
@@ -311,14 +322,10 @@ PAIR_LAYOUTS = {
     ],
     "regions": _region_pairs,
     "ends": lambda p, ids: [(ids[-1], ids[0], "trace-demo")],
-    "fig8": lambda p, ids: [
-        (source, FIG8_SINK, "trace-demo")
-        for source in FIG8_SOURCES[: int(p["sources"])]
-    ],
 }
 
 STREAM_DEFAULTS: Dict[str, Any] = {
-    "pairs": "corners", "region": 8, "sources": 4,
+    "pairs": "corners", "region": 8,
     "send_start": 2.0, "send_interval": 0.5,
 }
 
@@ -332,10 +339,17 @@ def _choice(table: Dict[str, Any], p: Dict[str, Any], key: str):
         ) from None
 
 
+def stream_sends(p: Dict[str, Any], quiet_tail: float = 0.0) -> int:
+    """How many data one stream source sends: one every
+    ``send_interval`` from ``send_start`` until ``quiet_tail`` before
+    ``duration``."""
+    window = float(p["duration"]) - (float(p["send_start"]) + quiet_tail)
+    return int(window / float(p["send_interval"]))
+
+
 def _stream(net, delivered, pair, p, quiet_tail=0.0, name="") -> None:
-    """Subscribe the pair's sink and have its source publish one
-    sequence-numbered datum every ``send_interval`` from ``send_start``
-    until ``quiet_tail`` before ``duration`` — whichever ends the
+    """Subscribe the pair's sink and have its source publish
+    :func:`stream_sends` sequence-numbered data — whichever ends the
     network owns."""
     source, sink, tag = pair
     if sink in net.stacks:
@@ -349,8 +363,7 @@ def _stream(net, delivered, pair, p, quiet_tail=0.0, name="") -> None:
         pub = api.publish(
             AttributeVector.builder().actual(Key.TYPE, tag).build()
         )
-        sends = int((float(p["duration"]) - (start + quiet_tail)) / interval)
-        for i in range(sends):
+        for i in range(stream_sends(p, quiet_tail)):
             net.sim.schedule(
                 start + i * interval, api.send, pub,
                 AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
@@ -400,6 +413,52 @@ def arm_resilience(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     return outcome
 
 
+def _role_nodes(net, p: Dict[str, Any], key: str, nodes: Tuple[int, ...]):
+    """The first ``p[key]`` of a figure's role ``nodes``; the paper's
+    applications wire every role and a filter per node on one network."""
+    if len(net.stacks) < len(net.topology.node_ids()):
+        raise ValueError("a subset build cannot arm a testbed application")
+    count = int(p[key])
+    if not 1 <= count <= len(nodes):
+        raise ValueError(f"{key} must be within [1, {len(nodes)}]")
+    return nodes[:count]
+
+
+def _result_outcome(experiment, p, *derived) -> Callable[[], Dict[str, Any]]:
+    """The app's result dataclass as a dict, ``derived`` properties
+    included (the figure's y-axis)."""
+
+    def outcome() -> Dict[str, Any]:
+        result = experiment.result(float(p["duration"]))
+        return {
+            **asdict(result), **{key: getattr(result, key) for key in derived}
+        }
+
+    return outcome
+
+
+def arm_surveillance(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """Figure 8: ``sources`` synchronized detection sources report to
+    the sink across the testbed, with or without ``suppression``."""
+    experiment = SurveillanceExperiment(
+        net, sink_id=FIG8_SINK,
+        source_ids=_role_nodes(net, p, "sources", FIG8_SOURCES),
+        suppression=bool(p["suppression"]),
+    )
+    return _result_outcome(experiment, p, "bytes_per_event", "delivery_ratio")
+
+
+def arm_nested_query(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """Figure 9: ``num_lights`` light sensors trigger the audio node,
+    asked by the user in one ``nested`` query or in two flat ones."""
+    experiment = NestedQueryExperiment(
+        net, user_id=FIG9_USER, audio_id=FIG9_AUDIO,
+        light_ids=_role_nodes(net, p, "num_lights", FIG9_LIGHTS),
+        nested=bool(p["nested"]),
+    )
+    return _result_outcome(experiment, p, "delivery_percentage")
+
+
 def _traffic_by_class(net: SensorNetwork) -> Dict[str, Dict[str, int]]:
     """Per-message-class traffic, merge-friendly (ints sum)."""
     messages: Dict[str, int] = dict.fromkeys(MESSAGE_CLASS_LABELS.values(), 0)
@@ -446,6 +505,7 @@ class StackScenario(Scenario):
     def build(self, topology, owned, params, seed) -> ShardNet:
         p = self.resolve(params)
         plan = self._fault_plan(p)
+        duty_cycle = p["duty_cycle"]
         monitors, recorder = bool(p["monitors"]), p["flight_recorder"]
         faulted = plan is not None or monitors or recorder is not None
         if len(owned) < len(topology.node_ids()):
@@ -461,13 +521,30 @@ class StackScenario(Scenario):
                 raise ValueError(
                     f"{self.name}: a subset build cannot arm a fault harness"
                 )
+            # Wake-up transmissions start outside the csma.attempt /
+            # csma.backoff events the shards' lookahead is derived from.
+            if duty_cycle is not None:
+                raise ValueError(
+                    f"{self.name}: a subset build cannot run a "
+                    "duty_cycle MAC"
+                )
         isi = p["shape"] == "isi"
+        mac_factory = None
+        if duty_cycle is not None:
+
+            def mac_factory(sim, modem, rng, queue_limit):
+                return DutyCycledCsmaMac(
+                    sim, modem, duty_cycle=float(duty_cycle), rng=rng,
+                    queue_limit=queue_limit,
+                )
+
         net = SensorNetwork(
             topology,
             config=DiffusionConfig(**{k: float(p[k]) for k in TIMER_KEYS}),
             seed=seed,
             propagation=isi_propagation(topology, seed) if isi else None,
             loss_mode=p["loss_mode"],
+            mac_factory=mac_factory,
             nodes=owned,
         )
         harness = None
@@ -489,6 +566,9 @@ class StackScenario(Scenario):
                 result.update(harness.finish())
             if mode is not None:
                 result.update(_traffic_by_class(net), hierarchy=mode.counters())
+            if duty_cycle is not None:
+                spent = net.energy_account.total_breakdown(net.sim.now)
+                result["energy"] = {**asdict(spent), "total": spent.total}
             return result
 
         return ShardNet(
@@ -498,11 +578,8 @@ class StackScenario(Scenario):
 
 
 _REGIONAL = {**STREAM_DEFAULTS, "columns": 32, "rows": 32, "pairs": "regions"}
-#: the paper's timers, as the testbed ran them.
-_TRACED = {
-    **STREAM_DEFAULTS, **_timers(DiffusionConfig()), "loss_mode": "stream",
-    "spacing": 15.0, "send_start": 3.0, "send_interval": 5.0, "duration": 60.0,
-}
+#: the paper's timers and loss draws, as the testbed ran them.
+_PAPER = {**_timers(DiffusionConfig()), "loss_mode": "stream"}
 #: the standard resilience grid under stream loss, monitored.
 _FAULTED = {
     "columns": GRID_COLUMNS, "rows": GRID_ROWS, "spacing": GRID_SPACING,
@@ -529,11 +606,22 @@ SCENARIOS: Dict[str, Scenario] = {
         ),
         StackScenario(
             "line", "A chain at the paper's timers, far end to node 0.",
-            arm_streams, {**_TRACED, "shape": "line", "pairs": "ends"},
+            arm_streams,
+            {**STREAM_DEFAULTS, **_PAPER, "shape": "line", "pairs": "ends",
+             "spacing": 15.0, "send_start": 3.0, "send_interval": 5.0,
+             "duration": 60.0},
         ),
         StackScenario(
-            "isi", "The ISI 14-node testbed: Fig. 8's sources to its sink.",
-            arm_streams, {**_TRACED, "shape": "isi", "pairs": "fig8"},
+            "fig8", "Figure 8 on the ISI testbed: bytes per distinct event.",
+            arm_surveillance,
+            {**_PAPER, "shape": "isi", "sources": 4, "suppression": True,
+             "duration": 1800.0},
+        ),
+        StackScenario(
+            "fig9", "Figure 9 on the ISI testbed: % of audio events delivered.",
+            arm_nested_query,
+            {**_PAPER, "shape": "isi", "num_lights": 4, "nested": True,
+             "duration": 1200.0},
         ),
         StackScenario(
             "resilience", "One fault on the 4x3 grid, repair measured.",

@@ -92,6 +92,31 @@ class ShardPlan:
     duration: float
     shards: int
 
+    @classmethod
+    def named(
+        cls,
+        scenario: str,
+        params: Dict[str, Any],
+        seed: int,
+        shards: int = 1,
+        duration: Optional[float] = None,
+    ) -> "ShardPlan":
+        """The plan a user names (``repro run``, a campaign grid point):
+        a key the scenario does not take is refused — a misspelt param
+        would otherwise run the default under the wrong label — and the
+        run lasts ``duration``, else ``params["duration"]``, else the
+        scenario's default."""
+        defaults = get_scenario(scenario).defaults
+        unknown = sorted(set(params) - set(defaults))
+        if unknown:
+            raise ValueError(
+                f"{scenario} has no param {', '.join(unknown)}; "
+                f"it takes: {', '.join(sorted(defaults))}"
+            )
+        if duration is None:
+            duration = float(params.get("duration", defaults["duration"]))
+        return cls(scenario, params, seed, duration, shards)
+
     def build_params(self) -> Dict[str, Any]:
         """``params`` as every build of this plan sees them: the run's
         ``duration`` is the default of ``params["duration"]``, so a

@@ -11,7 +11,8 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis import load_trace, summarize_campaign
+from repro.__main__ import main as repro_main
+from repro.analysis import load_trace, mean_ci, summarize_campaign
 from repro.campaign import (
     Campaign,
     CampaignProgress,
@@ -29,9 +30,13 @@ from repro.campaign.builtin import (
     demo_trial,
     get_campaign,
     hierarchy_trial,
+    plan_trial,
     report_table,
 )
-from repro.campaign.spec import code_version
+from repro.campaign.pool import CampaignReport, TrialOutcome
+from repro.campaign.spec import TrialSpec, code_version
+from repro.dtn.scenario import dtn_run
+from repro.faults import resilience_run
 from repro.sim import TraceBus
 from repro.sim.rng import make_rng
 
@@ -140,6 +145,33 @@ class TestSpec:
         assert trial_key("c", "t", {"a": 1, "b": 2}, 7, version) == trial_key(
             "c", "t", {"b": 2, "a": 1}, 7, version
         )
+
+    def test_any_package_source_rekeys_every_trial(self, tmp_path, monkeypatch):
+        """A result is computed by the stack under the trial, not by the
+        module that names it: at PR 19 editing a preset's default left
+        ``cached=6`` and the old table."""
+        tree = tmp_path / "pkg"
+        (tree / "sub").mkdir(parents=True)
+        (tree / "__init__.py").write_text("")
+        recipe = tree / "sub" / "recipe.py"
+        recipe.write_text("SEND_INTERVAL = 1.0\n")
+        monkeypatch.setattr(
+            "repro.campaign.spec.package_sources",
+            lambda: sorted(tree.rglob("*.py")),
+        )
+        campaign = _campaign("recording_trial", tmp_path)
+        before = [spec.key for spec in campaign.expand()]
+        assert [spec.key for spec in campaign.expand()] == before
+        recipe.write_text("SEND_INTERVAL = 2.0\n")
+        after = [spec.key for spec in campaign.expand()]
+        assert set(before).isdisjoint(after)
+
+    def test_the_real_listing_is_the_package(self):
+        from repro.campaign.spec import package_sources
+
+        names = {path.name for path in package_sources()}
+        assert {"scenario.py", "builtin.py", "channel.py"} <= names
+        assert all(path.suffix == ".py" for path in package_sources())
 
     def test_rejects_overlapping_fixed_and_grid(self):
         with pytest.raises(ValueError):
@@ -339,6 +371,14 @@ def always_crash_trial(params, seed):
 # progress, logging, aggregation
 
 
+def _stub_outcome(params, result):
+    """A finished trial of ``params`` that was never run."""
+    return TrialOutcome(
+        spec=TrialSpec("stub", "m:f", 0, params, 1, "key"),
+        status="done", result=result,
+    )
+
+
 class TestProgressAndAggregation:
     def test_trace_records_and_jsonl_log(self, tmp_path):
         log_path = tmp_path / "campaign.jsonl"
@@ -381,6 +421,38 @@ class TestProgressAndAggregation:
         table = pivot(report.outcomes, "value", row="x", col="x")
         text = format_pivot(table, "x", title="pivot")
         assert "pivot" in text
+
+    def test_tables_order_by_value_and_take_the_papers_columns(self):
+        """Rows and columns sorted by ``repr`` read 10.0, 20.0, 5.0."""
+        table = {
+            interval: {flag: mean_ci([interval]) for flag in (True, False)}
+            for interval in (10.0, 5.0, 20.0)
+        }
+        lines = format_pivot(table, "interval").splitlines()
+        assert [line.split()[0] for line in lines[1:]] == [
+            "5.0", "10.0", "20.0",
+        ]
+        assert lines[0].split() == ["interval", "False", "True"]
+        named = format_pivot(
+            table, "interval", columns={True: "with", False: "without"}
+        )
+        assert named.splitlines()[0].split() == ["interval", "with", "without"]
+        transposed = {
+            flag: {interval: cells[flag] for interval, cells in table.items()}
+            for flag in (True, False)
+        }
+        header = format_pivot(transposed, "flag").splitlines()[0]
+        assert header.split() == ["flag", "5.0", "10.0", "20.0"]
+
+    def test_rows_that_do_not_compare_order_by_text(self):
+        outcomes = [
+            _stub_outcome({"mode": mode, "x": x}, {"value": 1.0})
+            for mode in ("flat", None) for x in (10.0, 5.0)
+        ]
+        rows = aggregate(outcomes, "value", by=("mode", "x"))
+        assert [(row.params["mode"], row.params["x"]) for row in rows] == [
+            ("flat", 5.0), ("flat", 10.0), (None, 5.0), (None, 10.0),
+        ]
 
     def test_report_counts(self, tmp_path):
         campaign = _campaign("recording_trial", tmp_path, grid={"x": [1, 2]})
@@ -431,28 +503,72 @@ class TestBuiltinSweeps:
         ]
         assert len(points) == 4 and all("mode" not in p for p in points)
 
+    def test_figure_grids_hold_the_papers_points(self):
+        """Section 6: "the mean of five 30-minute experiments", "three
+        20-minute experiments"."""
+        fig8 = get_campaign("fig8").expand()
+        assert sorted(
+            (s.params["sources"], s.params["suppression"], s.seed) for s in fig8
+        ) == sorted(
+            (sources, suppression, seed)
+            for sources in (1, 2, 3, 4) for suppression in (True, False)
+            for seed in range(100, 105)
+        )
+        assert {s.params["duration"] for s in fig8} == {1800.0}
+        fig9 = get_campaign("fig9").expand()
+        assert sorted(
+            (s.params["num_lights"], s.params["nested"], s.seed) for s in fig9
+        ) == sorted(
+            (lights, nested, seed)
+            for lights in (1, 2, 3, 4) for nested in (True, False)
+            for seed in range(200, 203)
+        )
+        assert {s.params["duration"] for s in fig9} == {1200.0}
+        # The quick forms are the quick report's: 2 seeds x 600 s.
+        for name, seeds in (("fig8", [100, 101]), ("fig9", [200, 201])):
+            quick = get_campaign(name, quick=True).expand()
+            assert sorted({s.seed for s in quick}) == seeds
+            assert {s.params["duration"] for s in quick} == {600.0}
+
     def test_hierarchy_trial_row(self):
         params = {
             "mode": "clustered", "columns": 8, "rows": 8, "region": 4,
             "duration": 20.0,
         }
         row = hierarchy_trial(params, seed=5)
-        assert row["n_nodes"] == 64
-        assert 0 < row["heads"] < 64
-        assert row["suppressed_interests"] > 0
-        assert row["control_messages"] > 0 and row["control_bytes"] > 0
+        counters, messages = row["hierarchy"], row["messages_by_class"]
+        assert 0 < counters["heads"] < 64
+        assert counters["suppressed_interests"] > 0
+        assert messages["interest"] + messages["control"] > 0
+        nbytes = row["bytes_by_class"]
+        assert nbytes["interest"] + nbytes["control"] > 0
         # 4 region blocks x 9 sends each.
-        assert row["delivery_ratio"] == round(row["delivered"] / 36, 4)
-        assert row["delivered"] > 0 and row["time_to_first_data"] >= 0.0
+        assert row["offered"] == 36
+        assert 0 < row["app_delivered"] == len(row["delivery_times"])
+        assert min(row["delivery_times"]) >= 2.0  # the first send
         # Shard count is an execution detail, never a result.
         assert hierarchy_trial(dict(params, shards=2), seed=5) == row
+
+    def test_hierarchy_trial_keeps_its_own_workload(self):
+        """Its defaults are not the preset's (0.5 s sends, 18 m): forget
+        them and the quick table reads 1484 where it read 1566."""
+        report = run_campaign(get_campaign("hierarchy", quick=True))
+        control = {
+            o.spec.params["mode"]: o.result["messages_by_class"]["interest"]
+            + o.result["messages_by_class"]["control"]
+            for o in report.outcomes
+        }
+        assert control == {"flat": 1566, "clustered": 823, "rendezvous": 190}
+        assert {o.result["offered"] for o in report.outcomes} == {56}
 
     def test_tables_grow_a_column_only_for_a_swept_axis(self, monkeypatch):
         monkeypatch.setattr(
             "repro.campaign.builtin.hierarchy_trial",
             lambda params, seed: {
-                "control_messages": params["columns"],
-                "delivery_ratio": 0.5,
+                "messages_by_class": {
+                    "interest": params["columns"], "control": 0,
+                },
+                "app_delivered": 5, "offered": 10,
             },
         )
         quick = get_campaign("hierarchy", quick=True)
@@ -461,3 +577,71 @@ class TestBuiltinSweeps:
         full = get_campaign("hierarchy")
         table = report_table("hierarchy", run_campaign(full))
         assert table.splitlines()[1].split()[:3] == ["columns", "rows", "mode"]
+
+
+class TestPlanTrial:
+    """Every full-stack campaign is one trial function over the
+    registry; its result is the plan's whole outcome."""
+
+    def test_a_front_door_is_its_plan(self):
+        point = {
+            "scenario": "resilience", "fault": "link-flap",
+            "exploratory_interval": 5.0, "duration": 80.0,
+        }
+        assert plan_trial(point, 3) == resilience_run(
+            fault="link-flap", seed=3, exploratory_interval=5.0, duration=80.0
+        )
+        point = {
+            "scenario": "dtn", "duty": 0.3, "custody": False,
+            "mode": "clustered", "duration": 120.0,
+        }
+        assert plan_trial(point, 2) == dtn_run(
+            seed=2, duty=0.3, custody=False, mode="clustered", duration=120.0
+        )
+
+    def test_duration_defaults_to_the_presets(self):
+        outcome = plan_trial(
+            {"scenario": "line", "nodes": 2, "send_interval": 10.0}, 1
+        )
+        assert max(outcome["delivery_times"]) > 30.0  # line runs 60 s
+
+    def test_a_misspelt_grid_key_is_refused(self):
+        with pytest.raises(ValueError, match="no param dutycycle"):
+            plan_trial({"scenario": "line", "dutycycle": 0.5}, 1)
+
+    def test_never_sentinels_still_print(self):
+        """``None`` ("never repaired", "never completed") is -1 in a
+        table: aggregation needs numbers."""
+        repaired = {"report": {"faults": [{"repair_intervals": None}]}}
+        table = report_table("resilience", CampaignReport("resilience", [
+            _stub_outcome(
+                {"fault": "partition", "exploratory_interval": 5.0}, repaired
+            ),
+        ]))
+        assert "-1.0 ± 0.0 (n=1)" in table
+        stalled = {
+            "delivery_ratio": 0.5, "completed_at": None, "unattributed": 0,
+            "custody_stats": {"depth_high_water": 3},
+        }
+        table = report_table("dtn", CampaignReport("dtn", [
+            _stub_outcome({"duty": 0.6, "custody": True}, stalled),
+        ]))
+        completed = table[table.index("completed at"):]
+        assert "-1.0 ± 0.0 (n=1)" in completed
+        assert "custody on" in table
+
+    def test_report_renders_a_store_entry(self, tmp_path, capsys):
+        campaign = Campaign(
+            name="one", trial="repro.campaign.builtin:plan_trial",
+            fixed={"scenario": "resilience", "fault": "crash",
+                   "duration": 60.0},
+            seeds=[1],
+        )
+        store = ResultStore(tmp_path)
+        assert run_campaign(campaign, store=store).ok
+        (entry,) = tmp_path.glob("*/*.json")
+        capsys.readouterr()
+        assert repro_main(["report", str(entry)]) == 0
+        out = capsys.readouterr().out
+        assert "resilience run: fault=crash seed=1" in out
+        assert "invariants: all held" in out

@@ -7,72 +7,95 @@ formatting) at reduced durations.
 
 import pytest
 
+from repro.__main__ import main as repro_main
+from repro.campaign import Campaign, report_table, run_campaign
+from repro.campaign.builtin import PLAN_TRIAL, fig8_pivot, fig9_pivot
 from repro.experiments import (
     MatchingVariant,
     build_set_a,
     build_set_b,
     measure_matching,
     run_duty_cycle_analysis,
-    run_fig8,
-    run_fig8_trial,
-    run_fig9,
-    run_fig9_trial,
 )
-from repro.experiments.fig8_aggregation import format_chart as fig8_chart
-from repro.experiments.fig8_aggregation import format_table as fig8_table
-from repro.experiments.fig8_aggregation import savings_at
-from repro.experiments.fig9_nested import format_table as fig9_table
-from repro.experiments.fig9_nested import loss_reduction_at
 from repro.experiments.fig11_matching import format_chart as fig11_chart
 from repro.experiments.fig11_matching import format_table as fig11_table
 from repro.experiments.duty_cycle import format_table as duty_table
-from repro.experiments.runner import main as runner_main
+from repro.experiments.runner import loss_reduction_at, savings_at
+from repro.shard import ShardPlan, run_oracle
+
+
+def figure_sweep(name, grid, trials=2, duration=240.0, base_seed=100):
+    """A cut-down ``fig8`` / ``fig9`` campaign: the same plan grid."""
+    return run_campaign(Campaign(
+        name=name, trial=PLAN_TRIAL, grid=grid,
+        fixed={"scenario": name, "duration": duration},
+        seeds=[base_seed + trial for trial in range(trials)],
+    ))
 
 
 class TestFig8Harness:
     def test_trial_result_structure(self):
-        result = run_fig8_trial(2, True, seed=1, duration=240.0)
-        assert result.sources == 2
-        assert result.suppression is True
-        assert result.diffusion_bytes_sent > 0
-        assert 0.0 <= result.delivery_ratio <= 1.0
+        result = run_oracle(ShardPlan(
+            "fig8", {"sources": 2, "suppression": True}, 1, 240.0, 1
+        ))
+        assert result["sources"] == 2
+        assert result["suppression"] is True
+        assert result["diffusion_bytes_sent"] > 0
+        assert 0.0 <= result["delivery_ratio"] <= 1.0
 
     def test_invalid_source_count(self):
         with pytest.raises(ValueError):
-            run_fig8_trial(0, True, seed=1)
+            run_oracle(ShardPlan("fig8", {"sources": 0}, 1, 10.0, 1))
         with pytest.raises(ValueError):
-            run_fig8_trial(5, True, seed=1)
+            run_oracle(ShardPlan("fig8", {"sources": 5}, 1, 10.0, 1))
 
     def test_sweep_and_formatting(self):
-        points = run_fig8(source_counts=(1, 2), trials=2, duration=240.0)
-        assert len(points) == 4
-        table = fig8_table(points)
+        report = figure_sweep(
+            "fig8", {"sources": [1, 2], "suppression": [True, False]}
+        )
+        assert report.ok and len(report.outcomes) == 8
+        points = fig8_pivot(report.outcomes)
+        assert sorted(points) == [1, 2]
+        assert all(sorted(cells) == [False, True] for cells in points.values())
+        table = report_table("fig8", report)
         assert "with suppression" in table
-        chart = fig8_chart(points)
-        assert "Figure 8" in chart
+        # (the chart: TestRunner::test_jobs_spread_a_figures_trials...)
         assert isinstance(savings_at(points, 2), float)
 
     def test_points_carry_trials(self):
-        points = run_fig8(source_counts=(1,), trials=2, duration=240.0)
-        assert all(len(p.trials) == 2 for p in points)
-        assert all(p.bytes_per_event.n == 2 for p in points)
+        report = figure_sweep(
+            "fig8", {"sources": [1], "suppression": [True, False]}
+        )
+        points = fig8_pivot(report.outcomes)
+        # A cell's n is its seed count: every trial landed in its cell.
+        assert all(ci.n == 2 for ci in points[1].values())
+        assert sorted(o.spec.seed for o in report.outcomes) == [
+            100, 100, 101, 101,
+        ]
 
 
 class TestFig9Harness:
     def test_trial_result_structure(self):
-        result = run_fig9_trial(1, True, seed=1, duration=240.0)
-        assert result.num_lights == 1
-        assert result.possible_events == 4
-        assert 0.0 <= result.delivery_percentage <= 100.0
+        result = run_oracle(ShardPlan(
+            "fig9", {"num_lights": 1, "nested": True}, 1, 240.0, 1
+        ))
+        assert result["num_lights"] == 1
+        assert result["possible_events"] == 4
+        assert 0.0 <= result["delivery_percentage"] <= 100.0
 
     def test_invalid_light_count(self):
         with pytest.raises(ValueError):
-            run_fig9_trial(0, True, seed=1)
+            run_oracle(ShardPlan("fig9", {"num_lights": 0}, 1, 10.0, 1))
 
     def test_sweep_and_formatting(self):
-        points = run_fig9(light_counts=(1,), trials=2, duration=240.0)
-        assert len(points) == 2
-        table = fig9_table(points)
+        report = figure_sweep(
+            "fig9", {"num_lights": [1], "nested": [True, False]},
+            base_seed=200,
+        )
+        assert report.ok and len(report.outcomes) == 4
+        points = fig9_pivot(report.outcomes)
+        assert sorted(points[1]) == [False, True]
+        table = report_table("fig9", report)
         assert "nested" in table
         assert isinstance(loss_reduction_at(points, 1), float)
 
@@ -113,34 +136,59 @@ class TestDutyHarness:
         assert "listen" in table
 
 
+def experiments(*args):
+    return repro_main(["experiments", *args])
+
+
 class TestRunner:
     def test_quick_single_experiment(self, capsys):
-        assert runner_main(["--quick", "--only", "duty"]) == 0
+        assert experiments("--quick", "--only", "duty") == 0
         out = capsys.readouterr().out
         assert "[duty]" in out
         assert "listen" in out
 
     def test_quick_model_and_micro(self, capsys):
-        assert runner_main(["--quick", "--only", "model"]) == 0
-        assert runner_main(["--quick", "--only", "micro"]) == 0
+        assert experiments("--quick", "--only", "model") == 0
+        assert experiments("--quick", "--only", "micro") == 0
         out = capsys.readouterr().out
         assert "analytical traffic model" in out
         assert "footprint" in out
 
     def test_only_is_repeatable(self, capsys):
-        assert runner_main(
-            ["--quick", "--only", "model", "--only", "micro"]
-        ) == 0
+        assert experiments("--quick", "--only", "model", "--only", "micro") == 0
         out = capsys.readouterr().out
         assert "[model]" in out
         assert "[micro]" in out
 
     def test_jobs_runs_sections_through_campaign_pool(self, capsys):
-        assert runner_main(
-            ["--quick", "--only", "model", "--only", "micro", "--jobs", "2"]
+        assert experiments(
+            "--quick", "--only", "model", "--only", "micro", "--jobs", "2"
         ) == 0
         out = capsys.readouterr().out
         # both sections present, in canonical order, with timing lines
         assert out.index("[model]") < out.index("[micro]")
         assert "analytical traffic model" in out
         assert "footprint" in out
+        assert "(model took" in out and "(micro took" in out
+
+    def test_jobs_spread_a_figures_trials_not_its_numbers(self, capsys, tmp_path):
+        """``--jobs N`` runs the fig8 campaign's 16 quick trials through
+        the worker pool; the report is the serial one but for the
+        timing line."""
+        outputs = []
+        for jobs in ("1", "2"):
+            out = tmp_path / f"report-{jobs}.md"
+            assert experiments(
+                "--quick", "--only", "fig8", "--jobs", jobs,
+                "--output", str(out),
+            ) == 0
+            outputs.append([
+                line for line in out.read_text().splitlines()
+                if not line.startswith("(fig8 took")
+            ])
+        capsys.readouterr()
+        assert outputs[0] == outputs[1]
+        assert any("savings at 4 sources" in line for line in outputs[0])
+        assert "Figure 8: bytes/event vs sources" in outputs[0]
+        assert "B/event  o=with suppression   x=without suppression" in outputs[0]
+        assert outputs[0][:2] == ["# Experiment report", ""]

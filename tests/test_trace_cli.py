@@ -124,7 +124,7 @@ class TestDispatch:
     def test_isi_scenario_records(self, tmp_path):
         out = tmp_path / "isi.jsonl"
         rc = repro_main([
-            "run", "isi", "--trace", str(out),
+            "run", "fig8", "--trace", str(out),
             "-p", "sources=1", "--duration", "20", "--seed", "2",
         ])
         assert rc == 0
