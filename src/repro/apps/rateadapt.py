@@ -46,9 +46,10 @@ class RateAdaptingSource:
         self.event_bytes = event_bytes
         self.events_sent = 0
         self.retaskings = 0
-        self._publication = api.publish(
+        self._publication_attrs = (
             AttributeVector.builder().actual(Key.TYPE, task_type).build()
         )
+        self._publication = api.publish(self._publication_attrs)
         # Subscribe for subscriptions: interests matching our data tell
         # us how fast to report.
         watch = (
@@ -79,18 +80,11 @@ class RateAdaptingSource:
             .actual(Key.SEQUENCE, self.events_sent)
             .build()
         )
-        preview = AttributeVector(
-            [
-                *list(
-                    AttributeVector.builder()
-                    .actual(Key.TYPE, self.task_type)
-                    .build()
-                ),
-                *list(attrs),
-            ]
-        )
         padding = _pad_to(
-            preview, self.event_bytes, self.api.node.config.header_bytes
+            self._publication_attrs,
+            attrs,
+            self.event_bytes,
+            self.api.node.config.header_bytes,
         )
         self.api.send(self._publication, attrs, padding_bytes=padding)
         self.events_sent += 1

@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 
 from repro.core.api import DiffusionRouting, PublicationHandle
-from repro.naming import AttributeVector
+from repro.naming import AttributeVector, encoded_size
 from repro.naming.keys import Key
 
 SURVEILLANCE_TYPE = "surveillance"
@@ -47,11 +47,20 @@ class SynchronizedEventClock:
         return self.epoch + (self.sequence_at(now) + 1) * self.interval
 
 
-def _pad_to(attrs: AttributeVector, target_bytes: int, header_bytes: int) -> int:
-    """Padding needed so a message with ``attrs`` totals ``target_bytes``."""
-    from repro.naming import encoded_size
-
-    base = header_bytes + encoded_size(list(attrs))
+def _pad_to(
+    publication: AttributeVector,
+    attrs: AttributeVector,
+    target_bytes: int,
+    header_bytes: int,
+) -> int:
+    """Padding needed so a message carrying ``publication`` merged with
+    ``attrs`` totals ``target_bytes``."""
+    base = (
+        header_bytes
+        + encoded_size(())  # the attribute-count field
+        + publication.wire_size()
+        + attrs.wire_size()
+    )
     return max(0, target_bytes - base)
 
 
@@ -71,9 +80,10 @@ class DetectionSource:
         self.event_bytes = event_bytes
         self.task_type = task_type
         self.events_generated = 0
-        self._publication: PublicationHandle = api.publish(
+        self._publication_attrs = (
             AttributeVector.builder().actual(Key.TYPE, task_type).build()
         )
+        self._publication: PublicationHandle = api.publish(self._publication_attrs)
         self._timer = None
         sim = api.node.sim
         first = max(start, clock.next_event_time(sim.now))
@@ -89,20 +99,17 @@ class DetectionSource:
             .actual(Key.INSTANCE, f"node-{self.api.node_id}")
             .build()
         )
-        merged_preview = AttributeVector(
-            list(self._publication_attrs()) + list(attrs)
-        )
         padding = _pad_to(
-            merged_preview, self.event_bytes, self.api.node.config.header_bytes
+            self._publication_attrs,
+            attrs,
+            self.event_bytes,
+            self.api.node.config.header_bytes,
         )
         self.api.send(self._publication, attrs, padding_bytes=padding)
         self.events_generated += 1
         self._timer = sim.schedule_at(
             self.clock.next_event_time(sim.now), self._tick, name="source.tick"
         )
-
-    def _publication_attrs(self) -> AttributeVector:
-        return AttributeVector.builder().actual(Key.TYPE, self.task_type).build()
 
     def stop(self) -> None:
         if self._timer is not None:
@@ -133,12 +140,13 @@ class LightSensor:
         self.message_bytes = message_bytes
         self.light_type = light_type
         self.reports_sent = 0
-        self._publication = api.publish(
+        self._publication_attrs = (
             AttributeVector.builder()
             .actual(Key.TYPE, light_type)
             .actual(Key.INSTANCE, f"light-{api.node_id}")
             .build()
         )
+        self._publication = api.publish(self._publication_attrs)
         # Reports are phase-offset per sensor: "no special attempt is
         # made to synchronize or unsynchronize sensors" (Section 6.2),
         # and real sensors do not tick in lockstep.
@@ -162,18 +170,12 @@ class LightSensor:
             .actual(Key.SEQUENCE, self.reports_sent)
             .build()
         )
-        preview = AttributeVector(
-            [
-                *list(
-                    AttributeVector.builder()
-                    .actual(Key.TYPE, self.light_type)
-                    .actual(Key.INSTANCE, f"light-{self.api.node_id}")
-                    .build()
-                ),
-                *list(attrs),
-            ]
+        padding = _pad_to(
+            self._publication_attrs,
+            attrs,
+            self.message_bytes,
+            self.api.node.config.header_bytes,
         )
-        padding = _pad_to(preview, self.message_bytes, self.api.node.config.header_bytes)
         self.api.send(self._publication, attrs, padding_bytes=padding)
         self.reports_sent += 1
         self._timer = sim.schedule(self.report_interval, self._tick, name="light.tick")
@@ -196,9 +198,10 @@ class AudioEmitter:
         self.message_bytes = message_bytes
         self.audio_type = audio_type
         self.emissions = 0
-        self._publication = api.publish(
+        self._publication_attrs = (
             AttributeVector.builder().actual(Key.TYPE, audio_type).build()
         )
+        self._publication = api.publish(self._publication_attrs)
 
     def emit(self, light_instance: str, epoch: int) -> None:
         """Send one audio sample correlated with a light change."""
@@ -208,14 +211,11 @@ class AudioEmitter:
             .actual(Key.TIMESTAMP, epoch)
             .build()
         )
-        preview = AttributeVector(
-            [
-                *list(
-                    AttributeVector.builder().actual(Key.TYPE, self.audio_type).build()
-                ),
-                *list(attrs),
-            ]
+        padding = _pad_to(
+            self._publication_attrs,
+            attrs,
+            self.message_bytes,
+            self.api.node.config.header_bytes,
         )
-        padding = _pad_to(preview, self.message_bytes, self.api.node.config.header_bytes)
         self.api.send(self._publication, attrs, padding_bytes=padding)
         self.emissions += 1

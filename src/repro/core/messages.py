@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 import itertools
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 from repro.naming import AttributeVector, encoded_size
@@ -35,19 +35,28 @@ class MessageType(enum.IntEnum):
     @property
     def class_value(self) -> ClassValue:
         """The implicit ``class IS ...`` attribute value for matching."""
-        return {
-            MessageType.INTEREST: ClassValue.INTEREST,
-            MessageType.DATA: ClassValue.DATA,
-            MessageType.EXPLORATORY_DATA: ClassValue.EXPLORATORY,
-            MessageType.POSITIVE_REINFORCEMENT: ClassValue.REINFORCEMENT,
-            MessageType.NEGATIVE_REINFORCEMENT: ClassValue.NEGATIVE_REINFORCEMENT,
-            MessageType.CONTROL: ClassValue.CONTROL,
-        }[self]
+        return ClassValue(_CLASS_ATTRIBUTE[self].value)
 
     @property
     def is_data(self) -> bool:
         return self in (MessageType.DATA, MessageType.EXPLORATORY_DATA)
 
+
+#: the ready ``class IS <type>`` actual of every message class
+_CLASS_ATTRIBUTE = {
+    msg_type: Attribute(int(Key.CLASS), ValueType.INT32, Operator.IS, int(value))
+    for msg_type, value in (
+        (MessageType.INTEREST, ClassValue.INTEREST),
+        (MessageType.DATA, ClassValue.DATA),
+        (MessageType.EXPLORATORY_DATA, ClassValue.EXPLORATORY),
+        (MessageType.POSITIVE_REINFORCEMENT, ClassValue.REINFORCEMENT),
+        (MessageType.NEGATIVE_REINFORCEMENT, ClassValue.NEGATIVE_REINFORCEMENT),
+        (MessageType.CONTROL, ClassValue.CONTROL),
+    )
+}
+
+#: the attribute-count field: what an empty attribute list encodes to
+_COUNT_BYTES = encoded_size(())
 
 _msg_counter = itertools.count(1)
 
@@ -83,8 +92,10 @@ class Message:
     hop_count: int = 0
     parent_trace: Optional[str] = None
     # Lazily-built ``attrs + class IS <type>`` vector; every filter in
-    # the pipeline consults it, so it is computed at most once per
-    # message object (forwarded copies rebuild it on demand).
+    # the pipeline consults it.  A pure function of ``attrs`` and
+    # ``msg_type``, so hop copies carry it (once per message, not once
+    # per reception); a copy that rewrites either goes through
+    # ``dataclasses.replace``, which resets it.
     _matching_attrs: Optional[AttributeVector] = field(
         default=None, init=False, repr=False, compare=False
     )
@@ -110,26 +121,38 @@ class Message:
     @property
     def nbytes(self) -> int:
         """Bytes this message occupies on the wire."""
-        return self.header_bytes + encoded_size(list(self.attrs)) + self.padding_bytes
+        payload = _COUNT_BYTES + self.attrs.wire_size()
+        return self.header_bytes + payload + self.padding_bytes
 
     def matching_attrs(self) -> AttributeVector:
         """Attributes used for filter matching: payload attrs plus the
         implicit ``class IS <type>`` actual (paper Section 3.2)."""
         cached = self._matching_attrs
         if cached is None:
-            class_attr = Attribute(
-                int(Key.CLASS),
-                ValueType.INT32,
-                Operator.IS,
-                int(self.msg_type.class_value),
-            )
-            cached = self.attrs.with_attribute(class_attr)
+            cached = self.attrs.with_attribute(_CLASS_ATTRIBUTE[self.msg_type])
             self._matching_attrs = cached
         return cached
 
+    def hop_copy(self) -> "Message":
+        """Every field as it is (``msg_id`` and the cached matching
+        vector too); the caller then sets the link addressing only."""
+        copy = object.__new__(Message)
+        copy.__dict__.update(self.__dict__)
+        return copy
+
     def forwarded_copy(self, next_hop: Optional[int]) -> "Message":
         """A copy for retransmission: same identity, new next hop."""
-        return replace(self, next_hop=next_hop, hop_count=self.hop_count + 1)
+        copy = self.hop_copy()
+        copy.next_hop = next_hop
+        copy.hop_count += 1
+        return copy
+
+    def __getstate__(self) -> dict:
+        # The matching vector re-derives on demand: pickling it would
+        # grow every ghost export a shard sends.
+        state = self.__dict__.copy()
+        state.pop("_matching_attrs", None)
+        return state
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -24,7 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.core.cache import DataCache
@@ -93,11 +93,11 @@ class NodeStats:
         self.messages_dropped_no_route: int = 0
         self.duplicates_suppressed: int = 0
 
-    def count_tx(self, message: Message) -> None:
-        self.bytes_sent += message.nbytes
+    def count_tx(self, msg_type: MessageType, nbytes: int) -> None:
+        self.bytes_sent += nbytes
         self.messages_sent += 1
-        self.bytes_by_type[message.msg_type] += message.nbytes
-        self.messages_by_type[message.msg_type] += 1
+        self.bytes_by_type[msg_type] += nbytes
+        self.messages_by_type[msg_type] += 1
 
 
 class DiffusionNode:
@@ -367,26 +367,28 @@ class DiffusionNode:
 
     def _note_origin(self, message: Message) -> None:
         """Trace the creation of a message at this node (rare path)."""
-        self.trace.emit(
-            self.sim.now,
-            "path.origin",
-            node=self.node_id,
-            trace=message.trace_id,
-            msg_type=message.msg_type.name,
-            parent=message.parent_trace,
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now,
+                "path.origin",
+                node=self.node_id,
+                trace=message.trace_id,
+                msg_type=message.msg_type.name,
+                parent=message.parent_trace,
+            )
 
     def _note_drop(self, message: Message, reason: str) -> None:
         """Trace a message this node declined to carry further."""
-        self.trace.emit(
-            self.sim.now,
-            "path.drop",
-            node=self.node_id,
-            trace=message.trace_id,
-            msg_type=message.msg_type.name,
-            reason=reason,
-            layer="core",
-        )
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now,
+                "path.drop",
+                node=self.node_id,
+                trace=message.trace_id,
+                msg_type=message.msg_type.name,
+                reason=reason,
+                layer="core",
+            )
 
     def _process_interest(self, message: Message) -> None:
         now = self.sim.now
@@ -720,15 +722,16 @@ class DiffusionNode:
                 delivered = True
                 self.stats.events_delivered += 1
                 self._m_delivered.inc()
-                self.trace.emit(
-                    self.sim.now,
-                    "app.deliver",
-                    node=self.node_id,
-                    msg_type=message.msg_type.name,
-                    origin=message.origin,
-                    trace=message.trace_id,
-                    hops=message.hop_count,
-                )
+                if self.trace.active:
+                    self.trace.emit(
+                        self.sim.now,
+                        "app.deliver",
+                        node=self.node_id,
+                        msg_type=message.msg_type.name,
+                        origin=message.origin,
+                        trace=message.trace_id,
+                        hops=message.hop_count,
+                    )
                 sub.callback(message.attrs, message)
         return delivered
 
@@ -737,41 +740,46 @@ class DiffusionNode:
     # ------------------------------------------------------------------
 
     def _transmit(self, message: Message) -> None:
-        self.stats.count_tx(message)
+        nbytes = message.nbytes
+        msg_type = message.msg_type
+        self.stats.count_tx(msg_type, nbytes)
         self._m_tx_messages.inc()
-        self._m_tx_bytes.inc(message.nbytes)
-        cls_messages, cls_bytes = self._m_tx_class[message.msg_type]
+        self._m_tx_bytes.inc(nbytes)
+        cls_messages, cls_bytes = self._m_tx_class[msg_type]
         cls_messages.inc()
-        cls_bytes.inc(message.nbytes)
-        self.trace.emit(
-            self.sim.now,
-            "diffusion.tx",
-            node=self.node_id,
-            nbytes=message.nbytes,
-            msg_type=message.msg_type.name,
-            next_hop=message.next_hop,
-            trace=message.trace_id,
-            hops=message.hop_count,
-        )
+        cls_bytes.inc(nbytes)
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now,
+                "diffusion.tx",
+                node=self.node_id,
+                nbytes=nbytes,
+                msg_type=msg_type.name,
+                next_hop=message.next_hop,
+                trace=message.trace_id,
+                hops=message.hop_count,
+            )
         if self.transport is not None:
-            self.transport.send_message(message, message.nbytes, message.next_hop)
+            self.transport.send_message(message, nbytes, message.next_hop)
 
     def _on_network_message(self, message: Message, src: int, nbytes: int) -> None:
         if not isinstance(message, Message):
             return
         self.stats.messages_received += 1
         self._m_rx_messages.inc()
-        self.trace.emit(
-            self.sim.now,
-            "diffusion.rx",
-            node=self.node_id,
-            nbytes=nbytes,
-            msg_type=message.msg_type.name,
-            src=src,
-            trace=message.trace_id,
-            hops=message.hop_count,
-        )
-        incoming = replace(message, last_hop=src)
+        if self.trace.active:
+            self.trace.emit(
+                self.sim.now,
+                "diffusion.rx",
+                node=self.node_id,
+                nbytes=nbytes,
+                msg_type=message.msg_type.name,
+                src=src,
+                trace=message.trace_id,
+                hops=message.hop_count,
+            )
+        incoming = message.hop_copy()
+        incoming.last_hop = src
         self._run_pipeline(incoming)
 
     # ------------------------------------------------------------------

@@ -163,17 +163,18 @@ class FragmentationLayer:
         if state is not None:
             self.messages_incomplete += 1
             self._m_incomplete.inc()
-            trace_id = trace_id_of(state["message"])
-            if trace_id is not None:
-                self.trace.emit(
-                    self.sim.now,
-                    "path.drop",
-                    node=self.node_id,
-                    trace=trace_id,
-                    reason="reassembly-failure",
-                    layer="link",
-                    src=state["src"],
-                )
+            if self.trace.active:
+                trace_id = trace_id_of(state["message"])
+                if trace_id is not None:
+                    self.trace.emit(
+                        self.sim.now,
+                        "path.drop",
+                        node=self.node_id,
+                        trace=trace_id,
+                        reason="reassembly-failure",
+                        layer="link",
+                        src=state["src"],
+                    )
 
     def reset(self) -> None:
         """Drop all partial reassembly state (a reboot loses it)."""

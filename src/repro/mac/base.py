@@ -74,16 +74,17 @@ class Mac:
         if len(self._queue) >= self.queue_limit:
             self.stats.dropped_queue_full += 1
             self._m_queue_drops.inc()
-            trace_id = trace_id_of(payload)
-            if trace_id is not None:
-                self.trace.emit(
-                    self.sim.now,
-                    "path.drop",
-                    node=self.node_id,
-                    trace=trace_id,
-                    reason="queue-full",
-                    layer="mac",
-                )
+            if self.trace.active:
+                trace_id = trace_id_of(payload)
+                if trace_id is not None:
+                    self.trace.emit(
+                        self.sim.now,
+                        "path.drop",
+                        node=self.node_id,
+                        trace=trace_id,
+                        reason="queue-full",
+                        layer="mac",
+                    )
             return False
         self._queue.append((payload, nbytes, link_dst))
         self.stats.enqueued += 1

@@ -44,12 +44,13 @@ def _coerce_type(value: Scalar) -> ValueType:
 class AttributeVector:
     """An immutable, ordered list of :class:`Attribute`."""
 
-    __slots__ = ("_attrs", "_digest", "_profile")
+    __slots__ = ("_attrs", "_digest", "_profile", "_wire_size")
 
     def __init__(self, attrs: Iterable[Attribute] = ()) -> None:
         object.__setattr__(self, "_attrs", tuple(attrs))
         object.__setattr__(self, "_digest", None)
         object.__setattr__(self, "_profile", None)
+        object.__setattr__(self, "_wire_size", None)
         for attr in self._attrs:
             if not isinstance(attr, Attribute):
                 raise TypeError(f"expected Attribute, got {attr!r}")
@@ -59,7 +60,7 @@ class AttributeVector:
 
     def __reduce__(self):
         # Immutability breaks the default slot-state pickling; rebuild
-        # through the constructor (memoized digest/profile re-derive).
+        # through the constructor (memoized digest/profile/size re-derive).
         return (self.__class__, (self._attrs,))
 
     # -- sequence protocol ---------------------------------------------------
@@ -160,7 +161,11 @@ class AttributeVector:
 
     def wire_size(self) -> int:
         """Total encoded size of the attribute list in bytes."""
-        return sum(attr.wire_size() for attr in self._attrs)
+        cached = object.__getattribute__(self, "_wire_size")
+        if cached is None:
+            cached = sum(attr.wire_size() for attr in self._attrs)
+            object.__setattr__(self, "_wire_size", cached)
+        return cached
 
     def digest(self) -> bytes:
         """Order-insensitive hash for exact-duplicate detection.

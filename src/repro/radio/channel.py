@@ -281,7 +281,7 @@ class Channel:
         )
         self.fragments_sent += 1
         self._m_sent.inc()
-        if self.trace._active:
+        if self.trace.active:
             self.trace.emit(
                 now, "channel.tx", node=src, nbytes=nbytes, dst=link_dst
             )
@@ -456,7 +456,7 @@ class Channel:
         tx = reception.transmission
         trace = self.trace
         if reception.corrupted:
-            if trace._active:
+            if trace.active:
                 trace.emit(
                     self.sim.now, "channel.collision", node=node_id, src=tx.src
                 )
@@ -474,7 +474,7 @@ class Channel:
         if self._loss_draw(node_id, tx) >= reception.prr:
             self.fragments_lost += 1
             self._m_drop_loss.inc()
-            if trace._active:
+            if trace.active:
                 trace.emit(
                     self.sim.now, "channel.loss", node=node_id, src=tx.src
                 )
@@ -482,7 +482,7 @@ class Channel:
             return
         self.fragments_delivered += 1
         self._m_delivered.inc()
-        if trace._active:
+        if trace.active:
             trace.emit(
                 self.sim.now, "channel.rx", node=node_id, src=tx.src,
                 nbytes=tx.nbytes,
@@ -523,7 +523,7 @@ class Channel:
         failed copy is recorded (the path tools treat a broadcast hop as
         lost only when *no* copy got through).
         """
-        if not self.trace._active:
+        if not self.trace.active:
             return
         if tx.link_dst is not None and tx.link_dst != node_id:
             return

@@ -34,24 +34,28 @@ class TraceBus:
     """Routes :class:`TraceRecord` to per-category listeners.
 
     Listeners registered for category ``"*"`` receive every record.
+
+    ``active`` counts the live subscriptions.  ``emit`` returns at once
+    on a silent bus, but its arguments are evaluated by then: per-message
+    and per-fragment callers put the call behind ``if bus.active`` so
+    they are never built (``tests/test_trace_guard.py`` holds the hot
+    layers to it).
     """
 
     def __init__(self) -> None:
         self._listeners: Dict[str, List[Callable[[TraceRecord], None]]] = {}
-        # Total live subscriptions: emit's first check is one attribute
-        # load, so a silent bus (benchmarks, untraced campaigns) pays
-        # essentially nothing per record.
-        self._active = 0
+        # A plain attribute, not a property: the guard is one load.
+        self.active = 0
 
     def subscribe(self, category: str, listener: Callable[[TraceRecord], None]) -> None:
         self._listeners.setdefault(category, []).append(listener)
-        self._active += 1
+        self.active += 1
 
     def unsubscribe(self, category: str, listener: Callable[[TraceRecord], None]) -> None:
         listeners = self._listeners.get(category, [])
         if listener in listeners:
             listeners.remove(listener)
-            self._active -= 1
+            self.active -= 1
 
     def emit(
         self,
@@ -60,8 +64,9 @@ class TraceBus:
         node: Optional[int] = None,
         **data: Any,
     ) -> None:
-        """Create and dispatch a record; cheap when nobody listens."""
-        if not self._active:
+        """Create and dispatch a record.  Cheap when nobody listens —
+        the call, not the arguments the caller built for it."""
+        if not self.active:
             return
         listeners = self._listeners.get(category)
         wildcard = self._listeners.get("*")

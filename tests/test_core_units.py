@@ -1,12 +1,23 @@
 """Unit tests for diffusion core data structures."""
 
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.core import DataCache, DiffusionConfig, GradientTable, Message, MessageType
+from repro.core import (
+    DataCache,
+    DiffusionConfig,
+    DiffusionNode,
+    GradientTable,
+    Message,
+    MessageType,
+)
 from repro.core.filter_api import Filter, GRADIENT_FILTER_PRIORITY
 from repro.core.messages import make_data, make_interest, make_reinforcement
 from repro.naming import AttributeVector
 from repro.naming.keys import ClassValue, Key
+from repro.sim import Simulator, TraceBus, TraceCollector
 
 
 def light_interest() -> AttributeVector:
@@ -90,6 +101,131 @@ class TestMessage:
         assert MessageType.DATA.is_data
         assert MessageType.EXPLORATORY_DATA.is_data
         assert not MessageType.INTEREST.is_data
+
+
+def full_message() -> Message:
+    """A message with every field away from its default."""
+    message = Message(
+        msg_type=MessageType.EXPLORATORY_DATA,
+        attrs=light_data(seq=9),
+        origin=4,
+        msg_id=77,
+        last_hop=3,
+        next_hop=5,
+        interest_digest=b"d" * 20,
+        data_origin=4,
+        push_attrs=light_interest(),
+        header_bytes=30,
+        padding_bytes=11,
+        hop_count=2,
+        parent_trace="1.2",
+    )
+    message.matching_attrs()
+    defaults = Message(MessageType.INTEREST, AttributeVector(), 0, msg_id=1)
+    for f in dataclasses.fields(Message):
+        assert getattr(message, f.name) != getattr(defaults, f.name), f.name
+    return message
+
+
+class TestHopCopy:
+    """Derived state lives on the message; hop copies carry it and
+    attribute rewrites (``dataclasses.replace``) reset it."""
+
+    def test_copies_every_field(self):
+        message = full_message()
+        copy = message.hop_copy()
+        assert copy is not message
+        reference = dataclasses.replace(message)
+        for f in dataclasses.fields(Message):
+            if f.init:
+                assert getattr(copy, f.name) == getattr(reference, f.name), f.name
+        assert vars(copy).keys() == vars(message).keys()
+        assert copy.msg_id == message.msg_id == 77
+        assert copy._matching_attrs is message._matching_attrs is not None
+
+    def test_forwarded_copy_matches_replace(self):
+        message = full_message()
+        forwarded = message.forwarded_copy(next_hop=8)
+        assert forwarded == dataclasses.replace(message, next_hop=8, hop_count=3)
+        assert forwarded.matching_attrs() is message.matching_attrs()
+        assert (message.next_hop, message.hop_count) == (5, 2)
+
+    def test_copy_draws_no_message_id(self):
+        message = full_message()
+        before = make_interest(light_interest(), origin=1).msg_id
+        message.hop_copy().forwarded_copy(None)
+        assert make_interest(light_interest(), origin=1).msg_id == before + 1
+
+    def test_rewriting_attrs_rebuilds_matching_vector(self):
+        message = full_message()
+        rewritten = dataclasses.replace(message, attrs=light_data(seq=1))
+        assert rewritten._matching_attrs is None
+        effective = rewritten.matching_attrs()
+        assert effective.value_of(Key.SEQUENCE) == 1
+        assert effective.value_of(Key.CLASS) == int(ClassValue.EXPLORATORY)
+        assert message.matching_attrs().value_of(Key.SEQUENCE) == 9
+
+    def test_changing_type_rebuilds_matching_vector(self):
+        message = full_message()
+        plain = dataclasses.replace(message, msg_type=MessageType.DATA)
+        assert plain.matching_attrs().value_of(Key.CLASS) == int(ClassValue.DATA)
+
+    def test_pickle_leaves_the_cache_behind(self):
+        cold = dataclasses.replace(full_message())
+        warm = dataclasses.replace(cold)
+        warm.matching_attrs()
+        assert cold._matching_attrs is None
+        assert pickle.dumps(warm) == pickle.dumps(cold)
+        assert b"_matching_attrs" not in pickle.dumps(warm)
+        restored = pickle.loads(pickle.dumps(warm))
+        assert restored == warm and restored._matching_attrs is None
+        assert restored.matching_attrs() == warm.matching_attrs()
+
+    @pytest.mark.parametrize("msg_type", list(MessageType))
+    def test_class_value_table_covers_every_type(self, msg_type):
+        message = Message(msg_type, light_data(), origin=1)
+        assert message.matching_attrs().value_of(Key.CLASS) == int(
+            msg_type.class_value
+        )
+        assert msg_type.class_value in ClassValue
+
+
+class _RecordingTransport:
+    deliver_callback = None
+
+    def __init__(self):
+        self.sent = []
+
+    def send_message(self, message, nbytes, next_hop):
+        self.sent.append((message, nbytes, next_hop))
+
+
+class TestTransmitSizing:
+    @pytest.mark.parametrize("traced", [False, True])
+    def test_one_size_read_per_transmission(self, monkeypatch, traced):
+        reads = []
+        size_of = Message.nbytes.fget
+        monkeypatch.setattr(
+            Message,
+            "nbytes",
+            property(lambda message: reads.append(message) or size_of(message)),
+        )
+        transport = _RecordingTransport()
+        bus = TraceBus()
+        node = DiffusionNode(Simulator(), 1, transport, trace=bus)
+        message = make_data(light_data(), origin=1, exploratory=True, padding_bytes=40)
+        expected = size_of(message)
+        with TraceCollector(bus) if traced else TraceCollector(TraceBus()) as seen:
+            node._transmit(message)
+        assert reads == [message]
+        assert transport.sent == [(message, expected, None)]
+        assert node.stats.bytes_sent == expected
+        assert node.stats.messages_sent == 1
+        assert node.stats.bytes_by_type[MessageType.EXPLORATORY_DATA] == expected
+        assert node.stats.messages_by_type[MessageType.EXPLORATORY_DATA] == 1
+        assert [r.data["nbytes"] for r in seen.by_category("diffusion.tx")] == (
+            [expected] if traced else []
+        )
 
 
 class TestDataCache:

@@ -147,6 +147,26 @@ class TestVectorProperties:
         vec = AttributeVector(attrs)
         assert vec.wire_size() == sum(a.wire_size() for a in attrs)
 
+    @given(attr_lists)
+    def test_wire_size_is_the_encoding_less_its_count_field(self, attrs):
+        vec = AttributeVector(attrs)
+        expected = len(encode_attributes(vec)) - 2
+        assert (vec.wire_size(), vec.wire_size()) == (expected, expected)
+
+    @given(attr_lists, st.integers(0, 64), st.integers(0, 200))
+    def test_message_size_is_header_encoding_and_padding(
+        self, attrs, header_bytes, padding_bytes
+    ):
+        from repro.core.messages import make_data
+
+        message = make_data(
+            AttributeVector(attrs), origin=1, exploratory=False,
+            header_bytes=header_bytes, padding_bytes=padding_bytes,
+        )
+        expected = header_bytes + encoded_size(list(message.attrs)) + padding_bytes
+        assert message.nbytes == expected
+        assert message.forwarded_copy(None).nbytes == expected
+
 
 class TestWireFuzzing:
     """The decoder must fail cleanly on arbitrary bytes: WireFormatError
