@@ -46,6 +46,16 @@ python -m repro trace paths "$trace" > "$store/paths.txt"
 grep -q "data messages:" "$store/paths.txt" \
     || { echo "trace paths produced no report" >&2; exit 1; }
 
+# Process-transport smoke: the pipes, WorkerCrew and the one-horizon
+# round driven from the CLI; two worker processes must write the file
+# the single queue writes, byte for byte.
+regional=(regional -p columns=12 -p rows=12 --duration 4 --seed 3)
+python -m repro run "${regional[@]}" --shards 2 --transport process \
+    --out "$store/sharded.json" > /dev/null
+python -m repro run "${regional[@]}" --out "$store/oracle.json" > /dev/null
+cmp "$store/sharded.json" "$store/oracle.json" \
+    || { echo "2 process shards != single queue" >&2; exit 1; }
+
 # Flight-recorder smoke: provoke an invariant violation (a zero-entry
 # gradient-table bound) and require the postmortem dump to hold the
 # causal lead-up — at least 64 trace events behind its header line.

@@ -14,8 +14,9 @@ The channel also answers carrier-sense queries for the MAC layer.
 Delivery and carrier sense never scan the whole network: a fragment
 visits only the sender's cached audibility set, carrier sense looks up
 the exact PRR only of transmitters that are both on the air and in the
-listener's cached carrier-source set, and all of a fragment's
-receptions finalize in one simulator event
+listener's cached carrier-source set (a ghost's — another shard's —
+only where the model's bound says it can be heard), and all of a
+fragment's receptions finalize in one simulator event
 (:mod:`repro.radio.neighborhood` holds the caches and their
 invalidation contract).  The original O(N) per-link scan survives as
 :class:`repro.radio.reference.ReferenceChannel`, a subclass that
@@ -237,17 +238,24 @@ class Channel:
                     busy = True
                     break
         if not busy and self._remote_active:
+            bound = self.propagation.link_prr_bound
             for src, tx in list(self._remote_active.items()):
                 if tx.end <= now:
                     del self._remote_active[src]
                     continue
-                self.carrier_checks += 1
                 cached = prr_memo.get((src, node_id))
                 if cached is not None and now < cached[1]:
                     index.memo_hits += 1
                     prr = cached[0]
+                elif bound(src, node_id) < self.CARRIER_SENSE_THRESHOLD:
+                    # A ghost sits in no carrier-source set, so the
+                    # bound those sets are built from is asked here:
+                    # a listener out of its reach (most of the shard)
+                    # costs no exact lookup and leaves no memo entry.
+                    continue
                 else:
                     prr = index.link_prr(src, node_id, now)
+                self.carrier_checks += 1
                 if prr >= self.CARRIER_SENSE_THRESHOLD:
                     busy = True
                     break

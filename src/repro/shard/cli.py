@@ -114,6 +114,11 @@ def format_sync_profile(plan: ShardPlan, transport: str, result) -> str:
         share_sum += share
         lines.append(f"  {term:<12} {count:>8} {share:>7.1f}%")
     lines.append(f"  {'total':<12} {total_windows:>8} {share_sum:>7.1f}%")
+    # Shards that take turns instead of running together read ~50% here.
+    lines.append(
+        f"  windows that executed no event: {profile['empty_windows']} "
+        f"of {total_windows}"
+    )
 
     lines += [
         "",

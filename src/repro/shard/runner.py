@@ -129,10 +129,13 @@ def sync_profile(stats: List[Dict[str, Any]]) -> Dict[str, Any]:
     """Fold per-shard stats dicts into one synchronization profile.
 
     ``windows_by_term`` sums across shards (so term shares over the
-    total are the network-wide attribution), stall and exchange totals
-    aggregate, and ``imbalance`` is max/mean of per-shard busy seconds
-    — 1.0 is a perfectly balanced partition, K is one shard doing all
-    the work of K.
+    total are the network-wide attribution), ``empty_windows`` counts
+    the windows that executed no event (about half of all windows when
+    the shards take turns, a few percent when they run the same slice
+    of time together), stall and exchange totals aggregate, and
+    ``imbalance`` is max/mean of per-shard busy seconds — 1.0 is a
+    perfectly balanced partition, K is one shard doing all the work of
+    K.
     """
     windows_by_term: Dict[str, int] = {}
     for s in stats:
@@ -143,6 +146,7 @@ def sync_profile(stats: List[Dict[str, Any]]) -> Dict[str, Any]:
     return {
         "windows": sum(windows_by_term.values()),
         "windows_by_term": dict(sorted(windows_by_term.items())),
+        "empty_windows": sum(s.get("empty_windows", 0) for s in stats),
         "stall_seconds": [s.get("stall_seconds", 0.0) for s in stats],
         "exchange_bytes": sum(s.get("exchange_bytes", 0) for s in stats),
         "imbalance": (max(busy) / mean_busy) if mean_busy > 0 else 1.0,

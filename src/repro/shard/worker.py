@@ -36,17 +36,19 @@ processes (:func:`shard_worker_main`) or a list in one process
    (:meth:`~repro.radio.channel.Channel.admit_remote_transmission`)
    with priority ``-1`` so they precede same-instant local events.
 
-4. **Window.**  Each shard runs to its own horizon (:func:`next_horizon`:
-   the peers' promises, every exported transmission's end of airtime
-   plus the lookahead, the duration) or to its own next move, whichever
-   is earlier — exclusively, unless its own promise is within the
-   horizon (then inclusively: it owns the earliest potential boundary
+4. **Window.**  Every shard runs to the one global horizon
+   (:func:`next_horizon`: the earliest of *every* shard's promise — its
+   own included — of every exported transmission's end of airtime plus
+   the lookahead, and of the duration).  All shards compute it from the
+   same messages, so they run the same slice of simulated time at once
+   — exclusively, except the shard whose own promise *is* the horizon
+   (then inclusively: it owns the earliest potential boundary
    transmission, and executing it is what guarantees global progress).
    Transmissions by frontier nodes are captured via the channel's
    ``on_transmission`` hook into the next outbox; when a move makes a
    node a frontier node, what it already has on the air joins them.
 
-A shard whose horizon reaches the trial duration finishes with one
+When the horizon reaches the trial duration a shard finishes with one
 inclusive window, and keeps exchanging until every peer has finished.
 
 The protocol is exact, not approximate: outcomes match the single-queue
@@ -173,6 +175,10 @@ class ShardStats:
     #: which of the conservative-sync bounds actually paces this shard
     #: ("attempt", "move", "lookahead", "export", "duration", "idle").
     windows_by_term: Dict[str, int] = field(default_factory=dict)
+    #: windows that executed no event.  Shards that run the same slice
+    #: of time together keep this a small share of ``rounds``; shards
+    #: that take turns read about half.
+    empty_windows: int = 0
 
     def as_dict(self) -> Dict[str, Any]:
         data = dict(vars(self))
@@ -201,6 +207,7 @@ class ShardRuntime:
         self.stats = ShardStats(rank=rank, owned=len(self.owned))
         registry = current_registry()
         self._registry = registry
+        self._m_windows: Dict[str, Any] = {}  # term -> shard.windows counter
         self._m_rounds = registry.counter("shard.rounds", shard=rank)
         self._m_exports = registry.counter("shard.exports", shard=rank)
         self._m_ghosts = registry.counter("shard.ghosts_admitted", shard=rank)
@@ -245,12 +252,10 @@ class ShardRuntime:
         # what is on the air when a move grows the frontier.
         self._on_air: Dict[int, Any] = {}
         self._attempts: List[Tuple[float, int, Any]] = []
-        self._window_horizon = math.inf
-        self._window_truncated = False
         # Round state, see step().
         self.done = False
         self._finalized = False
-        self._promised = math.inf
+        self._promised: Tuple[float, str] = (math.inf, "idle")
         self._stalled = 0
         self._last_horizon = -math.inf
         if plan.shards > 1:
@@ -297,17 +302,10 @@ class ShardRuntime:
     def _on_transmission(self, tx) -> None:
         self._on_air[tx.src] = tx
         if tx.src in self._frontier:
+            # No window passes this shard's own promise, so this starts
+            # at the window's horizon at the earliest: the foreign
+            # reaction to it falls in a later window, never in this one.
             self._export(tx)
-            # Boomerang cap: peers were promised nothing before this
-            # round's horizon, but *this* transmission can provoke a
-            # foreign reaction as early as its end of airtime plus one
-            # lookahead.  If that lands inside the current window, end
-            # the window here — the reaction arrives in a later round
-            # and the remaining span is re-run under fresh horizons.
-            cap = tx.end + self.lookahead
-            if cap < self._window_horizon:
-                self._window_truncated = True
-                self.sim.stop()
 
     def _rebuild_attempts(self) -> None:
         self._attempts = [
@@ -418,13 +416,8 @@ class ShardRuntime:
 
     def advance(
         self, horizon: float, inclusive: bool, final: bool, term: str
-    ) -> bool:
+    ) -> None:
         """Run one window; its boundary transmissions land in the outbox.
-
-        Returns whether the window ran all the way to ``horizon`` (False
-        when the boomerang cap in :meth:`_on_transmission` ended it
-        early; a final window that was cut short has NOT finished the
-        run and the shard must keep exchanging).
 
         ``term`` names the promise term that bound ``horizon`` (from
         :func:`next_horizon`); the profiler attributes the window to it
@@ -432,78 +425,76 @@ class ShardRuntime:
         """
         span = max(0.0, horizon - self.sim.now)
         window_start = time.perf_counter()
-        self._window_horizon = horizon
-        self._window_truncated = False
         processed = self.sim.run_window(
             horizon, inclusive=inclusive, advance_clock=final
         )
-        self._window_horizon = math.inf
         self.stats.busy_seconds += time.perf_counter() - window_start
         self.stats.rounds += 1
         self.stats.events += processed
+        if not processed:
+            self.stats.empty_windows += 1
         self.stats.windows_by_term[term] = (
             self.stats.windows_by_term.get(term, 0) + 1
         )
         self._m_rounds.inc()
         self._m_window_span.observe(span)
         self._m_window_events.observe(processed)
-        self._registry.counter(
-            "shard.windows", shard=self.rank, term=term
-        ).inc()
+        windows = self._m_windows.get(term)
+        if windows is None:
+            windows = self._m_windows[term] = self._registry.counter(
+                "shard.windows", shard=self.rank, term=term
+            )
+        windows.inc()
         self._refresh_boundary()
         self.stats.exports += len(self._outbox)
         self._m_exports.inc(len(self._outbox))
-        return not self._window_truncated
 
     # -- the round ------------------------------------------------------------
 
     def outgoing(self) -> Message:
         """This round's message to every peer: ``(promise, term, outbox,
-        done)``.  Because horizons are per-shard, shards finish at
-        different rounds: a finished shard keeps announcing ``(inf,
-        "idle", outbox, True)`` — its final window's exports still
-        matter to slower peers — until :attr:`done`."""
-        promise, term = (
+        done)``.  No shard assumes its peers finish in the round it
+        does (the export bound uses the shard's own lookahead): a
+        finished shard keeps announcing ``(inf, "idle", outbox, True)``
+        — its final window's exports still matter to slower peers —
+        until :attr:`done`."""
+        self._promised = promise, term = (
             (math.inf, "idle") if self._finalized else self.promise()
         )
-        self._promised = promise
         return promise, term, self._outbox, self._finalized
 
     def step(self, received: Dict[int, Message]) -> None:
         """One round, given every peer's :meth:`outgoing` by rank: inject
         their outboxes in rank order, take the horizon, run the window.
 
-        The promise sent was computed before this round's ghosts were
+        The horizon is the earliest of every promise of the round — the
+        one this shard sent (listed first, so a window it binds carries
+        its term) and the peers' — so every shard takes the same one.
+        The promises were computed before this round's ghosts were
         injected anywhere; the export term of :func:`next_horizon`
         compensates.  The window is inclusive when this shard's own
-        promise is within the horizon: it owns the earliest potential
-        boundary transmission, and executing it is what guarantees
-        global progress.  :attr:`done` turns true once this shard has
-        finished and every peer has said the same, so no transport is
-        ever left with a blocked reader.
+        promise is the horizon: it owns the earliest potential boundary
+        transmission, and executing it is what guarantees global
+        progress.  A promise is never later than the shard's next move,
+        so no window crosses one, and the move itself runs inclusively
+        on every shard at once.  :attr:`done` turns true once this
+        shard has finished and every peer has said the same, so no
+        transport is ever left with a blocked reader.
         """
         # A copy: the list itself is in the message peers are reading.
         exports, self._outbox = list(self._outbox), []
         if self._finalized:
             self.done = all(m[3] for m in received.values())
             return
-        peer_promises = []
+        promises = [self._promised]
         for peer in sorted(received):
             promise, term, outbox, _done = received[peer]
-            peer_promises.append((promise, term))
+            promises.append((promise, term))
             exports.extend(outbox)
             self.inject(outbox)
         horizon, term = next_horizon(
-            peer_promises, exports, self.lookahead, self.plan.duration
+            promises, exports, self.lookahead, self.plan.duration
         )
-        # The horizon leaves this shard's own promise out, so the move
-        # barrier its peers stop at would not stop the shard itself.
-        # Its promise is never later than its next move, which makes
-        # this window inclusive: the move runs, and the frontier is
-        # fresh before anything behind it does.
-        own_move = self._next_move()
-        if own_move < horizon:
-            horizon, term = own_move, "move"
         final = horizon >= self.plan.duration
         if final or horizon != self._last_horizon or exports:
             self._stalled = 0
@@ -515,11 +506,11 @@ class ShardRuntime:
                     f"t={horizon}"
                 )
         self._last_horizon = horizon
-        reached = self.advance(
-            horizon, inclusive=final or self._promised <= horizon,
+        self.advance(
+            horizon, inclusive=final or self._promised[0] <= horizon,
             final=final, term=term,
         )
-        self._finalized = final and reached
+        self._finalized = final
 
     def result(self) -> Dict[str, Any]:
         """Outcome plus shard accounting, after the final window."""
@@ -535,38 +526,41 @@ class ShardRuntime:
 
 
 def next_horizon(
-    peer_promises: Iterable[Tuple[float, str]],
+    promises: Iterable[Tuple[float, str]],
     exports: Iterable[ExportedTx],
     lookahead: float,
     duration: float,
 ) -> Tuple[float, str]:
-    """One shard's private window horizon for this round, and *which
-    term bound it*.
+    """The round's window horizon — the lower bound on the time stamp of
+    any boundary transmission not yet announced — and *which term bound
+    it*.
 
-    Deliberately excludes the shard's *own* promise: a shard's future
-    transmissions are events it will simulate itself, so only foreign
-    influence bounds its window.  That asymmetry is what lets the
-    globally earliest shard batch an entire run of local attempts up to
-    the next foreign constraint in one window, instead of the whole
-    crew stepping one attempt per round.
+    ``promises`` holds every shard's promise of the round, the calling
+    shard's own included, so all shards take the same horizon from the
+    same all-to-all messages and run the same slice of simulated time
+    concurrently.  (Leaving the own promise out lets the shard that is
+    behind run up to its peer's promise, one lookahead past the peer's
+    clock; next round the peer leapfrogs it by the same rule, and the
+    shard in front never has an event inside its window: the crew takes
+    turns, and wall time is the *sum* of the shards' busy time.)
 
     The export term covers influence announced but not yet reacted to:
     promises in this round's messages were computed before this round's
     ghosts were injected anywhere, and a ghost cannot trigger a
     downstream transmission before its airtime ends plus one lookahead.
 
-    ``peer_promises`` carries ``(value, term)`` pairs as produced by
-    :meth:`ShardRuntime.promise`, so when a peer's promise wins, the
-    attribution names the peer's own binding term ("attempt", "move",
+    ``promises`` carries ``(value, term)`` pairs as produced by
+    :meth:`ShardRuntime.promise`, so when a promise wins, the
+    attribution names that shard's own binding term ("attempt", "move",
     "lookahead") rather than an opaque "peer".  The two extra outcomes
     are ``"export"`` (an in-flight boundary transmission bounds the
-    window) and ``"duration"`` (nothing constrains the shard before the
+    window) and ``"duration"`` (nothing constrains any shard before the
     end of the trial — the free-running case).  Ties resolve toward
     the earlier-listed constraint, matching min() semantics.
     """
     horizon = duration
     term = "duration"
-    for p, p_term in peer_promises:
+    for p, p_term in promises:
         if p < horizon:
             horizon = p
             term = p_term

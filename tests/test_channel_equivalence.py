@@ -417,6 +417,72 @@ class TestCarrierSenseMidAirtime:
         assert delivered > 0
 
 
+#: how a shard admits a remote fragment: in full at its start, or its
+#: carrier only when a move re-announced it mid-air.
+GHOST_ADMISSIONS = {
+    "transmission": lambda channel, src: channel.admit_remote_transmission(
+        src, "x", 27, AIRTIME
+    ),
+    "carrier": lambda channel, src: channel.admit_remote_carrier(
+        src, channel.sim.now + AIRTIME
+    ),
+}
+GHOST = 9
+
+
+class TestGhostCarrierSense:
+    """A ghost — a transmitter with no modem here — sits in no listener's
+    carrier-source set, so the fast path asks the model's bound before
+    the exact PRR.  The verdict stays the scan's, for every listener."""
+
+    @staticmethod
+    def model(asymmetry=0.0):
+        def make():
+            topo = Topology()
+            topo.add_node(GHOST, 0.0, 0.0)   # transmits on another shard
+            topo.add_node(0, 10.0, 0.0)      # in reach
+            topo.add_node(1, 200.0, 0.0)     # out of reach
+            topo.add_node(2, 0.0, 10.0)      # in reach, detached below
+            return DistancePropagation(topo, asymmetry=asymmetry)
+        return make
+
+    @pytest.mark.parametrize("admission", sorted(GHOST_ADMISSIONS))
+    def test_verdicts_in_reach_out_of_reach_detached_and_walking_in(
+        self, admission
+    ):
+        def script(sim, channel, modems, model):
+            sense_all(channel, (0, 1, 2))               # caches warm
+            channel.detach(2)                           # its MAC still asks
+            GHOST_ADMISSIONS[admission](channel, GHOST)
+            started = sense_all(channel, (0, 1, 2))
+            sim.run(until=AIRTIME / 2)
+            model.topology.move_node(1, 10.0, 5.0)      # walks into reach
+            moved = sense_all(channel, (0, 1, 2))
+            sim.run()
+            return started, moved, sense_all(channel, (0, 1, 2))
+
+        assert on_both_engines(script, self.model(), 3) == (
+            [True, False, True],
+            [True, True, True],
+            [False, False, False],
+        )
+
+    @pytest.mark.parametrize("admission", sorted(GHOST_ADMISSIONS))
+    def test_listener_out_of_reach_costs_no_exact_lookup(self, admission):
+        sim = Simulator()
+        model = self.model(asymmetry=0.15)()
+        channel = Channel(sim, model, seeds=SeedSequence(1))
+        for node in range(3):
+            Modem(sim, channel, node_id=node)
+        GHOST_ADMISSIONS[admission](channel, GHOST)
+        checks = channel.carrier_checks
+        assert sense_all(channel, (0, 1)) == [True, False]
+        assert channel.carrier_checks == checks + 1
+        assert (GHOST, 0) in channel.index.prr_memo
+        assert (GHOST, 1) not in channel.index.prr_memo
+        assert (GHOST, 1) not in model._perturbation    # no RNG derived
+
+
 def beacon_flood(monkeypatch, channel_cls, scenario="flood", **params):
     """The shard kernel's beacon flood (every node beacons through its
     CSMA MAC, no upper layers) in one queue, on either engine."""

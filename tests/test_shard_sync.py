@@ -22,7 +22,9 @@ from repro.shard import (
     merge_outcomes,
     next_horizon,
     run_oracle,
+    run_sharded,
 )
+from repro.shard import worker
 from repro.sim import Simulator
 from repro.sim.rng import SeedSequence
 
@@ -68,11 +70,33 @@ class TestNextHorizon:
         )
         assert h == pytest.approx(2.002)
 
-    def test_own_promise_is_not_an_argument(self):
-        """The caller passes peer promises only: a shard's own future
-        transmissions are simulated locally and must not throttle its
-        own window (that is the differentiated-horizon design)."""
-        assert next_horizon([], [], 0.002, 10.0)[0] == 10.0
+    def test_own_promise_listed_first_binds_with_its_term(self):
+        """The caller lists its own promise first: when that is the
+        earliest — alone or tied — the horizon is that promise and the
+        window is attributed to that promise's term."""
+        own, peer = (2.0, "lookahead"), (3.0, "attempt")
+        assert next_horizon([own, peer], [], 0.002, 10.0) == own
+        assert next_horizon(
+            [(2.0, "move"), (2.0, "attempt")], [], 0.002, 10.0
+        ) == (2.0, "move")
+
+    def test_earlier_peer_promise_binds_with_the_peers_term(self):
+        assert next_horizon(
+            [(5.0, "lookahead"), (3.0, "attempt")], [], 0.002, 10.0
+        ) == (3.0, "attempt")
+
+    def test_export_bound_wins_when_earlier_than_every_promise(self):
+        horizon, term = next_horizon(
+            [(4.0, "attempt"), (5.0, "attempt")], [export(end=2.0)],
+            0.002, 10.0,
+        )
+        assert (horizon, term) == (pytest.approx(2.002), "export")
+
+    def test_idle_crew_runs_to_the_duration(self):
+        idle = (math.inf, "idle")
+        assert next_horizon([idle, idle], [], 0.002, 10.0) == (
+            10.0, "duration"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -234,6 +258,114 @@ class TestStep:
         rt.outgoing()
         rt.step({1: (math.inf, "idle", [], True)})
         assert rt.done
+
+    def test_unchanging_horizon_without_exports_is_a_stall(self, monkeypatch):
+        """A peer that says the same thing round after round pins the
+        horizon; past ``STALL_LIMIT`` such rounds the shard gives up
+        instead of spinning."""
+        monkeypatch.setattr(worker, "STALL_LIMIT", 5)
+        rt = ShardRuntime(FLOOD_PLAN, rank=0)
+        stuck_peer = {1: (0.5, "attempt", [], False)}
+        with pytest.raises(RuntimeError, match="stalled at t=0.5"):
+            for _ in range(1000):  # ~60 rounds of its own work come first
+                rt.outgoing()
+                rt.step(stuck_peer)
+        assert rt.sim.now <= 0.5
+
+    def test_finished_shards_exchanging_idle_never_stall(self, monkeypatch):
+        monkeypatch.setattr(worker, "STALL_LIMIT", 5)
+        plan = ShardPlan(
+            scenario="flood", params={"columns": 8, "rows": 4},
+            seed=11, duration=0.2, shards=2,
+        )
+        rt = ShardRuntime(plan, rank=0)
+        finished_peer = {1: (math.inf, "idle", [], True)}
+        while not rt.done:  # a running shard against a finished peer
+            rt.outgoing()
+            rt.step(finished_peer)
+        for _ in range(20):  # and a finished one, for as long as it likes
+            assert rt.outgoing() == (math.inf, "idle", [], True)
+            rt.step(finished_peer)
+
+
+# ---------------------------------------------------------------------------
+# Shards run the same slice of time together
+
+
+def rounds_of(plan):
+    """Drive the round by hand (what the inline transport does) and
+    return the per-round, per-shard executed-event counts and the
+    runtimes."""
+    runtimes = [ShardRuntime(plan, rank) for rank in range(plan.shards)]
+    rounds = []
+    while not all(rt.done for rt in runtimes):
+        messages = [rt.outgoing() for rt in runtimes]
+        before = [rt.stats.events for rt in runtimes]
+        for rank, rt in enumerate(runtimes):
+            rt.step({
+                peer: message for peer, message in enumerate(messages)
+                if peer != rank
+            })
+        rounds.append(
+            [rt.stats.events - was for rt, was in zip(runtimes, before)]
+        )
+    return rounds, runtimes
+
+
+OVERLAP_PLANS = {
+    "regional": ShardPlan(
+        "regional", {"columns": 16, "rows": 16, "duration": 4.5},
+        seed=11, duration=4.5, shards=2,
+    ),
+    "flood": ShardPlan(
+        "flood", {"columns": 16, "rows": 16}, seed=11, duration=3.0, shards=2,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAP_PLANS))
+class TestShardsRunTogether:
+    def test_most_rounds_have_every_shard_executing(self, name):
+        """With one horizon for the crew, shards execute the same slice
+        of simulated time in the same round; when each shard's horizon
+        left its own promise out they took turns (every shard active in
+        0.2% of the rounds, half of all windows empty)."""
+        rounds, runtimes = rounds_of(OVERLAP_PLANS[name])
+        together = sum(1 for events in rounds if all(events))
+        assert together >= len(rounds) / 2
+        windows = sum(rt.stats.rounds for rt in runtimes)
+        empty = sum(rt.stats.empty_windows for rt in runtimes)
+        # A finished shard still exchanges, but runs no window.
+        closing = len(rounds) * len(runtimes) - windows
+        assert empty == sum(events.count(0) for events in rounds) - closing
+        # 10-11% here (2.5% on the 32x32 ledger plan); taking turns: 50%.
+        assert empty < windows / 5
+
+    def test_four_shards_equal_the_oracle(self, name):
+        two = OVERLAP_PLANS[name]
+        plan = ShardPlan(two.scenario, two.params, two.seed, two.duration, 4)
+        result = run_sharded(plan)
+        assert result["outcome"] == run_oracle(plan)
+        assert result["profile"]["empty_windows"] == sum(
+            s["empty_windows"] for s in result["shards"]
+        )
+
+
+def test_a_shard_memoizes_only_links_in_reach():
+    """After a 2-shard flood each shard holds exact PRRs for the
+    directed pairs that can hear each other — among its own nodes and
+    across the cut — not for every remote sender against every owned
+    node that sensed the medium while its ghost was on the air."""
+    _rounds, runtimes = rounds_of(OVERLAP_PLANS["flood"])
+    for rt in runtimes:
+        index = rt.channel.index
+        foreign = set(rt.net.topology.node_ids()) - set(rt.owned)
+        senders = [f for f in foreign if rt.boundary.listeners_across(f)]
+        in_reach = sum(len(index.audible_from(n)) for n in rt.owned) + sum(
+            len(rt.boundary.listeners_across(f)) for f in senders
+        )
+        assert rt.stats.ghosts_admitted > 0
+        assert index.memo_misses <= in_reach < len(senders) * len(rt.owned)
 
 
 # ---------------------------------------------------------------------------
