@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the fast test suite (every pass/fail check lives
 # there), the perf harness's own tests, and the only out-of-process CLI
-# drives: a single-process campaign smoke run of a plan grid (the CLI,
+# drives: the Figure 11 section of `repro experiments` (the reference
+# matcher), a single-process campaign smoke run of a plan grid (the CLI,
 # `plan_trial` over the scenario registry, the worker pool's serial
 # path, the content-addressed store, and cache-hit resume end to end)
 # with `repro report` over one of its store entries, a `repro run
@@ -16,13 +17,22 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 python -m pytest -x -q -m "not slow"
 
 # Perf-harness tests: perf/spans.py wraps the stack's layer entry
-# points by name (Channel.start_transmission, carrier_busy, ...) and
-# reads Channel/NeighborhoodIndex counters by attribute; nothing in
-# tests/ would notice if one of those vanished.
+# points by name (Channel.start_transmission, carrier_busy, ...,
+# MatchIndex.__init__ and MatchIndex.one_way) and reads Channel /
+# NeighborhoodIndex counters and MatchIndex.stats by attribute; this
+# step is what pins those names — nothing in tests/ would notice if
+# one of them vanished.
 python -m pytest perf -q
 
 store="$(mktemp -d)"
 trap 'rm -rf "$store"' EXIT
+
+# Figure 11 from the CLI: the reference (Figure 2) matcher timed by the
+# experiments runner, the one drive of it outside pytest.
+fig11="$(python -m repro experiments --quick --only fig11)"
+grep -q "Figure 11" <<<"$fig11" \
+    || { echo "experiments --only fig11 printed no Figure 11" >&2; exit 1; }
+
 python -m repro campaign run resilience --quick --jobs 1 --store "$store/campaign"
 # An immediate re-run must be served entirely from cache.
 # Buffer the output: grep -q would close the pipe mid-print and kill

