@@ -7,12 +7,13 @@ code for fragmentation and reassembly when necessary."  Section 6.1:
 single fragment results in loss of the whole message."
 """
 
-from repro.link.frag import FragmentationLayer, Fragment
+from repro.link.frag import FragmentationLayer, Fragment, ReassemblyExpiry
 from repro.link.neighbor import NeighborEntry, NeighborTable, EphemeralIdAllocator
 
 __all__ = [
     "FragmentationLayer",
     "Fragment",
+    "ReassemblyExpiry",
     "NeighborTable",
     "NeighborEntry",
     "EphemeralIdAllocator",

@@ -9,28 +9,91 @@ MAC "perform particularly poorly at high load".
 
 Fragments carry the message object by reference (this is a simulator,
 not a codec); ``nbytes`` drives airtime and traffic accounting.
+
+A partial message expires ``timeout`` seconds after its first fragment
+arrived.  The timeout is one constant per network, so expiries come due
+in the order the partials were opened: every layer of a network shares
+one :class:`ReassemblyExpiry` FIFO with at most one pending kernel
+event, instead of scheduling (and mostly cancelling) a timer per
+message.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
-from repro.sim import Simulator, TraceBus, trace_id_of
+from repro.sim import Event, Simulator, TraceBus, trace_id_of
 from repro.sim.metrics import MetricsRegistry, current_registry
+
+MessageId = Tuple[int, int]  # (origin node, per-node counter)
 
 
 @dataclass(frozen=True)
 class Fragment:
     """One radio-sized piece of a message."""
 
-    message_id: Tuple[int, int]  # (origin node, per-node counter)
+    message_id: MessageId
     index: int
     count: int
     nbytes: int                  # payload bytes carried by this fragment
     message: Any                 # the full message object (by reference)
     link_src: int = -1           # filled in by the receiver path
+
+
+class ReassemblyExpiry:
+    """The reassembly timeouts of every layer sharing it, in one FIFO.
+
+    Entries are ``(expires, ticket, layer, message_id)`` in the order
+    partials were opened, which is expiry order because ``timeout`` is
+    fixed.  At most one ``frag.expire`` kernel event is pending, at the
+    head's time; it expires every entry then due and re-arms for the
+    next live one.  Completing a message or resetting a layer deletes
+    only the layer's partial state: an entry whose partial is gone, or
+    was opened again since (it holds a newer ``ticket``), is skipped.
+    """
+
+    def __init__(self, sim: Simulator, timeout: float = 5.0) -> None:
+        self.sim = sim
+        self.timeout = timeout
+        self._fifo: Deque[Tuple[float, int, "FragmentationLayer", MessageId]] = (
+            deque()
+        )
+        self._tickets = itertools.count()
+        self._event: Optional[Event] = None
+
+    def open(self, layer: "FragmentationLayer", message_id: MessageId) -> int:
+        """Queue the expiry of a partial ``layer`` opens now; returns
+        the ticket that names this opening."""
+        expires = self.sim.now + self.timeout
+        ticket = next(self._tickets)
+        self._fifo.append((expires, ticket, layer, message_id))
+        if self._event is None:
+            self._event = self.sim.schedule_at(
+                expires, self._fire, name="frag.expire"
+            )
+        return ticket
+
+    def _fire(self) -> None:
+        fifo = self._fifo
+        now = self.sim.now
+        while fifo:
+            expires, ticket, layer, message_id = fifo[0]
+            if expires <= now:
+                fifo.popleft()
+                layer._expire(message_id, ticket)
+            elif layer._is_open(message_id, ticket):
+                break
+            else:
+                # Completed or reset since: re-arm for a live head only.
+                fifo.popleft()
+        self._event = (
+            self.sim.schedule_at(fifo[0][0], self._fire, name="frag.expire")
+            if fifo else None
+        )
 
 
 class FragmentationLayer:
@@ -39,6 +102,9 @@ class FragmentationLayer:
     Send path: :meth:`send_message` splits a message into fragments and
     enqueues each on the MAC.  Receive path: modem fragments funnel into
     :meth:`on_fragment`; complete messages fire ``deliver_callback``.
+
+    Partial messages time out through ``expiry``, the network's shared
+    :class:`ReassemblyExpiry`; a layer built without one makes its own.
     """
 
     def __init__(
@@ -47,15 +113,15 @@ class FragmentationLayer:
         mac,
         node_id: int,
         fragment_payload: int = 27,
-        reassembly_timeout: float = 5.0,
         trace: Optional[TraceBus] = None,
         metrics: Optional[MetricsRegistry] = None,
+        expiry: Optional[ReassemblyExpiry] = None,
     ) -> None:
         self.sim = sim
         self.mac = mac
         self.node_id = node_id
         self.fragment_payload = fragment_payload
-        self.reassembly_timeout = reassembly_timeout
+        self.expiry = expiry if expiry is not None else ReassemblyExpiry(sim)
         self.trace = trace or TraceBus()
         registry = metrics if metrics is not None else current_registry()
         self._m_sent = registry.counter("frag.messages_sent")
@@ -71,8 +137,9 @@ class FragmentationLayer:
         #: failure would on the real radio).
         self.inbound_filter: Optional[Callable[[Fragment, int], bool]] = None
         self._message_counter = 0
-        # (message_id) -> (set of indices received, count, expiry event, nbytes, message, src)
-        self._partial: Dict[Tuple[int, int], dict] = {}
+        # message_id -> {indices received, count, nbytes, message, src,
+        # expiry ticket}
+        self._partial: Dict[MessageId, dict] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_incomplete = 0
@@ -127,19 +194,13 @@ class FragmentationLayer:
             return
         state = self._partial.get(fragment.message_id)
         if state is None:
-            expiry = self.sim.schedule(
-                self.reassembly_timeout,
-                self._expire,
-                fragment.message_id,
-                name="frag.expire",
-            )
             state = {
                 "indices": set(),
                 "count": fragment.count,
                 "nbytes": 0,
                 "message": fragment.message,
                 "src": src,
-                "expiry": expiry,
+                "ticket": self.expiry.open(self, fragment.message_id),
             }
             self._partial[fragment.message_id] = state
         indices: Set[int] = state["indices"]
@@ -148,7 +209,6 @@ class FragmentationLayer:
         indices.add(fragment.index)
         state["nbytes"] += fragment.nbytes
         if len(indices) == state["count"]:
-            state["expiry"].cancel()
             del self._partial[fragment.message_id]
             self._deliver(state["message"], state["src"], state["nbytes"])
 
@@ -158,9 +218,17 @@ class FragmentationLayer:
         if self.deliver_callback is not None:
             self.deliver_callback(message, src, nbytes)
 
-    def _expire(self, message_id: Tuple[int, int]) -> None:
-        state = self._partial.pop(message_id, None)
-        if state is not None:
+    def _is_open(self, message_id: MessageId, ticket: int) -> bool:
+        """Is the partial opened under ``ticket`` still here (neither
+        completed nor reset)?"""
+        state = self._partial.get(message_id)
+        return state is not None and state["ticket"] == ticket
+
+    def _expire(self, message_id: MessageId, ticket: int) -> None:
+        """``expiry`` callback: the partial opened under ``ticket`` times
+        out, unless it completed or was reset."""
+        if self._is_open(message_id, ticket):
+            state = self._partial.pop(message_id)
             self.messages_incomplete += 1
             self._m_incomplete.inc()
             if self.trace.active:
@@ -178,8 +246,6 @@ class FragmentationLayer:
 
     def reset(self) -> None:
         """Drop all partial reassembly state (a reboot loses it)."""
-        for state in self._partial.values():
-            state["expiry"].cancel()
         self._partial.clear()
 
     @property

@@ -119,6 +119,10 @@ class Channel:
         seeds = seeds or SeedSequence(1)
         self._loss_rng = seeds.stream("channel-loss")
         self._loss_seed = derive_seed(seeds.root_seed, "channel-loss-hash")
+        # The stream draw, or None for the hashed _loss_draw.
+        self._stream_draw: Optional[Callable[[], float]] = (
+            self._loss_rng.random if loss_mode == "stream" else None
+        )
         self._modems: Dict[int, Any] = {}
         # Per-receiver in-progress receptions keyed by transmission
         # seqno, for collision marking and O(1) completion.
@@ -270,11 +274,14 @@ class Channel:
         nbytes: int,
         duration: float,
         link_dst: Optional[int] = None,
+        on_end: Optional[Callable[[], None]] = None,
     ) -> Transmission:
         """Begin a fragment transmission from ``src``.
 
         The caller (modem) is responsible for keeping its
-        ``transmitting`` flag true for the duration.
+        ``transmitting`` flag true for the duration; ``on_end`` runs
+        when the airtime ends, after every reception of the fragment
+        has been finalized and in the same kernel event.
         """
         now = self.sim.now
         self._seqno += 1
@@ -297,7 +304,7 @@ class Channel:
             self.on_transmission(tx)
         if src in self._modems:  # a detached radio asserts no carrier
             self._active.add(src)
-        self._deliver_to(tx, duration)
+        self._deliver_to(tx, duration, on_end)
         return tx
 
     def admit_remote_transmission(
@@ -356,16 +363,21 @@ class Channel:
         if self._remote_active.get(src) is tx:
             del self._remote_active[src]
 
-    def _deliver_to(self, tx: Transmission, duration: float) -> None:
+    def _deliver_to(
+        self,
+        tx: Transmission,
+        duration: float,
+        on_end: Optional[Callable[[], None]] = None,
+    ) -> None:
         """Admit ``tx`` at every receiver that can hear it and schedule
-        their finalization.
+        their finalization, then the sender's ``on_end``.
 
         Serves local and ghost transmissions alike: an audibility set
         never lists its own sender, and a ghost's src has no local
-        modem to list.  The common admission — idle receiver, empty
-        in-progress map — is inlined; anything else goes through
-        _admit_reception, the sole owner of the collision/capture
-        verdict logic.
+        modem to list (nor an ``on_end``).  The common admission — idle
+        receiver, empty in-progress map — is inlined; anything else
+        goes through _admit_reception, the sole owner of the
+        collision/capture verdict logic.
         """
         now = self.sim.now
         src = tx.src
@@ -405,13 +417,17 @@ class Channel:
             batch.append((node_id, modem, in_progress, reception))
         if batch is not None:
             # One simulator event finalizes every reception of this
-            # fragment.  All its receptions end at the same instant with
-            # consecutive sequence numbers, so no foreign event can
-            # observe the difference — outcomes and trace order match
-            # the reference per-reception events exactly.
+            # fragment and then ends the sender's airtime.  The
+            # reference's per-reception events and its sender's end all
+            # share this instant and have consecutive sequence numbers,
+            # so no foreign event can observe the difference — outcomes
+            # and trace order match the reference exactly.
             self.sim.schedule(
-                duration, self._finish_transmission, batch, name="channel.rx"
+                duration, self._finish_transmission, batch, on_end,
+                name="channel.rx",
             )
+        elif on_end is not None:
+            self.sim.schedule(duration, on_end, name="modem.txdone")
 
     def _admit_reception(
         self, tx: Transmission, node_id: int, modem: Any, prr: float
@@ -435,10 +451,13 @@ class Channel:
                 if not survives and not other.corrupted:
                     other.corrupted = True
                     self.fragments_collided += 1
-            captured_over_all = self.capture_effect and all(
-                reception.prr >= self.CAPTURE_STRONG
-                and other.prr <= self.CAPTURE_WEAK
-                for other in in_progress.values()
+            captured_over_all = (
+                self.capture_effect
+                and reception.prr >= self.CAPTURE_STRONG
+                and all(
+                    other.prr <= self.CAPTURE_WEAK
+                    for other in in_progress.values()
+                )
             )
             if not captured_over_all and not reception.corrupted:
                 reception.corrupted = True
@@ -446,11 +465,15 @@ class Channel:
         in_progress[tx.seqno] = reception
         return reception
 
-    def _finish_transmission(self, batch: list) -> None:
+    def _finish_transmission(
+        self, batch: list, on_end: Optional[Callable[[], None]]
+    ) -> None:
         finalize = self._finalize_reception
         for node_id, modem, in_progress, reception in batch:
             in_progress.pop(reception.transmission.seqno, None)
             finalize(node_id, modem, reception)
+        if on_end is not None:
+            on_end()
 
     def _finalize_reception(
         self, node_id: int, modem: Any, reception: _Reception
@@ -464,29 +487,35 @@ class Channel:
         tx = reception.transmission
         trace = self.trace
         if reception.corrupted:
-            if trace.active:
-                trace.emit(
-                    self.sim.now, "channel.collision", node=node_id, src=tx.src
-                )
             if reception.reason == "half-duplex":
                 self._m_drop_half_duplex.inc()
             else:
                 self._m_drop_collision.inc()
-            self._note_radio_drop(node_id, tx, reception.reason)
+            if trace.active:
+                trace.emit(
+                    self.sim.now, "channel.collision", node=node_id, src=tx.src
+                )
+                self._note_radio_drop(node_id, tx, reception.reason)
             return
         if modem.transmitting or modem.sleeping:
             # Started transmitting (or fell asleep) mid-reception: lost.
             self._m_drop_half_duplex.inc()
-            self._note_radio_drop(node_id, tx, "half-duplex")
+            if trace.active:
+                self._note_radio_drop(node_id, tx, "half-duplex")
             return
-        if self._loss_draw(node_id, tx) >= reception.prr:
+        stream_draw = self._stream_draw
+        draw = (
+            stream_draw() if stream_draw is not None
+            else self._loss_draw(node_id, tx)
+        )
+        if draw >= reception.prr:
             self.fragments_lost += 1
             self._m_drop_loss.inc()
             if trace.active:
                 trace.emit(
                     self.sim.now, "channel.loss", node=node_id, src=tx.src
                 )
-            self._note_radio_drop(node_id, tx, "channel-loss")
+                self._note_radio_drop(node_id, tx, "channel-loss")
             return
         self.fragments_delivered += 1
         self._m_delivered.inc()
@@ -498,7 +527,8 @@ class Channel:
         modem.deliver(tx.payload, tx.src, tx.nbytes, tx.link_dst)
 
     def _loss_draw(self, node_id: int, tx: Transmission) -> float:
-        """The uniform deciding this reception's channel-loss fate.
+        """The ``hashed`` uniform deciding this reception's channel-loss
+        fate (``stream`` draws inline in _finalize_reception).
 
         ``stream`` (the default) draws from the shared channel-loss RNG
         in global finalization order — the historical behaviour, kept
@@ -510,8 +540,6 @@ class Channel:
         identifies a transmission — a radio sends one fragment at a
         time — so retransmissions still draw fresh uniforms.
         """
-        if self.loss_mode == "stream":
-            return self._loss_rng.random()
         # Python's numeric hashing is stable across processes (hash
         # randomization covers only str/bytes), and the splitmix64
         # finalizer decorrelates the structured tuple hashes into
@@ -524,7 +552,9 @@ class Channel:
         return (x >> 11) * (2.0 ** -53)
 
     def _note_radio_drop(self, node_id: int, tx: Transmission, reason: str) -> None:
-        """Attribute one failed reception to its cause.
+        """Attribute one failed reception to its cause (callers check
+        ``trace.active`` first, keeping an untraced run's loss paths
+        free of the call).
 
         Only the addressed receiver matters for unicast fragments; for
         broadcasts every audible node is a legitimate receiver, so each

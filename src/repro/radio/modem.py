@@ -91,10 +91,13 @@ class Modem:
         self.fragments_sent += 1
         if self.energy is not None:
             self.energy.record_send(airtime)
+        # The channel ends the airtime in the event that finalizes the
+        # fragment's receptions (or in a "modem.txdone" of its own when
+        # no one can hear it).
         self.channel.start_transmission(
-            self.node_id, payload, payload_bytes, airtime, link_dst
+            self.node_id, payload, payload_bytes, airtime, link_dst,
+            self._transmit_done,
         )
-        self.sim.schedule(airtime, self._transmit_done, name="modem.txdone")
         return airtime
 
     def _transmit_done(self) -> None:

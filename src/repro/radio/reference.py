@@ -2,7 +2,8 @@
 
 :class:`ReferenceChannel` finds receivers and carrier the way the
 original channel did — probe every attached modem per fragment and per
-carrier-sense query, one finalization event per reception — and needs
+carrier-sense query, one finalization event per reception and one more
+for the sender's end of airtime — and needs
 nothing from the propagation model beyond ``link_prr``.  Every verdict
 (half-duplex, collision, capture, loss draw) is inherited from
 :class:`~repro.radio.channel.Channel`, so the two can differ only in
@@ -13,6 +14,8 @@ protocol (:func:`~repro.radio.neighborhood.supports_fast_path`).
 """
 
 from __future__ import annotations
+
+from typing import Callable, Optional
 
 from repro.radio.channel import Channel, Transmission, _Reception
 
@@ -50,7 +53,12 @@ class ReferenceChannel(Channel):
                 return True
         return False
 
-    def _deliver_to(self, tx: Transmission, duration: float) -> None:
+    def _deliver_to(
+        self,
+        tx: Transmission,
+        duration: float,
+        on_end: Optional[Callable[[], None]] = None,
+    ) -> None:
         now = self.sim.now
         src = tx.src
         link_prr = self.propagation.link_prr
@@ -65,6 +73,9 @@ class ReferenceChannel(Channel):
                 duration, self._finish_reception, node_id, reception,
                 name="channel.rx",
             )
+        if on_end is not None:
+            # The sender's end of airtime, after its receptions.
+            self.sim.schedule(duration, on_end, name="modem.txdone")
 
     def _finish_reception(self, node_id: int, reception: _Reception) -> None:
         in_progress = self._receiving.get(node_id)

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
 from repro.energy import NetworkEnergyAccount
-from repro.link import FragmentationLayer
+from repro.link import FragmentationLayer, ReassemblyExpiry
 from repro.mac import CsmaMac
 from repro.radio import (
     Channel,
@@ -180,6 +180,9 @@ class SensorNetwork:
             loss_mode=loss_mode,
         )
         self.energy_account = NetworkEnergyAccount()
+        # One reassembly-timeout FIFO for every node: partials then
+        # expire in the order they were opened, across the network.
+        self.reassembly = ReassemblyExpiry(self.sim)
         # mac_factory(sim, modem, rng, queue_limit) -> Mac; None = CSMA.
         self.mac_factory = mac_factory
         self.stacks: Dict[int, NodeStack] = {}
@@ -215,7 +218,7 @@ class SensorNetwork:
         frag = FragmentationLayer(
             self.sim, mac, node_id,
             fragment_payload=self.radio_params.fragment_payload,
-            trace=self.trace,
+            trace=self.trace, expiry=self.reassembly,
         )
         diffusion = DiffusionNode(
             self.sim,

@@ -1,13 +1,22 @@
 """Tests for fragmentation/reassembly and neighbor tracking."""
 
 import random
+from types import SimpleNamespace
 
+import hypothesis.strategies as st
 import pytest
+from hypothesis import given, settings
 
-from repro.link import EphemeralIdAllocator, FragmentationLayer, NeighborTable
+from repro.link import (
+    EphemeralIdAllocator,
+    Fragment,
+    FragmentationLayer,
+    NeighborTable,
+    ReassemblyExpiry,
+)
 from repro.mac import CsmaMac
 from repro.radio import Channel, Modem, TablePropagation
-from repro.sim import SeedSequence, Simulator
+from repro.sim import SeedSequence, Simulator, TraceBus
 
 
 def make_frag_net(links, n_nodes=2):
@@ -117,7 +126,7 @@ class TestReassembly:
                         message="x")
         layers[1].on_fragment(frag, src=0)
         assert layers[1].partial_count == 1
-        sim.run(until=layers[1].reassembly_timeout + 1.0)
+        sim.run(until=layers[1].expiry.timeout + 1.0)
         assert layers[1].partial_count == 0
         assert layers[1].messages_incomplete == 1
 
@@ -128,6 +137,156 @@ class TestReassembly:
         layers[0].send_message("b", 50)
         sim.run()
         assert sorted(m for m, _, _ in out.messages) == ["a", "b"]
+
+    def test_layer_makes_its_own_expiry_unless_handed_one(self):
+        sim = Simulator()
+        alone = FragmentationLayer(sim, _stub_mac(), 0)
+        assert alone.expiry.timeout == 5.0
+        shared = ReassemblyExpiry(sim, timeout=3.0)
+        a = FragmentationLayer(sim, _stub_mac(), 1, expiry=shared)
+        b = FragmentationLayer(sim, _stub_mac(), 2, expiry=shared)
+        assert a.expiry is b.expiry is shared
+
+
+# -- one expiry FIFO against one timer per partial message -------------------
+
+TIMEOUT = 2.0
+NODES = 3
+#: message id -> fragment count; few ids, so arrivals interleave,
+#: duplicate, and re-open a message after it completed or expired
+MESSAGES = {(9, 1): 2, (9, 2): 3, (8, 1): 2, (8, 2): 3}
+
+
+def _stub_mac():
+    return SimpleNamespace(modem=SimpleNamespace(receive_callback=None))
+
+
+def _fragment(message_id, index):
+    count = MESSAGES[message_id]
+    return Fragment(
+        message_id=message_id, index=index % count, count=count, nbytes=10,
+        message=SimpleNamespace(trace_id=f"{message_id[0]}.{message_id[1]}"),
+    )
+
+
+class TimerPerMessage:
+    """Reassembly with one kernel timer per partial message, cancelled
+    on completion and on reset: the model the shared FIFO must match."""
+
+    def __init__(self, sim, node_id, delivered, expired):
+        self.sim, self.node_id = sim, node_id
+        self.delivered, self.expired = delivered, expired
+        self.partial = {}
+        self.messages_incomplete = 0
+
+    def on_fragment(self, fragment, src):
+        state = self.partial.get(fragment.message_id)
+        if state is None:
+            timer = self.sim.schedule(TIMEOUT, self._expire, fragment)
+            state = self.partial[fragment.message_id] = (set(), timer)
+        indices, timer = state
+        indices.add(fragment.index)
+        if len(indices) == fragment.count:
+            timer.cancel()
+            del self.partial[fragment.message_id]
+            self.delivered.append(
+                (self.sim.now, self.node_id, fragment.message.trace_id)
+            )
+
+    def _expire(self, fragment):
+        if self.partial.pop(fragment.message_id, None) is not None:
+            self.messages_incomplete += 1
+            self.expired.append(
+                (self.sim.now, self.node_id, fragment.message.trace_id)
+            )
+
+    def reset(self):
+        for _, timer in self.partial.values():
+            timer.cancel()
+        self.partial.clear()
+
+
+def _run(steps, build):
+    """Apply ``steps`` — (delay since the previous step, operation) —
+    to the layers ``build(sim, delivered, expired)`` returns; every step
+    is scheduled before the run, as arrivals from outside the stack."""
+    sim = Simulator()
+    delivered, expired = [], []
+    layers = build(sim, delivered, expired)
+    pending_expiries = []
+
+    def apply(op):
+        if op[0] == "reset":
+            layers[op[1]].reset()
+        else:
+            _, nodes, message_id, index = op
+            # One broadcast fragment reaching several nodes in one event.
+            for node in nodes:
+                layers[node].on_fragment(_fragment(message_id, index), src=9)
+        pending_expiries.append(sum(
+            event.name == "frag.expire" for event in sim.pending_events()
+        ))
+
+    now = 0.0
+    for delay, op in steps:
+        now += delay
+        sim.schedule_at(now, apply, op)
+    sim.run(until=now + 3 * TIMEOUT)
+    return delivered, expired, [layer.messages_incomplete for layer in layers], pending_expiries
+
+
+def _fifo_layers(sim, delivered, expired):
+    bus = TraceBus()
+    bus.subscribe("path.drop", lambda record: expired.append(
+        (record.time, record.node, record.data["trace"])
+    ))
+    expiry = ReassemblyExpiry(sim, timeout=TIMEOUT)
+    layers = []
+    for node in range(NODES):
+        layer = FragmentationLayer(sim, _stub_mac(), node, trace=bus, expiry=expiry)
+        layer.deliver_callback = (
+            lambda message, src, nbytes, node=node:
+            delivered.append((sim.now, node, message.trace_id))
+        )
+        layers.append(layer)
+    return layers
+
+
+def _model_layers(sim, delivered, expired):
+    return [TimerPerMessage(sim, node, delivered, expired) for node in range(NODES)]
+
+
+_operation = st.one_of(
+    st.tuples(
+        st.just("fragment"),
+        st.lists(st.integers(0, NODES - 1), min_size=1, max_size=NODES, unique=True),
+        st.sampled_from(sorted(MESSAGES)),
+        st.integers(0, 2),
+    ),
+    st.tuples(st.just("reset"), st.integers(0, NODES - 1)),
+)
+
+
+class TestSharedExpiryProperties:
+    @given(st.lists(
+        st.tuples(st.sampled_from((0.0, 0.5, 1.0, 1.5, TIMEOUT)), _operation),
+        max_size=40,
+    ))
+    @settings(max_examples=300, deadline=None)
+    def test_fifo_matches_a_timer_per_message(self, steps):
+        """Interleaved, missing, duplicate and late fragments (arrivals
+        land on exact expiry instants: every delay is a multiple of 0.5)
+        and resets at random times: the same deliveries, the same
+        incomplete counts, the same ordered expiries, and never more
+        than one pending ``frag.expire``."""
+        delivered, expired, incomplete, pending = _run(steps, _fifo_layers)
+        want_delivered, want_expired, want_incomplete, _ = _run(
+            steps, _model_layers
+        )
+        assert delivered == want_delivered
+        assert expired == want_expired
+        assert incomplete == want_incomplete
+        assert max(pending, default=0) <= 1
 
 
 class TestNeighborTable:

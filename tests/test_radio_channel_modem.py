@@ -2,13 +2,19 @@
 
 import pytest
 
-from repro.radio import Channel, Modem, RadioParams, TablePropagation
+from repro.radio import (
+    Channel,
+    Modem,
+    RadioParams,
+    ReferenceChannel,
+    TablePropagation,
+)
 from repro.sim import SeedSequence, Simulator
 
 
-def make_net(links, n_nodes=3, params=None):
+def make_net(links, n_nodes=3, params=None, channel_cls=Channel):
     sim = Simulator()
-    channel = Channel(sim, TablePropagation(links), seeds=SeedSequence(1))
+    channel = channel_cls(sim, TablePropagation(links), seeds=SeedSequence(1))
     modems = [
         Modem(sim, channel, node_id=i, params=params or RadioParams())
         for i in range(n_nodes)
@@ -155,6 +161,91 @@ class TestCarrierSense:
         modems[0].transmit_fragment("a", 27)
         assert not channel.carrier_busy(1)
         sim.run()
+
+
+def queued(sim):
+    """(time, name) of every pending kernel event, in run order."""
+    return [
+        (event.time, event.name)
+        for event in sorted(sim.pending_events(), key=lambda e: (e.time, e.seq))
+    ]
+
+
+@pytest.mark.parametrize("channel_cls", [Channel, ReferenceChannel])
+class TestEndOfAirtime:
+    """A fragment's airtime ends in the event that finalizes its
+    receptions (``ReferenceChannel``: one event per reception, then one
+    for the sender, all at the same instant)."""
+
+    def test_heard_fragment_costs_one_event_at_end_of_airtime(self, channel_cls):
+        sim, channel, modems = make_net(
+            {(0, 1): 1.0, (0, 2): 1.0}, channel_cls=channel_cls
+        )
+        sim.run(until=1.0)
+        airtime = modems[0].transmit_fragment("a", 27)
+        events = queued(sim)
+        if channel_cls is Channel:
+            assert [name for _, name in events] == ["channel.rx"]
+        else:
+            assert [name for _, name in events] == [
+                "channel.rx", "channel.rx", "modem.txdone",
+            ]
+        assert {time for time, _ in events} == {1.0 + airtime}
+        sim.run()
+        assert sim.events_processed == len(events)
+
+    def test_on_done_runs_after_every_delivery_at_the_same_instant(
+        self, channel_cls
+    ):
+        sim, channel, modems = make_net(
+            {(0, 1): 1.0, (0, 2): 1.0}, channel_cls=channel_cls
+        )
+        order = []
+        for node in (1, 2):
+            modems[node].receive_callback = (
+                lambda payload, src, nbytes, dst, node=node:
+                order.append(("deliver", node, sim.now))
+            )
+        airtime = modems[0].transmit_fragment(
+            "a", 27, on_done=lambda: order.append(
+                ("done", modems[0].transmitting, sim.now)
+            )
+        )
+        sim.run()
+        assert order == [
+            ("deliver", 1, airtime), ("deliver", 2, airtime),
+            ("done", False, airtime),
+        ]
+
+    def test_unheard_fragment_still_ends_its_airtime(self, channel_cls):
+        sim, channel, modems = make_net({(0, 1): 0.0}, channel_cls=channel_cls)
+        done = []
+        airtime = modems[0].transmit_fragment(
+            "a", 27, on_done=lambda: done.append(sim.now)
+        )
+        assert [name for _, name in queued(sim)] == ["modem.txdone"]
+        assert 0 in channel._active
+        sim.run()
+        assert done == [airtime]
+        assert not modems[0].transmitting
+        assert 0 not in channel._active
+
+    def test_sender_detached_mid_airtime_still_ends_it(self, channel_cls):
+        sim, channel, modems = make_net({(0, 1): 1.0}, channel_cls=channel_cls)
+        done = []
+        airtime = modems[0].transmit_fragment(
+            "a", 27, on_done=lambda: done.append(sim.now)
+        )
+        sim.schedule(airtime / 2, channel.detach, 0)
+        sim.run()
+        assert done == [airtime]
+        assert not modems[0].transmitting
+        assert 0 not in channel._active
+        # Re-attached, it transmits again.
+        channel.attach(modems[0])
+        modems[0].transmit_fragment("b", 27)
+        sim.run()
+        assert not modems[0].transmitting
 
 
 class TestModemStats:

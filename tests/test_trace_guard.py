@@ -180,13 +180,17 @@ def test_untraced_run_evaluates_no_trace_argument(monkeypatch):
 
 #: sha256 of the JSONL a traced run writes, less its one host-time record
 #: (``kernel.profile``); read at the commit before the guards went in, so
-#: a traced run still emits byte for byte what it did.  A fresh process
-#: each: trace ids carry the process-wide message counter.
+#: a traced run still emits byte for byte what it did.  Re-pinned once
+#: since, when a fragment's end of airtime joined its reception event
+#: and reassembly timeouts moved to one FIFO: only the final
+#: ``metrics.snapshot`` moved (``kernel.cancelled_events`` and the
+#: ``kernel.events_processed`` gauge).  A fresh process each: trace ids
+#: carry the process-wide message counter.
 TRACED_RUNS = {
     ("line", "-p", "nodes=3", "--duration", "20", "--seed", "1"):
-        "e23d910ed6eb915d1ed847562be1e8823dcea1a0afb17aa5f030414b08ece0af",
+        "2dccd97390ae021561eac592f54aedf20963a37dfc5db6c9af6b2224f1578fc3",
     ("fig8", "--duration", "60", "--seed", "1"):
-        "5e1af71feaedba98c404f826fae2fe8dbd8aa1fbbc15f9b3c023f66dda293f9f",
+        "2619e4f591e5b0c4a4c5257d9b7005f75da9de8b38692cb356690decb0f0f42d",
 }
 
 
