@@ -1,7 +1,8 @@
 """Benchmark: observability overhead when nobody is listening.
 
 The trace bus drops records on its no-listener fast path and the null
-metrics registry absorbs increments without allocating, so a run with
+metrics registry keeps no counter at all (counters are read back from
+the layers' own attributes), so a run with
 neither a collector nor a registry attached must cost the same as a
 stack with no instrumentation at all.  The uninstrumented baseline is
 simulated by stubbing ``TraceBus.emit`` to a bare no-op: the gap

@@ -1,8 +1,8 @@
 """Human-readable rendering of disruption-tolerant transfer results.
 
-Pure formatting over the JSON-safe dicts that
-:func:`repro.dtn.scenario.dtn_run` / :func:`~repro.dtn.scenario.mule_run`
-return — no simulation imports, so saved results render without
+Pure formatting over the JSON-safe outcome of a ``dtn`` or ``mule``
+plan (:mod:`repro.shard.scenario`) — no simulation imports, so saved
+results render without
 touching the engine.  The centerpiece is the loss-attribution table:
 every undelivered block charged to a cause, with ``unattributed``
 called out loudly because the dtn campaign gates on it being zero.

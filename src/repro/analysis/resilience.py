@@ -1,7 +1,7 @@
 """Human-readable rendering of resilience-run results.
 
-Pure formatting over the JSON-safe dicts that
-:func:`repro.faults.scenarios.resilience_run` returns — no simulation
+Pure formatting over the JSON-safe outcome of a ``resilience`` plan
+(:mod:`repro.shard.scenario`) — no simulation
 imports, so trace tooling and the ``faults report`` CLI can render
 saved results without touching the engine.
 """

@@ -25,7 +25,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core.cache import DataCache
 from repro.core.config import DiffusionConfig
@@ -42,7 +42,7 @@ from repro.core.messages import (
 from repro.naming import AttributeVector, fast_two_way_match
 from repro.naming.keys import Key
 from repro.sim import Simulator, TraceBus
-from repro.sim.metrics import CLASS_LABEL, MetricsRegistry, current_registry
+from repro.sim.metrics import CLASS_LABEL, current_registry
 
 _subscription_ids = itertools.count(1)
 _publication_ids = itertools.count(1)
@@ -56,6 +56,12 @@ MESSAGE_CLASS_LABELS: Dict[MessageType, str] = {
     MessageType.POSITIVE_REINFORCEMENT: "reinforcement",
     MessageType.NEGATIVE_REINFORCEMENT: "reinforcement",
     MessageType.CONTROL: "control",
+}
+
+#: the message types behind each class label.
+_CLASS_TYPES: Dict[str, Tuple[MessageType, ...]] = {
+    label: tuple(t for t, of in MESSAGE_CLASS_LABELS.items() if of == label)
+    for label in dict.fromkeys(MESSAGE_CLASS_LABELS.values())
 }
 
 
@@ -90,7 +96,10 @@ class NodeStats:
         self.messages_by_type: Dict[MessageType, int] = {t: 0 for t in MessageType}
         self.messages_received: int = 0
         self.events_delivered: int = 0
+        #: data with no gradient to follow, ``messages_dropped_negative``
+        #: (the path was torn down by a negative reinforcement) included.
         self.messages_dropped_no_route: int = 0
+        self.messages_dropped_negative: int = 0
         self.duplicates_suppressed: int = 0
 
     def count_tx(self, msg_type: MessageType, nbytes: int) -> None:
@@ -111,7 +120,6 @@ class DiffusionNode:
         config: Optional[DiffusionConfig] = None,
         trace: Optional[TraceBus] = None,
         rng: Optional[random.Random] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -120,35 +128,42 @@ class DiffusionNode:
         self.config.validate()
         self.trace = trace or TraceBus()
         self.rng = rng or random.Random(node_id)
-        self.stats = NodeStats()
-        registry = metrics if metrics is not None else current_registry()
-        self._m_tx_messages = registry.counter("diffusion.tx.messages")
-        self._m_tx_bytes = registry.counter("diffusion.tx.bytes")
+        self.stats = stats = NodeStats()
+        registry = current_registry()
+        registry.counter("diffusion.tx.messages", lambda: stats.messages_sent)
+        registry.counter("diffusion.tx.bytes", lambda: stats.bytes_sent)
         # Per-message-class accounting (interest / data / exploratory /
-        # reinforcement / control), resolved once per class so the hot
-        # path stays two increments.  Labeled instruments are memoized
-        # by (name, labels), so every node shares one counter per class.
-        self._m_tx_class = {
-            t: (
-                registry.counter(
-                    "diffusion.tx.messages", **{CLASS_LABEL: label}
+        # reinforcement / control): each class sums its message types.
+        for label, types in _CLASS_TYPES.items():
+            registry.counter(
+                "diffusion.tx.messages",
+                lambda types=types: sum(
+                    stats.messages_by_type[t] for t in types
                 ),
-                registry.counter(
-                    "diffusion.tx.bytes", **{CLASS_LABEL: label}
-                ),
+                **{CLASS_LABEL: label},
             )
-            for t, label in MESSAGE_CLASS_LABELS.items()
-        }
-        self._m_rx_messages = registry.counter("diffusion.rx.messages")
-        self._m_delivered = registry.counter("diffusion.delivered")
-        self._m_drop_dup = registry.counter(
-            "diffusion.drops", reason="cache-suppression"
+            registry.counter(
+                "diffusion.tx.bytes",
+                lambda types=types: sum(stats.bytes_by_type[t] for t in types),
+                **{CLASS_LABEL: label},
+            )
+        registry.counter(
+            "diffusion.rx.messages", lambda: stats.messages_received
         )
-        self._m_drop_noroute = registry.counter(
-            "diffusion.drops", reason="no-route"
+        registry.counter("diffusion.delivered", lambda: stats.events_delivered)
+        registry.counter(
+            "diffusion.drops", lambda: stats.duplicates_suppressed,
+            reason="cache-suppression",
         )
-        self._m_drop_negative = registry.counter(
-            "diffusion.drops", reason="negative-reinforcement"
+        registry.counter(
+            "diffusion.drops",
+            lambda: stats.messages_dropped_no_route
+            - stats.messages_dropped_negative,
+            reason="no-route",
+        )
+        registry.counter(
+            "diffusion.drops", lambda: stats.messages_dropped_negative,
+            reason="negative-reinforcement",
         )
 
         self.gradients = GradientTable()
@@ -396,7 +411,6 @@ class DiffusionNode:
             ("interest", message.unique_id), now
         ):
             self.stats.duplicates_suppressed += 1
-            self._m_drop_dup.inc()
             self._note_drop(message, "cache-suppression")
             if self.forward_policy is not None:
                 # Hierarchy modes count duplicate copies as evidence of
@@ -431,7 +445,6 @@ class DiffusionNode:
             ("data", message.unique_id), now
         ):
             self.stats.duplicates_suppressed += 1
-            self._m_drop_dup.inc()
             self._note_drop(message, "cache-suppression")
             if message.msg_type is MessageType.EXPLORATORY_DATA:
                 # Duplicate exploratory copies are not re-forwarded or
@@ -463,7 +476,6 @@ class DiffusionNode:
                 self._transmit(message.forwarded_copy(BROADCAST))
                 return
             self.stats.messages_dropped_no_route += 1
-            self._m_drop_noroute.inc()
             self._note_drop(message, "no-route")
             return
         delivered = self._deliver_to_subscriptions(message)
@@ -504,10 +516,9 @@ class DiffusionNode:
             if not delivered:
                 self.stats.messages_dropped_no_route += 1
                 if entry.was_torn_down(data_origin):
-                    self._m_drop_negative.inc()
+                    self.stats.messages_dropped_negative += 1
                     self._note_drop(message, "negative-reinforcement")
                 else:
-                    self._m_drop_noroute.inc()
                     self._note_drop(message, "no-route")
             return
         for neighbor in next_hops:
@@ -651,10 +662,9 @@ class DiffusionNode:
             if not local:
                 self.stats.messages_dropped_no_route += 1
                 if any(entry.was_torn_down(data_origin) for entry in matches):
-                    self._m_drop_negative.inc()
+                    self.stats.messages_dropped_negative += 1
                     self._note_drop(message, "negative-reinforcement")
                 else:
-                    self._m_drop_noroute.inc()
                     self._note_drop(message, "no-route")
             return
         for neighbor in next_hops:
@@ -721,7 +731,6 @@ class DiffusionNode:
             if fast_two_way_match(sub.attrs, effective):
                 delivered = True
                 self.stats.events_delivered += 1
-                self._m_delivered.inc()
                 if self.trace.active:
                     self.trace.emit(
                         self.sim.now,
@@ -743,11 +752,6 @@ class DiffusionNode:
         nbytes = message.nbytes
         msg_type = message.msg_type
         self.stats.count_tx(msg_type, nbytes)
-        self._m_tx_messages.inc()
-        self._m_tx_bytes.inc(nbytes)
-        cls_messages, cls_bytes = self._m_tx_class[msg_type]
-        cls_messages.inc()
-        cls_bytes.inc(nbytes)
         if self.trace.active:
             self.trace.emit(
                 self.sim.now,
@@ -766,7 +770,6 @@ class DiffusionNode:
         if not isinstance(message, Message):
             return
         self.stats.messages_received += 1
-        self._m_rx_messages.inc()
         if self.trace.active:
             self.trace.emit(
                 self.sim.now,

@@ -16,10 +16,10 @@ to that:
   with seed-deterministic backoff (through the core when demand returns,
   as one-hop carrier beacons while dark — the data-mule handoff), and
   releases on one-hop custody acks, flooded receiver acks, or delivery;
-* :func:`~repro.dtn.scenario.dtn_run` — the front door of the ``dtn``
-  preset (:mod:`repro.shard.scenario`) behind the ``dtn`` campaign, the
-  ``dtn_grid`` ledger workload, and the scenario tests, with per-block
-  loss attribution.
+* :mod:`~repro.dtn.scenario` — the transfer workload the ``dtn`` and
+  ``mule`` presets (:mod:`repro.shard.scenario`) arm, with per-block
+  loss attribution; :func:`~repro.dtn.scenario.dtn_run` is the ``dtn``
+  front door the ``dtn_grid`` ledger workload calls.
 
 Everything is opt-in per campaign: with no agent attached the stack is
 the legacy one.
@@ -32,7 +32,7 @@ from repro.dtn.agent import (
     CUSTODY_FILTER_PRIORITY,
     CustodyAgent,
 )
-from repro.dtn.scenario import dtn_run, mule_run
+from repro.dtn.scenario import dtn_run
 
 __all__ = [
     "CUSTODY_CONTROL_KIND",
@@ -42,5 +42,4 @@ __all__ = [
     "CustodyStore",
     "DtnConfig",
     "dtn_run",
-    "mule_run",
 ]

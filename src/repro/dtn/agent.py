@@ -72,8 +72,8 @@ class CustodyAgent:
         self.contacts = 0
         self.acks_sent = 0
         registry = current_registry()
-        self._m_reinjections = registry.counter("dtn.reinjections")
-        self._m_acks = registry.counter("dtn.acks_sent")
+        registry.counter("dtn.reinjections", lambda: self.reinjections)
+        registry.counter("dtn.acks_sent", lambda: self.acks_sent)
         self._retry: Dict[BlockKey, object] = {}
         #: key -> time custody last left this node via handoff; a
         #: hold-down against two dark neighbors ping-ponging a block
@@ -275,7 +275,6 @@ class CustodyAgent:
         )
         node._transmit(message)
         self.acks_sent += 1
-        self._m_acks.inc()
 
     def _on_custody_ack(self, message: Message) -> None:
         if message.origin == self.node.node_id:
@@ -498,7 +497,6 @@ class CustodyAgent:
             )
         message.parent_trace = entry.trace
         self.reinjections += 1
-        self._m_reinjections.inc()
         self.node.trace.emit(
             now, "custody.reinject", node=self.node.node_id,
             object=entry.object_id, index=entry.index,

@@ -81,9 +81,9 @@ class CustodyStore:
         self.refused_energy = 0
         self.depth_high_water = 0
         registry = current_registry()
-        self._m_accepted = registry.counter("dtn.custody.accepted")
-        self._m_transferred = registry.counter("dtn.custody.transferred")
-        self._m_expired = registry.counter("dtn.custody.expired")
+        registry.counter("dtn.custody.accepted", lambda: self.accepted)
+        registry.counter("dtn.custody.transferred", lambda: self.transferred)
+        registry.counter("dtn.custody.expired", lambda: self.expired)
         self._m_depth = registry.gauge("dtn.custody.depth")
 
     # -- queries ---------------------------------------------------------
@@ -142,7 +142,6 @@ class CustodyStore:
         )
         self._entries[key] = entry
         self.accepted += 1
-        self._m_accepted.inc()
         self.depth_high_water = max(self.depth_high_water, len(self._entries))
         self._m_depth.set(len(self._entries))
         self.trace.emit(
@@ -169,7 +168,6 @@ class CustodyStore:
         if entry is None:
             return None
         self.transferred += 1
-        self._m_transferred.inc()
         self._m_depth.set(len(self._entries))
         self.trace.emit(
             now, "custody.transfer", node=self.node_id,
@@ -198,7 +196,6 @@ class CustodyStore:
         if entry is None:
             return None
         self.expired += 1
-        self._m_expired.inc()
         self._m_depth.set(len(self._entries))
         self.trace.emit(
             now, "custody.expire", node=self.node_id,

@@ -10,11 +10,10 @@ not arrive is attributed to a cause (a ``custody.*`` event or an
 existing per-layer drop reason).  With ``custody=False`` no agent is
 attached and the run is the legacy stack.
 
-:func:`dtn_run` (the ``dtn`` campaign, the ``dtn_grid`` ledger
-workload, the scenario tests) is the front door of ``dtn``: the
-standard 4×3 resilience grid (:mod:`repro.faults.scenarios`) split down
-the middle at a configurable disruption duty cycle.  :func:`mule_run`
-is the front door of ``mule``, the 2-partition data-mule variant: a
+:func:`dtn_run` (the ``dtn_grid`` ledger workload) is the front door of
+``dtn``: the standard 4×3 resilience grid (:mod:`repro.faults.scenarios`)
+split down the middle at a configurable disruption duty cycle.
+``mule`` is the 2-partition data-mule variant (:func:`mule_plan`): a
 3-node line whose middle node is alternately connected to the source
 side and the sink side but never both — delivery is possible *only* by
 carrying custody across the gap.
@@ -425,29 +424,3 @@ def dtn_run(
         "flight_recorder": flight_recorder,
     }
     return run_oracle(ShardPlan("dtn", params, seed, duration, 1))
-
-
-def mule_run(
-    seed: int = 1,
-    custody: bool = True,
-    duration: float = 140.0,
-    payload_bytes: int = 1536,
-    dtn_config: Optional[DtnConfig] = None,
-) -> Dict[str, Any]:
-    """The 2-partition data-mule scenario (see :func:`mule_plan`).
-
-    Without custody nothing can cross; with custody the source hands
-    blocks to the mule during the first window (one-hop carrier beacons
-    + custody acks) and the mule re-injects them when the sink's
-    interests reach it in the second.  The front door of the ``mule``
-    preset: ``run_oracle(ShardPlan("mule", params, seed, duration, 1))``
-    with ``params`` naming ``custody``, ``payload_bytes`` and
-    ``dtn_config``."""
-    from repro.shard import ShardPlan, run_oracle
-
-    params = {
-        "custody": custody,
-        "payload_bytes": payload_bytes,
-        "dtn_config": dtn_config,
-    }
-    return run_oracle(ShardPlan("mule", params, seed, duration, 1))

@@ -44,7 +44,6 @@ from repro.faults.scenarios import (
     builtin_names,
     builtin_plan,
     clock_skew_run,
-    resilience_run,
 )
 
 __all__ = [
@@ -66,5 +65,4 @@ __all__ = [
     "builtin_names",
     "builtin_plan",
     "clock_skew_run",
-    "resilience_run",
 ]

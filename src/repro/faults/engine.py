@@ -69,9 +69,15 @@ class FaultEngine:
         #: scenarios share these via :meth:`clock`.
         self.clocks: Dict[int, NodeClock] = dict(clocks or {})
         self.fragments_corrupted = 0
+        # The timeline, counted by phase, is the inject / heal counters.
+        def injected() -> int:
+            return sum(1 for e in self.timeline if e["phase"] == "inject")
+
         registry = current_registry()
-        self._m_injected = registry.counter("faults.injected")
-        self._m_healed = registry.counter("faults.healed")
+        registry.counter("faults.injected", injected)
+        registry.counter(
+            "faults.healed", lambda: len(self.timeline) - injected()
+        )
         self._fault_seed = derive_seed(self.seed, "faults")
         self._brownout_wake: Dict[int, float] = {}
         self.overlay: Optional[FaultOverlayPropagation] = None
@@ -110,10 +116,6 @@ class FaultEngine:
             now, f"fault.{phase}",
             node=detail.get("node"), kind=action.kind, index=index,
         )
-        if phase == "inject":
-            self._m_injected.inc()
-        else:
-            self._m_healed.inc()
 
     # -- scheduling ----------------------------------------------------------
 

@@ -123,7 +123,9 @@ class MonitorSuite:
             max_hops if max_hops is not None else 2 * len(network.node_ids())
         )
         self.violations: List[Violation] = []
-        self._m_violations = current_registry().counter("faults.violations")
+        current_registry().counter(
+            "faults.violations", lambda: len(self.violations)
+        )
         # (node, trace) -> hop count at first transmission
         self._tx_hops: Dict[Tuple[int, str], int] = {}
         # (node, object, index) -> trace id, mirrored from custody.* events
@@ -156,7 +158,6 @@ class MonitorSuite:
             detail=detail,
         )
         self.violations.append(violation)
-        self._m_violations.inc()
         if (
             self.recorder is not None
             and self.dump_path is not None

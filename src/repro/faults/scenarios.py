@@ -6,10 +6,9 @@ six :func:`builtin_plan` faults over it, the compressed timer set, and
 :class:`FaultHarness` — engine + invariant monitors + optional flight
 recorder, armed in one order and finished into one outcome section.
 The ``resilience`` preset of :mod:`repro.shard.scenario` puts them
-together; :func:`resilience_run` is its front door (scenario tests, the
-builtin resilience campaign): one fault injected mid-run, invariants
-monitored throughout, the repair report returned as a JSON-safe dict,
-bit-identical per (plan, seed).
+together: one fault injected mid-run, invariants monitored throughout,
+the repair report returned as a JSON-safe dict, bit-identical per
+(plan, seed).
 
 :func:`clock_skew_run` is the timesync variant, the one canned run that
 is not a preset (no publish/subscribe workload): a single-hop square
@@ -200,37 +199,6 @@ class FaultHarness:
                 "records_seen": recorder.records_seen,
             }
         return section
-
-
-def resilience_run(
-    fault: str = "crash",
-    seed: int = 1,
-    exploratory_interval: float = 8.0,
-    duration: float = 160.0,
-    plan: Optional[FaultPlan] = None,
-    data_period: float = 1.0,
-    flight_recorder: Optional[str] = None,
-    monitor_max_entries: int = 32,
-) -> dict:
-    """One fault on the standard grid; returns the JSON-safe verdict.
-
-    The front door of the ``resilience`` preset: it is
-    ``run_oracle(ShardPlan("resilience", params, seed, duration, 1))``
-    with ``params`` naming ``fault``, ``plan``, ``exploratory_interval``,
-    ``send_interval`` (= ``data_period``), ``flight_recorder`` and
-    ``monitor_max_entries`` (see :class:`FaultHarness` for the last two).
-    """
-    from repro.shard import ShardPlan, run_oracle
-
-    params = {
-        "fault": fault,
-        "plan": plan,
-        "exploratory_interval": exploratory_interval,
-        "send_interval": data_period,
-        "flight_recorder": flight_recorder,
-        "monitor_max_entries": monitor_max_entries,
-    }
-    return run_oracle(ShardPlan("resilience", params, seed, duration, 1))
 
 
 def clock_skew_run(

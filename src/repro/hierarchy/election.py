@@ -78,8 +78,8 @@ class ClusterService:
         # briefly (invalidated by every announcement heard).
         self._head_cache: Optional[Tuple[float, int]] = None
         registry = current_registry()
-        self._m_announces = registry.counter("hierarchy.announces")
-        self._m_reelections = registry.counter("hierarchy.reelections")
+        registry.counter("hierarchy.announces", lambda: self.announces_sent)
+        registry.counter("hierarchy.reelections", lambda: self.reelections)
         # The tiebreak decorrelates head placement from node numbering;
         # the salt lets campaigns re-randomize placement without
         # touching node ids.  Announced, never recomputed by receivers.
@@ -226,7 +226,6 @@ class ClusterService:
         head = self.current_head()
         if self._last_head is not None and head != self._last_head:
             self.reelections += 1
-            self._m_reelections.inc()
             node.trace.emit(
                 now,
                 "hierarchy.election",
@@ -261,7 +260,6 @@ class ClusterService:
         )
         node._transmit(message)
         self.announces_sent += 1
-        self._m_announces.inc()
         self._rounds += 1
         interval = self.params.announce_interval
         if self._rounds <= self.BOOTSTRAP_ROUNDS:

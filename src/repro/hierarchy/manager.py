@@ -98,6 +98,10 @@ class HierarchyParams:
         """Build from a plain (JSON-borne) dict, ignoring unknown keys
         so campaign param grids can carry extra entries."""
         raw = raw or {}
+        if not isinstance(raw, dict):
+            raise ValueError(
+                f"hierarchy params must be an object, got {raw!r}"
+            )
         known = {f.name for f in fields(cls)}
         kwargs = {k: v for k, v in raw.items() if k in known}
         if "fallback_window" in kwargs:

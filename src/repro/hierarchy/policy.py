@@ -78,6 +78,19 @@ class ForwardPolicy:
         pass
 
 
+def _suppression_counts() -> Dict[str, int]:
+    """A policy's suppressed copies by class, each registered as the
+    ``hierarchy.suppressed{class=...}`` counter."""
+    counts = {"interest": 0, "exploratory": 0}
+    registry = current_registry()
+    for kind in counts:
+        registry.counter(
+            "hierarchy.suppressed", lambda kind=kind: counts[kind],
+            **{CLASS_LABEL: kind},
+        )
+    return counts
+
+
 class ClusteredPolicy(ForwardPolicy):
     """Cluster-head backbone with counter-based member fallback."""
 
@@ -97,16 +110,11 @@ class ClusteredPolicy(ForwardPolicy):
         if damping is None:
             damping = 0.6 * node.config.gradient_timeout
         self.refresh_damping = float(damping)
-        self.suppressed = {"interest": 0, "exploratory": 0}
+        self.suppressed = _suppression_counts()
         self.fallbacks_fired = 0
-        registry = current_registry()
-        self._m_suppressed = {
-            kind: registry.counter(
-                "hierarchy.suppressed", **{CLASS_LABEL: kind}
-            )
-            for kind in ("interest", "exploratory")
-        }
-        self._m_fallbacks = registry.counter("hierarchy.fallbacks_fired")
+        current_registry().counter(
+            "hierarchy.fallbacks_fired", lambda: self.fallbacks_fired
+        )
 
     # -- deferral machinery --------------------------------------------
 
@@ -133,7 +141,6 @@ class ClusteredPolicy(ForwardPolicy):
         # Nobody covered this neighborhood in time: forward after all.
         self._pending.pop(key, None)
         self.fallbacks_fired += 1
-        self._m_fallbacks.inc()
         if digest is not None:
             self._recent_forward[digest] = self.node.sim.now
         self.node._transmit(copy)
@@ -148,7 +155,6 @@ class ClusteredPolicy(ForwardPolicy):
             entry[1].cancel()
             del self._pending[key]
             self.suppressed[kind] += 1
-            self._m_suppressed[kind].inc()
 
     # -- hooks ---------------------------------------------------------
 
@@ -164,7 +170,6 @@ class ClusteredPolicy(ForwardPolicy):
                 # gradients are still far from timing out, so this
                 # refresh need not be re-flooded.
                 self.suppressed["interest"] += 1
-                self._m_suppressed["interest"].inc()
                 return False
         if self.service.is_head:
             self._recent_forward[digest] = now
@@ -210,14 +215,7 @@ class RendezvousPolicy(ForwardPolicy):
         self.topology = topology
         self.region_map = region_map
         self.params = params
-        self.suppressed = {"interest": 0, "exploratory": 0}
-        registry = current_registry()
-        self._m_suppressed = {
-            kind: registry.counter(
-                "hierarchy.suppressed", **{CLASS_LABEL: kind}
-            )
-            for kind in ("interest", "exploratory")
-        }
+        self.suppressed = _suppression_counts()
 
     def _rendezvous_value(self, message: Message) -> Optional[Any]:
         # Interests carry the key as a formal (EQ), data as an actual;
@@ -253,7 +251,6 @@ class RendezvousPolicy(ForwardPolicy):
         verdict = self._should_forward(message)
         if not verdict:
             self.suppressed[kind] += 1
-            self._m_suppressed[kind].inc()
         return verdict
 
     def forward_interest(self, node, message: Message) -> bool:

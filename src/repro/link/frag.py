@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
 
 from repro.sim import Event, Simulator, TraceBus, trace_id_of
-from repro.sim.metrics import MetricsRegistry, current_registry
+from repro.sim.metrics import current_registry
 
 MessageId = Tuple[int, int]  # (origin node, per-node counter)
 
@@ -114,7 +114,6 @@ class FragmentationLayer:
         node_id: int,
         fragment_payload: int = 27,
         trace: Optional[TraceBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
         expiry: Optional[ReassemblyExpiry] = None,
     ) -> None:
         self.sim = sim
@@ -123,12 +122,6 @@ class FragmentationLayer:
         self.fragment_payload = fragment_payload
         self.expiry = expiry if expiry is not None else ReassemblyExpiry(sim)
         self.trace = trace or TraceBus()
-        registry = metrics if metrics is not None else current_registry()
-        self._m_sent = registry.counter("frag.messages_sent")
-        self._m_delivered = registry.counter("frag.messages_delivered")
-        self._m_incomplete = registry.counter(
-            "frag.drops", reason="reassembly-failure"
-        )
         self.deliver_callback: Optional[Callable[[Any, int, int], None]] = None
         #: fault-injection hook: called with (fragment, src) for every
         #: inbound fragment; returning False drops it (corruption /
@@ -143,6 +136,15 @@ class FragmentationLayer:
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_incomplete = 0
+        registry = current_registry()
+        registry.counter("frag.messages_sent", lambda: self.messages_sent)
+        registry.counter(
+            "frag.messages_delivered", lambda: self.messages_delivered
+        )
+        registry.counter(
+            "frag.drops", lambda: self.messages_incomplete,
+            reason="reassembly-failure",
+        )
         self.mac.modem.receive_callback = self._on_modem_fragment
 
     def fragments_for(self, nbytes: int) -> int:
@@ -174,7 +176,6 @@ class FragmentationLayer:
             )
             self.mac.enqueue(fragment, size, link_dst)
         self.messages_sent += 1
-        self._m_sent.inc()
         return count
 
     # -- receive ------------------------------------------------------------
@@ -214,7 +215,6 @@ class FragmentationLayer:
 
     def _deliver(self, message: Any, src: int, nbytes: int) -> None:
         self.messages_delivered += 1
-        self._m_delivered.inc()
         if self.deliver_callback is not None:
             self.deliver_callback(message, src, nbytes)
 
@@ -230,7 +230,6 @@ class FragmentationLayer:
         if self._is_open(message_id, ticket):
             state = self._partial.pop(message_id)
             self.messages_incomplete += 1
-            self._m_incomplete.inc()
             if self.trace.active:
                 trace_id = trace_id_of(state["message"])
                 if trace_id is not None:

@@ -8,7 +8,7 @@ from typing import Any, Deque, Optional, Tuple
 
 from repro.radio.modem import BROADCAST_ADDRESS, Modem
 from repro.sim import Simulator, TraceBus, trace_id_of
-from repro.sim.metrics import MetricsRegistry, current_registry
+from repro.sim.metrics import current_registry
 
 
 @dataclass
@@ -19,12 +19,6 @@ class MacStats:
     transmitted: int = 0
     dropped_queue_full: int = 0
     backoffs: int = 0
-
-    def reset(self) -> None:
-        self.enqueued = 0
-        self.transmitted = 0
-        self.dropped_queue_full = 0
-        self.backoffs = 0
 
 
 class Mac:
@@ -40,18 +34,19 @@ class Mac:
         modem: Modem,
         queue_limit: int = 64,
         trace: Optional[TraceBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         self.sim = sim
         self.modem = modem
         self.queue_limit = queue_limit
-        self.stats = MacStats()
+        self.stats = stats = MacStats()
         self.trace = trace or TraceBus()
-        registry = metrics if metrics is not None else current_registry()
-        self._m_enqueued = registry.counter("mac.enqueued")
-        self._m_transmitted = registry.counter("mac.transmitted")
-        self._m_backoffs = registry.counter("mac.backoffs")
-        self._m_queue_drops = registry.counter("mac.drops", reason="queue-full")
+        registry = current_registry()
+        registry.counter("mac.enqueued", lambda: stats.enqueued)
+        registry.counter("mac.transmitted", lambda: stats.transmitted)
+        registry.counter("mac.backoffs", lambda: stats.backoffs)
+        registry.counter(
+            "mac.drops", lambda: stats.dropped_queue_full, reason="queue-full"
+        )
         self._m_queue_depth = registry.histogram("mac.queue_depth")
         self._queue: Deque[Tuple[Any, int, Optional[int]]] = deque()
         self._busy = False
@@ -73,7 +68,6 @@ class Mac:
         """Queue one fragment; returns False when the queue overflowed."""
         if len(self._queue) >= self.queue_limit:
             self.stats.dropped_queue_full += 1
-            self._m_queue_drops.inc()
             if self.trace.active:
                 trace_id = trace_id_of(payload)
                 if trace_id is not None:
@@ -88,7 +82,6 @@ class Mac:
             return False
         self._queue.append((payload, nbytes, link_dst))
         self.stats.enqueued += 1
-        self._m_enqueued.inc()
         self._m_queue_depth.observe(len(self._queue))
         if not self._busy:
             self._busy = True
@@ -105,7 +98,6 @@ class Mac:
     def _transmit_head(self) -> None:
         payload, nbytes, link_dst = self._queue.popleft()
         self.stats.transmitted += 1
-        self._m_transmitted.inc()
         self.modem.transmit_fragment(
             payload, nbytes, link_dst, on_done=self._after_transmit
         )

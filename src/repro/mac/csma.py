@@ -15,7 +15,6 @@ from typing import Optional
 from repro.mac.base import Mac
 from repro.radio.modem import Modem
 from repro.sim import Simulator, TraceBus
-from repro.sim.metrics import MetricsRegistry
 from repro.sim.rng import make_rng
 
 
@@ -32,10 +31,8 @@ class CsmaMac(Mac):
         interframe_gap: float = 0.002,
         queue_limit: int = 64,
         trace: Optional[TraceBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
-        super().__init__(sim, modem, queue_limit=queue_limit, trace=trace,
-                         metrics=metrics)
+        super().__init__(sim, modem, queue_limit=queue_limit, trace=trace)
         # A shared random.Random(0) here would give every node the same
         # backoff stream — contending nodes would draw identical delays
         # and re-collide forever.  Derive a per-node stream instead.
@@ -57,7 +54,6 @@ class CsmaMac(Mac):
             return
         if self.modem.carrier_busy() or self.modem.transmitting:
             self.stats.backoffs += 1
-            self._m_backoffs.inc()
             self._backoff_stage = min(self._backoff_stage + 1, 6)
             window = min(self.max_backoff, self.min_backoff * (2 ** self._backoff_stage))
             delay = self.min_backoff + self.rng.random() * window

@@ -14,7 +14,6 @@ from typing import Optional
 from repro.mac.base import Mac
 from repro.radio.modem import Modem
 from repro.sim import Simulator, TraceBus
-from repro.sim.metrics import MetricsRegistry
 
 
 class TdmaMac(Mac):
@@ -30,12 +29,10 @@ class TdmaMac(Mac):
         guard_time: float = 0.002,
         queue_limit: int = 64,
         trace: Optional[TraceBus] = None,
-        metrics: Optional[MetricsRegistry] = None,
     ) -> None:
         if not 0 <= slot_index < slot_count:
             raise ValueError("slot_index must be within [0, slot_count)")
-        super().__init__(sim, modem, queue_limit=queue_limit, trace=trace,
-                         metrics=metrics)
+        super().__init__(sim, modem, queue_limit=queue_limit, trace=trace)
         self.slot_index = slot_index
         self.slot_count = slot_count
         self.slot_duration = slot_duration

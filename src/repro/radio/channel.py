@@ -32,7 +32,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.radio.neighborhood import NeighborhoodIndex
 from repro.sim import Simulator, TraceBus, trace_id_of
-from repro.sim.metrics import MetricsRegistry, current_registry
+from repro.sim.metrics import current_registry
 from repro.sim.rng import SeedSequence, derive_seed
 
 _MASK64 = (1 << 64) - 1
@@ -95,7 +95,6 @@ class Channel:
         seeds: Optional[SeedSequence] = None,
         trace: Optional[TraceBus] = None,
         capture_effect: bool = True,
-        metrics: Optional[MetricsRegistry] = None,
         loss_mode: str = "stream",
     ) -> None:
         if loss_mode not in ("stream", "hashed"):
@@ -104,18 +103,6 @@ class Channel:
         self.capture_effect = capture_effect
         self.loss_mode = loss_mode
         self.trace = trace or TraceBus()
-        registry = metrics if metrics is not None else current_registry()
-        self._m_sent = registry.counter("channel.fragments_sent")
-        self._m_delivered = registry.counter("channel.fragments_delivered")
-        self._m_drop_collision = registry.counter(
-            "channel.drops", reason="collision"
-        )
-        self._m_drop_half_duplex = registry.counter(
-            "channel.drops", reason="half-duplex"
-        )
-        self._m_drop_loss = registry.counter(
-            "channel.drops", reason="channel-loss"
-        )
         seeds = seeds or SeedSequence(1)
         self._loss_rng = seeds.stream("channel-loss")
         self._loss_seed = derive_seed(seeds.root_seed, "channel-loss-hash")
@@ -143,11 +130,30 @@ class Channel:
         self.on_transmission: Optional[Callable[[Transmission], None]] = None
         self.set_propagation(propagation)
         self._seqno = 0
-        # Statistics.
+        # Statistics.  ``fragments_collided`` counts receptions marked
+        # corrupt by an overlap as it starts; the dropped_* pair counts
+        # corrupt receptions as their airtime ends, by reason.
         self.fragments_sent = 0
         self.fragments_delivered = 0
         self.fragments_collided = 0
         self.fragments_lost = 0
+        self.dropped_collision = 0
+        self.dropped_half_duplex = 0
+        registry = current_registry()
+        registry.counter("channel.fragments_sent", lambda: self.fragments_sent)
+        registry.counter(
+            "channel.fragments_delivered", lambda: self.fragments_delivered
+        )
+        registry.counter(
+            "channel.drops", lambda: self.dropped_collision, reason="collision"
+        )
+        registry.counter(
+            "channel.drops", lambda: self.dropped_half_duplex,
+            reason="half-duplex",
+        )
+        registry.counter(
+            "channel.drops", lambda: self.fragments_lost, reason="channel-loss"
+        )
         # Carrier-sense cost accounting: links examined per query — one
         # per (source, listener) PRR actually looked up here, N in the
         # reference scan (tests/test_channel_equivalence.py::
@@ -295,7 +301,6 @@ class Channel:
             seqno=self._seqno,
         )
         self.fragments_sent += 1
-        self._m_sent.inc()
         if self.trace.active:
             self.trace.emit(
                 now, "channel.tx", node=src, nbytes=nbytes, dst=link_dst
@@ -488,9 +493,9 @@ class Channel:
         trace = self.trace
         if reception.corrupted:
             if reception.reason == "half-duplex":
-                self._m_drop_half_duplex.inc()
+                self.dropped_half_duplex += 1
             else:
-                self._m_drop_collision.inc()
+                self.dropped_collision += 1
             if trace.active:
                 trace.emit(
                     self.sim.now, "channel.collision", node=node_id, src=tx.src
@@ -499,7 +504,7 @@ class Channel:
             return
         if modem.transmitting or modem.sleeping:
             # Started transmitting (or fell asleep) mid-reception: lost.
-            self._m_drop_half_duplex.inc()
+            self.dropped_half_duplex += 1
             if trace.active:
                 self._note_radio_drop(node_id, tx, "half-duplex")
             return
@@ -510,7 +515,6 @@ class Channel:
         )
         if draw >= reception.prr:
             self.fragments_lost += 1
-            self._m_drop_loss.inc()
             if trace.active:
                 trace.emit(
                     self.sim.now, "channel.loss", node=node_id, src=tx.src
@@ -518,7 +522,6 @@ class Channel:
                 self._note_radio_drop(node_id, tx, "channel-loss")
             return
         self.fragments_delivered += 1
-        self._m_delivered.inc()
         if trace.active:
             trace.emit(
                 self.sim.now, "channel.rx", node=node_id, src=tx.src,

@@ -132,9 +132,18 @@ class Scenario:
         raise NotImplementedError
 
 
+def _positive(p: Dict[str, Any], key: str, kind=float):
+    """``p[key]`` as ``kind``, refused unless it is above zero."""
+    value = kind(p[key])
+    if not value > 0:
+        raise ValueError(f"{key} must be positive, got {p[key]!r}")
+    return value
+
+
 def _grid(p: Dict[str, Any]) -> Topology:
     return Topology.grid(
-        int(p["columns"]), int(p["rows"]), spacing=float(p["spacing"])
+        _positive(p, "columns", int), _positive(p, "rows", int),
+        spacing=float(p["spacing"]),
     )
 
 
@@ -168,7 +177,7 @@ class FloodScenario(Scenario):
         return _grid(self.resolve(params))
 
     def build(self, topology, owned, params, seed) -> ShardNet:
-        interval = float(self.resolve(params)["interval"])
+        interval = _positive(self.resolve(params), "interval")
         sim = Simulator()
         seeds = SeedSequence(seed)
         propagation = DistancePropagation(topology, seed=seed)
@@ -344,7 +353,7 @@ def stream_sends(p: Dict[str, Any], quiet_tail: float = 0.0) -> int:
     ``send_interval`` from ``send_start`` until ``quiet_tail`` before
     ``duration``."""
     window = float(p["duration"]) - (float(p["send_start"]) + quiet_tail)
-    return int(window / float(p["send_interval"]))
+    return int(window / _positive(p, "send_interval"))
 
 
 def _stream(net, delivered, pair, p, quiet_tail=0.0, name="") -> None:

@@ -117,6 +117,8 @@ class ShardPlan:
             )
         if duration is None:
             duration = float(params.get("duration", defaults["duration"]))
+        if not 0 < duration < math.inf:
+            raise ValueError(f"duration must be positive, got {duration}")
         return cls(scenario, params, seed, duration, shards)
 
     def build_params(self) -> Dict[str, Any]:
@@ -204,13 +206,17 @@ class ShardRuntime:
         )
         self.sim = self.net.sim
         self.channel = self.net.channel
-        self.stats = ShardStats(rank=rank, owned=len(self.owned))
+        self.stats = stats = ShardStats(rank=rank, owned=len(self.owned))
         registry = current_registry()
         self._registry = registry
-        self._m_windows: Dict[str, Any] = {}  # term -> shard.windows counter
-        self._m_rounds = registry.counter("shard.rounds", shard=rank)
-        self._m_exports = registry.counter("shard.exports", shard=rank)
-        self._m_ghosts = registry.counter("shard.ghosts_admitted", shard=rank)
+        registry.counter("shard.rounds", lambda: stats.rounds, shard=rank)
+        registry.counter("shard.exports", lambda: stats.exports, shard=rank)
+        registry.counter(
+            "shard.ghosts_admitted", lambda: stats.ghosts_admitted, shard=rank
+        )
+        registry.counter(
+            "shard.exchange_bytes", lambda: stats.exchange_bytes, shard=rank
+        )
         # Profiler instruments: window spans/sizes as distributions (the
         # p95 window span is what tells you whether sync overhead comes
         # from many tiny windows or a few stalls), plus per-term window
@@ -220,7 +226,6 @@ class ShardRuntime:
             "shard.window_events", shard=rank
         )
         self._m_stall = registry.gauge("shard.stall_seconds", shard=rank)
-        self._m_exchange = registry.counter("shard.exchange_bytes", shard=rank)
 
         # The MAC timing contract the promise terms rest on.
         lookaheads = []
@@ -412,7 +417,6 @@ class ShardRuntime:
                     name="shard.ghost", priority=-1,
                 )
             self.stats.ghosts_admitted += 1
-            self._m_ghosts.inc()
 
     def advance(
         self, horizon: float, inclusive: bool, final: bool, term: str
@@ -433,21 +437,18 @@ class ShardRuntime:
         self.stats.events += processed
         if not processed:
             self.stats.empty_windows += 1
-        self.stats.windows_by_term[term] = (
-            self.stats.windows_by_term.get(term, 0) + 1
-        )
-        self._m_rounds.inc()
+        by_term = self.stats.windows_by_term
+        if term not in by_term:
+            by_term[term] = 0
+            self._registry.counter(
+                "shard.windows", lambda: by_term[term],
+                shard=self.rank, term=term,
+            )
+        by_term[term] += 1
         self._m_window_span.observe(span)
         self._m_window_events.observe(processed)
-        windows = self._m_windows.get(term)
-        if windows is None:
-            windows = self._m_windows[term] = self._registry.counter(
-                "shard.windows", shard=self.rank, term=term
-            )
-        windows.inc()
         self._refresh_boundary()
         self.stats.exports += len(self._outbox)
-        self._m_exports.inc(len(self._outbox))
 
     # -- the round ------------------------------------------------------------
 
@@ -518,7 +519,6 @@ class ShardRuntime:
             self.stats.boundary_rebuilds = self.boundary.rebuilds
             self.stats.boundary_pair_checks = self.boundary.pair_checks
         self._m_stall.set(self.stats.stall_seconds)
-        self._m_exchange.inc(self.stats.exchange_bytes)
         return {
             "outcome": self.net.outcome(),
             "stats": self.stats.as_dict(),

@@ -170,19 +170,21 @@ class Simulator:
         self._running = False
         self._stopped = False
         self._cancelled = 0          # cancelled events still in the heap
+        self.cancelled_events = 0    # every cancel of a queued event
         self.events_processed = 0
         self.compactions = 0
         self._profiler: Optional[KernelProfiler] = None
         # Called with each freshly scheduled Event (repro.shard uses this
         # to track transmission-capable events for its lookahead promise).
         self._on_schedule: Optional[Callable[[Event], None]] = None
-        # Queue-health instruments (null no-ops outside use_registry):
-        # cancellations and compactions are cold paths, and the
+        # Queue health: the counters read the attributes above, and the
         # processed/pending gauges are settled once per run loop exit,
         # so the hot path pays nothing for them.
         registry = current_registry()
-        self._m_compactions = registry.counter("kernel.compactions")
-        self._m_cancelled = registry.counter("kernel.cancelled_events")
+        registry.counter("kernel.compactions", lambda: self.compactions)
+        registry.counter(
+            "kernel.cancelled_events", lambda: self.cancelled_events
+        )
         self._m_processed = registry.gauge("kernel.events_processed")
         self._m_pending = registry.gauge("kernel.pending_events")
 
@@ -260,7 +262,7 @@ class Simulator:
         """Called by :meth:`Event.cancel` the first time an event owned
         by this simulator is cancelled while still queued."""
         self._cancelled += 1
-        self._m_cancelled.inc()
+        self.cancelled_events += 1
         if (
             self._cancelled >= self.COMPACT_MIN_GARBAGE
             and self._cancelled * 2 > len(self._heap)
@@ -273,7 +275,6 @@ class Simulator:
         heapq.heapify(self._heap)
         self._cancelled = 0
         self.compactions += 1
-        self._m_compactions.inc()
 
     def pending_events(self) -> Iterator[Event]:
         """Iterate over queued, uncancelled events in arbitrary order.

@@ -12,13 +12,24 @@ p50/p95/p99).
 
 Design rules, mirroring :meth:`TraceBus.emit`:
 
-* **Near-zero overhead when nobody asked.**  Components resolve their
-  instruments once, at construction, from :func:`current_registry`.
-  Outside a :func:`use_registry` block that returns the disabled
-  :data:`NULL_REGISTRY`, whose instruments are shared no-op singletons
-  — the hot-path cost is a single no-op method call.
-* **Instruments are memoized by (name, labels)**, so every node of a
-  network increments the same counter and snapshots stay compact.
+* **Counters are read back, never counted twice.**  Every count the
+  registry reports is already an attribute of the layer that counts it
+  (``MacStats.enqueued``, ``Channel.fragments_sent``, ...).  A component
+  registers a zero-argument *reader* of that attribute once, at
+  construction (:meth:`MetricsRegistry.counter`), and
+  :meth:`MetricsRegistry.snapshot` reports each counter as the sum of
+  its readers.  The hot path pays nothing for a counter, with or
+  without a registry, and a source never runs backwards.
+* **Only an envelope or a distribution is an instrument.**  A
+  :class:`Gauge`'s min/max or a :class:`Histogram`'s quantiles cannot
+  be read back from a total, so those stay objects the hot path
+  updates.  Outside a :func:`use_registry` block :func:`current_registry`
+  returns the disabled :data:`NULL_REGISTRY`, which ignores reader
+  registrations and hands out one shared no-op instrument — its
+  ``set`` / ``observe`` are the only metric calls an unmetered run
+  makes.
+* **Names are keyed by (name, labels)**, so every node of a network
+  registers under the same counter and snapshots stay compact.
 * **Snapshots are plain JSON.**  :meth:`MetricsRegistry.snapshot`
   returns nested dicts of numbers, which is what lets campaign trials
   carry structured metrics instead of ad-hoc result keys
@@ -37,7 +48,7 @@ from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 
-#: canonical label key for per-message-class instrument families
+#: canonical label key for per-message-class counter families
 #: (``diffusion.tx.messages{class=interest}`` and friends).  The
 #: diffusion core and the trace tooling share this constant so per-class
 #: traffic accounting groups consistently across snapshots and reports.
@@ -61,18 +72,6 @@ def _flat_name(name: str, labels: Dict[str, Any]) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-class Counter:
-    """A monotonically increasing count (messages sent, drops, ...)."""
-
-    __slots__ = ("value",)
-
-    def __init__(self) -> None:
-        self.value = 0
-
-    def inc(self, amount: int = 1) -> None:
-        self.value += amount
 
 
 class Gauge:
@@ -290,9 +289,6 @@ class _NullInstrument:
     recorded = 0
     last = None
 
-    def inc(self, amount: int = 1) -> None:
-        pass
-
     def set(self, value: float) -> None:
         pass
 
@@ -312,12 +308,22 @@ class _NullInstrument:
 _NULL_INSTRUMENT = _NullInstrument()
 
 
+#: a counter's source: returns the count so far, and never less than
+#: it returned before.
+Reader = Callable[[], int]
+
+
+def _constant(value: int) -> Reader:
+    return lambda: value
+
+
 class MetricsRegistry:
-    """Named instruments, memoized by (name, sorted labels)."""
+    """Counter readers plus named instruments, each keyed by (name,
+    sorted labels)."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._counters: Dict[str, Counter] = {}
+        self._counters: Dict[str, List[Reader]] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
         self._timeseries: Dict[str, TimeSeries] = {}
@@ -334,10 +340,20 @@ class MetricsRegistry:
             or self._timeseries
         )
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        if not self.enabled:
-            return _NULL_INSTRUMENT  # type: ignore[return-value]
-        return self._counters.setdefault(_flat_name(name, labels), Counter())
+    def counter(self, name: str, read: Reader, **labels: Any) -> None:
+        """Register ``read`` under the counter ``name{labels}``, whose
+        value is the sum of every reader registered under it (ignored
+        when disabled)."""
+        if self.enabled:
+            key = _flat_name(name, labels)
+            self._counters.setdefault(key, []).append(read)
+
+    def _counter_values(self) -> Dict[str, int]:
+        """Every counter's current value, by flat name."""
+        return {
+            name: sum(read() for read in readers)
+            for name, readers in self._counters.items()
+        }
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
         if not self.enabled:
@@ -361,10 +377,7 @@ class MetricsRegistry:
     def snapshot(self) -> Dict[str, Any]:
         """All instrument values as plain JSON-safe nested dicts."""
         return {
-            "counters": {
-                name: counter.value
-                for name, counter in sorted(self._counters.items())
-            },
+            "counters": dict(sorted(self._counter_values().items())),
             "gauges": {
                 name: {
                     "value": gauge.value,
@@ -403,7 +416,7 @@ class MetricsRegistry:
 
         Semantics per instrument kind:
 
-        * counters add;
+        * counters add (the incoming total becomes one more reader);
         * gauges keep the incoming last value (a later snapshot is a
           later observation) and fold the min/max envelopes;
         * histograms add counts and sums, fold extrema, and combine
@@ -416,7 +429,7 @@ class MetricsRegistry:
         if not self.enabled:
             return
         for name, value in snapshot.get("counters", {}).items():
-            self._counters.setdefault(name, Counter()).inc(value)
+            self._counters.setdefault(name, []).append(_constant(value))
         for name, entry in snapshot.get("gauges", {}).items():
             gauge = self._gauges.setdefault(name, Gauge())
             if not isinstance(entry, dict):   # pre-telemetry scalar form
@@ -489,8 +502,8 @@ class MetricsRegistry:
     def format(self) -> str:
         """A human-readable dump, one instrument per line."""
         lines: List[str] = []
-        for name, counter in sorted(self._counters.items()):
-            lines.append(f"{name:<44} {counter.value}")
+        for name, value in sorted(self._counter_values().items()):
+            lines.append(f"{name:<44} {value}")
         for name, gauge in sorted(self._gauges.items()):
             lines.append(
                 f"{name:<44} {gauge.value} "
@@ -583,10 +596,8 @@ class TelemetrySampler:
         sample_health = getattr(self.sim, "sample_health", None)
         if sample_health is not None:
             sample_health()
-        for name, counter in registry._counters.items():
-            registry.timeseries(name, capacity=capacity).record(
-                now, counter.value
-            )
+        for name, value in registry._counter_values().items():
+            registry.timeseries(name, capacity=capacity).record(now, value)
         for name, gauge in registry._gauges.items():
             registry.timeseries(name, capacity=capacity).record(
                 now, gauge.value

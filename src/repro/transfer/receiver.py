@@ -85,14 +85,18 @@ class BlockReceiver:
                 "reliability/persistent require a per-node rng "
                 "(make_rng stream)"
             )
-        self.stats = TransferStats(object_id=object_id)
+        self.stats = stats = TransferStats(object_id=object_id)
         self.acks_sent = 0
         registry = current_registry()
-        self._m_blocks_received = registry.counter("transfer.blocks_received")
-        self._m_duplicates = registry.counter("transfer.duplicate_blocks")
-        self._m_repair_rounds = registry.counter("transfer.repair_rounds")
-        self._m_completed = registry.counter("transfer.completed")
-        self._m_acks_sent = registry.counter("transfer.acks_sent")
+        registry.counter(
+            "transfer.blocks_received", lambda: stats.blocks_received
+        )
+        registry.counter(
+            "transfer.duplicate_blocks", lambda: stats.duplicate_blocks
+        )
+        registry.counter("transfer.repair_rounds", lambda: stats.repair_rounds)
+        registry.counter("transfer.completed", lambda: int(stats.complete))
+        registry.counter("transfer.acks_sent", lambda: self.acks_sent)
         self._blocks: Dict[int, bytes] = {}
         self._quiet_timer = None
         self._failed = False
@@ -135,11 +139,9 @@ class BlockReceiver:
             self.stats.blocks_expected = total
         if index in self._blocks:
             self.stats.duplicate_blocks += 1
-            self._m_duplicates.inc()
         else:
             self._blocks[index] = payload
             self.stats.blocks_received += 1
-            self._m_blocks_received.inc()
             if self.reliability is not None:
                 self._fresh_since_ack.append(index)
                 if len(self._fresh_since_ack) >= self.reliability.ack_every:
@@ -194,7 +196,6 @@ class BlockReceiver:
             # gaps — keep probing at the capped cadence so a healed
             # partition or an arriving data mule finds live demand.
         self.stats.repair_rounds += 1
-        self._m_repair_rounds.inc()
         # An empty block list is a status probe: "I have heard nothing,
         # does this object exist?" — the sender answers with block 0.
         batch = holes[: self.repair_batch]
@@ -212,7 +213,6 @@ class BlockReceiver:
 
     def _finish(self) -> None:
         self.stats.completed_at = self.api.node.sim.now
-        self._m_completed.inc()
         if self._quiet_timer is not None:
             self._quiet_timer.cancel()
         if self.reliability is not None:
@@ -249,7 +249,6 @@ class BlockReceiver:
             )
         )
         self.acks_sent += 1
-        self._m_acks_sent.inc()
         # Acks are rare control traffic, flooded like repair requests.
         self.api.send(self._ack_pub, attrs, force_exploratory=True)
 

@@ -101,10 +101,12 @@ class BlockSender:
         #: to attribute every lost block to a cause.
         self.block_traces: Dict[Tuple[str, int], List[str]] = {}
         registry = current_registry()
-        self._m_blocks_sent = registry.counter("transfer.blocks_sent")
-        self._m_repairs_served = registry.counter("transfer.repairs_served")
-        self._m_retransmits = registry.counter("transfer.retransmits")
-        self._m_acks_received = registry.counter("transfer.acks_received")
+        registry.counter("transfer.blocks_sent", lambda: self.blocks_sent)
+        registry.counter(
+            "transfer.repairs_served", lambda: self.repairs_served
+        )
+        registry.counter("transfer.retransmits", lambda: self.retransmits)
+        registry.counter("transfer.acks_received", lambda: self.acks_received)
         self._publications: Dict[str, PublicationHandle] = {}
         self._acked: Dict[str, Set[int]] = {}
         self._retry: Dict[Tuple[str, int], object] = {}
@@ -179,7 +181,6 @@ class BlockSender:
             force_exploratory=force_exploratory,
         )
         self.blocks_sent += 1
-        self._m_blocks_sent.inc()
         if message is not None:
             self.block_traces.setdefault(
                 (obj.object_id, index), []
@@ -204,7 +205,6 @@ class BlockSender:
         for offset, index in enumerate(indices):
             if 0 <= index < obj.block_count:
                 self.repairs_served += 1
-                self._m_repairs_served.inc()
                 # Repairs are loss-recovery traffic: flood them so they
                 # make progress even when the reinforced path is stale.
                 sim.schedule(
@@ -253,7 +253,6 @@ class BlockSender:
         if tries > self.reliability.max_retransmits:
             return  # budget spent; NACK repair remains the backstop
         self.retransmits += 1
-        self._m_retransmits.inc()
         self._transmit_block(
             obj, index,
             force_exploratory=(tries >= self.reliability.flood_after),
@@ -270,7 +269,6 @@ class BlockSender:
         except ValueError:
             return
         self.acks_received += 1
-        self._m_acks_received.inc()
         acked = self._acked.setdefault(object_id, set())
         received = attrs.value_of(Key.DURATION)
         if received is not None and int(received) >= obj.block_count:

@@ -36,7 +36,7 @@ from repro.campaign.builtin import (
 from repro.campaign.pool import CampaignReport, TrialOutcome
 from repro.campaign.spec import TrialSpec, code_version
 from repro.dtn.scenario import dtn_run
-from repro.faults import resilience_run
+from repro.shard import ShardPlan, run_oracle
 from repro.sim import TraceBus
 from repro.sim.rng import make_rng
 
@@ -588,9 +588,10 @@ class TestPlanTrial:
             "scenario": "resilience", "fault": "link-flap",
             "exploratory_interval": 5.0, "duration": 80.0,
         }
-        assert plan_trial(point, 3) == resilience_run(
-            fault="link-flap", seed=3, exploratory_interval=5.0, duration=80.0
-        )
+        assert plan_trial(point, 3) == run_oracle(ShardPlan.named(
+            "resilience", {"fault": "link-flap", "exploratory_interval": 5.0},
+            3, duration=80.0,
+        ))
         point = {
             "scenario": "dtn", "duty": 0.3, "custody": False,
             "mode": "clustered", "duration": 120.0,

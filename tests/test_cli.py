@@ -65,6 +65,23 @@ class TestRunCli:
         assert exit_info.value.code == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, message", [
+        # a zero beacon interval rescheduled itself at delay 0 forever
+        (["flood", "-p", "interval=0", "--duration", "1"], "interval must"),
+        # a zero send interval divided by zero counting the sends
+        (["diffusion", "-p", "send_interval=0"], "send_interval must"),
+        (["hierarchy", "-p", "mode=clustered", "-p", "hierarchy=5"],
+         "must be an object"),
+        # these two simulated nothing and exited 0
+        (["fig8", "--duration", "-5"], "duration must"),
+        (["flood", "-p", "columns=-1"], "columns must"),
+    ])
+    def test_hostile_value_is_a_usage_error(self, args, message, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", *args])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_refused_subset_build_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", "resilience", "--shards", "2"])

@@ -3,7 +3,8 @@ and the 2-partition data mule."""
 
 import pytest
 
-from repro.dtn.scenario import dtn_run, mule_run, partition_windows
+from repro.dtn.scenario import dtn_run, partition_windows
+from repro.shard import ShardPlan, run_oracle
 
 
 class TestPartitionWindows:
@@ -37,6 +38,11 @@ class TestPartitionWindows:
             repro_main(["run", "dtn", "-p", "duty=1.5"])
         assert exit_info.value.code == 2
         assert "duty" in capsys.readouterr().err
+
+
+def mule_run(seed, custody):
+    """The ``mule`` preset's outcome."""
+    return run_oracle(ShardPlan.named("mule", {"custody": custody}, seed))
 
 
 class TestMule:

@@ -170,8 +170,7 @@ class TestSuiteLifecycle:
             tx(net, 1, "9.1", hops=2)
             tx(net, 1, "9.1", hops=5)
             suite.detach()
-        counter = registry.counter("faults.violations")
-        assert counter.value == 1
+        assert registry.snapshot()["counters"]["faults.violations"] == 1
 
 
 class TestFlightRecorderIntegration:
@@ -180,13 +179,13 @@ class TestFlightRecorderIntegration:
         holds the trace events that causally preceded it — at least 64
         on a run with real traffic — and it is written exactly once."""
         from repro.analysis.tracelog import load_trace
-        from repro.faults.scenarios import resilience_run
+        from repro.shard import ShardPlan, run_oracle
 
         path = tmp_path / "postmortem.jsonl"
-        result = resilience_run(
-            fault="crash", seed=3, duration=40.0,
-            flight_recorder=str(path), monitor_max_entries=0,
-        )
+        result = run_oracle(ShardPlan.named(
+            "resilience", {"flight_recorder": str(path),
+                           "monitor_max_entries": 0}, 3, duration=40.0,
+        ))
         assert not result["invariants_ok"]
         info = result["flight_recorder"]
         assert info["path"] == str(path)
@@ -204,13 +203,12 @@ class TestFlightRecorderIntegration:
 
     def test_clean_run_dumps_at_end(self, tmp_path):
         from repro.analysis.tracelog import load_trace
-        from repro.faults.scenarios import resilience_run
+        from repro.shard import ShardPlan, run_oracle
 
         path = tmp_path / "healthy.jsonl"
-        result = resilience_run(
-            fault="crash", seed=3, duration=40.0,
-            flight_recorder=str(path),
-        )
+        result = run_oracle(ShardPlan.named(
+            "resilience", {"flight_recorder": str(path)}, 3, duration=40.0,
+        ))
         assert result["invariants_ok"]
         records = load_trace(path)
         assert records[0].data["reason"] == "end-of-run"
@@ -220,9 +218,11 @@ class TestFlightRecorderIntegration:
         """The replay tests compare two runs for bit-identical
         equality; the flight_recorder key must not appear unless asked
         for."""
-        from repro.faults.scenarios import resilience_run
+        from repro.shard import ShardPlan, run_oracle
 
-        result = resilience_run(fault="crash", seed=3, duration=40.0)
+        result = run_oracle(
+            ShardPlan.named("resilience", {}, 3, duration=40.0)
+        )
         assert "flight_recorder" not in result
 
     def test_monitor_dump_once_per_run(self, tmp_path):

@@ -6,19 +6,21 @@ import json
 
 import pytest
 
-from repro.faults import (
-    FaultPlan,
-    builtin_names,
-    builtin_plan,
-    clock_skew_run,
-    resilience_run,
-)
+from repro.faults import FaultPlan, builtin_names, builtin_plan, clock_skew_run
 from repro.__main__ import main as repro_main
 from repro.faults.cli import main as faults_cli
+from repro.shard import ShardPlan, run_oracle
 
 #: reconvergence bound for all scenario assertions: repair must land
 #: within this many exploratory intervals of the heal.
 K_INTERVALS = 4.0
+
+
+def run_resilience(seed, duration, **params):
+    """The ``resilience`` preset's outcome under ``params``."""
+    return run_oracle(
+        ShardPlan.named("resilience", params, seed, duration=duration)
+    )
 
 
 def assert_reconverged(result):
@@ -32,7 +34,7 @@ def assert_reconverged(result):
 
 class TestReconvergence:
     def test_crash_reboot_reconverges(self):
-        result = resilience_run(
+        result = run_resilience(
             fault="crash", seed=7, duration=140.0, exploratory_interval=8.0
         )
         assert_reconverged(result)
@@ -41,7 +43,7 @@ class TestReconvergence:
         assert heal["clear_state"] is True
 
     def test_link_flap_reconverges(self):
-        result = resilience_run(
+        result = run_resilience(
             fault="link-flap", seed=7, duration=140.0, exploratory_interval=8.0
         )
         assert_reconverged(result)
@@ -53,7 +55,7 @@ class TestReconvergence:
         # 50 s — twice the 25 s gradient lifetime, so every cross-cut
         # gradient expires — then heals.  Delivery must collapse during
         # the cut and resume within K_INTERVALS exploratory intervals.
-        result = resilience_run(
+        result = run_resilience(
             fault="partition", seed=7, duration=160.0, exploratory_interval=8.0
         )
         assert_reconverged(result)
@@ -72,7 +74,7 @@ class TestReconvergence:
         assert result["repair_rounds"] <= 2.0
 
     def test_corruption_window_reconverges(self):
-        result = resilience_run(
+        result = run_resilience(
             fault="corruption", seed=7, duration=140.0, exploratory_interval=8.0
         )
         assert_reconverged(result)
@@ -84,17 +86,17 @@ class TestDeterminism:
         kwargs = dict(
             fault="crash", seed=11, duration=120.0, exploratory_interval=8.0
         )
-        first = resilience_run(**kwargs)
-        second = resilience_run(**kwargs)
+        first = run_resilience(**kwargs)
+        second = run_resilience(**kwargs)
         assert first == second
 
     def test_different_seeds_differ(self):
-        first = resilience_run(fault="crash", seed=1, duration=100.0)
-        second = resilience_run(fault="crash", seed=2, duration=100.0)
+        first = run_resilience(fault="crash", seed=1, duration=100.0)
+        second = run_resilience(fault="crash", seed=2, duration=100.0)
         assert first["report"] != second["report"]
 
     def test_result_is_json_safe(self):
-        result = resilience_run(fault="brownout", seed=4, duration=100.0)
+        result = run_resilience(fault="brownout", seed=4, duration=100.0)
         restored = json.loads(json.dumps(result))
         assert restored["fault"] == "brownout"
 

@@ -16,11 +16,21 @@ from repro.sim.metrics import _NullInstrument
 
 class TestInstruments:
     def test_counter_increments(self):
+        """A counter is read back from its source at snapshot time."""
         registry = MetricsRegistry()
-        counter = registry.counter("tx")
-        counter.inc()
-        counter.inc(3)
-        assert counter.value == 4
+        source = {"tx": 0}
+        registry.counter("tx", lambda: source["tx"])
+        assert registry.snapshot()["counters"] == {"tx": 0}
+        source["tx"] += 1
+        source["tx"] += 3
+        assert registry.snapshot()["counters"] == {"tx": 4}
+
+    def test_counter_sums_its_readers(self):
+        registry = MetricsRegistry()
+        registry.counter("tx", lambda: 2)
+        registry.counter("tx", lambda: 5)
+        registry.counter("tx", lambda: 1, node="a")
+        assert registry.snapshot()["counters"] == {"tx": 7, "tx{node=a}": 1}
 
     def test_gauge_holds_last_value(self):
         registry = MetricsRegistry()
@@ -108,12 +118,14 @@ class TestTelemetrySampler:
     def test_samples_counters_and_gauges_on_sim_time(self):
         with use_registry() as registry:
             sim = Simulator()
-            sent = registry.counter("sent")
+            sent = {"n": 0}
+            registry.counter("sent", lambda: sent["n"])
             depth = registry.gauge("depth")
             sampler = TelemetrySampler(sim, interval=1.0).start()
             for i in range(5):
                 sim.schedule(
-                    i + 0.5, lambda i=i: (sent.inc(), depth.set(i))
+                    i + 0.5,
+                    lambda i=i: (sent.update(n=sent["n"] + 1), depth.set(i)),
                 )
             sim.run(until=5.0)
         snap = registry.snapshot()
@@ -179,16 +191,15 @@ class TestTelemetrySampler:
 class TestMerge:
     def test_counters_add_and_gauges_fold_extrema(self):
         a = MetricsRegistry()
-        a.counter("tx").inc(3)
+        a.counter("tx", lambda: 3)
         a.gauge("depth").set(2)
         a.gauge("depth").set(5)
         b = MetricsRegistry()
-        b.counter("tx").inc(4)
-        b.counter("rx").inc(1)
+        b.counter("tx", lambda: 4)
+        b.counter("rx", lambda: 1)
         b.gauge("depth").set(1)
         a.merge(b.snapshot())
-        assert a.counter("tx").value == 7
-        assert a.counter("rx").value == 1
+        assert a.snapshot()["counters"] == {"rx": 1, "tx": 7}
         assert a.gauge("depth").value == 1    # the later observation
         assert a.gauge("depth").min == 1
         assert a.gauge("depth").max == 5
@@ -221,7 +232,7 @@ class TestMerge:
 
     def test_merge_into_disabled_registry_is_noop(self):
         src = MetricsRegistry()
-        src.counter("x").inc()
+        src.counter("x", lambda: 1)
         NULL_REGISTRY.merge(src.snapshot())
         assert NULL_REGISTRY.empty
 
@@ -233,7 +244,7 @@ class TestMerge:
 
     def test_merged_snapshot_round_trips(self):
         a = MetricsRegistry()
-        a.counter("tx").inc(2)
+        a.counter("tx", lambda: 2)
         a.histogram("h").observe(1.0)
         a.timeseries("s").record(1.0, 2.0)
         fresh = MetricsRegistry()
@@ -253,30 +264,33 @@ class TestMerge:
 
     def test_instruments_memoized_by_name_and_labels(self):
         registry = MetricsRegistry()
-        assert registry.counter("drops", reason="x") is registry.counter(
-            "drops", reason="x"
+        assert registry.gauge("depth", node="x") is registry.gauge(
+            "depth", node="x"
         )
-        assert registry.counter("drops", reason="x") is not registry.counter(
-            "drops", reason="y"
+        assert registry.gauge("depth", node="x") is not registry.gauge(
+            "depth", node="y"
         )
 
     def test_label_order_does_not_matter(self):
         registry = MetricsRegistry()
-        a = registry.counter("m", x=1, y=2)
-        b = registry.counter("m", y=2, x=1)
-        assert a is b
+        assert registry.histogram("m", x=1, y=2) is registry.histogram(
+            "m", y=2, x=1
+        )
+        registry.counter("c", lambda: 1, x=1, y=2)
+        registry.counter("c", lambda: 2, y=2, x=1)
+        assert registry.snapshot()["counters"] == {"c{x=1,y=2}": 3}
 
 
 class TestNullRegistry:
     def test_disabled_registry_hands_out_shared_noop(self):
-        a = NULL_REGISTRY.counter("tx")
+        a = NULL_REGISTRY.gauge("tx")
         b = NULL_REGISTRY.histogram("depth")
         assert isinstance(a, _NullInstrument)
         assert a is b
 
     def test_noop_instrument_absorbs_everything(self):
-        instrument = NULL_REGISTRY.counter("x")
-        instrument.inc()
+        NULL_REGISTRY.counter("x", lambda: 1)
+        instrument = NULL_REGISTRY.gauge("x")
         instrument.set(9)
         instrument.observe(1.0)
         assert instrument.value == 0
@@ -312,7 +326,7 @@ class TestUseRegistry:
 class TestSnapshot:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
-        registry.counter("tx").inc(2)
+        registry.counter("tx", lambda: 2)
         registry.gauge("depth").set(4)
         registry.histogram("lat").observe(0.5)
         snap = registry.snapshot()
@@ -324,15 +338,16 @@ class TestSnapshot:
 
     def test_labels_flattened_into_names(self):
         registry = MetricsRegistry()
-        registry.counter("drops", reason="queue-full").inc()
+        registry.counter("drops", lambda: 1, reason="queue-full")
         assert "drops{reason=queue-full}" in registry.snapshot()["counters"]
 
     def test_empty_and_format(self):
         registry = MetricsRegistry()
         assert registry.empty
-        registry.counter("tx").inc()
+        registry.counter("tx", lambda: 3)
         assert not registry.empty
         assert "tx" in registry.format()
+        assert registry.format().split() == ["tx", "3"]
 
 
 class TestStackIntegration:

@@ -3,7 +3,6 @@ stats counters, and modem bookkeeping."""
 
 import pytest
 
-from repro.mac.base import MacStats
 from repro.naming import MatchStats
 from repro.naming.keys import (
     ClassValue,
@@ -53,15 +52,6 @@ class TestStatsResets:
         stats.reset()
         assert stats.formals_tested == 0
         assert stats.comparisons == 0
-
-    def test_mac_stats_reset(self):
-        stats = MacStats(enqueued=5, transmitted=4, dropped_queue_full=1,
-                         backoffs=2)
-        stats.reset()
-        assert stats.enqueued == 0
-        assert stats.transmitted == 0
-        assert stats.dropped_queue_full == 0
-        assert stats.backoffs == 0
 
 
 class TestModemBookkeeping:

@@ -1,6 +1,6 @@
-"""The scenario registry as a whole: every preset replays, every front
-door is its plan, options compose across presets, and a subset build is
-either exact or refused."""
+"""The scenario registry as a whole: every preset replays, the front
+door left is its plan, options compose across presets, and a subset
+build is either exact or refused."""
 
 import json
 from dataclasses import asdict
@@ -8,8 +8,8 @@ from dataclasses import asdict
 import pytest
 
 from repro.apps import NestedQueryExperiment, SurveillanceExperiment
-from repro.dtn.scenario import dtn_run, mule_run
-from repro.faults import FaultPlan, NodeCrash, resilience_run
+from repro.dtn.scenario import dtn_run
+from repro.faults import FaultPlan, NodeCrash
 from repro.shard import (
     ShardPlan,
     ShardRuntime,
@@ -70,17 +70,6 @@ def test_oracle_replays_and_is_json_safe(name):
 class TestFrontDoors:
     """A front door makes the plan its docstring names and runs it."""
 
-    def test_resilience_run(self):
-        door = resilience_run(
-            fault="link-flap", seed=3, exploratory_interval=5.0,
-            duration=80.0, data_period=0.5,
-        )
-        params = {
-            "fault": "link-flap", "exploratory_interval": 5.0,
-            "send_interval": 0.5,
-        }
-        assert door == run_oracle(ShardPlan("resilience", params, 3, 80.0, 1))
-
     def test_dtn_run(self):
         door = dtn_run(
             seed=2, duty=0.3, duration=120.0, custody=False, mode="clustered"
@@ -95,12 +84,6 @@ class TestFrontDoors:
         assert "hierarchy" not in door
         params = {"duty": 0.3, "custody": False}
         assert door == run_oracle(ShardPlan("dtn", params, 2, 120.0, 1))
-
-    def test_mule_run(self):
-        door = mule_run(seed=2, custody=False, duration=100.0)
-        assert door == run_oracle(
-            ShardPlan("mule", {"custody": False}, 2, 100.0, 1)
-        )
 
 
 class TestFigurePresets:
@@ -307,12 +290,16 @@ class TestBuildOrderIsEventOrder:
         # send.  Built the other way round the send goes out first and
         # the run differs (48 delivered, repair after 10.3 s).
         plan = FaultPlan((NodeCrash(node=11, at=40.0, recover_at=70.0),))
-        report = resilience_run(plan=plan, seed=7, duration=120.0)["report"]
+        report = run_oracle(ShardPlan.named(
+            "resilience", {"plan": plan}, 7, duration=120.0
+        ))["report"]
         assert report["messages_delivered"] == 53
         assert report["faults"][0]["time_to_repair"] == 2.3861130543184714
 
     def test_resilience_report_is_pinned(self):
-        report = resilience_run(fault="crash", seed=7, duration=120.0)["report"]
+        report = run_oracle(
+            ShardPlan.named("resilience", {}, 7, duration=120.0)
+        )["report"]
         assert report == {
             "faults": [{
                 "index": 0,

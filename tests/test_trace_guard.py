@@ -21,8 +21,8 @@ from repro.core import DiffusionNode, Message
 from repro.core.messages import make_data
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
-from repro.shard import ShardPlan, run_oracle
-from repro.sim import Simulator
+from repro.shard import ShardPlan, build_whole, run_oracle
+from repro.sim import Simulator, metrics
 
 SRC = Path(repro.__file__).parent
 HOT_LAYERS = ("core", "radio", "mac", "link")
@@ -176,6 +176,31 @@ def test_untraced_run_evaluates_no_trace_argument(monkeypatch):
     attrs = AttributeVector.builder().actual(Key.TYPE, "x").build()
     with pytest.raises(AssertionError, match="formatted a trace id"):
         node._transmit(make_data(attrs, origin=1, exploratory=True))
+
+
+#: what an unmetered run may call in ``repro/sim/metrics.py``: the shared
+#: no-op a gauge or histogram resolves to under the null registry (a
+#: counter costs nothing at all: the registry reads it back).
+NULL_CALLS = {"_NullInstrument.set", "_NullInstrument.observe"}
+
+
+def test_unmetered_run_calls_no_metrics_code():
+    """A 3-node line built under the null registry runs no metrics code
+    beyond the allow-listed no-ops."""
+    net = build_whole(ShardPlan.named("line", {"nodes": 3}, seed=1))
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call" and frame.f_code.co_filename == metrics.__file__:
+            called.add(frame.f_code.co_qualname)
+
+    sys.setprofile(profile)
+    try:
+        net.sim.run(until=20.0)
+    finally:
+        sys.setprofile(None)
+    assert "_NullInstrument.observe" in called, "the profile saw nothing"
+    assert called <= NULL_CALLS, sorted(called - NULL_CALLS)
 
 
 #: sha256 of the JSONL a traced run writes, less its one host-time record
