@@ -2,15 +2,35 @@
 
 Defaults follow the paper's testbed configuration (Section 6.1):
 interests re-flooded every 60 s, one exploratory message per ten data
-messages, ~127-byte messages on a 13 kb/s radio.
+messages, ~127-byte messages on a 13 kb/s radio.  Every field below is
+set by some run, test or campaign; a value nothing varies is a constant
+where it is read (the duplicate cache's 60 s entry lifetime is
+:class:`~repro.core.cache.DataCache`'s default, the propagation mode is
+:func:`repro.hierarchy.install_hierarchy`'s argument).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from typing import Any, ClassVar, Optional, Type, TypeVar
 
-#: interest/exploratory dissemination strategies (see repro.hierarchy)
-PROPAGATION_MODES = ("flat", "clustered", "rendezvous")
+C = TypeVar("C")
+
+
+def config_from_object(cls: Type[C], raw: Optional[Any], name: str) -> C:
+    """``cls(**raw)`` for a plain (JSON-borne) object; ``None`` is the
+    defaults.  A key that names no field is refused: a misspelt override
+    would otherwise run the default under the wrong label."""
+    raw = raw or {}
+    if not isinstance(raw, dict):
+        raise ValueError(f"{name} must be an object, got {raw!r}")
+    known = sorted(f.name for f in fields(cls))
+    unknown = sorted(set(raw) - set(known))
+    if unknown:
+        raise ValueError(
+            f"{name} has no {', '.join(unknown)}; known: {', '.join(known)}"
+        )
+    return cls(**raw)
 
 
 @dataclass
@@ -55,8 +75,6 @@ class DiffusionConfig:
             future-work idea of sending "similar data over multiple
             paths to gain robustness when faced with low-quality
             links", trading duplicate transmissions for delivery.
-        header_bytes: fixed per-message header charged on the wire in
-            addition to the encoded attributes.
         enable_reinforcement: when False the protocol degenerates to pure
             flooding (ablation: two-phase pull vs flooding).
         enable_negative_reinforcement: when False, stale reinforced paths
@@ -65,16 +83,11 @@ class DiffusionConfig:
             cache (distinct from application-level aggregation filters).
         cache_capacity: entries in the duplicate-suppression cache
             (micro-diffusion shrinks this to 10).
-        cache_timeout: seconds before a cache entry is forgotten.
-        propagation_mode: how interests and exploratory data spread.
-            ``flat`` is the paper's network-wide flood and leaves the
-            core bit-identical to the classic stack; ``clustered`` and
-            ``rendezvous`` are the hierarchical modes implemented by
-            :func:`repro.hierarchy.install_hierarchy`, which reads this
-            field when no explicit mode is passed.  The field itself
-            changes nothing until a hierarchy policy is installed — all
-            nodes of a network must agree on the mode.
     """
+
+    #: fixed per-message header charged on the wire in addition to the
+    #: encoded attributes (a class constant: no run varies it).
+    header_bytes: ClassVar[int] = 24
 
     interest_interval: float = 60.0
     interest_jitter: float = 2.0
@@ -85,20 +98,12 @@ class DiffusionConfig:
     reinforced_timeout: float = 150.0
     multipath_degree: int = 1
     push_mode: bool = False
-    header_bytes: int = 24
     enable_reinforcement: bool = True
     enable_negative_reinforcement: bool = True
     enable_duplicate_suppression: bool = True
     cache_capacity: int = 512
-    cache_timeout: float = 60.0
-    propagation_mode: str = "flat"
 
     def validate(self) -> None:
-        if self.propagation_mode not in PROPAGATION_MODES:
-            raise ValueError(
-                f"propagation_mode must be one of {PROPAGATION_MODES}, "
-                f"got {self.propagation_mode!r}"
-            )
         if self.interest_interval <= 0:
             raise ValueError("interest_interval must be positive")
         if self.exploratory_every is not None and self.exploratory_every < 1:

@@ -7,14 +7,16 @@ continues by calling ``send_message`` (continue down the pipeline) or
 ``send_message_to_next`` (skip straight to the network), or by doing
 nothing (the message dies).  The diffusion core's own routing logic is
 itself a filter at :data:`GRADIENT_FILTER_PRIORITY`, so applications
-can interpose above or below it.
+interpose above it.  Nothing runs below it: the gradient filter matches
+every message and hands it to the network itself, so ``add_filter``
+refuses a lower priority.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Optional, TYPE_CHECKING
+from typing import Callable, TYPE_CHECKING
 
 from repro.naming import AttributeVector, fast_one_way_match
 
@@ -22,7 +24,8 @@ if TYPE_CHECKING:  # pragma: no cover
     from repro.core.messages import Message
 
 #: priority of the built-in gradient (routing) filter; application
-#: filters above this value see messages before routing, below after.
+#: filters must sit above it and see messages before routing (the core
+#: transmits whatever reaches it, so a filter below would never run).
 GRADIENT_FILTER_PRIORITY = 80
 
 _handle_counter = itertools.count(1)
@@ -43,12 +46,11 @@ class Filter:
     attrs: AttributeVector
     priority: int
     callback: Callable[["Message", FilterHandle], None]
-    handle: Optional[FilterHandle] = field(default=None)
+    handle: FilterHandle = field(init=False)
     name: str = ""
 
     def __post_init__(self) -> None:
-        if self.handle is None:
-            self.handle = FilterHandle(next(_handle_counter), self.priority)
+        self.handle = FilterHandle(next(_handle_counter), self.priority)
         if not 1 <= self.priority <= 254:
             raise ValueError("filter priority must be within [1, 254]")
 

@@ -146,9 +146,6 @@ class InterestEntry:
             if origin == data_origin and entry.active(now)
         )
 
-    def any_reinforced(self, now: float) -> bool:
-        return any(entry.active(now) for entry in self.reinforced.values())
-
     # -- upstream tracking --------------------------------------------------------
 
     def note_exploratory(

@@ -167,10 +167,8 @@ class DiffusionNode:
         )
 
         self.gradients = GradientTable()
-        self.cache = DataCache(
-            capacity=self.config.cache_capacity,
-            timeout=self.config.cache_timeout,
-        )
+        # Entries are forgotten after DataCache's default 60 s.
+        self.cache = DataCache(capacity=self.config.cache_capacity)
         self.subscriptions: Dict[int, Subscription] = {}
         self.publications: Dict[int, Publication] = {}
         self._filters: List[Filter] = []
@@ -210,6 +208,13 @@ class DiffusionNode:
         if priority == GRADIENT_FILTER_PRIORITY:
             raise ValueError(
                 f"priority {GRADIENT_FILTER_PRIORITY} is reserved for the core"
+            )
+        if priority < GRADIENT_FILTER_PRIORITY:
+            # The gradient filter matches every message and transmits
+            # it itself, so nothing would ever reach this filter.
+            raise ValueError(
+                f"priority {priority} is below the core's "
+                f"{GRADIENT_FILTER_PRIORITY}: such a filter never runs"
             )
         filt = Filter(attrs=attrs, priority=priority, callback=callback, name=name)
         # The list is kept sorted by descending priority; insort keeps
@@ -453,10 +458,6 @@ class DiffusionNode:
                 # candidate list (what multipath reinforcement selects
                 # from) and refreshes sink-side reinforcement.
                 self._note_duplicate_exploratory(message, now)
-                if self.forward_policy is not None:
-                    self.forward_policy.note_exploratory_duplicate(
-                        self, message
-                    )
             return
         if message.push_attrs is not None:
             self._process_push_data(message, now)
@@ -466,8 +467,8 @@ class DiffusionNode:
             if (
                 self.forward_policy is not None
                 and message.msg_type is MessageType.EXPLORATORY_DATA
-                and self.forward_policy.forward_unmatched_exploratory(
-                    self, message
+                and self.forward_policy.forward_exploratory(
+                    self, message, False
                 )
             ):
                 # Hierarchy modes can route exploratory data toward
@@ -820,10 +821,7 @@ class DiffusionNode:
         """
         self.shutdown()
         self.gradients = GradientTable()
-        self.cache = DataCache(
-            capacity=self.config.cache_capacity,
-            timeout=self.config.cache_timeout,
-        )
+        self.cache = DataCache(capacity=self.config.cache_capacity)
         # Coherence checkpoint: monitors verify the wipe at this instant,
         # before re-subscription repopulates the table.
         self.trace.emit(self.sim.now, "node.reboot", node=self.node_id)

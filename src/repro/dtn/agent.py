@@ -47,6 +47,48 @@ CUSTODY_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 20
 #: CONTROL_KIND value tagging one-hop custody acks.
 CUSTODY_CONTROL_KIND = "custody"
 
+#: bound on re-injection transmissions per custodied block.
+MAX_ATTEMPTS = 16
+#: The retry schedule is exponential with seed-deterministic jitter:
+#: attempt ``n`` waits ``min(RETRY_MAX, RETRY_BASE * RETRY_FACTOR**n)``
+#: seconds plus a uniform draw in ``[0, RETRY_JITTER * delay)`` from
+#: the node's own ``make_rng`` stream, so replays are bit-identical and
+#: co-located custodians do not retry in lockstep.  It starts patient —
+#: a contact-triggered retry (a matching interest arriving) is what
+#: provides promptness, so the periodic retries can stay off the
+#: channel.
+RETRY_BASE = 4.0
+RETRY_FACTOR = 1.7
+RETRY_MAX = 20.0
+RETRY_JITTER = 0.5
+#: contact-triggered retries spread over this many seconds after a
+#: matching interest arrives (jittered, seed-deterministic).  The window
+#: must be wide enough that a full store re-injecting does not collide
+#: with itself — one block every ~250 ms, not all at once.
+CONTACT_DELAY = 6.0
+#: a matching interest only counts as a *contact* when interests had
+#: stopped arriving for this long (or it is the first one ever seen for
+#: the object).  Sinks refresh interests continuously, so on a connected
+#: path the stream never gaps and custody stays silent; a gap means the
+#: sink side was unreachable and this refresh is the heal.  Must exceed
+#: the sink's refresh interval with margin.
+CONTACT_GAP = 25.0
+#: a node that goes dark only beacons after demand has been absent this
+#: long.  Losing a couple of interest refreshes to collisions
+#: momentarily darkens a *connected* node, and beaconing into that
+#: congestion (every neighbor accepting a handoff copy, each copy later
+#: beaconing in turn) amplifies exactly the traffic that caused it.  A
+#: node that was never routable — a disconnected source, a mule in
+#: transit — has no recent-demand timestamp and beacons immediately.
+BEACON_GRACE = 25.0
+#: routed re-injection transmissions granted per contact (or per carrier
+#: handoff / dark-to-routable transition).  When the budget is spent the
+#: entry holds passively — the live transfer layer owns recovery on a
+#: connected path, and custody blind-firing routed floods was measured
+#: to congest the channel enough to delay the very transfer it was
+#: insuring.
+ROUTED_BURST = 3
+
 
 class CustodyAgent:
     """Store-carry-forward custody for one node's transfer traffic."""
@@ -56,15 +98,12 @@ class CustodyAgent:
         node,
         rng,
         config: Optional[DtnConfig] = None,
-        store: Optional[CustodyStore] = None,
-        transfer_type: str = TRANSFER_TYPE,
         energy_spent=None,
     ) -> None:
         self.node = node
         self.rng = rng
         self.config = config or DtnConfig()
-        self.transfer_type = transfer_type
-        self.store = store or CustodyStore(
+        self.store = CustodyStore(
             node.node_id, node.trace, self.config, energy_spent=energy_spent
         )
         self.reinjections = 0
@@ -97,10 +136,10 @@ class CustodyAgent:
         #: a dark (beaconing) spell ending.
         self._credit: Dict[BlockKey, int] = {}
         #: object id -> when a matching interest last passed this node;
-        #: the contact detector (see ``DtnConfig.contact_gap``).
+        #: the contact detector (see ``CONTACT_GAP``).
         self._last_interest: Dict[str, float] = {}
         #: object id -> when this node last had a live gradient for it;
-        #: the beacon-grace reference (see ``DtnConfig.beacon_grace``).
+        #: the beacon-grace reference (see ``BEACON_GRACE``).
         self._routable_at: Dict[str, float] = {}
         self.handle: Optional[FilterHandle] = node.add_filter(
             AttributeVector(),
@@ -127,7 +166,7 @@ class CustodyAgent:
             return
         if message.msg_type.is_data:
             data_type = message.attrs.value_of(Key.TYPE)
-            if data_type == self.transfer_type:
+            if data_type == TRANSFER_TYPE:
                 self._on_block(message, handle)
                 return
             if data_type == ACK_TYPE:
@@ -227,7 +266,7 @@ class CustodyAgent:
             if self._handed_to.get(key) == carrier:
                 return None  # never take back what we handed forward
             released = self._released_at.get(key)
-            if released is not None and now - released < self.config.retry_max:
+            if released is not None and now - released < RETRY_MAX:
                 return None  # hold-down: we just handed this block off
         attrs = message.attrs
         entry = self.store.accept(
@@ -249,7 +288,7 @@ class CustodyAgent:
         if carrier is not None:
             # A handoff means the carrier judged us its best chance —
             # clear the block for immediate routed attempts.
-            self._credit[key] = self.config.routed_burst
+            self._credit[key] = ROUTED_BURST
         self.store.sweep(now)
         if self.store.holds(key):
             self._schedule_retry(key, entry.attempts)
@@ -353,7 +392,7 @@ class CustodyAgent:
         # Interests carry *formal* attributes (EQ, not IS), so read the
         # raw attribute value rather than value_of (actuals only).
         type_attr = message.attrs.find(Key.TYPE)
-        if type_attr is None or type_attr.value != self.transfer_type:
+        if type_attr is None or type_attr.value != TRANSFER_TYPE:
             return
         instance_attr = message.attrs.find(Key.INSTANCE)
         wanted = instance_attr.value if instance_attr is not None else None
@@ -361,7 +400,7 @@ class CustodyAgent:
         stream = "" if wanted is None else str(wanted)
         last = self._last_interest.get(stream)
         self._last_interest[stream] = now
-        if last is not None and now - last < self.config.contact_gap:
+        if last is not None and now - last < CONTACT_GAP:
             return  # on-cadence refresh, not a contact
         keys = [
             entry.key
@@ -374,20 +413,17 @@ class CustodyAgent:
         # Stagger the re-injections serially: a full store firing inside
         # one window is a self-inflicted collision storm on a sparse
         # channel, so space the keys out and jitter each slot.
-        spacing = max(0.25, self.config.contact_delay / len(keys))
+        spacing = max(0.25, CONTACT_DELAY / len(keys))
         for slot, key in enumerate(keys):
-            self._credit[key] = self.config.routed_burst
+            self._credit[key] = ROUTED_BURST
             delay = (slot + 1) * spacing + self.rng.uniform(0.0, spacing * 0.5)
             self._schedule_retry(key, attempts=None, delay=delay)
 
     # -- retry loop ------------------------------------------------------
 
     def _retry_delay(self, attempts: int) -> float:
-        delay = min(
-            self.config.retry_max,
-            self.config.retry_base * self.config.retry_factor ** attempts,
-        )
-        return delay + self.rng.uniform(0.0, self.config.retry_jitter * delay)
+        delay = min(RETRY_MAX, RETRY_BASE * RETRY_FACTOR ** attempts)
+        return delay + self.rng.uniform(0.0, RETRY_JITTER * delay)
 
     def _schedule_retry(
         self,
@@ -414,12 +450,12 @@ class CustodyAgent:
         entry = self.store.get(key)
         if entry is None:
             return
-        if entry.attempts >= self.config.max_attempts:
+        if entry.attempts >= MAX_ATTEMPTS:
             self.store.expire_retries(key, now)
             return
         builder = (
             AttributeVector.builder()
-            .actual(Key.TYPE, self.transfer_type)
+            .actual(Key.TYPE, TRANSFER_TYPE)
             .actual(Key.INSTANCE, entry.object_id)
             .actual(Key.SEQUENCE, entry.index)
             .actual(Key.DURATION, entry.total)
@@ -464,7 +500,7 @@ class CustodyAgent:
             routable = self._routable_at.get(entry.object_id)
             if (
                 routable is not None
-                and now - routable < self.config.beacon_grace
+                and now - routable < BEACON_GRACE
             ):
                 # Demand was here moments ago — this darkness is far
                 # more likely a couple of congestion-dropped interest
@@ -479,7 +515,7 @@ class CustodyAgent:
             # marks it as a handoff offer.  Refresh the routed credit so
             # the first routable tick after this spell fires without
             # waiting for an interest refresh.
-            self._credit[key] = self.config.routed_burst
+            self._credit[key] = ROUTED_BURST
             entry.attempts += 1
             mode = "beacon"
             attrs = (
@@ -520,10 +556,8 @@ class CustodyAgent:
                 # machinery usually release custody well before a
                 # second is due, and a credit burst burned on the
                 # short backoff is just a flood storm.
-                delay = self.config.retry_max
-                delay += self.rng.uniform(
-                    0.0, self.config.retry_jitter * delay
-                )
+                delay = RETRY_MAX
+                delay += self.rng.uniform(0.0, RETRY_JITTER * delay)
                 self._schedule_retry(key, attempts=None, delay=delay)
             else:
                 self._schedule_retry(key, entry.attempts)

@@ -100,9 +100,6 @@ class CustodyStore:
     def entries(self) -> List[CustodyEntry]:
         return list(self._entries.values())
 
-    def keys_for(self, object_id: str) -> List[BlockKey]:
-        return [k for k in self._entries if k[0] == object_id]
-
     # -- acceptance ------------------------------------------------------
 
     def accept(

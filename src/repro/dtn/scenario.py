@@ -23,6 +23,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.core.config import config_from_object
 from repro.dtn.agent import CustodyAgent
 from repro.dtn.config import DtnConfig
 from repro.faults.plan import FaultPlan, Partition
@@ -34,7 +35,6 @@ from repro.transfer import (
     BlockReceiver,
     BlockSender,
     DataObject,
-    RetransmitPolicy,
 )
 
 OBJECT_ID = "dtn-object"
@@ -44,9 +44,13 @@ OBJECT_ID = "dtn-object"
 _WEAK_REASONS = ("cache-suppression",)
 
 
+#: every partition window heals at least this many seconds before the
+#: run ends.
+HEAL_TAIL = 30.0
+
+
 def partition_windows(
-    start: float, duration: float, duty: float, period: float,
-    heal_tail: float = 30.0,
+    start: float, duration: float, duty: float, period: float
 ) -> List[Tuple[float, float]]:
     """Repeating down-windows at the given disruption duty cycle.
 
@@ -64,7 +68,7 @@ def partition_windows(
     windows = []
     down = duty * period
     at = start
-    while at + down <= duration - heal_tail:
+    while at + down <= duration - HEAL_TAIL:
         windows.append((at, at + down))
         at += period
     return windows
@@ -185,7 +189,8 @@ class _AttributionTap:
         return causes
 
 
-#: what a transfer preset can be told beyond the stack's own params.
+#: what a transfer preset can be told beyond the stack's own params
+#: (``dtn_config``: a JSON object of :class:`DtnConfig` overrides).
 TRANSFER_DEFAULTS: Dict[str, Any] = {
     "custody": True,
     "dtn_config": None,
@@ -238,15 +243,19 @@ def _arm_transfer(
     first.  The harness's :class:`Partition` windows split deliveries
     into during / after."""
     custody = bool(p["custody"])
+    config = config_from_object(DtnConfig, p["dtn_config"], "dtn_config")
+    payload_bytes = int(p["payload_bytes"])
+    if payload_bytes < 256 or payload_bytes % 256:
+        raise ValueError(
+            f"payload_bytes must be a positive multiple of 256, "
+            f"got {p['payload_bytes']!r}"
+        )
     tap = _AttributionTap(network.trace)
-    obj = DataObject(
-        OBJECT_ID, bytes(range(256)) * (int(p["payload_bytes"]) // 256)
-    )
-    policy = RetransmitPolicy() if custody else None
+    obj = DataObject(OBJECT_ID, bytes(range(256)) * (payload_bytes // 256))
     sender = BlockSender(
         network.api(source),
         block_interval=float(p["block_interval"]),
-        reliability=policy,
+        reliable=custody,
         rng=make_rng(seed, "dtn:sender") if custody else None,
     )
     receiver = _TimedReceiver(
@@ -256,7 +265,7 @@ def _arm_transfer(
         quiet_timeout=4.0,
         max_repair_rounds=int(p["receiver_rounds"]),
         max_quiet_timeout=20.0,
-        reliability=policy,
+        reliable=custody,
         rng=make_rng(seed, "dtn:receiver") if custody else None,
         persistent=custody,
     )
@@ -266,7 +275,6 @@ def _arm_transfer(
                 BlockCacheFilter(network.node(node_id), capacity=64)
     agents: Dict[int, CustodyAgent] = {}
     if custody:
-        config = p["dtn_config"] or DtnConfig()
         for node_id in network.node_ids():
             ledger = network.stack(node_id).energy
             agents[node_id] = CustodyAgent(
@@ -391,14 +399,9 @@ def arm_mule_transfer(network, p, seed, harness):
 def dtn_run(
     seed: int = 1,
     duty: float = 0.6,
-    period: float = 50.0,
     duration: float = 260.0,
     custody: bool = True,
-    payload_bytes: int = 2048,
-    block_interval: float = 0.5,
-    exploratory_interval: float = 8.0,
     mode: str = "flat",
-    dtn_config: Optional[DtnConfig] = None,
     flight_recorder: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One bulk transfer across a grid partitioned at ``duty``.
@@ -408,19 +411,15 @@ def dtn_run(
     ``params`` naming every keyword but ``seed`` and ``duration`` —
     ``mode`` only when it is not ``"flat"`` (``"clustered"`` runs the
     same disruption over the hierarchy backbone and adds that mode's
-    outcome sections).  ``custody=False`` is the legacy baseline.
+    outcome sections); every other param is the preset's default.
+    ``custody=False`` is the legacy baseline.
     """
     from repro.shard import ShardPlan, run_oracle
 
     params = {
         "duty": duty,
-        "period": period,
         "custody": custody,
-        "payload_bytes": payload_bytes,
-        "block_interval": block_interval,
-        "exploratory_interval": exploratory_interval,
         "mode": None if mode == "flat" else mode,
-        "dtn_config": dtn_config,
         "flight_recorder": flight_recorder,
     }
     return run_oracle(ShardPlan("dtn", params, seed, duration, 1))

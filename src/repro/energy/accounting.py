@@ -8,22 +8,19 @@ power = 1).
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict
 
 from repro.energy.model import DutyCycleModel, EnergyBreakdown
 
 
 class EnergyLedger:
-    """Accumulates radio-state time for one node."""
+    """Accumulates radio-state time for one node, priced at the paper's
+    power ratios."""
 
-    def __init__(
-        self,
-        model: Optional[DutyCycleModel] = None,
-        duty_cycle: float = 1.0,
-    ) -> None:
+    def __init__(self, duty_cycle: float = 1.0) -> None:
         if not 0.0 <= duty_cycle <= 1.0:
             raise ValueError("duty cycle must be within [0, 1]")
-        self.model = model or DutyCycleModel()
+        self.model = DutyCycleModel()
         self.duty_cycle = duty_cycle
         self.time_sending = 0.0
         self.time_receiving = 0.0
@@ -61,9 +58,9 @@ class NetworkEnergyAccount:
     def __init__(self) -> None:
         self._ledgers: Dict[int, EnergyLedger] = {}
 
-    def ledger(self, node_id: int, **kwargs) -> EnergyLedger:
+    def ledger(self, node_id: int) -> EnergyLedger:
         if node_id not in self._ledgers:
-            self._ledgers[node_id] = EnergyLedger(**kwargs)
+            self._ledgers[node_id] = EnergyLedger()
         return self._ledgers[node_id]
 
     def total_energy(self, elapsed: float) -> float:

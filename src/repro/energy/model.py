@@ -73,15 +73,11 @@ class DutyCycleModel:
     idle listening, but traffic still has to be received and sent.
     """
 
-    def __init__(
-        self,
-        power_ratios=PAPER_POWER_RATIOS,
-        time_ratios=PAPER_TIME_RATIOS,
-    ) -> None:
-        if min(power_ratios) < 0 or min(time_ratios) < 0:
+    def __init__(self, power_ratios=PAPER_POWER_RATIOS) -> None:
+        if min(power_ratios) < 0:
             raise ValueError("ratios must be non-negative")
         self.p_listen, self.p_receive, self.p_send = power_ratios
-        self.t_listen, self.t_receive, self.t_send = time_ratios
+        self.t_listen, self.t_receive, self.t_send = PAPER_TIME_RATIOS
 
     def breakdown(self, duty_cycle: float) -> EnergyBreakdown:
         if not 0.0 <= duty_cycle <= 1.0:
@@ -111,11 +107,15 @@ class DutyCycleModel:
         return min(1.0, (self.p_send * self.t_send) / listen_unit)
 
 
-def paper_duty_cycle_table(model: DutyCycleModel = None, duty_cycles=(1.0, 0.22, 0.15, 0.10)):
+#: the listen duty cycles Section 6.1 evaluates.
+PAPER_DUTY_CYCLES = (1.0, 0.22, 0.15, 0.10)
+
+
+def paper_duty_cycle_table(model: DutyCycleModel = None):
     """The Section 6.1 analysis as rows of (d, per-state fractions)."""
     model = model or DutyCycleModel()
     rows = []
-    for d in duty_cycles:
+    for d in PAPER_DUTY_CYCLES:
         b = model.breakdown(d)
         rows.append(
             {

@@ -17,8 +17,8 @@ here:
   accounting;
 * :mod:`repro.faults.scenarios` — the resilience grid, its builtin
   plans, the fault harness every scenario preset arms
-  (:mod:`repro.shard.scenario`), and the ``resilience`` preset's front
-  door behind the tests and the builtin campaign.
+  (:mod:`repro.shard.scenario`), and the ``timesync`` preset's RBS
+  workload.
 """
 
 from repro.faults.engine import FaultEngine
@@ -40,11 +40,7 @@ from repro.faults.plan import (
     Partition,
     PlanError,
 )
-from repro.faults.scenarios import (
-    builtin_names,
-    builtin_plan,
-    clock_skew_run,
-)
+from repro.faults.scenarios import builtin_names, builtin_plan
 
 __all__ = [
     "ACTION_KINDS",
@@ -64,5 +60,4 @@ __all__ = [
     "Violation",
     "builtin_names",
     "builtin_plan",
-    "clock_skew_run",
 ]

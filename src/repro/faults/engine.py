@@ -55,19 +55,17 @@ class FaultEngine:
         self,
         network,
         plan: FaultPlan,
-        seed: Optional[int] = None,
-        clocks: Optional[Dict[int, NodeClock]] = None,
     ) -> None:
         plan.validate(network.node_ids())
         self.network = network
         self.plan = plan
-        self.seed = network.seed if seed is None else seed
+        self.seed = network.seed
         self.trace = network.trace
         #: event-ordered record of every inject/heal, JSON-safe.
         self.timeline: List[dict] = []
         #: per-node local clocks the engine skews; tests and timesync
         #: scenarios share these via :meth:`clock`.
-        self.clocks: Dict[int, NodeClock] = dict(clocks or {})
+        self.clocks: Dict[int, NodeClock] = {}
         self.fragments_corrupted = 0
         # The timeline, counted by phase, is the inject / heal counters.
         def injected() -> int:
@@ -181,11 +179,11 @@ class FaultEngine:
     # -- link faults ---------------------------------------------------------
 
     def _link_down(self, index: int, action: LinkFlap) -> None:
-        self.overlay.block_link(action.a, action.b, symmetric=action.symmetric)
+        self.overlay.block_link(action.a, action.b)
         self._note(index, action, "inject", a=action.a, b=action.b)
 
     def _link_up(self, index: int, action: LinkFlap) -> None:
-        self.overlay.unblock_link(action.a, action.b, symmetric=action.symmetric)
+        self.overlay.unblock_link(action.a, action.b)
         self._note(index, action, "heal", a=action.a, b=action.b)
 
     def _partition(self, index: int, action: Partition) -> None:

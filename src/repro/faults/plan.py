@@ -73,7 +73,7 @@ class NodeCrash:
 class LinkFlap:
     """Force the ``a``–``b`` link dead for ``down`` seconds, ``flaps``
     times, ``period`` seconds apart (default: back up as long as down).
-    ``symmetric`` cuts both directions (the default)."""
+    Both directions are cut."""
 
     kind: ClassVar[str] = "link-flap"
 
@@ -83,7 +83,6 @@ class LinkFlap:
     down: float = 10.0
     flaps: int = 1
     period: Optional[float] = None
-    symmetric: bool = True
 
     def validate(self, node_ids: Iterable[int]) -> None:
         known = set(node_ids)

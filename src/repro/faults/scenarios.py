@@ -10,20 +10,18 @@ together: one fault injected mid-run, invariants monitored throughout,
 the repair report returned as a JSON-safe dict, bit-identical per
 (plan, seed).
 
-:func:`clock_skew_run` is the timesync variant, the one canned run that
-is not a preset (no publish/subscribe workload): a single-hop square
-running RBS (:mod:`repro.apps.timesync`) whose participant clocks live
-in the fault engine, so a :class:`~repro.faults.plan.ClockSkew` action
-knocks one clock out mid-run and the periodic sync rounds must pull it
-back — repair measured in sync rounds instead of exploratory intervals.
+:func:`arm_time_sync` is the ``timesync`` preset's workload (no
+publish/subscribe traffic): a single-hop square running RBS
+(:mod:`repro.apps.timesync`) whose participant clocks live in the fault
+engine, so the :func:`clock_skew_plan` action knocks one clock out
+mid-run and the periodic sync rounds must pull it back — repair
+measured in sync rounds instead of exploratory intervals.
 """
 
 from __future__ import annotations
 
-import itertools
-from typing import List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
-import repro.core.messages as core_messages
 from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
 from repro.core import DiffusionConfig
 from repro.faults.engine import FaultEngine
@@ -38,7 +36,6 @@ from repro.faults.plan import (
     Partition,
     PlanError,
 )
-from repro.radio import Topology
 from repro.sim.rng import make_rng
 from repro.sim.trace import FlightRecorder
 from repro.testbed import SensorNetwork
@@ -201,83 +198,87 @@ class FaultHarness:
         return section
 
 
-def clock_skew_run(
-    seed: int = 1,
-    sync_interval: float = 8.0,
-    duration: float = 120.0,
-    skew: float = 2.0,
-    skew_at: float = 40.0,
-    threshold: float = 0.25,
-) -> dict:
-    """RBS under a clock-skew fault: one participant's clock steps by
-    ``skew`` seconds mid-run; periodic sync rounds must re-pull it
-    within the threshold.  Repair is measured in sync rounds."""
-    core_messages._msg_counter = itertools.count(1)
-    # A single-hop square: every node hears every beacon directly, so
-    # observation differences are pure clock offset (no path-delay
-    # bias), which is RBS's operating assumption.
-    topology = Topology()
-    topology.add_node(0, 0.0, 0.0)     # beacon
-    topology.add_node(1, 12.0, 0.0)    # reference participant + coordinator
-    topology.add_node(2, 0.0, 12.0)
-    topology.add_node(3, 12.0, 12.0)   # the clock that gets skewed
-    network = SensorNetwork(
-        topology, seed=seed, config=compressed_config(10.0)
-    )
-    harness = FaultHarness(
-        network, FaultPlan((ClockSkew(node=3, at=skew_at, offset=skew),))
-    )
-    engine = harness.engine
+#: the timesync square: the RBS beacon, the coordinator (also the
+#: reference participant), and the clock the fault steps.
+TIMESYNC_BEACON = 0
+TIMESYNC_COORDINATOR = 1
+TIMESYNC_PARTICIPANTS = (1, 2, 3)
+TIMESYNC_SKEWED = 3
+#: the step: ``SKEW`` seconds at ``SKEW_AT``, measured against the
+#: reference clock every ``SYNC_INTERVAL``; repaired once the error is
+#: back within ``SYNC_THRESHOLD``.
+SKEW = 2.0
+SKEW_AT = 40.0
+SYNC_INTERVAL = 8.0
+SYNC_THRESHOLD = 0.25
 
+
+def clock_skew_plan(p: Dict[str, Any]) -> FaultPlan:
+    """The timesync disruption: one participant's clock steps mid-run."""
+    return FaultPlan((ClockSkew(node=TIMESYNC_SKEWED, at=SKEW_AT, offset=SKEW),))
+
+
+def arm_time_sync(network, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """RBS under a clock-skew fault: periodic sync rounds must re-pull
+    the stepped clock within the threshold; repair is measured in sync
+    rounds.  The preset's 2x2 grid at 12 m is single-hop, so every node
+    hears every beacon directly and observation differences are pure
+    clock offset (no path-delay bias), which is RBS's operating
+    assumption."""
+    engine = harness.engine
     # Start the participant clocks deterministically off-true, so the
     # first sync rounds do real work before the fault ever lands.
     init = make_rng(seed, "faults:clock-init")
-    participants = {}
-    for node in (1, 2, 3):
+    for node in TIMESYNC_PARTICIPANTS:
         clock = engine.clock(node)
         clock.offset = init.uniform(-0.5, 0.5)
-        participants[node] = SyncParticipant(network.api(node), clock)
-    beacon = TimeBeacon(network.api(0), interval=2.0)
-    coordinator = SyncCoordinator(network.api(1))
+        SyncParticipant(network.api(node), clock)
+    beacon = TimeBeacon(network.api(TIMESYNC_BEACON), interval=2.0)
+    coordinator = SyncCoordinator(network.api(TIMESYNC_COORDINATOR))
 
     errors: List[List[float]] = []
 
     def sync_round() -> None:
         now = network.sim.now
         coordinator.apply_corrections(
-            {n: engine.clock(n) for n in (1, 2, 3)}, reference=1
+            {n: engine.clock(n) for n in TIMESYNC_PARTICIPANTS},
+            reference=TIMESYNC_COORDINATOR,
         )
         # Slide the estimation window: stale observations straddle any
         # step (correction or fault) and would bias the next estimate.
         coordinator.reset_window()
-        errors.append(
-            [now, engine.clock(3).error_vs(engine.clock(1), now)]
-        )
-        network.sim.schedule(sync_interval, sync_round, name="rbs.sync-round")
+        errors.append([
+            now,
+            engine.clock(TIMESYNC_SKEWED).error_vs(
+                engine.clock(TIMESYNC_COORDINATOR), now
+            ),
+        ])
+        network.sim.schedule(SYNC_INTERVAL, sync_round, name="rbs.sync-round")
 
-    network.sim.schedule(sync_interval, sync_round, name="rbs.sync-round")
-    network.run(until=duration)
-    beacon.stop()
+    network.sim.schedule(SYNC_INTERVAL, sync_round, name="rbs.sync-round")
 
-    repaired_at: Optional[float] = None
-    for t, error in errors:
-        if t <= skew_at:
-            continue
-        if error <= threshold:
-            repaired_at = t
-            break
-    return {
-        "seed": seed,
-        "skew": skew,
-        "skew_at": skew_at,
-        "sync_interval": sync_interval,
-        "threshold": threshold,
-        "errors": errors,
-        "repaired_at": repaired_at,
-        "repair_rounds": (
-            (repaired_at - skew_at) / sync_interval
-            if repaired_at is not None
-            else None
-        ),
-        **harness.finish(),
-    }
+    def outcome() -> Dict[str, Any]:
+        beacon.stop()
+        repaired_at: Optional[float] = None
+        for t, error in errors:
+            if t <= SKEW_AT:
+                continue
+            if error <= SYNC_THRESHOLD:
+                repaired_at = t
+                break
+        return {
+            "seed": seed,
+            "skew": SKEW,
+            "skew_at": SKEW_AT,
+            "sync_interval": SYNC_INTERVAL,
+            "threshold": SYNC_THRESHOLD,
+            "errors": errors,
+            "repaired_at": repaired_at,
+            "repair_rounds": (
+                (repaired_at - SKEW_AT) / SYNC_INTERVAL
+                if repaired_at is not None
+                else None
+            ),
+        }
+
+    return outcome

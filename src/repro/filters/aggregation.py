@@ -25,6 +25,13 @@ from repro.naming import AttributeVector
 from repro.naming.attribute import Attribute, Operator, ValueType
 from repro.naming.keys import Key
 
+#: both aggregation filters sit above the gradient filter, so a
+#: suppressed or absorbed report costs this node nothing on the radio.
+AGGREGATION_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 20
+#: how long a counted event's identity is remembered after its
+#: aggregate left: later reports of it are absorbed, not re-counted.
+AGGREGATION_WINDOW = 30.0
+
 
 def _event_key(message: Message) -> Optional[Tuple]:
     """Identity of the sensed event: the synchronized sequence number.
@@ -52,17 +59,15 @@ class SuppressionFilter:
         self,
         node: DiffusionNode,
         match_attrs: Optional[AttributeVector] = None,
-        priority: int = GRADIENT_FILTER_PRIORITY + 20,
         window: float = 30.0,
-        capacity: int = 256,
     ) -> None:
         self.node = node
-        self.seen = DataCache(capacity=capacity, timeout=window)
+        self.seen = DataCache(capacity=256, timeout=window)
         self.suppressed = 0
         self.passed = 0
         self.handle = node.add_filter(
             match_attrs if match_attrs is not None else AttributeVector(),
-            priority,
+            AGGREGATION_FILTER_PRIORITY,
             self._callback,
             name="suppression",
         )
@@ -98,25 +103,17 @@ class CountingAggregationFilter:
     #: attribute key carrying the number of concurring detections
     DETECTIONS_KEY = int(Key.INTENSITY)
 
-    def __init__(
-        self,
-        node: DiffusionNode,
-        match_attrs: Optional[AttributeVector] = None,
-        priority: int = GRADIENT_FILTER_PRIORITY + 20,
-        delay: float = 0.5,
-        window: float = 30.0,
-    ) -> None:
+    def __init__(self, node: DiffusionNode, delay: float = 0.5) -> None:
         self.node = node
         self.delay = delay
-        self.window = window
         # event key -> [message, count, timer_event]
         self._pending: Dict[Tuple, list] = {}
-        self._done = DataCache(capacity=256, timeout=window)
+        self._done = DataCache(capacity=256, timeout=AGGREGATION_WINDOW)
         self.aggregates_sent = 0
         self.reports_absorbed = 0
         self.handle = node.add_filter(
-            match_attrs if match_attrs is not None else AttributeVector(),
-            priority,
+            AttributeVector(),
+            AGGREGATION_FILTER_PRIORITY,
             self._callback,
             name="counting-aggregation",
         )

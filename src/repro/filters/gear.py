@@ -54,15 +54,16 @@ def distance_to_region(
     return math.hypot(dx, dy)
 
 
+#: above the aggregation filters (+20): a pruned interest is gone
+#: before anything else spends time on it.
+GEAR_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 40
+
+
 class GearFilter:
     """Prune interest floods that move away from the target region."""
 
     def __init__(
-        self,
-        node: DiffusionNode,
-        topology: Topology,
-        priority: int = GRADIENT_FILTER_PRIORITY + 40,
-        slack: float = 5.0,
+        self, node: DiffusionNode, topology: Topology, slack: float = 5.0
     ) -> None:
         self.node = node
         self.topology = topology
@@ -70,7 +71,8 @@ class GearFilter:
         self.pruned = 0
         self.forwarded = 0
         self.handle = node.add_filter(
-            AttributeVector(), priority, self._callback, name="gear"
+            AttributeVector(), GEAR_FILTER_PRIORITY, self._callback,
+            name="gear",
         )
 
     def _callback(self, message: Message, handle: FilterHandle) -> None:

@@ -27,26 +27,22 @@ class LoggedMessage:
     nbytes: int
 
 
+#: high above every other filter, so the tap sees each message first.
+LOGGING_FILTER_PRIORITY = 200
+
+
 class LoggingFilter:
     """Transparent tap on a node's message pipeline."""
 
-    def __init__(
-        self,
-        node: DiffusionNode,
-        match_attrs: Optional[AttributeVector] = None,
-        priority: int = 200,
-        keep_records: bool = True,
-        max_records: int = 10_000,
-    ) -> None:
+    def __init__(self, node: DiffusionNode, max_records: int = 10_000) -> None:
         self.node = node
-        self.keep_records = keep_records
         self.max_records = max_records
         self.records: List[LoggedMessage] = []
         self.counts: Dict[MessageType, int] = {t: 0 for t in MessageType}
         self.bytes: Dict[MessageType, int] = {t: 0 for t in MessageType}
         self.handle = node.add_filter(
-            match_attrs if match_attrs is not None else AttributeVector(),
-            priority,
+            AttributeVector(),
+            LOGGING_FILTER_PRIORITY,
             self._callback,
             name="logging",
         )
@@ -54,7 +50,7 @@ class LoggingFilter:
     def _callback(self, message: Message, handle: FilterHandle) -> None:
         self.counts[message.msg_type] += 1
         self.bytes[message.msg_type] += message.nbytes
-        if self.keep_records and len(self.records) < self.max_records:
+        if len(self.records) < self.max_records:
             self.records.append(
                 LoggedMessage(
                     time=self.node.sim.now,

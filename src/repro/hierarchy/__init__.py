@@ -5,10 +5,9 @@ traffic grows with N even when tasks are local.  This package bounds
 that cost two ways while leaving the paper's data path untouched:
 
 * **clustered** — a seed-deterministic cluster-head election
-  (energy/degree-scored one-hop announcements); heads relay interests
-  and exploratory data promptly while members defer-and-cancel under
-  counter-based suppression.  Crashed heads age out and neighborhoods
-  re-elect automatically.
+  (degree-scored one-hop announcements); heads relay interests promptly
+  while members defer-and-cancel under counter-based suppression.
+  Crashed heads age out and neighborhoods re-elect automatically.
 * **rendezvous** — interest key-attributes hash (stable splitmix64) to
   grid regions; interests and exploratory data travel geographic
   corridors and meet at O(region) nodes.
@@ -33,7 +32,6 @@ from repro.hierarchy.hashing import (
 from repro.hierarchy.manager import (
     HierarchyParams,
     HierarchyRuntime,
-    attach_node,
     install_hierarchy,
 )
 from repro.hierarchy.policy import (
@@ -52,7 +50,6 @@ __all__ = [
     "HierarchyRuntime",
     "RegionMap",
     "RendezvousPolicy",
-    "attach_node",
     "install_control_filter",
     "install_hierarchy",
     "point_segment_distance",

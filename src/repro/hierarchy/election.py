@@ -4,10 +4,9 @@ Every node periodically broadcasts a one-hop CONTROL announcement with
 its election score and current head claim (CCIC-WSN-style, adapted to
 diffusion's message vocabulary).  A node claims headship when its score
 is the maximum over itself and every live neighbor; members adopt the
-best-scoring neighbor that claims headship.  Scores combine an energy
-term, the observed live degree, and a stable splitmix64 tiebreak —
-all deterministic given the experiment seed, so the same seed elects
-the same heads.
+best-scoring neighbor that claims headship.  Scores combine the
+observed degree and a stable splitmix64 tiebreak — both deterministic
+given the experiment seed, so the same seed elects the same heads.
 
 There is no explicit resignation protocol: when a head crashes its
 announcements simply stop, it ages out of every neighbor table after
@@ -37,6 +36,14 @@ CONTROL_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 60
 #: CONTROL_KIND value tagging cluster announcements.
 CLUSTER_CONTROL_KIND = "cluster"
 
+#: members announce this many times slower than heads once bootstrap is
+#: done.  Post-bootstrap scores are static, so member announcements only
+#: serve slow liveness; head announcements carry the claims everyone's
+#: allegiance hangs on and keep the fast failure-detection cadence.
+#: Liveness horizons scale the same way: a neighbor claiming headship is
+#: expected at the fast cadence, anyone else at the slow one.
+MEMBER_ANNOUNCE_FACTOR = 4.0
+
 
 @dataclass
 class NeighborView:
@@ -55,11 +62,10 @@ class ClusterService:
     global ``random`` module — so runs replay bit-identically.
     """
 
-    def __init__(self, node, rng, params, energy_of=None) -> None:
+    def __init__(self, node, rng, params) -> None:
         self.node = node                      # DiffusionNode
         self.rng = rng
         self.params = params
-        self.energy_of = energy_of            # optional node_id -> float
         self.neighbors: Dict[int, NeighborView] = {}
         self.announces_sent = 0
         self.reelections = 0
@@ -122,28 +128,20 @@ class ClusterService:
     def score(self) -> int:
         """This node's announced election score.
 
-        Energy dominates (a depleted head is the worst head), then live
-        degree (a well-connected head covers more members per
+        Degree dominates (a well-connected head covers more members per
         announcement), then the stable tiebreak.
         """
-        energy = 0.0
-        if self.energy_of is not None:
-            energy = float(self.energy_of(self.node.node_id))
         # Degree counts every neighbor ever heard, not just live ones:
         # a live-only count drops whenever an announcement is lost to a
         # collision, and any score wobble re-runs elections somewhere.
         # Ever-heard degree is monotone, so scores settle after the
         # first full announce round (cleared only by reboot).
         degree = len(self.neighbors)
-        return (
-            (int(energy * self.params.energy_weight) << 28)
-            | (min(degree, 0xFFF) << 16)
-            | self._tiebreak
-        )
+        return (min(degree, 0xFFF) << 16) | self._tiebreak
 
     def _live(self, now: float) -> Dict[int, NeighborView]:
-        base = self.params.effective_head_timeout
-        member = base * self.params.member_announce_factor
+        base = self.params.head_timeout
+        member = base * MEMBER_ANNOUNCE_FACTOR
         return {
             nid: view
             for nid, view in self.neighbors.items()
@@ -240,7 +238,6 @@ class ClusterService:
             # stands; re-flooding on those would melt the channel.
             if (
                 head == node.node_id
-                and self.params.head_refresh
                 and self._last_head != node.node_id
                 and self._last_head not in self._live(now)
             ):
@@ -265,7 +262,7 @@ class ClusterService:
         if self._rounds <= self.BOOTSTRAP_ROUNDS:
             interval /= 4.0
         elif head != node.node_id:
-            interval *= self.params.member_announce_factor
+            interval *= MEMBER_ANNOUNCE_FACTOR
         period = interval + self.rng.uniform(
             0.0, self.params.announce_jitter
         )

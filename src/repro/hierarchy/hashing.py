@@ -97,7 +97,7 @@ class RegionMap:
 
     @classmethod
     def from_topology(
-        cls, topology, regions: int = 4, salt: int = 0
+        cls, topology, regions: int = 4
     ) -> "RegionMap":
         xs: List[float] = []
         ys: List[float] = []
@@ -107,7 +107,7 @@ class RegionMap:
             ys.append(pos.y)
         if not xs:
             raise ValueError("cannot build a RegionMap over an empty topology")
-        return cls(min(xs), min(ys), max(xs), max(ys), regions, salt)
+        return cls(min(xs), min(ys), max(xs), max(ys), regions)
 
     def region_of_value(self, value: Any) -> int:
         """The region index an attribute value rendezvouses in."""

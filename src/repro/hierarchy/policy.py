@@ -7,9 +7,9 @@ to the classic stack.  The two policies here implement the
 hierarchical modes:
 
 * :class:`ClusteredPolicy` — elected cluster heads rebroadcast
-  immediately; members defer a jittered fallback copy and cancel it
-  once enough duplicate copies prove the neighborhood is covered
-  (counter-based broadcast suppression).  Coverage is preserved —
+  interests immediately; members defer a jittered fallback copy and
+  cancel it once enough duplicate copies prove the neighborhood is
+  covered (counter-based broadcast suppression).  Coverage is preserved —
   a member whose fallback timer fires before anyone else covers its
   neighborhood still forwards — but the bulk of redundant rebroadcasts
   in dense deployments is elided.
@@ -29,9 +29,23 @@ from __future__ import annotations
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.core.messages import BROADCAST, Message
+from repro.naming.keys import Key
 from repro.sim.metrics import CLASS_LABEL, current_registry
 
 from repro.hierarchy.hashing import RegionMap, point_segment_distance
+
+#: duplicate copies (beyond the first) a member must hear to cancel its
+#: deferred fallback rebroadcast.
+COVER_THRESHOLD = 1
+#: (low, high) seconds of deferral jitter.  Wide enough for head
+#: rebroadcasts to land first, short next to protocol timers.
+FALLBACK_WINDOW = (0.3, 0.9)
+#: the attribute key whose value is hashed to a region (the sensor-type
+#: tag).
+RENDEZVOUS_KEY = int(Key.TYPE)
+#: half-width in meters of the geographic forwarding band between a
+#: message's origin and its target region.
+CORRIDOR = 30.0
 
 
 class ForwardPolicy:
@@ -41,12 +55,14 @@ class ForwardPolicy:
 
     * :meth:`forward_interest` after processing a first-copy interest —
       return True to rebroadcast now (the flat behavior);
-    * :meth:`forward_exploratory` after processing matched exploratory
-      data, with the legacy ``remote_demand`` verdict;
-    * :meth:`forward_unmatched_exploratory` before dropping exploratory
-      data no local interest entry matches;
-    * ``note_*_duplicate`` for every cache-suppressed duplicate copy;
+    * :meth:`forward_exploratory` after processing exploratory data,
+      with the legacy ``remote_demand`` verdict — False when no local
+      interest entry matches it at all;
+    * :meth:`note_interest_duplicate` for every cache-suppressed
+      duplicate interest;
     * :meth:`shutdown` / :meth:`restart` on node crash / reboot.
+
+    These are the decisions the filter API cannot carry (DESIGN §12).
     """
 
     #: when True, a received positive reinforcement refreshes a plain
@@ -64,12 +80,6 @@ class ForwardPolicy:
         self, node, message: Message, remote_demand: bool
     ) -> bool:
         return remote_demand
-
-    def note_exploratory_duplicate(self, node, message: Message) -> None:
-        pass
-
-    def forward_unmatched_exploratory(self, node, message: Message) -> bool:
-        return False
 
     def shutdown(self) -> None:
         pass
@@ -92,13 +102,20 @@ def _suppression_counts() -> Dict[str, int]:
 
 
 class ClusteredPolicy(ForwardPolicy):
-    """Cluster-head backbone with counter-based member fallback."""
+    """Cluster-head backbone with counter-based member fallback.
+
+    Only interests ride the backbone.  Exploratory data keeps the flat
+    demand-gated rule (the inherited :meth:`forward_exploratory`): the
+    interest backbone already confines *where* demand gradients exist,
+    so the exploratory flood is narrowed for free, and thinning it
+    further (defer-and-cancel) measurably cuts the paths a sink can
+    reinforce — it hurts delivery without touching control overhead.
+    """
 
     def __init__(self, node, service, rng, params) -> None:
         self.node = node
         self.service = service
         self.rng = rng
-        self.params = params
         # (kind, message.unique_id) -> [copies_heard, pending_event]
         self._pending: Dict[Tuple[str, Tuple[int, int]], List[Any]] = {}
         # attrs digest -> time this node last rebroadcast a similar
@@ -124,7 +141,7 @@ class ClusteredPolicy(ForwardPolicy):
         key = (kind, message.unique_id)
         if key in self._pending:  # pragma: no cover - dedup precedes us
             return False
-        low, high = self.params.fallback_window
+        low, high = FALLBACK_WINDOW
         copy = message.forwarded_copy(BROADCAST)
         event = self.node.sim.schedule(
             self.rng.uniform(low, high),
@@ -151,7 +168,7 @@ class ClusteredPolicy(ForwardPolicy):
         if entry is None:
             return
         entry[0] += 1
-        if entry[0] > self.params.cover_threshold:
+        if entry[0] > COVER_THRESHOLD:
             entry[1].cancel()
             del self._pending[key]
             self.suppressed[kind] += 1
@@ -179,20 +196,6 @@ class ClusteredPolicy(ForwardPolicy):
     def note_interest_duplicate(self, node, message: Message) -> None:
         self._note_copy("interest", message)
 
-    def forward_exploratory(
-        self, node, message: Message, remote_demand: bool
-    ) -> bool:
-        # Exploratory data keeps the flat demand-gated rule: the
-        # interest backbone already confines *where* demand gradients
-        # exist, so the exploratory flood is narrowed for free, and
-        # thinning it further (defer-and-cancel) measurably cuts the
-        # paths a sink can reinforce — it hurts delivery without
-        # touching control overhead.
-        return remote_demand
-
-    def note_exploratory_duplicate(self, node, message: Message) -> None:
-        self._note_copy("exploratory", message)
-
     def shutdown(self) -> None:
         for _, event in self._pending.values():
             event.cancel()
@@ -210,17 +213,16 @@ class RendezvousPolicy(ForwardPolicy):
 
     reinforcement_implies_demand = True
 
-    def __init__(self, node, topology, region_map: RegionMap, params) -> None:
+    def __init__(self, node, topology, region_map: RegionMap) -> None:
         self.node = node
         self.topology = topology
         self.region_map = region_map
-        self.params = params
         self.suppressed = _suppression_counts()
 
     def _rendezvous_value(self, message: Message) -> Optional[Any]:
         # Interests carry the key as a formal (EQ), data as an actual;
         # find() accepts either.
-        attr = message.attrs.find(self.params.rendezvous_key)
+        attr = message.attrs.find(RENDEZVOUS_KEY)
         return None if attr is None else attr.value
 
     def _should_forward(self, message: Message) -> bool:
@@ -244,7 +246,7 @@ class RendezvousPolicy(ForwardPolicy):
         origin = self.topology.position(message.origin)
         return (
             point_segment_distance(mine.x, mine.y, origin.x, origin.y, cx, cy)
-            <= self.params.corridor
+            <= CORRIDOR
         )
 
     def _decide(self, kind: str, message: Message) -> bool:
@@ -260,8 +262,7 @@ class RendezvousPolicy(ForwardPolicy):
         self, node, message: Message, remote_demand: bool
     ) -> bool:
         # Gradient trails (demand) extend the rendezvous region back
-        # toward each sink; outside both, the corridor rule applies.
+        # toward each sink; outside both, the corridor rule applies —
+        # also to data no local interest matches, which is how supply
+        # travels toward a region whose demand it never heard.
         return remote_demand or self._decide("exploratory", message)
-
-    def forward_unmatched_exploratory(self, node, message: Message) -> bool:
-        return self._decide("exploratory", message)

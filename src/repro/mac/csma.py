@@ -17,6 +17,14 @@ from repro.radio.modem import Modem
 from repro.sim import Simulator, TraceBus
 from repro.sim.rng import make_rng
 
+#: backoff after a busy carrier: ``MIN_BACKOFF`` plus a uniform draw in
+#: a window that doubles per consecutive busy sense, capped at
+#: ``MAX_BACKOFF`` (seconds).
+MIN_BACKOFF = 0.005
+MAX_BACKOFF = 0.32
+#: the short jittered gap before every attempt (seconds).
+INTERFRAME_GAP = 0.002
+
 
 class CsmaMac(Mac):
     """Non-persistent CSMA with bounded exponential backoff."""
@@ -26,20 +34,18 @@ class CsmaMac(Mac):
         sim: Simulator,
         modem: Modem,
         rng: Optional[random.Random] = None,
-        min_backoff: float = 0.005,
-        max_backoff: float = 0.32,
-        interframe_gap: float = 0.002,
-        queue_limit: int = 64,
         trace: Optional[TraceBus] = None,
     ) -> None:
-        super().__init__(sim, modem, queue_limit=queue_limit, trace=trace)
+        super().__init__(sim, modem, trace=trace)
         # A shared random.Random(0) here would give every node the same
         # backoff stream — contending nodes would draw identical delays
         # and re-collide forever.  Derive a per-node stream instead.
         self.rng = rng or make_rng(0, f"csma-mac:{modem.node_id}")
-        self.min_backoff = min_backoff
-        self.max_backoff = max_backoff
-        self.interframe_gap = interframe_gap
+        # Attributes, not only constants: the shard lookahead reads the
+        # smallest delay a MAC can schedule off them.
+        self.min_backoff = MIN_BACKOFF
+        self.max_backoff = MAX_BACKOFF
+        self.interframe_gap = INTERFRAME_GAP
         self._backoff_stage = 0
 
     def _schedule_attempt(self, first: bool) -> None:

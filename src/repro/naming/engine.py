@@ -33,10 +33,9 @@ from __future__ import annotations
 
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Tuple
 
 from repro.naming.attribute import Attribute
-from repro.naming.matching import MatchStats
 
 
 class MatchProfile:
@@ -90,18 +89,13 @@ def profile_of(attrs) -> MatchProfile:
     return MatchProfile(attrs)
 
 
-def fast_one_way_match(
-    a,
-    b,
-    stats: Optional[MatchStats] = None,
-) -> bool:
+def fast_one_way_match(a, b) -> bool:
     """One-way match on cached profiles: do B's actuals satisfy all of
     A's formals?
 
     Verdict-equivalent to :func:`repro.naming.matching.one_way_match`
     for every input (the equivalence suite asserts this over randomized
-    vectors); ``stats`` counts the *fast path's* operations, which is
-    the point — they drop relative to the reference scan.
+    vectors).
     """
     pa = profile_of(a)
     pb = profile_of(b)
@@ -111,12 +105,8 @@ def fast_one_way_match(
         return False
     actuals = pb.actuals_by_key
     for formal in pa.formals:
-        if stats is not None:
-            stats.formals_tested += 1
         matched = False
         for actual in actuals[formal.key]:
-            if stats is not None:
-                stats.comparisons += 1
             if formal.compares_with(actual):
                 matched = True
                 break
@@ -125,13 +115,9 @@ def fast_one_way_match(
     return True
 
 
-def fast_two_way_match(
-    a,
-    b,
-    stats: Optional[MatchStats] = None,
-) -> bool:
+def fast_two_way_match(a, b) -> bool:
     """Complete match on cached profiles (both one-way directions)."""
-    return fast_one_way_match(a, b, stats) and fast_one_way_match(b, a, stats)
+    return fast_one_way_match(a, b) and fast_one_way_match(b, a)
 
 
 @dataclass

@@ -19,12 +19,7 @@ from typing import Iterable, Iterator, List, Optional, Tuple, Union
 
 from repro.naming.attribute import Attribute, Operator, Scalar, ValueType
 from repro.naming.engine import MatchProfile
-from repro.naming.matching import (
-    MatchStats,
-    one_way_match,
-    one_way_match_segregated,
-    two_way_match,
-)
+from repro.naming.matching import two_way_match
 
 
 def _coerce_type(value: Scalar) -> ValueType:
@@ -143,19 +138,9 @@ class AttributeVector:
             object.__setattr__(self, "_profile", cached)
         return cached
 
-    def matches(self, other: "AttributeVector", stats: Optional[MatchStats] = None) -> bool:
+    def matches(self, other: "AttributeVector") -> bool:
         """Complete (two-way) match against ``other``."""
-        return two_way_match(self._attrs, other._attrs, stats)
-
-    def one_way_matches(
-        self,
-        other: "AttributeVector",
-        stats: Optional[MatchStats] = None,
-        segregated: bool = False,
-    ) -> bool:
-        """One-way match: do ``other``'s actuals satisfy our formals?"""
-        match = one_way_match_segregated if segregated else one_way_match
-        return match(self._attrs, other._attrs, stats)
+        return two_way_match(self._attrs, other._attrs)
 
     # -- wire helpers -------------------------------------------------------------
 

@@ -94,13 +94,11 @@ class Channel:
         propagation,
         seeds: Optional[SeedSequence] = None,
         trace: Optional[TraceBus] = None,
-        capture_effect: bool = True,
         loss_mode: str = "stream",
     ) -> None:
         if loss_mode not in ("stream", "hashed"):
             raise ValueError(f"unknown loss_mode {loss_mode!r}")
         self.sim = sim
-        self.capture_effect = capture_effect
         self.loss_mode = loss_mode
         self.trace = trace or TraceBus()
         seeds = seeds or SeedSequence(1)
@@ -449,7 +447,7 @@ class Channel:
             # Overlap: the stronger signal may capture the receiver;
             # comparable signals corrupt each other.
             for other in in_progress.values():
-                survives = self.capture_effect and (
+                survives = (
                     other.prr >= self.CAPTURE_STRONG
                     and reception.prr <= self.CAPTURE_WEAK
                 )
@@ -457,8 +455,7 @@ class Channel:
                     other.corrupted = True
                     self.fragments_collided += 1
             captured_over_all = (
-                self.capture_effect
-                and reception.prr >= self.CAPTURE_STRONG
+                reception.prr >= self.CAPTURE_STRONG
                 and all(
                     other.prr <= self.CAPTURE_WEAK
                     for other in in_progress.values()

@@ -19,6 +19,9 @@ from repro.sim import Simulator
 
 BROADCAST_ADDRESS: Optional[int] = None
 
+#: rx->tx switch time, seconds (the RPC's datasheet figure).
+TURNAROUND_S = 0.001
+
 
 @dataclass(frozen=True)
 class RadioParams:
@@ -27,7 +30,6 @@ class RadioParams:
     bitrate_bps: float = 13_000.0      # ~13 kb/s RPC throughput
     fragment_payload: int = 27         # bytes of payload per fragment
     fragment_overhead: int = 5         # preamble/sync/len/crc per fragment
-    turnaround_s: float = 0.001        # rx->tx switch time
 
     def fragment_airtime(self, payload_bytes: int) -> float:
         """Seconds on air for one fragment carrying ``payload_bytes``."""

@@ -112,12 +112,11 @@ class Topology:
         columns: int,
         rows: int,
         spacing: float = 10.0,
-        floor_penalty: float = 12.0,
-        first_id: int = 0,
     ) -> "Topology":
-        """A regular grid, handy for unit tests and synthetic scenarios."""
-        topo = cls(floor_penalty=floor_penalty)
-        node_id = first_id
+        """A regular grid, handy for unit tests and synthetic scenarios:
+        row-major ids from 0, all on one floor."""
+        topo = cls()
+        node_id = 0
         for row in range(rows):
             for col in range(columns):
                 topo.add_node(node_id, col * spacing, row * spacing)
@@ -125,6 +124,6 @@ class Topology:
         return topo
 
     @classmethod
-    def line(cls, count: int, spacing: float = 10.0, first_id: int = 0) -> "Topology":
+    def line(cls, count: int, spacing: float = 10.0) -> "Topology":
         """A chain of nodes: the minimal multi-hop topology."""
-        return cls.grid(columns=count, rows=1, spacing=spacing, first_id=first_id)
+        return cls.grid(columns=count, rows=1, spacing=spacing)

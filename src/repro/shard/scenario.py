@@ -64,7 +64,9 @@ from repro.faults.scenarios import (
     GRID_ROWS,
     GRID_SPACING,
     FaultHarness,
+    arm_time_sync,
     builtin_plan,
+    clock_skew_plan,
     compressed_config,
 )
 from repro.mac import CsmaMac, DutyCycledCsmaMac
@@ -297,7 +299,7 @@ STACK_DEFAULTS: Dict[str, Any] = {
 SHAPES = {
     "grid": _grid,
     "line": lambda p: Topology.line(
-        int(p["nodes"]), spacing=float(p["spacing"])
+        _positive(p, "nodes", int), spacing=float(p["spacing"])
     ),
     "isi": lambda p: isi_testbed_topology(),
 }
@@ -541,10 +543,9 @@ class StackScenario(Scenario):
         mac_factory = None
         if duty_cycle is not None:
 
-            def mac_factory(sim, modem, rng, queue_limit):
+            def mac_factory(sim, modem, rng):
                 return DutyCycledCsmaMac(
-                    sim, modem, duty_cycle=float(duty_cycle), rng=rng,
-                    queue_limit=queue_limit,
+                    sim, modem, duty_cycle=float(duty_cycle), rng=rng
                 )
 
         net = SensorNetwork(
@@ -653,6 +654,15 @@ SCENARIOS: Dict[str, Scenario] = {
              "send_start": 12.0, "receiver_rounds": 5, "caches": False,
              "duration": 140.0},
             disruption=mule_plan,
+        ),
+        StackScenario(
+            "timesync", "RBS on a single-hop 2x2 square; one clock steps "
+            "mid-run and the sync rounds must pull it back.",
+            arm_time_sync,
+            {"columns": 2, "rows": 2, "spacing": 12.0,
+             **_timers(compressed_config(10.0)), "loss_mode": "stream",
+             "monitors": True, "duration": 120.0},
+            disruption=clock_skew_plan,
         ),
     )
 }

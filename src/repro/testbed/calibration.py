@@ -47,26 +47,23 @@ class LinkReport:
         return high >= USABLE_PRR and low < USABLE_PRR
 
 
-def link_reports(
-    topology: Topology, propagation, now: float = 0.0
-) -> List[LinkReport]:
-    """PRRs for every pair with any connectivity at all."""
+def link_reports(topology: Topology, propagation) -> List[LinkReport]:
+    """PRRs for every pair with any connectivity at all, as the links
+    stand at t = 0 (the calibration is of the static deployment)."""
     reports = []
     for a, b in topology.pairs():
-        prr_ab = propagation.link_prr(a, b, now)
-        prr_ba = propagation.link_prr(b, a, now)
+        prr_ab = propagation.link_prr(a, b, 0.0)
+        prr_ba = propagation.link_prr(b, a, 0.0)
         if prr_ab > 0.0 or prr_ba > 0.0:
             reports.append(LinkReport(a=a, b=b, prr_ab=prr_ab, prr_ba=prr_ba))
     return reports
 
 
-def usable_graph(
-    topology: Topology, propagation, now: float = 0.0
-) -> "nx.Graph":
+def usable_graph(topology: Topology, propagation) -> "nx.Graph":
     """Undirected graph over links usable in both directions."""
     graph = nx.Graph()
     graph.add_nodes_from(topology.node_ids())
-    for report in link_reports(topology, propagation, now):
+    for report in link_reports(topology, propagation):
         if report.usable:
             graph.add_edge(report.a, report.b)
     return graph
@@ -88,10 +85,9 @@ def summarize(
     topology: Topology,
     propagation,
     pairs_of_interest: List[Tuple[int, int]] = (),
-    now: float = 0.0,
 ) -> CalibrationSummary:
-    reports = link_reports(topology, propagation, now)
-    graph = usable_graph(topology, propagation, now)
+    reports = link_reports(topology, propagation)
+    graph = usable_graph(topology, propagation)
     connected = (
         graph.number_of_nodes() > 0 and nx.is_connected(graph)
     )

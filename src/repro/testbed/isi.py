@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import Dict, Optional, Tuple
 
 from repro.core import DiffusionConfig
-from repro.radio import DistancePropagation, RadioParams, Topology
+from repro.radio import DistancePropagation, Topology
 from repro.testbed.network import SensorNetwork
 
 #: Figure 8 roles
@@ -59,6 +59,14 @@ ISI_TENTH_FLOOR = (11, 13, 16)
 ISI_FULL_RANGE = 20.0
 ISI_MAX_RANGE = 35.0
 ISI_FLOOR_PENALTY = 8.0
+#: each direction of a link scales its effective distance by a seeded
+#: factor within +-10 %: "radio range varies greatly depending on node
+#: position", and a link need not be as good one way as the other.
+ISI_ASYMMETRY = 0.10
+
+#: character cells of the :func:`format_testbed_map` rendition.
+MAP_WIDTH = 66
+MAP_HEIGHT = 16
 
 
 def isi_testbed_topology() -> Topology:
@@ -69,7 +77,7 @@ def isi_testbed_topology() -> Topology:
     return topo
 
 
-def format_testbed_map(width: int = 66, height: int = 16) -> str:
+def format_testbed_map() -> str:
     """An ASCII rendition of Figure 7: node positions by floor.
 
     Eleventh-floor nodes print as their id; tenth-floor nodes (11, 13,
@@ -80,6 +88,7 @@ def format_testbed_map(width: int = 66, height: int = 16) -> str:
     ys = [y for _, y, _ in _ISI_POSITIONS.values()]
     x_low, x_high = min(xs), max(xs)
     y_low, y_high = min(ys), max(ys)
+    width, height = MAP_WIDTH, MAP_HEIGHT
     grid = [[" "] * width for _ in range(height)]
 
     def place(text: str, col: int, row: int) -> None:
@@ -101,24 +110,19 @@ def format_testbed_map(width: int = 66, height: int = 16) -> str:
     return "\n".join(line for line in lines)
 
 
-def isi_propagation(
-    topology: Topology, seed: int, asymmetry: float = 0.10
-) -> DistancePropagation:
+def isi_propagation(topology: Topology, seed: int) -> DistancePropagation:
     """The radio calibration that goes with the testbed geometry."""
     return DistancePropagation(
         topology,
         full_range=ISI_FULL_RANGE,
         max_range=ISI_MAX_RANGE,
-        asymmetry=asymmetry,
+        asymmetry=ISI_ASYMMETRY,
         seed=seed,
     )
 
 
 def isi_testbed_network(
-    seed: int = 1,
-    config: Optional[DiffusionConfig] = None,
-    asymmetry: float = 0.10,
-    radio_params: Optional[RadioParams] = None,
+    seed: int = 1, config: Optional[DiffusionConfig] = None
 ) -> SensorNetwork:
     """A ready-to-run simulation of the ISI testbed."""
     topology = isi_testbed_topology()
@@ -126,6 +130,5 @@ def isi_testbed_network(
         topology,
         config=config,
         seed=seed,
-        propagation=isi_propagation(topology, seed, asymmetry),
-        radio_params=radio_params,
+        propagation=isi_propagation(topology, seed),
     )

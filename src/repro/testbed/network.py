@@ -110,15 +110,15 @@ class IdealNetwork:
 def ideal_line(
     hops: int,
     config: Optional[DiffusionConfig] = None,
-    delay: float = 0.01,
     loss: float = 0.0,
     seed: int = 1,
 ) -> Tuple[
     Simulator, IdealNetwork, Dict[int, DiffusionNode], Dict[int, DiffusionRouting]
 ]:
-    """A lossless/lossy ideal-transport chain for protocol-logic work."""
+    """A lossless/lossy ideal-transport chain for protocol-logic work,
+    at :class:`IdealNetwork`'s default per-hop delay."""
     sim = Simulator()
-    net = IdealNetwork(sim, delay=delay, loss=loss, seed=seed)
+    net = IdealNetwork(sim, loss=loss, seed=seed)
     nodes: Dict[int, DiffusionNode] = {}
     apis: Dict[int, DiffusionRouting] = {}
     for i in range(hops + 1):
@@ -151,9 +151,7 @@ class SensorNetwork:
         topology: Topology,
         config: Optional[DiffusionConfig] = None,
         seed: int = 1,
-        radio_params: Optional[RadioParams] = None,
         propagation=None,
-        mac_queue_limit: int = 64,
         mac_factory=None,
         channel_cls: Optional[type] = None,
         loss_mode: str = "stream",
@@ -165,7 +163,7 @@ class SensorNetwork:
         self.sim = Simulator()
         self.trace = TraceBus()
         self.seeds = SeedSequence(seed)
-        self.radio_params = radio_params or RadioParams()
+        self.radio_params = RadioParams()
         self.propagation = propagation or DistancePropagation(topology, seed=seed)
         # channel_cls: None = Channel when the propagation model supports
         # the neighborhood fast path, else the reference O(N) scan (the
@@ -183,7 +181,7 @@ class SensorNetwork:
         # One reassembly-timeout FIFO for every node: partials then
         # expire in the order they were opened, across the network.
         self.reassembly = ReassemblyExpiry(self.sim)
-        # mac_factory(sim, modem, rng, queue_limit) -> Mac; None = CSMA.
+        # mac_factory(sim, modem, rng) -> Mac; None = CSMA.
         self.mac_factory = mac_factory
         self.stacks: Dict[int, NodeStack] = {}
         # nodes: build stacks for this subset only (a shard builds just
@@ -197,24 +195,21 @@ class SensorNetwork:
         for node_id in build_ids:
             if not topology.has_node(node_id):
                 raise ValueError(f"node {node_id} is not in the topology")
-            self._build_node(node_id, mac_queue_limit)
+            self._build_node(node_id)
 
-    def _build_node(self, node_id: int, mac_queue_limit: int) -> None:
+    def _build_node(self, node_id: int) -> None:
         energy = self.energy_account.ledger(node_id)
         modem = Modem(
             self.sim, self.channel, node_id, params=self.radio_params, energy=energy
         )
         mac_rng = self.seeds.stream(f"mac:{node_id}")
         if self.mac_factory is not None:
-            mac = self.mac_factory(self.sim, modem, mac_rng, mac_queue_limit)
+            mac = self.mac_factory(self.sim, modem, mac_rng)
             # The factory signature predates the trace bus; route factory-
             # built MACs onto the shared bus after the fact.
             mac.trace = self.trace
         else:
-            mac = CsmaMac(
-                self.sim, modem, rng=mac_rng, queue_limit=mac_queue_limit,
-                trace=self.trace,
-            )
+            mac = CsmaMac(self.sim, modem, rng=mac_rng, trace=self.trace)
         frag = FragmentationLayer(
             self.sim, mac, node_id,
             fragment_payload=self.radio_params.fragment_payload,

@@ -18,7 +18,6 @@ from repro.transfer.sender import (
     REPAIR_TYPE,
     TRANSFER_TYPE,
     BlockSender,
-    RetransmitPolicy,
 )
 from repro.transfer.receiver import BlockReceiver, TransferStats
 from repro.transfer.caching import BlockCacheFilter
@@ -32,7 +31,6 @@ __all__ = [
     "BLOCK_PAYLOAD_BYTES",
     "BlockSender",
     "BlockReceiver",
-    "RetransmitPolicy",
     "TransferStats",
     "BlockCacheFilter",
 ]

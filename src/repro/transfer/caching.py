@@ -38,6 +38,10 @@ from repro.transfer.sender import (
 
 BlockKey = Tuple[str, int]  # (object id, block index)
 
+#: above the custody agent (+20) and the gradient core: a cache hit is
+#: served before anything downstream sees the request.
+CACHE_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 30
+
 
 class BlockCacheFilter:
     """Caches transfer blocks and serves repairs from the cache."""
@@ -46,16 +50,11 @@ class BlockCacheFilter:
         self,
         node: DiffusionNode,
         capacity: int = 128,
-        priority: int = GRADIENT_FILTER_PRIORITY + 30,
-        transfer_type: str = TRANSFER_TYPE,
-        repair_type: str = REPAIR_TYPE,
     ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
         self.node = node
         self.capacity = capacity
-        self.transfer_type = transfer_type
-        self.repair_type = repair_type
         # (object, index) -> (payload, block_count)
         self._cache: "OrderedDict[BlockKey, Tuple[bytes, int]]" = OrderedDict()
         self.blocks_cached = 0
@@ -64,7 +63,8 @@ class BlockCacheFilter:
         self.requests_trimmed = 0
         # One filter sees both block data and repair requests.
         self.handle = node.add_filter(
-            AttributeVector(), priority, self._callback, name="block-cache"
+            AttributeVector(), CACHE_FILTER_PRIORITY, self._callback,
+            name="block-cache",
         )
 
     def __len__(self) -> int:
@@ -78,9 +78,9 @@ class BlockCacheFilter:
     def _callback(self, message: Message, handle: FilterHandle) -> None:
         if message.msg_type.is_data:
             msg_type = message.attrs.value_of(Key.TYPE)
-            if msg_type == self.transfer_type:
+            if msg_type == TRANSFER_TYPE:
                 self._cache_block(message)
-            elif msg_type == self.repair_type:
+            elif msg_type == REPAIR_TYPE:
                 if self._handle_repair_request(message):
                     return  # fully served: absorb the request
         self.node.send_message(message, handle)
@@ -144,7 +144,7 @@ class BlockCacheFilter:
         payload, total = self._cache[(object_id, index)]
         attrs = (
             AttributeVector.builder()
-            .actual(Key.TYPE, self.transfer_type)
+            .actual(Key.TYPE, TRANSFER_TYPE)
             .actual(Key.INSTANCE, object_id)
             .actual(Key.SEQUENCE, index)
             .actual(Key.DURATION, total)

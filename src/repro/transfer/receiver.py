@@ -19,12 +19,21 @@ from repro.naming.keys import Key
 from repro.sim.metrics import current_registry
 from repro.transfer.blocks import join_blocks
 from repro.transfer.sender import (
+    ACK_EVERY,
     ACK_TYPE,
+    ACK_WINDOW,
     REPAIR_TYPE,
+    RETRY_JITTER,
     TRANSFER_TYPE,
-    RetransmitPolicy,
     encode_block_list,
 )
+
+#: holes one NACK names at most.
+REPAIR_BATCH = 16
+#: NACK rounds back off exponentially by this factor: early rounds race
+#: the interest/gradient plumbing, so spreading retries over a longer
+#: horizon is what lets a lossy network converge.
+NACK_BACKOFF = 1.5
 
 
 @dataclass
@@ -53,11 +62,8 @@ class BlockReceiver:
         on_complete: Callable[[bytes, TransferStats], None],
         quiet_timeout: float = 5.0,
         max_repair_rounds: int = 10,
-        repair_batch: int = 16,
-        backoff_factor: float = 1.5,
         max_quiet_timeout: float = 30.0,
-        transfer_type: str = TRANSFER_TYPE,
-        reliability: Optional[RetransmitPolicy] = None,
+        reliable: bool = False,
         rng=None,
         persistent: bool = False,
     ) -> None:
@@ -66,23 +72,18 @@ class BlockReceiver:
         self.on_complete = on_complete
         self.quiet_timeout = quiet_timeout
         self.max_repair_rounds = max_repair_rounds
-        self.repair_batch = repair_batch
-        # NACK rounds back off exponentially: early rounds race the
-        # interest/gradient plumbing, so spreading retries over a longer
-        # horizon is what lets a lossy network converge.
-        self.backoff_factor = backoff_factor
         self.max_quiet_timeout = max_quiet_timeout
         # DTN mode: acknowledge received blocks (releases sender timers
         # and network custody), jitter the NACK schedule from the
         # per-node rng stream, and — with ``persistent`` — keep probing
         # at the capped cadence instead of failing permanently, so the
         # transfer outlives connectivity gaps.
-        self.reliability = reliability
+        self.reliable = reliable
         self.rng = rng
         self.persistent = persistent
-        if (reliability is not None or persistent) and rng is None:
+        if (reliable or persistent) and rng is None:
             raise ValueError(
-                "reliability/persistent require a per-node rng "
+                "reliable/persistent require a per-node rng "
                 "(make_rng stream)"
             )
         self.stats = stats = TransferStats(object_id=object_id)
@@ -104,7 +105,7 @@ class BlockReceiver:
         self._fresh_since_ack: List[int] = []
         block_sub = (
             AttributeVector.builder()
-            .eq(Key.TYPE, transfer_type)
+            .eq(Key.TYPE, TRANSFER_TYPE)
             .eq(Key.INSTANCE, object_id)
             .build()
         )
@@ -115,7 +116,7 @@ class BlockReceiver:
             .actual(Key.INSTANCE, object_id)
             .build()
         )
-        if reliability is not None:
+        if reliable:
             self._ack_pub = api.publish(
                 AttributeVector.builder()
                 .actual(Key.TYPE, ACK_TYPE)
@@ -142,9 +143,9 @@ class BlockReceiver:
         else:
             self._blocks[index] = payload
             self.stats.blocks_received += 1
-            if self.reliability is not None:
+            if self.reliable:
                 self._fresh_since_ack.append(index)
-                if len(self._fresh_since_ack) >= self.reliability.ack_every:
+                if len(self._fresh_since_ack) >= ACK_EVERY:
                     self._send_ack()
         self._arm_quiet_timer()
         if len(self._blocks) == self.stats.blocks_expected:
@@ -162,15 +163,13 @@ class BlockReceiver:
     def _current_quiet_timeout(self) -> float:
         timeout = min(
             self.max_quiet_timeout,
-            self.quiet_timeout * self.backoff_factor ** self.stats.repair_rounds,
+            self.quiet_timeout * NACK_BACKOFF ** self.stats.repair_rounds,
         )
         if self.rng is not None:
             # Seed-deterministic jitter desynchronizes co-located
             # receivers' NACK rounds (DTN mode only; the legacy path
             # draws nothing and stays bit-identical).
-            jitter = (
-                self.reliability.jitter if self.reliability is not None else 0.25
-            )
+            jitter = RETRY_JITTER if self.reliable else 0.25
             timeout += self.rng.uniform(0.0, jitter * timeout)
         return timeout
 
@@ -198,7 +197,7 @@ class BlockReceiver:
         self.stats.repair_rounds += 1
         # An empty block list is a status probe: "I have heard nothing,
         # does this object exist?" — the sender answers with block 0.
-        batch = holes[: self.repair_batch]
+        batch = holes[:REPAIR_BATCH]
         attrs = AttributeVector.builder().actual(
             Key.SEQUENCE, self.stats.repair_rounds
         ).build().with_attribute(
@@ -215,7 +214,7 @@ class BlockReceiver:
         self.stats.completed_at = self.api.node.sim.now
         if self._quiet_timer is not None:
             self._quiet_timer.cancel()
-        if self.reliability is not None:
+        if self.reliable:
             self._send_ack()  # completion ack: sender stands down
         data = join_blocks(
             [self._blocks[i] for i in range(self.stats.blocks_expected)]
@@ -233,9 +232,9 @@ class BlockReceiver:
         DURATION attribute carries the total received count so a
         completion ack stands the sender down entirely.
         """
-        window = self._fresh_since_ack[-self.reliability.ack_window:]
+        window = self._fresh_since_ack[-ACK_WINDOW:]
         if not window and not self.stats.complete:
-            window = sorted(self._blocks)[-self.reliability.ack_window:]
+            window = sorted(self._blocks)[-ACK_WINDOW:]
         self._fresh_since_ack = []
         attrs = (
             AttributeVector.builder()

@@ -6,20 +6,18 @@ its objects.  A repair request names missing block indices; the sender
 re-sends exactly those blocks.  Both block and repair traffic are plain
 named data — no new mechanism below the application.
 
-Disruption tolerance is opt-in: handing the constructor a
-:class:`RetransmitPolicy` (plus a per-node ``make_rng`` stream) arms
-per-block retransmission timers on the sim kernel — a block stays on a
-jittered exponential-backoff schedule until the receiver's ``bulk-ack``
-covers it or the bounded retry budget runs out.  Without a policy the
-sender behaves exactly as before (the DTN equivalence gate depends on
-that).
+Disruption tolerance is opt-in: ``reliable=True`` (plus a per-node
+``make_rng`` stream) arms per-block retransmission timers on the sim
+kernel — a block stays on a jittered exponential-backoff schedule until
+the receiver's ``bulk-ack`` covers it or the bounded retry budget runs
+out.  Without it the sender behaves exactly as before (the DTN
+equivalence gate depends on that).
 """
 
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.core.api import DiffusionRouting, PublicationHandle
 from repro.naming import Attribute, AttributeVector, Operator
@@ -32,28 +30,27 @@ REPAIR_TYPE = "bulk-repair"
 ACK_TYPE = "bulk-ack"
 
 
-@dataclass(frozen=True)
-class RetransmitPolicy:
-    """Hop-by-hop NACK/ACK retransmission knobs (DTN mode).
-
-    Retry ``n`` of a block waits ``min(max_timeout, ack_timeout *
-    backoff_factor**n)`` seconds plus a uniform seed-deterministic
-    jitter draw in ``[0, jitter * delay)``.
-    """
-
-    ack_timeout: float = 10.0
-    backoff_factor: float = 2.0
-    max_timeout: float = 40.0
-    jitter: float = 0.4
-    max_retransmits: int = 4
-    #: retries below this count re-send on the reinforced path; only
-    #: later ones flood (silence may mean the path itself is gone, but
-    #: flooding every retry congests the channel it is trying to heal).
-    flood_after: int = 3
-    #: receiver side — acknowledge after every this many fresh blocks.
-    ack_every: int = 8
-    #: receiver side — how many recent indices one ack enumerates.
-    ack_window: int = 16
+# Hop-by-hop NACK/ACK retransmission (DTN mode).  Retry ``n`` of a
+# block waits ``min(MAX_TIMEOUT, ACK_TIMEOUT * BACKOFF_FACTOR**n)``
+# seconds plus a uniform seed-deterministic jitter draw in
+# ``[0, RETRY_JITTER * delay)``.
+ACK_TIMEOUT = 10.0
+BACKOFF_FACTOR = 2.0
+MAX_TIMEOUT = 40.0
+RETRY_JITTER = 0.4
+MAX_RETRANSMITS = 4
+#: retries below this count re-send on the reinforced path; only later
+#: ones flood (silence may mean the path itself is gone, but flooding
+#: every retry congests the channel it is trying to heal).
+FLOOD_AFTER = 3
+#: receiver side — acknowledge after every this many fresh blocks.
+ACK_EVERY = 8
+#: receiver side — how many recent indices one ack enumerates.
+ACK_WINDOW = 16
+#: Pause between the first (exploratory) block and the stream: the
+#: first block's flood triggers reinforcement, and plain blocks sent
+#: before the path is reinforced are dropped.
+RAMPUP_DELAY = 1.5
 
 
 def encode_block_list(indices) -> bytes:
@@ -77,19 +74,12 @@ class BlockSender:
         self,
         api: DiffusionRouting,
         block_interval: float = 0.5,
-        rampup_delay: float = 1.5,
-        transfer_type: str = TRANSFER_TYPE,
-        reliability: Optional[RetransmitPolicy] = None,
+        reliable: bool = False,
         rng=None,
     ) -> None:
         self.api = api
         self.block_interval = block_interval
-        # Pause between the first (exploratory) block and the stream:
-        # the first block's flood triggers reinforcement, and plain
-        # blocks sent before the path is reinforced are dropped.
-        self.rampup_delay = rampup_delay
-        self.transfer_type = transfer_type
-        self.reliability = reliability
+        self.reliable = reliable
         self.rng = rng
         self.objects: Dict[str, DataObject] = {}
         self.blocks_sent = 0
@@ -118,10 +108,10 @@ class BlockSender:
             .build()
         )
         self.api.subscribe(repair_sub, self._on_repair_request)
-        if self.reliability is not None:
+        if reliable:
             if self.rng is None:
                 raise ValueError(
-                    "reliability requires a per-node rng (make_rng stream)"
+                    "reliable requires a per-node rng (make_rng stream)"
                 )
             ack_sub = (
                 AttributeVector.builder()
@@ -137,7 +127,7 @@ class BlockSender:
         self.objects[obj.object_id] = obj
         self._publications[obj.object_id] = self.api.publish(
             AttributeVector.builder()
-            .actual(Key.TYPE, self.transfer_type)
+            .actual(Key.TYPE, TRANSFER_TYPE)
             .actual(Key.INSTANCE, obj.object_id)
             .build()
         )
@@ -157,7 +147,7 @@ class BlockSender:
         self._transmit_block(
             obj, index, force_exploratory=(index % self.EXPLORATORY_STRIDE == 0)
         )
-        delay = self.rampup_delay if index == 0 else self.block_interval
+        delay = RAMPUP_DELAY if index == 0 else self.block_interval
         self.api.node.sim.schedule(
             delay, self._send_block, object_id, index + 1,
             name="transfer.block",
@@ -185,7 +175,7 @@ class BlockSender:
             self.block_traces.setdefault(
                 (obj.object_id, index), []
             ).append(message.trace_id)
-        if self.reliability is not None:
+        if self.reliable:
             self._arm_retransmit(obj.object_id, index)
 
     # -- repair ------------------------------------------------------------
@@ -228,13 +218,9 @@ class BlockSender:
         timer = self._retry.get(key)
         if timer is not None:
             timer.cancel()
-        policy = self.reliability
         tries = self._tries.get(key, 0)
-        delay = min(
-            policy.max_timeout,
-            policy.ack_timeout * policy.backoff_factor ** tries,
-        )
-        delay += self.rng.uniform(0.0, policy.jitter * delay)
+        delay = min(MAX_TIMEOUT, ACK_TIMEOUT * BACKOFF_FACTOR ** tries)
+        delay += self.rng.uniform(0.0, RETRY_JITTER * delay)
         self._retry[key] = self.api.node.sim.schedule(
             delay, self._retransmit_tick, object_id, index,
             name="transfer.retransmit",
@@ -250,12 +236,12 @@ class BlockSender:
             return
         tries = self._tries.get(key, 0) + 1
         self._tries[key] = tries
-        if tries > self.reliability.max_retransmits:
+        if tries > MAX_RETRANSMITS:
             return  # budget spent; NACK repair remains the backstop
         self.retransmits += 1
         self._transmit_block(
             obj, index,
-            force_exploratory=(tries >= self.reliability.flood_after),
+            force_exploratory=(tries >= FLOOD_AFTER),
         )
 
     def _on_ack(self, attrs: AttributeVector, message) -> None:

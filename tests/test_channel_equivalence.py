@@ -4,7 +4,7 @@ The neighborhood fast path (``Channel``) must be *verdict-identical* to
 the reference O(N) scan (``ReferenceChannel``): same fragments
 delivered, collided, and lost, in the same order, on seeded scenarios —
 including mobility (epoch invalidation), Gilbert–Elliot links (per-link
-window expiry), capture effect on and off, duty-cycled sleeping radios,
+window expiry), capture effect, duty-cycled sleeping radios,
 mid-run node failures, and both loss modes.  Each case here builds the
 same scenario twice — once per ``channel_cls`` — runs an identical
 workload, and compares full channel trace event sequences plus every
@@ -70,7 +70,6 @@ def run_scenario(
     duration: float = 30.0,
     gilbert: bool = False,
     bad_scale: float = 0.2,
-    capture: bool = True,
     mobile: bool = False,
     duty_cycle: bool = False,
     failures: bool = False,
@@ -90,16 +89,14 @@ def run_scenario(
         )
     mac_factory = None
     if duty_cycle:
-        def mac_factory(sim, modem, rng, queue_limit):
+        def mac_factory(sim, modem, rng):
             return DutyCycledCsmaMac(
                 sim, modem, duty_cycle=0.5, period=1.0, rng=rng,
-                queue_limit=queue_limit,
             )
     net = SensorNetwork(
         topo, config=CONFIG, seed=seed, propagation=propagation,
         mac_factory=mac_factory, channel_cls=channel_cls, loss_mode=loss_mode,
     )
-    net.channel.capture_effect = capture
     assert type(net.channel) is channel_cls
 
     events = []
@@ -175,9 +172,6 @@ class TestStaticEquivalence:
     @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_random_static_topologies(self, seed):
         assert_equivalent(seed=seed)
-
-    def test_capture_effect_off(self):
-        assert_equivalent(seed=6, capture=False)
 
     def test_hashed_loss_draws(self):
         assert_equivalent(seed=5, loss_mode="hashed")

@@ -75,6 +75,16 @@ class TestRunCli:
         # these two simulated nothing and exited 0
         (["fig8", "--duration", "-5"], "duration must"),
         (["flood", "-p", "columns=-1"], "columns must"),
+        # an IndexError
+        (["line", "-p", "nodes=0"], "nodes must"),
+        # a misspelt override ran the default and exited 0
+        (["hierarchy", "-p", "mode=clustered",
+          "-p", 'hierarchy={"anounce_interval": 5}'], "no anounce_interval"),
+        # a JSON object died mid-run (AttributeError); it is now read
+        # like `hierarchy`, so an unknown key is what gets refused
+        (["dtn", "-p", 'dtn_config={"retry_base": 2}'], "no retry_base"),
+        # an empty object sent as one block, delivery_ratio 1.0, exit 0
+        (["dtn", "-p", "payload_bytes=100"], "payload_bytes must"),
     ])
     def test_hostile_value_is_a_usage_error(self, args, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

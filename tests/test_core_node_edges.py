@@ -127,6 +127,14 @@ class TestFilterPipeline:
                 AttributeVector(), GRADIENT_FILTER_PRIORITY, lambda m, h: None
             )
 
+    @pytest.mark.parametrize("priority", [1, GRADIENT_FILTER_PRIORITY - 1])
+    def test_filter_below_core_rejected(self, priority):
+        # The gradient filter matches every message and transmits it
+        # itself: a filter below it would be registered and never run.
+        sim, net, nodes, apis = build(1, connect=False)
+        with pytest.raises(ValueError, match="never runs"):
+            apis[0].add_filter(AttributeVector(), priority, lambda m, h: None)
+
     def test_remove_unknown_filter_returns_false(self):
         sim, net, nodes, apis = build(1, connect=False)
         handle = apis[0].add_filter(AttributeVector(), 150, lambda m, h: None)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.core import DiffusionConfig
 from repro.dtn import CustodyAgent, CustodyStore, DtnConfig
+from repro.dtn import agent as dtn_agent
 from repro.dtn.custody import CustodyEntry
 from repro.faults import MonitorSuite
 from repro.radio import Topology
@@ -136,13 +137,13 @@ class TestCustodyAgent:
         # Exponential with a ceiling: non-decreasing base terms.
         bases = [
             min(
-                agent.config.retry_max,
-                agent.config.retry_base * agent.config.retry_factor ** n,
+                dtn_agent.RETRY_MAX,
+                dtn_agent.RETRY_BASE * dtn_agent.RETRY_FACTOR ** n,
             )
             for n in range(6)
         ]
         for delay, base in zip(delays[0], bases):
-            assert base <= delay <= base * (1 + agent.config.retry_jitter)
+            assert base <= delay <= base * (1 + dtn_agent.RETRY_JITTER)
 
     def test_detach_cancels_timers_and_removes_filter(self):
         net = small_network()

@@ -74,6 +74,18 @@ class TestMule:
         assert stats["beacons"] > 0
         assert stats["custody_acks"] > 0
 
+    def test_dtn_config_object_caps_every_store(self):
+        # A JSON object of DtnConfig overrides, read like `hierarchy`
+        # (a dict here used to die on attribute access mid-run).  A
+        # store holds at most `capacity` after each accept's eviction.
+        capped = run_oracle(ShardPlan.named(
+            "mule", {"custody": True, "dtn_config": {"capacity": 2}}, 1
+        ))
+        stats = capped["custody_stats"]
+        assert stats["depth_high_water"] <= 2 + 1
+        assert stats["expired"] > mule_run(seed=1, custody=True)[
+            "custody_stats"]["expired"]
+
     def test_mule_replay_is_deterministic(self):
         assert mule_run(seed=4, custody=True) == mule_run(
             seed=4, custody=True

@@ -6,7 +6,7 @@ import json
 
 import pytest
 
-from repro.faults import FaultPlan, builtin_names, builtin_plan, clock_skew_run
+from repro.faults import FaultPlan, builtin_names, builtin_plan
 from repro.__main__ import main as repro_main
 from repro.faults.cli import main as faults_cli
 from repro.shard import ShardPlan, run_oracle
@@ -64,7 +64,7 @@ class TestReconvergence:
         assert fault["delivery_during"] < 0.2
 
     def test_clock_skew_resyncs_within_rounds(self):
-        result = clock_skew_run(seed=3)
+        result = run_oracle(ShardPlan.named("timesync", {}, 3))
         assert result["invariants_ok"], result["violations"]
         # The skew actually landed...
         peak = max(error for _, error in result["errors"])

@@ -117,7 +117,6 @@ class TestFlatDefaults:
         assert policy.forward_interest(None, None) is True
         assert policy.forward_exploratory(None, None, True) is True
         assert policy.forward_exploratory(None, None, False) is False
-        assert policy.forward_unmatched_exploratory(None, None) is False
         assert policy.reinforcement_implies_demand is False
 
 

@@ -47,6 +47,7 @@ SMALL = {
     "resilience": ({"fault": "link-flap"}, 70.0),
     "dtn": ({"duty": 0.5}, 110.0),
     "mule": ({}, 100.0),
+    "timesync": ({}, 60.0),
 }
 
 

@@ -249,10 +249,9 @@ class TestMacFactory:
     def test_custom_mac_deployed_on_every_node(self):
         from repro.mac import DutyCycledCsmaMac
 
-        def factory(sim, modem, rng, queue_limit):
+        def factory(sim, modem, rng):
             return DutyCycledCsmaMac(
                 sim, modem, duty_cycle=0.5, period=1.0, rng=rng,
-                queue_limit=queue_limit,
             )
 
         net = SensorNetwork(Topology.line(3, spacing=15.0), mac_factory=factory)
@@ -265,10 +264,9 @@ class TestMacFactory:
     def test_duty_cycled_network_still_delivers(self):
         from repro.mac import DutyCycledCsmaMac
 
-        def factory(sim, modem, rng, queue_limit):
+        def factory(sim, modem, rng):
             return DutyCycledCsmaMac(
                 sim, modem, duty_cycle=0.3, period=1.0, rng=rng,
-                queue_limit=queue_limit,
             )
 
         net = SensorNetwork(

@@ -14,7 +14,6 @@ from repro.transfer import (
     BlockReceiver,
     BlockSender,
     DataObject,
-    RetransmitPolicy,
 )
 
 SINK = 0
@@ -37,7 +36,6 @@ def armed_transfer(nodes=4, seed=5, payload_bytes=1024, plan=None,
         Topology.line(nodes, spacing=15.0), seed=seed, config=fast_config()
     )
     engine = FaultEngine(network, plan) if plan is not None else None
-    policy = RetransmitPolicy() if reliability else None
     source = nodes - 1
     obj = DataObject("fault-obj", bytes(range(256)) * (payload_bytes // 256))
     done = []
@@ -48,14 +46,14 @@ def armed_transfer(nodes=4, seed=5, payload_bytes=1024, plan=None,
         quiet_timeout=4.0,
         max_repair_rounds=8,
         max_quiet_timeout=20.0,
-        reliability=policy,
+        reliable=reliability,
         rng=make_rng(seed, "dtn:receiver") if reliability else None,
         persistent=reliability,
     )
     sender = BlockSender(
         network.api(source),
         block_interval=0.5,
-        reliability=policy,
+        reliable=reliability,
         rng=make_rng(seed, "dtn:sender") if reliability else None,
     )
     network.sim.schedule(5.0, sender.offer, obj, 0.0)
