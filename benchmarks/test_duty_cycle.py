@@ -3,8 +3,8 @@
 Regenerates the paper's three claims: listen-dominated at d=1, the
 50%-listen crossover near d=0.2 (paper rounds to 22%), and
 send-dominance below d~0.15 ("duty cycles of 10% begin to be dominated
-by send cost").  Also exercises the live energy ledgers on a simulated
-run with CSMA vs TDMA duty cycles.
+by send cost").  Also reads the live energy ledgers of a simulated
+CSMA run, always on and re-accounted at a 10% duty cycle.
 """
 
 import pytest

@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print every knob of the simulation stack that nothing sets.
+"""Print every knob of the simulation stack that nothing sets, and
+every public name in ``src/repro`` that no run calls.
 
     python scripts/knob_audit.py
 
@@ -24,12 +25,25 @@ callback given to ``sim.schedule``) counts as having every parameter
 set, because whoever calls it may pass any of them.  Matching by name
 over-approximates "set", so what this prints has no caller at all.
 
-One line per knob, sorted: ``module:Qualname(param)``.
+A *public name* is a function or class defined at module level
+anywhere in ``src/repro`` whose name has no leading underscore
+(methods are not names: ``AttributeVectorBuilder.ne`` is the paper's
+operator set).  It is *called* when some file in ``src/ benchmarks/
+examples/ perf/`` refers to it: an ``ast.Name``, the last part of an
+``ast.Attribute``, a ``"module:function"`` string (how campaigns name
+their trial functions), or an import inside a function body.  Its own
+definition does not count, nor do module-level imports, ``__all__``,
+docstrings, comments, or anything under ``tests/``: a name only tests
+reach is code no run executes.
+
+One line per finding, sorted together: ``module:Qualname(param)`` for a
+knob, ``module:Name`` for a public name.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 import sys
 from collections import defaultdict
 from pathlib import Path
@@ -40,11 +54,15 @@ SCOPE = (
     "sim radio mac link core naming filters testbed hierarchy dtn transfer "
     "faults shard energy"
 ).split()
-#: left to their own decisions: TDMA and random-waypoint mobility wait on
-#: whether a run can reach them; the telemetry sampler on the run report.
-EXCLUDED_FILES = {"repro/mac/tdma.py"}
+#: left to their own decisions: random-waypoint mobility waits on whether
+#: a run can reach it; the telemetry sampler on the run report.
 EXCLUDED_CLASSES = {"RandomWaypointMobility", "TelemetrySampler"}
 CALLER_DIRS = ("src", "tests", "benchmarks", "examples", "perf")
+#: where a reference makes a public name called: everything but tests/.
+RUN_DIRS = ("src", "benchmarks", "examples", "perf")
+#: a campaign's ``"module:function"`` trial reference.
+MODULE_FUNCTION = re.compile(r"[\w.]+:(\w+)")
+DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
 
 #: callee name -> list of (positional count, star position or None,
 #: keywords, an unknown ``**`` mapping)
@@ -130,12 +148,15 @@ class Definitions:
         self.methods: Dict[str, Set[str]] = defaultdict(set)
         self.own_init: Set[str] = set()
         self.dataclass_fields: Set[str] = set()
+        #: (module, name) of every public module-level function or class
+        self.public: List[Tuple[str, str]] = []
 
-    def scan(self, path: Path, module: str, tree: ast.Module) -> None:
+    def scan(self, module: str, tree: ast.Module) -> None:
         parts = module.split(".")
-        in_scope = (len(parts) > 1 and parts[1] in SCOPE
-                    and str(path.relative_to(ROOT / "src")) not in EXCLUDED_FILES)
+        in_scope = len(parts) > 1 and parts[1] in SCOPE
         for node in tree.body:
+            if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
+                self.public.append((module, node.name))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions.add(node.name)
                 if in_scope:
@@ -510,6 +531,45 @@ class Callers(ast.NodeVisitor):
                             changed = True
 
 
+def _references(tree: ast.Module) -> Set[str]:
+    """Every name one file refers to, by the rule in the module
+    docstring."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module,) + DEFINITIONS) and node.body
+        and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+
+    def visit(node: ast.AST, in_function: bool, out: Set[str]) -> None:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if in_function:
+                out.update(a.name.rpartition(".")[2] for a in node.names)
+            return
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+              and id(node) not in docstrings):
+            match = MODULE_FUNCTION.fullmatch(node.value)
+            if match:
+                out.add(match.group(1))
+        in_function = in_function or isinstance(
+            node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))
+        for child in ast.iter_child_nodes(node):
+            visit(child, in_function, out)
+
+    found: Set[str] = set()
+    for stmt in tree.body:
+        refs: Set[str] = set()
+        visit(stmt, False, refs)
+        if isinstance(stmt, DEFINITIONS):
+            refs.discard(stmt.name)  # its own definition is not a caller
+        found |= refs
+    return found
+
+
 def _modules() -> Iterator[Tuple[Path, str]]:
     for path in sorted((ROOT / "src" / "repro").rglob("*.py")):
         parts = path.relative_to(ROOT / "src").with_suffix("").parts
@@ -542,14 +602,20 @@ def audit() -> List[str]:
     }
     defs = Definitions()
     for path, module in _modules():
-        defs.scan(path, module, trees[path])
+        defs.scan(module, trees[path])
     callers = Callers(defs)
-    for tree in trees.values():
+    referenced: Set[str] = set()
+    for path, tree in trees.items():
         callers.visit(tree)
+        if path.relative_to(ROOT).parts[0] in RUN_DIRS:
+            referenced |= _references(tree)
     callers.resolve_values()
     callers.resolve_aliases()
     callers.resolve_forwards()
-    return sorted({str(k) for k in defs.knobs if not _is_set(k, callers)})
+    unset = {str(k) for k in defs.knobs if not _is_set(k, callers)}
+    uncalled = {f"{module}:{name}" for module, name in defs.public
+                if name not in referenced}
+    return sorted(unset | uncalled)
 
 
 def main() -> int:

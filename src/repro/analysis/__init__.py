@@ -1,10 +1,9 @@
-"""Experiment analysis: statistics, traffic meters, and the paper's
-analytical traffic model."""
+"""Experiment analysis: statistics, trace capture and loss attribution,
+and the paper's analytical traffic model."""
 
 from repro.analysis.stats import ConfidenceInterval, mean_ci
-from repro.analysis.metrics import DeliveryRecorder, TrafficMeter
 from repro.analysis.traffic_model import TrafficModel, TrafficBreakdown
-from repro.analysis.charts import bar_chart, line_chart
+from repro.analysis.charts import line_chart
 from repro.analysis.tracelog import (
     CampaignSummary,
     TraceLogger,
@@ -29,11 +28,8 @@ from repro.analysis.paths import (
 __all__ = [
     "ConfidenceInterval",
     "mean_ci",
-    "DeliveryRecorder",
-    "TrafficMeter",
     "TrafficModel",
     "TrafficBreakdown",
-    "bar_chart",
     "line_chart",
     "TraceLogger",
     "load_trace",

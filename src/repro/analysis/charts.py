@@ -75,19 +75,3 @@ def line_chart(
     lines.append(f"{y_label + '  ' if y_label else ''}{legend}")
     return "\n".join(lines)
 
-
-def bar_chart(
-    values: Dict[str, float],
-    width: int = 50,
-    title: str = "",
-) -> str:
-    """Horizontal bars, proportional to the maximum value."""
-    if not values:
-        raise ValueError("nothing to plot")
-    peak = max(values.values())
-    label_width = max(len(k) for k in values)
-    lines = [title] if title else []
-    for name, value in values.items():
-        length = 0 if peak <= 0 else round(width * value / peak)
-        lines.append(f"{name.rjust(label_width)} |{'#' * length} {value:.1f}")
-    return "\n".join(lines)

@@ -37,7 +37,6 @@ from repro.apps.fusion import (
 )
 from repro.apps.rateadapt import AdaptiveSink, RateAdaptingSource
 from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
-from repro.apps.topomon import NeighborReporter, TopologyMonitor
 
 __all__ = [
     "AUDIO_TYPE",
@@ -67,6 +66,4 @@ __all__ = [
     "SyncCoordinator",
     "SyncParticipant",
     "TimeBeacon",
-    "NeighborReporter",
-    "TopologyMonitor",
 ]

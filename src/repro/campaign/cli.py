@@ -87,7 +87,7 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     if args.command == "status":
         specs = campaign.expand()
-        cached = sum(1 for spec in specs if spec.key in store)
+        cached = sum(1 for spec in specs if store.get(spec.key) is not None)
         print(f"campaign {campaign.name}: {len(specs)} trials, "
               f"{cached} cached, {len(specs) - cached} pending")
         stats = store.stats()

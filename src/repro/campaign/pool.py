@@ -148,7 +148,7 @@ def run_campaign(
             outcomes[spec.index] = TrialOutcome(
                 spec=spec,
                 status="cached",
-                result=payload.get("result"),
+                result=payload["result"],
                 elapsed=0.0,
                 cpu_time=0.0,
             )

@@ -41,14 +41,18 @@ class ResultStore:
         return self._path(key).is_file()
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        """The stored payload for ``key``, or None (corrupt = miss)."""
+        """The stored payload for ``key``, or None: a corrupt entry (not
+        JSON, or not an object with a ``result``) is a miss."""
         raw = self.get_bytes(key)
         if raw is None:
             return None
         try:
-            return json.loads(raw)
+            payload = json.loads(raw)
         except ValueError:
             return None
+        if not isinstance(payload, dict) or "result" not in payload:
+            return None
+        return payload
 
     def get_bytes(self, key: str) -> Optional[bytes]:
         """Raw stored bytes, for byte-identity audits."""

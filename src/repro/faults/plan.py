@@ -26,8 +26,11 @@ construction — :meth:`FaultPlan.validate` needs the network's node ids.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field, fields
-from typing import ClassVar, Dict, Iterable, List, Optional, Tuple, Type, Union
+from typing import (
+    Any, Callable, ClassVar, Dict, Iterable, List, Optional, Tuple, Type, Union,
+)
 
 
 class PlanError(ValueError):
@@ -37,6 +40,40 @@ class PlanError(ValueError):
 def _require(condition: bool, message: str) -> None:
     if not condition:
         raise PlanError(message)
+
+
+def _is_int(value: Any) -> bool:
+    return type(value) is int  # not a bool, not 1.0
+
+
+def _is_number(value: Any) -> bool:
+    """A finite JSON number; ``true`` is no time and ``1e400`` is inf."""
+    if type(value) not in (int, float):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:  # an integer no float can hold
+        return False
+
+
+def _is_groups(value: Any) -> bool:
+    return isinstance(value, (list, tuple)) and all(
+        isinstance(group, (list, tuple)) and all(map(_is_int, group))
+        for group in value
+    )
+
+
+#: what a plan JSON value must be, by the field's annotation.
+_FIELD_TYPES: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "int": (_is_int, "an integer"),
+    "float": (_is_number, "a finite number"),
+    "Optional[float]": (
+        lambda value: value is None or _is_number(value),
+        "a finite number or null",
+    ),
+    "bool": (lambda value: type(value) is bool, "true or false"),
+    "Tuple[Tuple[int, ...], ...]": (_is_groups, "a list of lists of integers"),
+}
 
 
 @dataclass(frozen=True)
@@ -299,13 +336,19 @@ class FaultPlan:
             if action_cls is None:
                 known = ", ".join(sorted(ACTION_KINDS))
                 raise PlanError(f"action {index}: unknown kind {kind!r} (known: {known})")
-            known_fields = {f.name for f in fields(action_cls)}
+            known_fields = {f.name: f.type for f in fields(action_cls)}
             kwargs = {}
             for key, value in raw.items():
                 if key == "kind":
                     continue
                 if key not in known_fields:
                     raise PlanError(f"action {index} ({kind}): unknown field {key!r}")
+                check, expected = _FIELD_TYPES[known_fields[key]]
+                if not check(value):
+                    raise PlanError(
+                        f"action {index} ({kind}): field {key!r} must be "
+                        f"{expected}, not {value!r}"
+                    )
                 kwargs[key] = value
             if action_cls is Partition and "groups" in kwargs:
                 kwargs["groups"] = tuple(tuple(group) for group in kwargs["groups"])

@@ -6,19 +6,15 @@
 * :class:`CountingAggregationFilter` — the "more sophisticated filter"
   the paper sketches: delays briefly, counts detecting sensors, and
   annotates the surviving event.
-* :class:`LoggingFilter` — debugging/monitoring, which the paper found
-  filters "very useful for".
 * :class:`GearFilter` — geographically constrained interest forwarding,
   the paper's cited future-work optimization [39].
 """
 
 from repro.filters.aggregation import CountingAggregationFilter, SuppressionFilter
-from repro.filters.logging import LoggingFilter
 from repro.filters.gear import GearFilter
 
 __all__ = [
     "SuppressionFilter",
     "CountingAggregationFilter",
-    "LoggingFilter",
     "GearFilter",
 ]

@@ -8,13 +8,9 @@ single fragment results in loss of the whole message."
 """
 
 from repro.link.frag import FragmentationLayer, Fragment, ReassemblyExpiry
-from repro.link.neighbor import NeighborEntry, NeighborTable, EphemeralIdAllocator
 
 __all__ = [
     "FragmentationLayer",
     "Fragment",
     "ReassemblyExpiry",
-    "NeighborTable",
-    "NeighborEntry",
-    "EphemeralIdAllocator",
 ]

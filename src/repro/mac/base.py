@@ -10,6 +10,9 @@ from repro.radio.modem import BROADCAST_ADDRESS, Modem
 from repro.sim import Simulator, TraceBus, trace_id_of
 from repro.sim.metrics import current_registry
 
+#: fragments a MAC holds before it drops new ones (``queue-full``).
+QUEUE_LIMIT = 64
+
 
 @dataclass
 class MacStats:
@@ -32,12 +35,13 @@ class Mac:
         self,
         sim: Simulator,
         modem: Modem,
-        queue_limit: int = 64,
         trace: Optional[TraceBus] = None,
     ) -> None:
         self.sim = sim
         self.modem = modem
-        self.queue_limit = queue_limit
+        # An attribute, not only the constant: a test shrinks one
+        # MAC's queue to force overflow.
+        self.queue_limit = QUEUE_LIMIT
         self.stats = stats = MacStats()
         self.trace = trace or TraceBus()
         registry = current_registry()

@@ -14,7 +14,7 @@ suite asserts a default-configured node fits in 106 bytes.
 
 from __future__ import annotations
 
-from repro.micro.microdiffusion import MicroConfig, MicroDiffusionNode
+from repro.micro.microdiffusion import MicroConfig
 
 #: paper-reported static sizes (bytes)
 MICRO_CODE_BYTES = 2050
@@ -39,11 +39,6 @@ def state_bytes(config: MicroConfig, subscriptions: int = 1) -> int:
         + subscriptions * SUBSCRIPTION_ENTRY_BYTES
         + ENGINE_SCALAR_BYTES
     )
-
-
-def node_state_bytes(node: MicroDiffusionNode) -> int:
-    """Budget for a live node (static tables, so live == configured)."""
-    return state_bytes(node.config, subscriptions=max(1, len(node.subscriptions)))
 
 
 def footprint_report(config: MicroConfig = None) -> dict:

@@ -6,8 +6,7 @@ text into a subscription, converts matching data messages back into
 row-like results, and enforces the query's FOR duration by
 unsubscribing when it expires.
 
-It works over either protocol implementation (diffusion or declarative
-routing) because it uses only the portable API.
+It uses only the Figure 4 publish/subscribe API, no filters.
 """
 
 from __future__ import annotations

@@ -1,14 +1,8 @@
-"""Tests for statistics, metrics taps, and the analytical traffic model."""
+"""Tests for statistics and the analytical traffic model."""
 
 import pytest
 
-from repro.analysis import (
-    DeliveryRecorder,
-    TrafficMeter,
-    TrafficModel,
-    mean_ci,
-)
-from repro.sim import TraceBus
+from repro.analysis import TrafficModel, mean_ci
 
 
 class TestMeanCi:
@@ -51,45 +45,6 @@ class TestMeanCi:
 
     def test_str_format(self):
         assert "±" in str(mean_ci([1.0, 2.0]))
-
-
-class TestTrafficMeter:
-    def test_accumulates_tx(self):
-        bus = TraceBus()
-        meter = TrafficMeter(bus)
-        bus.emit(1.0, "diffusion.tx", node=3, nbytes=100, msg_type="DATA")
-        bus.emit(2.0, "diffusion.tx", node=4, nbytes=50, msg_type="INTEREST")
-        assert meter.total_bytes == 150
-        assert meter.total_messages == 2
-        assert meter.bytes_by_node[3] == 100
-        assert meter.bytes_by_type["DATA"] == 100
-        assert meter.messages_by_type["INTEREST"] == 1
-
-    def test_ignores_other_categories(self):
-        bus = TraceBus()
-        meter = TrafficMeter(bus)
-        bus.emit(1.0, "diffusion.rx", node=3, nbytes=100)
-        assert meter.total_bytes == 0
-
-    def test_reset(self):
-        bus = TraceBus()
-        meter = TrafficMeter(bus)
-        bus.emit(1.0, "diffusion.tx", node=3, nbytes=100, msg_type="DATA")
-        meter.reset()
-        assert meter.total_bytes == 0
-        assert not meter.bytes_by_node
-
-
-class TestDeliveryRecorder:
-    def test_counts_per_node(self):
-        bus = TraceBus()
-        rec = DeliveryRecorder(bus)
-        bus.emit(1.0, "app.deliver", node=1, origin=9)
-        bus.emit(2.0, "app.deliver", node=1, origin=8)
-        bus.emit(3.0, "app.deliver", node=2, origin=9)
-        assert rec.count() == 3
-        assert rec.count(node=1) == 2
-        assert rec.origins_seen(1) == {8, 9}
 
 
 class TestTrafficModel:

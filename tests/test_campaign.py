@@ -208,6 +208,29 @@ class TestStore:
         path.write_text("{not json")
         assert store.get(spec.key) is None
 
+    @pytest.mark.parametrize("text", [
+        "[]",            # killed `campaign run` with an AttributeError
+        "{}",            # served as cached with result=None
+        '{"result": 1',  # truncated: "cached" in status, re-run by run
+    ])
+    def test_malformed_entry_is_a_miss_everywhere(self, tmp_path, capsys,
+                                                  text):
+        store = ResultStore(tmp_path)
+        campaign = demo_campaign(quick=True)
+        run_campaign(campaign, store=store)
+        spec = campaign.expand()[0]
+        next(tmp_path.rglob(f"{spec.key}.json")).write_text(text)
+        assert store.get(spec.key) is None
+
+        assert repro_main(["campaign", "status", "demo", "--quick",
+                           "--store", str(tmp_path)]) == 0
+        assert "3 cached, 1 pending" in capsys.readouterr().out
+
+        report = run_campaign(campaign, store=store)
+        assert report.ok and report.done == 1 and report.cached == 3
+        assert "demo: value by x" in report_table("demo", report)
+        assert store.get(spec.key)["result"] is not None
+
     def test_clean_removes_selected_keys(self, tmp_path):
         store = ResultStore(tmp_path)
         specs = demo_campaign().expand()

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.analysis.charts import bar_chart, line_chart
+from repro.analysis.charts import line_chart
 from repro.core import DiffusionConfig
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
@@ -47,23 +47,6 @@ class TestLineChart:
         assert "10" in chart
         assert "2" in chart
         assert "8" in chart
-
-
-class TestBarChart:
-    def test_bars_proportional(self):
-        chart = bar_chart({"small": 1.0, "big": 10.0}, width=20)
-        lines = chart.splitlines()
-        small = next(l for l in lines if l.strip().startswith("small"))
-        big = next(l for l in lines if l.strip().startswith("big"))
-        assert big.count("#") > small.count("#")
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            bar_chart({})
-
-    def test_zero_values(self):
-        chart = bar_chart({"a": 0.0, "b": 0.0})
-        assert "#" not in chart
 
 
 class TestScenarios:

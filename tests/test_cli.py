@@ -65,6 +65,28 @@ class TestRunCli:
         assert exit_info.value.code == 2
         assert "unknown kind" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action, message", [
+        # the first three died in a TypeError traceback (exit 1)
+        ('{"kind": "node-crash", "node": 1, "at": "soon"}',
+         "(node-crash): field 'at' must be a finite number"),
+        ('{"kind": "partition", "groups": 5, "at": 1, "heal_at": 2}',
+         "(partition): field 'groups' must be a list of lists"),
+        ('{"kind": "link-flap", "a": 0, "b": 1, "at": 1, "period": "x"}',
+         "(link-flap): field 'period' must be a finite number or null"),
+        # a crash at t=inf ran and exited 0
+        ('{"kind": "node-crash", "node": 1, "at": 1e400}',
+         "(node-crash): field 'at' must be a finite number"),
+    ])
+    def test_plan_field_of_the_wrong_type_is_a_usage_error(
+        self, tmp_path, capsys, action, message
+    ):
+        plan = tmp_path / "plan.json"
+        plan.write_text('{"actions": [%s]}' % action)
+        with pytest.raises(SystemExit) as exit_info:
+            main(["run", "resilience", "-p", f"plan=@{plan}"])
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err
+
     @pytest.mark.parametrize("args, message", [
         # a zero beacon interval rescheduled itself at delay 0 forever
         (["flood", "-p", "interval=0", "--duration", "1"], "interval must"),

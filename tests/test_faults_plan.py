@@ -137,3 +137,35 @@ class TestJson:
     def test_missing_required_field_rejected(self):
         with pytest.raises(PlanError, match="node-crash"):
             FaultPlan.from_json({"actions": [{"kind": "node-crash", "at": 1.0}]})
+
+    @pytest.mark.parametrize("action, field", [
+        ({"kind": "node-crash", "node": 1, "at": "soon"}, "at"),
+        ({"kind": "node-crash", "node": 1, "at": float("inf")}, "at"),
+        ({"kind": "node-crash", "node": 1, "at": float("nan")}, "at"),
+        ({"kind": "node-crash", "node": 1, "at": 10 ** 400}, "at"),
+        ({"kind": "node-crash", "node": 1, "at": True}, "at"),
+        ({"kind": "node-crash", "node": 1.0, "at": 1.0}, "node"),
+        ({"kind": "node-crash", "node": 1, "at": 1.0, "recover_at": "2"},
+         "recover_at"),
+        ({"kind": "node-crash", "node": 1, "at": 1.0, "clear_state": 0},
+         "clear_state"),
+        ({"kind": "link-flap", "a": 0, "b": 1, "at": 1.0, "period": "x"},
+         "period"),
+        ({"kind": "link-flap", "a": 0, "b": 1, "at": 1.0, "flaps": 2.5},
+         "flaps"),
+        ({"kind": "partition", "groups": 5, "at": 1.0, "heal_at": 2.0},
+         "groups"),
+        ({"kind": "partition", "groups": [[0], ["1"]], "at": 1.0,
+          "heal_at": 2.0}, "groups"),
+    ])
+    def test_field_of_the_wrong_type_rejected(self, action, field):
+        with pytest.raises(
+            PlanError, match=rf"action 0 \({action['kind']}\): field '{field}'"
+        ):
+            FaultPlan.from_json({"actions": [action]})
+
+    def test_integer_times_accepted(self):
+        plan = FaultPlan.from_json(
+            {"actions": [{"kind": "node-crash", "node": 1, "at": 10}]}
+        )
+        assert plan.horizon() == 10

@@ -128,6 +128,22 @@ class TestCli:
         assert faults_cli(["validate", str(plan_file)]) == 1
         assert "invalid plan" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("action", [
+        # a TypeError traceback
+        '{"kind": "node-crash", "node": 1, "at": "soon"}',
+        # printed "plan OK: ... horizon infs"
+        '{"kind": "node-crash", "node": 1, "at": 1e400}',
+    ])
+    def test_validate_rejects_a_field_of_the_wrong_type(
+        self, tmp_path, capsys, action
+    ):
+        plan_file = tmp_path / "plan.json"
+        plan_file.write_text('{"actions": [%s]}' % action)
+        assert faults_cli(["validate", str(plan_file)]) == 1
+        assert "invalid plan: action 0 (node-crash): field 'at'" in (
+            capsys.readouterr().err
+        )
+
     def test_run_and_report_round_trip(self, tmp_path, capsys):
         out = tmp_path / "result.json"
         rc = repro_main([

@@ -3,12 +3,7 @@
 import pytest
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting, MessageType
-from repro.filters import (
-    CountingAggregationFilter,
-    GearFilter,
-    LoggingFilter,
-    SuppressionFilter,
-)
+from repro.filters import CountingAggregationFilter, GearFilter, SuppressionFilter
 from repro.filters.gear import distance_to_region, region_of
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
@@ -179,33 +174,6 @@ class TestCountingAggregation:
         sim.schedule(2.0, agg.remove)
         sim.run(until=20.0)
         assert received == []  # held message discarded on removal
-
-
-class TestLoggingFilter:
-    def test_counts_by_type_and_forwards(self):
-        sim, net, nodes, apis = build_net(3, [(0, 1), (1, 2)])
-        log = LoggingFilter(nodes[1])
-        received = []
-        apis[0].subscribe(surveillance_sub(), lambda a, m: received.append(a))
-        pub = apis[2].publish(surveillance_pub())
-        sim.schedule(1.0, apis[2].send, pub, event(0))
-        sim.run(until=10.0)
-        assert len(received) == 1  # transparent
-        assert log.counts[MessageType.INTEREST] >= 1
-        assert log.counts[MessageType.EXPLORATORY_DATA] >= 1
-        assert log.total_messages == sum(log.counts.values())
-        assert all(r.nbytes > 0 for r in log.records)
-
-    def test_max_records_cap(self):
-        sim, net, nodes, apis = build_net(2, [(0, 1)])
-        log = LoggingFilter(nodes[1], max_records=2)
-        apis[0].subscribe(surveillance_sub(), lambda a, m: None)
-        pub = apis[1].publish(surveillance_pub())
-        for seq in range(5):
-            sim.schedule(1.0 + seq, apis[1].send, pub, event(seq))
-        sim.run(until=10.0)
-        assert len(log.records) == 2
-        assert log.total_messages > 2
 
 
 class TestGearRegionMath:

@@ -1,37 +1,123 @@
-"""Every knob of the simulation stack has a caller.
+"""Every knob of the simulation stack has a caller, and every public
+name in ``src/repro`` is reached by a run.
 
 ``scripts/knob_audit.py`` lists each defaulted parameter or config
 field of the stack packages that no run, test, benchmark, example or
-``perf/`` workload sets.  Such a knob is one more configuration to
-account for with no one asking for it: it becomes the constant it
-always is.  What the script may still print is the allowlist below,
-one reason per entry; a new knob without a caller fails here.
+``perf/`` workload sets, and each public module-level function or class
+that nothing outside ``tests/`` refers to.  Such a knob is one more
+configuration to account for with no one asking for it: it becomes the
+constant it always is.  Such a name is code no run executes: it gets a
+caller or goes.  What the script may still print is the allowlist
+below, one reason per entry; a new finding fails here.
 """
 
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "knob_audit.py"
 
-#: knobs nothing sets that stay, and why.
+#: findings that stay, and why.
 ALLOWED = {
     "repro.link.frag:Fragment(link_src)": (
         "a field of the fragment record the process transport pickles; "
         "dropping it shrinks shard.exchange_bytes, which "
         "tests/test_metrics_snapshot.py pins"
     ),
+    "repro.sim.metrics:TelemetrySampler": (
+        "the periodic metrics sampler; the one run report (ROADMAP item "
+        "1) decides whether a run reaches it"
+    ),
+    "repro.radio.dynamics:RandomWaypointMobility": (
+        "the composition fuzzer's moves=waypoint (ROADMAP item 8(a)) and "
+        "a fixture of the ReferenceChannel equivalence suite"
+    ),
+    "repro.radio.propagation:TablePropagation": (
+        "the link-table model the channel and MAC unit tests use in "
+        "place of geometry"
+    ),
+    "repro.radio.propagation:FastPathPropagation": (
+        "the protocol the channel's neighborhood-index contract is "
+        "written against"
+    ),
+    "repro.testbed.calibration:validate_isi": (
+        "checks the testbed geometry against the paper's text"
+    ),
+    "repro.naming.wire:encode_attributes": (
+        "the byte-exact attribute format encoded_size is tested against"
+    ),
+    "repro.naming.wire:decode_attributes": (
+        "the inverse of encode_attributes; hostile-input tests fuzz it"
+    ),
+    "repro.testbed.network:ideal_line": (
+        "the IdealNetwork chain fixture four test modules build on"
+    ),
+    "repro.analysis.tracelog:summarize_campaign": (
+        "the reader through which tests check campaign run --log"
+    ),
 }
 
 
-def test_every_knob_has_a_caller():
+def _audit(script: Path) -> list:
     result = subprocess.run(
-        [sys.executable, str(SCRIPT)], capture_output=True, text=True,
+        [sys.executable, str(script)], capture_output=True, text=True,
         check=True, timeout=60,
     )
-    unset = result.stdout.splitlines()
-    assert unset == sorted(ALLOWED), (
-        "knobs nothing sets (make each a constant, or allowlist it with "
-        f"a reason): {sorted(set(unset) - set(ALLOWED))}; "
-        f"allowlisted but no longer unset: {sorted(set(ALLOWED) - set(unset))}"
+    return result.stdout.splitlines()
+
+
+def test_every_knob_has_a_caller():
+    found = _audit(SCRIPT)
+    assert found == sorted(ALLOWED), (
+        "knobs nothing sets or names no run calls (make each knob a "
+        "constant, give each name a caller or delete it, or allowlist it "
+        f"with a reason): {sorted(set(found) - set(ALLOWED))}; "
+        f"allowlisted but no longer found: {sorted(set(ALLOWED) - set(found))}"
     )
+
+
+def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
+    """The audit over a small tree: a name only ``tests/`` calls and a
+    name only a docstring mentions are printed; a name an example calls
+    is not."""
+    files = {
+        "scripts/knob_audit.py": SCRIPT.read_text(),
+        "src/repro/__init__.py": "",
+        "src/repro/demo.py": """
+            def only_tests():
+                return 1
+
+
+            def from_example():
+                return 2
+
+
+            def in_docstring():
+                return 3
+        """,
+        "tests/test_demo.py": """
+            from repro.demo import only_tests
+
+
+            def test_only_tests():
+                assert only_tests() == 1
+        """,
+        "examples/demo.py": """
+            # only_tests() is named in a comment and imported, never called.
+            from repro.demo import from_example, only_tests
+
+
+            def main():
+                "repro.demo:in_docstring"
+                return from_example()
+        """,
+    }
+    for name, text in files.items():
+        path = tmp_path / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
+    assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
+        "repro.demo:in_docstring",
+        "repro.demo:only_tests",
+    ]

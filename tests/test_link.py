@@ -1,4 +1,4 @@
-"""Tests for fragmentation/reassembly and neighbor tracking."""
+"""Tests for fragmentation/reassembly."""
 
 import random
 from types import SimpleNamespace
@@ -7,13 +7,7 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro.link import (
-    EphemeralIdAllocator,
-    Fragment,
-    FragmentationLayer,
-    NeighborTable,
-    ReassemblyExpiry,
-)
+from repro.link import Fragment, FragmentationLayer, ReassemblyExpiry
 from repro.mac import CsmaMac
 from repro.radio import Channel, Modem, TablePropagation
 from repro.sim import SeedSequence, Simulator, TraceBus
@@ -287,55 +281,3 @@ class TestSharedExpiryProperties:
         assert expired == want_expired
         assert incomplete == want_incomplete
         assert max(pending, default=0) <= 1
-
-
-class TestNeighborTable:
-    def test_heard_creates_and_updates(self):
-        table = NeighborTable()
-        table.heard(7, now=1.0)
-        table.heard(7, now=5.0)
-        entry = table.entry(7)
-        assert entry.first_heard == 1.0
-        assert entry.last_heard == 5.0
-        assert entry.messages_heard == 2
-
-    def test_expire_removes_stale(self):
-        table = NeighborTable(expiry=10.0)
-        table.heard(1, now=0.0)
-        table.heard(2, now=8.0)
-        stale = table.expire(now=12.0)
-        assert stale == [1]
-        assert table.neighbors() == [2]
-
-    def test_is_neighbor(self):
-        table = NeighborTable()
-        table.heard(3, now=0.0)
-        assert table.is_neighbor(3)
-        assert not table.is_neighbor(4)
-
-    def test_len(self):
-        table = NeighborTable()
-        table.heard(1, 0.0)
-        table.heard(2, 0.0)
-        assert len(table) == 2
-
-
-class TestEphemeralIds:
-    def test_allocation_unique(self):
-        alloc = EphemeralIdAllocator(random.Random(1))
-        ids = {alloc.allocate() for _ in range(100)}
-        assert len(ids) == 100
-
-    def test_release_allows_reuse(self):
-        alloc = EphemeralIdAllocator(random.Random(1), id_bits=2)
-        ids = [alloc.allocate() for _ in range(4)]
-        with pytest.raises(RuntimeError):
-            alloc.allocate()
-        alloc.release(ids[0])
-        assert alloc.allocate() == ids[0]
-
-    def test_collision_redraw(self):
-        alloc = EphemeralIdAllocator(random.Random(1))
-        first = alloc.allocate()
-        second = alloc.observed_collision(first)
-        assert second != first or alloc.active == 1

@@ -1,10 +1,10 @@
-"""Tests for the CSMA and TDMA MAC layers."""
+"""Tests for the CSMA MAC layer."""
 
 import random
 
 import pytest
 
-from repro.mac import CsmaMac, TdmaMac
+from repro.mac import CsmaMac
 from repro.radio import Channel, Modem, RadioParams, TablePropagation
 from repro.sim import SeedSequence, Simulator
 
@@ -92,70 +92,3 @@ class TestCsma:
         sim.run()
         assert macs[0].stats.transmitted == 3
         assert macs[0].stats.enqueued == 3
-
-
-class TestTdma:
-    def make_tdma_net(self, links, n_nodes=3):
-        sim = Simulator()
-        channel = Channel(sim, TablePropagation(links), seeds=SeedSequence(1))
-        modems = [Modem(sim, channel, node_id=i) for i in range(n_nodes)]
-        macs = [
-            TdmaMac(sim, modem, slot_index=i, slot_count=n_nodes)
-            for i, modem in enumerate(modems)
-        ]
-        return sim, channel, modems, macs
-
-    def test_slot_owners_never_collide(self):
-        # Hidden terminals that would collide under CSMA are safe in TDMA.
-        links = {(0, 1): 1.0, (2, 1): 1.0}
-        sim, channel, modems, macs = self.make_tdma_net(links)
-        sink = Sink(modems[1])
-        for i in range(20):
-            sim.schedule(i * 0.01, macs[0].enqueue, f"a{i}", 27)
-            sim.schedule(i * 0.01, macs[2].enqueue, f"b{i}", 27)
-        sim.run()
-        assert channel.fragments_collided == 0
-        assert len(sink.received) == 40
-
-    def test_next_slot_start(self):
-        sim = Simulator()
-        channel = Channel(sim, TablePropagation({}))
-        modem = Modem(sim, channel, node_id=0)
-        mac = TdmaMac(sim, modem, slot_index=1, slot_count=4, slot_duration=0.05)
-        assert mac.next_slot_start(0.0) == pytest.approx(0.05)
-        assert mac.next_slot_start(0.06) == pytest.approx(0.25)
-        assert mac.frame_duration == pytest.approx(0.2)
-
-    def test_duty_cycle(self):
-        sim = Simulator()
-        channel = Channel(sim, TablePropagation({}))
-        modem = Modem(sim, channel, node_id=0)
-        mac = TdmaMac(sim, modem, slot_index=0, slot_count=10)
-        assert mac.duty_cycle() == pytest.approx(0.9)
-
-    def test_invalid_slot_rejected(self):
-        sim = Simulator()
-        channel = Channel(sim, TablePropagation({}))
-        modem = Modem(sim, channel, node_id=0)
-        with pytest.raises(ValueError):
-            TdmaMac(sim, modem, slot_index=4, slot_count=4)
-
-    def test_transmission_confined_to_own_slot(self):
-        links = {(0, 1): 1.0}
-        sim, channel, modems, macs = self.make_tdma_net(links, n_nodes=2)
-        times = []
-        original = modems[0].transmit_fragment
-
-        def spy(payload, nbytes, link_dst=None, on_done=None):
-            times.append(sim.now)
-            return original(payload, nbytes, link_dst, on_done)
-
-        modems[0].transmit_fragment = spy
-        for i in range(5):
-            macs[0].enqueue(f"m{i}", 20)
-        sim.run()
-        frame = macs[0].frame_duration
-        slot = macs[0].slot_duration
-        for t in times:
-            position = t % frame
-            assert 0.0 <= position < slot

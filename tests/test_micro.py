@@ -13,7 +13,7 @@ from repro.micro import (
     TagRegistry,
     state_bytes,
 )
-from repro.micro.footprint import footprint_report, node_state_bytes
+from repro.micro.footprint import footprint_report
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.sim import Simulator
@@ -132,7 +132,9 @@ class TestFootprint:
     def test_live_node_within_budget(self):
         sim, net, motes = build_micro_net(1, [])
         motes[0].subscribe(PHOTO_TAG, lambda m: None)
-        assert node_state_bytes(motes[0]) <= MICRO_DATA_BYTES
+        used = state_bytes(motes[0].config,
+                           subscriptions=len(motes[0].subscriptions))
+        assert used <= MICRO_DATA_BYTES
 
     def test_footprint_report(self):
         report = footprint_report()

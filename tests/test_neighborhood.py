@@ -10,7 +10,6 @@ from hypothesis import given, settings
 
 from repro import AttributeVector, Key
 from repro.faults.overlay import FaultOverlayPropagation
-from repro.link.neighbor import EphemeralIdAllocator
 from repro.mac import CsmaMac
 from repro.radio.neighborhood import BoundaryIndex
 from repro.radio import (
@@ -657,10 +656,3 @@ class TestDefaultRngStreams:
         assert [mac_a.rng.random() for _ in range(4)] == [
             mac_b.rng.random() for _ in range(4)
         ]
-
-    def test_ephemeral_allocator_defaults_decorrelated(self):
-        alloc_a = EphemeralIdAllocator()
-        alloc_b = EphemeralIdAllocator()
-        ids_a = [alloc_a.allocate() for _ in range(10)]
-        ids_b = [alloc_b.allocate() for _ in range(10)]
-        assert ids_a != ids_b

@@ -3,7 +3,6 @@
 import pytest
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
-from repro.declarative import DeclarativeRoutingNode
 from repro.naming import AttributeVector, Operator
 from repro.naming.keys import Key
 from repro.query import QueryProxy, QuerySyntaxError, parse_query
@@ -111,13 +110,13 @@ class TestParser:
         assert not one_way_match(list(interest), list(bad))
 
 
-def build_net(node_class, n=3):
+def build_net(n=3):
     sim = Simulator()
     net = IdealNetwork(sim, delay=0.01)
     apis = {}
     config = DiffusionConfig(reinforcement_jitter=0.05)
     for i in range(n):
-        node = node_class(sim, i, net.add_node(i), config=config)
+        node = DiffusionNode(sim, i, net.add_node(i), config=config)
         apis[i] = DiffusionRouting(node)
     for i in range(n - 1):
         net.connect(i, i + 1)
@@ -142,12 +141,8 @@ def run_sensor(sim, api, x, confidence, count=4):
 
 
 class TestQueryProxy:
-    @pytest.mark.parametrize(
-        "node_class", [DiffusionNode, DeclarativeRoutingNode],
-        ids=["diffusion", "declarative"],
-    )
-    def test_query_returns_matching_rows(self, node_class):
-        sim, apis = build_net(node_class)
+    def test_query_returns_matching_rows(self):
+        sim, apis = build_net()
         proxy = QueryProxy(apis[0])
         handle = proxy.submit(
             "SELECT audio WHERE x BETWEEN 0 AND 50 AND confidence > 0.5"
@@ -161,7 +156,7 @@ class TestQueryProxy:
         assert row["type"] == "audio"
 
     def test_non_matching_data_excluded(self):
-        sim, apis = build_net(DiffusionNode)
+        sim, apis = build_net()
         proxy = QueryProxy(apis[0])
         handle = proxy.submit("SELECT audio WHERE x BETWEEN 0 AND 10")
         run_sensor(sim, apis[2], x=25.0, confidence=0.9)  # outside region
@@ -169,7 +164,7 @@ class TestQueryProxy:
         assert handle.row_count == 0
 
     def test_for_duration_expires_query(self):
-        sim, apis = build_net(DiffusionNode)
+        sim, apis = build_net()
         proxy = QueryProxy(apis[0])
         handle = proxy.submit("SELECT audio FOR 5s")
         run_sensor(sim, apis[2], x=1.0, confidence=0.5, count=10)
@@ -179,7 +174,7 @@ class TestQueryProxy:
         assert all(r.time <= 5.5 for r in handle.results)
 
     def test_stop_is_idempotent(self):
-        sim, apis = build_net(DiffusionNode)
+        sim, apis = build_net()
         proxy = QueryProxy(apis[0])
         handle = proxy.submit("SELECT audio")
         proxy.stop(handle)
@@ -187,7 +182,7 @@ class TestQueryProxy:
         assert handle.stopped
 
     def test_on_result_callback(self):
-        sim, apis = build_net(DiffusionNode)
+        sim, apis = build_net()
         proxy = QueryProxy(apis[0])
         seen = []
         proxy.submit("SELECT audio", on_result=seen.append)
@@ -197,7 +192,7 @@ class TestQueryProxy:
         assert seen[0]["sequence"] == 0
 
     def test_multiple_concurrent_queries(self):
-        sim, apis = build_net(DiffusionNode)
+        sim, apis = build_net()
         proxy = QueryProxy(apis[0])
         wide = proxy.submit("SELECT audio")
         narrow = proxy.submit("SELECT audio WHERE confidence > 0.95")
