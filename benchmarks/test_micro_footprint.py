@@ -7,64 +7,25 @@ through a tiered mote network behind a gateway.
 
 import pytest
 
-from repro import AttributeVector, Key
-from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
 from repro.micro import (
     MICRO_DATA_BYTES,
     MicroConfig,
     MicroDiffusionNode,
-    MicroGateway,
     MicroMessage,
     MicroMessageKind,
-    TagRegistry,
     state_bytes,
+    tiered_trial,
 )
 from repro.micro.footprint import footprint_report
 from repro.sim import Simulator
 from repro.testbed import IdealNetwork
 
-PHOTO_TAG = 7
-
-
-def run_tiered(samples: int = 20):
-    sim = Simulator()
-    full_net = IdealNetwork(sim, delay=0.02)
-    user = DiffusionRouting(
-        DiffusionNode(sim, 100, full_net.add_node(100), config=DiffusionConfig())
-    )
-    gw_api = DiffusionRouting(
-        DiffusionNode(sim, 101, full_net.add_node(101), config=DiffusionConfig())
-    )
-    full_net.connect(100, 101)
-    mote_net = IdealNetwork(sim, delay=0.01)
-    gw_micro = MicroDiffusionNode(sim, 101, mote_net.add_node(101))
-    motes = {}
-    prev = 101
-    for mote_id in range(1, 5):
-        motes[mote_id] = MicroDiffusionNode(sim, mote_id, mote_net.add_node(mote_id))
-        mote_net.connect(prev, mote_id)
-        prev = mote_id
-    registry = TagRegistry()
-    registry.register(
-        PHOTO_TAG,
-        interest_attrs=AttributeVector.builder().eq(Key.TYPE, "photo").build(),
-        data_attrs=AttributeVector.builder().actual(Key.TYPE, "photo").build(),
-    )
-    MicroGateway(gw_api, gw_micro, registry)
-    received = []
-    user.subscribe(
-        AttributeVector.builder().eq(Key.TYPE, "photo").build(),
-        lambda attrs, msg: received.append(attrs),
-    )
-    for i in range(samples):
-        sim.schedule(2.0 + i * 0.5, motes[4].send, PHOTO_TAG, bytes([i & 0xFF]))
-    sim.run(until=60.0)
-    return received
-
 
 def test_tiered_delivery(benchmark):
-    received = benchmark.pedantic(run_tiered, rounds=1, iterations=1)
-    assert len(received) >= 15  # lossless ideal transport; warmup losses only
+    result = benchmark.pedantic(tiered_trial, rounds=1, iterations=1)
+    # lossless ideal transport; warmup losses only
+    assert result["delivered"] >= 15
+    assert result["interests_bridged"] >= 1
 
 
 def test_footprint_table(benchmark):

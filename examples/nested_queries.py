@@ -5,42 +5,34 @@ A user at node 39 wants audio correlated with light changes.  In the
 nested (two-level) query the audio node at 20 sub-tasks the light
 sensors itself; in the flat (one-level) query every light report must
 cross the network to the user, who then interrogates the audio sensor.
-Prints the Figure 9 metric — % of light changes that result in audio
-data at the user — for both shapes.
+Runs the registry's ``fig9`` preset both ways (``python -m repro run
+fig9 -p nested=... --duration 600 --seed 42``) and prints the Figure 9
+metric — % of light changes that result in audio data at the user.
 
 Run:  python examples/nested_queries.py
 """
 
-from repro.apps import NestedQueryExperiment
-from repro.testbed import (
-    FIG9_AUDIO,
-    FIG9_LIGHTS,
-    FIG9_USER,
-    isi_testbed_network,
-)
+from repro.shard import ShardPlan, run_oracle
+from repro.testbed import FIG9_AUDIO, FIG9_LIGHTS, FIG9_USER
+
+DURATION = 600.0
 
 
 def main() -> None:
-    duration = 600.0
     print(
         f"user at {FIG9_USER}, audio at {FIG9_AUDIO}, "
-        f"lights at {list(FIG9_LIGHTS)}; {duration/60:.0f}-minute run\n"
+        f"lights at {list(FIG9_LIGHTS)}; {DURATION / 60:.0f}-minute run\n"
     )
     for nested in (True, False):
-        network = isi_testbed_network(seed=42)
-        experiment = NestedQueryExperiment(
-            network,
-            user_id=FIG9_USER,
-            audio_id=FIG9_AUDIO,
-            light_ids=FIG9_LIGHTS,
-            nested=nested,
-        )
-        result = experiment.run(duration=duration)
+        result = run_oracle(ShardPlan.named(
+            "fig9", {"nested": nested}, seed=42, duration=DURATION
+        ))
         label = "nested (2-level)" if nested else "flat (1-level)  "
         print(
-            f"{label}: {result.successful_events:>2}/{result.possible_events} "
-            f"changes delivered = {result.delivery_percentage:5.1f}%   "
-            f"({result.diffusion_bytes_sent} diffusion bytes)"
+            f"{label}: {result['successful_events']:>2}/"
+            f"{result['possible_events']} changes delivered = "
+            f"{result['delivery_percentage']:5.1f}%   "
+            f"({result['diffusion_bytes_sent']} diffusion bytes)"
         )
     print(
         "\nNesting localizes light traffic near the audio sensor instead of "

@@ -1,72 +1,47 @@
 #!/usr/bin/env python3
 """Quickstart: the Figure 1 life cycle of a directed-diffusion query.
 
-Builds a five-node line network on the simulated radio stack, walks
-through the three phases of the paper's Figure 1 —
+Builds the registry's ``line`` preset with five nodes — the same run as
+``python -m repro run line -p nodes=5`` — and steps its clock through
+the three phases of the paper's Figure 1:
 
   (a) interest propagation,
   (b) gradient setup,
-  (c) data delivery along the reinforced path —
+  (c) data delivery along the reinforced path,
 
-and prints what the network state looks like after each.
+printing what the network state looks like after each.
 
 Run:  python examples/quickstart.py
 """
 
-from repro import AttributeVector, Key, MessageType
-from repro.radio import Topology
-from repro.testbed import SensorNetwork
+from repro import MessageType
+from repro.shard import ShardPlan, build_whole
 
 
 def main() -> None:
     # Five nodes in a line, 15 m apart; node 0 is the sink (user), node
-    # 4 the source (sensor).
-    net = SensorNetwork(Topology.line(5, spacing=15.0), seed=7)
-    sink, source = net.api(0), net.api(4)
-
-    received = []
-    subscription = (
-        AttributeVector.builder()
-        .eq(Key.TYPE, "four-legged-animal-search")
-        .actual(Key.INTERVAL, 1000)
-        .build()
-    )
-    sink.subscribe(subscription, lambda attrs, msg: received.append((net.sim.now, attrs)))
+    # 4 the source, which sends one datum every 5 s from t=3 s.
+    plan = ShardPlan.named("line", {"nodes": 5}, seed=7)
+    run = build_whole(plan)
+    net = run.network
 
     # --- phase (a)+(b): the interest floods and sets up gradients -----
-    net.run(until=2.0)
+    run.sim.run(until=2.0)
     print("after interest propagation (t=2s):")
     for node_id in net.node_ids():
         entries = net.node(node_id).gradients.entries()
-        neighbors = entries[0].active_gradient_neighbors(net.sim.now) if entries else []
+        neighbors = []
+        if entries:
+            neighbors = entries[0].active_gradient_neighbors(run.sim.now)
         print(f"  node {node_id}: gradients toward {neighbors}")
 
-    # --- the source starts reporting ----------------------------------
-    publication = source.publish(
-        AttributeVector.builder().actual(Key.TYPE, "four-legged-animal-search").build()
-    )
-    for i in range(8):
-        net.sim.schedule(
-            3.0 + i,
-            source.send,
-            publication,
-            AttributeVector.builder()
-            .actual(Key.INSTANCE, "elephant")
-            .actual(Key.SEQUENCE, i)
-            .actual(Key.CONFIDENCE, 0.85)
-            .build(),
-        )
-    net.run(until=15.0)
-
     # --- phase (c): reinforced delivery --------------------------------
-    print("\nafter data delivery (t=15s):")
-    print(f"  events delivered at sink: {len(received)}")
-    for when, attrs in received[:3]:
-        print(
-            f"    t={when:6.2f}s  seq={attrs.value_of(Key.SEQUENCE)}"
-            f"  instance={attrs.value_of(Key.INSTANCE)!r}"
-            f"  confidence={attrs.value_of(Key.CONFIDENCE)}"
-        )
+    run.sim.run(until=plan.duration)
+    outcome = run.outcome()
+    print(f"\nafter data delivery (t={plan.duration:g}s):")
+    print(f"  events delivered at sink: {outcome['app_delivered']}")
+    for when in outcome["delivery_times"][:3]:
+        print(f"    t={when:6.2f}s")
     print("\nper-node transmissions by message class:")
     for node_id in net.node_ids():
         stats = net.node(node_id).stats

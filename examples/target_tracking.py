@@ -3,66 +3,36 @@
 
 Paper Section 5.3 describes BAE/PSU sensor fusion over diffusion and
 calls evaluating "how sensor fusion would be done as a filter"
-interesting future work.  Here a 4x4 field of acoustic proximity
-sensors watches a target cross the field; fusion filters at two relay
-nodes combine concurrent detections (confidence 1 - prod(1 - c_i),
-confidence-weighted centroid) and the user receives a track.
+interesting future work.  The registry's ``tracking`` preset is that
+filter: a 4x4 field of acoustic proximity sensors watches a target
+cross the field; fusion filters at two central relays combine
+concurrent detections (confidence 1 - prod(1 - c_i),
+confidence-weighted centroid) on their way to the user at node 7.
+This prints the track ``python -m repro run tracking --seed 23`` reports.
 
 Run:  python examples/target_tracking.py
 """
 
-from repro.apps.fusion import (
-    FusionFilter,
-    MovingTarget,
-    ProximitySensor,
-    TrackingSink,
-)
-from repro.core import DiffusionConfig
-from repro.radio import Topology
-from repro.testbed import SensorNetwork
+from repro.shard import ShardPlan, run_oracle
 
 
 def main() -> None:
-    # 4x4 sensor grid, 15 m spacing; the user sits off to one side.
-    topology = Topology.grid(columns=4, rows=4, spacing=15.0)
-    topology.add_node(100, 62.0, 22.0)  # the user
-    net = SensorNetwork(topology, seed=23, config=DiffusionConfig())
-
-    # The target enters from the left and exits past sensing range on
-    # the right, so detections stop when it leaves the field.
-    target = MovingTarget(start=(-20.0, 22.0), end=(90.0, 22.0),
-                          speed=1.5, depart_at=5.0)
-    # Fusion filters at two central relays.
-    fusers = [FusionFilter(net.node(n), delay=0.8) for n in (5, 6)]
-    # Low-confidence single-sensor guesses (target outside the field)
-    # are excluded from the track.
-    sink = TrackingSink(net.api(100), target, sample_interval=2.0,
-                        min_confidence=0.3)
-    sensors = [
-        ProximitySensor(net.api(node_id), target, topology,
-                        sense_range=25.0, sample_interval=2.0)
-        for node_id in topology.node_ids()
-        if node_id != 100
-    ]
-    net.run(until=target.arrival_time + 5.0)
+    result = run_oracle(ShardPlan.named("tracking", {}, seed=23))
 
     print("target track as seen by the user:")
     print(f"{'time':>7} {'epoch':>6} {'estimate':>18} {'truth':>18} {'conf':>6}")
-    for point in sink.track:
-        truth = target.position_at((point.epoch + 0.5) * 2.0)
+    for point in result["track"]:
+        truth_x, truth_y = point["truth"]
         print(
-            f"{point.time:7.1f} {point.epoch:6d} "
-            f"({point.x:6.1f}, {point.y:5.1f})  "
-            f"({truth[0]:6.1f}, {truth[1]:5.1f})  {point.confidence:5.2f}"
+            f"{point['time']:7.1f} {point['epoch']:6d} "
+            f"({point['x']:6.1f}, {point['y']:5.1f})  "
+            f"({truth_x:6.1f}, {truth_y:5.1f})  {point['confidence']:5.2f}"
         )
-    error = sink.mean_error()
-    reports = sum(s.detections for s in sensors)
-    merged = sum(f.reports_fused for f in fusers)
-    print(f"\nmean tracking error : {error:.1f} m "
+    print(f"\nmean tracking error : {result['mean_error']:.1f} m "
           f"(sensor spacing is 15 m)")
-    print(f"raw sensor reports  : {reports}")
-    print(f"merged in-network   : {merged} "
-          f"(into {sum(f.fusions for f in fusers)} fused estimates)")
+    print(f"raw sensor reports  : {result['raw_reports']}")
+    print(f"merged in-network   : {result['reports_fused']} "
+          f"(into {result['fused_estimates']} fused estimates)")
 
 
 if __name__ == "__main__":

@@ -7,8 +7,10 @@
 # path, the content-addressed store, and cache-hit resume end to end)
 # with `repro report` over one of its store entries, a `repro run
 # --trace` / `trace summarize|paths` smoke over the run and
-# observability CLIs, and the flight-recorder postmortem of a `repro
-# run` whose invariant is made to break.
+# observability CLIs, the micro section's tiered mote build, the
+# `tracking` preset, a refused non-boolean flag, and the
+# flight-recorder postmortem of a `repro run` whose invariant is made
+# to break.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -45,6 +47,23 @@ entry="$(find "$store/campaign" -name '*.json' | sort | head -n 1)"
 rendered="$(python -m repro report "$entry")"
 grep -q "invariants: all held" <<<"$rendered" \
     || { echo "repro report did not render a store entry" >&2; exit 1; }
+
+# The micro section runs the tiered mote build behind its gateway.
+micro="$(python -m repro experiments --quick --only micro)"
+grep -q "interests bridged down: 1" <<<"$micro" \
+    || { echo "experiments --only micro bridged no interest" >&2; exit 1; }
+
+# The tracking preset (Section 5.3's fusion filter) reports its track.
+tracking="$(python -m repro run tracking)"
+grep -q "mean_error: [0-9]" <<<"$tracking" \
+    || { echo "run tracking printed no mean error" >&2; exit 1; }
+
+# A flag that is not a JSON boolean is refused, not read as true.
+rc=0
+python -m repro run fig8 -p suppression=False --duration 1 \
+    > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "suppression=False exited $rc, not 2" >&2; exit 1; }
 
 # Observability smoke: record a tiny traced run, then summarize it.
 trace="$store/smoke-trace.jsonl"

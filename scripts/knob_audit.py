@@ -7,7 +7,7 @@ every public name in ``src/repro`` that no run calls.
 A *knob* is a defaulted parameter of a function or method defined at
 module or class level in one of the stack packages (``SCOPE``), or a
 defaulted field of a dataclass there.  It is *set* when some call in
-``src/ tests/ benchmarks/ examples/ perf/`` passes it:
+``src/ tests/ benchmarks/ perf/`` passes it:
 
 - by keyword, by position, or through ``*`` / ``**`` (a ``**`` over a
   dict literal sets that literal's keys; ``*args`` / ``**kwargs``
@@ -29,12 +29,13 @@ A *public name* is a function or class defined at module level
 anywhere in ``src/repro`` whose name has no leading underscore
 (methods are not names: ``AttributeVectorBuilder.ne`` is the paper's
 operator set).  It is *called* when some file in ``src/ benchmarks/
-examples/ perf/`` refers to it: an ``ast.Name``, the last part of an
+perf/`` refers to it: an ``ast.Name``, the last part of an
 ``ast.Attribute``, a ``"module:function"`` string (how campaigns name
 their trial functions), or an import inside a function body.  Its own
 definition does not count, nor do module-level imports, ``__all__``,
-docstrings, comments, or anything under ``tests/``: a name only tests
-reach is code no run executes.
+docstrings, comments, or anything under ``tests/`` or ``examples/``: a
+name only tests reach is code no run executes, and an example narrates
+a registry run rather than being one.
 
 One line per finding, sorted together: ``module:Qualname(param)`` for a
 knob, ``module:Name`` for a public name.
@@ -57,9 +58,9 @@ SCOPE = (
 #: left to their own decisions: random-waypoint mobility waits on whether
 #: a run can reach it; the telemetry sampler on the run report.
 EXCLUDED_CLASSES = {"RandomWaypointMobility", "TelemetrySampler"}
-CALLER_DIRS = ("src", "tests", "benchmarks", "examples", "perf")
-#: where a reference makes a public name called: everything but tests/.
-RUN_DIRS = ("src", "benchmarks", "examples", "perf")
+CALLER_DIRS = ("src", "tests", "benchmarks", "perf")
+#: where a reference makes a public name called: not tests/, not examples/.
+RUN_DIRS = ("src", "benchmarks", "perf")
 #: a campaign's ``"module:function"`` trial reference.
 MODULE_FUNCTION = re.compile(r"[\w.]+:(\w+)")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -35,12 +35,8 @@ EXAMPLES = {
     "animal-tracking": "animal_tracking.py",
     "surveillance": "surveillance_aggregation.py",
     "nested-queries": "nested_queries.py",
-    "tiered-motes": "tiered_motes.py",
-    "energy-monitoring": "energy_monitoring.py",
     "bulk-transfer": "bulk_transfer.py",
     "target-tracking": "target_tracking.py",
-    "query-console": "query_console.py",
-    "adaptive-sampling": "adaptive_sampling.py",
 }
 
 

@@ -3,7 +3,9 @@
 These are the workloads of the paper's evaluation: the Figure 8
 surveillance application (sources reporting synchronized detections, a
 sink counting distinct events) and the Figure 9 light/audio nested-query
-application.
+application, plus Section 5.3's sensor fusion as a filter (the
+``tracking`` preset) and Section 7's reference-broadcast time sync (the
+``timesync`` preset).
 """
 
 from repro.apps.sensors import (
@@ -21,13 +23,6 @@ from repro.apps.nestedquery import (
     NestedQueryExperiment,
     UserApp,
 )
-from repro.apps.monitoring import (
-    ENERGY_SCAN_TYPE,
-    EnergyDigest,
-    EnergyReporter,
-    EnergyScanAggregator,
-    EnergyScanSink,
-)
 from repro.apps.fusion import (
     DETECTION_TYPE,
     FusionFilter,
@@ -35,7 +30,6 @@ from repro.apps.fusion import (
     ProximitySensor,
     TrackingSink,
 )
-from repro.apps.rateadapt import AdaptiveSink, RateAdaptingSource
 from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
 
 __all__ = [
@@ -51,18 +45,11 @@ __all__ = [
     "AudioNodeApp",
     "NestedQueryExperiment",
     "UserApp",
-    "ENERGY_SCAN_TYPE",
-    "EnergyDigest",
-    "EnergyReporter",
-    "EnergyScanAggregator",
-    "EnergyScanSink",
     "DETECTION_TYPE",
     "FusionFilter",
     "MovingTarget",
     "ProximitySensor",
     "TrackingSink",
-    "AdaptiveSink",
-    "RateAdaptingSource",
     "SyncCoordinator",
     "SyncParticipant",
     "TimeBeacon",

@@ -242,7 +242,9 @@ def _arm_transfer(
     node; returns the transfer section of the outcome, ``header``
     first.  The harness's :class:`Partition` windows split deliveries
     into during / after."""
-    custody = bool(p["custody"])
+    from repro.shard.scenario import flag
+
+    custody = flag(p, "custody")
     config = config_from_object(DtnConfig, p["dtn_config"], "dtn_config")
     payload_bytes = int(p["payload_bytes"])
     if payload_bytes < 256 or payload_bytes % 256:
@@ -269,7 +271,7 @@ def _arm_transfer(
         rng=make_rng(seed, "dtn:receiver") if custody else None,
         persistent=custody,
     )
-    if p["caches"]:
+    if flag(p, "caches"):
         for node_id in network.node_ids():
             if node_id not in (source, sink):
                 BlockCacheFilter(network.node(node_id), capacity=64)

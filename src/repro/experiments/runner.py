@@ -25,7 +25,7 @@ from repro.campaign.builtin import (
     fig9_pivot,
 )
 from repro.experiments import duty_cycle, fig11_matching
-from repro.micro import MicroConfig
+from repro.micro import MicroConfig, tiered_trial
 from repro.micro.footprint import footprint_report
 
 EXPERIMENT_ORDER = ("fig8", "fig9", "fig11", "duty", "model", "micro")
@@ -99,6 +99,11 @@ def run_micro_footprint() -> None:
     print("Section 4.3 micro-diffusion footprint:")
     for key, value in report.items():
         print(f"   {key}: {value}")
+    tiered = tiered_trial()
+    print("tiered motes behind a gateway (4-mote chain, ideal links):")
+    print(f"   photo samples delivered to the user: {tiered['delivered']}")
+    print(f"   interests bridged down: {tiered['interests_bridged']}")
+    print(f"   data messages bridged up: {tiered['data_bridged']}")
 
 
 def run_experiments(

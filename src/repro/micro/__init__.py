@@ -13,7 +13,7 @@ from repro.micro.microdiffusion import (
     MicroMessage,
     MicroMessageKind,
 )
-from repro.micro.gateway import MicroGateway, TagRegistry
+from repro.micro.gateway import MicroGateway, TagRegistry, tiered_trial
 from repro.micro.footprint import (
     MICRO_CODE_BYTES,
     MICRO_DATA_BYTES,
@@ -29,6 +29,7 @@ __all__ = [
     "MicroMessageKind",
     "MicroGateway",
     "TagRegistry",
+    "tiered_trial",
     "MICRO_CODE_BYTES",
     "MICRO_DATA_BYTES",
     "TINYOS_COMPONENT_CODE_BYTES",

@@ -172,3 +172,58 @@ class MicroGateway:
             )
         self.data_bridged += 1
         self.api.send(publication, send_attrs)
+
+
+#: the tag of the tiered trial's photo samples.
+PHOTO_TAG = 7
+
+
+def tiered_trial() -> Dict[str, int]:
+    """The tiered architecture on ideal links: a user and a gateway on
+    the full tier, four motes chained behind the gateway; the far mote
+    sends twenty photo samples, one every 0.5 s, and the user subscribes
+    on the full tier only, so its interest must bridge down and the data
+    up."""
+    from repro.core import DiffusionConfig, DiffusionNode
+    from repro.sim import Simulator
+    from repro.testbed import IdealNetwork
+
+    sim = Simulator()
+    full_net = IdealNetwork(sim, delay=0.02)
+    user, gateway_api = [
+        DiffusionRouting(DiffusionNode(
+            sim, node_id, full_net.add_node(node_id), config=DiffusionConfig()
+        ))
+        for node_id in (100, 101)
+    ]
+    full_net.connect(100, 101)
+    mote_net = IdealNetwork(sim, delay=0.01)
+    gateway_micro = MicroDiffusionNode(sim, 101, mote_net.add_node(101))
+    motes = {}
+    previous = 101
+    for mote_id in range(1, 5):
+        motes[mote_id] = MicroDiffusionNode(
+            sim, mote_id, mote_net.add_node(mote_id)
+        )
+        mote_net.connect(previous, mote_id)
+        previous = mote_id
+    registry = TagRegistry()
+    registry.register(
+        PHOTO_TAG,
+        interest_attrs=AttributeVector.builder().eq(Key.TYPE, "photo").build(),
+        data_attrs=AttributeVector.builder().actual(Key.TYPE, "photo").build(),
+    )
+    gateway = MicroGateway(gateway_api, gateway_micro, registry)
+    received = []
+    user.subscribe(
+        AttributeVector.builder().eq(Key.TYPE, "photo").build(),
+        lambda attrs, msg: received.append(attrs),
+    )
+    for i in range(20):
+        sim.schedule(2.0 + i * 0.5, motes[4].send, PHOTO_TAG, bytes([i]))
+    sim.run(until=60.0)
+    return {
+        "delivered": len(received),
+        "interests_bridged": gateway.interests_bridged,
+        "data_bridged": gateway.data_bridged,
+    }

@@ -45,6 +45,12 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
+from repro.apps.fusion import (
+    FusionFilter,
+    MovingTarget,
+    ProximitySensor,
+    TrackingSink,
+)
 from repro.apps.nestedquery import NestedQueryExperiment
 from repro.apps.surveillance import SurveillanceExperiment
 from repro.core import DiffusionConfig
@@ -136,9 +142,27 @@ class Scenario:
 
 def _positive(p: Dict[str, Any], key: str, kind=float):
     """``p[key]`` as ``kind``, refused unless it is above zero."""
-    value = kind(p[key])
+    value = _count(p, key) if kind is int else kind(p[key])
     if not value > 0:
         raise ValueError(f"{key} must be positive, got {p[key]!r}")
+    return value
+
+
+def _count(p: Dict[str, Any], key: str) -> int:
+    """``p[key]`` as a count: ``10.0`` passes, ``10.5`` is refused
+    rather than truncated."""
+    value = float(p[key])
+    if not value.is_integer():
+        raise ValueError(f"{key} must be a whole number, got {p[key]!r}")
+    return int(value)
+
+
+def flag(p: Dict[str, Any], key: str) -> bool:
+    """``p[key]``, refused unless it is a real ``bool``: ``-p`` keeps a
+    value that is not JSON as text, and ``bool("False")`` is true."""
+    value = p[key]
+    if not isinstance(value, bool):
+        raise ValueError(f"{key} must be true or false, got {value!r}")
     return value
 
 
@@ -424,12 +448,18 @@ def arm_resilience(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     return outcome
 
 
+def _whole_network(net, application: str) -> None:
+    """Refuse a subset build: ``application`` wires roles and filters
+    across the whole network."""
+    if len(net.stacks) < len(net.topology.node_ids()):
+        raise ValueError(f"a subset build cannot arm {application}")
+
+
 def _role_nodes(net, p: Dict[str, Any], key: str, nodes: Tuple[int, ...]):
     """The first ``p[key]`` of a figure's role ``nodes``; the paper's
     applications wire every role and a filter per node on one network."""
-    if len(net.stacks) < len(net.topology.node_ids()):
-        raise ValueError("a subset build cannot arm a testbed application")
-    count = int(p[key])
+    _whole_network(net, "a testbed application")
+    count = _count(p, key)
     if not 1 <= count <= len(nodes):
         raise ValueError(f"{key} must be within [1, {len(nodes)}]")
     return nodes[:count]
@@ -454,7 +484,7 @@ def arm_surveillance(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     experiment = SurveillanceExperiment(
         net, sink_id=FIG8_SINK,
         source_ids=_role_nodes(net, p, "sources", FIG8_SOURCES),
-        suppression=bool(p["suppression"]),
+        suppression=flag(p, "suppression"),
     )
     return _result_outcome(experiment, p, "bytes_per_event", "delivery_ratio")
 
@@ -465,9 +495,50 @@ def arm_nested_query(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     experiment = NestedQueryExperiment(
         net, user_id=FIG9_USER, audio_id=FIG9_AUDIO,
         light_ids=_role_nodes(net, p, "num_lights", FIG9_LIGHTS),
-        nested=bool(p["nested"]),
+        nested=flag(p, "nested"),
     )
     return _result_outcome(experiment, p, "delivery_percentage")
+
+
+#: the tracking field's user, and the two central relays that fuse.
+TRACKING_SINK = 7
+TRACKING_FUSERS = (5, 6)
+
+
+def arm_tracking(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """Section 5.3's future work, sensor fusion as a filter: a target
+    crosses the grid, every other node reports when it senses it, and
+    :class:`FusionFilter` at two central relays merges each epoch's
+    reports into one estimate on the way to the sink's track."""
+    _whole_network(net, "the tracking application")
+    # Enters from the left and leaves past sensing range on the right.
+    target = MovingTarget(start=(-20.0, 22.0), end=(90.0, 22.0), speed=1.5,
+                          depart_at=5.0)
+    fusers = [FusionFilter(net.node(n), delay=0.8) for n in TRACKING_FUSERS]
+    # Single-sensor guesses at the field's edge stay out of the track.
+    sink = TrackingSink(net.api(TRACKING_SINK), target, min_confidence=0.3)
+    sensors = [
+        ProximitySensor(net.api(n), target, net.topology, sense_range=25.0)
+        for n in net.node_ids() if n != TRACKING_SINK
+    ]
+
+    def outcome() -> Dict[str, Any]:
+        track = []
+        for point in sink.track:
+            # Ground truth at the middle of the observation epoch.
+            middle = (point.epoch + 0.5) * sink.sample_interval
+            track.append({**asdict(point),
+                          "truth": list(target.position_at(middle))})
+        return {
+            "track": track,
+            "mean_error": sink.mean_error(),
+            "raw_reports": sum(s.detections for s in sensors),
+            "reports_fused": sum(f.reports_fused for f in fusers),
+            "fused_estimates": sum(f.fusions for f in fusers),
+            "diffusion_bytes_sent": net.total_diffusion_bytes_sent(),
+        }
+
+    return outcome
 
 
 def _traffic_by_class(net: SensorNetwork) -> Dict[str, Dict[str, int]]:
@@ -517,7 +588,7 @@ class StackScenario(Scenario):
         p = self.resolve(params)
         plan = self._fault_plan(p)
         duty_cycle = p["duty_cycle"]
-        monitors, recorder = bool(p["monitors"]), p["flight_recorder"]
+        monitors, recorder = flag(p, "monitors"), p["flight_recorder"]
         faulted = plan is not None or monitors or recorder is not None
         if len(owned) < len(topology.node_ids()):
             # Stream loss draws in whole-network finalization order; a
@@ -632,6 +703,13 @@ SCENARIOS: Dict[str, Scenario] = {
             arm_nested_query,
             {**_PAPER, "shape": "isi", "num_lights": 4, "nested": True,
              "duration": 1200.0},
+        ),
+        StackScenario(
+            "tracking", "A target crosses a 4x4 field; two relays fuse "
+            "the detections into the sink's track.",
+            arm_tracking,
+            {**_PAPER, "columns": 4, "rows": 4, "spacing": 15.0,
+             "duration": 90.0},
         ),
         StackScenario(
             "resilience", "One fault on the 4x3 grid, repair measured.",

@@ -9,7 +9,6 @@ from repro.testbed.calibration import (
     validate_isi,
 )
 from repro.testbed.isi import (
-    format_testbed_map,
     ISI_NODE_IDS,
     ISI_TENTH_FLOOR,
     isi_propagation,
@@ -31,7 +30,6 @@ __all__ = [
     "isi_propagation",
     "isi_testbed_topology",
     "isi_testbed_network",
-    "format_testbed_map",
     "link_reports",
     "summarize",
     "usable_graph",

@@ -64,10 +64,6 @@ ISI_FLOOR_PENALTY = 8.0
 #: position", and a link need not be as good one way as the other.
 ISI_ASYMMETRY = 0.10
 
-#: character cells of the :func:`format_testbed_map` rendition.
-MAP_WIDTH = 66
-MAP_HEIGHT = 16
-
 
 def isi_testbed_topology() -> Topology:
     """The 14-node two-floor topology of Figure 7."""
@@ -75,39 +71,6 @@ def isi_testbed_topology() -> Topology:
     for node_id, (x, y, floor) in sorted(_ISI_POSITIONS.items()):
         topo.add_node(node_id, x, y, floor)
     return topo
-
-
-def format_testbed_map() -> str:
-    """An ASCII rendition of Figure 7: node positions by floor.
-
-    Eleventh-floor nodes print as their id; tenth-floor nodes (11, 13,
-    16) print in brackets, mirroring the light/dark distinction of the
-    paper's figure.
-    """
-    xs = [x for x, _, _ in _ISI_POSITIONS.values()]
-    ys = [y for _, y, _ in _ISI_POSITIONS.values()]
-    x_low, x_high = min(xs), max(xs)
-    y_low, y_high = min(ys), max(ys)
-    width, height = MAP_WIDTH, MAP_HEIGHT
-    grid = [[" "] * width for _ in range(height)]
-
-    def place(text: str, col: int, row: int) -> None:
-        col = max(0, min(width - len(text), col))
-        for offset, char in enumerate(text):
-            grid[row][col + offset] = char
-
-    for node_id, (x, y, floor) in sorted(_ISI_POSITIONS.items()):
-        col = round((x - x_low) / (x_high - x_low) * (width - 5))
-        row = round((1 - (y - y_low) / (y_high - y_low)) * (height - 1))
-        label = f"[{node_id}]" if floor == 0 else str(node_id)
-        place(label, col, row)
-    lines = ["ISI testbed (Figure 7) — [id] marks 10th-floor nodes:"]
-    lines.extend("  " + "".join(row).rstrip() for row in grid)
-    lines.append(
-        f"  sink={FIG8_SINK}  sources={list(FIG8_SOURCES)}  "
-        f"user={FIG9_USER}  audio={FIG9_AUDIO}"
-    )
-    return "\n".join(line for line in lines)
 
 
 def isi_propagation(topology: Topology, seed: int) -> DistancePropagation:

@@ -11,7 +11,7 @@ class TestCli:
         out = capsys.readouterr().out
         assert "repro 1.0.0" in out
         inventory = out[out.index("subpackages"):]
-        for name in ("naming", "core", "dtn", "hierarchy", "shard", "query"):
+        for name in ("naming", "core", "dtn", "hierarchy", "shard", "micro"):
             assert name in inventory
         assert "run --list" in out
 
@@ -19,6 +19,7 @@ class TestCli:
         assert main(["experiments", "--quick", "--only", "micro"]) == 0
         out = capsys.readouterr().out
         assert "footprint" in out
+        assert "interests bridged down: 1" in out
 
     def test_no_command_prints_help(self, capsys):
         assert main([]) == 2
@@ -107,6 +108,28 @@ class TestRunCli:
         (["dtn", "-p", 'dtn_config={"retry_base": 2}'], "no retry_base"),
         # an empty object sent as one block, delivery_ratio 1.0, exit 0
         (["dtn", "-p", "payload_bytes=100"], "payload_bytes must"),
+        # text that is not JSON stayed text, and bool("False") is True:
+        # each ran the opposite of what it asked for and exited 0
+        (["fig8", "-p", "suppression=False", "--duration", "1"],
+         "suppression must be true or false, got 'False'"),
+        (["fig9", "-p", "nested=no", "--duration", "1"],
+         "nested must be true or false, got 'no'"),
+        (["regional", "-p", "monitors=False", "--duration", "1"],
+         "monitors must be true or false"),
+        (["dtn", "-p", "custody=no", "--duration", "1"],
+         "custody must be true or false"),
+        (["mule", "-p", "caches=False", "--duration", "1"],
+         "caches must be true or false"),
+        # a JSON number is not a flag either
+        (["fig8", "-p", "suppression=0", "--duration", "1"],
+         "suppression must be true or false, got 0"),
+        # counts were truncated: two sources ran under the label 2.7
+        (["fig8", "-p", "sources=2.7", "--duration", "1"],
+         "sources must be a whole number, got 2.7"),
+        (["flood", "-p", "columns=10.5", "--duration", "1"],
+         "columns must be a whole number, got 10.5"),
+        (["line", "-p", "nodes=3.5", "--duration", "1"],
+         "nodes must be a whole number"),
     ])
     def test_hostile_value_is_a_usage_error(self, args, message, capsys):
         with pytest.raises(SystemExit) as exit_info:

@@ -12,6 +12,7 @@ from repro.apps.fusion import (
 )
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
 from repro.radio import Topology
+from repro.shard import ShardPlan, run_oracle
 from repro.sim import Simulator
 from repro.testbed import IdealNetwork
 
@@ -102,25 +103,27 @@ def build_tracking_field(with_fusion: bool):
 
 
 class TestTracking:
-    def test_track_follows_target(self):
-        sim, sink, sensors, fusion, nodes, target = build_tracking_field(True)
-        sim.run(until=40.0)
-        assert len(sink.track) >= 5
-        error = sink.mean_error()
+    """The ``tracking`` preset, plus the with/without-fusion comparison
+    the preset has no switch for, on its own small network."""
+
+    @pytest.fixture(scope="class")
+    def tracking(self):
+        return run_oracle(ShardPlan.named("tracking", {}, seed=1))
+
+    def test_track_follows_target(self, tracking):
+        track = tracking["track"]
+        assert len(track) >= 5
+        error = tracking["mean_error"]
         assert error is not None
         # Estimates stay within the sensor geometry's resolution.
         assert error < 15.0
         # The track's x estimates advance with the target.
-        xs = [p.x for p in sink.track]
-        assert xs[-1] > xs[0]
+        assert track[-1]["x"] > track[0]["x"]
 
-    def test_fusion_combines_multiple_sensors(self):
-        sim, sink, sensors, fusion, nodes, target = build_tracking_field(True)
-        sim.run(until=40.0)
-        assert fusion.fusions >= 5
-        assert fusion.reports_fused >= 1  # overlapping coverage existed
-        # Fused confidence can exceed any single sensor's cap.
-        assert any(p.confidence > 0.95 for p in sink.track)
+    def test_fusion_combines_multiple_sensors(self, tracking):
+        assert tracking["fused_estimates"] >= 5
+        assert tracking["reports_fused"] >= 1  # overlapping coverage existed
+        assert tracking["raw_reports"] > tracking["fused_estimates"]
 
     def test_fusion_reduces_sink_traffic(self):
         def deliveries(with_fusion):
@@ -128,12 +131,14 @@ class TestTracking:
                 with_fusion
             )
             sim.run(until=40.0)
-            return nodes[5].stats.events_delivered, len(sink.track)
+            return nodes[5].stats.events_delivered, sink.track
 
         fused_msgs, fused_track = deliveries(True)
         raw_msgs, raw_track = deliveries(False)
         assert fused_msgs < raw_msgs
-        assert fused_track >= 5  # the track survives fusion
+        assert len(fused_track) >= 5  # the track survives fusion
+        # Fused confidence can exceed any single sensor's cap.
+        assert any(p.confidence > 0.95 for p in fused_track)
 
     def test_fusion_filter_remove(self):
         sim, sink, sensors, fusion, nodes, target = build_tracking_field(True)

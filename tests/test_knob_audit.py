@@ -2,12 +2,12 @@
 name in ``src/repro`` is reached by a run.
 
 ``scripts/knob_audit.py`` lists each defaulted parameter or config
-field of the stack packages that no run, test, benchmark, example or
-``perf/`` workload sets, and each public module-level function or class
-that nothing outside ``tests/`` refers to.  Such a knob is one more
-configuration to account for with no one asking for it: it becomes the
-constant it always is.  Such a name is code no run executes: it gets a
-caller or goes.  What the script may still print is the allowlist
+field of the stack packages that no run, test, benchmark or ``perf/``
+workload sets, and each public module-level function or class that
+nothing outside ``tests/`` and ``examples/`` refers to.  Such a knob is
+one more configuration to account for with no one asking for it: it
+becomes the constant it always is.  Such a name is code no run
+executes: it gets a caller or goes.  What the script may still print is the allowlist
 below, one reason per entry; a new finding fails here.
 """
 
@@ -78,9 +78,9 @@ def test_every_knob_has_a_caller():
 
 
 def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
-    """The audit over a small tree: a name only ``tests/`` calls and a
-    name only a docstring mentions are printed; a name an example calls
-    is not."""
+    """The audit over a small tree: a name only ``tests/`` calls, a
+    name only an example calls and a name only a docstring mentions are
+    printed; a name a benchmark calls is not."""
     files = {
         "scripts/knob_audit.py": SCRIPT.read_text(),
         "src/repro/__init__.py": "",
@@ -95,6 +95,10 @@ def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
 
             def in_docstring():
                 return 3
+
+
+            def from_benchmark():
+                return 4
         """,
         "tests/test_demo.py": """
             from repro.demo import only_tests
@@ -102,6 +106,13 @@ def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
 
             def test_only_tests():
                 assert only_tests() == 1
+        """,
+        "benchmarks/test_demo.py": """
+            from repro.demo import from_benchmark
+
+
+            def test_from_benchmark(benchmark):
+                assert benchmark(from_benchmark) == 4
         """,
         "examples/demo.py": """
             # only_tests() is named in a comment and imported, never called.
@@ -118,6 +129,7 @@ def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(textwrap.dedent(text))
     assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
+        "repro.demo:from_example",
         "repro.demo:in_docstring",
         "repro.demo:only_tests",
     ]

@@ -48,6 +48,7 @@ SMALL = {
     "dtn": ({"duty": 0.5}, 110.0),
     "mule": ({}, 100.0),
     "timesync": ({}, 60.0),
+    "tracking": ({}, 60.0),
 }
 
 
@@ -222,7 +223,7 @@ class TestSubsetBuilds:
         with pytest.raises(ValueError, match=f"{name}.*fault harness"):
             ShardRuntime(small_plan(name, shards=2, **extra), 0)
 
-    @pytest.mark.parametrize("name", ["fig8", "fig9"])
+    @pytest.mark.parametrize("name", ["fig8", "fig9", "tracking"])
     def test_guard_names_the_testbed_applications(self, name):
         """Hashed loss passes the first guard, but the paper's apps
         reach for nodes another shard owns (a ``KeyError`` once)."""

@@ -285,15 +285,3 @@ class TestMacFactory:
             )
         net.run(until=60.0)
         assert len(received) >= 3
-
-
-class TestTestbedMap:
-    def test_map_contains_all_nodes_and_roles(self):
-        from repro.testbed import format_testbed_map
-
-        art = format_testbed_map()
-        for node_id in ISI_NODE_IDS:
-            assert str(node_id) in art
-        for bracketed in ISI_TENTH_FLOOR:
-            assert f"[{bracketed}]" in art
-        assert "sink=28" in art
