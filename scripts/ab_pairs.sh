@@ -8,9 +8,12 @@
 # checkout in turn, as `--workload W --seed S --seconds 20 --trace 0`;
 # which side goes first alternates pair by pair.  Prints every run, then
 # for each end-to-end metric each side's median and quartiles and the
-# pairs the change won (ties count for neither).  A gain stands when the
-# change wins at least nine tenths of the pairs and the medians differ
-# by more than the parent's inter-quartile distance.  Seed 23 is the
+# pairs the change won (ties count for neither), and one verdict line
+# per metric: `gain` when the change won at least nine tenths of the
+# pairs and its median beats the parent's by more than the parent's
+# inter-quartile distance; otherwise `worse` when its median is worse
+# than the parent's by more than the metric's BENCHMARK.json bound (a
+# fraction of the parent's median), else `same`.  Seed 23 is the
 # held-out seed; run nothing else on the host meanwhile.
 set -euo pipefail
 
@@ -54,6 +57,7 @@ print(f"\n{sys.argv[3]}, seed {sys.argv[4]}, {len(runs['parent'])} pairs "
       "(q1 / median / q3; failed ops parent "
       f"{sum(r['failed'] for r in runs['parent'].values())}, change "
       f"{sum(r['failed'] for r in runs['change'].values())})")
+verdicts = []
 for metric in json.load(open(sys.argv[2]))["end_to_end"]:
     name, lower = metric["name"], metric["better"] == "lower"
     side = {
@@ -75,4 +79,13 @@ for metric in json.load(open(sys.argv[2]))["end_to_end"]:
           f"change {c1:.4g} / {cm:.4g} / {c3:.4g}   "
           f"change/parent {cm / pm:.3f}   parent IQR {p3 - p1:.3g}   "
           f"median gap {abs(cm - pm):.3g}   change won {won}/{len(side['parent'])}")
+    better_by = (pm - cm) if lower else (cm - pm)
+    if won >= 0.9 * len(side["parent"]) and better_by > p3 - p1:
+        verdict = "gain"
+    elif -better_by > metric["bound"] * abs(pm):
+        verdict = "worse"
+    else:
+        verdict = "same"
+    verdicts.append(f"verdict {name:12s} {verdict}")
+print(*verdicts, sep="\n")
 EOF

@@ -10,7 +10,11 @@
 # observability CLIs, the micro section's tiered mote build, the
 # `tracking` preset, a refused non-boolean flag, and the
 # flight-recorder postmortem of a `repro run` whose invariant is made
-# to break.
+# to break.  Among what the suite pins: the radio's fast path against
+# the `ReferenceChannel` scan, verdict by verdict
+# (tests/test_channel_equivalence.py), with `TestReceiverLanes` holding
+# the cached receiver lanes across detaches, table edits, closing
+# Gilbert–Elliot windows, moves and a spliced fault overlay.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -12,21 +12,27 @@ PRR from the sender is non-zero.  Reception fails when:
 The channel also answers carrier-sense queries for the MAC layer.
 
 Delivery and carrier sense never scan the whole network: a fragment
-visits only the sender's cached audibility set, carrier sense looks up
+visits only the sender's cached receiver lanes, carrier sense looks up
 the exact PRR only of transmitters that are both on the air and in the
 listener's cached carrier-source set (a ghost's — another shard's —
 only where the model's bound says it can be heard), and all of a
-fragment's receptions finalize in one simulator event
-(:mod:`repro.radio.neighborhood` holds the caches and their
-invalidation contract).  The original O(N) per-link scan survives as
-:class:`repro.radio.reference.ReferenceChannel`, a subclass that
-replaces only how receivers and PRRs are found;
-tests/test_channel_equivalence.py proves the two verdict-identical on
-seeded scenarios.
+fragment's receptions get their verdict in one loop of one simulator
+event (:mod:`repro.radio.neighborhood` holds the caches and their
+invalidation contract).  A sender's lanes, ``(node_id, modem,
+in_progress, prr)`` per receiver with a non-zero PRR in attach order,
+are reused while the index returns the very audibility list they were
+built from (it replaces the list on any move, attach, detach, table
+edit, cut or new index) and no PRR window of the sender's links has
+closed (a Gilbert–Elliot flip).  The original O(N) per-link scan
+survives as :class:`repro.radio.reference.ReferenceChannel`, a subclass
+that replaces only how receivers and PRRs are found and runs the same
+verdict loop one reception at a time; tests/test_channel_equivalence.py
+proves the two verdict-identical on seeded scenarios.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
@@ -55,8 +61,7 @@ class _Reception:
     """One reception attempt in flight at a node.
 
     ``reason`` is why it failed ("collision", "half-duplex",
-    "channel-loss", "detached"); meaningful only when corrupted or on
-    the loss paths in _finalize_reception.  A plain __slots__ class —
+    "detached"); meaningful only when corrupted.  A plain __slots__ class —
     one of these is allocated per audible lane per fragment, the
     hottest allocation in the radio layer.
     """
@@ -112,6 +117,9 @@ class Channel:
         # Per-receiver in-progress receptions keyed by transmission
         # seqno, for collision marking and O(1) completion.
         self._receiving: Dict[int, Dict[int, _Reception]] = {}
+        # Sender -> (the audibility list its receiver lanes came from,
+        # the earliest PRR-window expiry among its links, the lanes).
+        self._lanes: Dict[int, tuple] = {}
         # Active-transmitter registry: exactly the attached modems with
         # ``transmitting`` set.  Entered by start_transmission and by
         # attach (a modem re-attached mid-airtime), left by
@@ -372,73 +380,60 @@ class Channel:
         duration: float,
         on_end: Optional[Callable[[], None]] = None,
     ) -> None:
-        """Admit ``tx`` at every receiver that can hear it and schedule
-        their finalization, then the sender's ``on_end``.
+        """Admit ``tx`` along the sender's receiver lanes and schedule
+        their verdicts, then the sender's ``on_end``, in one event.
 
         Serves local and ghost transmissions alike: an audibility set
         never lists its own sender, and a ghost's src has no local
-        modem to list (nor an ``on_end``).  The common admission — idle
-        receiver, empty in-progress map — is inlined; anything else
-        goes through _admit_reception, the sole owner of the
-        collision/capture verdict logic.
+        modem to list (nor an ``on_end``).  An idle receiver's admission
+        is inlined; anything else goes through _admit_reception, the
+        sole owner of the collision/capture verdict logic.
         """
         now = self.sim.now
         src = tx.src
-        modems = self._modems
         index = self.index
-        admit = self._admit_reception
-        receiving = self._receiving
-        seqno = tx.seqno
-        # Entries carry the receiver's modem and in-progress map so
-        # finalization never re-resolves either (safe: a detach voids its
-        # receptions with reason="detached", which short-circuits before
-        # the modem is consulted, and popping a voided reception from the
-        # pre-detach map is inert — even across a re-attach mid-flight).
-        batch: Optional[list] = None
         audible = index.audible_from(src)  # syncs; foreign srcs cache fine
-        prr_memo = index.prr_memo
-        for node_id in audible:
-            # Inline memo hit (nothing in this loop can move the
-            # epoch); misses fall back to the full windowed lookup.
-            cached = prr_memo.get((src, node_id))
-            if cached is not None and now < cached[1]:
-                index.memo_hits += 1
-                prr = cached[0]
-            else:
+        cached = self._lanes.get(src)
+        if cached is not None and cached[0] is audible and now < cached[1]:
+            # Every PRR probe a rebuild would make is a memo hit.
+            index.memo_hits += len(audible)
+            lanes = cached[2]
+        else:
+            lanes, expiry = [], math.inf
+            for node_id in audible:
                 prr = index.link_prr(src, node_id, now)
-            if prr <= 0.0:
-                continue
-            modem = modems[node_id]
-            in_progress = receiving[node_id]
-            if in_progress or modem.transmitting or modem.sleeping:
-                reception = admit(tx, node_id, modem, prr)
-            else:
-                reception = _Reception(tx, prr)
-                in_progress[seqno] = reception
-            if batch is None:
-                batch = []
-            batch.append((node_id, modem, in_progress, reception))
-        if batch is not None:
-            # One simulator event finalizes every reception of this
-            # fragment and then ends the sender's airtime.  The
-            # reference's per-reception events and its sender's end all
-            # share this instant and have consecutive sequence numbers,
-            # so no foreign event can observe the difference — outcomes
-            # and trace order match the reference exactly.
+                expiry = min(expiry, index.prr_memo[src, node_id][1])
+                if prr > 0.0:
+                    lanes.append((
+                        node_id, self._modems[node_id],
+                        self._receiving[node_id], prr,
+                    ))
+            lanes = tuple(lanes)
+            self._lanes[src] = (audible, expiry, lanes)
+        if lanes:
+            seqno = tx.seqno
+            admit = self._admit_reception
+            for _, modem, in_progress, prr in lanes:
+                if in_progress or modem.transmitting or modem.sleeping:
+                    admit(tx, modem, in_progress, prr)
+                else:
+                    in_progress[seqno] = _Reception(tx, prr)
+            # The reference's per-reception events and its sender's end
+            # share this instant and take consecutive sequence numbers,
+            # so no foreign event can tell them from this one.
             self.sim.schedule(
-                duration, self._finish_transmission, batch, on_end,
+                duration, self._finish_transmission, lanes, tx, on_end,
                 name="channel.rx",
             )
         elif on_end is not None:
             self.sim.schedule(duration, on_end, name="modem.txdone")
 
     def _admit_reception(
-        self, tx: Transmission, node_id: int, modem: Any, prr: float
+        self, tx: Transmission, modem: Any, in_progress: dict, prr: float
     ) -> _Reception:
-        """Create the reception at ``node_id`` and mark collisions with
-        whatever is already in the air there."""
+        """Create the reception in ``modem``'s ``in_progress`` map and
+        mark collisions with whatever is already in the air there."""
         reception = _Reception(tx, prr)
-        in_progress = self._receiving[node_id]
         if modem.transmitting or modem.sleeping:
             # Half-duplex, and sleeping radios hear nothing.
             reception.corrupted = True
@@ -468,67 +463,54 @@ class Channel:
         return reception
 
     def _finish_transmission(
-        self, batch: list, on_end: Optional[Callable[[], None]]
+        self, lanes: tuple, tx: Transmission, on_end: Optional[Callable]
     ) -> None:
-        finalize = self._finalize_reception
-        for node_id, modem, in_progress, reception in batch:
-            in_progress.pop(reception.transmission.seqno, None)
-            finalize(node_id, modem, reception)
+        """Give every reception of ``tx`` its verdict, lane by lane,
+        then run the sender's ``on_end``.  A reception a detach voided
+        is skipped before its (pre-detach) modem is consulted."""
+        seqno, src, now = tx.seqno, tx.src, self.sim.now
+        trace = self.trace
+        stream_draw = self._stream_draw
+        for node_id, modem, in_progress, prr in lanes:
+            reception = in_progress.pop(seqno)
+            if reception.corrupted:
+                reason = reception.reason
+                if reason == "detached":
+                    continue  # the receiver left the medium mid-flight
+                if reason == "half-duplex":
+                    self.dropped_half_duplex += 1
+                else:
+                    self.dropped_collision += 1
+                if trace.active:
+                    trace.emit(now, "channel.collision", node=node_id, src=src)
+                    self._note_radio_drop(node_id, tx, reason)
+            elif modem.transmitting or modem.sleeping:
+                # Started transmitting (or fell asleep) mid-reception.
+                self.dropped_half_duplex += 1
+                if trace.active:
+                    self._note_radio_drop(node_id, tx, "half-duplex")
+            elif (
+                stream_draw() if stream_draw is not None
+                else self._loss_draw(node_id, tx)
+            ) >= prr:
+                self.fragments_lost += 1
+                if trace.active:
+                    trace.emit(now, "channel.loss", node=node_id, src=src)
+                    self._note_radio_drop(node_id, tx, "channel-loss")
+            else:
+                self.fragments_delivered += 1
+                if trace.active:
+                    trace.emit(
+                        now, "channel.rx", node=node_id, src=src,
+                        nbytes=tx.nbytes,
+                    )
+                modem.deliver(tx.payload, tx.src, tx.nbytes, tx.link_dst)
         if on_end is not None:
             on_end()
 
-    def _finalize_reception(
-        self, node_id: int, modem: Any, reception: _Reception
-    ) -> None:
-        if reception.reason == "detached":
-            # The receiver left the medium mid-flight; nothing to record.
-            # This guard runs before the (possibly stale) modem is used.
-            return
-        if modem is None:
-            return
-        tx = reception.transmission
-        trace = self.trace
-        if reception.corrupted:
-            if reception.reason == "half-duplex":
-                self.dropped_half_duplex += 1
-            else:
-                self.dropped_collision += 1
-            if trace.active:
-                trace.emit(
-                    self.sim.now, "channel.collision", node=node_id, src=tx.src
-                )
-                self._note_radio_drop(node_id, tx, reception.reason)
-            return
-        if modem.transmitting or modem.sleeping:
-            # Started transmitting (or fell asleep) mid-reception: lost.
-            self.dropped_half_duplex += 1
-            if trace.active:
-                self._note_radio_drop(node_id, tx, "half-duplex")
-            return
-        stream_draw = self._stream_draw
-        draw = (
-            stream_draw() if stream_draw is not None
-            else self._loss_draw(node_id, tx)
-        )
-        if draw >= reception.prr:
-            self.fragments_lost += 1
-            if trace.active:
-                trace.emit(
-                    self.sim.now, "channel.loss", node=node_id, src=tx.src
-                )
-                self._note_radio_drop(node_id, tx, "channel-loss")
-            return
-        self.fragments_delivered += 1
-        if trace.active:
-            trace.emit(
-                self.sim.now, "channel.rx", node=node_id, src=tx.src,
-                nbytes=tx.nbytes,
-            )
-        modem.deliver(tx.payload, tx.src, tx.nbytes, tx.link_dst)
-
     def _loss_draw(self, node_id: int, tx: Transmission) -> float:
         """The ``hashed`` uniform deciding this reception's channel-loss
-        fate (``stream`` draws inline in _finalize_reception).
+        fate (``stream`` draws inline in _finish_transmission).
 
         ``stream`` (the default) draws from the shared channel-loss RNG
         in global finalization order — the historical behaviour, kept

@@ -13,6 +13,7 @@ and backoff belong to the MAC (:mod:`repro.mac`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Any, Callable, Optional
 
 from repro.sim import Simulator
@@ -40,6 +41,12 @@ class RadioParams:
             )
         total = payload_bytes + self.fragment_overhead
         return (total * 8) / self.bitrate_bps
+
+    @cached_property
+    def airtime_by_size(self) -> tuple:
+        """``fragment_airtime`` of each legal payload size, once."""
+        sizes = range(self.fragment_payload + 1)
+        return tuple(self.fragment_airtime(size) for size in sizes)
 
 
 class Modem:
@@ -93,9 +100,9 @@ class Modem:
         self.fragments_sent += 1
         if self.energy is not None:
             self.energy.record_send(airtime)
-        # The channel ends the airtime in the event that finalizes the
-        # fragment's receptions (or in a "modem.txdone" of its own when
-        # no one can hear it).
+        # The channel ends the airtime in its "channel.rx" event, after
+        # the verdict of the fragment's last reception (or in a
+        # "modem.txdone" of its own when no one can hear it).
         self.channel.start_transmission(
             self.node_id, payload, payload_bytes, airtime, link_dst,
             self._transmit_done,
@@ -119,7 +126,7 @@ class Modem:
         self.fragments_received += 1
         self.bytes_received += nbytes
         if self.energy is not None:
-            self.energy.record_receive(self.params.fragment_airtime(nbytes))
+            self.energy.record_receive(self.params.airtime_by_size[nbytes])
         # Link-layer address filter: accept broadcast or our own address.
         if link_dst is not None and link_dst != self.node_id:
             return

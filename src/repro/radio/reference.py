@@ -6,8 +6,9 @@ carrier-sense query, one finalization event per reception and one more
 for the sender's end of airtime — and needs
 nothing from the propagation model beyond ``link_prr``.  Every verdict
 (half-duplex, collision, capture, loss draw) is inherited from
-:class:`~repro.radio.channel.Channel`, so the two can differ only in
-*which* links they examine, which is exactly what
+:class:`~repro.radio.channel.Channel`: each reception event runs the
+fast path's one verdict loop over a single lane, so the two can differ
+only in *which* links they examine, which is exactly what
 tests/test_channel_equivalence.py compares.
 It is also what runs a propagation model that predates the fast-path
 protocol (:func:`~repro.radio.neighborhood.supports_fast_path`).
@@ -68,7 +69,9 @@ class ReferenceChannel(Channel):
             prr = link_prr(src, node_id, now)
             if prr <= 0.0:
                 continue
-            reception = self._admit_reception(tx, node_id, modem, prr)
+            reception = self._admit_reception(
+                tx, modem, self._receiving[node_id], prr
+            )
             self.sim.schedule(
                 duration, self._finish_reception, node_id, reception,
                 name="channel.rx",
@@ -78,7 +81,10 @@ class ReferenceChannel(Channel):
             self.sim.schedule(duration, on_end, name="modem.txdone")
 
     def _finish_reception(self, node_id: int, reception: _Reception) -> None:
-        in_progress = self._receiving.get(node_id)
-        if in_progress is not None:
-            in_progress.pop(reception.transmission.seqno, None)
-        self._finalize_reception(node_id, self._modems.get(node_id), reception)
+        if reception.reason == "detached":
+            return
+        modem, in_progress = self._modems[node_id], self._receiving[node_id]
+        self._finish_transmission(
+            ((node_id, modem, in_progress, reception.prr),),
+            reception.transmission, None,
+        )
