@@ -8,7 +8,8 @@
 # with `repro report` over one of its store entries, a `repro run
 # --trace` / `trace summarize|paths` smoke over the run and
 # observability CLIs, the micro section's tiered mote build, the
-# `tracking` preset, a refused non-boolean flag, and the
+# `tracking` preset, a refused non-boolean flag, a refused negative
+# `campaign run --max-trials`, and the
 # flight-recorder postmortem of a `repro run` whose invariant is made
 # to break.  Among what the suite pins: the radio's fast path against
 # the `ReferenceChannel` scan, verdict by verdict
@@ -68,6 +69,13 @@ python -m repro run fig8 -p suppression=False --duration 1 \
     > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] \
     || { echo "suppression=False exited $rc, not 2" >&2; exit 1; }
+
+# A numeric flag out of its range is refused, not read some other way.
+rc=0
+python -m repro campaign run demo --quick --max-trials -1 \
+    --store "$store/refused" > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "--max-trials -1 exited $rc, not 2" >&2; exit 1; }
 
 # Observability smoke: record a tiny traced run, then summarize it.
 trace="$store/smoke-trace.jsonl"

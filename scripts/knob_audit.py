@@ -1,12 +1,13 @@
 #!/usr/bin/env python3
-"""Print every knob of the simulation stack that nothing sets, and
-every public name in ``src/repro`` that no run calls.
+"""Print every knob in ``src/repro`` that nothing sets, and every
+public name there that no run calls.
 
     python scripts/knob_audit.py
 
 A *knob* is a defaulted parameter of a function or method defined at
-module or class level in one of the stack packages (``SCOPE``), or a
-defaulted field of a dataclass there.  It is *set* when some call in
+module or class level in any module under ``src/repro`` (the audit
+walks the whole tree, so no package is left out), or a defaulted field
+of a dataclass there.  It is *set* when some call in
 ``src/ tests/ benchmarks/ perf/`` passes it:
 
 - by keyword, by position, or through ``*`` / ``**`` (a ``**`` over a
@@ -51,13 +52,9 @@ from pathlib import Path
 from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-SCOPE = (
-    "sim radio mac link core naming filters testbed hierarchy dtn transfer "
-    "faults shard energy"
-).split()
-#: left to their own decisions: random-waypoint mobility waits on whether
-#: a run can reach it; the telemetry sampler on the run report.
-EXCLUDED_CLASSES = {"RandomWaypointMobility", "TelemetrySampler"}
+#: left to its own decision: random-waypoint mobility waits on whether a
+#: run can reach it.
+EXCLUDED_CLASSES = {"RandomWaypointMobility"}
 CALLER_DIRS = ("src", "tests", "benchmarks", "perf")
 #: where a reference makes a public name called: not tests/, not examples/.
 RUN_DIRS = ("src", "benchmarks", "perf")
@@ -138,8 +135,8 @@ def _is_static(fn: ast.FunctionDef) -> bool:
 
 
 class Definitions:
-    """Every knob in scope, plus what the caller scan needs to resolve
-    names: class bases, which names are classes, which are functions."""
+    """Every knob, plus what the caller scan needs to resolve names:
+    class bases, which names are classes, which are functions."""
 
     def __init__(self) -> None:
         self.knobs: List[Knob] = []
@@ -153,26 +150,23 @@ class Definitions:
         self.public: List[Tuple[str, str]] = []
 
     def scan(self, module: str, tree: ast.Module) -> None:
-        parts = module.split(".")
-        in_scope = len(parts) > 1 and parts[1] in SCOPE
         for node in tree.body:
             if isinstance(node, DEFINITIONS) and not node.name.startswith("_"):
                 self.public.append((module, node.name))
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions.add(node.name)
-                if in_scope:
-                    self._function(module, node.name, node.name, node, False)
+                self._function(module, node.name, node.name, node, False)
             elif isinstance(node, ast.ClassDef):
-                self._class(module, node, in_scope)
+                self._class(module, node)
 
-    def _class(self, module: str, node: ast.ClassDef, in_scope: bool) -> None:
+    def _class(self, module: str, node: ast.ClassDef) -> None:
         self.classes.add(node.name)
         self.bases[node.name] = [b for b in map(_terminal, node.bases) if b]
-        in_scope = in_scope and node.name not in EXCLUDED_CLASSES
+        audited = node.name not in EXCLUDED_CLASSES
         if _is_dataclass(node):
             for position, (name, default) in enumerate(_fields(node)):
                 self.dataclass_fields.add(name)
-                if in_scope and default:
+                if audited and default:
                     self.knobs.append(Knob(module, node.name, node.name, name,
                                            position, True))
         for stmt in node.body:
@@ -186,7 +180,7 @@ class Definitions:
             else:
                 key = stmt.name
                 self.methods[stmt.name].add(node.name)
-            if in_scope:
+            if audited:
                 self._function(module, f"{node.name}.{stmt.name}", key, stmt,
                                True)
 

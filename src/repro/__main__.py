@@ -29,6 +29,7 @@ import sys
 from pathlib import Path
 
 import repro
+from repro.cliargs import positive_int
 
 EXAMPLES = {
     "quickstart": "quickstart.py",
@@ -65,7 +66,7 @@ def main(argv=None) -> int:
         help="run a single section (repeatable)",
     )
     exp.add_argument(
-        "--jobs", type=int, default=1,
+        "--jobs", type=positive_int, default=1,
         help="worker processes for the fig8 / fig9 campaign trials",
     )
     exp.add_argument(

@@ -21,7 +21,7 @@ from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.sim import TraceRecord
 
-#: message types whose non-delivery the loss table reports by default
+#: message types whose non-delivery the loss table reports
 DATA_TYPES = ("DATA", "EXPLORATORY_DATA")
 
 
@@ -68,9 +68,9 @@ class MessagePath:
     origin_node: Optional[int] = None
     origin_time: Optional[float] = None
     parent: Optional[str] = None  # trace id of the message that caused this one
-    hops: List[HopRecord] = field(default_factory=list)
-    deliveries: List[Delivery] = field(default_factory=list)
-    drops: List[DropRecord] = field(default_factory=list)
+    hops: List[HopRecord] = field(init=False, default_factory=list)
+    deliveries: List[Delivery] = field(init=False, default_factory=list)
+    drops: List[DropRecord] = field(init=False, default_factory=list)
     unmatched_tx: int = 0         # transmissions never heard anywhere
 
     @property
@@ -222,15 +222,11 @@ def reconstruct_paths(records: Iterable[TraceRecord]) -> Dict[str, MessagePath]:
     return paths
 
 
-def loss_attribution(
-    paths: Dict[str, MessagePath],
-    msg_types: Iterable[str] = DATA_TYPES,
-) -> Dict[str, int]:
-    """Count undelivered messages of the given types by loss label."""
-    wanted = set(msg_types)
+def loss_attribution(paths: Dict[str, MessagePath]) -> Dict[str, int]:
+    """Count undelivered data messages by loss label."""
     labels: Counter = Counter()
     for path in paths.values():
-        if path.msg_type not in wanted:
+        if path.msg_type not in DATA_TYPES:
             continue
         label = path.loss_label
         if label is not None:

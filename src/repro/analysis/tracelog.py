@@ -32,16 +32,13 @@ class TraceLogger:
         self,
         bus: TraceBus,
         path: Optional[Union[str, Path]] = None,
-        categories: Iterable[str] = ("*",),
     ) -> None:
         self.path = Path(path) if path is not None else None
         self.records_written = 0
         self._handle = self.path.open("w") if self.path else None
         self._memory: List[TraceRecord] = []
         self._bus: Optional[TraceBus] = bus
-        self._categories = tuple(categories)
-        for category in self._categories:
-            bus.subscribe(category, self._on_record)
+        bus.subscribe("*", self._on_record)
 
     def _on_record(self, record: TraceRecord) -> None:
         self.records_written += 1
@@ -67,8 +64,7 @@ class TraceLogger:
     def close(self) -> None:
         """Stop recording: unsubscribe, flush, and close the file."""
         if self._bus is not None:
-            for category in self._categories:
-                self._bus.unsubscribe(category, self._on_record)
+            self._bus.unsubscribe("*", self._on_record)
             self._bus = None
         if self._handle is not None:
             self._handle.flush()

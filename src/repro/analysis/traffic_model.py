@@ -26,6 +26,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+#: the model's fixed testbed numbers: 5-hop source-sink paths, every
+#: message approximated as 127 B, one data message per 6 s.
+PATH_HOPS = 5
+MESSAGE_BYTES = 127
+DATA_INTERVAL = 6.0
+
 
 @dataclass(frozen=True)
 class TrafficBreakdown:
@@ -46,32 +52,29 @@ class TrafficModel:
     """Parameters of the Section 6.1 model, defaulting to the testbed's."""
 
     nodes: int = 14
-    path_hops: int = 5
-    message_bytes: int = 127
-    data_interval: float = 6.0
     interest_interval: float = 60.0
     exploratory_ratio: int = 10   # one exploratory per this many data msgs
 
     def _flood_cost(self) -> float:
         """Bytes for one network-wide flood: every node sends once."""
-        return self.nodes * self.message_bytes
+        return self.nodes * MESSAGE_BYTES
 
     def breakdown(self, sources: int, aggregated: bool) -> TrafficBreakdown:
         """Per-distinct-event byte costs for ``sources`` sources."""
         if sources < 1:
             raise ValueError("need at least one source")
-        events_per_interest = self.interest_interval / self.data_interval
+        events_per_interest = self.interest_interval / DATA_INTERVAL
         interest = self._flood_cost() / events_per_interest
 
         per_source_exploratory = self._flood_cost() / self.exploratory_ratio
         per_source_data = (
             (self.exploratory_ratio - 1)
             / self.exploratory_ratio
-            * self.path_hops
-            * self.message_bytes
+            * PATH_HOPS
+            * MESSAGE_BYTES
         )
         per_source_reinforcement = (
-            self.path_hops * self.message_bytes / self.exploratory_ratio
+            PATH_HOPS * MESSAGE_BYTES / self.exploratory_ratio
         )
 
         if aggregated:

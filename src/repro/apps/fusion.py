@@ -31,6 +31,11 @@ from repro.naming.keys import Key
 from repro.radio.topology import Topology
 
 DETECTION_TYPE = "target-detection"
+#: the detector's distance fall-off (m) and its confidence at zero range.
+CONFIDENCE_SCALE = 10.0
+MAX_CONFIDENCE = 0.95
+#: fusion sees each detection before the gradient filter routes it.
+FUSION_PRIORITY = GRADIENT_FILTER_PRIORITY + 20
 
 
 class MovingTarget:
@@ -69,7 +74,7 @@ class ProximitySensor:
     """One node's detector: senses the target when it is close.
 
     Detection confidence falls off with distance:
-    ``c = max_confidence / (1 + (d / scale)^2)``, cut off at
+    ``c = MAX_CONFIDENCE / (1 + (d / CONFIDENCE_SCALE)^2)``, cut off at
     ``sense_range`` — a standard acoustic-amplitude model.  Reports are
     tagged with the observation epoch so fusion can group them.
     """
@@ -80,24 +85,19 @@ class ProximitySensor:
         target: MovingTarget,
         topology: Topology,
         sense_range: float = 25.0,
-        scale: float = 10.0,
-        max_confidence: float = 0.95,
         sample_interval: float = 2.0,
-        detection_type: str = DETECTION_TYPE,
     ) -> None:
         self.api = api
         self.target = target
         self.topology = topology
         self.sense_range = sense_range
-        self.scale = scale
-        self.max_confidence = max_confidence
         self.sample_interval = sample_interval
         self.detections = 0
         position = topology.position(api.node_id)
         self._x, self._y = position.x, position.y
         self._publication = api.publish(
             AttributeVector.builder()
-            .actual(Key.TYPE, detection_type)
+            .actual(Key.TYPE, DETECTION_TYPE)
             .actual(Key.X_COORD, self._x)
             .actual(Key.Y_COORD, self._y)
             .build()
@@ -112,7 +112,7 @@ class ProximitySensor:
     def confidence_for(self, distance: float) -> float:
         if distance > self.sense_range:
             return 0.0
-        return self.max_confidence / (1.0 + (distance / self.scale) ** 2)
+        return MAX_CONFIDENCE / (1.0 + (distance / CONFIDENCE_SCALE) ** 2)
 
     def _sample(self) -> None:
         sim = self.api.node.sim
@@ -142,13 +142,7 @@ class ProximitySensor:
 class FusionFilter:
     """Combines detections of the same epoch into one fused report."""
 
-    def __init__(
-        self,
-        node: DiffusionNode,
-        delay: float = 0.8,
-        priority: int = GRADIENT_FILTER_PRIORITY + 20,
-        detection_type: str = DETECTION_TYPE,
-    ) -> None:
+    def __init__(self, node: DiffusionNode, delay: float = 0.8) -> None:
         self.node = node
         self.delay = delay
         self.fusions = 0
@@ -156,8 +150,8 @@ class FusionFilter:
         # epoch -> [first message, [(x, y, confidence)], timer]
         self._pending: Dict[int, list] = {}
         self._done: set = set()
-        match = AttributeVector.builder().eq(Key.TYPE, detection_type).build()
-        self.handle = node.add_filter(match, priority, self._callback,
+        match = AttributeVector.builder().eq(Key.TYPE, DETECTION_TYPE).build()
+        self.handle = node.add_filter(match, FUSION_PRIORITY, self._callback,
                                       name="fusion")
 
     @staticmethod
@@ -264,7 +258,6 @@ class TrackingSink:
         api: DiffusionRouting,
         target: MovingTarget,
         sample_interval: float = 2.0,
-        detection_type: str = DETECTION_TYPE,
         min_confidence: float = 0.0,
     ) -> None:
         self.api = api
@@ -275,7 +268,7 @@ class TrackingSink:
         self._epochs_seen: Dict[int, TrackPoint] = {}
         sub = (
             AttributeVector.builder()
-            .eq(Key.TYPE, detection_type)
+            .eq(Key.TYPE, DETECTION_TYPE)
             .actual(Key.INTERVAL, int(sample_interval * 1000))
             .build()
         )

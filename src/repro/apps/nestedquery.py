@@ -35,6 +35,8 @@ from repro.naming.keys import ClassValue, Key
 from repro.testbed.network import SensorNetwork
 
 AUDIO_REQUEST_TYPE = "audio-request"
+#: "Light sensors report their state every 2s" (Section 6.2).
+REPORT_INTERVAL = 2.0
 
 ChangeId = Tuple[str, int]  # (light instance, state epoch)
 
@@ -54,13 +56,12 @@ class AudioNodeApp:
         nested: bool,
         light_ids: Sequence[int],
         toggle_interval: float = 60.0,
-        message_bytes: int = 100,
     ) -> None:
         self.api = api
         self.nested = nested
         self.light_ids = list(light_ids)
         self.toggle_interval = toggle_interval
-        self.emitter = AudioEmitter(api, message_bytes=message_bytes)
+        self.emitter = AudioEmitter(api)
         self.changes_detected: List[ChangeId] = []
         self.requests_served: Set[ChangeId] = set()
         self._last_epoch: Dict[str, int] = {}
@@ -128,15 +129,9 @@ class AudioNodeApp:
 class UserApp:
     """The distant user; counts successfully correlated audio events."""
 
-    def __init__(
-        self,
-        api: DiffusionRouting,
-        nested: bool,
-        request_bytes: int = 60,
-    ) -> None:
+    def __init__(self, api: DiffusionRouting, nested: bool) -> None:
         self.api = api
         self.nested = nested
-        self.request_bytes = request_bytes
         self.audio_received: Set[ChangeId] = set()
         #: change id -> arrival time of its audio data (first copy)
         self.audio_arrival_times: Dict[ChangeId, float] = {}
@@ -232,7 +227,6 @@ class NestedQueryExperiment:
         light_ids: Sequence[int],
         nested: bool,
         toggle_interval: float = 60.0,
-        report_interval: float = 2.0,
     ) -> None:
         self.network = network
         self.nested = nested
@@ -248,10 +242,10 @@ class NestedQueryExperiment:
         self.lights = [
             LightSensor(
                 network.api(light_id),
-                report_interval=report_interval,
+                report_interval=REPORT_INTERVAL,
                 toggle_interval=toggle_interval,
                 phase=network.seeds.stream(f"light-phase:{light_id}").uniform(
-                    0.0, report_interval
+                    0.0, REPORT_INTERVAL
                 ),
             )
             for light_id in self.light_ids

@@ -24,6 +24,11 @@ from repro.naming.keys import Key
 SURVEILLANCE_TYPE = "surveillance"
 LIGHT_TYPE = "light"
 AUDIO_TYPE = "audio"
+#: Figure 8: "one event every 6 seconds", each a 112-byte detection.
+EVENT_INTERVAL = 6.0
+EVENT_BYTES = 112
+#: the size of a Figure 9 light report and of an audio sample.
+FIG9_MESSAGE_BYTES = 100
 
 
 class SynchronizedEventClock:
@@ -34,17 +39,16 @@ class SynchronizedEventClock:
     numbers that are synchronized at experiment start."
     """
 
-    def __init__(self, interval: float = 6.0, epoch: float = 0.0) -> None:
+    def __init__(self, interval: float = EVENT_INTERVAL) -> None:
         if interval <= 0:
             raise ValueError("interval must be positive")
         self.interval = interval
-        self.epoch = epoch
 
     def sequence_at(self, now: float) -> int:
-        return int(math.floor((now - self.epoch) / self.interval))
+        return int(math.floor(now / self.interval))
 
     def next_event_time(self, now: float) -> float:
-        return self.epoch + (self.sequence_at(now) + 1) * self.interval
+        return (self.sequence_at(now) + 1) * self.interval
 
 
 def _pad_to(
@@ -71,17 +75,15 @@ class DetectionSource:
         self,
         api: DiffusionRouting,
         clock: SynchronizedEventClock,
-        event_bytes: int = 112,
-        task_type: str = SURVEILLANCE_TYPE,
+        event_bytes: int = EVENT_BYTES,
         start: float = 0.0,
     ) -> None:
         self.api = api
         self.clock = clock
         self.event_bytes = event_bytes
-        self.task_type = task_type
         self.events_generated = 0
         self._publication_attrs = (
-            AttributeVector.builder().actual(Key.TYPE, task_type).build()
+            AttributeVector.builder().actual(Key.TYPE, SURVEILLANCE_TYPE).build()
         )
         self._publication: PublicationHandle = api.publish(self._publication_attrs)
         self._timer = None
@@ -130,19 +132,15 @@ class LightSensor:
         api: DiffusionRouting,
         report_interval: float = 2.0,
         toggle_interval: float = 60.0,
-        message_bytes: int = 100,
-        light_type: str = LIGHT_TYPE,
         phase: float = 0.0,
     ) -> None:
         self.api = api
         self.report_interval = report_interval
         self.toggle_interval = toggle_interval
-        self.message_bytes = message_bytes
-        self.light_type = light_type
         self.reports_sent = 0
         self._publication_attrs = (
             AttributeVector.builder()
-            .actual(Key.TYPE, light_type)
+            .actual(Key.TYPE, LIGHT_TYPE)
             .actual(Key.INSTANCE, f"light-{api.node_id}")
             .build()
         )
@@ -173,7 +171,7 @@ class LightSensor:
         padding = _pad_to(
             self._publication_attrs,
             attrs,
-            self.message_bytes,
+            FIG9_MESSAGE_BYTES,
             self.api.node.config.header_bytes,
         )
         self.api.send(self._publication, attrs, padding_bytes=padding)
@@ -189,17 +187,13 @@ class AudioEmitter:
     """The output side of the Figure 9 triggered (audio) sensor."""
 
     def __init__(
-        self,
-        api: DiffusionRouting,
-        message_bytes: int = 100,
-        audio_type: str = AUDIO_TYPE,
+        self, api: DiffusionRouting, message_bytes: int = FIG9_MESSAGE_BYTES
     ) -> None:
         self.api = api
         self.message_bytes = message_bytes
-        self.audio_type = audio_type
         self.emissions = 0
         self._publication_attrs = (
-            AttributeVector.builder().actual(Key.TYPE, audio_type).build()
+            AttributeVector.builder().actual(Key.TYPE, AUDIO_TYPE).build()
         )
         self._publication = api.publish(self._publication_attrs)
 

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 from typing import List, Sequence, Set
 
 from repro.apps.sensors import (
+    EVENT_INTERVAL,
     SURVEILLANCE_TYPE,
     DetectionSource,
     SynchronizedEventClock,
@@ -22,23 +23,21 @@ from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.testbed.network import SensorNetwork
 
+#: seconds before the first detection, so interests have flooded first.
+WARMUP = 10.0
+
 
 class SurveillanceSink:
     """Counts distinct and total event receptions at the user node."""
 
-    def __init__(
-        self,
-        api: DiffusionRouting,
-        task_type: str = SURVEILLANCE_TYPE,
-        interval_ms: int = 6000,
-    ) -> None:
+    def __init__(self, api: DiffusionRouting) -> None:
         self.api = api
         self.distinct_events: Set[int] = set()
         self.total_receptions = 0
         attrs = (
             AttributeVector.builder()
-            .eq(Key.TYPE, task_type)
-            .actual(Key.INTERVAL, interval_ms)
+            .eq(Key.TYPE, SURVEILLANCE_TYPE)
+            .actual(Key.INTERVAL, int(EVENT_INTERVAL * 1000))
             .build()
         )
         self.handle = api.subscribe(attrs, self._on_data)
@@ -89,32 +88,22 @@ class SurveillanceExperiment:
         sink_id: int,
         source_ids: Sequence[int],
         suppression: bool = True,
-        event_interval: float = 6.0,
-        event_bytes: int = 112,
-        task_type: str = SURVEILLANCE_TYPE,
-        warmup: float = 10.0,
     ) -> None:
         self.network = network
         self.sink_id = sink_id
         self.source_ids = list(source_ids)
         self.suppression = suppression
-        self.clock = SynchronizedEventClock(interval=event_interval)
-        self.sink = SurveillanceSink(network.api(sink_id), task_type=task_type)
+        self.clock = SynchronizedEventClock()
+        self.sink = SurveillanceSink(network.api(sink_id))
         self.filters: List[SuppressionFilter] = []
         if suppression:
-            match = AttributeVector.builder().eq(Key.TYPE, task_type).build()
+            match = AttributeVector.builder().eq(Key.TYPE, SURVEILLANCE_TYPE).build()
             for node_id in network.node_ids():
                 self.filters.append(
                     SuppressionFilter(network.node(node_id), match_attrs=match)
                 )
         self.sources = [
-            DetectionSource(
-                network.api(node_id),
-                self.clock,
-                event_bytes=event_bytes,
-                task_type=task_type,
-                start=warmup,
-            )
+            DetectionSource(network.api(node_id), self.clock, start=WARMUP)
             for node_id in self.source_ids
         ]
 

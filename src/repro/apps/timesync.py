@@ -37,17 +37,12 @@ OBSERVATION_TYPE = "time-obs"
 class TimeBeacon:
     """Periodically broadcasts reference pulses."""
 
-    def __init__(
-        self,
-        api: DiffusionRouting,
-        interval: float = 10.0,
-        beacon_type: str = BEACON_TYPE,
-    ) -> None:
+    def __init__(self, api: DiffusionRouting, interval: float = 10.0) -> None:
         self.api = api
         self.interval = interval
         self.beacons_sent = 0
         self._publication = api.publish(
-            AttributeVector.builder().actual(Key.TYPE, beacon_type).build()
+            AttributeVector.builder().actual(Key.TYPE, BEACON_TYPE).build()
         )
         self._timer = api.node.sim.schedule(0.5, self._tick, name="rbs.beacon")
 
@@ -73,23 +68,17 @@ class TimeBeacon:
 class SyncParticipant:
     """Timestamps beacon receptions and reports them."""
 
-    def __init__(
-        self,
-        api: DiffusionRouting,
-        clock: NodeClock,
-        beacon_type: str = BEACON_TYPE,
-        observation_type: str = OBSERVATION_TYPE,
-    ) -> None:
+    def __init__(self, api: DiffusionRouting, clock: NodeClock) -> None:
         self.api = api
         self.clock = clock
         self.observations: Dict[int, float] = {}  # beacon seq -> local rx time
         beacon_sub = (
-            AttributeVector.builder().eq(Key.TYPE, beacon_type).build()
+            AttributeVector.builder().eq(Key.TYPE, BEACON_TYPE).build()
         )
         api.subscribe(beacon_sub, self._on_beacon)
         self._publication = api.publish(
             AttributeVector.builder()
-            .actual(Key.TYPE, observation_type)
+            .actual(Key.TYPE, OBSERVATION_TYPE)
             .actual(Key.INSTANCE, f"node-{api.node_id}")
             .build()
         )
@@ -115,17 +104,13 @@ class SyncParticipant:
 class SyncCoordinator:
     """Estimates pairwise offsets from shared beacon observations."""
 
-    def __init__(
-        self,
-        api: DiffusionRouting,
-        observation_type: str = OBSERVATION_TYPE,
-    ) -> None:
+    def __init__(self, api: DiffusionRouting) -> None:
         self.api = api
         # beacon seq -> {node id: local rx time}
         self._by_beacon: Dict[int, Dict[int, float]] = defaultdict(dict)
         self.reports_received = 0
         sub = (
-            AttributeVector.builder().eq(Key.TYPE, observation_type).build()
+            AttributeVector.builder().eq(Key.TYPE, OBSERVATION_TYPE).build()
         )
         api.subscribe(sub, self._on_report)
 

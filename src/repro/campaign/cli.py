@@ -23,6 +23,7 @@ from repro.campaign.builtin import CAMPAIGNS, get_campaign, report_table
 from repro.campaign.pool import run_campaign
 from repro.campaign.progress import CampaignProgress
 from repro.campaign.store import ResultStore, default_store_root
+from repro.cliargs import non_negative_int, positive_float, positive_int
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -44,17 +45,17 @@ def build_parser() -> argparse.ArgumentParser:
 
     run = sub.add_parser("run", help="run (or resume) a campaign")
     add_common(run)
-    run.add_argument("--jobs", type=int, default=1,
+    run.add_argument("--jobs", type=positive_int, default=1,
                      help="worker processes (1 = in-process serial)")
-    run.add_argument("--timeout", type=float, default=None,
+    run.add_argument("--timeout", type=positive_float, default=None,
                      help="per-trial wall-clock limit in seconds (jobs > 1)")
-    run.add_argument("--retries", type=int, default=1,
+    run.add_argument("--retries", type=non_negative_int, default=1,
                      help="re-submissions after a crash or exception")
     run.add_argument("--force", action="store_true",
                      help="ignore cached results and re-run every trial")
     run.add_argument("--log", default=None,
                      help="write a JSONL campaign log to this path")
-    run.add_argument("--max-trials", type=int, default=None,
+    run.add_argument("--max-trials", type=non_negative_int, default=None,
                      help="execute at most N trials this invocation")
 
     status = sub.add_parser("status", help="cached vs pending trial counts")

@@ -42,17 +42,7 @@ def _run_trial(trial: str, params: Dict[str, Any], seed: int) -> Tuple[Any, floa
     with use_registry() as registry:
         result = resolve_trial(trial)(dict(params), seed)
     if isinstance(result, dict) and not registry.empty:
-        existing = result.get("metrics")
-        if isinstance(existing, dict):
-            # The trial attached its own snapshot (a sharded trial's
-            # merged worker metrics, say): fold the registry into it
-            # instead of silently discarding one of the two.
-            merged = type(registry)()
-            merged.merge(existing)
-            merged.merge(registry.snapshot())
-            result["metrics"] = merged.snapshot()
-        else:
-            result["metrics"] = registry.snapshot()
+        result["metrics"] = registry.snapshot()
     return result, time.perf_counter() - start, time.process_time() - cpu_start
 
 

@@ -12,7 +12,6 @@ to the experiment harness itself.
 from __future__ import annotations
 
 import json
-import sys
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, TextIO, Union
@@ -29,12 +28,10 @@ class CampaignProgress:
         trace: Optional[TraceBus] = None,
         log_path: Optional[Union[str, Path]] = None,
         echo: bool = False,
-        stream: Optional[TextIO] = None,
     ) -> None:
         self.campaign = campaign
         self.trace = trace or TraceBus()
         self.echo = echo
-        self.stream = stream or sys.stdout
         self._log: Optional[TextIO] = (
             Path(log_path).open("w") if log_path is not None else None
         )
@@ -55,10 +52,7 @@ class CampaignProgress:
         self.jobs = max(1, jobs)
         self._emit("campaign.begin", total=total, jobs=self.jobs)
         if self.echo:
-            print(
-                f"[{self.campaign}] {total} trials (jobs={self.jobs})",
-                file=self.stream,
-            )
+            print(f"[{self.campaign}] {total} trials (jobs={self.jobs})")
 
     def record(self, outcome: "TrialOutcome") -> None:  # noqa: F821
         if outcome.status == "done":
@@ -89,8 +83,7 @@ class CampaignProgress:
             print(
                 f"[{self.campaign}] {outcome.status:<7} "
                 f"trial {outcome.spec.index} "
-                f"({outcome.elapsed:.2f}s; {pending} pending{eta_text})",
-                file=self.stream,
+                f"({outcome.elapsed:.2f}s; {pending} pending{eta_text})"
             )
 
     def finish(self, interrupted: bool = False) -> None:
@@ -101,8 +94,7 @@ class CampaignProgress:
                 f"[{self.campaign}] done={snap['done']} "
                 f"cached={snap['cached']} failed={snap['failed']} "
                 f"pending={snap['pending']} "
-                f"wall={snap['wall_time']:.2f}s cpu={snap['cpu_time']:.2f}s",
-                file=self.stream,
+                f"wall={snap['wall_time']:.2f}s cpu={snap['cpu_time']:.2f}s"
             )
         if self._log is not None:
             self._log.close()

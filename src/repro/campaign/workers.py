@@ -84,21 +84,12 @@ class WorkerCrew:
     context-manager exit).
     """
 
-    def __init__(
-        self,
-        size: int,
-        target: str,
-        start_method: Optional[str] = None,
-    ) -> None:
+    def __init__(self, size: int, target: str) -> None:
         if size < 1:
             raise ValueError("crew size must be >= 1")
         self.size = size
         self.target = target
-        self._ctx = (
-            multiprocessing.get_context(start_method)
-            if start_method is not None
-            else multiprocessing.get_context()
-        )
+        self._ctx = multiprocessing.get_context()
         self._procs: List[Any] = []
         self._conns: List[Any] = []
         self._started = False

@@ -24,7 +24,7 @@ import enum
 import random
 import time
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import List
 
 from repro.naming import Attribute, Operator, two_way_match
 from repro.naming.keys import ClassValue, Key
@@ -104,8 +104,6 @@ def measure_matching(
     variant: MatchingVariant,
     set_b_size: int,
     iterations: int = 2000,
-    rng: random.Random = None,
-    clock: Callable[[], float] = time.perf_counter,
 ) -> MatchingMeasurement:
     """Time ``iterations`` two-way matches and normalize.
 
@@ -113,7 +111,7 @@ def measure_matching(
     — we shuffle once per measurement, as reordering inside the timed
     loop would measure the shuffle instead.
     """
-    rng = rng or random.Random(42)
+    rng = random.Random(42)
     set_a = build_set_a()
     set_b = build_set_b(set_b_size, variant)
     rng.shuffle(set_a)
@@ -125,10 +123,10 @@ def measure_matching(
         raise AssertionError(
             f"variant {variant} expected match={expected}, got {result}"
         )
-    start = clock()
+    start = time.perf_counter()
     for _ in range(iterations):
         two_way_match(set_a, set_b)
-    elapsed = clock() - start
+    elapsed = time.perf_counter() - start
     return MatchingMeasurement(
         variant=variant,
         set_b_size=set_b_size,

@@ -50,13 +50,17 @@ class MicroMessage:
         return ((self.origin & 0xFF) << 8) | (self.seq & 0xFF)
 
 
+#: seconds a mote's gradient outlives the interest that set it: two and
+#: a half interest intervals, so one lost refresh does not cut the path.
+GRADIENT_TTL = 150.0
+
+
 @dataclass
 class MicroConfig:
     """Static sizing, defaulting to the paper's mote build."""
 
     max_gradients: int = 5
     cache_packets: int = 10
-    gradient_ttl: float = 150.0
     interest_interval: float = 60.0
 
     def validate(self) -> None:
@@ -165,7 +169,7 @@ class MicroDiffusionNode:
         now = self.sim.now
         gradient = self._gradient_for(tag, neighbor)
         if gradient is not None:
-            gradient.expires_at = now + self.config.gradient_ttl
+            gradient.expires_at = now + GRADIENT_TTL
             return
         # Reap expired entries first; then evict the soonest-to-expire
         # if the static table is still full.
@@ -176,7 +180,7 @@ class MicroDiffusionNode:
             self.stats_gradient_evictions += 1
         self.gradients.append(
             _MicroGradient(tag=tag, neighbor=neighbor,
-                           expires_at=now + self.config.gradient_ttl)
+                           expires_at=now + GRADIENT_TTL)
         )
 
     def active_gradients(self, tag: int) -> List[int]:

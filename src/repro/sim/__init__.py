@@ -10,8 +10,6 @@ from repro.sim.kernel import Event, KernelProfiler, Simulator, SimulationError
 from repro.sim.metrics import (
     MetricsRegistry,
     NULL_REGISTRY,
-    TelemetrySampler,
-    TimeSeries,
     current_registry,
     use_registry,
 )
@@ -34,8 +32,6 @@ __all__ = [
     "make_rng",
     "MetricsRegistry",
     "NULL_REGISTRY",
-    "TelemetrySampler",
-    "TimeSeries",
     "current_registry",
     "use_registry",
     "FlightRecorder",

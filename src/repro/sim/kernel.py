@@ -423,17 +423,8 @@ class Simulator:
         return processed
 
     def _settle_gauges(self) -> None:
-        """Publish queue health to the metrics registry (run-loop exits
-        only, so per-event cost is zero)."""
+        """Publish queue health to the metrics registry.  Only a run
+        loop's exit does this, so per-event cost is zero and a snapshot
+        reads the queue as of the last exit."""
         self._m_processed.set(self.events_processed)
         self._m_pending.set(self.pending)
-
-    def sample_health(self) -> None:
-        """Refresh the queue-health gauges on demand.
-
-        The gauges normally settle only when a run loop exits; a
-        :class:`~repro.sim.metrics.TelemetrySampler` tick runs *inside*
-        the loop and calls this first so the sampled curves reflect the
-        queue as of the tick, not the previous window's exit.
-        """
-        self._settle_gauges()

@@ -1,13 +1,11 @@
-"""Metrics registry: counters, gauges, histograms, and time series.
+"""Metrics registry: counters, gauges and histograms.
 
 The paper's testbed could only answer "what happened" questions by
 grepping logs collected over a second wired network (Section 7).  The
 trace bus answers *event*-shaped questions; this module answers
 *aggregate*-shaped ones: how many fragments collided, how deep did MAC
-queues get, how many messages were dropped for want of a route — and,
-since the telemetry PR, *curve*-shaped ones: how those aggregates moved
-over simulated time (:class:`TimeSeries` + :class:`TelemetrySampler`)
-and where the tail of a distribution sits (:class:`Histogram` streaming
+queues get, how many messages were dropped for want of a route, and
+where the tail of a distribution sits (:class:`Histogram` streaming
 p50/p95/p99).
 
 Design rules, mirroring :meth:`TraceBus.emit`:
@@ -43,7 +41,6 @@ Design rules, mirroring :meth:`TraceBus.emit`:
 
 from __future__ import annotations
 
-from collections import deque
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
@@ -235,43 +232,6 @@ class Histogram:
         return self._quantiles[2].value
 
 
-class TimeSeries:
-    """A bounded ring of (sim time, value) samples — a curve, not a total.
-
-    The ring holds the *most recent* ``capacity`` samples, so long runs
-    keep a sliding window of recent history at fixed memory, exactly
-    like the flight recorder does for trace events.
-    """
-
-    __slots__ = ("capacity", "recorded", "_ring")
-
-    def __init__(self, capacity: int = 256) -> None:
-        if capacity < 1:
-            raise ValueError("TimeSeries capacity must be >= 1")
-        self.capacity = capacity
-        self.recorded = 0          # total ever recorded, beyond the ring
-        self._ring: deque = deque(maxlen=capacity)
-
-    def record(self, time: float, value: float) -> None:
-        self.recorded += 1
-        self._ring.append((time, value))
-
-    def samples(self) -> List[Tuple[float, float]]:
-        """The retained samples, oldest first."""
-        return list(self._ring)
-
-    @property
-    def last(self) -> Optional[Tuple[float, float]]:
-        return self._ring[-1] if self._ring else None
-
-    def extend(self, samples: List[Tuple[float, float]]) -> None:
-        """Fold foreign samples in, keeping time order and the bound
-        (used when per-shard snapshots merge into a parent registry)."""
-        merged = sorted(list(self._ring) + [tuple(s) for s in samples])
-        self.recorded += len(samples)
-        self._ring = deque(merged[-self.capacity:], maxlen=self.capacity)
-
-
 class _NullInstrument:
     """Shared do-nothing stand-in handed out by a disabled registry."""
 
@@ -285,23 +245,11 @@ class _NullInstrument:
     p50 = None
     p95 = None
     p99 = None
-    capacity = 0
-    recorded = 0
-    last = None
 
     def set(self, value: float) -> None:
         pass
 
     def observe(self, value: float) -> None:
-        pass
-
-    def record(self, time: float, value: float) -> None:
-        pass
-
-    def samples(self) -> List[Tuple[float, float]]:
-        return []
-
-    def extend(self, samples: List[Tuple[float, float]]) -> None:
         pass
 
 
@@ -326,19 +274,13 @@ class MetricsRegistry:
         self._counters: Dict[str, List[Reader]] = {}
         self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
-        self._timeseries: Dict[str, TimeSeries] = {}
 
     def __bool__(self) -> bool:
         return self.enabled
 
     @property
     def empty(self) -> bool:
-        return not (
-            self._counters
-            or self._gauges
-            or self._histograms
-            or self._timeseries
-        )
+        return not (self._counters or self._gauges or self._histograms)
 
     def counter(self, name: str, read: Reader, **labels: Any) -> None:
         """Register ``read`` under the counter ``name{labels}``, whose
@@ -365,15 +307,6 @@ class MetricsRegistry:
             return _NULL_INSTRUMENT  # type: ignore[return-value]
         return self._histograms.setdefault(_flat_name(name, labels), Histogram())
 
-    def timeseries(
-        self, name: str, capacity: int = 256, **labels: Any
-    ) -> TimeSeries:
-        if not self.enabled:
-            return _NULL_INSTRUMENT  # type: ignore[return-value]
-        return self._timeseries.setdefault(
-            _flat_name(name, labels), TimeSeries(capacity)
-        )
-
     def snapshot(self) -> Dict[str, Any]:
         """All instrument values as plain JSON-safe nested dicts."""
         return {
@@ -399,14 +332,6 @@ class MetricsRegistry:
                 }
                 for name, hist in sorted(self._histograms.items())
             },
-            "timeseries": {
-                name: {
-                    "capacity": series.capacity,
-                    "recorded": series.recorded,
-                    "samples": [[t, v] for t, v in series.samples()],
-                }
-                for name, series in sorted(self._timeseries.items())
-            },
         }
 
     def merge(self, snapshot: Dict[str, Any]) -> None:
@@ -423,8 +348,7 @@ class MetricsRegistry:
           quantile estimates as a count-weighted mean — approximate,
           since P² sketches cannot be merged exactly, but per-shard
           instruments carry ``shard=`` labels so cross-shard merging of
-          one histogram only happens for deliberately global names;
-        * time series interleave samples by time, keeping the bound.
+          one histogram only happens for deliberately global names.
         """
         if not self.enabled:
             return
@@ -432,8 +356,6 @@ class MetricsRegistry:
             self._counters.setdefault(name, []).append(_constant(value))
         for name, entry in snapshot.get("gauges", {}).items():
             gauge = self._gauges.setdefault(name, Gauge())
-            if not isinstance(entry, dict):   # pre-telemetry scalar form
-                entry = {"value": entry, "min": entry, "max": entry}
             gauge.value = entry.get("value", 0.0)
             for attr, fold in (("min", min), ("max", max)):
                 incoming = entry.get(attr)
@@ -491,13 +413,6 @@ class MetricsRegistry:
                     hist, attr,
                     incoming if current is None else fold(current, incoming),
                 )
-        for name, entry in snapshot.get("timeseries", {}).items():
-            series = self._timeseries.get(name)
-            if series is None:
-                series = self._timeseries.setdefault(
-                    name, TimeSeries(entry.get("capacity", 256))
-                )
-            series.extend([tuple(s) for s in entry.get("samples", [])])
 
     def format(self) -> str:
         """A human-readable dump, one instrument per line."""
@@ -517,96 +432,7 @@ class MetricsRegistry:
                 + (f" p50={hist.p50:.3f} p95={p95:.3f}" if p95 is not None
                    else "")
             )
-        for name, series in sorted(self._timeseries.items()):
-            last = series.last
-            lines.append(
-                f"{name:<44} samples={series.recorded} "
-                + (f"last={last[1]:g}@t={last[0]:.3f}" if last else "empty")
-            )
         return "\n".join(lines)
-
-
-class TelemetrySampler:
-    """A kernel-scheduled periodic event that turns totals into curves.
-
-    Every ``interval`` simulated seconds the sampler walks the
-    registry's counters and gauges and appends ``(now, value)`` to a
-    same-named :class:`TimeSeries` ring — so delivery counts, MAC queue
-    depths, active transmitters, and energy draw become plottable
-    curves instead of end-of-run numbers.  Extra probes (anything
-    callable) attach via :meth:`track`.
-
-    Cost model: one event per interval, O(instruments) dict walk per
-    tick, zero allocations beyond the bounded rings — and a no-op under
-    :data:`NULL_REGISTRY` (``start`` refuses to schedule).  The sampler
-    only *reads* simulation state, consumes no RNG, and schedules at
-    default priority, so a sampled run's outcome is bit-identical to an
-    unsampled one.
-    """
-
-    def __init__(
-        self,
-        sim,
-        registry: Optional[MetricsRegistry] = None,
-        interval: float = 1.0,
-        capacity: int = 256,
-    ) -> None:
-        if interval <= 0:
-            raise ValueError("sampler interval must be positive")
-        self.sim = sim
-        self.registry = (
-            registry if registry is not None else current_registry()
-        )
-        self.interval = interval
-        self.capacity = capacity
-        self.ticks = 0
-        self._probes: List[Tuple[TimeSeries, Callable[[], float]]] = []
-        self._event = None
-
-    def track(self, name: str, source, **labels: Any) -> TimeSeries:
-        """Sample ``source`` (a callable, or anything with ``.value``)
-        into the named time series on every tick."""
-        series = self.registry.timeseries(
-            name, capacity=self.capacity, **labels
-        )
-        probe = source if callable(source) else (lambda: source.value)
-        self._probes.append((series, probe))
-        return series
-
-    def start(self) -> "TelemetrySampler":
-        """Schedule the periodic sampling event (no-op when disabled)."""
-        if self.registry.enabled and self._event is None:
-            self._event = self.sim.schedule(
-                self.interval, self._tick, name="telemetry.sample"
-            )
-        return self
-
-    def stop(self) -> None:
-        if self._event is not None:
-            self._event.cancel()
-            self._event = None
-
-    def _tick(self) -> None:
-        self.ticks += 1
-        now = self.sim.now
-        registry = self.registry
-        capacity = self.capacity
-        # Refresh the kernel's queue-health gauges mid-run so their
-        # curves exist (they normally settle only at run-loop exit).
-        sample_health = getattr(self.sim, "sample_health", None)
-        if sample_health is not None:
-            sample_health()
-        for name, value in registry._counter_values().items():
-            registry.timeseries(name, capacity=capacity).record(now, value)
-        for name, gauge in registry._gauges.items():
-            registry.timeseries(name, capacity=capacity).record(
-                now, gauge.value
-            )
-        for series, probe in self._probes:
-            series.record(now, float(probe()))
-        self._event = self.sim.schedule(
-            self.interval, self._tick, name="telemetry.sample"
-        )
 
 
 #: the disabled registry components fall back to when none is active

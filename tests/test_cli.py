@@ -224,3 +224,26 @@ class TestCampaignCli:
     def test_unknown_subcommand_prints_help(self, capsys):
         assert main(["campaign"]) == 2
         assert "usage" in capsys.readouterr().out.lower()
+
+    @pytest.mark.parametrize("args, message", [
+        # ran every trial but the last, then reported one pending
+        (["--max-trials", "-1"], "--max-trials: must be at least 0"),
+        # marked a trial that finished at once as a timeout
+        (["--timeout", "-1", "--jobs", "2"], "--timeout: must be positive"),
+        # silently meant no retry
+        (["--retries", "-5"], "--retries: must be at least 0"),
+        # these two silently ran serially
+        (["--jobs", "0"], "--jobs: must be positive"),
+        ("experiments --only model --jobs -2".split(),
+         "--jobs: must be positive"),
+    ])
+    def test_out_of_range_numeric_flag_is_a_usage_error(
+        self, capsys, tmp_path, args, message
+    ):
+        if args[0] != "experiments":
+            args = ["campaign", "run", "demo", "--quick",
+                    "--store", str(tmp_path / "store")] + args
+        with pytest.raises(SystemExit) as exit_info:
+            main(args)
+        assert exit_info.value.code == 2
+        assert message in capsys.readouterr().err

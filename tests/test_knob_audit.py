@@ -1,14 +1,15 @@
-"""Every knob of the simulation stack has a caller, and every public
-name in ``src/repro`` is reached by a run.
+"""Every knob in ``src/repro`` has a caller, and every public name
+there is reached by a run.
 
 ``scripts/knob_audit.py`` lists each defaulted parameter or config
-field of the stack packages that no run, test, benchmark or ``perf/``
-workload sets, and each public module-level function or class that
-nothing outside ``tests/`` and ``examples/`` refers to.  Such a knob is
-one more configuration to account for with no one asking for it: it
-becomes the constant it always is.  Such a name is code no run
-executes: it gets a caller or goes.  What the script may still print is the allowlist
-below, one reason per entry; a new finding fails here.
+field of any package under ``src/repro`` that no run, test, benchmark
+or ``perf/`` workload sets, and each public module-level function or
+class that nothing outside ``tests/`` and ``examples/`` refers to.
+Such a knob is one more configuration to account for with no one
+asking for it: it becomes the constant it always is.  Such a name is
+code no run executes: it gets a caller or goes.  What the script may
+still print is the allowlist below, one reason per entry; a new
+finding fails here.
 """
 
 import subprocess
@@ -18,19 +19,16 @@ from pathlib import Path
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "knob_audit.py"
 
-#: findings that stay, and why.
+#: findings that stay, and why.  The audit covers every package under
+#: ``src/repro``, walked from the directory tree, not a list of them.
 ALLOWED = {
     "repro.link.frag:Fragment(link_src)": (
         "a field of the fragment record the process transport pickles; "
         "dropping it shrinks shard.exchange_bytes, which "
         "tests/test_metrics_snapshot.py pins"
     ),
-    "repro.sim.metrics:TelemetrySampler": (
-        "the periodic metrics sampler; the one run report (ROADMAP item "
-        "1) decides whether a run reaches it"
-    ),
     "repro.radio.dynamics:RandomWaypointMobility": (
-        "the composition fuzzer's moves=waypoint (ROADMAP item 8(a)) and "
+        "the composition fuzzer's moves=waypoint (ROADMAP item 10(a)) and "
         "a fixture of the ReferenceChannel equivalence suite"
     ),
     "repro.radio.propagation:TablePropagation": (
@@ -57,6 +55,13 @@ ALLOWED = {
         "the reader through which tests check campaign run --log"
     ),
 }
+
+
+def _write_tree(root: Path, files: dict) -> None:
+    for name, text in files.items():
+        path = root / name
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text(textwrap.dedent(text))
 
 
 def _audit(script: Path) -> list:
@@ -124,12 +129,35 @@ def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
                 return from_example()
         """,
     }
-    for name, text in files.items():
-        path = tmp_path / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(textwrap.dedent(text))
+    _write_tree(tmp_path, files)
     assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
         "repro.demo:from_example",
         "repro.demo:in_docstring",
         "repro.demo:only_tests",
+    ]
+
+
+def test_knobs_in_every_package_are_audited(tmp_path):
+    """An unset knob in an application package is printed as one in a
+    stack package is: the scope is every package the tree holds."""
+    _write_tree(tmp_path, {
+        "scripts/knob_audit.py": SCRIPT.read_text(),
+        "src/repro/__init__.py": "",
+        "src/repro/apps/__init__.py": "",
+        "src/repro/apps/sensor.py": """
+            class Sensor:
+                def __init__(self, rate=6.0, size=112):
+                    self.rate = rate
+                    self.size = size
+        """,
+        "benchmarks/test_sensor.py": """
+            from repro.apps.sensor import Sensor
+
+
+            def test_sensor():
+                assert Sensor(rate=2.0).size == 112
+        """,
+    })
+    assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
+        "repro.apps.sensor:Sensor(size)",
     ]

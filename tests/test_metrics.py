@@ -5,9 +5,6 @@ import pytest
 from repro.sim import (
     MetricsRegistry,
     NULL_REGISTRY,
-    Simulator,
-    TelemetrySampler,
-    TimeSeries,
     current_registry,
     use_registry,
 )
@@ -79,115 +76,6 @@ class TestInstruments:
         assert run() == run()
 
 
-class TestTimeSeries:
-    def test_records_and_returns_samples(self):
-        series = TimeSeries(capacity=8)
-        series.record(1.0, 10.0)
-        series.record(2.0, 20.0)
-        assert series.samples() == [(1.0, 10.0), (2.0, 20.0)]
-        assert series.last == (2.0, 20.0)
-        assert series.recorded == 2
-
-    def test_ring_is_bounded_keeping_newest(self):
-        series = TimeSeries(capacity=3)
-        for i in range(10):
-            series.record(float(i), float(i * i))
-        assert series.recorded == 10
-        assert series.samples() == [(7.0, 49.0), (8.0, 64.0), (9.0, 81.0)]
-
-    def test_extend_interleaves_by_time(self):
-        series = TimeSeries(capacity=4)
-        series.record(1.0, 1.0)
-        series.record(3.0, 3.0)
-        series.extend([(2.0, 2.0), (4.0, 4.0)])
-        assert series.samples() == [
-            (1.0, 1.0), (2.0, 2.0), (3.0, 3.0), (4.0, 4.0)
-        ]
-
-    def test_capacity_must_be_positive(self):
-        with pytest.raises(ValueError):
-            TimeSeries(capacity=0)
-
-    def test_registry_memoizes_timeseries(self):
-        registry = MetricsRegistry()
-        assert registry.timeseries("x") is registry.timeseries("x")
-        assert "x" in registry.snapshot()["timeseries"]
-
-
-class TestTelemetrySampler:
-    def test_samples_counters_and_gauges_on_sim_time(self):
-        with use_registry() as registry:
-            sim = Simulator()
-            sent = {"n": 0}
-            registry.counter("sent", lambda: sent["n"])
-            depth = registry.gauge("depth")
-            sampler = TelemetrySampler(sim, interval=1.0).start()
-            for i in range(5):
-                sim.schedule(
-                    i + 0.5,
-                    lambda i=i: (sent.update(n=sent["n"] + 1), depth.set(i)),
-                )
-            sim.run(until=5.0)
-        snap = registry.snapshot()
-        assert sampler.ticks == 5
-        sent_curve = snap["timeseries"]["sent"]["samples"]
-        assert [t for t, _v in sent_curve] == [1.0, 2.0, 3.0, 4.0, 5.0]
-        assert [v for _t, v in sent_curve] == [1, 2, 3, 4, 5]
-        assert [v for _t, v in snap["timeseries"]["depth"]["samples"]] == [
-            0, 1, 2, 3, 4
-        ]
-        # The kernel's queue-health gauges were refreshed mid-run.
-        assert snap["timeseries"]["kernel.events_processed"]["samples"]
-
-    def test_custom_probe_via_track(self):
-        with use_registry() as registry:
-            sim = Simulator()
-            sampler = TelemetrySampler(sim, interval=2.0)
-            state = {"level": 100.0}
-            sampler.track("battery", lambda: state["level"])
-            sampler.start()
-            sim.schedule(3.0, lambda: state.update(level=40.0))
-            sim.run(until=6.0)
-        curve = registry.snapshot()["timeseries"]["battery"]["samples"]
-        assert curve == [[2.0, 100.0], [4.0, 40.0], [6.0, 40.0]]
-
-    def test_noop_under_null_registry(self):
-        sim = Simulator()
-        sampler = TelemetrySampler(sim, registry=NULL_REGISTRY).start()
-        sim.schedule(0.5, lambda: None)
-        sim.run(until=10.0)
-        assert sampler.ticks == 0
-        assert sim.events_processed == 1  # no telemetry.sample events ran
-
-    def test_sampling_does_not_perturb_event_outcomes(self):
-        """A sampled run executes the same application events in the
-        same order as an unsampled one."""
-        def run(sampled):
-            order = []
-            with use_registry():
-                sim = Simulator()
-                for i in range(20):
-                    sim.schedule(0.1 + (i * 7 % 10), order.append, i)
-                if sampled:
-                    TelemetrySampler(sim, interval=0.5).start()
-                sim.run(until=12.0)
-            return order
-
-        assert run(True) == run(False)
-
-    def test_stop_cancels_future_ticks(self):
-        with use_registry():
-            sim = Simulator()
-            sampler = TelemetrySampler(sim, interval=1.0).start()
-            sim.schedule(2.5, sampler.stop)
-            sim.run(until=10.0)
-        assert sampler.ticks == 2
-
-    def test_bad_interval_rejected(self):
-        with pytest.raises(ValueError):
-            TelemetrySampler(Simulator(), interval=0.0)
-
-
 class TestMerge:
     def test_counters_add_and_gauges_fold_extrema(self):
         a = MetricsRegistry()
@@ -219,34 +107,16 @@ class TestMerge:
         assert hist.max == 20.0
         assert hist.p50 is not None
 
-    def test_timeseries_interleave(self):
-        a = MetricsRegistry()
-        b = MetricsRegistry()
-        a.timeseries("q").record(1.0, 1.0)
-        b.timeseries("q").record(0.5, 0.5)
-        b.timeseries("q").record(2.0, 2.0)
-        a.merge(b.snapshot())
-        assert a.timeseries("q").samples() == [
-            (0.5, 0.5), (1.0, 1.0), (2.0, 2.0)
-        ]
-
     def test_merge_into_disabled_registry_is_noop(self):
         src = MetricsRegistry()
         src.counter("x", lambda: 1)
         NULL_REGISTRY.merge(src.snapshot())
         assert NULL_REGISTRY.empty
 
-    def test_merge_accepts_pre_telemetry_scalar_gauges(self):
-        a = MetricsRegistry()
-        a.merge({"gauges": {"depth": 7}})
-        assert a.gauge("depth").value == 7
-        assert a.gauge("depth").max == 7
-
     def test_merged_snapshot_round_trips(self):
         a = MetricsRegistry()
         a.counter("tx", lambda: 2)
         a.histogram("h").observe(1.0)
-        a.timeseries("s").record(1.0, 2.0)
         fresh = MetricsRegistry()
         fresh.merge(a.snapshot())
         assert fresh.snapshot() == a.snapshot()
@@ -334,7 +204,7 @@ class TestSnapshot:
         assert snap["gauges"] == {"depth": {"value": 4, "min": 4, "max": 4}}
         assert snap["histograms"]["lat"]["count"] == 1
         assert snap["histograms"]["lat"]["mean"] == 0.5
-        assert snap["timeseries"] == {}
+        assert list(snap) == ["counters", "gauges", "histograms"]
 
     def test_labels_flattened_into_names(self):
         registry = MetricsRegistry()
