@@ -8,7 +8,9 @@
 # with `repro report` over one of its store entries, a `repro run
 # --trace` / `trace summarize|paths` smoke over the run and
 # observability CLIs, the micro section's tiered mote build, the
-# `tracking` preset, a refused non-boolean flag, a refused negative
+# `tracking` preset under `python -S` (site-packages off: the CLI runs
+# on the standard library alone, as the package declares no runtime
+# dependency), a refused non-boolean flag, a refused negative
 # `campaign run --max-trials`, and the
 # flight-recorder postmortem of a `repro run` whose invariant is made
 # to break.  Among what the suite pins: the radio's fast path against
@@ -58,8 +60,9 @@ micro="$(python -m repro experiments --quick --only micro)"
 grep -q "interests bridged down: 1" <<<"$micro" \
     || { echo "experiments --only micro bridged no interest" >&2; exit 1; }
 
-# The tracking preset (Section 5.3's fusion filter) reports its track.
-tracking="$(python -m repro run tracking)"
+# The tracking preset (Section 5.3's fusion filter) reports its track,
+# with site-packages off: the CLI path needs the standard library only.
+tracking="$(python -S -m repro run tracking)"
 grep -q "mean_error: [0-9]" <<<"$tracking" \
     || { echo "run tracking printed no mean error" >&2; exit 1; }
 

@@ -9,11 +9,11 @@ The package implements the paper's full software architecture:
   reinforcement — with the publish/subscribe and filter APIs
   (:mod:`repro.core`);
 * in-network processing filters: aggregation/suppression, counting
-  aggregation, logging, GEAR-style geographic pruning
+  aggregation, GEAR-style geographic pruning
   (:mod:`repro.filters`);
 * micro-diffusion and the tiered gateway (:mod:`repro.micro`);
 * the simulated substrate standing in for the PC/104 testbed: event
-  kernel, radio channel, CSMA/TDMA MACs, fragmentation, energy model
+  kernel, radio channel, CSMA MAC, fragmentation, energy model
   (:mod:`repro.sim`, :mod:`repro.radio`, :mod:`repro.mac`,
   :mod:`repro.link`, :mod:`repro.energy`);
 * the ISI 14-node testbed and experiment harnesses regenerating every

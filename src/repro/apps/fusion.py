@@ -24,7 +24,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.core.api import DiffusionRouting
 from repro.core.filter_api import FilterHandle, GRADIENT_FILTER_PRIORITY
-from repro.core.messages import Message
+from repro.core.messages import Message, MessageType
 from repro.core.node import DiffusionNode
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
@@ -187,9 +187,7 @@ class FusionFilter:
         if None in (epoch, confidence, x, y):
             self.node.send_message(message, handle)
             return
-        from repro.core.messages import MessageType as _MT
-
-        exploratory = message.msg_type is _MT.EXPLORATORY_DATA
+        exploratory = message.msg_type is MessageType.EXPLORATORY_DATA
         epoch = int(epoch)
         observation = (float(x), float(y), float(confidence))
         if epoch in self._done:

@@ -269,7 +269,6 @@ def _arm_transfer(
         max_quiet_timeout=20.0,
         reliable=custody,
         rng=make_rng(seed, "dtn:receiver") if custody else None,
-        persistent=custody,
     )
     if flag(p, "caches"):
         for node_id in network.node_ids():

@@ -19,12 +19,9 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
-_derive_seed = derive_seed  # historical private name
-
-
 def make_rng(root_seed: int, label: str) -> random.Random:
     """Return an independent RNG stream named ``label``."""
-    return random.Random(_derive_seed(root_seed, label))
+    return random.Random(derive_seed(root_seed, label))
 
 
 class SeedSequence:
@@ -43,4 +40,4 @@ class SeedSequence:
 
     def child(self, label: Union[str, int]) -> "SeedSequence":
         """Derive a nested sequence, e.g. per-node seeders."""
-        return SeedSequence(_derive_seed(self.root_seed, f"child:{label}"))
+        return SeedSequence(derive_seed(self.root_seed, f"child:{label}"))

@@ -13,11 +13,18 @@ calibration claims are checkable rather than folklore:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
-
-import networkx as nx
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.radio.topology import Topology
+from repro.testbed.isi import (
+    FIG8_SINK,
+    FIG8_SOURCES,
+    FIG9_AUDIO,
+    FIG9_LIGHTS,
+    FIG9_USER,
+    isi_propagation,
+    isi_testbed_topology,
+)
 
 #: links below this PRR are not usable for multi-fragment messages
 USABLE_PRR = 0.5
@@ -59,14 +66,26 @@ def link_reports(topology: Topology, propagation) -> List[LinkReport]:
     return reports
 
 
-def usable_graph(topology: Topology, propagation) -> "nx.Graph":
-    """Undirected graph over links usable in both directions."""
-    graph = nx.Graph()
-    graph.add_nodes_from(topology.node_ids())
+def usable_graph(topology: Topology, propagation) -> Dict[int, Set[int]]:
+    """Each node's neighbours over links usable in both directions."""
+    graph: Dict[int, Set[int]] = {n: set() for n in topology.node_ids()}
     for report in link_reports(topology, propagation):
         if report.usable:
-            graph.add_edge(report.a, report.b)
+            graph[report.a].add(report.b)
+            graph[report.b].add(report.a)
     return graph
+
+
+def _hop_map(graph: Dict[int, Set[int]], source: int) -> Dict[int, int]:
+    """Breadth-first hop count from ``source`` to every node it reaches."""
+    hops = {source: 0}
+    queue = [source]
+    for node in queue:
+        for neighbour in graph[node]:
+            if neighbour not in hops:
+                hops[neighbour] = hops[node] + 1
+                queue.append(neighbour)
+    return hops
 
 
 @dataclass
@@ -88,16 +107,14 @@ def summarize(
 ) -> CalibrationSummary:
     reports = link_reports(topology, propagation)
     graph = usable_graph(topology, propagation)
-    connected = (
-        graph.number_of_nodes() > 0 and nx.is_connected(graph)
+    hop_maps = {node: _hop_map(graph, node) for node in graph}
+    # An empty graph is not connected; one node is, at diameter 0.
+    connected = {len(m) for m in hop_maps.values()} == {len(graph)}
+    diameter = (
+        max(max(m.values()) for m in hop_maps.values()) if connected else None
     )
-    diameter = nx.diameter(graph) if connected else None
-    hops: Dict[Tuple[int, int], Optional[int]] = {}
-    for a, b in pairs_of_interest:
-        try:
-            hops[(a, b)] = nx.shortest_path_length(graph, a, b)
-        except (nx.NetworkXNoPath, nx.NodeNotFound):
-            hops[(a, b)] = None
+    # No path, or an absent node, gives no hop count.
+    hops = {(a, b): hop_maps.get(a, {}).get(b) for a, b in pairs_of_interest}
     return CalibrationSummary(
         node_count=len(topology),
         usable_links=sum(1 for r in reports if r.usable),
@@ -124,13 +141,7 @@ def validate_isi(seed: int = 1) -> Dict[str, bool]:
     )
 
     topology = isi_testbed_topology()
-    propagation = DistancePropagation(
-        topology,
-        full_range=ISI_FULL_RANGE,
-        max_range=ISI_MAX_RANGE,
-        asymmetry=0.10,
-        seed=seed,
-    )
+    propagation = isi_propagation(topology, seed)
     pairs = [(source, FIG8_SINK) for source in FIG8_SOURCES]
     pairs += [(light, FIG9_AUDIO) for light in FIG9_LIGHTS]
     pairs.append((FIG9_AUDIO, FIG9_USER))

@@ -65,7 +65,6 @@ class BlockReceiver:
         max_quiet_timeout: float = 30.0,
         reliable: bool = False,
         rng=None,
-        persistent: bool = False,
     ) -> None:
         self.api = api
         self.object_id = object_id
@@ -75,16 +74,14 @@ class BlockReceiver:
         self.max_quiet_timeout = max_quiet_timeout
         # DTN mode: acknowledge received blocks (releases sender timers
         # and network custody), jitter the NACK schedule from the
-        # per-node rng stream, and — with ``persistent`` — keep probing
-        # at the capped cadence instead of failing permanently, so the
-        # transfer outlives connectivity gaps.
+        # per-node rng stream, and keep probing at the capped cadence
+        # instead of failing permanently, so the transfer outlives
+        # connectivity gaps.
         self.reliable = reliable
         self.rng = rng
-        self.persistent = persistent
-        if (reliable or persistent) and rng is None:
+        if reliable and rng is None:
             raise ValueError(
-                "reliable/persistent require a per-node rng "
-                "(make_rng stream)"
+                "reliable requires a per-node rng (make_rng stream)"
             )
         self.stats = stats = TransferStats(object_id=object_id)
         self.acks_sent = 0
@@ -165,12 +162,11 @@ class BlockReceiver:
             self.max_quiet_timeout,
             self.quiet_timeout * NACK_BACKOFF ** self.stats.repair_rounds,
         )
-        if self.rng is not None:
+        if self.reliable:
             # Seed-deterministic jitter desynchronizes co-located
             # receivers' NACK rounds (DTN mode only; the legacy path
             # draws nothing and stays bit-identical).
-            jitter = RETRY_JITTER if self.reliable else 0.25
-            timeout += self.rng.uniform(0.0, jitter * timeout)
+            timeout += self.rng.uniform(0.0, RETRY_JITTER * timeout)
         return timeout
 
     def _arm_quiet_timer(self) -> None:
@@ -188,10 +184,10 @@ class BlockReceiver:
             self._finish()
             return
         if self.stats.repair_rounds >= self.max_repair_rounds:
-            if not self.persistent:
+            if not self.reliable:
                 self._failed = True
                 return
-            # Persistent (DTN) mode: the transfer outlives connectivity
+            # Reliable (DTN) mode: the transfer outlives connectivity
             # gaps — keep probing at the capped cadence so a healed
             # partition or an arriving data mule finds live demand.
         self.stats.repair_rounds += 1

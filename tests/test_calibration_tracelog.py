@@ -1,5 +1,10 @@
 """Tests for the calibration reports and trace logging tools."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.analysis.tracelog import (
@@ -53,8 +58,8 @@ class TestLinkReports:
             topo.add_node(i, x, 0.0)
         prop = DistancePropagation(topo, asymmetry=0.0)
         graph = usable_graph(topo, prop)
-        assert graph.has_edge(0, 1)
-        assert not graph.has_edge(0, 2)
+        assert 1 in graph[0]
+        assert 2 not in graph[0]
         summary = summarize(topo, prop, pairs_of_interest=[(0, 3)])
         assert summary.connected
         assert summary.diameter_hops == 3
@@ -65,10 +70,48 @@ class TestLinkReports:
         topo.add_node(1, 0.0, 0.0)
         topo.add_node(2, 500.0, 0.0)
         prop = DistancePropagation(topo)
-        summary = summarize(topo, prop, pairs_of_interest=[(1, 2)])
+        # (1, 9) and (9, 1) name a node the topology does not have.
+        pairs = [(1, 2), (1, 9), (9, 1)]
+        summary = summarize(topo, prop, pairs_of_interest=pairs)
         assert not summary.connected
         assert summary.diameter_hops is None
-        assert summary.hop_counts[(1, 2)] is None
+        assert summary.hop_counts == dict.fromkeys(pairs)
+
+    def test_one_node_summary(self):
+        topo = Topology()
+        topo.add_node(1, 0.0, 0.0)
+        summary = summarize(topo, DistancePropagation(topo), [(1, 1)])
+        assert summary.connected
+        assert summary.diameter_hops == 0
+        assert summary.hop_counts[(1, 1)] == 0
+
+
+#: imports every module of the package, then checks the testbed text
+STDLIB_ONLY = """
+import importlib, pkgutil, repro
+from repro.testbed.calibration import validate_isi
+for module in pkgutil.walk_packages(repro.__path__, "repro."):
+    if not module.name.endswith("__main__"):
+        importlib.import_module(module.name)
+for seed in (1, 2, 3):
+    checks = validate_isi(seed)
+    assert all(checks.values()), (seed, checks)
+print("ok")
+"""
+
+
+def test_runs_on_the_standard_library_alone():
+    """With site-packages off (``-S``) every module still imports and
+    the ISI calibration still holds: the package has no runtime
+    dependency."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", STDLIB_ONLY], env=env,
+        capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "ok\n"
 
 
 class TestIsiValidation:

@@ -48,7 +48,6 @@ def armed_transfer(nodes=4, seed=5, payload_bytes=1024, plan=None,
         max_quiet_timeout=20.0,
         reliable=reliability,
         rng=make_rng(seed, "dtn:receiver") if reliability else None,
-        persistent=reliability,
     )
     sender = BlockSender(
         network.api(source),
