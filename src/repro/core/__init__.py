@@ -9,7 +9,7 @@ the filter API (Figure 5); both are facades over
 
 from repro.core.config import DiffusionConfig
 from repro.core.messages import Message, MessageType
-from repro.core.gradient import Gradient, GradientTable, InterestEntry
+from repro.core.gradient import GradientTable, InterestEntry
 from repro.core.cache import DataCache
 from repro.core.filter_api import Filter, FilterHandle, GRADIENT_FILTER_PRIORITY
 from repro.core.node import DiffusionNode
@@ -19,7 +19,6 @@ __all__ = [
     "DiffusionConfig",
     "Message",
     "MessageType",
-    "Gradient",
     "GradientTable",
     "InterestEntry",
     "DataCache",

@@ -2,8 +2,9 @@
 
 "The core diffusion mechanism uses the cache to suppress duplicate
 messages and prevent loops" (Section 3.1).  Entries are message
-identities (origin, msg_id); capacity-bounded FIFO with time expiry so
-micro-diffusion can run it in a 10-entry footprint.
+identities (origin, msg_id); capacity-bounded LRU with time expiry so
+micro-diffusion can run it in a 10-entry footprint.  A hit moves a key
+to the back of the eviction order without extending its expiry.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from typing import Hashable
 
 
 class DataCache:
-    """Bounded seen-set with per-entry expiry."""
+    """Bounded seen-set with per-entry expiry, evicting the least
+    recently seen key beyond ``capacity``."""
 
     def __init__(self, capacity: int = 512, timeout: float = 60.0) -> None:
         if capacity < 1:

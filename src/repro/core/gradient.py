@@ -6,45 +6,27 @@ the status of that demand."
 
 The table is keyed by interest digest.  Each entry tracks:
 
-* plain gradients — one per neighbor the interest arrived from, with an
-  expiry refreshed by interest re-floods;
-* reinforced gradients — per (data origin, neighbor) pairs created by
-  positive reinforcement, used to forward non-exploratory data;
+* plain gradients — neighbor -> expiry time, one per neighbor the
+  interest arrived from, refreshed by interest re-floods;
+* reinforced gradients — (data origin, neighbor) -> expiry time,
+  created by positive reinforcement, used to forward non-exploratory
+  data;
 * upstream pointers — per data origin, the neighbor that delivered the
   first copy of the newest exploratory message, along which
   reinforcements propagate toward that source.
+
+A gradient is a direction and the status of a demand: the key names
+the neighbor, the expiry float is the status.  Held as numbers, the
+two gradient dicts are containers CPython's cycle collector untracks,
+so a large run's thousands of gradients cost its full passes nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.naming import AttributeVector, MatchIndex
-
-
-@dataclass
-class Gradient:
-    """Demand from one neighbor for one interest."""
-
-    neighbor: int
-    expires_at: float
-    interval: Optional[float] = None  # requested data interval, if any
-
-    def active(self, now: float) -> bool:
-        return self.expires_at > now
-
-
-@dataclass
-class ReinforcedGradient:
-    """A reinforced downstream hop for (interest, data origin)."""
-
-    neighbor: int
-    data_origin: int
-    expires_at: float
-
-    def active(self, now: float) -> bool:
-        return self.expires_at > now
 
 
 @dataclass
@@ -68,9 +50,10 @@ class InterestEntry:
     def __init__(self, digest: bytes, attrs: AttributeVector) -> None:
         self.digest = digest
         self.attrs = attrs
-        self.gradients: Dict[int, Gradient] = {}
-        # (data_origin, neighbor) -> ReinforcedGradient
-        self.reinforced: Dict[Tuple[int, int], ReinforcedGradient] = {}
+        # neighbor -> expiry time
+        self.gradients: Dict[int, float] = {}
+        # (data_origin, neighbor) -> expiry time
+        self.reinforced: Dict[Tuple[int, int], float] = {}
         # data_origin -> UpstreamPointer
         self.upstream: Dict[int, UpstreamPointer] = {}
         # data_origin -> neighbors this node (as a sink) last reinforced
@@ -80,70 +63,54 @@ class InterestEntry:
         # data origins whose routes negative reinforcement tore down and
         # positive reinforcement has not since restored — lets the loss
         # attribution distinguish "path deliberately withdrawn" from
-        # "path never established".
-        self.torn_down: set = set()
+        # "path never established".  Made by the first tear-down: most
+        # entries never see one.
+        self.torn_down: Optional[Set[int]] = None
 
     # -- gradients -----------------------------------------------------------
 
-    def update_gradient(
-        self, neighbor: int, now: float, timeout: float, interval: Optional[float] = None
-    ) -> Gradient:
-        gradient = self.gradients.get(neighbor)
-        if gradient is None:
-            gradient = Gradient(neighbor=neighbor, expires_at=now + timeout,
-                                interval=interval)
-            self.gradients[neighbor] = gradient
-        else:
-            gradient.expires_at = now + timeout
-            if interval is not None:
-                gradient.interval = interval
+    def update_gradient(self, neighbor: int, now: float, timeout: float) -> None:
+        self.gradients[neighbor] = now + timeout
         self.last_refresh = now
-        return gradient
 
     def active_gradient_neighbors(self, now: float) -> List[int]:
         return sorted(
             neighbor
-            for neighbor, gradient in self.gradients.items()
-            if gradient.active(now)
+            for neighbor, expires in self.gradients.items()
+            if expires > now
         )
 
     def has_demand(self, now: float) -> bool:
         """Anyone (local or remote) still asking for this data?"""
         if self.local_sink:
             return True
-        return any(g.active(now) for g in self.gradients.values())
+        return any(expires > now for expires in self.gradients.values())
 
     # -- reinforcement ----------------------------------------------------------
 
     def reinforce(
         self, data_origin: int, neighbor: int, now: float, timeout: float
-    ) -> ReinforcedGradient:
-        key = (data_origin, neighbor)
-        self.torn_down.discard(data_origin)
-        entry = self.reinforced.get(key)
-        if entry is None:
-            entry = ReinforcedGradient(
-                neighbor=neighbor, data_origin=data_origin, expires_at=now + timeout
-            )
-            self.reinforced[key] = entry
-        else:
-            entry.expires_at = now + timeout
-        return entry
+    ) -> None:
+        if self.torn_down:
+            self.torn_down.discard(data_origin)
+        self.reinforced[(data_origin, neighbor)] = now + timeout
 
     def unreinforce(self, data_origin: int, neighbor: int) -> bool:
-        removed = self.reinforced.pop((data_origin, neighbor), None) is not None
-        if removed:
-            self.torn_down.add(data_origin)
-        return removed
+        if self.reinforced.pop((data_origin, neighbor), None) is None:
+            return False
+        if self.torn_down is None:
+            self.torn_down = set()
+        self.torn_down.add(data_origin)
+        return True
 
     def was_torn_down(self, data_origin: int) -> bool:
-        return data_origin in self.torn_down
+        return self.torn_down is not None and data_origin in self.torn_down
 
     def reinforced_neighbors(self, data_origin: int, now: float) -> List[int]:
         return sorted(
-            entry.neighbor
-            for (origin, _), entry in self.reinforced.items()
-            if origin == data_origin and entry.active(now)
+            neighbor
+            for (origin, neighbor), expires in self.reinforced.items()
+            if origin == data_origin and expires > now
         )
 
     # -- upstream tracking --------------------------------------------------------
@@ -192,13 +159,13 @@ class InterestEntry:
         The periodic sweep usually finds nothing expired, so the dicts
         are only rebuilt when at least one entry actually lapsed.
         """
-        if any(not g.active(now) for g in self.gradients.values()):
+        if any(expires <= now for expires in self.gradients.values()):
             self.gradients = {
-                n: g for n, g in self.gradients.items() if g.active(now)
+                n: expires for n, expires in self.gradients.items() if expires > now
             }
-        if any(not r.active(now) for r in self.reinforced.values()):
+        if any(expires <= now for expires in self.reinforced.values()):
             self.reinforced = {
-                k: r for k, r in self.reinforced.items() if r.active(now)
+                k: expires for k, expires in self.reinforced.items() if expires > now
             }
 
 

@@ -40,7 +40,6 @@ from repro.core.messages import (
     make_reinforcement,
 )
 from repro.naming import AttributeVector, fast_two_way_match
-from repro.naming.keys import Key
 from repro.sim import Simulator, TraceBus
 from repro.sim.metrics import CLASS_LABEL, current_registry
 
@@ -424,12 +423,8 @@ class DiffusionNode:
             return
         entry = self.gradients.entry_for(message.attrs)
         if message.last_hop is not None:
-            interval = message.attrs.value_of(Key.INTERVAL)
             entry.update_gradient(
-                message.last_hop,
-                now,
-                self.config.gradient_timeout,
-                interval=float(interval) if interval is not None else None,
+                message.last_hop, now, self.config.gradient_timeout
             )
         else:
             entry.last_refresh = now

@@ -24,7 +24,7 @@ import itertools
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Callable, Deque, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import Event, Simulator, TraceBus, trace_id_of
 from repro.sim.metrics import current_registry
@@ -47,30 +47,36 @@ class Fragment:
 class ReassemblyExpiry:
     """The reassembly timeouts of every layer sharing it, in one FIFO.
 
-    Entries are ``(expires, ticket, layer, message_id)`` in the order
+    Entries are ``(expires, ticket, slot, message_id)`` in the order
     partials were opened, which is expiry order because ``timeout`` is
-    fixed.  At most one ``frag.expire`` kernel event is pending, at the
-    head's time; it expires every entry then due and re-arms for the
-    next live one.  Completing a message or resetting a layer deletes
-    only the layer's partial state: an entry whose partial is gone, or
-    was opened again since (it holds a newer ``ticket``), is skipped.
+    fixed; ``slot`` is the opening layer's index in ``layers``, where
+    each layer registers when it is built.  At most one ``frag.expire``
+    kernel event is pending, at the head's time; it expires every entry
+    then due and re-arms for the next live one.  Completing a message or
+    resetting a layer deletes only the layer's partial state: an entry
+    whose partial is gone, or was opened again since (it holds a newer
+    ``ticket``), is skipped.
     """
 
     def __init__(self, sim: Simulator, timeout: float = 5.0) -> None:
         self.sim = sim
         self.timeout = timeout
-        self._fifo: Deque[Tuple[float, int, "FragmentationLayer", MessageId]] = (
-            deque()
-        )
+        self.layers: List["FragmentationLayer"] = []
+        self._fifo: Deque[Tuple[float, int, int, MessageId]] = deque()
         self._tickets = itertools.count()
         self._event: Optional[Event] = None
 
-    def open(self, layer: "FragmentationLayer", message_id: MessageId) -> int:
-        """Queue the expiry of a partial ``layer`` opens now; returns
-        the ticket that names this opening."""
+    def register(self, layer: "FragmentationLayer") -> int:
+        """Add a layer; returns the slot its entries carry."""
+        self.layers.append(layer)
+        return len(self.layers) - 1
+
+    def open(self, slot: int, message_id: MessageId) -> int:
+        """Queue the expiry of a partial the layer in ``slot`` opens
+        now; returns the ticket that names this opening."""
         expires = self.sim.now + self.timeout
         ticket = next(self._tickets)
-        self._fifo.append((expires, ticket, layer, message_id))
+        self._fifo.append((expires, ticket, slot, message_id))
         if self._event is None:
             self._event = self.sim.schedule_at(
                 expires, self._fire, name="frag.expire"
@@ -79,13 +85,14 @@ class ReassemblyExpiry:
 
     def _fire(self) -> None:
         fifo = self._fifo
+        layers = self.layers
         now = self.sim.now
         while fifo:
-            expires, ticket, layer, message_id = fifo[0]
+            expires, ticket, slot, message_id = fifo[0]
             if expires <= now:
                 fifo.popleft()
-                layer._expire(message_id, ticket)
-            elif layer._is_open(message_id, ticket):
+                layers[slot]._expire(message_id, ticket)
+            elif layers[slot]._is_open(message_id, ticket):
                 break
             else:
                 # Completed or reset since: re-arm for a live head only.
@@ -121,6 +128,7 @@ class FragmentationLayer:
         self.node_id = node_id
         self.fragment_payload = fragment_payload
         self.expiry = expiry if expiry is not None else ReassemblyExpiry(sim)
+        self._slot = self.expiry.register(self)
         self.trace = trace or TraceBus()
         self.deliver_callback: Optional[Callable[[Any, int, int], None]] = None
         #: fault-injection hook: called with (fragment, src) for every
@@ -130,9 +138,9 @@ class FragmentationLayer:
         #: failure would on the real radio).
         self.inbound_filter: Optional[Callable[[Fragment, int], bool]] = None
         self._message_counter = 0
-        # message_id -> {indices received, count, nbytes, message, src,
-        # expiry ticket}
-        self._partial: Dict[MessageId, dict] = {}
+        # message_id -> [received_mask, full_mask, nbytes, message, src,
+        # expiry ticket]; bit i of a mask is fragment i
+        self._partial: Dict[MessageId, list] = {}
         self.messages_sent = 0
         self.messages_delivered = 0
         self.messages_incomplete = 0
@@ -193,25 +201,21 @@ class FragmentationLayer:
         if fragment.count == 1:
             self._deliver(fragment.message, src, fragment.nbytes)
             return
-        state = self._partial.get(fragment.message_id)
+        message_id = fragment.message_id
+        state = self._partial.get(message_id)
         if state is None:
-            state = {
-                "indices": set(),
-                "count": fragment.count,
-                "nbytes": 0,
-                "message": fragment.message,
-                "src": src,
-                "ticket": self.expiry.open(self, fragment.message_id),
-            }
-            self._partial[fragment.message_id] = state
-        indices: Set[int] = state["indices"]
-        if fragment.index in indices:
+            state = self._partial[message_id] = [
+                0, (1 << fragment.count) - 1, 0, fragment.message, src,
+                self.expiry.open(self._slot, message_id),
+            ]
+        bit = 1 << fragment.index
+        if state[0] & bit:  # a duplicate
             return
-        indices.add(fragment.index)
-        state["nbytes"] += fragment.nbytes
-        if len(indices) == state["count"]:
-            del self._partial[fragment.message_id]
-            self._deliver(state["message"], state["src"], state["nbytes"])
+        state[0] |= bit
+        state[2] += fragment.nbytes
+        if state[0] == state[1]:  # every fragment has arrived
+            del self._partial[message_id]
+            self._deliver(state[3], state[4], state[2])
 
     def _deliver(self, message: Any, src: int, nbytes: int) -> None:
         self.messages_delivered += 1
@@ -222,7 +226,7 @@ class FragmentationLayer:
         """Is the partial opened under ``ticket`` still here (neither
         completed nor reset)?"""
         state = self._partial.get(message_id)
-        return state is not None and state["ticket"] == ticket
+        return state is not None and state[5] == ticket
 
     def _expire(self, message_id: MessageId, ticket: int) -> None:
         """``expiry`` callback: the partial opened under ``ticket`` times
@@ -231,7 +235,7 @@ class FragmentationLayer:
             state = self._partial.pop(message_id)
             self.messages_incomplete += 1
             if self.trace.active:
-                trace_id = trace_id_of(state["message"])
+                trace_id = trace_id_of(state[3])
                 if trace_id is not None:
                     self.trace.emit(
                         self.sim.now,
@@ -240,7 +244,7 @@ class FragmentationLayer:
                         trace=trace_id,
                         reason="reassembly-failure",
                         layer="link",
-                        src=state["src"],
+                        src=state[4],
                     )
 
     def reset(self) -> None:

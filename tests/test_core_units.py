@@ -1,6 +1,7 @@
 """Unit tests for diffusion core data structures."""
 
 import dataclasses
+import gc
 import pickle
 
 import pytest
@@ -248,6 +249,22 @@ class TestDataCache:
         assert cache.contains("b", 0.0)
         assert cache.contains("c", 0.0)
 
+    def test_capacity_eviction_is_lru(self):
+        cache = DataCache(capacity=2, timeout=100.0)
+        cache.seen_before("a", 0.0)
+        cache.seen_before("b", 0.0)
+        assert cache.seen_before("a", 1.0)  # a hit: "a" is now newest
+        cache.seen_before("c", 1.0)  # evicts "b"
+        assert cache.contains("a", 1.0)
+        assert not cache.contains("b", 1.0)
+        assert cache.contains("c", 1.0)
+
+    def test_hit_does_not_extend_expiry(self):
+        cache = DataCache(timeout=10.0)
+        cache.seen_before("k", now=0.0)
+        assert cache.seen_before("k", now=9.0)
+        assert not cache.contains("k", now=10.0)
+
     def test_contains_is_pure(self):
         cache = DataCache()
         assert not cache.contains("k", 0.0)
@@ -356,6 +373,32 @@ class TestGradientTable:
         entry.local_sink = True
         table.sweep(now=20.0)
         assert len(table) == 1
+
+    def test_gradient_dicts_are_untracked_after_a_collection(self):
+        """Gradients are expiry floats under int and (int, int) keys:
+        containers the collector untracks."""
+        entry = GradientTable().entry_for(light_interest())
+        entry.update_gradient(7, now=0.0, timeout=10.0)
+        entry.reinforce(data_origin=3, neighbor=7, now=0.0, timeout=10.0)
+        gc.collect()
+        assert not gc.is_tracked(entry.gradients)
+        assert not gc.is_tracked(entry.reinforced)
+
+    def test_fresh_entry_holds_no_tracked_set(self):
+        entry = GradientTable().entry_for(light_interest())
+        assert not [
+            value for value in vars(entry).values()
+            if isinstance(value, (set, frozenset)) and gc.is_tracked(value)
+        ]
+
+    def test_torn_down_until_reinforced_again(self):
+        entry = GradientTable().entry_for(light_interest())
+        assert not entry.was_torn_down(3)
+        entry.reinforce(3, 7, now=0.0, timeout=10.0)
+        assert entry.unreinforce(3, 7)
+        assert entry.was_torn_down(3)
+        entry.reinforce(3, 7, now=1.0, timeout=10.0)
+        assert not entry.was_torn_down(3)
 
 
 class TestFilterMatching:

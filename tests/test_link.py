@@ -1,5 +1,6 @@
 """Tests for fragmentation/reassembly."""
 
+import gc
 import random
 from types import SimpleNamespace
 
@@ -140,6 +141,26 @@ class TestReassembly:
         a = FragmentationLayer(sim, _stub_mac(), 1, expiry=shared)
         b = FragmentationLayer(sim, _stub_mac(), 2, expiry=shared)
         assert a.expiry is b.expiry is shared
+
+
+class TestCollectorSkipsReassemblyState:
+    def test_fifo_entries_are_untracked_after_a_collection(self):
+        """An entry names its layer by slot, not by reference: it holds
+        only numbers and a message id, so a collection untracks it."""
+        sim, channel, layers = make_frag_net({(0, 1): 1.0})
+        for counter in (1, 2):
+            layers[1].on_fragment(Fragment(
+                message_id=(0, counter), index=0, count=3, nbytes=27,
+                message="x",
+            ), src=0)
+        fifo = layers[1].expiry._fifo
+        assert len(fifo) == 2
+        # A collection may reach an entry before the message id tuple
+        # inside it, and untracks a tuple only once its items are; the
+        # second pass finds every item untracked.
+        gc.collect()
+        gc.collect()
+        assert not any(gc.is_tracked(entry) for entry in fifo)
 
 
 # -- one expiry FIFO against one timer per partial message -------------------
