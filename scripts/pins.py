@@ -3,9 +3,10 @@
 
     python scripts/pins.py            # recompute the preset pins; exit 1 on any change
     python scripts/pins.py --ledger   # the same for the ledger pins
+    python scripts/pins.py --wide     # the same for the wide pins
     python scripts/pins.py --write    # regenerate the whole file, print old -> new per key
 
-Two sets of runs are pinned:
+Three sets of runs are pinned:
 
 - ``presets``: every registry preset at its ``SMALL`` size from
   ``tests/test_scenario_registry.py``, run whole in one queue
@@ -14,6 +15,10 @@ Two sets of runs are pinned:
   workload at seeds 11 and 23, from ``perf/workloads.py`` (imported,
   never edited); ``scripts/ci_tier1.sh`` checks these, as they take a
   few seconds each.
+- ``wide``: 27 runs the ``SMALL`` sizes do not reach — every builtin
+  fault plan at 120 s, the ``dtn`` / ``mule`` custody arms, the
+  16x16 ``regional`` and the 10x10 ``hierarchy`` modes (~10 s, a
+  ``scripts/ci_tier1.sh`` step).
 
 A change that means to move an outcome re-pins with ``--write`` and
 quotes the old -> new lines it prints.
@@ -69,6 +74,50 @@ def ledger_pins() -> Dict[str, str]:
     }
 
 
+def wide_plans() -> Dict[str, Any]:
+    """The wide set's runs, one plan per key."""
+    from repro.faults import builtin_names
+    from repro.shard import ShardPlan
+
+    plans = {}
+    for fault in builtin_names():
+        for seed in (1, 7):
+            plans[f"resilience/{fault}/{seed}"] = ShardPlan(
+                "resilience", {"fault": fault}, seed, 120.0, 1)
+    plans["resilience/fast"] = ShardPlan(
+        "resilience", {"fault": "crash", "exploratory_interval": 5.0,
+                       "send_interval": 0.5}, 1, 120.0, 1)
+    plans["timesync"] = ShardPlan.named("timesync", {}, 3)
+    for custody in (False, True):
+        for duty in (0.0, 0.6):
+            plans[f"dtn/{custody}/{duty}"] = ShardPlan(
+                "dtn", {"duty": duty, "custody": custody}, 2, 200.0, 1)
+        plans[f"mule/{custody}"] = ShardPlan.named(
+            "mule", {"custody": custody}, 1)
+        plans[f"dtn-clustered/{custody}"] = ShardPlan.named(
+            "dtn", {"custody": custody, "mode": "clustered"}, 1)
+    plans["oracle/diffusion"] = ShardPlan(
+        "diffusion", {"columns": 6, "rows": 4, "duration": 12.0}, 11, 12.0, 1)
+    plans["oracle/regional"] = ShardPlan(
+        "regional", {"columns": 16, "rows": 16, "region": 8,
+                     "duration": 4.5}, 11, 4.5, 1)
+    for mode in ("flat", "clustered", "rendezvous"):
+        plans[f"oracle/hierarchy/{mode}"] = ShardPlan(
+            "hierarchy", {"columns": 10, "rows": 10, "region": 5,
+                          "duration": 10.0, "mode": mode}, 11, 10.0, 1)
+    return plans
+
+
+def wide_pins() -> Dict[str, str]:
+    from repro.shard import run_oracle
+
+    return {key: digest(run_oracle(plan))
+            for key, plan in wide_plans().items()}
+
+
+SECTIONS = {"presets": preset_pins, "ledger": ledger_pins, "wide": wide_pins}
+
+
 def compare(stored: Dict[str, str], fresh: Dict[str, str]) -> int:
     """Print every key that moved; the number of them."""
     moved = 0
@@ -82,14 +131,19 @@ def compare(stored: Dict[str, str], fresh: Dict[str, str]) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--ledger", action="store_true",
-                        help="check the ledger pins instead of the preset pins")
+    which = parser.add_mutually_exclusive_group()
+    which.add_argument("--ledger", action="store_const", dest="section",
+                       const="ledger", default="presets",
+                       help="check the ledger pins instead of the preset pins")
+    which.add_argument("--wide", action="store_const", dest="section",
+                       const="wide",
+                       help="check the wide pins instead of the preset pins")
     parser.add_argument("--write", action="store_true",
                         help="regenerate every pin and print old -> new per key")
     args = parser.parse_args(argv)
     stored = json.loads(PINS.read_text()) if PINS.exists() else {}
     if args.write:
-        fresh = {"presets": preset_pins(), "ledger": ledger_pins()}
+        fresh = {section: pins() for section, pins in SECTIONS.items()}
         for section, pins in fresh.items():
             for key, new in pins.items():
                 old = stored.get(section, {}).get(key, "absent")
@@ -97,8 +151,8 @@ def main(argv=None) -> int:
                 print(f"{section}/{key}: {old[:16]} -> {new[:16]}  {mark}")
         PINS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
         return 0
-    section = "ledger" if args.ledger else "presets"
-    fresh = ledger_pins() if args.ledger else preset_pins()
+    section = args.section
+    fresh = SECTIONS[section]()
     moved = compare(stored.get(section, {}), fresh)
     print(f"{section}: {len(fresh) - moved} of {len(fresh)} pins equal")
     return 1 if moved else 0
