@@ -3,9 +3,9 @@
 Rendezvous mode must map an attribute *value* to the same grid region
 on every node and in every worker process.  Python's builtin ``hash``
 is salted per process for strings, so the fold here goes through a
-fixed byte encoding and the same splitmix64 finalizer the radio layer
-uses for hashed loss draws (:mod:`repro.radio.channel`): deterministic,
-seedable, and cheap.
+fixed byte encoding and the splitmix64 finalizer of
+:mod:`repro.sim.rng` (which the radio's loss draw mixes with too):
+deterministic, seedable, and cheap.
 """
 
 from __future__ import annotations
@@ -13,20 +13,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Tuple
 
-MASK64 = (1 << 64) - 1
-_GOLDEN = 0x9E3779B97F4A7C15
-_MIX1 = 0xBF58476D1CE4E5B9
-_MIX2 = 0x94D049BB133111EB
-
-
-def splitmix64(x: int) -> int:
-    """One round of the splitmix64 finalizer (same constants as the
-    hashed-loss draw in the radio layer)."""
-    x = (x + _GOLDEN) & MASK64
-    z = x
-    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
-    return (z ^ (z >> 31)) & MASK64
+from repro.sim.rng import MASK64, splitmix64
 
 
 def _encode(value: Any) -> bytes:

@@ -7,7 +7,9 @@ PRR from the sender is non-zero.  Reception fails when:
 * another audible transmission overlapped in time (collision — this is
   how hidden terminals corrupt traffic: carrier sense happens at the
   *sender*, collisions happen at the *receiver*), or
-* the per-link loss draw exceeded the link PRR.
+* the per-link loss draw exceeded the link PRR.  The draw is a hash
+  of (seed, src, dst, airtime start), so a verdict does not depend on
+  the order receptions finalize in — any shard layout gets the same.
 
 The channel also answers carrier-sense queries for the MAC layer.
 
@@ -19,11 +21,12 @@ only where the model's bound says it can be heard), and all of a
 fragment's receptions get their verdict in one loop of one simulator
 event (:mod:`repro.radio.neighborhood` holds the caches and their
 invalidation contract).  A sender's lanes, ``(node_id, modem,
-in_progress, prr)`` per receiver with a non-zero PRR in attach order,
-are reused while the index returns the very audibility list they were
-built from (it replaces the list on any move, attach, detach, table
-edit, cut or new index) and no PRR window of the sender's links has
-closed (a Gilbert–Elliot flip).  The original O(N) per-link scan
+in_progress, prr, key, cut)`` per receiver with a non-zero PRR in
+attach order (:meth:`Channel._lane`), are reused while the index
+returns the very audibility list they were built from (it replaces
+the list on any move, attach, detach, table edit, cut or new index)
+and no PRR window of the sender's links has closed (a Gilbert–Elliot
+flip).  The original O(N) per-link scan
 survives as :class:`repro.radio.reference.ReferenceChannel`, a subclass
 that replaces only how receivers and PRRs are found and runs the same
 verdict loop one reception at a time; tests/test_channel_equivalence.py
@@ -39,9 +42,7 @@ from typing import Any, Callable, Dict, List, Optional, Set
 from repro.radio.neighborhood import NeighborhoodIndex
 from repro.sim import Simulator, TraceBus, trace_id_of
 from repro.sim.metrics import current_registry
-from repro.sim.rng import SeedSequence, derive_seed
-
-_MASK64 = (1 << 64) - 1
+from repro.sim.rng import MASK64, SeedSequence, derive_seed, splitmix64
 
 
 @dataclass
@@ -99,20 +100,11 @@ class Channel:
         propagation,
         seeds: Optional[SeedSequence] = None,
         trace: Optional[TraceBus] = None,
-        loss_mode: str = "stream",
     ) -> None:
-        if loss_mode not in ("stream", "hashed"):
-            raise ValueError(f"unknown loss_mode {loss_mode!r}")
         self.sim = sim
-        self.loss_mode = loss_mode
         self.trace = trace or TraceBus()
         seeds = seeds or SeedSequence(1)
-        self._loss_rng = seeds.stream("channel-loss")
         self._loss_seed = derive_seed(seeds.root_seed, "channel-loss-hash")
-        # The stream draw, or None for the hashed _loss_draw.
-        self._stream_draw: Optional[Callable[[], float]] = (
-            self._loss_rng.random if loss_mode == "stream" else None
-        )
         self._modems: Dict[int, Any] = {}
         # Per-receiver in-progress receptions keyed by transmission
         # seqno, for collision marking and O(1) completion.
@@ -404,16 +396,13 @@ class Channel:
                 prr = index.link_prr(src, node_id, now)
                 expiry = min(expiry, index.prr_memo[src, node_id][1])
                 if prr > 0.0:
-                    lanes.append((
-                        node_id, self._modems[node_id],
-                        self._receiving[node_id], prr,
-                    ))
+                    lanes.append(self._lane(src, node_id, prr))
             lanes = tuple(lanes)
             self._lanes[src] = (audible, expiry, lanes)
         if lanes:
             seqno = tx.seqno
             admit = self._admit_reception
-            for _, modem, in_progress, prr in lanes:
+            for _, modem, in_progress, prr, _, _ in lanes:
                 if in_progress or modem.transmitting or modem.sleeping:
                     admit(tx, modem, in_progress, prr)
                 else:
@@ -427,6 +416,32 @@ class Channel:
             )
         elif on_end is not None:
             self.sim.schedule(duration, on_end, name="modem.txdone")
+
+    def _lane(self, src: int, node_id: int, prr: float) -> tuple:
+        """``node_id``'s receiver lane for ``src``'s fragments.
+
+        Besides the receiver's modem, its in-progress map and the PRR,
+        a lane carries the link's loss-draw ``key`` and ``cut``.  A
+        fragment gets one ``mix``, the splitmix64 of ``hash((seed, src,
+        start))``; its reception on the lane is lost iff ``mix * key
+        mod 2**64 >= cut``.  Python hashes ints and floats (unlike str)
+        the same in every process, so the verdict is a pure function of
+        (seed, src, dst, airtime start), true with probability ``1 -
+        prr``.  (src, start) names one transmission — a radio sends one
+        fragment at a time — so a retransmission draws afresh.
+
+        The key is odd, so the product is as uniform as ``mix``; two
+        receivers' products differ by ``mix`` times the difference of
+        their keys, which changes from fragment to fragment.  Each input
+        goes through splitmix64 because the tuple hash alone is nearly
+        additive: hashing ``(key, start)`` leaves two receivers' draws
+        one of four fixed offsets apart.
+        """
+        return (
+            node_id, self._modems[node_id], self._receiving[node_id], prr,
+            splitmix64(hash((self._loss_seed, src, node_id))) | 1,
+            int(prr * 2**64),
+        )
 
     def _admit_reception(
         self, tx: Transmission, modem: Any, in_progress: dict, prr: float
@@ -469,9 +484,9 @@ class Channel:
         then run the sender's ``on_end``.  A reception a detach voided
         is skipped before its (pre-detach) modem is consulted."""
         seqno, src, now = tx.seqno, tx.src, self.sim.now
+        mix = splitmix64(hash((self._loss_seed, src, tx.start)))
         trace = self.trace
-        stream_draw = self._stream_draw
-        for node_id, modem, in_progress, prr in lanes:
+        for node_id, modem, in_progress, _, key, cut in lanes:
             reception = in_progress.pop(seqno)
             if reception.corrupted:
                 reason = reception.reason
@@ -489,10 +504,7 @@ class Channel:
                 self.dropped_half_duplex += 1
                 if trace.active:
                     self._note_radio_drop(node_id, tx, "half-duplex")
-            elif (
-                stream_draw() if stream_draw is not None
-                else self._loss_draw(node_id, tx)
-            ) >= prr:
+            elif mix * key & MASK64 >= cut:
                 self.fragments_lost += 1
                 if trace.active:
                     trace.emit(now, "channel.loss", node=node_id, src=src)
@@ -507,31 +519,6 @@ class Channel:
                 modem.deliver(tx.payload, tx.src, tx.nbytes, tx.link_dst)
         if on_end is not None:
             on_end()
-
-    def _loss_draw(self, node_id: int, tx: Transmission) -> float:
-        """The ``hashed`` uniform deciding this reception's channel-loss
-        fate (``stream`` draws inline in _finish_transmission).
-
-        ``stream`` (the default) draws from the shared channel-loss RNG
-        in global finalization order — the historical behaviour, kept
-        bit-identical for every existing experiment.  ``hashed`` keys
-        the draw on (seed, src, dst, airtime start) instead, making each
-        verdict independent of the order receptions finalize across the
-        network; the sharded kernel requires this, because shards
-        finalize receptions in per-shard order.  (src, start) uniquely
-        identifies a transmission — a radio sends one fragment at a
-        time — so retransmissions still draw fresh uniforms.
-        """
-        # Python's numeric hashing is stable across processes (hash
-        # randomization covers only str/bytes), and the splitmix64
-        # finalizer decorrelates the structured tuple hashes into
-        # usable uniforms.
-        x = hash((self._loss_seed, tx.src, node_id, tx.start))
-        x = (x + 0x9E3779B97F4A7C15) & _MASK64
-        x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
-        x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & _MASK64
-        x ^= x >> 31
-        return (x >> 11) * (2.0 ** -53)
 
     def _note_radio_drop(self, node_id: int, tx: Transmission, reason: str) -> None:
         """Attribute one failed reception to its cause (callers check

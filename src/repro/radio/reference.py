@@ -83,8 +83,7 @@ class ReferenceChannel(Channel):
     def _finish_reception(self, node_id: int, reception: _Reception) -> None:
         if reception.reason == "detached":
             return
-        modem, in_progress = self._modems[node_id], self._receiving[node_id]
+        tx = reception.transmission
         self._finish_transmission(
-            ((node_id, modem, in_progress, reception.prr),),
-            reception.transmission, None,
+            (self._lane(tx.src, node_id, reception.prr),), tx, None
         )

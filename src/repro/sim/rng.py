@@ -12,6 +12,21 @@ import hashlib
 import random
 from typing import Union
 
+MASK64 = (1 << 64) - 1
+_GOLDEN = 0x9E3779B97F4A7C15
+_MIX1 = 0xBF58476D1CE4E5B9
+_MIX2 = 0x94D049BB133111EB
+
+
+def splitmix64(x: int) -> int:
+    """One round of the splitmix64 finalizer: a 64-bit ``x`` (any int,
+    read modulo 2**64) to a well-mixed 64-bit value."""
+    x = (x + _GOLDEN) & MASK64
+    z = x
+    z = ((z ^ (z >> 30)) * _MIX1) & MASK64
+    z = ((z ^ (z >> 27)) * _MIX2) & MASK64
+    return (z ^ (z >> 31)) & MASK64
+
 
 def derive_seed(root_seed: int, label: str) -> int:
     """The seed an RNG stream named ``label`` would be built from."""

@@ -154,7 +154,6 @@ class SensorNetwork:
         propagation=None,
         mac_factory=None,
         channel_cls: Optional[type] = None,
-        loss_mode: str = "stream",
         nodes: Optional[Iterable[int]] = None,
     ) -> None:
         self.topology = topology
@@ -174,8 +173,7 @@ class SensorNetwork:
                 else ReferenceChannel
             )
         self.channel = channel_cls(
-            self.sim, self.propagation, seeds=self.seeds, trace=self.trace,
-            loss_mode=loss_mode,
+            self.sim, self.propagation, seeds=self.seeds, trace=self.trace
         )
         self.energy_account = NetworkEnergyAccount()
         # One reassembly-timeout FIFO for every node: partials then

@@ -34,9 +34,7 @@ def tight_config():
 
 def clustered_net(seed=5, columns=5, rows=5, params=None):
     topo = Topology.grid(columns, rows, spacing=15.0)
-    net = SensorNetwork(
-        topo, config=tight_config(), seed=seed, loss_mode="hashed"
-    )
+    net = SensorNetwork(topo, config=tight_config(), seed=seed)
     runtime = install_hierarchy(
         net, mode="clustered", params=dict(FAST, **(params or {}))
     )
@@ -103,9 +101,7 @@ class TestAnnouncementScope:
 class TestCrashRepair:
     def test_head_crash_triggers_reelection_and_delivery_recovers(self):
         topo = Topology.grid(5, 5, spacing=15.0)
-        net = SensorNetwork(
-            topo, config=tight_config(), seed=9, loss_mode="hashed"
-        )
+        net = SensorNetwork(topo, config=tight_config(), seed=9)
         runtime = install_hierarchy(
             net, mode="clustered", params=dict(FAST)
         )

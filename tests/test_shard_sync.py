@@ -3,8 +3,8 @@
 The equivalence suite (tests/test_shard_equivalence.py) proves the
 end-to-end property; these tests pin down the pieces it rests on:
 horizon computation, the promise's lower-bound terms, ghost admission
-filtering, the round itself, order-independent hashed loss draws, outcome merging, and a
-real :class:`~repro.campaign.workers.WorkerCrew` round trip through
+filtering, the round itself, order-independent hashed loss draws, outcome
+merging, and a real :class:`~repro.campaign.workers.WorkerCrew` round trip through
 the worker entry point.
 """
 
@@ -13,8 +13,8 @@ import math
 import pytest
 
 from repro.campaign.workers import WorkerCrew
-from repro.radio import Channel, DistancePropagation, Topology
-from repro.radio.channel import Transmission
+from repro.radio import Channel, DistancePropagation, Modem, Topology
+from repro.radio.channel import Transmission, _Reception
 from repro.shard import (
     ExportedTx,
     ShardPlan,
@@ -373,52 +373,72 @@ def test_a_shard_memoizes_only_links_in_reach():
 
 
 class TestHashedLoss:
-    def make_channel(self, seed=5):
+    """The channel-loss verdict is a pure function of (seed, src, dst,
+    airtime start): each case drives the real verdict loop,
+    ``Channel._finish_transmission``, over one receiver lane."""
+
+    STARTS = [0.5 + 0.37 * i for i in range(200)]
+
+    def make_channel(self, seed=5, order=(0, 1)):
         topo = Topology()
         topo.add_node(0, 0.0, 0.0)
         topo.add_node(1, 10.0, 0.0)
         sim = Simulator()
-        return Channel(
+        channel = Channel(
             sim, DistancePropagation(topo, seed=seed),
-            seeds=SeedSequence(seed), loss_mode="hashed",
+            seeds=SeedSequence(seed),
         )
+        for node_id in order:
+            Modem(sim, channel, node_id)
+        return channel
 
-    def tx(self, src, start):
-        return Transmission(
+    @staticmethod
+    def lost(channel, src, start, prr=0.5):
+        """Whether the reception at ``1 - src`` of a fragment ``src``
+        started at ``start`` is lost to the draw."""
+        lane = channel._lane(src, 1 - src, prr)
+        tx = Transmission(
             src=src, start=start, end=start + 0.01,
             payload=b"p", nbytes=27, link_dst=None, seqno=1,
         )
+        lane[2][tx.seqno] = _Reception(tx, prr)
+        before = channel.fragments_lost
+        channel._finish_transmission((lane,), tx, None)
+        return channel.fragments_lost > before
 
     def test_draw_depends_only_on_link_and_time(self):
-        """The hashed draw is a pure function of (seed, src, dst,
-        start): two channels draw identical values in any order — the
-        property that makes loss independent of which shard hosts the
-        receiver and of event interleaving."""
+        """Two channels, their modems attached in opposite orders, reach
+        the same verdicts in opposite orders — the property that makes
+        loss independent of which shard hosts the receiver and of event
+        interleaving."""
         a = self.make_channel()
-        b = self.make_channel()
-        keys = [(0, 1.0), (1, 1.0), (0, 2.5), (1, 0.125)]
-        draws_a = [a._loss_draw(1 - src, self.tx(src, t)) for src, t in keys]
-        draws_b = [
-            b._loss_draw(1 - src, self.tx(src, t))
-            for src, t in reversed(keys)
-        ]
-        assert draws_a == list(reversed(draws_b))
+        b = self.make_channel(order=(1, 0))
+        keys = [(i % 2, t) for i, t in enumerate(self.STARTS)]
+        verdicts_a = [self.lost(a, src, t) for src, t in keys]
+        verdicts_b = [self.lost(b, src, t) for src, t in reversed(keys)]
+        assert verdicts_a == list(reversed(verdicts_b))
+        assert 0 < sum(verdicts_a) < len(keys)
 
     def test_different_links_decorrelate(self):
+        """At PRR 0.5 each direction loses about half of 200 fragments
+        (five standard errors: 0.5 +- 0.18), and not the same ones."""
         ch = self.make_channel()
-        draws = {
-            ch._loss_draw(1, self.tx(0, t))
-            for t in (1.0, 2.0, 3.0, 4.0, 5.0)
-        }
-        assert len(draws) == 5
-        assert all(0.0 <= d < 1.0 for d in draws)
+        forward = [self.lost(ch, 0, t) for t in self.STARTS]
+        backward = [self.lost(ch, 1, t) for t in self.STARTS]
+        assert forward != backward
+        for verdicts in (forward, backward):
+            assert 0.32 <= sum(verdicts) / len(verdicts) <= 0.68
 
     def test_different_seeds_decorrelate(self):
         a = self.make_channel(seed=5)
         b = self.make_channel(seed=6)
-        assert a._loss_draw(1, self.tx(0, 1.0)) != b._loss_draw(
-            1, self.tx(0, 1.0)
-        )
+        assert [self.lost(a, 0, t) for t in self.STARTS] != [
+            self.lost(b, 0, t) for t in self.STARTS
+        ]
+
+    def test_a_perfect_link_never_loses(self):
+        ch = self.make_channel()
+        assert not any(self.lost(ch, 0, t, prr=1.0) for t in self.STARTS)
 
 
 # ---------------------------------------------------------------------------
