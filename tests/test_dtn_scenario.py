@@ -94,7 +94,9 @@ class TestMule:
 
 class TestGrid:
     def test_custody_does_not_hurt_the_healthy_grid(self):
-        result = dtn_run(seed=1, duty=0.0, custody=True)
+        # Over seeds 1-20 the object is complete at 59-331 s, on the old
+        # stream loss draw and on the order-free one alike.
+        result = dtn_run(seed=1, duty=0.0, custody=True, duration=360.0)
         assert result["completed"]
         assert result["delivered"] == result["offered"]
         assert result["invariants_ok"], result["violations"][:3]

@@ -2,11 +2,14 @@
 
 A fragment's end of airtime runs in the event that finalizes its
 receptions, and reassembly timeouts share one FIFO with at most one
-pending ``frag.expire``: so a ``fig8`` run cancels no event at all, and
-executes 445 where one ``modem.txdone`` per fragment and one
+pending ``frag.expire``: so a ``fig8`` run cancels no event at all.  It
+executed 445 where one ``modem.txdone`` per fragment and one
 ``frag.expire`` per multi-fragment message made it 579 (100 of those
-timers cancelled).  Outcomes did not move: ``tests/test_trace_guard.py``
-pins the same run's trace records.
+timers cancelled); outcomes did not move, and
+``tests/test_trace_guard.py`` pins the same run's trace records.  Under
+the order-free loss draw the same run executes 812 (the run's event
+count is bimodal over seeds 1-20 on every loss draw tried: mostly
+about 420-460 or 750-890).
 """
 
 from repro.shard import ShardPlan, build_whole
@@ -20,4 +23,4 @@ def test_fig8_event_budget():
         net.sim.run(until=plan.duration)
     snapshot = registry.snapshot()
     assert snapshot["counters"]["kernel.cancelled_events"] == 0
-    assert snapshot["gauges"]["kernel.events_processed"]["value"] == 445
+    assert snapshot["gauges"]["kernel.events_processed"]["value"] == 812

@@ -21,25 +21,25 @@ from repro.sim import use_registry
 PINNED = {
     "resilience-crash": (
         "resilience", {"fault": "crash"}, 1, 1, 120.0,
-        "3bd9c66627d4fb241defadaa26c2a2f18986d79ba373a380e1e9f1e3e7d4f03b",
+        "6a1abf22fdea2a33d870781f44229dc52f13b3ebf1187d02cc5d95b987e3ab12",
     ),
     "dtn-clustered": (
         "dtn", {"mode": "clustered"}, 1, 1, 200.0,
-        "f7def221eac895a7f4b9c6df5f192ba90b6fbd07f29e00b8bfc700ceef9a750a",
+        "c524af85dfa457d0dc930fa0ce1cb1da60aaaf263d6b83ea9f6197ceff51f552",
     ),
     "hierarchy-rendezvous": (
         "hierarchy",
         {"columns": 10, "rows": 10, "region": 5, "mode": "rendezvous"},
         1, 1, 30.0,
-        "99dd538f2df30565765088de6ae1d10d9a885c26bea85358e78c50d852e4ed7d",
+        "b8039394dd0f754e8285e59142a3d30b45516f12bd3ffc506dfcf2110614464f",
     ),
     "line-duty": (
         "line", {"duty_cycle": 0.5}, 1, 1, 60.0,
-        "0537c67c706c14060cb4d210737843b8ee0c494be6d730b14eda91aa66c55e1a",
+        "b53303881f18d9948a623df7741caadf2dc4460a2f1b533c91a7d96e4de92522",
     ),
     "regional-2-shards": (
         "regional", {"columns": 12, "rows": 12}, 1, 2, 4.0,
-        "b924e801a61b47de026d74833762159e3d249bc8fe186b657a239fb39ef8f8a8",
+        "9a4b5abd57d292f96f557d70eae03ab0f88d23165c18a0f0989d2e309fbe296b",
     ),
 }
 
