@@ -252,6 +252,11 @@ def _arm_transfer(
             f"payload_bytes must be a positive multiple of 256, "
             f"got {p['payload_bytes']!r}"
         )
+    send_start = float(p["send_start"])
+    if send_start < 0:
+        raise ValueError(
+            f"send_start must not be negative, got {p['send_start']!r}"
+        )
     tap = _AttributionTap(network.trace)
     obj = DataObject(OBJECT_ID, bytes(range(256)) * (payload_bytes // 256))
     sender = BlockSender(
@@ -288,7 +293,7 @@ def _arm_transfer(
                     )
                 ),
             )
-    network.sim.schedule(float(p["send_start"]), sender.offer, obj, 0.0)
+    network.sim.schedule(send_start, sender.offer, obj, 0.0)
     if harness.monitors is not None:
         for agent in agents.values():
             harness.monitors.watch_custody(agent)

@@ -130,6 +130,28 @@ class TestRunCli:
          "columns must be a whole number, got 10.5"),
         (["line", "-p", "nodes=3.5", "--duration", "1"],
          "nodes must be a whole number"),
+        # a time before the run died with a SimulationError traceback
+        (["mobility", "-p", "move_start=-1"], "move_start must not be"),
+        (["mobility", "-p", "move_interval=-1"], "move_interval must not"),
+        (["diffusion", "-p", "send_start=-1"], "send_start must not be"),
+        (["mule", "-p", "send_start=-1"], "send_start must not be"),
+        # more counts that were truncated
+        (["mobility", "-p", "movers=1.5"], "movers must be a whole number"),
+        (["mobility", "-p", "move_steps=2.5"],
+         "move_steps must be a whole number"),
+        (["resilience", "-p", "monitor_max_entries=2.5", "--duration", "1"],
+         "monitor_max_entries must be a whole number"),
+        # range()'s own message, then no pairs, or a sink at a negative id
+        (["diffusion", "-p", "pairs=regions", "-p", "region=0"],
+         "region must be within [4, 5], got 0"),
+        (["diffusion", "-p", "pairs=regions", "-p", "region=1"],
+         "region must be within [4, 5]"),
+        (["diffusion", "-p", "pairs=regions", "-p", "region=2"],
+         "region must be within [4, 5]"),
+        (["diffusion", "-p", "pairs=regions", "-p", "region=2.5"],
+         "region must be a whole number"),
+        (["diffusion", "-p", "pairs=regions", "-p", "region=-8"],
+         "region must be within [4, 5]"),
     ])
     def test_hostile_value_is_a_usage_error(self, args, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
