@@ -12,6 +12,7 @@ transmissions in :mod:`repro.shard`) ahead of same-instant local work.
 
 from __future__ import annotations
 
+import gc
 import heapq
 import itertools
 import time
@@ -354,14 +355,23 @@ class Simulator:
         """Run events in order until the queue empties or limits hit.
 
         ``until`` is an inclusive horizon: events at exactly ``until`` run.
-        When the horizon is reached the clock is advanced to it, so that
-        periodic statistics normalized by elapsed time are exact.
+        When the horizon is reached (no live event at or before it is
+        left) the clock is advanced to it, so that periodic statistics
+        normalized by elapsed time are exact; a run cut short by
+        ``max_events`` or :meth:`stop` leaves the clock at its last event.
 
         Each iteration pops the heap exactly once (the old loop peeked
         then re-popped, paying the heap guard twice per event).
+
+        The cyclic collector is paused while the loop runs: event code
+        makes no reference cycles, so its passes would free nothing.
+        The objects a run made are scanned by the first pass after it.
         """
         if self._running:
             raise SimulationError("run() is not reentrant")
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         self._running = True
         self._stopped = False
         processed = 0
@@ -375,9 +385,13 @@ class Simulator:
                 if max_events is not None and processed >= max_events:
                     break
             if until is not None and self.now < until and not self._stopped:
-                self.now = until
+                following = self.peek_time()
+                if following is None or following > until:
+                    self.now = until
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
             self._settle_gauges()
 
     def run_window(
@@ -402,9 +416,13 @@ class Simulator:
         anywhere inside ``[now, horizon]`` before the next window;
         ``advance_clock`` restores the :meth:`run` behaviour of
         settling the clock on the horizon (used for the final window).
+        The cyclic collector is paused as in :meth:`run`.
         """
         if self._running:
             raise SimulationError("run_window() is not reentrant")
+        collecting = gc.isenabled()
+        if collecting:
+            gc.disable()
         self._running = True
         self._stopped = False
         processed = 0
@@ -419,6 +437,8 @@ class Simulator:
                 self.now = horizon
         finally:
             self._running = False
+            if collecting:
+                gc.enable()
             self._settle_gauges()
         return processed
 

@@ -1,5 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
+import gc
+
 import pytest
 
 from repro.sim import Simulator, SimulationError
@@ -126,6 +128,27 @@ def test_max_events_limit():
         sim.schedule(float(i), lambda: None)
     sim.run(max_events=4)
     assert sim.events_processed == 4
+
+
+def test_max_events_leaves_the_clock_at_the_last_event():
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 4.0, 5.0):
+        sim.schedule_at(t, fired.append, t)
+    sim.run(until=10.0, max_events=2)
+    assert sim.now == 2.0
+    assert sim.pending == 3
+    sim.run(until=10.0)
+    assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sim.now == 10.0
+
+
+def test_max_events_on_the_last_event_still_settles_the_clock():
+    sim = Simulator()
+    sim.schedule_at(1.0, lambda: None)
+    sim.schedule_at(12.0, lambda: None)
+    sim.run(until=10.0, max_events=1)
+    assert sim.now == 10.0
 
 
 def test_pending_counts_uncancelled():
@@ -307,3 +330,76 @@ def test_profiler_sites_sorted_by_time_spent():
     sim.run()
     sites = [entry["site"] for entry in profiler.snapshot()["sites"]]
     assert sites == ["dear", "cheap"]
+
+
+# The cyclic collector is paused inside the run loops and restored
+# after them, whatever the caller had and however the loop ends.
+
+
+@pytest.fixture(params=[True, False], ids=["collector-on", "collector-off"])
+def collector(request):
+    was = gc.isenabled()
+    (gc.enable if request.param else gc.disable)()
+    yield request.param
+    (gc.enable if was else gc.disable)()
+
+
+def test_the_collector_is_off_inside_an_event(collector):
+    sim = Simulator()
+    seen = []
+    sim.schedule(1.0, lambda: seen.append(gc.isenabled()))
+    sim.schedule(2.0, lambda: seen.append(gc.isenabled()))
+    sim.run_window(1.5)
+    sim.run()
+    assert seen == [False, False]
+
+
+def test_run_restores_the_collector(collector):
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.run(until=5.0)
+    assert gc.isenabled() is collector
+
+
+def test_run_window_restores_the_collector(collector):
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    assert sim.run_window(5.0) == 1
+    assert gc.isenabled() is collector
+
+
+def test_a_raising_callback_restores_the_collector(collector):
+    def boom():
+        raise ValueError("boom")
+
+    for loop in ("run", "run_window"):
+        sim = Simulator()
+        sim.schedule(1.0, boom)
+        with pytest.raises(ValueError):
+            getattr(sim, loop)(5.0)
+        assert gc.isenabled() is collector
+
+
+def test_stop_restores_the_collector(collector):
+    sim = Simulator()
+    sim.schedule(1.0, sim.stop)
+    sim.schedule(2.0, lambda: None)
+    sim.run()
+    assert sim.now == 1.0
+    assert gc.isenabled() is collector
+
+
+def test_reentrant_run_raises_and_the_outer_run_restores(collector):
+    sim = Simulator()
+    raised = []
+
+    def reenter():
+        for loop in (sim.run, lambda: sim.run_window(9.0)):
+            with pytest.raises(SimulationError):
+                loop()
+            raised.append(gc.isenabled())
+
+    sim.schedule(1.0, reenter)
+    sim.run()
+    assert raised == [False, False]
+    assert gc.isenabled() is collector
