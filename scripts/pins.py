@@ -20,6 +20,11 @@ Three sets of runs are pinned:
   16x16 ``regional`` and the 10x10 ``hierarchy`` modes (~10 s, a
   ``scripts/ci_tier1.sh`` step).
 
+The preset and wide runs are also held to the rule that lets the
+kernel pause the cyclic collector inside its run loop: event code makes
+no reference cycles.  A run that leaves cyclic garbage fails its key
+like a moved pin does, and its line names the garbage's top types.
+
 A change that means to move an outcome re-pins with ``--write`` and
 quotes the old -> new lines it prints.
 """
@@ -27,11 +32,13 @@ quotes the old -> new lines it prints.
 from __future__ import annotations
 
 import argparse
+import gc
 import hashlib
 import json
 import sys
+from collections import Counter
 from pathlib import Path
-from typing import Any, Dict
+from typing import Any, Dict, Optional, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 PINS = ROOT / "tests" / "pins.json"
@@ -48,27 +55,53 @@ def digest(outcome: Any) -> str:
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 
-def preset_pin(name: str) -> str:
-    from repro.shard import run_oracle
+def oracle_pin(plan: Any) -> Tuple[str, Counter]:
+    """``run_oracle(plan)``'s digest, and the cyclic garbage its run made
+    by type name: the run goes under ``gc.DEBUG_SAVEALL`` between two
+    full collections, so every cycle it left lands in ``gc.garbage``."""
+    from repro.shard import build_whole
+
+    net = build_whole(plan)
+    gc.collect()
+    flags, start = gc.get_debug(), len(gc.garbage)
+    gc.set_debug(flags | gc.DEBUG_SAVEALL)
+    try:
+        net.sim.run(until=plan.duration)
+        gc.collect()
+    finally:
+        gc.set_debug(flags)
+    garbage = Counter(type(obj).__name__ for obj in gc.garbage[start:])
+    del gc.garbage[start:]
+    return digest(net.outcome()), garbage
+
+
+def top_types(garbage: Counter) -> str:
+    """The five commonest garbage types with their counts."""
+    return ", ".join(f"{kind} x{count}" for kind, count in garbage.most_common(5))
+
+
+def preset_pin(name: str) -> Tuple[str, Counter]:
     from tests.test_scenario_registry import small_plan
 
-    return digest(run_oracle(small_plan(name)))
+    return oracle_pin(small_plan(name))
 
 
-def preset_pins() -> Dict[str, str]:
+def preset_pins() -> Dict[str, Tuple[str, Counter]]:
     from tests.test_scenario_registry import SMALL
 
     return {name: preset_pin(name) for name in sorted(SMALL)}
 
 
-def ledger_pins() -> Dict[str, str]:
+def ledger_pins() -> Dict[str, Tuple[str, Optional[Counter]]]:
+    """The ledger runs are perf/workloads.py's own: no garbage count."""
     sys.path.insert(0, str(ROOT / "perf"))
     from workloads import WORKLOADS, digest_of
 
     names = [w["name"] for w in json.loads(
         (ROOT / "BENCHMARK.json").read_text())["workloads"]]
     return {
-        f"{name}/{seed}": digest_of(WORKLOADS[name].run(seed)["outcome"])
+        f"{name}/{seed}": (
+            digest_of(WORKLOADS[name].run(seed)["outcome"]), None)
         for name in names
         for seed in LEDGER_SEEDS
     }
@@ -108,11 +141,8 @@ def wide_plans() -> Dict[str, Any]:
     return plans
 
 
-def wide_pins() -> Dict[str, str]:
-    from repro.shard import run_oracle
-
-    return {key: digest(run_oracle(plan))
-            for key, plan in wide_plans().items()}
+def wide_pins() -> Dict[str, Tuple[str, Counter]]:
+    return {key: oracle_pin(plan) for key, plan in wide_plans().items()}
 
 
 SECTIONS = {"presets": preset_pins, "ledger": ledger_pins, "wide": wide_pins}
@@ -143,7 +173,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     stored = json.loads(PINS.read_text()) if PINS.exists() else {}
     if args.write:
-        fresh = {section: pins() for section, pins in SECTIONS.items()}
+        fresh = {section: {key: pin for key, (pin, _) in pins().items()}
+                 for section, pins in SECTIONS.items()}
         for section, pins in fresh.items():
             for key, new in pins.items():
                 old = stored.get(section, {}).get(key, "absent")
@@ -152,10 +183,19 @@ def main(argv=None) -> int:
         PINS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
         return 0
     section = args.section
-    fresh = SECTIONS[section]()
-    moved = compare(stored.get(section, {}), fresh)
-    print(f"{section}: {len(fresh) - moved} of {len(fresh)} pins equal")
-    return 1 if moved else 0
+    runs = SECTIONS[section]()
+    moved = compare(stored.get(section, {}),
+                    {key: pin for key, (pin, _) in runs.items()})
+    littered = 0
+    for key, (_, garbage) in sorted(runs.items()):
+        if garbage:
+            littered += 1
+            print(f"{key}: its run left cyclic garbage: {top_types(garbage)}")
+    summary = f"{section}: {len(runs) - moved} of {len(runs)} pins equal"
+    if section != "ledger":
+        summary += f", {littered} runs left cyclic garbage"
+    print(summary)
+    return 1 if moved or littered else 0
 
 
 if __name__ == "__main__":

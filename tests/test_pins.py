@@ -2,6 +2,8 @@
 (``tests/test_scenario_registry.py``) hashes to the sha256 that
 ``tests/pins.json`` holds.  Tier-1 runs under a random string-hash
 seed, so this also catches an outcome that starts to depend on it.
+The same run is held to the rule that lets the kernel pause the cyclic
+collector inside its loop: it leaves no cyclic garbage.
 
 A change that means to move an outcome re-pins with ``python
 scripts/pins.py --write`` and quotes the old -> new lines it prints.
@@ -29,4 +31,7 @@ def test_every_preset_is_pinned():
 
 @pytest.mark.parametrize("name", scenario_names())
 def test_preset_outcome_matches_its_pin(name):
-    assert pins.preset_pin(name) == STORED["presets"][name]
+    pin, garbage = pins.preset_pin(name)
+    assert pin == STORED["presets"][name]
+    assert not garbage, (
+        f"{name}: the run left cyclic garbage: {pins.top_types(garbage)}")
