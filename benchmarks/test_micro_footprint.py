@@ -9,7 +9,6 @@ import pytest
 
 from repro.micro import (
     MICRO_DATA_BYTES,
-    MicroConfig,
     MicroDiffusionNode,
     MicroMessage,
     MicroMessageKind,
@@ -17,6 +16,7 @@ from repro.micro import (
     tiered_trial,
 )
 from repro.micro.footprint import footprint_report
+from repro.micro.microdiffusion import CACHE_PACKETS, MAX_GRADIENTS
 from repro.sim import Simulator
 from repro.testbed import IdealNetwork
 
@@ -29,7 +29,7 @@ def test_tiered_delivery(benchmark):
 
 
 def test_footprint_table(benchmark):
-    report = benchmark(footprint_report, MicroConfig())
+    report = benchmark(footprint_report)
     print()
     print("micro-diffusion footprint:")
     for key, value in report.items():
@@ -38,7 +38,7 @@ def test_footprint_table(benchmark):
 
 
 def test_default_state_within_paper_budget():
-    assert state_bytes(MicroConfig()) <= MICRO_DATA_BYTES
+    assert state_bytes() <= MICRO_DATA_BYTES
 
 
 def test_message_fits_small_radio_packets():
@@ -68,5 +68,5 @@ def test_micro_cache_and_gradients_static(benchmark):
         mote._on_message(incoming, src=9, nbytes=incoming.nbytes)
 
     benchmark(process)
-    assert len(mote.gradients) <= mote.config.max_gradients
-    assert len(mote.cache) <= mote.config.cache_packets
+    assert len(mote.gradients) <= MAX_GRADIENTS
+    assert len(mote.cache) <= CACHE_PACKETS

@@ -15,8 +15,8 @@
 # `tracking` preset under `python -S` (site-packages off: the CLI runs
 # on the standard library alone, as the package declares no runtime
 # dependency), a refused non-boolean flag, a refused negative
-# `campaign run --max-trials`, two process-shard runs (`regional` and
-# `line`) against the single queue, and the
+# `campaign run --max-trials` and `run --shards 0`, two process-shard
+# runs (`regional` and `line`) against the single queue, and the
 # flight-recorder postmortem of a `repro run` whose invariant is made
 # to break.  Among what the suite pins: the radio's fast path against
 # the `ReferenceChannel` scan, verdict by verdict
@@ -93,12 +93,17 @@ python -m repro run fig8 -p suppression=False --duration 1 \
 [ "$rc" -eq 2 ] \
     || { echo "suppression=False exited $rc, not 2" >&2; exit 1; }
 
-# A numeric flag out of its range is refused, not read some other way.
+# A numeric flag out of its range is refused, not read some other way:
+# a negative trial budget, and a shard count below one.
 rc=0
 python -m repro campaign run demo --quick --max-trials -1 \
     --store "$store/refused" > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] \
     || { echo "--max-trials -1 exited $rc, not 2" >&2; exit 1; }
+rc=0
+python -m repro run line --shards 0 > /dev/null 2>&1 || rc=$?
+[ "$rc" -eq 2 ] \
+    || { echo "--shards 0 exited $rc, not 2" >&2; exit 1; }
 
 # Observability smoke: record a tiny traced run, then summarize it.
 trace="$store/smoke-trace.jsonl"

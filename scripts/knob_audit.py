@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
-"""Print every knob in ``src/repro`` that nothing sets, and every
+"""Print every knob in ``src/repro`` that no run sets, and every
 public name there that no run calls.
 
     python scripts/knob_audit.py
 
+A *run* is any file under ``src/ benchmarks/ perf/``: the code that
+runs the simulator, its benchmarks and the ledger workloads.  Nothing
+under ``tests/`` or ``examples/`` counts.  A value only tests set is
+one value in use, so it is a constant a test can monkeypatch; a name
+only tests reach is code no run executes; an example narrates a
+registry run rather than being one.
+
 A *knob* is a defaulted parameter of a function or method defined at
 module or class level in any module under ``src/repro`` (the audit
 walks the whole tree, so no package is left out), or a defaulted field
-of a dataclass there.  It is *set* when some call in
-``src/ tests/ benchmarks/ perf/`` passes it:
+of a dataclass there.  It is *set* when some call in a run passes it:
 
 - by keyword, by position, or through ``*`` / ``**`` (a ``**`` over a
   dict literal sets that literal's keys; ``*args`` / ``**kwargs``
@@ -29,14 +35,12 @@ over-approximates "set", so what this prints has no caller at all.
 A *public name* is a function or class defined at module level
 anywhere in ``src/repro`` whose name has no leading underscore
 (methods are not names: ``AttributeVectorBuilder.ne`` is the paper's
-operator set).  It is *called* when some file in ``src/ benchmarks/
-perf/`` refers to it: an ``ast.Name``, the last part of an
-``ast.Attribute``, a ``"module:function"`` string (how campaigns name
-their trial functions), or an import inside a function body.  Its own
-definition does not count, nor do module-level imports, ``__all__``,
-docstrings, comments, or anything under ``tests/`` or ``examples/``: a
-name only tests reach is code no run executes, and an example narrates
-a registry run rather than being one.
+operator set).  It is *called* when some run refers to it: an
+``ast.Name``, the last part of an ``ast.Attribute``, a
+``"module:function"`` string (how campaigns name their trial
+functions), or an import inside a function body.  Its own definition
+does not count, nor do module-level imports, ``__all__``, docstrings or
+comments.
 
 One line per finding, sorted together: ``module:Qualname(param)`` for a
 knob, ``module:Name`` for a public name.
@@ -55,8 +59,8 @@ ROOT = Path(__file__).resolve().parent.parent
 #: left to its own decision: random-waypoint mobility waits on whether a
 #: run can reach it.
 EXCLUDED_CLASSES = {"RandomWaypointMobility"}
-CALLER_DIRS = ("src", "tests", "benchmarks", "perf")
-#: where a reference makes a public name called: not tests/, not examples/.
+#: the runs: where a call sets a knob and a reference calls a name (not
+#: tests/, not examples/).
 RUN_DIRS = ("src", "benchmarks", "perf")
 #: a campaign's ``"module:function"`` trial reference.
 MODULE_FUNCTION = re.compile(r"[\w.]+:(\w+)")
@@ -592,7 +596,7 @@ def _is_set(knob: Knob, callers: Callers) -> bool:
 def audit() -> List[str]:
     trees = {
         path: ast.parse(path.read_text(), str(path))
-        for directory in CALLER_DIRS
+        for directory in RUN_DIRS
         for path in sorted((ROOT / directory).rglob("*.py"))
     }
     defs = Definitions()
@@ -600,10 +604,9 @@ def audit() -> List[str]:
         defs.scan(module, trees[path])
     callers = Callers(defs)
     referenced: Set[str] = set()
-    for path, tree in trees.items():
+    for tree in trees.values():
         callers.visit(tree)
-        if path.relative_to(ROOT).parts[0] in RUN_DIRS:
-            referenced |= _references(tree)
+        referenced |= _references(tree)
     callers.resolve_values()
     callers.resolve_aliases()
     callers.resolve_forwards()

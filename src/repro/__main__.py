@@ -89,7 +89,7 @@ def main(argv=None) -> int:
     )
     run.add_argument("--seed", type=int, default=1)
     run.add_argument("--duration", type=float, help="default: the scenario's")
-    run.add_argument("--shards", type=int, default=1)
+    run.add_argument("--shards", type=positive_int, default=1)
     run.add_argument(
         "--transport", choices=["inline", "process"], default="inline"
     )

@@ -11,6 +11,8 @@ from typing import Dict, List, Sequence, Tuple
 
 #: plot markers assigned to series in insertion order
 MARKERS = "ox+*#@%&"
+#: plot area in characters: every figure is drawn at this size
+WIDTH, HEIGHT = 60, 16
 
 
 def _scale(value: float, low: float, high: float, steps: int) -> int:
@@ -22,8 +24,6 @@ def _scale(value: float, low: float, high: float, steps: int) -> int:
 
 def line_chart(
     series: Dict[str, Sequence[Tuple[float, float]]],
-    width: int = 60,
-    height: int = 16,
     title: str = "",
     x_label: str = "",
     y_label: str = "",
@@ -45,6 +45,7 @@ def line_chart(
     if y_low == y_high:
         y_low, y_high = y_low - 1.0, y_high + 1.0
 
+    width, height = WIDTH, HEIGHT
     grid = [[" "] * width for _ in range(height)]
     for marker, (name, values) in zip(MARKERS, series.items()):
         for x, y in values:

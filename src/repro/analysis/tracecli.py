@@ -29,6 +29,7 @@ from repro.analysis.paths import (
     reconstruct_paths,
 )
 from repro.analysis.tracelog import load_trace, summarize_trace
+from repro.cliargs import positive_int
 
 
 def _run_summarize(args) -> int:
@@ -173,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--all", action="store_true",
         help="show undelivered messages too, not just delivered ones",
     )
-    paths.add_argument("--limit", type=int, default=10)
+    paths.add_argument("--limit", type=positive_int, default=10)
     paths.set_defaults(func=_run_paths)
 
     timeline = sub.add_parser(
@@ -185,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     profile = sub.add_parser("profile", help="kernel event-loop profile")
     profile.add_argument("trace")
-    profile.add_argument("--limit", type=int, default=15)
+    profile.add_argument("--limit", type=positive_int, default=15)
     profile.set_defaults(func=_run_profile)
 
     return parser

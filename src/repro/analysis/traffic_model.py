@@ -27,10 +27,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 #: the model's fixed testbed numbers: 5-hop source-sink paths, every
-#: message approximated as 127 B, one data message per 6 s.
+#: message approximated as 127 B, one data message per 6 s, interests
+#: re-flooded every 60 s.
 PATH_HOPS = 5
 MESSAGE_BYTES = 127
 DATA_INTERVAL = 6.0
+INTEREST_INTERVAL = 60.0
 
 
 @dataclass(frozen=True)
@@ -52,7 +54,6 @@ class TrafficModel:
     """Parameters of the Section 6.1 model, defaulting to the testbed's."""
 
     nodes: int = 14
-    interest_interval: float = 60.0
     exploratory_ratio: int = 10   # one exploratory per this many data msgs
 
     def _flood_cost(self) -> float:
@@ -63,7 +64,7 @@ class TrafficModel:
         """Per-distinct-event byte costs for ``sources`` sources."""
         if sources < 1:
             raise ValueError("need at least one source")
-        events_per_interest = self.interest_interval / DATA_INTERVAL
+        events_per_interest = INTEREST_INTERVAL / DATA_INTERVAL
         interest = self._flood_cost() / events_per_interest
 
         per_source_exploratory = self._flood_cost() / self.exploratory_ratio

@@ -34,6 +34,8 @@ DETECTION_TYPE = "target-detection"
 #: the detector's distance fall-off (m) and its confidence at zero range.
 CONFIDENCE_SCALE = 10.0
 MAX_CONFIDENCE = 0.95
+#: seconds between detector samples: one observation epoch.
+SAMPLE_INTERVAL = 2.0
 #: fusion sees each detection before the gradient filter routes it.
 FUSION_PRIORITY = GRADIENT_FILTER_PRIORITY + 20
 
@@ -85,13 +87,11 @@ class ProximitySensor:
         target: MovingTarget,
         topology: Topology,
         sense_range: float = 25.0,
-        sample_interval: float = 2.0,
     ) -> None:
         self.api = api
         self.target = target
         self.topology = topology
         self.sense_range = sense_range
-        self.sample_interval = sample_interval
         self.detections = 0
         position = topology.position(api.node_id)
         self._x, self._y = position.x, position.y
@@ -107,7 +107,7 @@ class ProximitySensor:
         )
 
     def epoch_at(self, now: float) -> int:
-        return int(now // self.sample_interval)
+        return int(now // SAMPLE_INTERVAL)
 
     def confidence_for(self, distance: float) -> float:
         if distance > self.sense_range:
@@ -131,7 +131,7 @@ class ProximitySensor:
             )
             self.api.send(self._publication, attrs)
         self._timer = sim.schedule(
-            self.sample_interval, self._sample, name="sensor.sample"
+            SAMPLE_INTERVAL, self._sample, name="sensor.sample"
         )
 
     def stop(self) -> None:
@@ -255,19 +255,17 @@ class TrackingSink:
         self,
         api: DiffusionRouting,
         target: MovingTarget,
-        sample_interval: float = 2.0,
         min_confidence: float = 0.0,
     ) -> None:
         self.api = api
         self.target = target
-        self.sample_interval = sample_interval
         self.min_confidence = min_confidence
         self.track: List[TrackPoint] = []
         self._epochs_seen: Dict[int, TrackPoint] = {}
         sub = (
             AttributeVector.builder()
             .eq(Key.TYPE, DETECTION_TYPE)
-            .actual(Key.INTERVAL, int(sample_interval * 1000))
+            .actual(Key.INTERVAL, int(SAMPLE_INTERVAL * 1000))
             .build()
         )
         api.subscribe(sub, self._on_detection)
@@ -305,7 +303,7 @@ class TrackingSink:
         errors = []
         for point in self.track:
             # Ground truth at the middle of the observation epoch.
-            truth_time = (point.epoch + 0.5) * self.sample_interval
+            truth_time = (point.epoch + 0.5) * SAMPLE_INTERVAL
             tx, ty = self.target.position_at(truth_time)
             errors.append(math.hypot(point.x - tx, point.y - ty))
         return sum(errors) / len(errors)

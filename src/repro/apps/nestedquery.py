@@ -26,6 +26,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro.apps.sensors import (
     AUDIO_TYPE,
     LIGHT_TYPE,
+    TOGGLE_INTERVAL,
     AudioEmitter,
     LightSensor,
 )
@@ -55,12 +56,10 @@ class AudioNodeApp:
         api: DiffusionRouting,
         nested: bool,
         light_ids: Sequence[int],
-        toggle_interval: float = 60.0,
     ) -> None:
         self.api = api
         self.nested = nested
         self.light_ids = list(light_ids)
-        self.toggle_interval = toggle_interval
         self.emitter = AudioEmitter(api)
         self.changes_detected: List[ChangeId] = []
         self.requests_served: Set[ChangeId] = set()
@@ -226,24 +225,20 @@ class NestedQueryExperiment:
         audio_id: int,
         light_ids: Sequence[int],
         nested: bool,
-        toggle_interval: float = 60.0,
     ) -> None:
         self.network = network
         self.nested = nested
         self.light_ids = list(light_ids)
-        self.toggle_interval = toggle_interval
         self.user = UserApp(network.api(user_id), nested=nested)
         self.audio = AudioNodeApp(
             network.api(audio_id),
             nested=nested,
             light_ids=self.light_ids,
-            toggle_interval=toggle_interval,
         )
         self.lights = [
             LightSensor(
                 network.api(light_id),
                 report_interval=REPORT_INTERVAL,
-                toggle_interval=toggle_interval,
                 phase=network.seeds.stream(f"light-phase:{light_id}").uniform(
                     0.0, REPORT_INTERVAL
                 ),
@@ -258,7 +253,7 @@ class NestedQueryExperiment:
         change after seeing a report from the previous epoch, so epochs
         1..floor(duration/toggle) count, per light.
         """
-        transitions = max(0, int(duration // self.toggle_interval))
+        transitions = max(0, int(duration // TOGGLE_INTERVAL))
         return transitions * len(self.light_ids)
 
     def mean_latency(self) -> Optional[float]:
@@ -266,7 +261,7 @@ class NestedQueryExperiment:
         data arriving at the user — the quantity behind the paper's
         "reduction in latency can be substantial" claim (§5.2)."""
         delays = [
-            arrival - epoch * self.toggle_interval
+            arrival - epoch * TOGGLE_INTERVAL
             for (instance, epoch), arrival in self.user.audio_arrival_times.items()
         ]
         if not delays:

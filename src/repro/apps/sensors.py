@@ -29,6 +29,9 @@ EVENT_INTERVAL = 6.0
 EVENT_BYTES = 112
 #: the size of a Figure 9 light report and of an audio sample.
 FIG9_MESSAGE_BYTES = 100
+#: Figure 9: light state "change[s] automatically every minute on the
+#: minute".
+TOGGLE_INTERVAL = 60.0
 
 
 class SynchronizedEventClock:
@@ -39,16 +42,11 @@ class SynchronizedEventClock:
     numbers that are synchronized at experiment start."
     """
 
-    def __init__(self, interval: float = EVENT_INTERVAL) -> None:
-        if interval <= 0:
-            raise ValueError("interval must be positive")
-        self.interval = interval
-
     def sequence_at(self, now: float) -> int:
-        return int(math.floor(now / self.interval))
+        return int(math.floor(now / EVENT_INTERVAL))
 
     def next_event_time(self, now: float) -> float:
-        return (self.sequence_at(now) + 1) * self.interval
+        return (self.sequence_at(now) + 1) * EVENT_INTERVAL
 
 
 def _pad_to(
@@ -75,12 +73,10 @@ class DetectionSource:
         self,
         api: DiffusionRouting,
         clock: SynchronizedEventClock,
-        event_bytes: int = EVENT_BYTES,
         start: float = 0.0,
     ) -> None:
         self.api = api
         self.clock = clock
-        self.event_bytes = event_bytes
         self.events_generated = 0
         self._publication_attrs = (
             AttributeVector.builder().actual(Key.TYPE, SURVEILLANCE_TYPE).build()
@@ -104,7 +100,7 @@ class DetectionSource:
         padding = _pad_to(
             self._publication_attrs,
             attrs,
-            self.event_bytes,
+            EVENT_BYTES,
             self.api.node.config.header_bytes,
         )
         self.api.send(self._publication, attrs, padding_bytes=padding)
@@ -123,7 +119,7 @@ class LightSensor:
 
     "We simulate light data to change automatically every minute on the
     minute.  Light sensors report their state every 2s."  Reports carry
-    the state *epoch* (``floor(now / toggle_interval)``) so receivers
+    the state *epoch* (``floor(now / TOGGLE_INTERVAL)``) so receivers
     detect changes robustly even across lost reports.
     """
 
@@ -131,12 +127,10 @@ class LightSensor:
         self,
         api: DiffusionRouting,
         report_interval: float = 2.0,
-        toggle_interval: float = 60.0,
         phase: float = 0.0,
     ) -> None:
         self.api = api
         self.report_interval = report_interval
-        self.toggle_interval = toggle_interval
         self.reports_sent = 0
         self._publication_attrs = (
             AttributeVector.builder()
@@ -153,7 +147,7 @@ class LightSensor:
         )
 
     def state_epoch(self, now: float) -> int:
-        return int(math.floor(now / self.toggle_interval))
+        return int(math.floor(now / TOGGLE_INTERVAL))
 
     def state(self, now: float) -> int:
         return self.state_epoch(now) % 2
@@ -186,11 +180,8 @@ class LightSensor:
 class AudioEmitter:
     """The output side of the Figure 9 triggered (audio) sensor."""
 
-    def __init__(
-        self, api: DiffusionRouting, message_bytes: int = FIG9_MESSAGE_BYTES
-    ) -> None:
+    def __init__(self, api: DiffusionRouting) -> None:
         self.api = api
-        self.message_bytes = message_bytes
         self.emissions = 0
         self._publication_attrs = (
             AttributeVector.builder().actual(Key.TYPE, AUDIO_TYPE).build()
@@ -208,7 +199,7 @@ class AudioEmitter:
         padding = _pad_to(
             self._publication_attrs,
             attrs,
-            self.message_bytes,
+            FIG9_MESSAGE_BYTES,
             self.api.node.config.header_bytes,
         )
         self.api.send(self._publication, attrs, padding_bytes=padding)

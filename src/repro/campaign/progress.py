@@ -25,12 +25,11 @@ class CampaignProgress:
     def __init__(
         self,
         campaign: str,
-        trace: Optional[TraceBus] = None,
         log_path: Optional[Union[str, Path]] = None,
         echo: bool = False,
     ) -> None:
         self.campaign = campaign
-        self.trace = trace or TraceBus()
+        self.trace = TraceBus()
         self.echo = echo
         self._log: Optional[TextIO] = (
             Path(log_path).open("w") if log_path is not None else None

@@ -3,14 +3,15 @@
 Defaults follow the paper's testbed configuration (Section 6.1):
 interests re-flooded every 60 s, one exploratory message per ten data
 messages, ~127-byte messages on a 13 kb/s radio.  Every field below is
-set by some run, test or campaign; a value nothing varies is a constant
-where it is read (the duplicate cache's 60 s entry lifetime is
-:class:`~repro.core.cache.DataCache`'s default, the propagation mode is
-:func:`repro.hierarchy.install_hierarchy`'s argument).
+set by some run or campaign; a value no run varies is a constant (the
+duplicate cache's size is :attr:`DiffusionConfig.cache_capacity`, its
+60 s entry lifetime :class:`~repro.core.cache.DataCache`'s default, the
+propagation mode :func:`repro.hierarchy.install_hierarchy`'s argument).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 from typing import Any, ClassVar, Optional, Type, TypeVar
 
@@ -56,9 +57,6 @@ class DiffusionConfig:
             testbed; with one data message per 6 s that is the paper's
             1:10 exploratory:data ratio).  A send is exploratory when at
             least this long has passed since the last exploratory one.
-        exploratory_every: optional count-based override — mark every
-            Nth message exploratory instead (used by ablations; None
-            selects the time-based rule).
         reinforced_timeout: seconds a reinforced gradient survives
             without a fresh reinforcement.
         push_mode: one-phase push diffusion.  Sinks do not flood
@@ -77,42 +75,44 @@ class DiffusionConfig:
             links", trading duplicate transmissions for delivery.
         enable_reinforcement: when False the protocol degenerates to pure
             flooding (ablation: two-phase pull vs flooding).
-        enable_negative_reinforcement: when False, stale reinforced paths
-            only die by timeout.
-        enable_duplicate_suppression: the core's own loop-prevention
-            cache (distinct from application-level aggregation filters).
-        cache_capacity: entries in the duplicate-suppression cache
-            (micro-diffusion shrinks this to 10).
     """
 
     #: fixed per-message header charged on the wire in addition to the
     #: encoded attributes (a class constant: no run varies it).
     header_bytes: ClassVar[int] = 24
+    #: entries in the core's duplicate-suppression cache, its own loop
+    #: prevention (distinct from application-level aggregation filters).
+    cache_capacity: ClassVar[int] = 512
 
     interest_interval: float = 60.0
     interest_jitter: float = 2.0
     reinforcement_jitter: float = 1.0
     gradient_timeout: float = 150.0
     exploratory_interval: float = 60.0
-    exploratory_every: "int | None" = None
     reinforced_timeout: float = 150.0
     multipath_degree: int = 1
     push_mode: bool = False
     enable_reinforcement: bool = True
-    enable_negative_reinforcement: bool = True
-    enable_duplicate_suppression: bool = True
-    cache_capacity: int = 512
 
     def validate(self) -> None:
-        if self.interest_interval <= 0:
+        # ``not value > 0`` and ``isfinite``: NaN fails every comparison,
+        # so a plain ``value <= 0`` would let it through to the timers.
+        for key in ("interest_interval", "exploratory_interval",
+                    "gradient_timeout", "reinforced_timeout"):
+            value = getattr(self, key)
+            if not math.isfinite(value):
+                raise ValueError(f"{key} must be finite, got {value!r}")
+        for key in ("interest_jitter", "reinforcement_jitter"):
+            value = getattr(self, key)
+            if not (value >= 0 and math.isfinite(value)):
+                raise ValueError(
+                    f"{key} must be non-negative and finite, got {value!r}"
+                )
+        if not self.interest_interval > 0:
             raise ValueError("interest_interval must be positive")
-        if self.exploratory_every is not None and self.exploratory_every < 1:
-            raise ValueError("exploratory_every must be >= 1")
-        if self.exploratory_interval <= 0:
+        if not self.exploratory_interval > 0:
             raise ValueError("exploratory_interval must be positive")
         if self.gradient_timeout <= self.interest_interval:
             raise ValueError("gradient_timeout should exceed interest_interval")
-        if self.cache_capacity < 1:
-            raise ValueError("cache_capacity must be >= 1")
         if self.multipath_degree < 1:
             raise ValueError("multipath_degree must be >= 1")

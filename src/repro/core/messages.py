@@ -74,7 +74,7 @@ class Message:
     msg_type: MessageType
     attrs: AttributeVector
     origin: int                       # node that created this message
-    msg_id: int = 0                   # per-origin unique id
+    msg_id: int                       # per-origin unique id
     last_hop: Optional[int] = None    # filled on reception
     next_hop: Optional[int] = BROADCAST
     # For reinforcements: which (interest, source) pair they concern.
@@ -99,10 +99,6 @@ class Message:
     _matching_attrs: Optional[AttributeVector] = field(
         default=None, init=False, repr=False, compare=False
     )
-
-    def __post_init__(self) -> None:
-        if self.msg_id == 0:
-            self.msg_id = next(_msg_counter)
 
     @property
     def unique_id(self) -> Tuple[int, int]:
@@ -168,6 +164,7 @@ def make_interest(
         msg_type=MessageType.INTEREST,
         attrs=attrs,
         origin=origin,
+        msg_id=next(_msg_counter),
         header_bytes=header_bytes,
     )
 
@@ -186,6 +183,7 @@ def make_control(
         msg_type=MessageType.CONTROL,
         attrs=attrs,
         origin=origin,
+        msg_id=next(_msg_counter),
         header_bytes=header_bytes,
     )
 
@@ -203,6 +201,7 @@ def make_data(
         msg_type=msg_type,
         attrs=attrs,
         origin=origin,
+        msg_id=next(_msg_counter),
         data_origin=origin,
         header_bytes=header_bytes,
         padding_bytes=padding_bytes,
@@ -229,6 +228,7 @@ def make_reinforcement(
         msg_type=msg_type,
         attrs=interest_attrs,
         origin=origin,
+        msg_id=next(_msg_counter),
         next_hop=next_hop,
         interest_digest=interest_digest,
         data_origin=data_origin,

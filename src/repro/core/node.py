@@ -81,7 +81,6 @@ class Publication:
 
     handle_id: int
     attrs: AttributeVector
-    sends: int = 0
     last_exploratory: Optional[float] = None
 
 
@@ -301,24 +300,19 @@ class DiffusionNode:
 
         A message is marked exploratory when ``exploratory_interval``
         seconds have passed since the last exploratory one (the very
-        first message always is); a count-based cadence applies instead
-        when ``config.exploratory_every`` is set.  Returns the message,
-        or None when the publication handle is unknown.
+        first message always is).  Returns the message, or None when
+        the publication handle is unknown.
         """
         pub = self.publications.get(publication_handle)
         if pub is None:
             return None
         merged = AttributeVector(list(pub.attrs) + list(attrs))
-        if force_exploratory:
-            exploratory = True
-        elif self.config.exploratory_every is not None:
-            exploratory = pub.sends % self.config.exploratory_every == 0
-        else:
-            exploratory = (
-                pub.last_exploratory is None
-                or self.sim.now - pub.last_exploratory
-                >= self.config.exploratory_interval
-            )
+        exploratory = (
+            force_exploratory
+            or pub.last_exploratory is None
+            or self.sim.now - pub.last_exploratory
+            >= self.config.exploratory_interval
+        )
         # Only consume the exploratory slot when the message can leave
         # the node: a send with no matching demand is dropped, and
         # burning the slot on it would leave the source without a path
@@ -330,7 +324,6 @@ class DiffusionNode:
             has_demand = bool(self.gradients.matching_data(merged, self.sim.now))
         if exploratory and has_demand:
             pub.last_exploratory = self.sim.now
-        pub.sends += 1
         message = make_data(
             attrs=merged,
             origin=self.node_id,
@@ -411,9 +404,7 @@ class DiffusionNode:
 
     def _process_interest(self, message: Message) -> None:
         now = self.sim.now
-        if self.config.enable_duplicate_suppression and self.cache.seen_before(
-            ("interest", message.unique_id), now
-        ):
+        if self.cache.seen_before(("interest", message.unique_id), now):
             self.stats.duplicates_suppressed += 1
             self._note_drop(message, "cache-suppression")
             if self.forward_policy is not None:
@@ -441,9 +432,7 @@ class DiffusionNode:
 
     def _process_data(self, message: Message) -> None:
         now = self.sim.now
-        if self.config.enable_duplicate_suppression and self.cache.seen_before(
-            ("data", message.unique_id), now
-        ):
+        if self.cache.seen_before(("data", message.unique_id), now):
             self.stats.duplicates_suppressed += 1
             self._note_drop(message, "cache-suppression")
             if message.msg_type is MessageType.EXPLORATORY_DATA:
@@ -594,17 +583,15 @@ class DiffusionNode:
         preferred = candidates[: self.config.multipath_degree]
         if not preferred:
             return
-        old = entry.sink_preferred.get(data_origin, [])
-        if self.config.enable_negative_reinforcement:
-            for dropped in old:
-                if dropped not in preferred:
-                    self._send_reinforcement(
-                        positive=False,
-                        entry=entry,
-                        data_origin=data_origin,
-                        next_hop=dropped,
-                        cause=cause,
-                    )
+        for dropped in entry.sink_preferred.get(data_origin, []):
+            if dropped not in preferred:
+                self._send_reinforcement(
+                    positive=False,
+                    entry=entry,
+                    data_origin=data_origin,
+                    next_hop=dropped,
+                    cause=cause,
+                )
         entry.sink_preferred[data_origin] = list(preferred)
         for next_hop in preferred:
             self._send_reinforcement(

@@ -11,10 +11,9 @@ disrupted delivery too.  The ``custody-conservation`` monitor in
 store contents.
 
 Graceful degradation is watermark-driven: depth beyond
-:attr:`~repro.dtn.config.DtnConfig.capacity` evicts oldest-first,
-age beyond :attr:`~repro.dtn.config.DtnConfig.max_age` expires on the
-next sweep, and a node past its energy budget refuses *new* custody
-(it keeps what it already promised to carry).
+:data:`CAPACITY` evicts oldest-first, age beyond :data:`MAX_AGE`
+expires on the next sweep, and a node past its energy budget refuses
+*new* custody (it keeps what it already promised to carry).
 """
 
 from __future__ import annotations
@@ -27,6 +26,13 @@ from repro.sim.metrics import current_registry
 from repro.dtn.config import DtnConfig
 
 BlockKey = Tuple[str, int]  # (object id, block index)
+
+#: custody depth watermark — oldest-first eviction beyond this.
+CAPACITY = 64
+#: custody age watermark (seconds) — older entries expire (never
+#: silently: every eviction emits ``custody.expire`` + a ``path.drop``
+#: with a ``custody.*`` reason).
+MAX_AGE = 120.0
 
 
 @dataclass
@@ -145,7 +151,7 @@ class CustodyStore:
             now, "custody.accept", node=self.node_id,
             object=object_id, index=index, trace=trace, carrier=carrier,
         )
-        while len(self._entries) > self.config.capacity:
+        while len(self._entries) > CAPACITY:
             oldest = next(iter(self._entries))
             self._expire(oldest, now, "capacity")
         return self._entries.get(key)
@@ -182,7 +188,7 @@ class CustodyStore:
         stale = [
             key
             for key, entry in self._entries.items()
-            if now - entry.accepted_at >= self.config.max_age
+            if now - entry.accepted_at >= MAX_AGE
         ]
         for key in stale:
             self._expire(key, now, "age")

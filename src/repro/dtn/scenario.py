@@ -21,7 +21,7 @@ carrying custody across the gap.
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Tuple
 
 from repro.core.config import config_from_object
 from repro.dtn.agent import CustodyAgent
@@ -242,7 +242,7 @@ def _arm_transfer(
     node; returns the transfer section of the outcome, ``header``
     first.  The harness's :class:`Partition` windows split deliveries
     into during / after."""
-    from repro.shard.scenario import flag
+    from repro.shard.scenario import _nonnegative, _positive, flag
 
     custody = flag(p, "custody")
     config = config_from_object(DtnConfig, p["dtn_config"], "dtn_config")
@@ -252,16 +252,12 @@ def _arm_transfer(
             f"payload_bytes must be a positive multiple of 256, "
             f"got {p['payload_bytes']!r}"
         )
-    send_start = float(p["send_start"])
-    if send_start < 0:
-        raise ValueError(
-            f"send_start must not be negative, got {p['send_start']!r}"
-        )
+    send_start = _nonnegative(p, "send_start")
     tap = _AttributionTap(network.trace)
     obj = DataObject(OBJECT_ID, bytes(range(256)) * (payload_bytes // 256))
     sender = BlockSender(
         network.api(source),
-        block_interval=float(p["block_interval"]),
+        block_interval=_positive(p, "block_interval"),
         reliable=custody,
         rng=make_rng(seed, "dtn:sender") if custody else None,
     )
@@ -407,25 +403,15 @@ def dtn_run(
     duty: float = 0.6,
     duration: float = 260.0,
     custody: bool = True,
-    mode: str = "flat",
-    flight_recorder: Optional[str] = None,
 ) -> Dict[str, Any]:
     """One bulk transfer across a grid partitioned at ``duty``.
 
     The front door of the ``dtn`` preset: it is
     ``run_oracle(ShardPlan("dtn", params, seed, duration, 1))`` with
-    ``params`` naming every keyword but ``seed`` and ``duration`` —
-    ``mode`` only when it is not ``"flat"`` (``"clustered"`` runs the
-    same disruption over the hierarchy backbone and adds that mode's
-    outcome sections); every other param is the preset's default.
-    ``custody=False`` is the legacy baseline.
+    ``params`` naming ``duty`` and ``custody``; every other param is the
+    preset's default.  ``custody=False`` is the legacy baseline.
     """
     from repro.shard import ShardPlan, run_oracle
 
-    params = {
-        "duty": duty,
-        "custody": custody,
-        "mode": None if mode == "flat" else mode,
-        "flight_recorder": flight_recorder,
-    }
+    params = {"duty": duty, "custody": custody}
     return run_oracle(ShardPlan("dtn", params, seed, duration, 1))

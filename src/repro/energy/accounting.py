@@ -17,11 +17,10 @@ class EnergyLedger:
     """Accumulates radio-state time for one node, priced at the paper's
     power ratios."""
 
-    def __init__(self, duty_cycle: float = 1.0) -> None:
-        if not 0.0 <= duty_cycle <= 1.0:
-            raise ValueError("duty cycle must be within [0, 1]")
+    def __init__(self) -> None:
         self.model = DutyCycleModel()
-        self.duty_cycle = duty_cycle
+        #: the MAC's listen duty cycle; a duty-cycled MAC lowers it.
+        self.duty_cycle = 1.0
         self.time_sending = 0.0
         self.time_receiving = 0.0
 

@@ -73,10 +73,8 @@ class DutyCycleModel:
     idle listening, but traffic still has to be received and sent.
     """
 
-    def __init__(self, power_ratios=PAPER_POWER_RATIOS) -> None:
-        if min(power_ratios) < 0:
-            raise ValueError("ratios must be non-negative")
-        self.p_listen, self.p_receive, self.p_send = power_ratios
+    def __init__(self) -> None:
+        self.p_listen, self.p_receive, self.p_send = PAPER_POWER_RATIOS
         self.t_listen, self.t_receive, self.t_send = PAPER_TIME_RATIOS
 
     def breakdown(self, duty_cycle: float) -> EnergyBreakdown:

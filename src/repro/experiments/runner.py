@@ -25,7 +25,7 @@ from repro.campaign.builtin import (
     fig9_pivot,
 )
 from repro.experiments import duty_cycle, fig11_matching
-from repro.micro import MicroConfig, tiered_trial
+from repro.micro import tiered_trial
 from repro.micro.footprint import footprint_report
 
 EXPERIMENT_ORDER = ("fig8", "fig9", "fig11", "duty", "model", "micro")
@@ -95,7 +95,7 @@ def run_traffic_model() -> None:
 
 
 def run_micro_footprint() -> None:
-    report = footprint_report(MicroConfig())
+    report = footprint_report()
     print("Section 4.3 micro-diffusion footprint:")
     for key, value in report.items():
         print(f"   {key}: {value}")

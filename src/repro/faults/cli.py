@@ -14,6 +14,7 @@ import argparse
 import json
 import sys
 
+from repro.cliargs import positive_int
 from repro.faults.plan import FaultPlan, PlanError
 
 
@@ -47,7 +48,7 @@ def main(argv=None) -> int:
     val = sub.add_parser("validate", help="check a plan JSON file")
     val.add_argument("plan")
     val.add_argument(
-        "--nodes", type=int, default=12,
+        "--nodes", type=positive_int, default=12,
         help="validate against node ids 0..N-1 (default: 12, the standard grid)",
     )
 

@@ -97,12 +97,11 @@ class FaultEngine:
         self.overlay = overlay
 
     def clock(self, node_id: int) -> NodeClock:
-        """The engine's local clock for ``node_id`` (created on first
-        use, with a seed-derived jitter stream)."""
+        """The engine's local clock for ``node_id`` (created exact on
+        first use)."""
         clock = self.clocks.get(node_id)
         if clock is None:
-            clock = NodeClock(rng=make_rng(self._fault_seed, f"clock:{node_id}"))
-            self.clocks[node_id] = clock
+            clock = self.clocks[node_id] = NodeClock()
         return clock
 
     def _note(self, index: int, action, phase: str, **detail) -> None:

@@ -88,7 +88,7 @@ class MonitorSuite:
 
     Trace-driven checks (forwarding loops, reboot coherence) fire
     synchronously on bus events; state-driven checks (gradient bounds,
-    reinforcement uniqueness) run every ``probe_interval`` seconds and
+    reinforcement uniqueness) run every :attr:`PROBE_INTERVAL` seconds and
     once more at :meth:`detach`.
 
     Pass a :class:`~repro.sim.trace.FlightRecorder` (plus a
@@ -104,13 +104,15 @@ class MonitorSuite:
     #: detection; traces are short-lived, so eviction of the oldest
     #: entries cannot miss a live loop.
     LOOP_WINDOW = 4096
+    #: seconds between probes of the state-driven checks.
+    PROBE_INTERVAL = 5.0
+    #: a data message past this many hops per network node is looping.
+    HOPS_PER_NODE = 2
 
     def __init__(
         self,
         network,
-        probe_interval: float = 5.0,
         max_entries: int = 32,
-        max_hops: Optional[int] = None,
         recorder: Optional[FlightRecorder] = None,
         dump_path: Optional[Union[str, Path]] = None,
     ) -> None:
@@ -119,9 +121,7 @@ class MonitorSuite:
         self.dump_path = Path(dump_path) if dump_path is not None else None
         self.dumped: Optional[int] = None   # records written, once dumped
         self.max_entries = max_entries
-        self.max_hops = (
-            max_hops if max_hops is not None else 2 * len(network.node_ids())
-        )
+        self.max_hops = self.HOPS_PER_NODE * len(network.node_ids())
         self.violations: List[Violation] = []
         current_registry().counter(
             "faults.violations", lambda: len(self.violations)
@@ -138,7 +138,7 @@ class MonitorSuite:
         network.trace.subscribe("custody.transfer", self._on_custody)
         network.trace.subscribe("custody.expire", self._on_custody)
         self._probe_event = network.sim.schedule(
-            probe_interval, self._probe, probe_interval, name="faults.probe"
+            self.PROBE_INTERVAL, self._probe, name="faults.probe"
         )
 
     # -- recording -----------------------------------------------------------
@@ -195,7 +195,7 @@ class MonitorSuite:
                 "no-forwarding-loop", node, trace,
                 first_hops=first, again_hops=hops,
             )
-        if self.max_hops is not None and hops > self.max_hops:
+        if hops > self.max_hops:
             self._record(
                 "no-forwarding-loop", node, trace,
                 hops=hops, max_hops=self.max_hops,
@@ -245,10 +245,10 @@ class MonitorSuite:
 
     # -- state-driven invariants ----------------------------------------------
 
-    def _probe(self, interval: float) -> None:
+    def _probe(self) -> None:
         self.check()
         self._probe_event = self.network.sim.schedule(
-            interval, self._probe, interval, name="faults.probe"
+            self.PROBE_INTERVAL, self._probe, name="faults.probe"
         )
 
     def check(self) -> None:

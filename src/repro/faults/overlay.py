@@ -48,16 +48,15 @@ class FaultOverlayPropagation:
         self._version += 1
         self.changes += 1
 
-    def block_link(self, src: int, dst: int, symmetric: bool = True) -> None:
+    def block_link(self, src: int, dst: int) -> None:
+        """Cut the link in both directions."""
         self._blocked.add((src, dst))
-        if symmetric:
-            self._blocked.add((dst, src))
+        self._blocked.add((dst, src))
         self._bump()
 
-    def unblock_link(self, src: int, dst: int, symmetric: bool = True) -> None:
+    def unblock_link(self, src: int, dst: int) -> None:
         self._blocked.discard((src, dst))
-        if symmetric:
-            self._blocked.discard((dst, src))
+        self._blocked.discard((dst, src))
         self._bump()
 
     def set_partition(self, groups: Iterable[Iterable[int]]) -> None:

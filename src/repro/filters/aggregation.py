@@ -31,6 +31,8 @@ AGGREGATION_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 20
 #: how long a counted event's identity is remembered after its
 #: aggregate left: later reports of it are absorbed, not re-counted.
 AGGREGATION_WINDOW = 30.0
+#: how long the suppression filter remembers a forwarded event.
+SUPPRESSION_WINDOW = 30.0
 
 
 def _event_key(message: Message) -> Optional[Tuple]:
@@ -59,10 +61,9 @@ class SuppressionFilter:
         self,
         node: DiffusionNode,
         match_attrs: Optional[AttributeVector] = None,
-        window: float = 30.0,
     ) -> None:
         self.node = node
-        self.seen = DataCache(capacity=256, timeout=window)
+        self.seen = DataCache(capacity=256, timeout=SUPPRESSION_WINDOW)
         self.suppressed = 0
         self.passed = 0
         self.handle = node.add_filter(

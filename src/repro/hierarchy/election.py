@@ -36,6 +36,9 @@ CONTROL_FILTER_PRIORITY = GRADIENT_FILTER_PRIORITY + 60
 #: CONTROL_KIND value tagging cluster announcements.
 CLUSTER_CONTROL_KIND = "cluster"
 
+#: folded into every node id before the score tiebreak is drawn.
+TIEBREAK_MIX = splitmix64(0)
+
 #: members announce this many times slower than heads once bootstrap is
 #: done.  Post-bootstrap scores are static, so member announcements only
 #: serve slow liveness; head announcements carry the claims everyone's
@@ -86,12 +89,9 @@ class ClusterService:
         registry = current_registry()
         registry.counter("hierarchy.announces", lambda: self.announces_sent)
         registry.counter("hierarchy.reelections", lambda: self.reelections)
-        # The tiebreak decorrelates head placement from node numbering;
-        # the salt lets campaigns re-randomize placement without
-        # touching node ids.  Announced, never recomputed by receivers.
-        self._tiebreak = splitmix64(
-            node.node_id ^ splitmix64(int(getattr(params, "election_salt", 0)))
-        ) & 0xFFFF
+        # The tiebreak decorrelates head placement from node numbering.
+        # Announced, never recomputed by receivers.
+        self._tiebreak = splitmix64(node.node_id ^ TIEBREAK_MIX) & 0xFFFF
 
     #: quick announce rounds after start/reboot (at a quarter of the
     #: steady period) so scores and claims converge before the network

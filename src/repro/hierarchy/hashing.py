@@ -5,7 +5,7 @@ on every node and in every worker process.  Python's builtin ``hash``
 is salted per process for strings, so the fold here goes through a
 fixed byte encoding and the splitmix64 finalizer of
 :mod:`repro.sim.rng` (which the radio's loss draw mixes with too):
-deterministic, seedable, and cheap.
+deterministic and cheap.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ from __future__ import annotations
 import struct
 from typing import Any, Dict, List, Tuple
 
-from repro.sim.rng import MASK64, splitmix64
+from repro.sim.rng import splitmix64
 
 
 def _encode(value: Any) -> bytes:
@@ -35,14 +35,14 @@ def _encode(value: Any) -> bytes:
     raise TypeError(f"cannot hash rendezvous value of type {type(value)!r}")
 
 
-def stable_hash64(value: Any, seed: int = 0) -> int:
+def stable_hash64(value: Any) -> int:
     """Process-independent 64-bit hash of an attribute value.
 
     Folds the encoded value through splitmix64 eight bytes at a time.
     Unlike ``hash(str)`` this never varies with ``PYTHONHASHSEED``, so
     every shard worker agrees on where a rendezvous key lives.
     """
-    h = splitmix64(seed & MASK64)
+    h = splitmix64(0)
     data = _encode(value)
     for start in range(0, len(data), 8):
         chunk = data[start:start + 8]
@@ -67,13 +67,11 @@ class RegionMap:
         y_min: float,
         x_max: float,
         y_max: float,
-        regions: int = 4,
-        salt: int = 0,
+        regions: int,
     ) -> None:
         if regions < 1:
             raise ValueError("regions must be >= 1")
         self.regions = regions
-        self.salt = salt
         self.x_min = x_min
         self.y_min = y_min
         # Degenerate extents (single node, collinear deployments) still
@@ -83,9 +81,7 @@ class RegionMap:
         self._value_memo: Dict[Any, int] = {}
 
     @classmethod
-    def from_topology(
-        cls, topology, regions: int = 4
-    ) -> "RegionMap":
+    def from_topology(cls, topology, regions: int) -> "RegionMap":
         xs: List[float] = []
         ys: List[float] = []
         for node_id in topology.node_ids():
@@ -100,7 +96,7 @@ class RegionMap:
         """The region index an attribute value rendezvouses in."""
         region = self._value_memo.get(value)
         if region is None:
-            region = stable_hash64(value, seed=self.salt) % (
+            region = stable_hash64(value) % (
                 self.regions * self.regions
             )
             self._value_memo[value] = region

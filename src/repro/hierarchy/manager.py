@@ -47,8 +47,6 @@ class HierarchyParams:
             gradient_timeout`` — late enough to halve refresh floods,
             early enough that downstream gradients never expire.  0
             disables.
-        election_salt: folds into every node's score tiebreak,
-            re-randomizing head placement without changing node ids.
 
     Rendezvous:
         regions: the deployment bounding box is carved into
@@ -58,7 +56,6 @@ class HierarchyParams:
     announce_interval: float = 10.0
     announce_jitter: float = 2.0
     refresh_damping: Optional[float] = None
-    election_salt: int = 0
     regions: int = 4
 
     @property

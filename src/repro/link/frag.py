@@ -10,8 +10,8 @@ MAC "perform particularly poorly at high load".
 Fragments carry the message object by reference (this is a simulator,
 not a codec); ``nbytes`` drives airtime and traffic accounting.
 
-A partial message expires ``timeout`` seconds after its first fragment
-arrived.  The timeout is one constant per network, so expiries come due
+A partial message expires :data:`REASSEMBLY_TIMEOUT` seconds after its
+first fragment arrived.  The timeout is one constant, so expiries come due
 in the order the partials were opened: every layer of a network shares
 one :class:`ReassemblyExpiry` FIFO with at most one pending kernel
 event, instead of scheduling (and mostly cancelling) a timer per
@@ -31,6 +31,9 @@ from repro.sim.metrics import current_registry
 
 MessageId = Tuple[int, int]  # (origin node, per-node counter)
 
+#: seconds a partial message waits for its missing fragments.
+REASSEMBLY_TIMEOUT = 5.0
+
 
 @dataclass(frozen=True)
 class Fragment:
@@ -48,7 +51,7 @@ class ReassemblyExpiry:
     """The reassembly timeouts of every layer sharing it, in one FIFO.
 
     Entries are ``(expires, ticket, slot, message_id)`` in the order
-    partials were opened, which is expiry order because ``timeout`` is
+    partials were opened, which is expiry order because the timeout is
     fixed; ``slot`` is the opening layer's index in ``layers``, where
     each layer registers when it is built.  At most one ``frag.expire``
     kernel event is pending, at the head's time; it expires every entry
@@ -58,9 +61,8 @@ class ReassemblyExpiry:
     ``ticket``), is skipped.
     """
 
-    def __init__(self, sim: Simulator, timeout: float = 5.0) -> None:
+    def __init__(self, sim: Simulator) -> None:
         self.sim = sim
-        self.timeout = timeout
         self.layers: List["FragmentationLayer"] = []
         self._fifo: Deque[Tuple[float, int, int, MessageId]] = deque()
         self._tickets = itertools.count()
@@ -74,7 +76,7 @@ class ReassemblyExpiry:
     def open(self, slot: int, message_id: MessageId) -> int:
         """Queue the expiry of a partial the layer in ``slot`` opens
         now; returns the ticket that names this opening."""
-        expires = self.sim.now + self.timeout
+        expires = self.sim.now + REASSEMBLY_TIMEOUT
         ticket = next(self._tickets)
         self._fifo.append((expires, ticket, slot, message_id))
         if self._event is None:

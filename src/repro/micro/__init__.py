@@ -8,7 +8,6 @@ paper's tiered architecture.
 """
 
 from repro.micro.microdiffusion import (
-    MicroConfig,
     MicroDiffusionNode,
     MicroMessage,
     MicroMessageKind,
@@ -23,7 +22,6 @@ from repro.micro.footprint import (
 )
 
 __all__ = [
-    "MicroConfig",
     "MicroDiffusionNode",
     "MicroMessage",
     "MicroMessageKind",

@@ -9,12 +9,12 @@ packet".
 
 We reproduce the *data* budget structurally: the model below charges
 each piece of engine state the bytes a C mote build would, and the test
-suite asserts a default-configured node fits in 106 bytes.
+suite asserts a node with one subscription fits in 106 bytes.
 """
 
 from __future__ import annotations
 
-from repro.micro.microdiffusion import MicroConfig
+from repro.micro import microdiffusion
 
 #: paper-reported static sizes (bytes)
 MICRO_CODE_BYTES = 2050
@@ -31,20 +31,19 @@ SUBSCRIPTION_ENTRY_BYTES = 4  # tag(2) + callback index(2)
 ENGINE_SCALAR_BYTES = 12   # seq counter, timers, stats registers
 
 
-def state_bytes(config: MicroConfig, subscriptions: int = 1) -> int:
-    """Static RAM a mote build of this configuration would reserve."""
+def state_bytes() -> int:
+    """Static RAM the mote build reserves, with one subscription."""
     return (
-        config.max_gradients * GRADIENT_ENTRY_BYTES
-        + config.cache_packets * CACHE_ENTRY_BYTES
-        + subscriptions * SUBSCRIPTION_ENTRY_BYTES
+        microdiffusion.MAX_GRADIENTS * GRADIENT_ENTRY_BYTES
+        + microdiffusion.CACHE_PACKETS * CACHE_ENTRY_BYTES
+        + SUBSCRIPTION_ENTRY_BYTES
         + ENGINE_SCALAR_BYTES
     )
 
 
-def footprint_report(config: MicroConfig = None) -> dict:
+def footprint_report() -> dict:
     """Numbers for the MICRO experiment table."""
-    config = config or MicroConfig()
-    modeled = state_bytes(config)
+    modeled = state_bytes()
     return {
         "modeled_data_bytes": modeled,
         "paper_data_bytes": MICRO_DATA_BYTES,

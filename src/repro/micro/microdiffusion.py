@@ -1,8 +1,8 @@
 """The micro-diffusion protocol engine.
 
 Statically sized like the mote implementation: the gradient table holds
-``max_gradients`` entries (default 5) and the duplicate cache
-``cache_packets`` entries of 2 relevant bytes each (default 10).  The
+:data:`MAX_GRADIENTS` entries (5) and the duplicate cache
+:data:`CACHE_PACKETS` entries of 2 relevant bytes each (10).  The
 logical header stays compatible with full diffusion (tag, kind, origin,
 sequence), which is what lets the gateway translate between tiers.
 
@@ -50,22 +50,14 @@ class MicroMessage:
         return ((self.origin & 0xFF) << 8) | (self.seq & 0xFF)
 
 
+#: the paper's mote build: "statically configured to support 5 active
+#: gradients and a cache of 10 packets", interests refreshed every 60 s.
+MAX_GRADIENTS = 5
+CACHE_PACKETS = 10
+INTEREST_INTERVAL = 60.0
 #: seconds a mote's gradient outlives the interest that set it: two and
 #: a half interest intervals, so one lost refresh does not cut the path.
 GRADIENT_TTL = 150.0
-
-
-@dataclass
-class MicroConfig:
-    """Static sizing, defaulting to the paper's mote build."""
-
-    max_gradients: int = 5
-    cache_packets: int = 10
-    interest_interval: float = 60.0
-
-    def validate(self) -> None:
-        if self.max_gradients < 1 or self.cache_packets < 1:
-            raise ValueError("sizes must be >= 1")
 
 
 @dataclass
@@ -88,13 +80,10 @@ class MicroDiffusionNode:
         sim: Simulator,
         node_id: int,
         transport,
-        config: Optional[MicroConfig] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
         self.transport = transport
-        self.config = config or MicroConfig()
-        self.config.validate()
         # Fixed-size tables, mote-style.
         self.gradients: List[_MicroGradient] = []
         self.cache: List[int] = []  # FIFO of 2-byte keys
@@ -174,7 +163,7 @@ class MicroDiffusionNode:
         # Reap expired entries first; then evict the soonest-to-expire
         # if the static table is still full.
         self.gradients = [g for g in self.gradients if g.expires_at > now]
-        if len(self.gradients) >= self.config.max_gradients:
+        if len(self.gradients) >= MAX_GRADIENTS:
             victim = min(self.gradients, key=lambda g: g.expires_at)
             self.gradients.remove(victim)
             self.stats_gradient_evictions += 1
@@ -200,7 +189,7 @@ class MicroDiffusionNode:
             self.stats_cache_hits += 1
             return True
         self.cache.append(key)
-        if len(self.cache) > self.config.cache_packets:
+        if len(self.cache) > CACHE_PACKETS:
             self.cache.pop(0)
         return False
 
@@ -219,7 +208,7 @@ class MicroDiffusionNode:
         self._note_seen(message)
         self._transmit(message, link_dst=None)
         self._interest_timers[tag] = self.sim.schedule(
-            self.config.interest_interval,
+            INTEREST_INTERVAL,
             self._originate_interest,
             tag,
             name="micro.interest",

@@ -93,12 +93,12 @@ class AttributeVector:
     def find_all(self, key: int) -> List[Attribute]:
         return [attr for attr in self._attrs if attr.key == key]
 
-    def value_of(self, key: int, default: Optional[Scalar] = None) -> Optional[Scalar]:
-        """Value of the first *actual* with ``key``."""
+    def value_of(self, key: int) -> Optional[Scalar]:
+        """Value of the first *actual* with ``key``, or None."""
         for attr in self._attrs:
             if attr.key == key and attr.is_actual:
                 return attr.value
-        return default
+        return None
 
     def has_actual(self, key: int) -> bool:
         return any(attr.key == key and attr.is_actual for attr in self._attrs)

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Callable, Optional
+from typing import Any, Callable, ClassVar, Optional
 
 from repro.sim import Simulator
 
@@ -26,11 +26,11 @@ TURNAROUND_S = 0.001
 
 @dataclass(frozen=True)
 class RadioParams:
-    """Physical-layer constants."""
+    """Physical-layer constants (class constants: no run varies them)."""
 
-    bitrate_bps: float = 13_000.0      # ~13 kb/s RPC throughput
-    fragment_payload: int = 27         # bytes of payload per fragment
-    fragment_overhead: int = 5         # preamble/sync/len/crc per fragment
+    bitrate_bps: ClassVar[float] = 13_000.0   # ~13 kb/s RPC throughput
+    fragment_payload: ClassVar[int] = 27      # bytes of payload per fragment
+    fragment_overhead: ClassVar[int] = 5      # preamble/sync/len/crc per fragment
 
     def fragment_airtime(self, payload_bytes: int) -> float:
         """Seconds on air for one fragment carrying ``payload_bytes``."""

@@ -39,6 +39,7 @@ against the oracle.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
@@ -46,6 +47,7 @@ from repro.apps.fusion import (
     FusionFilter,
     MovingTarget,
     ProximitySensor,
+    SAMPLE_INTERVAL,
     TrackingSink,
 )
 from repro.apps.nestedquery import NestedQueryExperiment
@@ -138,19 +140,26 @@ class Scenario:
 
 
 def _positive(p: Dict[str, Any], key: str, kind=float):
-    """``p[key]`` as ``kind``, refused unless it is above zero."""
+    """``p[key]`` as ``kind``, refused unless it is above zero and
+    finite (``-p`` reads JSON, where ``NaN`` and ``Infinity`` parse)."""
     value = _count(p, key) if kind is int else kind(p[key])
     if not value > 0:
         raise ValueError(f"{key} must be positive, got {p[key]!r}")
-    return value
+    return _finite(p, key, value)
 
 
 def _nonnegative(p: Dict[str, Any], key: str, kind=float):
     """``p[key]`` as ``kind``, refused if it is below zero (a time
-    before the run starts, a negative count)."""
+    before the run starts, a negative count) or not finite."""
     value = _count(p, key) if kind is int else kind(p[key])
     if value < 0:
         raise ValueError(f"{key} must not be negative, got {p[key]!r}")
+    return _finite(p, key, value)
+
+
+def _finite(p: Dict[str, Any], key: str, value):
+    if not math.isfinite(value):
+        raise ValueError(f"{key} must be finite, got {p[key]!r}")
     return value
 
 
@@ -175,7 +184,7 @@ def flag(p: Dict[str, Any], key: str) -> bool:
 def _grid(p: Dict[str, Any]) -> Topology:
     return Topology.grid(
         _positive(p, "columns", int), _positive(p, "rows", int),
-        spacing=float(p["spacing"]),
+        spacing=_positive(p, "spacing"),
     )
 
 
@@ -269,7 +278,7 @@ class MobilityFloodScenario(FloodScenario):
     def move_schedule(self, params, topology) -> List[Move]:
         p = self.resolve(params)
         columns, rows = int(p["columns"]), int(p["rows"])
-        spacing = float(p["spacing"])
+        spacing = _positive(p, "spacing")
         steps = _nonnegative(p, "move_steps", int)
         start = _nonnegative(p, "move_start")
         step_dt = _nonnegative(p, "move_interval")
@@ -326,7 +335,7 @@ STACK_DEFAULTS: Dict[str, Any] = {
 SHAPES = {
     "grid": _grid,
     "line": lambda p: Topology.line(
-        _positive(p, "nodes", int), spacing=float(p["spacing"])
+        _positive(p, "nodes", int), spacing=_positive(p, "spacing")
     ),
     "isi": lambda p: isi_testbed_topology(),
 }
@@ -537,7 +546,7 @@ def arm_tracking(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
         track = []
         for point in sink.track:
             # Ground truth at the middle of the observation epoch.
-            middle = (point.epoch + 0.5) * sink.sample_interval
+            middle = (point.epoch + 0.5) * SAMPLE_INTERVAL
             track.append({**asdict(point),
                           "truth": list(target.position_at(middle))})
         return {

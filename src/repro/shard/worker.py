@@ -107,7 +107,10 @@ class ShardPlan:
         a key the scenario does not take is refused — a misspelt param
         would otherwise run the default under the wrong label — and the
         run lasts ``duration``, else ``params["duration"]``, else the
-        scenario's default."""
+        scenario's default.  Fewer than one shard is refused, not read
+        as the single queue."""
+        if not shards >= 1:
+            raise ValueError(f"shards must be at least 1, got {shards!r}")
         defaults = get_scenario(scenario).defaults
         unknown = sorted(set(params) - set(defaults))
         if unknown:

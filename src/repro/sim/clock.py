@@ -1,4 +1,4 @@
-"""Per-node clocks with offset, drift, and read jitter.
+"""Per-node clocks with an offset and a drift.
 
 The simulator's ``now`` is true time; real sensor nodes do not have it.
 Paper footnote 2: timestamps "require synchronization ... We use
@@ -11,46 +11,19 @@ solution.
 
 from __future__ import annotations
 
-import itertools
-import random
-from typing import Optional
-
-from repro.sim.rng import make_rng
-
-# Default-constructed clocks get a distinct stream each, numbered in
-# construction order (deterministic for a deterministic program).
-_default_clock_ids = itertools.count()
-
 
 class NodeClock:
-    """A local clock: ``local = true * (1 + drift) + offset`` + jitter.
+    """A local clock: ``local = true * (1 + drift) + offset``.
 
-    ``drift_ppm`` is parts-per-million frequency error (crystal spec);
-    ``read_jitter`` models timestamping noise (interrupt latency), drawn
-    fresh per read.  Pass ``rng`` (a dedicated stream) or ``seed`` for a
-    reproducible jitter stream; by default each clock gets its own
-    stream rather than all sharing one.
+    A clock starts exact.  :meth:`adjust` steps ``offset`` (a sync
+    correction, or a :class:`~repro.faults.plan.ClockSkew` fault), and a
+    ``ClockSkew`` fault adds to ``drift_ppm``, the parts-per-million
+    frequency error of the crystal.
     """
 
-    def __init__(
-        self,
-        offset: float = 0.0,
-        drift_ppm: float = 0.0,
-        read_jitter: float = 0.0,
-        rng: Optional[random.Random] = None,
-        seed: Optional[int] = None,
-    ) -> None:
-        if read_jitter < 0:
-            raise ValueError("read_jitter must be non-negative")
-        self.offset = offset
-        self.drift_ppm = drift_ppm
-        self.read_jitter = read_jitter
-        if rng is not None:
-            self.rng = rng
-        elif seed is not None:
-            self.rng = make_rng(seed, "nodeclock")
-        else:
-            self.rng = make_rng(next(_default_clock_ids), "nodeclock")
+    def __init__(self) -> None:
+        self.offset = 0.0
+        self.drift_ppm = 0.0
         self.adjustments = 0
 
     @property
@@ -58,18 +31,11 @@ class NodeClock:
         return 1.0 + self.drift_ppm * 1e-6
 
     def local_time(self, true_time: float) -> float:
-        """Read the clock at true time (with read jitter)."""
-        jitter = (
-            self.rng.gauss(0.0, self.read_jitter) if self.read_jitter else 0.0
-        )
-        return true_time * self._rate + self.offset + jitter
-
-    def exact_local_time(self, true_time: float) -> float:
-        """Jitter-free reading, for assertions and error accounting."""
+        """Read the clock at true time."""
         return true_time * self._rate + self.offset
 
     def true_time(self, local_time: float) -> float:
-        """Invert a (jitter-free) local reading."""
+        """Invert a local reading."""
         return (local_time - self.offset) / self._rate
 
     def adjust(self, delta: float) -> None:
@@ -79,6 +45,4 @@ class NodeClock:
 
     def error_vs(self, other: "NodeClock", true_time: float) -> float:
         """Instantaneous disagreement with another clock, in seconds."""
-        return abs(
-            self.exact_local_time(true_time) - other.exact_local_time(true_time)
-        )
+        return abs(self.local_time(true_time) - other.local_time(true_time))

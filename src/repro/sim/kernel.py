@@ -7,7 +7,8 @@ default 0) and then by a monotonically increasing sequence number, so
 two events scheduled for the same instant at the same priority fire in
 the order they were scheduled.  Priorities exist for callers that must
 interleave externally-sourced events (e.g. cross-shard ghost
-transmissions in :mod:`repro.shard`) ahead of same-instant local work.
+transmissions in :mod:`repro.shard`) ahead of same-instant local work;
+they schedule at an absolute time (:meth:`Simulator.schedule_at`).
 """
 
 from __future__ import annotations
@@ -215,17 +216,18 @@ class Simulator:
         callback: Callable[..., Any],
         *args: Any,
         name: str = "",
-        priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now."""
-        if delay < 0:
+        # ``not >=`` also refuses NaN, which fails every comparison: a
+        # NaN time in the heap would break its order for every event.
+        if not delay >= 0:
             raise SimulationError(f"cannot schedule into the past (delay={delay})")
         seq = next(self._seq)
         when = self.now + delay
         # Positional construction: this is the hottest allocation in the
         # kernel, and keyword passing costs measurably at this volume.
-        event = Event(when, seq, callback, args, name, self, priority)
-        heapq.heappush(self._heap, (when, priority, seq, event))
+        event = Event(when, seq, callback, args, name, self)
+        heapq.heappush(self._heap, (when, 0, seq, event))
         if self._on_schedule is not None:
             self._on_schedule(event)
         return event
@@ -239,7 +241,7 @@ class Simulator:
         priority: int = 0,
     ) -> Event:
         """Schedule ``callback(*args)`` at absolute simulation time ``time``."""
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
                 f"cannot schedule at t={time} before now={self.now}"
             )
@@ -351,24 +353,22 @@ class Simulator:
         self._dispatch(event)
         return True
 
-    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
-        """Run events in order until the queue empties or limits hit.
+    def _drain(
+        self, until: Optional[float], strict: bool, max_events: Optional[int]
+    ) -> int:
+        """The run loop both :meth:`run` and :meth:`run_window` drive:
+        dispatch live events up to ``until`` (exclusive with ``strict``)
+        until none is left, :meth:`stop` is called or ``max_events`` have
+        run; returns how many ran.
 
-        ``until`` is an inclusive horizon: events at exactly ``until`` run.
-        When the horizon is reached (no live event at or before it is
-        left) the clock is advanced to it, so that periodic statistics
-        normalized by elapsed time are exact; a run cut short by
-        ``max_events`` or :meth:`stop` leaves the clock at its last event.
-
-        Each iteration pops the heap exactly once (the old loop peeked
-        then re-popped, paying the heap guard twice per event).
-
-        The cyclic collector is paused while the loop runs: event code
-        makes no reference cycles, so its passes would free nothing.
-        The objects a run made are scanned by the first pass after it.
+        Each iteration pops the heap exactly once.  The loop is not
+        reentrant.  The cyclic collector is paused while it runs: event
+        code makes no reference cycles, so its passes would free nothing,
+        and the objects a run made are scanned by the first pass after
+        it.  The queue gauges settle on every exit.
         """
         if self._running:
-            raise SimulationError("run() is not reentrant")
+            raise SimulationError("the run loop is not reentrant")
         collecting = gc.isenabled()
         if collecting:
             gc.disable()
@@ -377,22 +377,34 @@ class Simulator:
         processed = 0
         try:
             while not self._stopped:
-                event = self._pop_next(until)
+                event = self._pop_next(until, strict)
                 if event is None:
                     break
                 self._dispatch(event)
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break
-            if until is not None and self.now < until and not self._stopped:
-                following = self.peek_time()
-                if following is None or following > until:
-                    self.now = until
         finally:
             self._running = False
             if collecting:
                 gc.enable()
             self._settle_gauges()
+        return processed
+
+    def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
+        """Run events in order until the queue empties or limits hit.
+
+        ``until`` is an inclusive horizon: events at exactly ``until`` run.
+        When the horizon is reached (no live event at or before it is
+        left) the clock is advanced to it, so that periodic statistics
+        normalized by elapsed time are exact; a run cut short by
+        ``max_events`` or :meth:`stop` leaves the clock at its last event.
+        """
+        self._drain(until, False, max_events)
+        if until is not None and self.now < until and not self._stopped:
+            following = self.peek_time()
+            if following is None or following > until:
+                self.now = until
 
     def run_window(
         self,
@@ -416,30 +428,11 @@ class Simulator:
         anywhere inside ``[now, horizon]`` before the next window;
         ``advance_clock`` restores the :meth:`run` behaviour of
         settling the clock on the horizon (used for the final window).
-        The cyclic collector is paused as in :meth:`run`.
+        Both share one loop, :meth:`_drain`.
         """
-        if self._running:
-            raise SimulationError("run_window() is not reentrant")
-        collecting = gc.isenabled()
-        if collecting:
-            gc.disable()
-        self._running = True
-        self._stopped = False
-        processed = 0
-        try:
-            while not self._stopped:
-                event = self._pop_next(horizon, strict=not inclusive)
-                if event is None:
-                    break
-                self._dispatch(event)
-                processed += 1
-            if advance_clock and self.now < horizon and not self._stopped:
-                self.now = horizon
-        finally:
-            self._running = False
-            if collecting:
-                gc.enable()
-            self._settle_gauges()
+        processed = self._drain(horizon, not inclusive, None)
+        if advance_clock and self.now < horizon and not self._stopped:
+            self.now = horizon
         return processed
 
     def _settle_gauges(self) -> None:

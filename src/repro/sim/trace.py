@@ -88,11 +88,10 @@ class TraceCollector:
     tests and benchmarks don't tax the rest of the run.
     """
 
-    def __init__(self, bus: TraceBus, category: str = "*") -> None:
+    def __init__(self, bus: TraceBus) -> None:
         self.records: List[TraceRecord] = []
         self._bus: Optional[TraceBus] = bus
-        self._category = category
-        bus.subscribe(category, self.records.append)
+        bus.subscribe("*", self.records.append)
 
     @property
     def attached(self) -> bool:
@@ -101,7 +100,7 @@ class TraceCollector:
     def detach(self) -> None:
         """Unsubscribe from the bus; the records stay readable."""
         if self._bus is not None:
-            self._bus.unsubscribe(self._category, self.records.append)
+            self._bus.unsubscribe("*", self.records.append)
             self._bus = None
 
     def __enter__(self) -> "TraceCollector":
@@ -141,7 +140,7 @@ class FlightRecorder:
     Same deal here: the recorder subscribes to every category, appends
     each record to a ring keyed by the record's node (``None`` for
     network-level events like channel verdicts), and drops the oldest
-    entry once a ring holds ``per_node_capacity`` records.  Memory is
+    entry once a ring holds :attr:`PER_NODE_CAPACITY` records.  Memory is
     therefore O(nodes × capacity) no matter how long the run.
 
     On trouble, :meth:`dump` writes the retained records — merged back
@@ -150,20 +149,15 @@ class FlightRecorder:
     the reason, so ``python -m repro trace summarize`` can read a crash
     dump like any other trace.
 
-    Sizing: the default ring of 128 records per node comfortably covers
+    Sizing: a ring of 128 records per node comfortably covers
     the ≥64-event causal window a postmortem wants (a diffusion node
     emits a handful of records per exploratory interval), while keeping
     a 100-node run's worst case near ~13k retained records.
     """
 
-    def __init__(
-        self,
-        bus: TraceBus,
-        per_node_capacity: int = 128,
-    ) -> None:
-        if per_node_capacity < 1:
-            raise ValueError("per_node_capacity must be >= 1")
-        self.per_node_capacity = per_node_capacity
+    PER_NODE_CAPACITY = 128
+
+    def __init__(self, bus: TraceBus) -> None:
         self.records_seen = 0
         self.dumps = 0
         self._rings: Dict[Optional[int], deque] = {}
@@ -175,7 +169,7 @@ class FlightRecorder:
         ring = self._rings.get(record.node)
         if ring is None:
             ring = self._rings[record.node] = deque(
-                maxlen=self.per_node_capacity
+                maxlen=self.PER_NODE_CAPACITY
             )
         # Stamp arrival order so the merged dump is totally ordered even
         # across same-time records from different nodes.
@@ -235,7 +229,7 @@ class FlightRecorder:
                         "reason": reason,
                         "records": len(records),
                         "records_seen": self.records_seen,
-                        "per_node_capacity": self.per_node_capacity,
+                        "per_node_capacity": self.PER_NODE_CAPACITY,
                         "nodes": sorted(
                             k for k in self._rings if k is not None
                         ),

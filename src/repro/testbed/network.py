@@ -72,15 +72,14 @@ class IdealNetwork:
         self._transports[node_id] = transport
         return transport
 
-    def connect(self, a: int, b: int, symmetric: bool = True) -> None:
+    def connect(self, a: int, b: int) -> None:
+        """Link ``a`` and ``b`` both ways."""
         self._links.add((a, b))
-        if symmetric:
-            self._links.add((b, a))
+        self._links.add((b, a))
 
-    def disconnect(self, a: int, b: int, symmetric: bool = True) -> None:
+    def disconnect(self, a: int, b: int) -> None:
         self._links.discard((a, b))
-        if symmetric:
-            self._links.discard((b, a))
+        self._links.discard((b, a))
 
     def neighbors_of(self, node_id: int) -> List[int]:
         return sorted(dst for src, dst in self._links if src == node_id)

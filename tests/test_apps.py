@@ -1,7 +1,5 @@
 """Tests for the sensor applications over the full simulated stack."""
 
-import pytest
-
 from repro.apps import (
     DetectionSource,
     LightSensor,
@@ -27,20 +25,16 @@ from repro.testbed import (
 
 class TestSynchronizedEventClock:
     def test_sequence_advances_with_interval(self):
-        clock = SynchronizedEventClock(interval=6.0)
+        clock = SynchronizedEventClock()
         assert clock.sequence_at(0.0) == 0
         assert clock.sequence_at(5.9) == 0
         assert clock.sequence_at(6.0) == 1
         assert clock.sequence_at(61.0) == 10
 
     def test_next_event_time(self):
-        clock = SynchronizedEventClock(interval=6.0)
+        clock = SynchronizedEventClock()
         assert clock.next_event_time(0.0) == 6.0
         assert clock.next_event_time(6.0) == 12.0
-
-    def test_invalid_interval(self):
-        with pytest.raises(ValueError):
-            SynchronizedEventClock(interval=0.0)
 
 
 class TestDetectionSource:
@@ -56,7 +50,7 @@ class TestDetectionSource:
         sink_sub = AttributeVector.builder().eq(Key.TYPE, "surveillance").build()
         net.api(0).subscribe(sink_sub, lambda a, m: None)
         clock = SynchronizedEventClock()
-        DetectionSource(net.api(1), clock, event_bytes=112)
+        DetectionSource(net.api(1), clock)
         net.run(until=30.0)
         assert sizes
         assert all(s == 112 for s in sizes)
@@ -158,8 +152,7 @@ class TestNestedQueryExperiment:
     def test_possible_events_counts_transitions(self):
         net = isi_testbed_network(seed=21)
         exp = NestedQueryExperiment(
-            net, FIG9_USER, FIG9_AUDIO, FIG9_LIGHTS[:3], nested=True,
-            toggle_interval=60.0,
+            net, FIG9_USER, FIG9_AUDIO, FIG9_LIGHTS[:3], nested=True
         )
         assert exp.possible_events(600.0) == 30  # 10 transitions x 3 lights
 
@@ -174,7 +167,7 @@ class TestNestedQueryExperiment:
         )
         sub = AttributeVector.builder().eq(Key.TYPE, "audio").build()
         net.api(0).subscribe(sub, lambda a, m: None)
-        emitter = AudioEmitter(net.api(1), message_bytes=100)
+        emitter = AudioEmitter(net.api(1))
         net.sim.schedule(1.0, emitter.emit, "light-9", 1)
         net.run(until=5.0)
         assert sizes == [100]

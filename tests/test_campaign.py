@@ -35,9 +35,7 @@ from repro.campaign.builtin import (
 )
 from repro.campaign.pool import CampaignReport, TrialOutcome
 from repro.campaign.spec import TrialSpec, code_version
-from repro.dtn.scenario import dtn_run
 from repro.shard import ShardPlan, run_oracle
-from repro.sim import TraceBus
 from repro.sim.rng import make_rng
 
 
@@ -405,10 +403,9 @@ def _stub_outcome(params, result):
 class TestProgressAndAggregation:
     def test_trace_records_and_jsonl_log(self, tmp_path):
         log_path = tmp_path / "campaign.jsonl"
-        bus = TraceBus()
         seen = []
-        bus.subscribe("campaign.trial", seen.append)
-        progress = CampaignProgress("demo", trace=bus, log_path=log_path)
+        progress = CampaignProgress("demo", log_path=log_path)
+        progress.trace.subscribe("campaign.trial", seen.append)
         report = run_campaign(
             demo_campaign(quick=True),
             store=ResultStore(tmp_path / "store"),
@@ -620,9 +617,10 @@ class TestPlanTrial:
             "scenario": "dtn", "duty": 0.3, "custody": False,
             "mode": "clustered", "duration": 120.0,
         }
-        assert plan_trial(point, 2) == dtn_run(
-            seed=2, duty=0.3, custody=False, mode="clustered", duration=120.0
-        )
+        assert plan_trial(point, 2) == run_oracle(ShardPlan(
+            "dtn", {"duty": 0.3, "custody": False, "mode": "clustered"},
+            2, 120.0, 1,
+        ))
 
     def test_duration_defaults_to_the_presets(self):
         outcome = plan_trial(

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.analysis import charts
 from repro.analysis.charts import line_chart
 from repro.core import DiffusionConfig
 from repro.naming import AttributeVector
@@ -11,11 +12,7 @@ from repro.testbed import ideal_line
 
 class TestLineChart:
     def test_renders_all_series_markers(self):
-        chart = line_chart(
-            {"a": [(0, 0), (1, 1)], "b": [(0, 1), (1, 0)]},
-            width=20,
-            height=8,
-        )
+        chart = line_chart({"a": [(0, 0), (1, 1)], "b": [(0, 1), (1, 0)]})
         assert "o=a" in chart
         assert "x=b" in chart
         assert "o" in chart.splitlines()[0] or any(
@@ -41,8 +38,11 @@ class TestLineChart:
         chart = line_chart({"a": [(0, 5.0), (1, 5.0)]})
         assert "o" in chart
 
-    def test_axis_extremes_labelled(self):
-        chart = line_chart({"a": [(2, 10), (8, 90)]}, width=30, height=6)
+    def test_axis_extremes_labelled(self, monkeypatch):
+        monkeypatch.setattr(charts, "WIDTH", 30)
+        monkeypatch.setattr(charts, "HEIGHT", 6)
+        chart = line_chart({"a": [(2, 10), (8, 90)]})
+        assert sum(" |" in line for line in chart.splitlines()) == 6
         assert "90" in chart
         assert "10" in chart
         assert "2" in chart

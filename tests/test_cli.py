@@ -152,12 +152,39 @@ class TestRunCli:
          "region must be a whole number"),
         (["diffusion", "-p", "pairs=regions", "-p", "region=-8"],
          "region must be within [4, 5]"),
+        # JSON parses NaN and Infinity: int(nan) died in a traceback
+        (["flood", "-p", "spacing=NaN", "--duration", "1"],
+         "spacing must be positive, got nan"),
+        (["flood", "-p", "spacing=Infinity", "--duration", "1"],
+         "spacing must be finite, got inf"),
+        (["line", "-p", "spacing=NaN", "--duration", "1"],
+         "spacing must be positive, got nan"),
+        (["line", "-p", "spacing=Infinity", "--duration", "1"],
+         "spacing must be finite, got inf"),
+        # a NaN delay corrupted the event heap ("time went backwards")
+        (["dtn", "-p", "block_interval=NaN", "--duration", "50"],
+         "block_interval must be positive, got nan"),
+        # these three ran on garbage timers and exited 0
+        (["line", "-p", "interest_jitter=NaN", "--duration", "1"],
+         "interest_jitter must be non-negative and finite"),
+        (["line", "-p", "reinforcement_jitter=-1", "--duration", "1"],
+         "reinforcement_jitter must be non-negative and finite"),
+        (["mobility", "-p", "move_start=NaN"],
+         "move_start must be finite, got nan"),
     ])
     def test_hostile_value_is_a_usage_error(self, args, message, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["run", *args])
         assert exit_info.value.code == 2
         assert message in capsys.readouterr().err
+
+    def test_a_plan_below_one_shard_is_refused(self):
+        # a campaign grid point with shards=0 ran the single queue
+        from repro.shard import ShardPlan
+
+        for shards in (0, -3):
+            with pytest.raises(ValueError, match="shards must be at least 1"):
+                ShardPlan.named("line", {}, 1, shards=shards)
 
     def test_refused_subset_build_is_a_usage_error(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -258,11 +285,22 @@ class TestCampaignCli:
         (["--jobs", "0"], "--jobs: must be positive"),
         ("experiments --only model --jobs -2".split(),
          "--jobs: must be positive"),
+        # these ran the single queue and exited 0
+        ("run line --shards 0".split(), "--shards: must be positive"),
+        ("run line --shards -3".split(), "--shards: must be positive"),
+        # validated against no nodes at all
+        ("faults validate plan.json --nodes -4".split(),
+         "--nodes: must be positive"),
+        # silently dropped rows
+        ("trace profile t.jsonl --limit -2".split(),
+         "--limit: must be positive"),
+        ("trace paths t.jsonl --limit -2".split(),
+         "--limit: must be positive"),
     ])
     def test_out_of_range_numeric_flag_is_a_usage_error(
         self, capsys, tmp_path, args, message
     ):
-        if args[0] != "experiments":
+        if args[0] not in ("experiments", "run", "faults", "trace"):
             args = ["campaign", "run", "demo", "--quick",
                     "--store", str(tmp_path / "store")] + args
         with pytest.raises(SystemExit) as exit_info:

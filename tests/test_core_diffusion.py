@@ -170,7 +170,7 @@ class TestDataDelivery:
         )
 
     def test_exploratory_cadence(self):
-        config = DiffusionConfig(exploratory_every=3)
+        config = DiffusionConfig(exploratory_interval=3.0)
         sim, net, nodes, apis = build_line(2, config=config)
         apis[0].subscribe(light_subscription(), lambda a, m: None)
         pub = apis[1].publish(light_publication())
@@ -178,7 +178,7 @@ class TestDataDelivery:
             sim.schedule(1.0 + seq, apis[1].send, pub, light_sample(seq))
         sim.run(until=10.0)
         stats = nodes[1].stats
-        assert stats.messages_by_type[MessageType.EXPLORATORY_DATA] == 2  # 0 and 3
+        assert stats.messages_by_type[MessageType.EXPLORATORY_DATA] == 2  # t=1, 4
         assert stats.messages_by_type[MessageType.DATA] == 4
 
     def test_sink_and_source_on_same_node(self):
@@ -258,7 +258,7 @@ class TestPathRepair:
                 interest_interval=10.0,
                 gradient_timeout=30.0,
                 interest_jitter=0.1,
-                exploratory_every=3,
+                exploratory_interval=3.0,
                 reinforced_timeout=20.0,
             )
             nodes[i] = DiffusionNode(sim, i, transport, config=config)
@@ -297,7 +297,7 @@ class TestNegativeReinforcement:
             interest_interval=10.0,
             gradient_timeout=30.0,
             interest_jitter=0.1,
-            exploratory_every=2,
+            exploratory_interval=2.0,
             reinforced_timeout=15.0,
         )
         for i in range(4):

@@ -148,53 +148,6 @@ class TestFilterPipeline:
         assert len(nodes[0]._filters) == 1
 
 
-class TestConfigSwitches:
-    def test_duplicate_suppression_off_floods_forever_protection(self):
-        """Without the dedup cache, a ring re-floods messages; the test
-        verifies the switch exists and the message still delivers (the
-        IdealNetwork delay bounds each cycle; we stop the sim early)."""
-        config = DiffusionConfig(
-            enable_duplicate_suppression=False, reinforcement_jitter=0.05
-        )
-        sim, net, nodes, apis = build(2, config=config)
-        received = []
-        apis[0].subscribe(sub_attrs(), lambda a, m: received.append(a))
-        pub = apis[1].publish(pub_attrs())
-        sim.schedule(1.0, apis[1].send, pub, sample())
-        sim.run(until=2.0, max_events=5000)
-        assert len(received) >= 1
-
-    def test_negative_reinforcement_disabled(self):
-        config = DiffusionConfig(
-            enable_negative_reinforcement=False, reinforcement_jitter=0.05
-        )
-        sim, net, nodes, apis = build(3, config=config)
-        apis[0].subscribe(sub_attrs(), lambda a, m: None)
-        pub = apis[2].publish(pub_attrs())
-        for i in range(5):
-            sim.schedule(1.0 + i, apis[2].send, pub, sample(i))
-        sim.run(until=20.0)
-        total_neg = sum(
-            n.stats.messages_by_type[MessageType.NEGATIVE_REINFORCEMENT]
-            for n in nodes.values()
-        )
-        assert total_neg == 0
-
-    def test_count_based_exploratory_override(self):
-        config = DiffusionConfig(
-            exploratory_every=2, reinforcement_jitter=0.05
-        )
-        sim, net, nodes, apis = build(2, config=config)
-        apis[0].subscribe(sub_attrs(), lambda a, m: None)
-        pub = apis[1].publish(pub_attrs())
-        for i in range(6):
-            sim.schedule(1.0 + i, apis[1].send, pub, sample(i))
-        sim.run(until=20.0)
-        stats = nodes[1].stats
-        assert stats.messages_by_type[MessageType.EXPLORATORY_DATA] == 3
-        assert stats.messages_by_type[MessageType.DATA] == 3
-
-
 class TestApiEdges:
     def test_unsubscribe_unknown_handle(self):
         sim, net, nodes, apis = build(1, connect=False)

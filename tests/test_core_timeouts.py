@@ -153,12 +153,11 @@ class TestNegativeReinforcementChain:
 
 
 class TestCacheSizingMatters:
-    def test_tiny_cache_still_prevents_immediate_loops(self):
+    def test_tiny_cache_still_prevents_immediate_loops(self, monkeypatch):
         """Micro-scale caches (capacity 10) still stop flood loops on
         small networks — the sizing argument behind micro-diffusion."""
-        config = DiffusionConfig(
-            cache_capacity=10, reinforcement_jitter=0.05
-        )
+        monkeypatch.setattr(DiffusionConfig, "cache_capacity", 10)
+        config = DiffusionConfig(reinforcement_jitter=0.05)
         sim = Simulator()
         net = IdealNetwork(sim, delay=0.01)
         nodes, apis = {}, {}

@@ -37,15 +37,14 @@ class TestDiffusionConfig:
         config = DiffusionConfig()
         assert config.interest_interval == 60.0
         assert config.exploratory_interval == 60.0
-        assert config.exploratory_every is None
 
     @pytest.mark.parametrize(
         "kwargs",
         [
             {"interest_interval": 0.0},
-            {"exploratory_every": 0},
+            {"interest_jitter": -1.0},
             {"gradient_timeout": 10.0},
-            {"cache_capacity": 0},
+            {"reinforcement_jitter": float("nan")},
         ],
     )
     def test_invalid_rejected(self, kwargs):
@@ -184,7 +183,7 @@ class TestHopCopy:
 
     @pytest.mark.parametrize("msg_type", list(MessageType))
     def test_class_value_table_covers_every_type(self, msg_type):
-        message = Message(msg_type, light_data(), origin=1)
+        message = Message(msg_type, light_data(), origin=1, msg_id=1)
         assert message.matching_attrs().value_of(Key.CLASS) == int(
             msg_type.class_value
         )

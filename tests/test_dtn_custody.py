@@ -6,6 +6,7 @@ import pytest
 from repro.core import DiffusionConfig
 from repro.dtn import CustodyAgent, CustodyStore, DtnConfig
 from repro.dtn import agent as dtn_agent
+from repro.dtn import custody
 from repro.dtn.custody import CustodyEntry
 from repro.faults import MonitorSuite
 from repro.radio import Topology
@@ -25,9 +26,9 @@ def collecting_bus():
     return bus, records
 
 
-def make_store(**config):
+def make_store():
     bus, records = collecting_bus()
-    store = CustodyStore(7, bus, DtnConfig(**config))
+    store = CustodyStore(7, bus, DtnConfig())
     return store, records
 
 
@@ -51,8 +52,9 @@ class TestCustodyStore:
         assert transfer[0].data["to"] == 9
         assert transfer[0].data["delivered"] is True
 
-    def test_capacity_evicts_oldest_with_explicit_expiry(self):
-        store, records = make_store(capacity=2)
+    def test_capacity_evicts_oldest_with_explicit_expiry(self, monkeypatch):
+        monkeypatch.setattr(custody, "CAPACITY", 2)
+        store, records = make_store()
         store.accept("obj", 0, 4, b"a", 1.0, trace="1.1")
         store.accept("obj", 1, 4, b"b", 2.0, trace="1.2")
         store.accept("obj", 2, 4, b"c", 3.0, trace="1.3")
@@ -67,8 +69,9 @@ class TestCustodyStore:
         assert drops and drops[0].data["reason"] == "custody.expire-capacity"
         assert drops[0].data["layer"] == "custody"
 
-    def test_age_sweep(self):
-        store, records = make_store(max_age=10.0)
+    def test_age_sweep(self, monkeypatch):
+        monkeypatch.setattr(custody, "MAX_AGE", 10.0)
+        store, records = make_store()
         store.accept("obj", 0, 4, b"a", 0.0, trace="1.1")
         store.accept("obj", 1, 4, b"b", 5.0, trace="1.2")
         stale = store.sweep(11.0)

@@ -77,14 +77,13 @@ class TestMule:
     def test_dtn_config_object_caps_every_store(self):
         # A JSON object of DtnConfig overrides, read like `hierarchy`
         # (a dict here used to die on attribute access mid-run).  A
-        # store holds at most `capacity` after each accept's eviction.
+        # zero energy budget refuses custody at every store.
         capped = run_oracle(ShardPlan.named(
-            "mule", {"custody": True, "dtn_config": {"capacity": 2}}, 1
+            "mule", {"custody": True, "dtn_config": {"energy_budget": 0.0}}, 1
         ))
         stats = capped["custody_stats"]
-        assert stats["depth_high_water"] <= 2 + 1
-        assert stats["expired"] > mule_run(seed=1, custody=True)[
-            "custody_stats"]["expired"]
+        assert stats["accepted"] == 0
+        assert stats["refused_energy"] > 0
 
     def test_mule_replay_is_deterministic(self):
         assert mule_run(seed=4, custody=True) == mule_run(
@@ -119,10 +118,8 @@ class TestGrid:
 
     def test_flight_recorder_dump(self, tmp_path):
         path = tmp_path / "dtn-flight.jsonl"
-        result = dtn_run(
-            seed=1, duty=0.6, duration=120.0, custody=True,
-            flight_recorder=str(path),
-        )
+        params = {"duty": 0.6, "custody": True, "flight_recorder": str(path)}
+        result = run_oracle(ShardPlan("dtn", params, 1, 120.0, 1))
         info = result["flight_recorder"]
         assert info["path"] == str(path)
         assert info["records"] > 0

@@ -53,15 +53,9 @@ class TestOverlay:
         assert overlay.link_prr(0, 1, 0.0) == 1.0
         overlay.block_link(0, 1)
         assert overlay.link_prr(0, 1, 0.0) == 0.0
-        assert overlay.link_prr(1, 0, 0.0) == 0.0  # symmetric default
+        assert overlay.link_prr(1, 0, 0.0) == 0.0  # both directions
         overlay.unblock_link(0, 1)
         assert overlay.link_prr(0, 1, 0.0) == 1.0
-
-    def test_asymmetric_block_cuts_one_direction(self):
-        overlay = self._overlay()
-        overlay.block_link(0, 1, symmetric=False)
-        assert overlay.link_prr(0, 1, 0.0) == 0.0
-        assert overlay.link_prr(1, 0, 0.0) == 1.0
 
     def test_partition_cuts_cross_group_links_only(self):
         overlay = self._overlay()
@@ -170,7 +164,7 @@ class TestEngine:
                 (LinkFlap(a=0, b=1, at=5.0, down=3.0, flaps=3, period=8.0),)
             ),
         )
-        with TraceCollector(net.trace, "fault.inject") as injects:
+        with TraceCollector(net.trace) as collector:
             net.run(until=40.0)
         assert [e["phase"] for e in engine.timeline] == [
             "inject", "heal", "inject", "heal", "inject", "heal",
@@ -178,7 +172,7 @@ class TestEngine:
         assert [e["t"] for e in engine.timeline] == [
             5.0, 8.0, 13.0, 16.0, 21.0, 24.0,
         ]
-        assert len(injects.records) == 3
+        assert len(collector.by_category("fault.inject")) == 3
 
     def test_partition_blocks_and_heals(self):
         net = self._network()
@@ -239,11 +233,11 @@ class TestEngine:
             AttributeVector.builder().eq(Key.TYPE, "t").build(),
             lambda attrs, msg: None,
         )
-        with TraceCollector(net.trace, "path.drop") as drops:
+        with TraceCollector(net.trace) as collector:
             net.run(until=30.0)
         assert engine.fragments_corrupted > 0
         assert net.stack(1).frag.inbound_filter is None  # healed
-        reasons = {r.data["reason"] for r in drops.records}
+        reasons = {r.data["reason"] for r in collector.by_category("path.drop")}
         assert "fault-corruption" in reasons
 
     def test_brownout_defers_instead_of_raising(self):

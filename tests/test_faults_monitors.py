@@ -61,10 +61,10 @@ class TestForwardingLoopMonitor:
 
     def test_hop_count_ceiling(self):
         net = small_network()
-        suite = MonitorSuite(net, max_hops=4)
+        suite = MonitorSuite(net)
         tx(net, 1, "9.1", hops=9)
         assert not suite.ok
-        assert suite.violations[0].detail["max_hops"] == 4
+        assert suite.violations[0].detail["max_hops"] == 6  # 2 per node
         suite.detach()
 
 
@@ -106,9 +106,10 @@ class TestStateMonitors:
         assert suite.violations[0].invariant == "gradient-bound"
         suite.detach()
 
-    def test_periodic_probe_runs_without_traffic(self):
+    def test_periodic_probe_runs_without_traffic(self, monkeypatch):
+        monkeypatch.setattr(MonitorSuite, "PROBE_INTERVAL", 2.0)
         net = small_network()
-        suite = MonitorSuite(net, probe_interval=2.0)
+        suite = MonitorSuite(net)
         net.run(until=10.0)
         assert suite.ok  # probes ran and found a healthy network
         suite.detach()

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting, MessageType
 from repro.filters import CountingAggregationFilter, GearFilter, SuppressionFilter
+from repro.filters import aggregation
 from repro.filters.gear import distance_to_region, region_of
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
@@ -91,9 +92,10 @@ class TestSuppressionFilter:
         assert len(received) == 1
         assert filt.passed == 0  # bypassed, not counted as an event
 
-    def test_window_expiry_allows_seq_reuse(self):
+    def test_window_expiry_allows_seq_reuse(self, monkeypatch):
+        monkeypatch.setattr(aggregation, "SUPPRESSION_WINDOW", 5.0)
         sim, net, nodes, apis = build_net(2, [(0, 1)])
-        filt = SuppressionFilter(nodes[1], window=5.0)
+        filt = SuppressionFilter(nodes[1])
         received = []
         apis[0].subscribe(surveillance_sub(), lambda a, m: received.append(a))
         pub = apis[1].publish(surveillance_pub())

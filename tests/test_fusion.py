@@ -94,11 +94,8 @@ def build_tracking_field(with_fusion: bool):
     target = MovingTarget(start=(-10.0, 0.0), end=(50.0, 0.0), speed=2.0,
                           depart_at=2.0)
     fusion = FusionFilter(nodes[4], delay=0.5) if with_fusion else None
-    sink = TrackingSink(apis[5], target, sample_interval=2.0)
-    sensors = [
-        ProximitySensor(apis[i], target, topo, sample_interval=2.0)
-        for i in sensor_ids
-    ]
+    sink = TrackingSink(apis[5], target)
+    sensors = [ProximitySensor(apis[i], target, topo) for i in sensor_ids]
     return sim, sink, sensors, fusion, nodes, target
 
 

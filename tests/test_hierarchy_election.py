@@ -65,13 +65,6 @@ class TestDeterminism:
         net2.run(until=12.0)
         assert runtime2.head_nodes() == baseline
 
-    def test_election_salt_moves_the_tiebreak(self):
-        _, r0 = clustered_net(seed=5, params={"election_salt": 0})
-        _, r1 = clustered_net(seed=5, params={"election_salt": 12345})
-        t0 = [s._tiebreak for s in r0.services.values()]
-        t1 = [s._tiebreak for s in r1.services.values()]
-        assert t0 != t1
-
 
 class TestAnnouncementScope:
     def test_announcements_are_strictly_one_hop(self):

@@ -3,12 +3,14 @@
 import gc
 import random
 from types import SimpleNamespace
+from unittest import mock
 
 import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
 from repro.link import Fragment, FragmentationLayer, ReassemblyExpiry
+from repro.link import frag as frag_module
 from repro.mac import CsmaMac
 from repro.radio import Channel, Modem, TablePropagation
 from repro.sim import SeedSequence, Simulator, TraceBus
@@ -121,7 +123,7 @@ class TestReassembly:
                         message="x")
         layers[1].on_fragment(frag, src=0)
         assert layers[1].partial_count == 1
-        sim.run(until=layers[1].expiry.timeout + 1.0)
+        sim.run(until=frag_module.REASSEMBLY_TIMEOUT + 1.0)
         assert layers[1].partial_count == 0
         assert layers[1].messages_incomplete == 1
 
@@ -136,8 +138,8 @@ class TestReassembly:
     def test_layer_makes_its_own_expiry_unless_handed_one(self):
         sim = Simulator()
         alone = FragmentationLayer(sim, _stub_mac(), 0)
-        assert alone.expiry.timeout == 5.0
-        shared = ReassemblyExpiry(sim, timeout=3.0)
+        assert isinstance(alone.expiry, ReassemblyExpiry)
+        shared = ReassemblyExpiry(sim)
         a = FragmentationLayer(sim, _stub_mac(), 1, expiry=shared)
         b = FragmentationLayer(sim, _stub_mac(), 2, expiry=shared)
         assert a.expiry is b.expiry is shared
@@ -255,7 +257,7 @@ def _fifo_layers(sim, delivered, expired):
     bus.subscribe("path.drop", lambda record: expired.append(
         (record.time, record.node, record.data["trace"])
     ))
-    expiry = ReassemblyExpiry(sim, timeout=TIMEOUT)
+    expiry = ReassemblyExpiry(sim)
     layers = []
     for node in range(NODES):
         layer = FragmentationLayer(sim, _stub_mac(), node, trace=bus, expiry=expiry)
@@ -294,7 +296,8 @@ class TestSharedExpiryProperties:
         and resets at random times: the same deliveries, the same
         incomplete counts, the same ordered expiries, and never more
         than one pending ``frag.expire``."""
-        delivered, expired, incomplete, pending = _run(steps, _fifo_layers)
+        with mock.patch.object(frag_module, "REASSEMBLY_TIMEOUT", TIMEOUT):
+            delivered, expired, incomplete, pending = _run(steps, _fifo_layers)
         want_delivered, want_expired, want_incomplete, _ = _run(
             steps, _model_layers
         )

@@ -5,7 +5,6 @@ import pytest
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
 from repro.micro import (
     MICRO_DATA_BYTES,
-    MicroConfig,
     MicroDiffusionNode,
     MicroGateway,
     MicroMessage,
@@ -13,6 +12,7 @@ from repro.micro import (
     TagRegistry,
     state_bytes,
 )
+from repro.micro import microdiffusion
 from repro.micro.footprint import footprint_report
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
@@ -22,13 +22,13 @@ from repro.testbed import IdealNetwork
 PHOTO_TAG = 17
 
 
-def build_micro_net(n, pairs, config=None):
+def build_micro_net(n, pairs):
     sim = Simulator()
     net = IdealNetwork(sim, delay=0.005)
     motes = {}
     for i in range(n):
         transport = net.add_node(i)
-        motes[i] = MicroDiffusionNode(sim, i, transport, config=config)
+        motes[i] = MicroDiffusionNode(sim, i, transport)
     for a, b in pairs:
         net.connect(a, b)
     return sim, net, motes
@@ -75,9 +75,9 @@ class TestMicroProtocol:
         sim.run(until=10.0)
         assert len(received) == 1
 
-    def test_gradient_table_bounded_with_eviction(self):
-        config = MicroConfig(max_gradients=2)
-        sim, net, motes = build_micro_net(1, [], config=config)
+    def test_gradient_table_bounded_with_eviction(self, monkeypatch):
+        monkeypatch.setattr(microdiffusion, "MAX_GRADIENTS", 2)
+        sim, net, motes = build_micro_net(1, [])
         mote = motes[0]
         mote._update_gradient(1, neighbor=10)
         mote._update_gradient(2, neighbor=11)
@@ -85,9 +85,9 @@ class TestMicroProtocol:
         assert len(mote.gradients) == 2
         assert mote.stats_gradient_evictions == 1
 
-    def test_cache_bounded(self):
-        config = MicroConfig(cache_packets=3)
-        sim, net, motes = build_micro_net(1, [], config=config)
+    def test_cache_bounded(self, monkeypatch):
+        monkeypatch.setattr(microdiffusion, "CACHE_PACKETS", 3)
+        sim, net, motes = build_micro_net(1, [])
         mote = motes[0]
         for seq in range(10):
             mote._note_seen(
@@ -104,9 +104,9 @@ class TestMicroProtocol:
         sim.run(until=200.0)
         assert motes[0].stats_tx_messages == before
 
-    def test_interest_refresh_periodic(self):
-        config = MicroConfig(interest_interval=10.0)
-        sim, net, motes = build_micro_net(2, [(0, 1)], config=config)
+    def test_interest_refresh_periodic(self, monkeypatch):
+        monkeypatch.setattr(microdiffusion, "INTEREST_INTERVAL", 10.0)
+        sim, net, motes = build_micro_net(2, [(0, 1)])
         motes[0].subscribe(PHOTO_TAG, lambda m: None)
         sim.run(until=35.0)
         # Interests at t=0, 10, 20, 30.
@@ -123,27 +123,27 @@ class TestMicroProtocol:
 
 class TestFootprint:
     def test_default_config_fits_paper_data_budget(self):
-        assert state_bytes(MicroConfig()) <= MICRO_DATA_BYTES
+        assert state_bytes() <= MICRO_DATA_BYTES
 
     def test_default_budget_value(self):
         # 5 gradients * 6 + 10 cache * 2 + 1 sub * 4 + 12 = 66 bytes.
-        assert state_bytes(MicroConfig()) == 66
+        assert state_bytes() == 66
 
     def test_live_node_within_budget(self):
         sim, net, motes = build_micro_net(1, [])
         motes[0].subscribe(PHOTO_TAG, lambda m: None)
-        used = state_bytes(motes[0].config,
-                           subscriptions=len(motes[0].subscriptions))
-        assert used <= MICRO_DATA_BYTES
+        assert len(motes[0].subscriptions) == 1  # what state_bytes models
+        assert state_bytes() <= MICRO_DATA_BYTES
 
     def test_footprint_report(self):
         report = footprint_report()
         assert report["within_paper_budget"]
         assert report["data_reduction_vs_full"] > 50  # 8KB vs tens of bytes
 
-    def test_bigger_config_exceeds_budget(self):
-        big = MicroConfig(max_gradients=50, cache_packets=100)
-        assert state_bytes(big) > MICRO_DATA_BYTES
+    def test_bigger_config_exceeds_budget(self, monkeypatch):
+        monkeypatch.setattr(microdiffusion, "MAX_GRADIENTS", 50)
+        monkeypatch.setattr(microdiffusion, "CACHE_PACKETS", 100)
+        assert state_bytes() > MICRO_DATA_BYTES
 
 
 class TestGateway:

@@ -56,7 +56,6 @@ class TestAttributeVector:
         assert vec.value_of(Key.INTERVAL) == 20
         # TYPE is present only as a formal (EQ), so no actual value.
         assert vec.value_of(Key.TYPE) is None
-        assert vec.value_of(Key.TYPE, "fallback") == "fallback"
 
     def test_has_actual(self):
         vec = sample_vector()

@@ -1,9 +1,11 @@
 """Property-based tests for micro-diffusion on random mote topologies."""
 
+from unittest import mock
+
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
-from repro.micro import MicroConfig, MicroDiffusionNode
+from repro.micro import MicroDiffusionNode, microdiffusion
 from repro.sim import Simulator
 from repro.testbed import IdealNetwork
 
@@ -26,12 +28,12 @@ def mote_graphs(draw):
     return n, sorted(edges)
 
 
-def build(n, edges, config=None):
+def build(n, edges):
     sim = Simulator()
     net = IdealNetwork(sim, delay=0.005)
     motes = {}
     for i in range(n):
-        motes[i] = MicroDiffusionNode(sim, i, net.add_node(i), config=config)
+        motes[i] = MicroDiffusionNode(sim, i, net.add_node(i))
     for a, b in edges:
         net.connect(a, b)
     return sim, motes
@@ -63,13 +65,15 @@ class TestMicroFloodInvariants:
     @settings(max_examples=30, deadline=None)
     def test_static_tables_never_exceed_configured_sizes(self, graph, size):
         n, edges = graph
-        config = MicroConfig(max_gradients=size, cache_packets=size)
-        sim, motes = build(n, edges, config=config)
+        sim, motes = build(n, edges)
         received = []
-        motes[0].subscribe(TAG, received.append)
-        for i in range(6):
-            sim.schedule(1.0 + i, motes[n - 1].send, TAG, bytes([i]))
-        sim.run(until=20.0)
+        with mock.patch.multiple(
+            microdiffusion, MAX_GRADIENTS=size, CACHE_PACKETS=size
+        ):
+            motes[0].subscribe(TAG, received.append)
+            for i in range(6):
+                sim.schedule(1.0 + i, motes[n - 1].send, TAG, bytes([i]))
+            sim.run(until=20.0)
         for mote in motes.values():
             assert len(mote.gradients) <= size
             assert len(mote.cache) <= size

@@ -33,8 +33,7 @@ class Sink:
 
 class TestRadioParams:
     def test_fragment_airtime(self):
-        params = RadioParams(bitrate_bps=13_000.0, fragment_payload=27,
-                             fragment_overhead=5)
+        params = RadioParams()
         assert params.fragment_airtime(27) == pytest.approx((32 * 8) / 13_000.0)
 
     def test_oversized_fragment_rejected(self):

@@ -73,12 +73,10 @@ class TestFrontDoors:
     """A front door makes the plan its docstring names and runs it."""
 
     def test_dtn_run(self):
-        door = dtn_run(
-            seed=2, duty=0.3, duration=120.0, custody=False, mode="clustered"
-        )
-        params = {"duty": 0.3, "custody": False, "mode": "clustered"}
+        door = dtn_run(seed=2, duty=0.3, duration=120.0)
+        params = {"duty": 0.3, "custody": True}
         assert door == run_oracle(ShardPlan("dtn", params, 2, 120.0, 1))
-        assert door["hierarchy"]["heads"] > 0
+        assert door["custody_stats"]["accepted"] > 0
 
     def test_dtn_run_flat_arms_no_mode(self):
         door = dtn_run(seed=2, duty=0.3, duration=120.0, custody=False)

@@ -213,9 +213,10 @@ class TestFlightRecorder:
     def record(self, bus, t, cat, node, **data):
         bus.emit(t, cat, node, **data)
 
-    def test_rings_are_bounded_per_node(self):
+    def test_rings_are_bounded_per_node(self, monkeypatch):
+        monkeypatch.setattr(FlightRecorder, "PER_NODE_CAPACITY", 4)
         bus = TraceBus()
-        recorder = FlightRecorder(bus, per_node_capacity=4)
+        recorder = FlightRecorder(bus)
         for i in range(10):
             self.record(bus, float(i), "x", 1, i=i)
             self.record(bus, float(i), "x", 2, i=i)
@@ -226,7 +227,7 @@ class TestFlightRecorder:
 
     def test_snapshot_preserves_arrival_order(self):
         bus = TraceBus()
-        recorder = FlightRecorder(bus, per_node_capacity=8)
+        recorder = FlightRecorder(bus)
         self.record(bus, 1.0, "a", 2)
         self.record(bus, 1.0, "b", 1)
         self.record(bus, 1.0, "c", None)
@@ -236,7 +237,7 @@ class TestFlightRecorder:
         from repro.analysis.tracelog import load_trace, summarize_trace
 
         bus = TraceBus()
-        recorder = FlightRecorder(bus, per_node_capacity=16)
+        recorder = FlightRecorder(bus)
         for i in range(5):
             self.record(bus, float(i), "demo.tx", i % 2, payload=b"\x01")
         path = tmp_path / "dump.jsonl"
@@ -258,10 +259,6 @@ class TestFlightRecorder:
         self.record(bus, 2.0, "x", 0)
         assert recorder.records_seen == 1
         assert not recorder.attached
-
-    def test_capacity_validated(self):
-        with pytest.raises(ValueError):
-            FlightRecorder(TraceBus(), per_node_capacity=0)
 
     def test_record_dataclass_untouched(self):
         # The recorder stores the TraceRecord instances themselves.

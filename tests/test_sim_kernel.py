@@ -111,6 +111,17 @@ def test_schedule_at_past_rejected():
         sim.schedule_at(1.0, lambda: None)
 
 
+def test_nan_time_rejected():
+    """NaN fails every comparison, so ``delay < 0`` let it into the heap,
+    where it broke the order of every event behind it."""
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.schedule(float("nan"), print)
+    with pytest.raises(SimulationError):
+        sim.schedule_at(float("nan"), print)
+    assert sim.pending == 0
+
+
 def test_stop_halts_loop():
     sim = Simulator()
     fired = []

@@ -24,8 +24,8 @@ def test_priority_orders_same_instant_events():
     sim = Simulator()
     fired = []
     sim.schedule(1.0, fired.append, "default")        # priority 0, seq 0
-    sim.schedule(1.0, fired.append, "late", priority=5)
-    sim.schedule(1.0, fired.append, "early", priority=-5)
+    sim.schedule_at(1.0, fired.append, "late", priority=5)
+    sim.schedule_at(1.0, fired.append, "early", priority=-5)
     sim.run()
     assert fired == ["early", "default", "late"]
 
@@ -34,7 +34,7 @@ def test_seq_breaks_ties_within_a_priority():
     sim = Simulator()
     fired = []
     for label in ("a", "b", "c"):
-        sim.schedule(2.0, fired.append, label, priority=-1)
+        sim.schedule_at(2.0, fired.append, label, priority=-1)
     sim.run()
     assert fired == ["a", "b", "c"]
 
@@ -43,8 +43,8 @@ def test_time_dominates_priority():
     """An earlier event runs first no matter how low-priority it is."""
     sim = Simulator()
     fired = []
-    sim.schedule(1.0, fired.append, "early-low-priority", priority=99)
-    sim.schedule(2.0, fired.append, "late-high-priority", priority=-99)
+    sim.schedule_at(1.0, fired.append, "early-low-priority", priority=99)
+    sim.schedule_at(2.0, fired.append, "late-high-priority", priority=-99)
     sim.run()
     assert fired == ["early-low-priority", "late-high-priority"]
 
@@ -63,8 +63,8 @@ def test_identical_streams_produce_identical_event_sequences():
             if len(dispatched) < 200:
                 # Deliberately collide timestamps and priorities.
                 delay = rng.choice([0.0, 0.5, 0.5, 1.0])
-                sim.schedule(
-                    delay, tick, f"{label}/{len(dispatched)}",
+                sim.schedule_at(
+                    sim.now + delay, tick, f"{label}/{len(dispatched)}",
                     priority=rng.choice([-1, 0, 1]),
                 )
 

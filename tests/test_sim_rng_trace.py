@@ -111,15 +111,8 @@ class TestTraceCollectorLifecycle:
 
     def test_detached_collector_restores_fast_emit_path(self):
         bus = TraceBus()
-        with TraceCollector(bus, category="tx"):
+        with TraceCollector(bus):
             pass
         # With the only listener gone, emit takes the cheap no-listener
-        # exit again: the category's listener list must be empty.
-        assert bus._listeners.get("tx") == []
-
-    def test_category_scoped_collector(self):
-        bus = TraceBus()
-        with TraceCollector(bus, category="tx") as collector:
-            bus.emit(1.0, "tx")
-            bus.emit(2.0, "rx")
-        assert [r.category for r in collector.records] == ["tx"]
+        # exit again: the wildcard's listener list must be empty.
+        assert bus._listeners.get("*") == []

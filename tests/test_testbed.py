@@ -53,20 +53,6 @@ class TestIdealNetwork:
         sim.run()
         assert got == ["y"]
 
-    def test_asymmetric_link(self):
-        sim = Simulator()
-        net = IdealNetwork(sim)
-        t0, t1 = net.add_node(0), net.add_node(1)
-        net.connect(0, 1, symmetric=False)
-        got0, got1 = [], []
-        t0.deliver_callback = lambda msg, src, nb: got0.append(msg)
-        t1.deliver_callback = lambda msg, src, nb: got1.append(msg)
-        t0.send_message("down", 10, None)
-        t1.send_message("up", 10, None)
-        sim.run()
-        assert got1 == ["down"]
-        assert got0 == []
-
     def test_loss_rate_applies(self):
         sim = Simulator()
         net = IdealNetwork(sim, loss=0.5, seed=3)

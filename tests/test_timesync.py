@@ -1,7 +1,5 @@
 """Tests for per-node clocks and RBS time synchronization."""
 
-import random
-
 import pytest
 
 from repro.apps.timesync import (
@@ -15,57 +13,37 @@ from repro.sim.clock import NodeClock
 from repro.testbed import IdealNetwork
 
 
+def skewed_clock(offset=0.0, drift_ppm=0.0):
+    """A clock stepped and skewed the way a ClockSkew fault does it."""
+    clock = NodeClock()
+    clock.offset = offset
+    clock.drift_ppm = drift_ppm
+    return clock
+
+
 class TestNodeClock:
     def test_offset(self):
-        clock = NodeClock(offset=2.5)
-        assert clock.exact_local_time(10.0) == pytest.approx(12.5)
+        clock = skewed_clock(offset=2.5)
+        assert clock.local_time(10.0) == pytest.approx(12.5)
         assert clock.true_time(12.5) == pytest.approx(10.0)
 
     def test_drift(self):
-        clock = NodeClock(drift_ppm=100.0)  # 100 ppm fast
-        assert clock.exact_local_time(10_000.0) == pytest.approx(10_001.0)
+        clock = skewed_clock(drift_ppm=100.0)  # 100 ppm fast
+        assert clock.local_time(10_000.0) == pytest.approx(10_001.0)
 
     def test_adjust_steps_offset(self):
-        clock = NodeClock(offset=1.0)
+        clock = skewed_clock(offset=1.0)
         clock.adjust(-1.0)
-        assert clock.exact_local_time(5.0) == pytest.approx(5.0)
+        assert clock.local_time(5.0) == pytest.approx(5.0)
         assert clock.adjustments == 1
 
-    def test_read_jitter_statistics(self):
-        clock = NodeClock(read_jitter=0.01, rng=random.Random(1))
-        reads = [clock.local_time(100.0) for _ in range(200)]
-        assert min(reads) != max(reads)
-        mean = sum(reads) / len(reads)
-        assert mean == pytest.approx(100.0, abs=0.005)
-
-    def test_negative_jitter_rejected(self):
-        with pytest.raises(ValueError):
-            NodeClock(read_jitter=-1.0)
-
     def test_error_vs(self):
-        a = NodeClock(offset=0.10)
-        b = NodeClock(offset=-0.05)
+        a = skewed_clock(offset=0.10)
+        b = skewed_clock(offset=-0.05)
         assert a.error_vs(b, 0.0) == pytest.approx(0.15)
 
-    def test_default_clocks_have_independent_jitter_streams(self):
-        # Regression: defaults used to share random.Random(0), so every
-        # clock read the same jitter sequence.
-        a = NodeClock(read_jitter=0.01)
-        b = NodeClock(read_jitter=0.01)
-        reads_a = [a.local_time(100.0) for _ in range(8)]
-        reads_b = [b.local_time(100.0) for _ in range(8)]
-        assert reads_a != reads_b
 
-    def test_seed_gives_reproducible_jitter(self):
-        a = NodeClock(read_jitter=0.01, seed=7)
-        b = NodeClock(read_jitter=0.01, seed=7)
-        c = NodeClock(read_jitter=0.01, seed=8)
-        reads = lambda clock: [clock.local_time(1.0) for _ in range(8)]
-        assert reads(a) == reads(b)
-        assert reads(a) != reads(c)
-
-
-def build_rbs_network(offsets, drifts=None, jitter=0.0):
+def build_rbs_network(offsets, drifts=None):
     """Star: beacon at hub 0; participants 1..n; coordinator at 1."""
     n = len(offsets)
     sim = Simulator()
@@ -80,12 +58,7 @@ def build_rbs_network(offsets, drifts=None, jitter=0.0):
         # Participants can hear each other's observation reports via
         # the hub; connect them pairwise through node 0 only.
     clocks = {
-        i + 1: NodeClock(
-            offset=offsets[i],
-            drift_ppm=(drifts[i] if drifts else 0.0),
-            read_jitter=jitter,
-            rng=random.Random(100 + i),
-        )
+        i + 1: skewed_clock(offsets[i], drifts[i] if drifts else 0.0)
         for i in range(n)
     }
     beacon = TimeBeacon(apis[0], interval=5.0)
@@ -129,16 +102,6 @@ class TestRbs:
         now = sim.now
         for node in (2, 3):
             assert clocks[node].error_vs(clocks[1], now) < 1e-6
-
-    def test_jitter_bounds_residual_error(self):
-        sim, clocks, beacon, participants, coordinator = build_rbs_network(
-            offsets=[0.2, -0.15], jitter=0.002
-        )
-        sim.run(until=300.0)  # many beacons: averaging beats jitter
-        coordinator.apply_corrections(clocks, reference=1)
-        residual = clocks[2].error_vs(clocks[1], sim.now)
-        # Residual ~ jitter / sqrt(2 * beacons); comfortably < jitter.
-        assert residual < 0.002
 
     def test_unknown_pair_returns_none(self):
         sim, clocks, beacon, participants, coordinator = build_rbs_network(
