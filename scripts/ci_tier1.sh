@@ -15,7 +15,8 @@
 # `tracking` preset under `python -S` (site-packages off: the CLI runs
 # on the standard library alone, as the package declares no runtime
 # dependency), a refused non-boolean flag, a refused negative
-# `campaign run --max-trials` and `run --shards 0`, two process-shard
+# `campaign run --max-trials` and `run --shards 0`, a NaN count refused
+# by name (`run dtn -p payload_bytes=NaN`), two process-shard
 # runs (`regional` and `line`) against the single queue, and the
 # flight-recorder postmortem of a `repro run` whose invariant is made
 # to break.  Among what the suite pins: the radio's fast path against
@@ -104,6 +105,12 @@ rc=0
 python -m repro run line --shards 0 > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] \
     || { echo "--shards 0 exited $rc, not 2" >&2; exit 1; }
+# A NaN count is refused by name, not with int()'s own message.
+rc=0
+refusal="$(python -m repro run dtn -p payload_bytes=NaN --duration 50 \
+    2>&1 > /dev/null)" || rc=$?
+[ "$rc" -eq 2 ] && grep -q "payload_bytes" <<<"$refusal" \
+    || { echo "payload_bytes=NaN exited $rc: $refusal" >&2; exit 1; }
 
 # Observability smoke: record a tiny traced run, then summarize it.
 trace="$store/smoke-trace.jsonl"

@@ -246,7 +246,7 @@ def _arm_transfer(
 
     custody = flag(p, "custody")
     config = config_from_object(DtnConfig, p["dtn_config"], "dtn_config")
-    payload_bytes = int(p["payload_bytes"])
+    payload_bytes = _positive(p, "payload_bytes", int)
     if payload_bytes < 256 or payload_bytes % 256:
         raise ValueError(
             f"payload_bytes must be a positive multiple of 256, "
@@ -266,7 +266,7 @@ def _arm_transfer(
         OBJECT_ID,
         on_complete=lambda data, stats: None,
         quiet_timeout=4.0,
-        max_repair_rounds=int(p["receiver_rounds"]),
+        max_repair_rounds=_nonnegative(p, "receiver_rounds", int),
         max_quiet_timeout=20.0,
         reliable=custody,
         rng=make_rng(seed, "dtn:receiver") if custody else None,

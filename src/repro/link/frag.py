@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import Any, Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.sim import Event, Simulator, TraceBus, trace_id_of
@@ -35,16 +34,29 @@ MessageId = Tuple[int, int]  # (origin node, per-node counter)
 REASSEMBLY_TIMEOUT = 5.0
 
 
-@dataclass(frozen=True)
 class Fragment:
-    """One radio-sized piece of a message."""
+    """One radio-sized piece of a message: fragment ``index`` of
+    ``count``, carrying ``nbytes`` payload bytes of ``message`` (the
+    full message object, by reference).
 
-    message_id: MessageId
-    index: int
-    count: int
-    nbytes: int                  # payload bytes carried by this fragment
-    message: Any                 # the full message object (by reference)
-    link_src: int = -1           # filled in by the receiver path
+    A positional ``__slots__`` record: one is built per fragment sent.
+    """
+
+    __slots__ = ("message_id", "index", "count", "nbytes", "message")
+
+    def __init__(
+        self,
+        message_id: MessageId,
+        index: int,
+        count: int,
+        nbytes: int,
+        message: Any,
+    ) -> None:
+        self.message_id = message_id
+        self.index = index
+        self.count = count
+        self.nbytes = nbytes
+        self.message = message
 
 
 class ReassemblyExpiry:
@@ -109,8 +121,8 @@ class FragmentationLayer:
     """Per-node fragmentation/reassembly engine.
 
     Send path: :meth:`send_message` splits a message into fragments and
-    enqueues each on the MAC.  Receive path: modem fragments funnel into
-    :meth:`on_fragment`; complete messages fire ``deliver_callback``.
+    enqueues each on the MAC.  Receive path: :meth:`on_fragment` is the
+    modem's receive callback; complete messages fire ``deliver_callback``.
 
     Partial messages time out through ``expiry``, the network's shared
     :class:`ReassemblyExpiry`; a layer built without one makes its own.
@@ -155,7 +167,7 @@ class FragmentationLayer:
             "frag.drops", lambda: self.messages_incomplete,
             reason="reassembly-failure",
         )
-        self.mac.modem.receive_callback = self._on_modem_fragment
+        self.mac.modem.receive_callback = self.on_fragment
 
     def fragments_for(self, nbytes: int) -> int:
         """How many fragments a message of ``nbytes`` needs."""
@@ -177,27 +189,19 @@ class FragmentationLayer:
         for index in range(count):
             size = min(self.fragment_payload, remaining)
             remaining -= size
-            fragment = Fragment(
-                message_id=message_id,
-                index=index,
-                count=count,
-                nbytes=size,
-                message=message,
+            self.mac.enqueue(
+                Fragment(message_id, index, count, size, message), size,
+                link_dst,
             )
-            self.mac.enqueue(fragment, size, link_dst)
         self.messages_sent += 1
         return count
 
     # -- receive ------------------------------------------------------------
 
-    def _on_modem_fragment(
-        self, payload: Any, src: int, nbytes: int, link_dst: Optional[int]
-    ) -> None:
-        if not isinstance(payload, Fragment):
-            return
-        self.on_fragment(payload, src)
-
-    def on_fragment(self, fragment: Fragment, src: int) -> None:
+    def on_fragment(self, fragment: Fragment, src: int, *_: Any) -> None:
+        """The modem's receive callback: every payload a network's
+        radios carry is a :class:`Fragment`, and the modem has already
+        applied the link address (the trailing ``nbytes, link_dst``)."""
         if self.inbound_filter is not None and not self.inbound_filter(fragment, src):
             return
         if fragment.count == 1:

@@ -58,7 +58,8 @@ class CsmaMac(Mac):
         if not self._queue:
             self._busy = False
             return
-        if self.modem.carrier_busy() or self.modem.transmitting:
+        modem = self.modem
+        if modem.channel.carrier_busy(modem.node_id) or modem.transmitting:
             self.stats.backoffs += 1
             self._backoff_stage = min(self._backoff_stage + 1, 6)
             window = min(self.max_backoff, self.min_backoff * (2 ** self._backoff_stage))

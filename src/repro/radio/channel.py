@@ -36,7 +36,6 @@ proves the two verdict-identical on seeded scenarios.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Set
 
 from repro.radio.neighborhood import NeighborhoodIndex
@@ -45,35 +44,31 @@ from repro.sim.metrics import current_registry
 from repro.sim.rng import MASK64, SeedSequence, derive_seed, splitmix64
 
 
-@dataclass
 class Transmission:
-    """One in-flight fragment."""
+    """One in-flight fragment (``link_dst`` None for link-broadcast).
 
-    src: int
-    start: float
-    end: float
-    payload: Any
-    nbytes: int
-    link_dst: Optional[int]  # None for link-broadcast
-    seqno: int
-
-
-class _Reception:
-    """One reception attempt in flight at a node.
-
-    ``reason`` is why it failed ("collision", "half-duplex",
-    "detached"); meaningful only when corrupted.  A plain __slots__ class —
-    one of these is allocated per audible lane per fragment, the
-    hottest allocation in the radio layer.
+    A positional ``__slots__`` record: one is built per fragment.
     """
 
-    __slots__ = ("transmission", "prr", "corrupted", "reason")
+    __slots__ = ("src", "start", "end", "payload", "nbytes", "link_dst", "seqno")
 
-    def __init__(self, transmission: Transmission, prr: float) -> None:
-        self.transmission = transmission
-        self.prr = prr
-        self.corrupted = False
-        self.reason = "collision"
+    def __init__(
+        self,
+        src: int,
+        start: float,
+        end: float,
+        payload: Any,
+        nbytes: int,
+        link_dst: Optional[int],
+        seqno: int,
+    ) -> None:
+        self.src = src
+        self.start = start
+        self.end = end
+        self.payload = payload
+        self.nbytes = nbytes
+        self.link_dst = link_dst
+        self.seqno = seqno
 
 
 class Channel:
@@ -107,8 +102,12 @@ class Channel:
         self._loss_seed = derive_seed(seeds.root_seed, "channel-loss-hash")
         self._modems: Dict[int, Any] = {}
         # Per-receiver in-progress receptions keyed by transmission
-        # seqno, for collision marking and O(1) completion.
-        self._receiving: Dict[int, Dict[int, _Reception]] = {}
+        # seqno, for collision marking and O(1) completion.  A
+        # reception is the plain list ``[prr, reason, tx]`` (one per
+        # audible lane per fragment, so no constructor runs): ``reason``
+        # is None while it is clean, else why it failed ("collision",
+        # "half-duplex", "detached").
+        self._receiving: Dict[int, Dict[int, list]] = {}
         # Sender -> (the audibility list its receiver lanes came from,
         # the earliest PRR-window expiry among its links, the lanes).
         self._lanes: Dict[int, tuple] = {}
@@ -196,8 +195,7 @@ class Channel:
         pending = self._receiving.pop(node_id, None)
         if pending:
             for reception in pending.values():
-                reception.corrupted = True
-                reception.reason = "detached"
+                reception[1] = "detached"
         self._member_removed(node_id)
         return modem
 
@@ -290,13 +288,7 @@ class Channel:
         now = self.sim.now
         self._seqno += 1
         tx = Transmission(
-            src=src,
-            start=now,
-            end=now + duration,
-            payload=payload,
-            nbytes=nbytes,
-            link_dst=link_dst,
-            seqno=self._seqno,
+            src, now, now + duration, payload, nbytes, link_dst, self._seqno
         )
         self.fragments_sent += 1
         if self.trace.active:
@@ -333,13 +325,8 @@ class Channel:
         # local per-shard seqno space inside the _receiving maps.
         self._ghost_seqno -= 1
         tx = Transmission(
-            src=src,
-            start=now,
-            end=now + duration,
-            payload=payload,
-            nbytes=nbytes,
-            link_dst=link_dst,
-            seqno=self._ghost_seqno,
+            src, now, now + duration, payload, nbytes, link_dst,
+            self._ghost_seqno,
         )
         self._hold_remote_carrier(tx)
         self._deliver_to(tx, duration)
@@ -350,10 +337,9 @@ class Channel:
         air: no local radio was in its range when it keyed up, so there
         is nothing to receive, but one a move brought into range since
         must sense it until ``end``."""
-        self._hold_remote_carrier(Transmission(
-            src=src, start=self.sim.now, end=end, payload=None, nbytes=0,
-            link_dst=None, seqno=0,
-        ))
+        self._hold_remote_carrier(
+            Transmission(src, self.sim.now, end, None, 0, None, 0)
+        )
 
     def _hold_remote_carrier(self, tx: Transmission) -> None:
         self._remote_active[tx.src] = tx
@@ -406,7 +392,7 @@ class Channel:
                 if in_progress or modem.transmitting or modem.sleeping:
                     admit(tx, modem, in_progress, prr)
                 else:
-                    in_progress[seqno] = _Reception(tx, prr)
+                    in_progress[seqno] = [prr, None, tx]
             # The reference's per-reception events and its sender's end
             # share this instant and take consecutive sequence numbers,
             # so no foreign event can tell them from this one.
@@ -445,34 +431,35 @@ class Channel:
 
     def _admit_reception(
         self, tx: Transmission, modem: Any, in_progress: dict, prr: float
-    ) -> _Reception:
+    ) -> list:
         """Create the reception in ``modem``'s ``in_progress`` map and
         mark collisions with whatever is already in the air there."""
-        reception = _Reception(tx, prr)
-        if modem.transmitting or modem.sleeping:
-            # Half-duplex, and sleeping radios hear nothing.
-            reception.corrupted = True
-            reception.reason = "half-duplex"
+        # Half-duplex, and sleeping radios hear nothing.
+        reception = [
+            prr,
+            "half-duplex" if modem.transmitting or modem.sleeping else None,
+            tx,
+        ]
         if in_progress:
             # Overlap: the stronger signal may capture the receiver;
             # comparable signals corrupt each other.
             for other in in_progress.values():
                 survives = (
-                    other.prr >= self.CAPTURE_STRONG
-                    and reception.prr <= self.CAPTURE_WEAK
+                    other[0] >= self.CAPTURE_STRONG
+                    and prr <= self.CAPTURE_WEAK
                 )
-                if not survives and not other.corrupted:
-                    other.corrupted = True
+                if not survives and other[1] is None:
+                    other[1] = "collision"
                     self.fragments_collided += 1
             captured_over_all = (
-                reception.prr >= self.CAPTURE_STRONG
+                prr >= self.CAPTURE_STRONG
                 and all(
-                    other.prr <= self.CAPTURE_WEAK
+                    other[0] <= self.CAPTURE_WEAK
                     for other in in_progress.values()
                 )
             )
-            if not captured_over_all and not reception.corrupted:
-                reception.corrupted = True
+            if not captured_over_all and reception[1] is None:
+                reception[1] = "collision"
                 self.fragments_collided += 1
         in_progress[tx.seqno] = reception
         return reception
@@ -487,9 +474,8 @@ class Channel:
         mix = splitmix64(hash((self._loss_seed, src, tx.start)))
         trace = self.trace
         for node_id, modem, in_progress, _, key, cut in lanes:
-            reception = in_progress.pop(seqno)
-            if reception.corrupted:
-                reason = reception.reason
+            reason = in_progress.pop(seqno)[1]
+            if reason is not None:
                 if reason == "detached":
                     continue  # the receiver left the medium mid-flight
                 if reason == "half-duplex":

@@ -13,7 +13,6 @@ and backoff belong to the MAC (:mod:`repro.mac`).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Any, Callable, ClassVar, Optional
 
 from repro.sim import Simulator
@@ -34,19 +33,25 @@ class RadioParams:
 
     def fragment_airtime(self, payload_bytes: int) -> float:
         """Seconds on air for one fragment carrying ``payload_bytes``."""
-        if payload_bytes > self.fragment_payload:
-            raise ValueError(
-                f"fragment payload {payload_bytes} exceeds radio maximum "
-                f"{self.fragment_payload}"
-            )
-        total = payload_bytes + self.fragment_overhead
-        return (total * 8) / self.bitrate_bps
+        try:
+            return AIRTIME_BY_SIZE[payload_bytes]
+        except IndexError:
+            raise _oversize(payload_bytes) from None
 
-    @cached_property
-    def airtime_by_size(self) -> tuple:
-        """``fragment_airtime`` of each legal payload size, once."""
-        sizes = range(self.fragment_payload + 1)
-        return tuple(self.fragment_airtime(size) for size in sizes)
+
+#: seconds on air of a fragment, indexed by its payload size: one table
+#: for every radio, since no run varies the physical layer.
+AIRTIME_BY_SIZE = tuple(
+    (size + RadioParams.fragment_overhead) * 8 / RadioParams.bitrate_bps
+    for size in range(RadioParams.fragment_payload + 1)
+)
+
+
+def _oversize(payload_bytes: int) -> ValueError:
+    return ValueError(
+        f"fragment payload {payload_bytes} exceeds radio maximum "
+        f"{RadioParams.fragment_payload}"
+    )
 
 
 class Modem:
@@ -93,7 +98,10 @@ class Modem:
             raise RuntimeError(f"modem {self.node_id} is already transmitting")
         if self.sleeping:
             raise RuntimeError(f"modem {self.node_id} is asleep")
-        airtime = self.params.fragment_airtime(payload_bytes)
+        try:
+            airtime = AIRTIME_BY_SIZE[payload_bytes]
+        except IndexError:
+            raise _oversize(payload_bytes) from None
         self.transmitting = True
         self._tx_done_callback = on_done
         self.bytes_sent += payload_bytes + self.params.fragment_overhead
@@ -126,12 +134,9 @@ class Modem:
         self.fragments_received += 1
         self.bytes_received += nbytes
         if self.energy is not None:
-            self.energy.record_receive(self.params.airtime_by_size[nbytes])
+            self.energy.record_receive(AIRTIME_BY_SIZE[nbytes])
         # Link-layer address filter: accept broadcast or our own address.
         if link_dst is not None and link_dst != self.node_id:
             return
         if self.receive_callback is not None:
             self.receive_callback(payload, src, nbytes, link_dst)
-
-    def carrier_busy(self) -> bool:
-        return self.channel.carrier_busy(self.node_id)

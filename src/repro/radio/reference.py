@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from repro.radio.channel import Channel, Transmission, _Reception
+from repro.radio.channel import Channel, Transmission
 
 
 class ReferenceChannel(Channel):
@@ -80,10 +80,8 @@ class ReferenceChannel(Channel):
             # The sender's end of airtime, after its receptions.
             self.sim.schedule(duration, on_end, name="modem.txdone")
 
-    def _finish_reception(self, node_id: int, reception: _Reception) -> None:
-        if reception.reason == "detached":
+    def _finish_reception(self, node_id: int, reception: list) -> None:
+        prr, reason, tx = reception
+        if reason == "detached":
             return
-        tx = reception.transmission
-        self._finish_transmission(
-            (self._lane(tx.src, node_id, reception.prr),), tx, None
-        )
+        self._finish_transmission((self._lane(tx.src, node_id, prr),), tx, None)

@@ -16,6 +16,7 @@ from __future__ import annotations
 import gc
 import heapq
 import itertools
+import math
 import time
 from typing import Any, Callable, Dict, Iterator, List, Optional
 
@@ -273,9 +274,11 @@ class Simulator:
             self._compact()
 
     def _compact(self) -> None:
-        """Rebuild the heap without cancelled events (lazy deletion)."""
-        self._heap = [entry for entry in self._heap if not entry[3].cancelled]
-        heapq.heapify(self._heap)
+        """Rebuild the heap without cancelled events (lazy deletion), in
+        place: the run loop holds the list across the events it runs."""
+        heap = self._heap
+        heap[:] = [entry for entry in heap if not entry[3].cancelled]
+        heapq.heapify(heap)
         self._cancelled = 0
         self.compactions += 1
 
@@ -300,30 +303,6 @@ class Simulator:
             return None
         return heap[0][0]
 
-    def _pop_next(
-        self, until: Optional[float], strict: bool = False
-    ) -> Optional[Event]:
-        """Pop and return the next live event at or before ``until``.
-
-        Cancelled heap tops are discarded along the way.  Returns None
-        when the queue is empty or the next live event lies beyond the
-        horizon (that event stays queued).  With ``strict`` the horizon
-        is exclusive: an event at exactly ``until`` stays queued.
-        """
-        heap = self._heap
-        while heap:
-            head = heap[0]
-            if head[3].cancelled:
-                heapq.heappop(heap)
-                self._cancelled -= 1
-                continue
-            if until is not None and (
-                head[0] > until or (strict and head[0] == until)
-            ):
-                return None
-            return heapq.heappop(heap)[3]
-        return None
-
     def _dispatch(self, event: Event) -> None:
         """Advance the clock to ``event`` and run its callback."""
         if event.time < self.now:
@@ -347,10 +326,9 @@ class Simulator:
 
     def step(self) -> bool:
         """Run a single event.  Returns False when the queue is empty."""
-        event = self._pop_next(None)
-        if event is None:
+        if self.peek_time() is None:
             return False
-        self._dispatch(event)
+        self._dispatch(heapq.heappop(self._heap)[3])
         return True
 
     def _drain(
@@ -361,11 +339,13 @@ class Simulator:
         until none is left, :meth:`stop` is called or ``max_events`` have
         run; returns how many ran.
 
-        Each iteration pops the heap exactly once.  The loop is not
-        reentrant.  The cyclic collector is paused while it runs: event
-        code makes no reference cycles, so its passes would free nothing,
-        and the objects a run made are scanned by the first pass after
-        it.  The queue gauges settle on every exit.
+        Each iteration pops the heap exactly once, discarding a
+        cancelled head or dispatching a live one; a live head beyond the
+        horizon stays queued.  The loop is not reentrant.  The cyclic
+        collector is paused while it runs: event code makes no reference
+        cycles, so its passes would free nothing, and the objects a run
+        made are scanned by the first pass after it.  The queue gauges
+        settle on every exit.
         """
         if self._running:
             raise SimulationError("the run loop is not reentrant")
@@ -375,12 +355,19 @@ class Simulator:
         self._running = True
         self._stopped = False
         processed = 0
+        heap, heappop, dispatch = self._heap, heapq.heappop, self._dispatch
+        horizon = math.inf if until is None else until
         try:
-            while not self._stopped:
-                event = self._pop_next(until, strict)
-                if event is None:
+            while heap and not self._stopped:
+                time_, _, _, event = heap[0]
+                if event.cancelled:
+                    heappop(heap)
+                    self._cancelled -= 1
+                    continue
+                if time_ > horizon or (strict and time_ == horizon):
                     break
-                self._dispatch(event)
+                heappop(heap)
+                dispatch(event)
                 processed += 1
                 if max_events is not None and processed >= max_events:
                     break

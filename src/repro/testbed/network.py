@@ -273,7 +273,7 @@ class SensorNetwork:
         """
         stack = self.stacks[node_id]
         self.channel.attach(stack.modem)
-        stack.modem.receive_callback = stack.frag._on_modem_fragment
+        stack.modem.receive_callback = stack.frag.on_fragment
         # fail_node shadowed enqueue with an instance attribute; removing
         # the shadow restores the class implementation.
         stack.mac.__dict__.pop("enqueue", None)

@@ -26,11 +26,6 @@ SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "knob_audit.py"
 #: fixtures named here (and the ReferenceChannel seam), and a knob whose
 #: removal would change the keys of a pinned outcome.
 ALLOWED = {
-    "repro.link.frag:Fragment(link_src)": (
-        "a field of the fragment record the process transport pickles; "
-        "dropping it shrinks shard.exchange_bytes, which "
-        "tests/test_metrics_snapshot.py pins"
-    ),
     "repro.dtn.config:DtnConfig(energy_budget)": (
         "feeds custody_stats.refused_energy, a key of every pinned dtn "
         "and mule outcome"

@@ -33,7 +33,7 @@ def draws():
         for node_id, modem, in_progress, prr, key, _ in lanes:
             reception = in_progress.get(tx.seqno)
             if (
-                reception is not None and not reception.corrupted
+                reception is not None and reception[1] is None
                 and not (modem.transmitting or modem.sleeping)
             ):
                 u = (mix * key % 2**64) / 2**64

@@ -39,7 +39,7 @@ PINNED = {
     ),
     "regional-2-shards": (
         "regional", {"columns": 12, "rows": 12}, 1, 2, 4.0,
-        "9a4b5abd57d292f96f557d70eae03ab0f88d23165c18a0f0989d2e309fbe296b",
+        "de5be81f8a902c4651260fe25851f02398c093df75b89a6483feef3feca6e901",
     ),
 }
 

@@ -14,7 +14,7 @@ import pytest
 
 from repro.campaign.workers import WorkerCrew
 from repro.radio import Channel, DistancePropagation, Modem, Topology
-from repro.radio.channel import Transmission, _Reception
+from repro.radio.channel import Transmission
 from repro.shard import (
     ExportedTx,
     ShardPlan,
@@ -401,7 +401,7 @@ class TestHashedLoss:
             src=src, start=start, end=start + 0.01,
             payload=b"p", nbytes=27, link_dst=None, seqno=1,
         )
-        lane[2][tx.seqno] = _Reception(tx, prr)
+        lane[2][tx.seqno] = [prr, None, tx]
         before = channel.fragments_lost
         channel._finish_transmission((lane,), tx, None)
         return channel.fragments_lost > before

@@ -289,6 +289,26 @@ def test_compaction_preserves_event_order():
     assert fired == keep
 
 
+def test_compaction_inside_a_run_keeps_the_queue():
+    """An event that cancels enough to compact the heap mid-run: the
+    loop goes on over the compacted queue, including what is scheduled
+    after the compaction."""
+    sim = Simulator()
+    fired = []
+    later = [sim.schedule(float(i + 2), fired.append, i) for i in range(500)]
+
+    def cancel_most():
+        for event in later[:400]:
+            event.cancel()
+        sim.schedule(1000.0, fired.append, "tail")
+
+    sim.schedule(1.0, cancel_most)
+    sim.run()
+    assert sim.compactions >= 1
+    assert fired == list(range(400, 500)) + ["tail"]
+    assert sim.pending == 0 and len(sim._heap) == 0
+
+
 def test_cancel_twice_counts_once():
     sim = Simulator()
     e1 = sim.schedule(1.0, lambda: None)
