@@ -2,8 +2,8 @@
 # Tier-1 CI gate: the fast test suite (every pass/fail check lives
 # there), the perf harness's own tests, the ledger pins (every
 # BENCHMARK.json workload's outcome digest at seeds 11 and 23 against
-# tests/pins.json), the wide pins (27 fault, custody and 100-256 node
-# oracle runs against the same file), scripts/mem_diff.sh run on one
+# tests/pins.json), the wide pins (29 fault, custody, energy and
+# 100-256 node oracle runs against the same file), scripts/mem_diff.sh run on one
 # checkout against itself, and the only out-of-process CLI
 # drives: the Figure 11 section of `repro experiments` (the reference
 # matcher), a single-process campaign smoke run of a plan grid (the CLI,

@@ -15,10 +15,12 @@ Three sets of runs are pinned:
   workload at seeds 11 and 23, from ``perf/workloads.py`` (imported,
   never edited); ``scripts/ci_tier1.sh`` checks these, as they take a
   few seconds each.
-- ``wide``: 27 runs the ``SMALL`` sizes do not reach — every builtin
+- ``wide``: 29 runs the ``SMALL`` sizes do not reach — every builtin
   fault plan at 120 s, the ``dtn`` / ``mule`` custody arms, the
-  16x16 ``regional`` and the 10x10 ``hierarchy`` modes (~10 s, a
-  ``scripts/ci_tier1.sh`` step).
+  16x16 ``regional`` and the 10x10 ``hierarchy`` modes, and the two
+  runs that price radio time: a duty-cycled ``line`` (its outcome's
+  ``energy`` section) and a custody ``dtn`` run whose energy budget
+  refuses blocks (~10 s, a ``scripts/ci_tier1.sh`` step).
 
 The preset and wide runs are also held to the rule that lets the
 kernel pause the cyclic collector inside its run loop: event code makes
@@ -129,6 +131,11 @@ def wide_plans() -> Dict[str, Any]:
             "mule", {"custody": custody}, 1)
         plans[f"dtn-clustered/{custody}"] = ShardPlan.named(
             "dtn", {"custody": custody, "mode": "clustered"}, 1)
+    plans["energy/line"] = ShardPlan.named("line", {"duty_cycle": 0.5}, 1)
+    # A budget the custodians cross mid-run: 10 blocks refused by energy.
+    plans["energy/dtn-budget"] = ShardPlan(
+        "dtn", {"duty": 0.0, "custody": True,
+                "dtn_config": {"energy_budget": 150.0}}, 2, 200.0, 1)
     plans["oracle/diffusion"] = ShardPlan(
         "diffusion", {"columns": 6, "rows": 4, "duration": 12.0}, 11, 12.0, 1)
     plans["oracle/regional"] = ShardPlan(
