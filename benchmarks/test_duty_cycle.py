@@ -3,13 +3,13 @@
 Regenerates the paper's three claims: listen-dominated at d=1, the
 50%-listen crossover near d=0.2 (paper rounds to 22%), and
 send-dominance below d~0.15 ("duty cycles of 10% begin to be dominated
-by send cost").  Also reads the live energy ledgers of a simulated
-CSMA run, always on and re-accounted at a 10% duty cycle.
+by send cost").  Also prices the radio time of a simulated CSMA run,
+always on and re-priced at a 10% duty cycle.
 """
 
 import pytest
 
-from repro.energy import DutyCycleModel
+from repro.energy import DutyCycleModel, EnergyBreakdown, radio_energy
 from repro.experiments.duty_cycle import format_table, run_duty_cycle_analysis
 
 
@@ -49,11 +49,18 @@ def test_measured_run_energy_tracks_duty_cycle():
     net = isi_testbed_network(seed=7)
     exp = SurveillanceExperiment(net, FIG8_SINK, FIG8_SOURCES[:2])
     exp.run(duration=300.0)
-    always_on = net.energy_account.total_breakdown(elapsed=300.0)
+    always_on = net.radio_energy(elapsed=300.0)
 
-    for ledger_id in net.energy_account.node_ids():
-        net.energy_account.ledger(ledger_id).duty_cycle = 0.10
-    duty_cycled = net.energy_account.total_breakdown(elapsed=300.0)
+    priced = [
+        radio_energy(stack.modem.airtime_sent, stack.modem.airtime_received,
+                     0.10, 300.0)
+        for stack in net.stacks.values()
+    ]
+    duty_cycled = EnergyBreakdown(
+        listen=sum(b.listen for b in priced),
+        receive=sum(b.receive for b in priced),
+        send=sum(b.send for b in priced),
+    )
 
     assert duty_cycled.total < always_on.total * 0.25
     assert duty_cycled.send == always_on.send

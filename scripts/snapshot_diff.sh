@@ -6,9 +6,8 @@
 #
 # Runs `python -m repro run <scenario> [run args...] --trace FILE` with
 # each checkout's src/ on PYTHONPATH, reads the last metrics.snapshot
-# record of each trace, and prints one line per counter, gauge field,
-# histogram field or time-series field whose value differs (a missing
-# instrument reads "absent").  Exits 1 if anything differs, 0 if the two
+# record of each trace, and prints one line per counter or histogram
+# field whose value differs (a missing instrument reads "absent").  Exits 1 if anything differs, 0 if the two
 # snapshots are equal.  A trace hash only says that something moved;
 # this says what.  Example:
 #

@@ -77,7 +77,7 @@ class CustodyStore:
         self.node_id = node_id
         self.trace = trace
         self.config = config or DtnConfig()
-        #: joules consumed so far (from the node's EnergyLedger);
+        #: energy consumed so far (the node's priced radio time);
         #: compared against ``config.energy_budget``.
         self.energy_spent = energy_spent
         self._entries: "OrderedDict[BlockKey, CustodyEntry]" = OrderedDict()
@@ -90,7 +90,6 @@ class CustodyStore:
         registry.counter("dtn.custody.accepted", lambda: self.accepted)
         registry.counter("dtn.custody.transferred", lambda: self.transferred)
         registry.counter("dtn.custody.expired", lambda: self.expired)
-        self._m_depth = registry.gauge("dtn.custody.depth")
 
     # -- queries ---------------------------------------------------------
 
@@ -146,7 +145,6 @@ class CustodyStore:
         self._entries[key] = entry
         self.accepted += 1
         self.depth_high_water = max(self.depth_high_water, len(self._entries))
-        self._m_depth.set(len(self._entries))
         self.trace.emit(
             now, "custody.accept", node=self.node_id,
             object=object_id, index=index, trace=trace, carrier=carrier,
@@ -171,7 +169,6 @@ class CustodyStore:
         if entry is None:
             return None
         self.transferred += 1
-        self._m_depth.set(len(self._entries))
         self.trace.emit(
             now, "custody.transfer", node=self.node_id,
             object=entry.object_id, index=entry.index, trace=entry.trace,
@@ -199,7 +196,6 @@ class CustodyStore:
         if entry is None:
             return None
         self.expired += 1
-        self._m_depth.set(len(self._entries))
         self.trace.emit(
             now, "custody.expire", node=self.node_id,
             object=entry.object_id, index=entry.index, trace=entry.trace,

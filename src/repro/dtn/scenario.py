@@ -278,15 +278,15 @@ def _arm_transfer(
     agents: Dict[int, CustodyAgent] = {}
     if custody:
         for node_id in network.node_ids():
-            ledger = network.stack(node_id).energy
+            stack = network.stack(node_id)
             agents[node_id] = CustodyAgent(
-                network.node(node_id),
+                stack.diffusion,
                 rng=make_rng(seed, f"dtn:agent:{node_id}"),
                 config=config,
                 energy_spent=(
-                    lambda ledger=ledger: ledger.energy(
-                        elapsed=network.sim.now
-                    )
+                    lambda stack=stack: stack.radio_energy(
+                        network.sim.now
+                    ).total
                 ),
             )
     network.sim.schedule(send_start, sender.offer, obj, 0.0)

@@ -105,6 +105,22 @@ class DutyCycleModel:
         return min(1.0, (self.p_send * self.t_send) / listen_unit)
 
 
+def radio_energy(
+    sent: float, received: float, duty_cycle: float, elapsed: float
+) -> EnergyBreakdown:
+    """One radio's energy over an experiment of ``elapsed`` seconds, from
+    the *measured* seconds it spent sending and receiving (a modem's
+    ``airtime_sent`` / ``airtime_received``) rather than the model's
+    ratios.  The radio listens for the rest of the time, scaled by its
+    MAC's listen duty cycle, and each state is priced at the paper's
+    power ratios."""
+    p_listen, p_receive, p_send = PAPER_POWER_RATIOS
+    listen = max(0.0, elapsed - (sent + received)) * duty_cycle
+    return EnergyBreakdown(
+        listen=p_listen * listen, receive=p_receive * received, send=p_send * sent
+    )
+
+
 #: the listen duty cycles Section 6.1 evaluates.
 PAPER_DUTY_CYCLES = (1.0, 0.22, 0.15, 0.10)
 

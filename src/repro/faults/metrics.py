@@ -13,15 +13,14 @@ the sources (``path.origin``) and delivered at the sink
   exploratory clock, so "repaired within k intervals" is the bounded
   reconvergence claim the tests assert.
 
-Gauges land in the active :class:`~repro.sim.metrics.MetricsRegistry`
-via :meth:`record_metrics`, so campaign trials export them uniformly.
+The numbers reach a campaign trial through the resilience report
+(:meth:`ResilienceProbe.report`), not through the metrics registry.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
-from repro.sim.metrics import current_registry
 from repro.sim.trace import TraceRecord
 
 #: message types that count as data for delivery accounting.
@@ -154,12 +153,3 @@ class ResilienceProbe:
             "messages_delivered": len(self.delivered),
             "exploratory_interval": exploratory_interval,
         }
-
-    def record_metrics(self) -> None:
-        """Export headline numbers to the active metrics registry."""
-        registry = current_registry()
-        overall = self.delivery_ratio()
-        if overall is not None:
-            registry.gauge("faults.delivery_ratio").set(overall)
-        registry.gauge("faults.messages_originated").set(len(self.origins))
-        registry.gauge("faults.messages_delivered").set(len(self.delivered))

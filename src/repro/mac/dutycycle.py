@@ -4,15 +4,15 @@ Section 6.1: "energy-conscious protocols like PAMAS or TDMA are
 necessary for long-lived sensor networks.  We are currently
 experimenting with power-aware MAC approaches."  This MAC implements
 the simplest such design (the scheme S-MAC later formalized): all nodes
-share a synchronized frame of ``period`` seconds and keep their radios
+share a synchronized frame of ``PERIOD`` seconds and keep their radios
 on only for the first ``duty_cycle`` fraction of it.  Transmissions are
 deferred to awake windows; a sleeping radio hears nothing, so a
 transmission must also *fit* inside the window.
 
 The energy win is exactly the paper's Pd analysis: the listen term
 scales by the duty cycle while send/receive stay proportional to
-traffic.  Attaching an :class:`~repro.energy.EnergyLedger` with the
-matching ``duty_cycle`` makes the ledger arithmetic agree with the
+traffic.  :func:`~repro.energy.radio_energy` prices a stack's radio
+time at its MAC's ``duty_cycle``, so the arithmetic agrees with the
 radio's actual sleep schedule.
 """
 
@@ -22,31 +22,28 @@ import random
 from typing import Optional
 
 from repro.mac.csma import CsmaMac
-from repro.radio.modem import Modem
+from repro.radio.modem import AIRTIME_BY_SIZE, Modem
 from repro.sim import Simulator
 
 
 class DutyCycledCsmaMac(CsmaMac):
     """CSMA confined to synchronized awake windows."""
 
+    #: seconds per frame, shared by every node (no run varies it).
+    PERIOD = 1.0
+
     def __init__(
         self,
         sim: Simulator,
         modem: Modem,
         duty_cycle: float = 0.1,
-        period: float = 1.0,
         rng: Optional[random.Random] = None,
         **csma_kwargs,
     ) -> None:
         if not 0.0 < duty_cycle <= 1.0:
             raise ValueError("duty_cycle must be within (0, 1]")
-        if period <= 0:
-            raise ValueError("period must be positive")
         super().__init__(sim, modem, rng=rng, **csma_kwargs)
         self.duty_cycle = duty_cycle
-        self.period = period
-        if modem.energy is not None:
-            modem.energy.duty_cycle = duty_cycle
         self.deferred_to_window = 0
         if duty_cycle < 1.0:
             self._apply_schedule()
@@ -55,28 +52,28 @@ class DutyCycledCsmaMac(CsmaMac):
 
     @property
     def awake_span(self) -> float:
-        return self.duty_cycle * self.period
+        return self.duty_cycle * self.PERIOD
 
     def is_awake(self, now: float) -> bool:
-        return (now % self.period) < self.awake_span
+        return (now % self.PERIOD) < self.awake_span
 
     def next_wakeup(self, now: float) -> float:
         """Absolute time of the next awake-window start (>= now)."""
-        frame_start = (now // self.period) * self.period
+        frame_start = (now // self.PERIOD) * self.PERIOD
         if now < frame_start + self.awake_span:
             return now  # already awake
-        return frame_start + self.period
+        return frame_start + self.PERIOD
 
     def window_time_left(self, now: float) -> float:
         if not self.is_awake(now):
             return 0.0
-        return self.awake_span - (now % self.period)
+        return self.awake_span - (now % self.PERIOD)
 
     def _apply_schedule(self) -> None:
         now = self.sim.now
         if self.is_awake(now):
             self.modem.sleeping = False
-            frame_start = (now // self.period) * self.period
+            frame_start = (now // self.PERIOD) * self.PERIOD
             next_change = frame_start + self.awake_span
         else:
             # Never park the radio mid-transmission; the schedule check
@@ -98,7 +95,7 @@ class DutyCycledCsmaMac(CsmaMac):
             return
         now = self.sim.now
         _, nbytes, _ = self._queue[0]
-        airtime = self.modem.params.fragment_airtime(nbytes)
+        airtime = AIRTIME_BY_SIZE[nbytes]
         if self.duty_cycle < 1.0 and (
             not self.is_awake(now) or self.window_time_left(now) < airtime
         ):

@@ -57,19 +57,10 @@ def _oversize(payload_bytes: int) -> ValueError:
 class Modem:
     """One node's radio.  Half duplex; one fragment in flight at a time."""
 
-    def __init__(
-        self,
-        sim: Simulator,
-        channel,
-        node_id: int,
-        params: Optional[RadioParams] = None,
-        energy=None,
-    ) -> None:
+    def __init__(self, sim: Simulator, channel, node_id: int) -> None:
         self.sim = sim
         self.channel = channel
         self.node_id = node_id
-        self.params = params or RadioParams()
-        self.energy = energy
         self.transmitting = False
         self.sleeping = False  # duty-cycled MACs park the radio here
         self.receive_callback: Optional[Callable[[Any, int, int, Optional[int]], None]] = None
@@ -78,6 +69,10 @@ class Modem:
         self.fragments_sent = 0
         self.bytes_received = 0
         self.fragments_received = 0
+        # Seconds on air sending and receiving intact fragments: the
+        # radio time the energy model prices (repro.energy.radio_energy).
+        self.airtime_sent = 0.0
+        self.airtime_received = 0.0
         channel.attach(self)
 
     # -- transmit -------------------------------------------------------------
@@ -104,10 +99,9 @@ class Modem:
             raise _oversize(payload_bytes) from None
         self.transmitting = True
         self._tx_done_callback = on_done
-        self.bytes_sent += payload_bytes + self.params.fragment_overhead
+        self.bytes_sent += payload_bytes + RadioParams.fragment_overhead
         self.fragments_sent += 1
-        if self.energy is not None:
-            self.energy.record_send(airtime)
+        self.airtime_sent += airtime
         # The channel ends the airtime in its "channel.rx" event, after
         # the verdict of the fragment's last reception (or in a
         # "modem.txdone" of its own when no one can hear it).
@@ -133,8 +127,7 @@ class Modem:
         """Called by the channel when a fragment arrives intact."""
         self.fragments_received += 1
         self.bytes_received += nbytes
-        if self.energy is not None:
-            self.energy.record_receive(AIRTIME_BY_SIZE[nbytes])
+        self.airtime_received += AIRTIME_BY_SIZE[nbytes]
         # Link-layer address filter: accept broadcast or our own address.
         if link_dst is not None and link_dst != self.node_id:
             return

@@ -167,7 +167,7 @@ def _run_inline(plan: ShardPlan) -> List[Dict[str, Any]]:
     """All shards in-process: hand every runtime the others' messages.
 
     Each runtime gets its own metrics registry so per-shard kernel
-    gauges don't collide; message ids share one counter (uniqueness
+    counters don't collide; message ids share one counter (uniqueness
     per origin node is all correctness needs).
     """
     core_messages._msg_counter = itertools.count(1)

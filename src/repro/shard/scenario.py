@@ -450,7 +450,6 @@ def arm_resilience(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     )
 
     def outcome() -> Dict[str, Any]:
-        probe.record_metrics()
         probe.detach()
         engine = harness.engine if harness is not None else None
         return {
@@ -662,7 +661,7 @@ class StackScenario(Scenario):
             if mode is not None:
                 result.update(_traffic_by_class(net), hierarchy=mode.counters())
             if duty_cycle is not None:
-                spent = net.energy_account.total_breakdown(net.sim.now)
+                spent = net.radio_energy(net.sim.now)
                 result["energy"] = {**asdict(spent), "total": spent.total}
             return result
 

@@ -228,7 +228,6 @@ class ShardRuntime:
         self._m_window_events = registry.histogram(
             "shard.window_events", shard=rank
         )
-        self._m_stall = registry.gauge("shard.stall_seconds", shard=rank)
 
         # The MAC timing contract the promise terms rest on.
         lookaheads = []
@@ -521,7 +520,6 @@ class ShardRuntime:
         if self.boundary is not None:
             self.stats.boundary_rebuilds = self.boundary.rebuilds
             self.stats.boundary_pair_checks = self.boundary.pair_checks
-        self._m_stall.set(self.stats.stall_seconds)
         return {
             "outcome": self.net.outcome(),
             "stats": self.stats.as_dict(),

@@ -180,16 +180,13 @@ class Simulator:
         # Called with each freshly scheduled Event (repro.shard uses this
         # to track transmission-capable events for its lookahead promise).
         self._on_schedule: Optional[Callable[[Event], None]] = None
-        # Queue health: the counters read the attributes above, and the
-        # processed/pending gauges are settled once per run loop exit,
-        # so the hot path pays nothing for them.
+        # Queue health: the counters read the attributes above, so the
+        # hot path pays nothing for them.
         registry = current_registry()
         registry.counter("kernel.compactions", lambda: self.compactions)
         registry.counter(
             "kernel.cancelled_events", lambda: self.cancelled_events
         )
-        self._m_processed = registry.gauge("kernel.events_processed")
-        self._m_pending = registry.gauge("kernel.pending_events")
 
     def enable_profiler(self) -> KernelProfiler:
         """Attach (or return the existing) event-loop profiler."""
@@ -344,8 +341,7 @@ class Simulator:
         horizon stays queued.  The loop is not reentrant.  The cyclic
         collector is paused while it runs: event code makes no reference
         cycles, so its passes would free nothing, and the objects a run
-        made are scanned by the first pass after it.  The queue gauges
-        settle on every exit.
+        made are scanned by the first pass after it.
         """
         if self._running:
             raise SimulationError("the run loop is not reentrant")
@@ -375,7 +371,6 @@ class Simulator:
             self._running = False
             if collecting:
                 gc.enable()
-            self._settle_gauges()
         return processed
 
     def run(self, until: Optional[float] = None, max_events: Optional[int] = None) -> None:
@@ -421,10 +416,3 @@ class Simulator:
         if advance_clock and self.now < horizon and not self._stopped:
             self.now = horizon
         return processed
-
-    def _settle_gauges(self) -> None:
-        """Publish queue health to the metrics registry.  Only a run
-        loop's exit does this, so per-event cost is zero and a snapshot
-        reads the queue as of the last exit."""
-        self._m_processed.set(self.events_processed)
-        self._m_pending.set(self.pending)

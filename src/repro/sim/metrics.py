@@ -1,4 +1,4 @@
-"""Metrics registry: counters, gauges and histograms.
+"""Metrics registry: counters and histograms.
 
 The paper's testbed could only answer "what happened" questions by
 grepping logs collected over a second wired network (Section 7).  The
@@ -18,13 +18,14 @@ Design rules, mirroring :meth:`TraceBus.emit`:
   :meth:`MetricsRegistry.snapshot` reports each counter as the sum of
   its readers.  The hot path pays nothing for a counter, with or
   without a registry, and a source never runs backwards.
-* **Only an envelope or a distribution is an instrument.**  A
-  :class:`Gauge`'s min/max or a :class:`Histogram`'s quantiles cannot
-  be read back from a total, so those stay objects the hot path
-  updates.  Outside a :func:`use_registry` block :func:`current_registry`
-  returns the disabled :data:`NULL_REGISTRY`, which ignores reader
-  registrations and hands out one shared no-op instrument — its
-  ``set`` / ``observe`` are the only metric calls an unmetered run
+* **Only a distribution is an instrument.**  A :class:`Histogram`'s
+  quantiles cannot be read back from a total, so a histogram stays an
+  object the hot path updates.  A point value (a queue's length, a
+  run's delivery ratio) is not an instrument: its layer or the run's
+  outcome already holds it.  Outside a :func:`use_registry` block
+  :func:`current_registry` returns the disabled :data:`NULL_REGISTRY`,
+  which ignores reader registrations and hands out one shared no-op
+  histogram — its ``observe`` is the only metric call an unmetered run
   makes.
 * **Names are keyed by (name, labels)**, so every node of a network
   registers under the same counter and snapshots stay compact.
@@ -69,30 +70,6 @@ def _flat_name(name: str, labels: Dict[str, Any]) -> str:
         return name
     inner = ",".join(f"{k}={labels[k]}" for k in sorted(labels))
     return f"{name}{{{inner}}}"
-
-
-class Gauge:
-    """A point-in-time value plus its observed extrema.
-
-    ``value`` is the last :meth:`set`; ``min``/``max`` track the
-    envelope so a snapshot can report *peak* queue depth or *lowest*
-    battery level, not just wherever the needle happened to rest when
-    the run ended.
-    """
-
-    __slots__ = ("value", "min", "max")
-
-    def __init__(self) -> None:
-        self.value = 0.0
-        self.min: Optional[float] = None
-        self.max: Optional[float] = None
-
-    def set(self, value: float) -> None:
-        self.value = value
-        if self.min is None or value < self.min:
-            self.min = value
-        if self.max is None or value > self.max:
-            self.max = value
 
 
 class _P2Quantile:
@@ -236,7 +213,6 @@ class _NullInstrument:
     """Shared do-nothing stand-in handed out by a disabled registry."""
 
     __slots__ = ()
-    value = 0
     count = 0
     total = 0.0
     mean = 0.0
@@ -245,9 +221,6 @@ class _NullInstrument:
     p50 = None
     p95 = None
     p99 = None
-
-    def set(self, value: float) -> None:
-        pass
 
     def observe(self, value: float) -> None:
         pass
@@ -266,13 +239,12 @@ def _constant(value: int) -> Reader:
 
 
 class MetricsRegistry:
-    """Counter readers plus named instruments, each keyed by (name,
-    sorted labels)."""
+    """Counter readers plus histograms, each keyed by (name, sorted
+    labels)."""
 
     def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
         self._counters: Dict[str, List[Reader]] = {}
-        self._gauges: Dict[str, Gauge] = {}
         self._histograms: Dict[str, Histogram] = {}
 
     def __bool__(self) -> bool:
@@ -280,7 +252,7 @@ class MetricsRegistry:
 
     @property
     def empty(self) -> bool:
-        return not (self._counters or self._gauges or self._histograms)
+        return not (self._counters or self._histograms)
 
     def counter(self, name: str, read: Reader, **labels: Any) -> None:
         """Register ``read`` under the counter ``name{labels}``, whose
@@ -297,11 +269,6 @@ class MetricsRegistry:
             for name, readers in self._counters.items()
         }
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        if not self.enabled:
-            return _NULL_INSTRUMENT  # type: ignore[return-value]
-        return self._gauges.setdefault(_flat_name(name, labels), Gauge())
-
     def histogram(self, name: str, **labels: Any) -> Histogram:
         if not self.enabled:
             return _NULL_INSTRUMENT  # type: ignore[return-value]
@@ -311,14 +278,6 @@ class MetricsRegistry:
         """All instrument values as plain JSON-safe nested dicts."""
         return {
             "counters": dict(sorted(self._counter_values().items())),
-            "gauges": {
-                name: {
-                    "value": gauge.value,
-                    "min": gauge.min,
-                    "max": gauge.max,
-                }
-                for name, gauge in sorted(self._gauges.items())
-            },
             "histograms": {
                 name: {
                     "count": hist.count,
@@ -342,8 +301,6 @@ class MetricsRegistry:
         Semantics per instrument kind:
 
         * counters add (the incoming total becomes one more reader);
-        * gauges keep the incoming last value (a later snapshot is a
-          later observation) and fold the min/max envelopes;
         * histograms add counts and sums, fold extrema, and combine
           quantile estimates as a count-weighted mean — approximate,
           since P² sketches cannot be merged exactly, but per-shard
@@ -354,18 +311,6 @@ class MetricsRegistry:
             return
         for name, value in snapshot.get("counters", {}).items():
             self._counters.setdefault(name, []).append(_constant(value))
-        for name, entry in snapshot.get("gauges", {}).items():
-            gauge = self._gauges.setdefault(name, Gauge())
-            gauge.value = entry.get("value", 0.0)
-            for attr, fold in (("min", min), ("max", max)):
-                incoming = entry.get(attr)
-                if incoming is None:
-                    continue
-                current = getattr(gauge, attr)
-                setattr(
-                    gauge, attr,
-                    incoming if current is None else fold(current, incoming),
-                )
         for name, entry in snapshot.get("histograms", {}).items():
             hist = self._histograms.setdefault(name, Histogram())
             incoming_count = entry.get("count", 0)
@@ -419,11 +364,6 @@ class MetricsRegistry:
         lines: List[str] = []
         for name, value in sorted(self._counter_values().items()):
             lines.append(f"{name:<44} {value}")
-        for name, gauge in sorted(self._gauges.items()):
-            lines.append(
-                f"{name:<44} {gauge.value} "
-                f"min={gauge.min} max={gauge.max}"
-            )
         for name, hist in sorted(self._histograms.items()):
             p95 = hist.p95
             lines.append(

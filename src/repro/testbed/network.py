@@ -6,7 +6,8 @@ It isolates protocol logic for unit tests and analytical experiments.
 
 :class:`SensorNetwork` assembles the full stack the testbed ran:
 channel → modem → CSMA MAC → fragmentation → diffusion core, one per
-node, plus energy ledgers and a shared trace bus.
+node, plus a shared trace bus; its energy is each modem's airtime,
+priced at its MAC's duty cycle.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import random
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
-from repro.energy import NetworkEnergyAccount
+from repro.energy import EnergyBreakdown, radio_energy
 from repro.link import FragmentationLayer, ReassemblyExpiry
 from repro.mac import CsmaMac
 from repro.radio import (
@@ -132,14 +133,21 @@ def ideal_line(
 class NodeStack:
     """All layers of one node in a :class:`SensorNetwork`."""
 
-    def __init__(self, node_id, modem, mac, frag, diffusion, api, energy):
+    def __init__(self, node_id, modem, mac, frag, diffusion, api):
         self.node_id = node_id
         self.modem = modem
         self.mac = mac
         self.frag = frag
         self.diffusion = diffusion
         self.api = api
-        self.energy = energy
+
+    def radio_energy(self, elapsed: float) -> EnergyBreakdown:
+        """This node's radio time over ``elapsed`` seconds, priced."""
+        modem = self.modem
+        return radio_energy(
+            modem.airtime_sent, modem.airtime_received,
+            self.mac.duty_cycle, elapsed,
+        )
 
 
 class SensorNetwork:
@@ -161,7 +169,6 @@ class SensorNetwork:
         self.sim = Simulator()
         self.trace = TraceBus()
         self.seeds = SeedSequence(seed)
-        self.radio_params = RadioParams()
         self.propagation = propagation or DistancePropagation(topology, seed=seed)
         # channel_cls: None = Channel when the propagation model supports
         # the neighborhood fast path, else the reference O(N) scan (the
@@ -174,7 +181,6 @@ class SensorNetwork:
         self.channel = channel_cls(
             self.sim, self.propagation, seeds=self.seeds, trace=self.trace
         )
-        self.energy_account = NetworkEnergyAccount()
         # One reassembly-timeout FIFO for every node: partials then
         # expire in the order they were opened, across the network.
         self.reassembly = ReassemblyExpiry(self.sim)
@@ -195,10 +201,7 @@ class SensorNetwork:
             self._build_node(node_id)
 
     def _build_node(self, node_id: int) -> None:
-        energy = self.energy_account.ledger(node_id)
-        modem = Modem(
-            self.sim, self.channel, node_id, params=self.radio_params, energy=energy
-        )
+        modem = Modem(self.sim, self.channel, node_id)
         mac_rng = self.seeds.stream(f"mac:{node_id}")
         if self.mac_factory is not None:
             mac = self.mac_factory(self.sim, modem, mac_rng)
@@ -209,7 +212,7 @@ class SensorNetwork:
             mac = CsmaMac(self.sim, modem, rng=mac_rng, trace=self.trace)
         frag = FragmentationLayer(
             self.sim, mac, node_id,
-            fragment_payload=self.radio_params.fragment_payload,
+            fragment_payload=RadioParams.fragment_payload,
             trace=self.trace, expiry=self.reassembly,
         )
         diffusion = DiffusionNode(
@@ -222,7 +225,7 @@ class SensorNetwork:
         )
         api = DiffusionRouting(diffusion)
         self.stacks[node_id] = NodeStack(
-            node_id, modem, mac, frag, diffusion, api, energy
+            node_id, modem, mac, frag, diffusion, api
         )
 
     # -- access ---------------------------------------------------------------
@@ -294,5 +297,12 @@ class SensorNetwork:
     def total_radio_bytes_sent(self) -> int:
         return sum(s.modem.bytes_sent for s in self.stacks.values())
 
-    def total_energy(self, elapsed: float) -> float:
-        return self.energy_account.total_energy(elapsed)
+    def radio_energy(self, elapsed: float) -> EnergyBreakdown:
+        """Every stack's priced radio time, summed in build order."""
+        listen = receive = send = 0.0
+        for stack in self.stacks.values():
+            b = stack.radio_energy(elapsed)
+            listen += b.listen
+            receive += b.receive
+            send += b.send
+        return EnergyBreakdown(listen=listen, receive=receive, send=send)

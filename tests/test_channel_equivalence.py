@@ -90,7 +90,7 @@ def run_scenario(
     if duty_cycle:
         def mac_factory(sim, modem, rng):
             return DutyCycledCsmaMac(
-                sim, modem, duty_cycle=0.5, period=1.0, rng=rng,
+                sim, modem, duty_cycle=0.5, rng=rng,
             )
     net = SensorNetwork(
         topo, config=CONFIG, seed=seed, propagation=propagation,

@@ -4,24 +4,22 @@ import random
 
 import pytest
 
-from repro.energy import EnergyLedger
-from repro.mac import DutyCycledCsmaMac
+from repro.energy import radio_energy
+from repro.mac import DutyCycledCsmaMac, Mac
 from repro.radio import Channel, Modem, TablePropagation
 from repro.sim import SeedSequence, Simulator
 
 
-def make_net(duty_cycle, n_nodes=2, links=None, period=1.0):
+def make_net(duty_cycle, n_nodes=2, links=None):
     sim = Simulator()
     channel = Channel(
         sim, TablePropagation(links or {(0, 1): 1.0}), seeds=SeedSequence(1)
     )
     modems, macs = [], []
     for i in range(n_nodes):
-        ledger = EnergyLedger()
-        modem = Modem(sim, channel, node_id=i, energy=ledger)
+        modem = Modem(sim, channel, node_id=i)
         mac = DutyCycledCsmaMac(
-            sim, modem, duty_cycle=duty_cycle, period=period,
-            rng=random.Random(40 + i),
+            sim, modem, duty_cycle=duty_cycle, rng=random.Random(40 + i),
         )
         modems.append(modem)
         macs.append(mac)
@@ -36,7 +34,7 @@ class Sink:
 
 class TestSchedule:
     def test_awake_windows(self):
-        sim, channel, modems, macs = make_net(0.2, period=1.0)
+        sim, channel, modems, macs = make_net(0.2)
         mac = macs[0]
         assert mac.is_awake(0.0)
         assert mac.is_awake(0.19)
@@ -44,13 +42,13 @@ class TestSchedule:
         assert mac.is_awake(1.05)
 
     def test_next_wakeup(self):
-        sim, channel, modems, macs = make_net(0.2, period=1.0)
+        sim, channel, modems, macs = make_net(0.2)
         mac = macs[0]
         assert mac.next_wakeup(0.1) == pytest.approx(0.1)  # already awake
         assert mac.next_wakeup(0.5) == pytest.approx(1.0)
 
     def test_window_time_left(self):
-        sim, channel, modems, macs = make_net(0.2, period=1.0)
+        sim, channel, modems, macs = make_net(0.2)
         mac = macs[0]
         assert mac.window_time_left(0.05) == pytest.approx(0.15)
         assert mac.window_time_left(0.5) == 0.0
@@ -61,8 +59,6 @@ class TestSchedule:
         modem = Modem(sim, channel, node_id=0)
         with pytest.raises(ValueError):
             DutyCycledCsmaMac(sim, modem, duty_cycle=0.0)
-        with pytest.raises(ValueError):
-            DutyCycledCsmaMac(sim, modem, duty_cycle=0.5, period=0.0)
 
     def test_full_duty_cycle_never_sleeps(self):
         sim, channel, modems, macs = make_net(1.0)
@@ -72,14 +68,17 @@ class TestSchedule:
         assert sink.received == ["x"]
         assert not modems[0].sleeping
 
-    def test_energy_ledger_inherits_duty_cycle(self):
+    def test_mac_carries_its_duty_cycle(self):
+        """The energy model prices idle listening at the MAC's duty
+        cycle; a plain MAC always listens."""
         sim, channel, modems, macs = make_net(0.25)
-        assert modems[0].energy.duty_cycle == 0.25
+        assert macs[0].duty_cycle == 0.25
+        assert Mac.duty_cycle == 1.0
 
 
 class TestDeferral:
     def test_fragments_delivered_inside_windows(self):
-        sim, channel, modems, macs = make_net(0.2, period=1.0)
+        sim, channel, modems, macs = make_net(0.2)
         sink = Sink(modems[1])
         # Enqueue mid-sleep: must be deferred, not lost.
         sim.schedule(0.5, macs[0].enqueue, "deferred", 20)
@@ -88,7 +87,7 @@ class TestDeferral:
         assert macs[0].deferred_to_window >= 1
 
     def test_bulk_traffic_survives_low_duty_cycle(self):
-        sim, channel, modems, macs = make_net(0.2, period=1.0)
+        sim, channel, modems, macs = make_net(0.2)
         sink = Sink(modems[1])
         for i in range(20):
             sim.schedule(i * 0.3, macs[0].enqueue, f"m{i}", 27)
@@ -101,13 +100,12 @@ class TestDeferral:
         sim = Simulator()
         channel = Channel(sim, TablePropagation({(0, 1): 1.0}),
                           seeds=SeedSequence(1))
-        ledger0, ledger1 = EnergyLedger(), EnergyLedger()
-        sender_modem = Modem(sim, channel, node_id=0, energy=ledger0)
+        sender_modem = Modem(sim, channel, node_id=0)
         sender = DutyCycledCsmaMac(sim, sender_modem, duty_cycle=1.0,
                                    rng=random.Random(1))
-        receiver_modem = Modem(sim, channel, node_id=1, energy=ledger1)
+        receiver_modem = Modem(sim, channel, node_id=1)
         receiver = DutyCycledCsmaMac(sim, receiver_modem, duty_cycle=0.1,
-                                     period=1.0, rng=random.Random(2))
+                                     rng=random.Random(2))
         sink = Sink(receiver_modem)
         for i in range(50):
             sim.schedule(i * 0.35, sender.enqueue, f"m{i}", 20)
@@ -115,7 +113,7 @@ class TestDeferral:
         assert len(sink.received) < 25  # most fragments hit a sleeping radio
 
     def test_transmission_never_starts_while_asleep(self):
-        sim, channel, modems, macs = make_net(0.2, period=1.0)
+        sim, channel, modems, macs = make_net(0.2)
         times = []
         original = modems[0].transmit_fragment
 
@@ -134,11 +132,15 @@ class TestDeferral:
 class TestEnergySavings:
     def test_duty_cycle_cuts_total_energy(self):
         def total_energy(duty):
-            sim, channel, modems, macs = make_net(duty, period=1.0)
+            sim, channel, modems, macs = make_net(duty)
             Sink(modems[1])
             for i in range(10):
                 sim.schedule(i * 1.0, macs[0].enqueue, f"m{i}", 20)
             sim.run(until=30.0)
-            return sum(m.energy.energy(elapsed=30.0) for m in modems)
+            return sum(
+                radio_energy(m.airtime_sent, m.airtime_received,
+                             mac.duty_cycle, 30.0).total
+                for m, mac in zip(modems, macs)
+            )
 
         assert total_energy(0.1) < total_energy(1.0) * 0.3

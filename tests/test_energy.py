@@ -1,15 +1,15 @@
-"""Tests for the duty-cycle energy model and ledgers (paper Section 6.1)."""
+"""Tests for the duty-cycle energy model and radio-time pricing (paper
+Section 6.1)."""
 
 import pytest
 
-from repro.energy import (
-    DutyCycleModel,
-    EnergyLedger,
-    NetworkEnergyAccount,
-    PAPER_POWER_RATIOS,
-)
+from repro.energy import DutyCycleModel, PAPER_POWER_RATIOS, radio_energy
 from repro.energy import model as energy_model
 from repro.energy.model import PAPER_TIME_RATIOS, paper_duty_cycle_table
+from repro.radio import Channel, Modem, RadioParams, TablePropagation, Topology
+from repro.radio.modem import AIRTIME_BY_SIZE
+from repro.sim import SeedSequence, Simulator
+from repro.testbed import SensorNetwork
 
 
 class TestDutyCycleModel:
@@ -70,63 +70,103 @@ class TestDutyCycleModel:
 
 
 class TestEnergyLedger:
+    """One radio's measured time, priced by :func:`radio_energy`."""
+
     def test_send_receive_accumulate(self):
-        ledger = EnergyLedger()
-        ledger.record_send(2.0)
-        ledger.record_send(1.0)
-        ledger.record_receive(4.0)
-        assert ledger.time_sending == 3.0
-        assert ledger.time_receiving == 4.0
+        sim = Simulator()
+        channel = Channel(sim, TablePropagation({(0, 1): 1.0}),
+                          seeds=SeedSequence(1))
+        sender, receiver = (Modem(sim, channel, node_id=i) for i in (0, 1))
+        sender.transmit_fragment("a", 27)
+        sim.run()
+        sender.transmit_fragment("b", 10)
+        sim.run()
+        assert sender.airtime_sent == AIRTIME_BY_SIZE[27] + AIRTIME_BY_SIZE[10]
+        assert receiver.airtime_received == sender.airtime_sent
+        assert sender.airtime_received == receiver.airtime_sent == 0.0
 
     def test_listen_time_is_remainder(self):
-        ledger = EnergyLedger()
-        ledger.record_send(10.0)
-        ledger.record_receive(10.0)
-        assert ledger.listen_time(elapsed=100.0) == pytest.approx(80.0)
+        b = radio_energy(10.0, 10.0, 1.0, elapsed=100.0)
+        assert b.listen == pytest.approx(PAPER_POWER_RATIOS[0] * 80.0)
 
     def test_duty_cycle_scales_listen(self):
-        ledger = EnergyLedger()
-        ledger.duty_cycle = 0.1  # as a duty-cycled MAC sets it
-        assert ledger.listen_time(elapsed=100.0) == pytest.approx(10.0)
+        b = radio_energy(0.0, 0.0, 0.1, elapsed=100.0)  # a 10% MAC
+        assert b.listen == pytest.approx(PAPER_POWER_RATIOS[0] * 10.0)
 
     def test_energy_uses_power_ratios(self):
-        ledger = EnergyLedger()
-        ledger.record_send(10.0)
-        ledger.record_receive(5.0)
-        b = ledger.breakdown(elapsed=100.0)
+        b = radio_energy(10.0, 5.0, 1.0, elapsed=100.0)
         pl, pr, ps = PAPER_POWER_RATIOS
         assert b.send == pytest.approx(ps * 10.0)
         assert b.receive == pytest.approx(pr * 5.0)
         assert b.listen == pytest.approx(pl * 85.0)
 
-    def test_negative_time_rejected(self):
-        ledger = EnergyLedger()
-        with pytest.raises(ValueError):
-            ledger.record_send(-1.0)
-        with pytest.raises(ValueError):
-            ledger.record_receive(-1.0)
-
     def test_listen_time_never_negative(self):
-        ledger = EnergyLedger()
-        ledger.record_send(200.0)
-        assert ledger.listen_time(elapsed=100.0) == 0.0
+        assert radio_energy(200.0, 0.0, 1.0, elapsed=100.0).listen == 0.0
 
 
 class TestNetworkAccount:
+    """A :class:`SensorNetwork`'s energy: its stacks' priced radio time."""
+
     def test_aggregates_across_nodes(self):
-        account = NetworkEnergyAccount()
-        account.ledger(1).record_send(10.0)
-        account.ledger(2).record_send(20.0)
-        b = account.total_breakdown(elapsed=100.0)
+        net = SensorNetwork(Topology.line(3, spacing=10.0), seed=1)
+        net.stack(0).modem.airtime_sent = 10.0
+        net.stack(1).modem.airtime_sent = 20.0
+        b = net.radio_energy(elapsed=100.0)
         ps = PAPER_POWER_RATIOS[2]
         assert b.send == pytest.approx(ps * 30.0)
-        assert account.node_ids() == [1, 2]
-
-    def test_ledger_memoized(self):
-        account = NetworkEnergyAccount()
-        assert account.ledger(1) is account.ledger(1)
+        assert b.listen == pytest.approx(PAPER_POWER_RATIOS[0] * 270.0)
 
     def test_total_energy_positive(self):
-        account = NetworkEnergyAccount()
-        account.ledger(1)
-        assert account.total_energy(elapsed=10.0) > 0
+        net = SensorNetwork(Topology.line(2, spacing=10.0), seed=1)
+        assert net.radio_energy(elapsed=10.0).total > 0
+
+
+class TestRadioTimeIsCountedOnce:
+    """The modem is the only count of radio time: its airtime agrees
+    with its byte and fragment counters, and the network's energy is the
+    duty-cycle model's arithmetic over it."""
+
+    @pytest.fixture(scope="class")
+    def run(self):
+        from repro.shard import ShardPlan, build_whole
+
+        plan = ShardPlan.named("line", {"duty_cycle": 0.5}, seed=1)
+        net = build_whole(plan)
+        net.sim.run(until=plan.duration)
+        return net, net.outcome()
+
+    def test_airtime_matches_the_byte_counters(self, run):
+        net, _ = run
+        seconds_per_byte = 8 / RadioParams.bitrate_bps
+        heard = 0
+        for stack in net.network.stacks.values():
+            modem = stack.modem
+            assert modem.airtime_sent == pytest.approx(
+                modem.bytes_sent * seconds_per_byte)
+            assert modem.airtime_received == pytest.approx(
+                (modem.bytes_received
+                 + modem.fragments_received * RadioParams.fragment_overhead)
+                * seconds_per_byte)
+            heard += modem.fragments_received
+        assert heard > 0
+
+    def test_priced_energy_is_the_model_arithmetic(self, run):
+        net, outcome = run
+        network, model = net.network, DutyCycleModel()
+        elapsed = network.sim.now
+        listen = receive = send = 0.0
+        for stack in network.stacks.values():
+            modem, duty = stack.modem, stack.mac.duty_cycle
+            assert duty == 0.5
+            active = modem.airtime_sent + modem.airtime_received
+            listen += model.p_listen * max(0.0, elapsed - active) * duty
+            receive += model.p_receive * modem.airtime_received
+            send += model.p_send * modem.airtime_sent
+        priced = network.radio_energy(elapsed)
+        assert priced.listen == pytest.approx(listen)
+        assert priced.receive == pytest.approx(receive)
+        assert priced.send == pytest.approx(send)
+        assert outcome["energy"] == {
+            "listen": priced.listen, "receive": priced.receive,
+            "send": priced.send, "total": priced.total,
+        }

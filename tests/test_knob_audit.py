@@ -30,11 +30,6 @@ ALLOWED = {
         "feeds custody_stats.refused_energy, a key of every pinned dtn "
         "and mule outcome"
     ),
-    "repro.mac.dutycycle:DutyCycledCsmaMac(period)": (
-        "the ReferenceChannel equivalence suite "
-        "(tests/test_channel_equivalence.py, kept unmodified as the radio "
-        "fast path's oracle) builds its duty-cycled arm with period=1.0"
-    ),
     "repro.testbed.network:SensorNetwork(channel_cls)": (
         "the ReferenceChannel seam: the equivalence suite builds the same "
         "network over the reference scan"

@@ -29,22 +29,6 @@ class TestInstruments:
         registry.counter("tx", lambda: 1, node="a")
         assert registry.snapshot()["counters"] == {"tx": 7, "tx{node=a}": 1}
 
-    def test_gauge_holds_last_value(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("depth")
-        gauge.set(3)
-        gauge.set(1.5)
-        assert gauge.value == 1.5
-
-    def test_gauge_tracks_extrema(self):
-        gauge = MetricsRegistry().gauge("depth")
-        assert gauge.min is None and gauge.max is None
-        for v in (3, 7, 1, 5):
-            gauge.set(v)
-        assert gauge.value == 5
-        assert gauge.min == 1
-        assert gauge.max == 7
-
     def test_histogram_streaming_quantiles(self):
         hist = MetricsRegistry().histogram("latency")
         # A deterministic non-monotone ordering of 1..1000.
@@ -77,20 +61,14 @@ class TestInstruments:
 
 
 class TestMerge:
-    def test_counters_add_and_gauges_fold_extrema(self):
+    def test_counters_add(self):
         a = MetricsRegistry()
         a.counter("tx", lambda: 3)
-        a.gauge("depth").set(2)
-        a.gauge("depth").set(5)
         b = MetricsRegistry()
         b.counter("tx", lambda: 4)
         b.counter("rx", lambda: 1)
-        b.gauge("depth").set(1)
         a.merge(b.snapshot())
         assert a.snapshot()["counters"] == {"rx": 1, "tx": 7}
-        assert a.gauge("depth").value == 1    # the later observation
-        assert a.gauge("depth").min == 1
-        assert a.gauge("depth").max == 5
 
     def test_histograms_combine_moments_and_extrema(self):
         a = MetricsRegistry()
@@ -134,10 +112,10 @@ class TestMerge:
 
     def test_instruments_memoized_by_name_and_labels(self):
         registry = MetricsRegistry()
-        assert registry.gauge("depth", node="x") is registry.gauge(
+        assert registry.histogram("depth", node="x") is registry.histogram(
             "depth", node="x"
         )
-        assert registry.gauge("depth", node="x") is not registry.gauge(
+        assert registry.histogram("depth", node="x") is not registry.histogram(
             "depth", node="y"
         )
 
@@ -153,17 +131,16 @@ class TestMerge:
 
 class TestNullRegistry:
     def test_disabled_registry_hands_out_shared_noop(self):
-        a = NULL_REGISTRY.gauge("tx")
+        a = NULL_REGISTRY.histogram("tx")
         b = NULL_REGISTRY.histogram("depth")
         assert isinstance(a, _NullInstrument)
         assert a is b
 
     def test_noop_instrument_absorbs_everything(self):
         NULL_REGISTRY.counter("x", lambda: 1)
-        instrument = NULL_REGISTRY.gauge("x")
-        instrument.set(9)
+        instrument = NULL_REGISTRY.histogram("x")
         instrument.observe(1.0)
-        assert instrument.value == 0
+        assert instrument.count == 0
         assert NULL_REGISTRY.empty
 
     def test_registry_truthiness_tracks_enabled(self):
@@ -197,14 +174,12 @@ class TestSnapshot:
     def test_snapshot_shape(self):
         registry = MetricsRegistry()
         registry.counter("tx", lambda: 2)
-        registry.gauge("depth").set(4)
         registry.histogram("lat").observe(0.5)
         snap = registry.snapshot()
         assert snap["counters"] == {"tx": 2}
-        assert snap["gauges"] == {"depth": {"value": 4, "min": 4, "max": 4}}
         assert snap["histograms"]["lat"]["count"] == 1
         assert snap["histograms"]["lat"]["mean"] == 0.5
-        assert list(snap) == ["counters", "gauges", "histograms"]
+        assert list(snap) == ["counters", "histograms"]
 
     def test_labels_flattened_into_names(self):
         registry = MetricsRegistry()

@@ -12,13 +12,10 @@ from repro.radio import (
 from repro.sim import SeedSequence, Simulator
 
 
-def make_net(links, n_nodes=3, params=None, channel_cls=Channel):
+def make_net(links, n_nodes=3, channel_cls=Channel):
     sim = Simulator()
     channel = channel_cls(sim, TablePropagation(links), seeds=SeedSequence(1))
-    modems = [
-        Modem(sim, channel, node_id=i, params=params or RadioParams())
-        for i in range(n_nodes)
-    ]
+    modems = [Modem(sim, channel, node_id=i) for i in range(n_nodes)]
     return sim, channel, modems
 
 
@@ -253,7 +250,7 @@ class TestModemStats:
         modems[0].transmit_fragment("a", 20)
         sim.run()
         assert modems[0].fragments_sent == 1
-        assert modems[0].bytes_sent == 20 + modems[0].params.fragment_overhead
+        assert modems[0].bytes_sent == 20 + RadioParams.fragment_overhead
 
     def test_on_done_callback(self):
         sim, channel, modems = make_net({(0, 1): 1.0})
@@ -261,7 +258,7 @@ class TestModemStats:
         modems[0].transmit_fragment("a", 20, on_done=lambda: done.append(sim.now))
         sim.run()
         assert len(done) == 1
-        assert done[0] == pytest.approx(modems[0].params.fragment_airtime(20))
+        assert done[0] == pytest.approx(RadioParams().fragment_airtime(20))
 
     def test_duplicate_attach_rejected(self):
         sim = Simulator()

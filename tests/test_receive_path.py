@@ -24,7 +24,6 @@ from repro.testbed.network import SensorNetwork
 SHIPPED_PATH = [
     "splitmix64",
     "Modem.deliver",
-    "EnergyLedger.record_receive",
     "FragmentationLayer.on_fragment",
     "FragmentationLayer._deliver",
 ]

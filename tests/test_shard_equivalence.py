@@ -110,10 +110,8 @@ def test_shard_stats_and_metrics_are_reported():
     for snapshot in result["metrics"]:
         counters = snapshot["counters"]
         assert any(k.startswith("shard.rounds") for k in counters)
-        assert any(
-            k.startswith("kernel.events_processed")
-            for k in snapshot["gauges"]
-        )
+        assert any(k.startswith("kernel.cancelled_events") for k in counters)
+        assert set(snapshot) == {"counters", "histograms"}
 
 
 # ---------------------------------------------------------------------------

@@ -225,23 +225,20 @@ def test_cancel_and_compaction_metrics_reach_the_registry():
 
 
 def test_run_settles_processed_and_pending_gauges():
-    with use_registry() as registry:
-        sim = Simulator()
-        sim.schedule(1.0, lambda: None)
-        sim.schedule(2.0, lambda: None)
-        sim.schedule(3.0, lambda: None)
-        sim.run(until=2.0)
-        snapshot = registry.snapshot()
-    assert snapshot["gauges"]["kernel.events_processed"]["value"] == 2
-    assert snapshot["gauges"]["kernel.pending_events"]["value"] == 1
+    """The queue's health is read off the kernel, not a registry."""
+    sim = Simulator()
+    sim.schedule(1.0, lambda: None)
+    sim.schedule(2.0, lambda: None)
+    sim.schedule(3.0, lambda: None)
+    sim.run(until=2.0)
+    assert sim.events_processed == 2
+    assert sim.pending == 1
 
 
 def test_run_window_settles_gauges_too():
-    with use_registry() as registry:
-        sim = Simulator()
-        for t in (1.0, 2.0, 3.0):
-            sim.schedule(t, lambda: None)
-        sim.run_window(2.5)
-        snapshot = registry.snapshot()
-    assert snapshot["gauges"]["kernel.events_processed"]["value"] == 2
-    assert snapshot["gauges"]["kernel.pending_events"]["value"] == 1
+    sim = Simulator()
+    for t in (1.0, 2.0, 3.0):
+        sim.schedule(t, lambda: None)
+    sim.run_window(2.5)
+    assert sim.events_processed == 2
+    assert sim.pending == 1

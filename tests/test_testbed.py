@@ -157,8 +157,8 @@ class TestSensorNetwork:
         sub = AttributeVector.builder().eq(Key.TYPE, "t").build()
         net.api(0).subscribe(sub, lambda a, m: None)
         net.run(until=5.0)
-        assert net.total_energy(elapsed=5.0) > 0
-        assert net.stack(0).energy.time_sending > 0
+        assert net.radio_energy(elapsed=5.0).total > 0
+        assert net.stack(0).modem.airtime_sent > 0
 
 
 class TestIsiTestbed:
@@ -237,7 +237,7 @@ class TestMacFactory:
 
         def factory(sim, modem, rng):
             return DutyCycledCsmaMac(
-                sim, modem, duty_cycle=0.5, period=1.0, rng=rng,
+                sim, modem, duty_cycle=0.5, rng=rng,
             )
 
         net = SensorNetwork(Topology.line(3, spacing=15.0), mac_factory=factory)
@@ -245,14 +245,14 @@ class TestMacFactory:
             mac = net.stack(node_id).mac
             assert isinstance(mac, DutyCycledCsmaMac)
             assert mac.duty_cycle == 0.5
-            assert net.stack(node_id).energy.duty_cycle == 0.5
+            assert net.stack(node_id).radio_energy(10.0).listen == 5.0
 
     def test_duty_cycled_network_still_delivers(self):
         from repro.mac import DutyCycledCsmaMac
 
         def factory(sim, modem, rng):
             return DutyCycledCsmaMac(
-                sim, modem, duty_cycle=0.3, period=1.0, rng=rng,
+                sim, modem, duty_cycle=0.3, rng=rng,
             )
 
         net = SensorNetwork(

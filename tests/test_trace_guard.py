@@ -179,9 +179,9 @@ def test_untraced_run_evaluates_no_trace_argument(monkeypatch):
 
 
 #: what an unmetered run may call in ``repro/sim/metrics.py``: the shared
-#: no-op a gauge or histogram resolves to under the null registry (a
-#: counter costs nothing at all: the registry reads it back).
-NULL_CALLS = {"_NullInstrument.set", "_NullInstrument.observe"}
+#: no-op a histogram resolves to under the null registry (a counter costs
+#: nothing at all: the registry reads it back).
+NULL_CALLS = {"_NullInstrument.observe"}
 
 
 def test_unmetered_run_calls_no_metrics_code():
@@ -213,13 +213,15 @@ def test_unmetered_run_calls_no_metrics_code():
 #: registry's time series went: that record lost its empty
 #: ``"timeseries": {}`` and nothing else moved.  Re-pinned a third time
 #: when the channel-loss draw became one order-free hash, which moves
-#: every simulated outcome.  A fresh process each: trace ids carry the
-#: process-wide message counter.
+#: every simulated outcome.  Re-pinned a fourth time when the registry's
+#: gauges went: the final ``metrics.snapshot`` lost its ``"gauges"`` key
+#: (the kernel's processed / pending counts) and nothing else moved.  A
+#: fresh process each: trace ids carry the process-wide message counter.
 TRACED_RUNS = {
     ("line", "-p", "nodes=3", "--duration", "20", "--seed", "1"):
-        "cd9b558f56b11b6532e5fbe11294beaa6ae44b2d8779bfded2f0300233d10300",
+        "888890c4f8dfd851462152707a586e915ebcbb1d0f90573d62b93ecbf7521711",
     ("fig8", "--duration", "60", "--seed", "1"):
-        "17faee212658d50b9b808b1774cf2084c37a5ac89df0bb45c8bbd862ee5bc136",
+        "ab0fac0ff3f1e1ec10c4bb3d22676787230d787f00efc86c749b02ce0b1e8d0b",
 }
 
 
