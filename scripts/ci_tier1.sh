@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the fast test suite (every pass/fail check lives
-# there), the perf harness's own tests, the ledger pins (every
+# there), the perf harness's own tests, the benchmark's command on
+# `flood_1k_mobile`, the ledger pins (every
 # BENCHMARK.json workload's outcome digest at seeds 11 and 23 against
 # tests/pins.json), the wide pins (29 fault, custody, energy and
 # 100-256 node oracle runs against the same file), scripts/mem_diff.sh run on one
@@ -38,6 +39,14 @@ python -m pytest -x -q -m "not slow"
 # step is what pins those names — nothing in tests/ would notice if
 # one of them vanished.
 python -m pytest perf -q
+
+# The benchmark's own command on its cheapest workload, timed and
+# traced (~6 s): run.py exits 0 even when a check fails, so the step
+# reads the verdict off the result line.  An import surface or a
+# span-wrapped name the harness loses fails here.
+ledger="$(python perf/run.py --workload flood_1k_mobile --repeats 2)"
+grep -q '"correct": true' <<<"$(tail -n 1 <<<"$ledger")" \
+    || { tail -n 20 <<<"$ledger" >&2; echo "perf/run.py flood_1k_mobile is not correct" >&2; exit 1; }
 
 # Ledger pins: perf/workloads.py's runs, imported read-only, must hash
 # to tests/pins.json (~25 s; the presets' pins are tests/test_pins.py).
@@ -122,9 +131,10 @@ python -m repro trace paths "$trace" > "$store/paths.txt"
 grep -q "data messages:" "$store/paths.txt" \
     || { echo "trace paths produced no report" >&2; exit 1; }
 
-# Process-transport smoke: the pipes, WorkerCrew and the one-horizon
-# round driven from the CLI; two worker processes must write the file
-# the single queue writes, byte for byte.
+# Process-transport smoke: repro.shard.process (the pipes, WorkerCrew
+# and the worker entry point) and the one-horizon round driven from the
+# CLI; two worker processes must write the file the single queue
+# writes, byte for byte.
 regional=(regional -p columns=12 -p rows=12 --duration 4 --seed 3)
 python -m repro run "${regional[@]}" --shards 2 --transport process \
     --out "$store/sharded.json" > /dev/null

@@ -35,11 +35,8 @@ from repro.campaign.spec import (
     trial_key,
 )
 from repro.campaign.store import ResultStore, default_store_root
-from repro.campaign.workers import WorkerCrashed, WorkerCrew
 
 __all__ = [
-    "WorkerCrashed",
-    "WorkerCrew",
     "AggregateRow",
     "aggregate",
     "format_pivot",

@@ -33,10 +33,13 @@ class RadioParams:
 
     def fragment_airtime(self, payload_bytes: int) -> float:
         """Seconds on air for one fragment carrying ``payload_bytes``."""
+        # A negative size is a valid tuple index: refuse it first.
+        if payload_bytes < 0:
+            raise _size_refused(payload_bytes)
         try:
             return AIRTIME_BY_SIZE[payload_bytes]
         except IndexError:
-            raise _oversize(payload_bytes) from None
+            raise _size_refused(payload_bytes) from None
 
 
 #: seconds on air of a fragment, indexed by its payload size: one table
@@ -47,10 +50,10 @@ AIRTIME_BY_SIZE = tuple(
 )
 
 
-def _oversize(payload_bytes: int) -> ValueError:
+def _size_refused(payload_bytes: int) -> ValueError:
     return ValueError(
-        f"fragment payload {payload_bytes} exceeds radio maximum "
-        f"{RadioParams.fragment_payload}"
+        f"fragment payload {payload_bytes} is outside the radio's range "
+        f"0..{RadioParams.fragment_payload}"
     )
 
 
@@ -93,10 +96,12 @@ class Modem:
             raise RuntimeError(f"modem {self.node_id} is already transmitting")
         if self.sleeping:
             raise RuntimeError(f"modem {self.node_id} is asleep")
+        if payload_bytes < 0:
+            raise _size_refused(payload_bytes)
         try:
             airtime = AIRTIME_BY_SIZE[payload_bytes]
         except IndexError:
-            raise _oversize(payload_bytes) from None
+            raise _size_refused(payload_bytes) from None
         self.transmitting = True
         self._tx_done_callback = on_done
         self.bytes_sent += payload_bytes + RadioParams.fragment_overhead

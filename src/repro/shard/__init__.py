@@ -8,7 +8,8 @@ package cuts the deployment into spatial shards
 (:mod:`repro.shard.partition`), gives each its own simulator and
 channel built for just its owned nodes (:mod:`repro.shard.scenario`),
 and runs them in lock-step windows under conservative synchronization
-(:mod:`repro.shard.worker`): a shard only advances past a time its
+(:mod:`repro.shard.worker`), in one process or one worker process per
+shard (:mod:`repro.shard.process`): a shard only advances past a time its
 peers have promised not to transmit across the cut before.  Boundary
 audibility comes from
 :class:`~repro.radio.neighborhood.BoundaryIndex`, so per-round
@@ -43,7 +44,6 @@ from repro.shard.worker import (
     ShardRuntime,
     ShardStats,
     next_horizon,
-    shard_worker_main,
 )
 
 __all__ = [
@@ -64,6 +64,5 @@ __all__ = [
     "run_oracle",
     "run_sharded",
     "scenario_names",
-    "shard_worker_main",
     "sync_profile",
 ]

@@ -11,9 +11,10 @@ Three ways to execute the same :class:`~repro.shard.worker.ShardPlan`:
   Deterministic and debuggable; this is what the equivalence suite
   sweeps.
 * :func:`run_sharded` with ``transport="process"`` — one OS process
-  per shard via :class:`~repro.campaign.workers.WorkerCrew`, all-to-all
+  per shard via :class:`~repro.shard.process.WorkerCrew`, all-to-all
   pipes, no coordinator on the hot path.  This is the mode that buys
-  wall-clock speedup on multi-core hosts.
+  wall-clock speedup on multi-core hosts.  Only this transport imports
+  :mod:`repro.shard.process` (and with it :mod:`multiprocessing`).
 
 Both transports drive the one round in
 :meth:`~repro.shard.worker.ShardRuntime.step`; a transport owns only
@@ -33,9 +34,8 @@ import time
 from typing import Any, Dict, List, Optional
 
 import repro.core.messages as core_messages
-from repro.campaign.workers import WorkerCrew
 from repro.shard.scenario import ShardNet, get_scenario
-from repro.shard.worker import ShardPlan, ShardRuntime, shard_worker_main
+from repro.shard.worker import ShardPlan, ShardRuntime
 from repro.sim.metrics import MetricsRegistry, current_registry, use_registry
 
 
@@ -156,8 +156,11 @@ def sync_profile(stats: List[Dict[str, Any]]) -> Dict[str, Any]:
 def _run_process(
     plan: ShardPlan, timeout: Optional[float]
 ) -> List[Dict[str, Any]]:
+    # Imported here: one-queue and inline runs must not load multiprocessing.
+    from repro.shard.process import WorkerCrew
+
     with WorkerCrew(
-        plan.shards, "repro.shard.worker:shard_worker_main"
+        plan.shards, "repro.shard.process:shard_worker_main"
     ) as crew:
         crew.start([plan] * plan.shards)
         return crew.collect(timeout=timeout)
@@ -212,6 +215,5 @@ __all__ = [
     "merge_outcomes",
     "run_oracle",
     "run_sharded",
-    "shard_worker_main",
     "sync_profile",
 ]

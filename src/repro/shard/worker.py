@@ -7,7 +7,7 @@ sequence of rounds, and the round lives in one place:
 :meth:`ShardRuntime.outgoing` says what to tell every peer,
 :meth:`ShardRuntime.step` takes what the peers said and runs the next
 window.  A transport only carries the messages — pipes between worker
-processes (:func:`shard_worker_main`) or a list in one process
+processes (:mod:`repro.shard.process`) or a list in one process
 (:mod:`repro.shard.runner`) — so both execute the same protocol:
 
 1. **Promise.**  The shard computes the earliest simulation time at
@@ -61,19 +61,16 @@ seeded scenarios).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-import pickle
 import time
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
-import repro.core.messages as core_messages
 from repro.mac import CsmaMac
 from repro.radio.neighborhood import BoundaryIndex
 from repro.shard.partition import partition_nodes
 from repro.shard.scenario import ShardNet, get_scenario
-from repro.sim.metrics import current_registry, use_registry
+from repro.sim.metrics import current_registry
 
 #: event names that may call ``channel.start_transmission`` at their own
 #: timestamp; everything else can only do so one interframe gap later.
@@ -571,83 +568,3 @@ def next_horizon(
             horizon = bound
             term = "export"
     return horizon, term
-
-
-def shard_worker_main(rank, size, peers, plan: ShardPlan):
-    """:class:`~repro.campaign.workers.WorkerCrew` entry point: drive
-    :meth:`ShardRuntime.step` over all-to-all peer pipes; there is no
-    coordinator on the hot path.
-    """
-    cpu_start = time.process_time()
-    wall_start = time.perf_counter()
-    # Per-process message-id namespace: ids must be unique per origin
-    # network-wide, and shards host disjoint origins, but keeping the
-    # namespaces disjoint too makes cross-shard logs unambiguous.
-    core_messages._msg_counter = itertools.count(1 + rank * 10 ** 9)
-    with use_registry() as registry:
-        runtime = ShardRuntime(plan, rank)
-        while not runtime.done:
-            received, recv_wait, sent_bytes = _exchange_all(
-                rank, peers, runtime.outgoing()
-            )
-            # Time blocked in recv is time spent waiting for slower
-            # peers — the barrier-stall share of this shard's wall.
-            runtime.stats.stall_seconds += recv_wait
-            runtime.stats.exchange_bytes += sent_bytes
-            runtime.step(received)
-        runtime.stats.cpu_seconds = time.process_time() - cpu_start
-        runtime.stats.wall_seconds = time.perf_counter() - wall_start
-        result = runtime.result()
-        result["metrics"] = registry.snapshot()
-        return result
-
-
-#: eager-exchange cutoff; comfortably below the smallest OS pipe
-#: buffer, so firing to every peer before reading cannot block.
-_EAGER_SEND_LIMIT = 16384
-
-
-def _exchange_all(rank, peers, payload):
-    """Deadlock-free all-to-all exchange of one pickled message.
-
-    The payload is pickled once.  Small blobs (the overwhelmingly
-    common case — a promise and a handful of exports) are fired to
-    every peer before any read, so the whole exchange costs each worker
-    one wakeup.  Oversized blobs fall back to pairwise rendezvous in
-    ascending rank order with the lower rank sending first, which
-    cannot cycle even when a send blocks on a full pipe.
-
-    Returns ``(received, recv_wait_seconds, bytes_sent)``: the per-peer
-    payloads, the wall-clock spent blocked in ``recv`` (the shard-sync
-    profiler's barrier-stall measure — everything this worker computed
-    was already done when the waiting started), and the total pickled
-    bytes shipped to peers.
-    """
-    blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
-    received = {}
-    order = sorted(peers)
-    recv_wait = 0.0
-    if len(blob) <= _EAGER_SEND_LIMIT:
-        for peer_rank in order:
-            peers[peer_rank].send_bytes(blob)
-        for peer_rank in order:
-            waited = time.perf_counter()
-            raw = peers[peer_rank].recv_bytes()
-            recv_wait += time.perf_counter() - waited
-            received[peer_rank] = pickle.loads(raw)
-    else:
-        for peer_rank in order:
-            conn = peers[peer_rank]
-            if rank < peer_rank:
-                conn.send_bytes(blob)
-                waited = time.perf_counter()
-                raw = conn.recv_bytes()
-                recv_wait += time.perf_counter() - waited
-                received[peer_rank] = pickle.loads(raw)
-            else:
-                waited = time.perf_counter()
-                raw = conn.recv_bytes()
-                recv_wait += time.perf_counter() - waited
-                received[peer_rank] = pickle.loads(raw)
-                conn.send_bytes(blob)
-    return received, recv_wait, len(blob) * len(order)

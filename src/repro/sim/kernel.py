@@ -345,6 +345,10 @@ class Simulator:
         """
         if self._running:
             raise SimulationError("the run loop is not reentrant")
+        # ``not <=`` refuses only NaN: no event time compares past it,
+        # so a NaN horizon would dispatch the whole queue, forever.
+        if until is not None and not until <= math.inf:
+            raise SimulationError(f"the horizon must be a number, got {until}")
         collecting = gc.isenabled()
         if collecting:
             gc.disable()

@@ -38,6 +38,23 @@ class TestRadioParams:
         with pytest.raises(ValueError):
             params.fragment_airtime(28)
 
+    @pytest.mark.parametrize("size", [-1, -3, -28, 28])
+    def test_fragment_size_outside_range_rejected(self, size):
+        """A negative size indexes the airtime table from its end: -3
+        used to price a 25-byte fragment."""
+        with pytest.raises(ValueError, match=r"0\.\.27"):
+            RadioParams().fragment_airtime(size)
+
+    @pytest.mark.parametrize("size", [-1, -3, 28])
+    def test_modem_refuses_fragment_size_outside_range(self, size):
+        sim, channel, modems = make_net({(0, 1): 1.0})
+        with pytest.raises(ValueError, match=r"0\.\.27"):
+            modems[0].transmit_fragment("bad", size)
+        modem = modems[0]
+        assert not modem.transmitting
+        assert (modem.fragments_sent, modem.bytes_sent) == (0, 0)
+        assert modem.airtime_sent == 0.0
+
 
 class TestChannelDelivery:
     def test_perfect_link_delivers(self):

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from repro.campaign.workers import WorkerCrew
+from repro.shard.process import WorkerCrew
 from repro.radio import Channel, DistancePropagation, Modem, Topology
 from repro.radio.channel import Transmission
 from repro.shard import (
@@ -501,7 +501,7 @@ class TestWorkerCrew:
         at the unit level)."""
         oracle = run_oracle(FLOOD_PLAN)
         with WorkerCrew(
-            FLOOD_PLAN.shards, "repro.shard.worker:shard_worker_main"
+            FLOOD_PLAN.shards, "repro.shard.process:shard_worker_main"
         ) as crew:
             crew.start([FLOOD_PLAN] * FLOOD_PLAN.shards)
             results = crew.collect(timeout=120)

@@ -1,6 +1,7 @@
 """Unit tests for the discrete-event kernel."""
 
 import gc
+import math
 
 import pytest
 
@@ -120,6 +121,46 @@ def test_nan_time_rejected():
     with pytest.raises(SimulationError):
         sim.schedule_at(float("nan"), print)
     assert sim.pending == 0
+
+
+def _finite_queue():
+    """Five events and nothing after them: a horizon that is ignored
+    drains the queue and returns instead of hanging."""
+    sim = Simulator()
+    fired = []
+    for t in (1.0, 2.0, 3.0, 4.0, 5.0):
+        sim.schedule_at(t, fired.append, t)
+    return sim, fired
+
+
+def test_nan_horizon_refused_by_run():
+    """A NaN ``until`` compares false against every event time, so it
+    was ignored: the run went on to ``max_events`` or forever."""
+    sim, fired = _finite_queue()
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert fired == [] and sim.now == 0.0 and sim.pending == 5
+
+
+def test_nan_horizon_refused_by_run_window():
+    sim, fired = _finite_queue()
+    with pytest.raises(SimulationError):
+        sim.run_window(float("nan"))
+    with pytest.raises(SimulationError):
+        sim.run_window(float("nan"), inclusive=True, advance_clock=True)
+    assert fired == [] and sim.now == 0.0 and sim.pending == 5
+
+
+def test_none_and_infinite_horizons_still_run():
+    sim, fired = _finite_queue()
+    assert sim.run_window(math.inf) == 5
+    sim, fired = _finite_queue()
+    sim.run(until=math.inf)
+    assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+    sim, fired = _finite_queue()
+    sim.run(until=None)
+    assert fired == [1.0, 2.0, 3.0, 4.0, 5.0]
+    assert sim.now == 5.0
 
 
 def test_stop_halts_loop():
