@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Tier-1 CI gate: the fast test suite (every pass/fail check lives
 # there), the perf harness's own tests, the benchmark's command on
-# `flood_1k_mobile`, the ledger pins (every
+# `flood_1k_mobile` and `isi_fig8`, the ledger pins (every
 # BENCHMARK.json workload's outcome digest at seeds 11 and 23 against
 # tests/pins.json), the wide pins (29 fault, custody, energy and
 # 100-256 node oracle runs against the same file), scripts/mem_diff.sh run on one
@@ -47,6 +47,12 @@ python -m pytest perf -q
 ledger="$(python perf/run.py --workload flood_1k_mobile --repeats 2)"
 grep -q '"correct": true' <<<"$(tail -n 1 <<<"$ledger")" \
     || { tail -n 20 <<<"$ledger" >&2; echo "perf/run.py flood_1k_mobile is not correct" >&2; exit 1; }
+
+# The same on the Figure 8 workload, untraced (~10 s): its check is the
+# digest replay and the suppression saving's band.
+ledger="$(python perf/run.py --workload isi_fig8 --repeats 2 --trace 0)"
+grep -q '"correct": true' <<<"$(tail -n 1 <<<"$ledger")" \
+    || { tail -n 20 <<<"$ledger" >&2; echo "perf/run.py isi_fig8 is not correct" >&2; exit 1; }
 
 # Ledger pins: perf/workloads.py's runs, imported read-only, must hash
 # to tests/pins.json (~25 s; the presets' pins are tests/test_pins.py).

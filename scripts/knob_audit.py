@@ -26,7 +26,7 @@ of a dataclass there.  It is *set* when some call in a run passes it:
 
 Calls are matched by name: ``f(...)`` / ``x.f(...)`` call every ``f``
 in scope, ``C(...)`` constructs class ``C`` (and ``super().__init__``
-its bases), and a name that was bound to a class (``mac_factory=CsmaMac``)
+its bases; ``C`` may be defined inside a function), and a name that was bound to a class (``mac_factory=CsmaMac``)
 calls that class.  A function or method handed on as a value (a
 callback given to ``sim.schedule``) counts as having every parameter
 set, because whoever calls it may pass any of them.  Matching by name
@@ -160,8 +160,23 @@ class Definitions:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 self.functions.add(node.name)
                 self._function(module, node.name, node.name, node, False)
+                self._local_classes(node)
             elif isinstance(node, ast.ClassDef):
                 self._class(module, node)
+
+    def _local_classes(self, fn: ast.FunctionDef) -> None:
+        """A class defined inside a function: a call of it reaches its
+        bases as a module-level class's does (its own parameters are
+        not knobs)."""
+        for node in ast.walk(fn):
+            if isinstance(node, ast.ClassDef):
+                self.classes.add(node.name)
+                self.bases[node.name] = [
+                    b for b in map(_terminal, node.bases) if b
+                ]
+                if any(isinstance(stmt, ast.FunctionDef)
+                       and stmt.name == "__init__" for stmt in node.body):
+                    self.own_init.add(node.name)
 
     def _class(self, module: str, node: ast.ClassDef) -> None:
         self.classes.add(node.name)

@@ -22,24 +22,34 @@ to that:
   front door the ``dtn_grid`` ledger workload calls.
 
 Everything is opt-in per campaign: with no agent attached the stack is
-the legacy one.
+the legacy one.  So is the import: the names below load their module on
+first use (PEP 562), and ``import repro.dtn.scenario`` — what the preset
+registry does — loads neither the agent nor the store.
 """
 
-from repro.dtn.config import DtnConfig
-from repro.dtn.custody import CustodyEntry, CustodyStore
-from repro.dtn.agent import (
-    CUSTODY_CONTROL_KIND,
-    CUSTODY_FILTER_PRIORITY,
-    CustodyAgent,
-)
-from repro.dtn.scenario import dtn_run
+import importlib
 
-__all__ = [
-    "CUSTODY_CONTROL_KIND",
-    "CUSTODY_FILTER_PRIORITY",
-    "CustodyAgent",
-    "CustodyEntry",
-    "CustodyStore",
-    "DtnConfig",
-    "dtn_run",
-]
+#: every name this package exports -> the module that defines it.
+_EXPORTS = {
+    "CUSTODY_CONTROL_KIND": "repro.dtn.agent",
+    "CUSTODY_FILTER_PRIORITY": "repro.dtn.agent",
+    "CustodyAgent": "repro.dtn.agent",
+    "CustodyEntry": "repro.dtn.custody",
+    "CustodyStore": "repro.dtn.custody",
+    "DtnConfig": "repro.dtn.config",
+    "dtn_run": "repro.dtn.scenario",
+}
+
+__all__ = sorted(_EXPORTS)
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value

@@ -17,25 +17,22 @@ split down the middle at a configurable disruption duty cycle.
 3-node line whose middle node is alternately connected to the source
 side and the sink side but never both — delivery is possible *only* by
 carrying custody across the gap.
+
+This module stays light: the custody agent, the transfer classes and the
+fault plan are imported inside the functions that arm them, so importing
+:func:`dtn_run` (or the preset registry) loads none of them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Tuple
 
 from repro.core.config import config_from_object
-from repro.dtn.agent import CustodyAgent
-from repro.dtn.config import DtnConfig
-from repro.faults.plan import FaultPlan, Partition
-from repro.faults.scenarios import grid_halves
 from repro.naming.keys import Key
 from repro.sim.rng import make_rng
-from repro.transfer import (
-    BlockCacheFilter,
-    BlockReceiver,
-    BlockSender,
-    DataObject,
-)
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 OBJECT_ID = "dtn-object"
 
@@ -72,21 +69,6 @@ def partition_windows(
         windows.append((at, at + down))
         at += period
     return windows
-
-
-class _TimedReceiver(BlockReceiver):
-    """BlockReceiver that timestamps every first-copy block arrival."""
-
-    def __init__(self, *args, **kwargs) -> None:
-        self.arrivals: Dict[int, float] = {}
-        super().__init__(*args, **kwargs)
-
-    def _on_block(self, attrs, message) -> None:
-        before = len(self._blocks)
-        super()._on_block(attrs, message)
-        if len(self._blocks) > before:
-            index = attrs.value_of(Key.SEQUENCE)
-            self.arrivals[int(index)] = self.api.node.sim.now
 
 
 class _AttributionTap:
@@ -204,6 +186,9 @@ TRANSFER_DEFAULTS: Dict[str, Any] = {
 
 def duty_cycle_plan(p: Dict[str, Any]) -> FaultPlan:
     """The grid split down the middle for ``duty`` of every ``period``."""
+    from repro.faults.plan import FaultPlan, Partition
+    from repro.faults.scenarios import grid_halves
+
     halves = grid_halves(int(p["columns"]), int(p["rows"]))
     return FaultPlan(
         tuple(
@@ -220,6 +205,8 @@ def mule_plan(p: Dict[str, Any]) -> FaultPlan:
     """The middle node alternates sides — first ``{source, mule} |
     {sink}``, then ``{source} | {mule, sink}`` — so the endpoints are
     *never* simultaneously connected until the final heal."""
+    from repro.faults.plan import FaultPlan, Partition
+
     return FaultPlan(
         (
             Partition(
@@ -242,7 +229,30 @@ def _arm_transfer(
     node; returns the transfer section of the outcome, ``header``
     first.  The harness's :class:`Partition` windows split deliveries
     into during / after."""
+    from repro.dtn.agent import CustodyAgent
+    from repro.dtn.config import DtnConfig
+    from repro.faults.plan import Partition
     from repro.shard.scenario import _nonnegative, _positive, flag
+    from repro.transfer import (
+        BlockCacheFilter,
+        BlockReceiver,
+        BlockSender,
+        DataObject,
+    )
+
+    class _TimedReceiver(BlockReceiver):
+        """BlockReceiver that timestamps every first-copy block arrival."""
+
+        def __init__(self, *args, **kwargs) -> None:
+            self.arrivals: Dict[int, float] = {}
+            super().__init__(*args, **kwargs)
+
+        def _on_block(self, attrs, message) -> None:
+            before = len(self._blocks)
+            super()._on_block(attrs, message)
+            if len(self._blocks) > before:
+                index = attrs.value_of(Key.SEQUENCE)
+                self.arrivals[int(index)] = self.api.node.sim.now
 
     custody = flag(p, "custody")
     config = config_from_object(DtnConfig, p["dtn_config"], "dtn_config")

@@ -1,29 +1,24 @@
-"""The resilience grid, its builtin fault plans, and the fault harness.
+"""The builtin fault plans and the fault harness.
 
-What every faulted run shares lives here: the standard 4×3 grid (corner
-sink, opposite-corner source, everything else a potential relay), the
-six :func:`builtin_plan` faults over it, the compressed timer set, and
-:class:`FaultHarness` — engine + invariant monitors + optional flight
-recorder, armed in one order and finished into one outcome section.
-The ``resilience`` preset of :mod:`repro.shard.scenario` puts them
-together: one fault injected mid-run, invariants monitored throughout,
-the repair report returned as a JSON-safe dict, bit-identical per
-(plan, seed).
+What every faulted run shares lives here: the six :func:`builtin_plan`
+faults over the standard 4×3 grid (:data:`repro.shard.scenario.GRID_COLUMNS`
+and its neighbours: corner sink, opposite-corner source, everything
+else a potential relay) and :class:`FaultHarness` — engine + invariant
+monitors + optional flight recorder, armed in one order and finished
+into one outcome section.  The ``resilience`` preset of
+:mod:`repro.shard.scenario` puts them together: one fault injected
+mid-run, invariants monitored throughout, the repair report returned as
+a JSON-safe dict, bit-identical per (plan, seed).
 
-:func:`arm_time_sync` is the ``timesync`` preset's workload (no
-publish/subscribe traffic): a single-hop square running RBS
-(:mod:`repro.apps.timesync`) whose participant clocks live in the fault
-engine, so the :func:`clock_skew_plan` action knocks one clock out
-mid-run and the periodic sync rounds must pull it back — repair
-measured in sync rounds instead of exploratory intervals.
+The registry imports this module only inside the builds that arm a
+plan, monitors or a flight recorder, so a run that names none of them
+never loads :mod:`repro.faults`.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
-from repro.core import DiffusionConfig
 from repro.faults.engine import FaultEngine
 from repro.faults.monitors import MonitorSuite
 from repro.faults.plan import (
@@ -36,21 +31,13 @@ from repro.faults.plan import (
     Partition,
     PlanError,
 )
-from repro.sim.rng import make_rng
+from repro.shard.scenario import GRID_COLUMNS, GRID_ROWS
 from repro.sim.trace import FlightRecorder
 from repro.testbed import SensorNetwork
 
-#: the standard resilience grid: 4 columns × 3 rows, 15 m spacing,
-#: row-major ids — sink and source at opposite corners, everything else
-#: a potential relay.
-GRID_COLUMNS = 4
-GRID_ROWS = 3
-GRID_SPACING = 15.0
 SINK = 0
 #: a mid-grid relay on the sink–source diagonal.
 RELAY = GRID_COLUMNS + 1
-
-DATA_TYPE = "fault-demo"
 
 
 def grid_halves(
@@ -113,24 +100,6 @@ def builtin_plan(name: str) -> FaultPlan:
             f"unknown builtin plan {name!r} (known: {', '.join(builtin_names())})"
         )
     return factory()
-
-
-def compressed_config(exploratory_interval: float) -> DiffusionConfig:
-    """Timer set compressed so soft state turns over inside short runs
-    (the paper's 60 s/100 s timers scaled down together).
-
-    Interest refresh (10 s) runs on the subscription, *not* on data
-    liveness — that decoupling is what lets demand outlive a partition
-    longer than any individual gradient entry.
-    """
-    return DiffusionConfig(
-        interest_interval=10.0,
-        interest_jitter=0.5,
-        gradient_timeout=25.0,
-        exploratory_interval=exploratory_interval,
-        reinforced_timeout=20.0,
-        reinforcement_jitter=0.3,
-    )
 
 
 class FaultHarness:
@@ -196,89 +165,3 @@ class FaultHarness:
                 "records_seen": recorder.records_seen,
             }
         return section
-
-
-#: the timesync square: the RBS beacon, the coordinator (also the
-#: reference participant), and the clock the fault steps.
-TIMESYNC_BEACON = 0
-TIMESYNC_COORDINATOR = 1
-TIMESYNC_PARTICIPANTS = (1, 2, 3)
-TIMESYNC_SKEWED = 3
-#: the step: ``SKEW`` seconds at ``SKEW_AT``, measured against the
-#: reference clock every ``SYNC_INTERVAL``; repaired once the error is
-#: back within ``SYNC_THRESHOLD``.
-SKEW = 2.0
-SKEW_AT = 40.0
-SYNC_INTERVAL = 8.0
-SYNC_THRESHOLD = 0.25
-
-
-def clock_skew_plan(p: Dict[str, Any]) -> FaultPlan:
-    """The timesync disruption: one participant's clock steps mid-run."""
-    return FaultPlan((ClockSkew(node=TIMESYNC_SKEWED, at=SKEW_AT, offset=SKEW),))
-
-
-def arm_time_sync(network, p, seed, harness) -> Callable[[], Dict[str, Any]]:
-    """RBS under a clock-skew fault: periodic sync rounds must re-pull
-    the stepped clock within the threshold; repair is measured in sync
-    rounds.  The preset's 2x2 grid at 12 m is single-hop, so every node
-    hears every beacon directly and observation differences are pure
-    clock offset (no path-delay bias), which is RBS's operating
-    assumption."""
-    engine = harness.engine
-    # Start the participant clocks deterministically off-true, so the
-    # first sync rounds do real work before the fault ever lands.
-    init = make_rng(seed, "faults:clock-init")
-    for node in TIMESYNC_PARTICIPANTS:
-        clock = engine.clock(node)
-        clock.offset = init.uniform(-0.5, 0.5)
-        SyncParticipant(network.api(node), clock)
-    beacon = TimeBeacon(network.api(TIMESYNC_BEACON), interval=2.0)
-    coordinator = SyncCoordinator(network.api(TIMESYNC_COORDINATOR))
-
-    errors: List[List[float]] = []
-
-    def sync_round() -> None:
-        now = network.sim.now
-        coordinator.apply_corrections(
-            {n: engine.clock(n) for n in TIMESYNC_PARTICIPANTS},
-            reference=TIMESYNC_COORDINATOR,
-        )
-        # Slide the estimation window: stale observations straddle any
-        # step (correction or fault) and would bias the next estimate.
-        coordinator.reset_window()
-        errors.append([
-            now,
-            engine.clock(TIMESYNC_SKEWED).error_vs(
-                engine.clock(TIMESYNC_COORDINATOR), now
-            ),
-        ])
-        network.sim.schedule(SYNC_INTERVAL, sync_round, name="rbs.sync-round")
-
-    network.sim.schedule(SYNC_INTERVAL, sync_round, name="rbs.sync-round")
-
-    def outcome() -> Dict[str, Any]:
-        beacon.stop()
-        repaired_at: Optional[float] = None
-        for t, error in errors:
-            if t <= SKEW_AT:
-                continue
-            if error <= SYNC_THRESHOLD:
-                repaired_at = t
-                break
-        return {
-            "seed": seed,
-            "skew": SKEW,
-            "skew_at": SKEW_AT,
-            "sync_interval": SYNC_INTERVAL,
-            "threshold": SYNC_THRESHOLD,
-            "errors": errors,
-            "repaired_at": repaired_at,
-            "repair_rounds": (
-                (repaired_at - SKEW_AT) / SYNC_INTERVAL
-                if repaired_at is not None
-                else None
-            ),
-        }
-
-    return outcome

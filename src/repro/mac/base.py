@@ -6,12 +6,14 @@ from dataclasses import dataclass
 from collections import deque
 from typing import Any, Deque, Optional, Tuple
 
-from repro.radio.modem import BROADCAST_ADDRESS, Modem
+from repro.radio.modem import BROADCAST_ADDRESS, Modem, RadioParams, _size_refused
 from repro.sim import Simulator, TraceBus, trace_id_of
 from repro.sim.metrics import current_registry
 
 #: fragments a MAC holds before it drops new ones (``queue-full``).
 QUEUE_LIMIT = 64
+#: the largest fragment payload the radio carries, in bytes.
+_MAX_FRAGMENT = RadioParams.fragment_payload
 
 
 @dataclass
@@ -73,7 +75,13 @@ class Mac:
         nbytes: int,
         link_dst: Optional[int] = BROADCAST_ADDRESS,
     ) -> bool:
-        """Queue one fragment; returns False when the queue overflowed."""
+        """Queue one fragment; returns False when the queue overflowed.
+
+        A size the radio cannot send is refused here, with the modem's
+        ``ValueError``, rather than when the fragment reaches the air.
+        """
+        if not 0 <= nbytes <= _MAX_FRAGMENT:
+            raise _size_refused(nbytes)
         if len(self._queue) >= self.queue_limit:
             self.stats.dropped_queue_full += 1
             if self.trace.active:

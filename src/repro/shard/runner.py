@@ -29,7 +29,6 @@ directly comparable to the oracle's dict.
 from __future__ import annotations
 
 import itertools
-import pickle
 import time
 from typing import Any, Dict, List, Optional
 
@@ -173,6 +172,9 @@ def _run_inline(plan: ShardPlan) -> List[Dict[str, Any]]:
     counters don't collide; message ids share one counter (uniqueness
     per origin node is all correctness needs).
     """
+    # Imported here: only the inline exchange measures pickled sizes.
+    import pickle
+
     core_messages._msg_counter = itertools.count(1)
     registries = [MetricsRegistry() for _ in range(plan.shards)]
     runtimes: List[ShardRuntime] = []

@@ -17,13 +17,15 @@ comparable event-for-event.
 one fixed order: the network for the owned nodes → the fault harness
 (:class:`~repro.faults.scenarios.FaultHarness`, iff a plan, monitors or
 a flight recorder is named) → the workload → the propagation mode (iff
-named).  The order is part of every outcome: each step schedules kernel
-events as it is constructed, and events at equal times run in
-scheduling order (a crash at t=40.0 ties with the resilience stream's
-send at 5.0 + 35 x 1.0).  Every option is a param with a per-preset
-default, so presets differ only by their defaults and by the workload
-they arm, any preset takes any option, and ``outcome()`` is the
-workload's dict plus one section per armed option.  A sweep is a grid
+named).  Each optional layer is imported by the build that arms it, so
+a run that arms none loads no :mod:`repro.faults`, custody stack or
+:mod:`repro.hierarchy`.  The order is part of every outcome: each step
+schedules kernel events as it is constructed, and events at equal times
+run in scheduling order (a crash at t=40.0 ties with the resilience
+stream's send at 5.0 + 35 x 1.0).  Every option is a param with a
+per-preset default, so presets differ only by their defaults and by the
+workload they arm, any preset takes any option, and ``outcome()`` is
+the workload's dict plus one section per armed option.  A sweep is a grid
 of plans over this registry (:func:`repro.campaign.builtin.plan_trial`).
 
 A subset build (a shard) takes no fault harness and no
@@ -41,7 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
 from repro.apps.fusion import (
     FusionFilter,
@@ -52,6 +54,7 @@ from repro.apps.fusion import (
 )
 from repro.apps.nestedquery import NestedQueryExperiment
 from repro.apps.surveillance import SurveillanceExperiment
+from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
 from repro.core import DiffusionConfig
 from repro.core.node import MESSAGE_CLASS_LABELS
 from repro.dtn.scenario import (
@@ -61,24 +64,12 @@ from repro.dtn.scenario import (
     duty_cycle_plan,
     mule_plan,
 )
-from repro.faults.metrics import ResilienceProbe
-from repro.faults.plan import FaultPlan
-from repro.faults.scenarios import (
-    DATA_TYPE,
-    GRID_COLUMNS,
-    GRID_ROWS,
-    GRID_SPACING,
-    FaultHarness,
-    arm_time_sync,
-    builtin_plan,
-    clock_skew_plan,
-    compressed_config,
-)
 from repro.mac import CsmaMac, DutyCycledCsmaMac
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import Channel, DistancePropagation, Modem, Topology
 from repro.sim import SeedSequence, Simulator
+from repro.sim.rng import make_rng
 from repro.testbed import (
     FIG8_SINK,
     FIG8_SOURCES,
@@ -89,6 +80,9 @@ from repro.testbed import (
     isi_propagation,
     isi_testbed_topology,
 )
+
+if TYPE_CHECKING:
+    from repro.faults.plan import FaultPlan
 
 #: (time, node, new_x, new_y) — one topology move.
 Move = Tuple[float, int, float, float]
@@ -317,6 +311,25 @@ SHORT_TIMERS = DiffusionConfig(
     reinforced_timeout=20.0,
 )
 
+
+def compressed_config(exploratory_interval: float) -> DiffusionConfig:
+    """Timer set compressed so soft state turns over inside short runs
+    (the paper's 60 s/100 s timers scaled down together).
+
+    Interest refresh (10 s) runs on the subscription, *not* on data
+    liveness — that decoupling is what lets demand outlive a partition
+    longer than any individual gradient entry.
+    """
+    return DiffusionConfig(
+        interest_interval=10.0,
+        interest_jitter=0.5,
+        gradient_timeout=25.0,
+        exploratory_interval=exploratory_interval,
+        reinforced_timeout=20.0,
+        reinforcement_jitter=0.3,
+    )
+
+
 #: what every preset can be told, and what it gets when it is not.
 STACK_DEFAULTS: Dict[str, Any] = {
     "duration": 30.0,
@@ -439,9 +452,22 @@ def arm_streams(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     }
 
 
+#: the standard resilience grid: 4 columns × 3 rows, 15 m spacing,
+#: row-major ids — sink and source at opposite corners, everything else
+#: a potential relay.  The builtin fault plans
+#: (:mod:`repro.faults.scenarios`) name their nodes on it.
+GRID_COLUMNS = 4
+GRID_ROWS = 3
+GRID_SPACING = 15.0
+
+DATA_TYPE = "fault-demo"
+
+
 def arm_resilience(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     """One probed stream from the last node to the first, silent for
     the final 2 s so the last data can land; reports repair per fault."""
+    from repro.faults.metrics import ResilienceProbe
+
     ids = net.topology.node_ids()
     probe = ResilienceProbe(net, ids[0], sources=[ids[-1]])
     _stream(
@@ -560,6 +586,94 @@ def arm_tracking(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     return outcome
 
 
+#: the timesync square: the RBS beacon, the coordinator (also the
+#: reference participant), and the clock the fault steps.
+TIMESYNC_BEACON = 0
+TIMESYNC_COORDINATOR = 1
+TIMESYNC_PARTICIPANTS = (1, 2, 3)
+TIMESYNC_SKEWED = 3
+#: the step: ``SKEW`` seconds at ``SKEW_AT``, measured against the
+#: reference clock every ``SYNC_INTERVAL``; repaired once the error is
+#: back within ``SYNC_THRESHOLD``.
+SKEW = 2.0
+SKEW_AT = 40.0
+SYNC_INTERVAL = 8.0
+SYNC_THRESHOLD = 0.25
+
+
+def clock_skew_plan(p: Dict[str, Any]) -> FaultPlan:
+    """The timesync disruption: one participant's clock steps mid-run."""
+    from repro.faults.plan import ClockSkew, FaultPlan
+
+    return FaultPlan((ClockSkew(node=TIMESYNC_SKEWED, at=SKEW_AT, offset=SKEW),))
+
+
+def arm_time_sync(network, p, seed, harness) -> Callable[[], Dict[str, Any]]:
+    """RBS under a clock-skew fault: periodic sync rounds must re-pull
+    the stepped clock within the threshold; repair is measured in sync
+    rounds.  The preset's 2x2 grid at 12 m is single-hop, so every node
+    hears every beacon directly and observation differences are pure
+    clock offset (no path-delay bias), which is RBS's operating
+    assumption."""
+    engine = harness.engine
+    # Start the participant clocks deterministically off-true, so the
+    # first sync rounds do real work before the fault ever lands.
+    init = make_rng(seed, "faults:clock-init")
+    for node in TIMESYNC_PARTICIPANTS:
+        clock = engine.clock(node)
+        clock.offset = init.uniform(-0.5, 0.5)
+        SyncParticipant(network.api(node), clock)
+    beacon = TimeBeacon(network.api(TIMESYNC_BEACON), interval=2.0)
+    coordinator = SyncCoordinator(network.api(TIMESYNC_COORDINATOR))
+
+    errors: List[List[float]] = []
+
+    def sync_round() -> None:
+        now = network.sim.now
+        coordinator.apply_corrections(
+            {n: engine.clock(n) for n in TIMESYNC_PARTICIPANTS},
+            reference=TIMESYNC_COORDINATOR,
+        )
+        # Slide the estimation window: stale observations straddle any
+        # step (correction or fault) and would bias the next estimate.
+        coordinator.reset_window()
+        errors.append([
+            now,
+            engine.clock(TIMESYNC_SKEWED).error_vs(
+                engine.clock(TIMESYNC_COORDINATOR), now
+            ),
+        ])
+        network.sim.schedule(SYNC_INTERVAL, sync_round, name="rbs.sync-round")
+
+    network.sim.schedule(SYNC_INTERVAL, sync_round, name="rbs.sync-round")
+
+    def outcome() -> Dict[str, Any]:
+        beacon.stop()
+        repaired_at: Optional[float] = None
+        for t, error in errors:
+            if t <= SKEW_AT:
+                continue
+            if error <= SYNC_THRESHOLD:
+                repaired_at = t
+                break
+        return {
+            "seed": seed,
+            "skew": SKEW,
+            "skew_at": SKEW_AT,
+            "sync_interval": SYNC_INTERVAL,
+            "threshold": SYNC_THRESHOLD,
+            "errors": errors,
+            "repaired_at": repaired_at,
+            "repair_rounds": (
+                (repaired_at - SKEW_AT) / SYNC_INTERVAL
+                if repaired_at is not None
+                else None
+            ),
+        }
+
+    return outcome
+
+
 def _traffic_by_class(net: SensorNetwork) -> Dict[str, Dict[str, int]]:
     """Per-message-class traffic, merge-friendly (ints sum)."""
     messages: Dict[str, int] = dict.fromkeys(MESSAGE_CLASS_LABELS.values(), 0)
@@ -597,8 +711,12 @@ class StackScenario(Scenario):
         plan = p["plan"]
         if plan is None:
             if p["fault"] is not None:
+                from repro.faults.scenarios import builtin_plan
+
                 return builtin_plan(str(p["fault"]))
             return self.disruption(p) if self.disruption else None
+        from repro.faults.plan import FaultPlan
+
         if isinstance(plan, FaultPlan):
             return plan
         return FaultPlan.from_json(plan)
@@ -642,6 +760,8 @@ class StackScenario(Scenario):
         )
         harness = None
         if faulted:
+            from repro.faults.scenarios import FaultHarness
+
             harness = FaultHarness(
                 net, plan, monitors, recorder,
                 _nonnegative(p, "monitor_max_entries", int),

@@ -384,10 +384,12 @@ class Simulator:
         When the horizon is reached (no live event at or before it is
         left) the clock is advanced to it, so that periodic statistics
         normalized by elapsed time are exact; a run cut short by
-        ``max_events`` or :meth:`stop` leaves the clock at its last event.
+        ``max_events`` or :meth:`stop` leaves the clock at its last event,
+        and so does an infinite ``until`` (a clock at ``inf`` would
+        refuse every later finite :meth:`schedule_at`).
         """
         self._drain(until, False, max_events)
-        if until is not None and self.now < until and not self._stopped:
+        if until is not None and self.now < until < math.inf and not self._stopped:
             following = self.peek_time()
             if following is None or following > until:
                 self.now = until
@@ -413,10 +415,10 @@ class Simulator:
         event so externally sourced events may still be injected
         anywhere inside ``[now, horizon]`` before the next window;
         ``advance_clock`` restores the :meth:`run` behaviour of
-        settling the clock on the horizon (used for the final window).
+        settling the clock on a finite horizon (used for the final window).
         Both share one loop, :meth:`_drain`.
         """
         processed = self._drain(horizon, not inclusive, None)
-        if advance_clock and self.now < horizon and not self._stopped:
+        if advance_clock and self.now < horizon < math.inf and not self._stopped:
             self.now = horizon
         return processed

@@ -112,6 +112,19 @@ class TestDeferral:
         sim.run(until=30.0)
         assert len(sink.received) < 25  # most fragments hit a sleeping radio
 
+    @pytest.mark.parametrize("size", [-1, 28])
+    def test_enqueue_refuses_a_size_the_radio_cannot_send(self, size):
+        """The MAC looked the size up in the airtime table itself, so a
+        28-byte fragment raised a bare ``IndexError`` from inside
+        ``sim.run``, and -1 the modem's refusal, also inside the run."""
+        sim, channel, modems, macs = make_net(0.5)
+        sink = Sink(modems[1])
+        with pytest.raises(ValueError, match=r"0\.\.27"):
+            macs[0].enqueue("bad", size)
+        sim.run(until=5.0)
+        assert macs[0].queue_depth == 0 and macs[0].stats.enqueued == 0
+        assert modems[0].fragments_sent == 0 and sink.received == []
+
     def test_transmission_never_starts_while_asleep(self):
         sim, channel, modems, macs = make_net(0.2)
         times = []

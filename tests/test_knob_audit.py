@@ -226,3 +226,39 @@ def test_knob_only_tests_set_is_found(tmp_path):
     assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
         "repro.radio:Radio(bitrate)",
     ]
+
+
+def test_a_class_defined_in_a_function_reaches_its_base(tmp_path):
+    """A subclass defined inside the function that builds it forwards
+    its arguments to the base: what the run passes it sets the base's
+    knobs, as a module-level subclass's call does."""
+    _write_tree(tmp_path, {
+        "scripts/knob_audit.py": SCRIPT.read_text(),
+        "src/repro/__init__.py": "",
+        "src/repro/receiver.py": """
+            class Receiver:
+                def __init__(self, timeout=4.0, rounds=6):
+                    self.timeout = timeout
+                    self.rounds = rounds
+        """,
+        "src/repro/run.py": """
+            def arm():
+                from repro.receiver import Receiver
+
+                class _Timed(Receiver):
+                    def __init__(self, *args, **kwargs):
+                        super().__init__(*args, **kwargs)
+
+                return _Timed(timeout=2.0)
+        """,
+        "benchmarks/test_run.py": """
+            from repro.run import arm
+
+
+            def test_arm():
+                assert arm().rounds == 6
+        """,
+    })
+    assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
+        "repro.receiver:Receiver(rounds)",
+    ]

@@ -4,7 +4,7 @@ The equivalence suite (tests/test_shard_equivalence.py) proves the
 end-to-end property; these tests pin down the pieces it rests on:
 horizon computation, the promise's lower-bound terms, ghost admission
 filtering, the round itself, order-independent hashed loss draws, outcome
-merging, and a real :class:`~repro.campaign.workers.WorkerCrew` round trip through
+merging, and a real :class:`~repro.shard.process.WorkerCrew` round trip through
 the worker entry point.
 """
 

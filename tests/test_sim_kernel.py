@@ -163,6 +163,26 @@ def test_none_and_infinite_horizons_still_run():
     assert sim.now == 5.0
 
 
+def test_infinite_horizon_leaves_the_clock_at_the_last_event():
+    """The clock settled on ``inf``: every later finite ``schedule_at``
+    was refused as a time in the past."""
+    sim, fired = _finite_queue()
+    sim.run(until=math.inf)
+    assert sim.now == 5.0
+    sim.schedule_at(6.0, fired.append, 6.0)
+    sim.run(until=10.0)
+    assert fired == [1.0, 2.0, 3.0, 4.0, 5.0, 6.0] and sim.now == 10.0
+
+
+def test_infinite_final_window_leaves_the_clock_at_the_last_event():
+    sim, fired = _finite_queue()
+    assert sim.run_window(math.inf, inclusive=True, advance_clock=True) == 5
+    assert sim.now == 5.0
+    sim.schedule_at(6.0, fired.append, 6.0)
+    assert sim.run_window(8.0, advance_clock=True) == 1
+    assert fired[-1] == 6.0 and sim.now == 8.0
+
+
 def test_stop_halts_loop():
     sim = Simulator()
     fired = []
