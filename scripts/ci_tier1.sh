@@ -4,7 +4,8 @@
 # `flood_1k_mobile` and `isi_fig8`, the ledger pins (every
 # BENCHMARK.json workload's outcome digest at seeds 11 and 23 against
 # tests/pins.json), the wide pins (29 fault, custody, energy and
-# 100-256 node oracle runs against the same file), scripts/mem_diff.sh run on one
+# 100-256 node oracle runs against the same file), both sets again with
+# same-instant ties reversed, scripts/mem_diff.sh run on one
 # checkout against itself, and the only out-of-process CLI
 # drives: the Figure 11 section of `repro experiments` (the reference
 # matcher), a single-process campaign smoke run of a plan grid (the CLI,
@@ -62,6 +63,14 @@ python scripts/pins.py --ledger
 # builtin fault plan, the dtn / mule custody arms, the 16x16 regional
 # and the 10x10 hierarchy modes (~10 s).
 python scripts/pins.py --wide
+
+# The wide and ledger pins again with the kernel's same-instant ties
+# reversed (last in, first out; ~10 s and ~25 s): no pinned outcome may
+# depend on the order its same-time, same-priority events were
+# scheduled in.  tests/test_pins.py does the same for the presets.  The
+# reversal reaches the sharded ledger run's workers by fork.
+python scripts/pins.py --wide --reverse-ties
+python scripts/pins.py --ledger --reverse-ties
 
 # The memory diff, this checkout against itself: tracemalloc growth per
 # module repeats byte for byte, so no row may differ.

@@ -4,6 +4,7 @@
     python scripts/pins.py            # recompute the preset pins; exit 1 on any change
     python scripts/pins.py --ledger   # the same for the ledger pins
     python scripts/pins.py --wide     # the same for the wide pins
+    python scripts/pins.py --wide --reverse-ties   # same-instant ties last in, first out
     python scripts/pins.py --write    # regenerate the whole file, print old -> new per key
 
 Three sets of runs are pinned:
@@ -27,6 +28,14 @@ kernel pause the cyclic collector inside its run loop: event code makes
 no reference cycles.  A run that leaves cyclic garbage fails its key
 like a moved pin does, and its line names the garbage's top types.
 
+``--reverse-ties`` runs any of the three sets with the kernel's ties
+reversed: events due at the same time and priority run last in, first
+out, so a pin that still holds does not depend on the order its events
+were scheduled in (``tests/test_pins.py`` does the same for the
+presets).  Sharded ledger runs see the reversal only in worker
+processes that fork from this one, the default start method on Linux
+before Python 3.14.
+
 A change that means to move an outcome re-pins with ``--write`` and
 quotes the old -> new lines it prints.
 """
@@ -34,8 +43,10 @@ quotes the old -> new lines it prints.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import hashlib
+import itertools
 import json
 import sys
 from collections import Counter
@@ -55,6 +66,26 @@ def digest(outcome: Any) -> str:
     """SHA-256 of the canonical JSON of an outcome."""
     canonical = json.dumps(outcome, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+@contextlib.contextmanager
+def reversed_ties():
+    """Every ``Simulator`` made inside counts its tie-breaking sequence
+    down instead of up: same-(time, priority) events run last in, first
+    out."""
+    from repro.sim.kernel import Simulator
+
+    init = Simulator.__init__
+
+    def reversed_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        self._seq = itertools.count(0, -1)
+
+    Simulator.__init__ = reversed_init
+    try:
+        yield
+    finally:
+        Simulator.__init__ = init
 
 
 def oracle_pin(plan: Any) -> Tuple[str, Counter]:
@@ -177,7 +208,12 @@ def main(argv=None) -> int:
                        help="check the wide pins instead of the preset pins")
     parser.add_argument("--write", action="store_true",
                         help="regenerate every pin and print old -> new per key")
+    parser.add_argument("--reverse-ties", action="store_true",
+                        help="run same-instant, same-priority events last in, "
+                             "first out")
     args = parser.parse_args(argv)
+    if args.write and args.reverse_ties:
+        parser.error("--write pins the first-in, first-out order only")
     stored = json.loads(PINS.read_text()) if PINS.exists() else {}
     if args.write:
         fresh = {section: {key: pin for key, (pin, _) in pins().items()}
@@ -190,7 +226,9 @@ def main(argv=None) -> int:
         PINS.write_text(json.dumps(fresh, indent=1, sort_keys=True) + "\n")
         return 0
     section = args.section
-    runs = SECTIONS[section]()
+    order = reversed_ties() if args.reverse_ties else contextlib.nullcontext()
+    with order:
+        runs = SECTIONS[section]()
     moved = compare(stored.get(section, {}),
                     {key: pin for key, (pin, _) in runs.items()})
     littered = 0
@@ -199,6 +237,8 @@ def main(argv=None) -> int:
             littered += 1
             print(f"{key}: its run left cyclic garbage: {top_types(garbage)}")
     summary = f"{section}: {len(runs) - moved} of {len(runs)} pins equal"
+    if args.reverse_ties:
+        summary += " with ties reversed"
     if section != "ledger":
         summary += f", {littered} runs left cyclic garbage"
     print(summary)

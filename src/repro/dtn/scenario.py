@@ -51,10 +51,10 @@ def partition_windows(
 ) -> List[Tuple[float, float]]:
     """Repeating down-windows at the given disruption duty cycle.
 
-    ``duty`` is the fraction of each ``period`` spent partitioned: past
-    1 the windows would overlap (the first heal lifting a partition the
-    next window claims is active), and a non-positive period never
-    advances.
+    ``duty`` is the fraction of each ``period`` spent partitioned, so
+    past 1 it names no schedule (each window would outlast its period;
+    the overlay would keep both cuts, as every heal lifts only its own
+    window's), and a non-positive period never advances.
     """
     if not 0.0 <= duty <= 1.0:
         raise ValueError(f"duty must be in [0, 1], got {duty!r}")

@@ -30,7 +30,7 @@ EnergyBrownout       ``modem.sleeping`` toggled on a forced duty cycle,
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from repro.faults.overlay import FaultOverlayPropagation
 from repro.faults.plan import (
@@ -46,6 +46,15 @@ from repro.sim.clock import NodeClock
 from repro.sim.metrics import current_registry
 from repro.sim.rng import derive_seed, make_rng
 from repro.sim.trace import trace_id_of
+
+#: Same-instant order of fault events (the kernel runs the lower
+#: priority first; protocol work is at 0): a heal, link-up or reboot
+#: lifts its fault before any injection due at that instant lands, and
+#: both come before the protocol's own events, so no outcome depends
+#: on the order the plan and the protocol scheduled them in.
+HEAL_PRIORITY = -4
+FAULT_PRIORITY = -3
+HEAL_EVENTS = frozenset({"fault.heal", "fault.linkup", "fault.reboot"})
 
 
 class FaultEngine:
@@ -78,6 +87,8 @@ class FaultEngine:
         )
         self._fault_seed = derive_seed(self.seed, "faults")
         self._brownout_wake: Dict[int, float] = {}
+        # action index -> the corruption filter its window installed
+        self._filters: Dict[int, Callable] = {}
         self.overlay: Optional[FaultOverlayPropagation] = None
         if plan.needs_overlay():
             self._install_overlay()
@@ -116,49 +127,40 @@ class FaultEngine:
 
     # -- scheduling ----------------------------------------------------------
 
+    def _at(self, time: float, callback, *args, name: str) -> None:
+        """Schedule a fault event at the priority its name gives it."""
+        priority = HEAL_PRIORITY if name in HEAL_EVENTS else FAULT_PRIORITY
+        self.network.sim.schedule_at(
+            time, callback, *args, name=name, priority=priority
+        )
+
     def _schedule(self, index: int, action) -> None:
-        sim = self.network.sim
+        at = self._at
         if isinstance(action, NodeCrash):
-            sim.schedule_at(action.at, self._crash, index, action, name="fault.crash")
+            at(action.at, self._crash, index, action, name="fault.crash")
             if action.recover_at is not None:
-                sim.schedule_at(
-                    action.recover_at, self._reboot, index, action,
-                    name="fault.reboot",
-                )
+                at(action.recover_at, self._reboot, index, action,
+                   name="fault.reboot")
         elif isinstance(action, LinkFlap):
             period = action.effective_period
             for cycle in range(action.flaps):
                 start = action.at + cycle * period
-                sim.schedule_at(
-                    start, self._link_down, index, action, name="fault.linkdown"
-                )
-                sim.schedule_at(
-                    start + action.down, self._link_up, index, action,
-                    name="fault.linkup",
-                )
+                at(start, self._link_down, index, action, name="fault.linkdown")
+                at(start + action.down, self._link_up, index, action,
+                   name="fault.linkup")
         elif isinstance(action, Partition):
-            sim.schedule_at(
-                action.at, self._partition, index, action, name="fault.partition"
-            )
-            sim.schedule_at(
-                action.heal_at, self._heal_partition, index, action,
-                name="fault.heal",
-            )
+            at(action.at, self._partition, index, action, name="fault.partition")
+            at(action.heal_at, self._heal_partition, index, action,
+               name="fault.heal")
         elif isinstance(action, ClockSkew):
-            sim.schedule_at(action.at, self._skew, index, action, name="fault.skew")
+            at(action.at, self._skew, index, action, name="fault.skew")
         elif isinstance(action, FragmentCorruption):
-            sim.schedule_at(
-                action.at, self._corruption_on, index, action, name="fault.corrupt"
-            )
-            sim.schedule_at(
-                action.at + action.duration, self._corruption_off, index, action,
-                name="fault.heal",
-            )
+            at(action.at, self._corruption_on, index, action, name="fault.corrupt")
+            at(action.at + action.duration, self._corruption_off, index, action,
+               name="fault.heal")
         elif isinstance(action, EnergyBrownout):
-            sim.schedule_at(
-                action.at, self._brownout_begin, index, action,
-                name="fault.brownout",
-            )
+            at(action.at, self._brownout_begin, index, action,
+               name="fault.brownout")
         else:  # pragma: no cover - plan validation keeps this unreachable
             raise TypeError(f"unknown fault action {type(action).__name__}")
 
@@ -178,22 +180,22 @@ class FaultEngine:
     # -- link faults ---------------------------------------------------------
 
     def _link_down(self, index: int, action: LinkFlap) -> None:
-        self.overlay.block_link(action.a, action.b)
+        self.overlay.cut(index, ((action.a,), (action.b,)))
         self._note(index, action, "inject", a=action.a, b=action.b)
 
     def _link_up(self, index: int, action: LinkFlap) -> None:
-        self.overlay.unblock_link(action.a, action.b)
+        self.overlay.restore(index)
         self._note(index, action, "heal", a=action.a, b=action.b)
 
     def _partition(self, index: int, action: Partition) -> None:
-        self.overlay.set_partition(action.groups)
+        self.overlay.cut(index, action.groups)
         self._note(
             index, action, "inject",
             groups=[list(group) for group in action.groups],
         )
 
     def _heal_partition(self, index: int, action: Partition) -> None:
-        self.overlay.clear_partition()
+        self.overlay.restore(index)
         self._note(index, action, "heal")
 
     # -- clock skew ----------------------------------------------------------
@@ -234,11 +236,14 @@ class FaultEngine:
 
         # One corruption window per node at a time; a later action on
         # the same node replaces the filter (documented in DESIGN.md).
-        stack.frag.inbound_filter = corrupt
+        stack.frag.inbound_filter = self._filters[index] = corrupt
         self._note(index, action, "inject", node=action.node, rate=action.rate)
 
     def _corruption_off(self, index: int, action: FragmentCorruption) -> None:
-        self.network.stack(action.node).frag.inbound_filter = None
+        frag = self.network.stack(action.node).frag
+        # Only this window's own filter: a later window replaced it.
+        if frag.inbound_filter is self._filters.pop(index):
+            frag.inbound_filter = None
         self._note(index, action, "heal", node=action.node)
 
     # -- energy brownout -----------------------------------------------------
@@ -256,6 +261,7 @@ class FaultEngine:
             # _attempt looks _transmit_head up at call time.
             if modem.sleeping:
                 wake = engine._brownout_wake.get(action.node, engine.network.sim.now)
+                # MAC work at priority 0: after the wake at that instant.
                 engine.network.sim.schedule_at(
                     max(wake, engine.network.sim.now), mac._attempt,
                     name="fault.brownout-defer",
@@ -279,15 +285,15 @@ class FaultEngine:
         if stack.modem.transmitting:
             # Never park the radio mid-transmission; re-check just after
             # the fragment clears the air (mirrors DutyCycledCsmaMac).
-            sim.schedule(
-                0.001, self._brownout_sleep, index, action, end,
+            self._at(
+                sim.now + 0.001, self._brownout_sleep, index, action, end,
                 name="fault.brownout-retry",
             )
             return
         stack.modem.sleeping = True
         wake = min(sim.now + (1.0 - action.duty_cycle) * action.period, end)
         self._brownout_wake[action.node] = wake
-        sim.schedule_at(
+        self._at(
             wake, self._brownout_awake, index, action, end,
             name="fault.brownout-wake",
         )
@@ -300,7 +306,7 @@ class FaultEngine:
         if sim.now >= end:
             self._brownout_finish(index, action)
             return
-        sim.schedule_at(
+        self._at(
             min(sim.now + action.duty_cycle * action.period, end),
             self._brownout_sleep, index, action, end,
             name="fault.brownout-sleep",

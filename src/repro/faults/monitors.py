@@ -106,6 +106,8 @@ class MonitorSuite:
     LOOP_WINDOW = 4096
     #: seconds between probes of the state-driven checks.
     PROBE_INTERVAL = 5.0
+    #: a probe reads its instant's state after all of its other events.
+    PROBE_PRIORITY = 1
     #: a data message past this many hops per network node is looping.
     HOPS_PER_NODE = 2
 
@@ -137,9 +139,7 @@ class MonitorSuite:
         network.trace.subscribe("custody.accept", self._on_custody)
         network.trace.subscribe("custody.transfer", self._on_custody)
         network.trace.subscribe("custody.expire", self._on_custody)
-        self._probe_event = network.sim.schedule(
-            self.PROBE_INTERVAL, self._probe, name="faults.probe"
-        )
+        self._schedule_probe()
 
     # -- recording -----------------------------------------------------------
 
@@ -245,11 +245,16 @@ class MonitorSuite:
 
     # -- state-driven invariants ----------------------------------------------
 
+    def _schedule_probe(self) -> None:
+        sim = self.network.sim
+        self._probe_event = sim.schedule_at(
+            sim.now + self.PROBE_INTERVAL, self._probe,
+            name="faults.probe", priority=self.PROBE_PRIORITY,
+        )
+
     def _probe(self) -> None:
         self.check()
-        self._probe_event = self.network.sim.schedule(
-            self.PROBE_INTERVAL, self._probe, name="faults.probe"
-        )
+        self._schedule_probe()
 
     def check(self) -> None:
         """Probe every node's tables once (also runs on a schedule)."""

@@ -1,4 +1,4 @@
-"""Fault overlay: link cuts and partitions on top of any propagation model.
+"""Fault overlay: link cuts on top of any propagation model.
 
 Link-level faults (flaps, partitions) are injected *below* the channel,
 as a propagation overlay: a cut directed link answers PRR 0 regardless
@@ -6,10 +6,18 @@ of what the base model says, so the dead link disappears from both
 delivery and carrier sensing.  Everything else delegates to the base
 model unchanged.
 
+Every link fault is one entry in a table of cuts, keyed by the fault
+action that owns it.  A cut is a list of node groups: nodes in
+different groups cannot hear each other; nodes in the same group, and
+nodes in *no* group, are untouched — unlisted nodes straddle the cut,
+as a mobile node both islands can reach does.  A flap of the ``a``–``b``
+link is the cut ``((a,), (b,))``.  :meth:`restore` lifts only its own
+key's cut, so overlapping faults heal independently of schedule order.
+
 The overlay honors the radio fast-path contract
 (:class:`~repro.radio.propagation.FastPathPropagation`): its epoch token
 pairs an overlay version counter with the base epoch, and every
-mutation (block, unblock, partition, heal) bumps the version — so a
+:meth:`cut` and :meth:`restore` bumps the version — so a
 :class:`~repro.radio.neighborhood.NeighborhoodIndex` built over the
 overlay drops every cached audibility/carrier set the moment the fault
 landscape changes (``moved_since`` answers "unknown" across a
@@ -18,70 +26,49 @@ the base's movers, spatial reach and topology pass straight through, so
 mobility under a fault plan is repaired as locally as without one.  A
 cut link's bound is 0 (never underestimating the truth — the truth *is*
 0) and its window is valid forever (any change bumps the epoch first).
-
-Partition semantics: nodes assigned to different groups cannot hear
-each other; nodes in the same group, and nodes assigned to *no* group,
-are untouched.  Unlisted nodes therefore straddle the partition — handy
-for modelling a mobile node that both islands can still reach.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Tuple
 
 
 class FaultOverlayPropagation:
-    """Wraps a propagation model with a mutable set of dead links."""
+    """Wraps a propagation model with a table of owned link cuts."""
 
     def __init__(self, base) -> None:
         self.base = base
-        self._blocked: Set[Tuple[int, int]] = set()
-        self._group: Dict[int, int] = {}
+        # owner key -> {node: group id} of the cut that owner made
+        self._cuts: Dict[Hashable, Dict[int, int]] = {}
         self._version = 0
-        #: mutation count, for tests and reporting.
-        self.changes = 0
 
     # -- mutation ------------------------------------------------------------
 
-    def _bump(self) -> None:
+    def cut(self, key: Hashable, groups: Iterable[Iterable[int]]) -> None:
+        """Install ``key``'s cut between ``groups``, replacing any cut
+        ``key`` made before."""
+        self._cuts[key] = {
+            node: group_id
+            for group_id, group in enumerate(groups)
+            for node in group
+        }
         self._version += 1
-        self.changes += 1
 
-    def block_link(self, src: int, dst: int) -> None:
-        """Cut the link in both directions."""
-        self._blocked.add((src, dst))
-        self._blocked.add((dst, src))
-        self._bump()
-
-    def unblock_link(self, src: int, dst: int) -> None:
-        self._blocked.discard((src, dst))
-        self._blocked.discard((dst, src))
-        self._bump()
-
-    def set_partition(self, groups: Iterable[Iterable[int]]) -> None:
-        """Install a partition; replaces any existing one."""
-        assignment: Dict[int, int] = {}
-        for group_id, group in enumerate(groups):
-            for node in group:
-                assignment[node] = group_id
-        self._group = assignment
-        self._bump()
-
-    def clear_partition(self) -> None:
-        self._group = {}
-        self._bump()
+    def restore(self, key: Hashable) -> None:
+        """Lift ``key``'s cut; every other cut stays in force."""
+        self._cuts.pop(key, None)
+        self._version += 1
 
     # -- queries -------------------------------------------------------------
 
     def is_cut(self, src: int, dst: int) -> bool:
-        if (src, dst) in self._blocked:
-            return True
-        if self._group:
-            src_group = self._group.get(src)
-            dst_group = self._group.get(dst)
-            if src_group is not None and dst_group is not None:
-                return src_group != dst_group
+        for assignment in self._cuts.values():
+            src_group = assignment.get(src)
+            if src_group is not None:
+                dst_group = assignment.get(dst)
+                if dst_group is not None and dst_group != src_group:
+                    return True
         return False
 
     def link_prr(self, src: int, dst: int, now: float) -> float:

@@ -19,10 +19,13 @@ one fixed order: the network for the owned nodes → the fault harness
 a flight recorder is named) → the workload → the propagation mode (iff
 named).  Each optional layer is imported by the build that arms it, so
 a run that arms none loads no :mod:`repro.faults`, custody stack or
-:mod:`repro.hierarchy`.  The order is part of every outcome: each step
-schedules kernel events as it is constructed, and events at equal times
-run in scheduling order (a crash at t=40.0 ties with the resilience
-stream's send at 5.0 + 35 x 1.0).  Every option is a param with a
+:mod:`repro.hierarchy`.  Each step schedules kernel events
+as it is constructed, and events at equal time and priority run in
+scheduling order; fault events carry their own priorities, so a crash
+at t=40.0 runs before the resilience stream's send due at the same
+instant (5.0 + 35 x 1.0) whatever order the build scheduled them in,
+and ``tests/test_pins.py`` holds every preset's outcome equal with the
+kernel's ties reversed.  Every option is a param with a
 per-preset default, so presets differ only by their defaults and by the
 workload they arm, any preset takes any option, and ``outcome()`` is
 the workload's dict plus one section per armed option.  A sweep is a grid

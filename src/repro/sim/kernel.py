@@ -5,10 +5,13 @@ ordering is an explicit total order ``(time, priority, seq)``: ties in
 time are broken first by a small integer priority (lower runs first,
 default 0) and then by a monotonically increasing sequence number, so
 two events scheduled for the same instant at the same priority fire in
-the order they were scheduled.  Priorities exist for callers that must
-interleave externally-sourced events (e.g. cross-shard ghost
-transmissions in :mod:`repro.shard`) ahead of same-instant local work;
-they schedule at an absolute time (:meth:`Simulator.schedule_at`).
+the order they were scheduled.  Priorities exist so that an outcome
+need not depend on that order: events whose relative order at one
+instant matters get a fixed one instead — fault heals and injections
+(:mod:`repro.faults.engine`, -4 and -3), shard moves and cross-shard
+ghost transmissions (:mod:`repro.shard`, -2 and -1) ahead of
+same-instant protocol work, the fault monitors' probe (+1) after it.
+They schedule at an absolute time (:meth:`Simulator.schedule_at`).
 """
 
 from __future__ import annotations

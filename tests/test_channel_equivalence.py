@@ -303,11 +303,11 @@ class TestCarrierSenseMidAirtime:
             sense_all(channel, (1, 2, 3))               # caches warm
             modems[0].transmit_fragment("x", 27)
             sim.run(until=AIRTIME / 3)
-            model.block_link(0, 1)
+            model.cut("flap", ((0,), (1,)))
             cut = sense_all(channel, (1, 2, 3))
             sim.run(until=2 * AIRTIME / 3)
-            model.unblock_link(0, 1)
-            model.set_partition([[0, 1, 2], [3]])
+            model.restore("flap")
+            model.cut("partition", [[0, 1, 2], [3]])
             healed = sense_all(channel, (1, 2, 3))
             sim.run()
             return cut, healed, channel.fragments_delivered
@@ -529,7 +529,7 @@ class TestReceiverLanes:
             modems[0].transmit_fragment("a", 27)
             sim.run()
             overlay = FaultOverlayPropagation(model)
-            overlay.block_link(0, 1)
+            overlay.cut("flap", ((0,), (1,)))
             channel.set_propagation(overlay)
             modems[0].transmit_fragment("b", 27)
             sim.run()

@@ -16,6 +16,7 @@ from repro.faults import (
     NodeCrash,
     Partition,
 )
+from repro.faults.scenarios import grid_halves
 from repro.radio import DistancePropagation, ReferenceChannel, Topology
 from repro.sim import TraceCollector
 from repro.testbed import SensorNetwork
@@ -51,24 +52,24 @@ class TestOverlay:
     def test_blocked_link_reads_zero_and_restores(self):
         overlay = self._overlay()
         assert overlay.link_prr(0, 1, 0.0) == 1.0
-        overlay.block_link(0, 1)
+        overlay.cut("flap", ((0,), (1,)))
         assert overlay.link_prr(0, 1, 0.0) == 0.0
         assert overlay.link_prr(1, 0, 0.0) == 0.0  # both directions
-        overlay.unblock_link(0, 1)
+        overlay.restore("flap")
         assert overlay.link_prr(0, 1, 0.0) == 1.0
 
     def test_partition_cuts_cross_group_links_only(self):
         overlay = self._overlay()
-        overlay.set_partition([(0, 1), (2, 3)])
+        overlay.cut("partition", [(0, 1), (2, 3)])
         assert overlay.link_prr(1, 2, 0.0) == 0.0
         assert overlay.link_prr(0, 1, 0.0) == 1.0
         assert overlay.link_prr(2, 3, 0.0) == 1.0
-        overlay.clear_partition()
+        overlay.restore("partition")
         assert overlay.link_prr(1, 2, 0.0) == 1.0
 
     def test_unlisted_nodes_straddle_partition(self):
         overlay = self._overlay()
-        overlay.set_partition([(0,), (3,)])
+        overlay.cut("partition", [(0,), (3,)])
         assert overlay.link_prr(0, 3, 0.0) == 0.0
         # Node 1 is in no group: it hears both sides.
         assert overlay.link_prr(0, 1, 0.0) == 1.0
@@ -77,24 +78,33 @@ class TestOverlay:
     def test_every_mutation_bumps_epoch(self):
         overlay = self._overlay()
         epochs = [overlay.prr_epoch()]
-        overlay.block_link(0, 1)
+        overlay.cut("flap", ((0,), (1,)))
         epochs.append(overlay.prr_epoch())
-        overlay.unblock_link(0, 1)
+        overlay.restore("flap")
         epochs.append(overlay.prr_epoch())
-        overlay.set_partition([(0,), (1,)])
+        overlay.cut("partition", [(0,), (1,)])
         epochs.append(overlay.prr_epoch())
-        overlay.clear_partition()
+        overlay.restore("partition")
         epochs.append(overlay.prr_epoch())
         assert len(set(epochs)) == len(epochs)
-        assert overlay.changes == 4
 
     def test_fast_path_bound_and_window_honor_cut(self):
         overlay = self._overlay()
-        overlay.block_link(0, 1)
+        overlay.cut("flap", ((0,), (1,)))
         assert overlay.link_prr_bound(0, 1) == 0.0
         prr, expiry = overlay.link_prr_window(0, 1, 0.0)
         assert prr == 0.0 and expiry == math.inf
         assert overlay.link_prr_bound(1, 2) > 0.0
+
+    def test_restore_lifts_only_its_own_cut(self):
+        overlay = self._overlay()
+        overlay.cut(0, [(0, 1), (2, 3)])
+        overlay.cut(1, [(0,), (1,)])
+        overlay.restore(0)
+        assert overlay.is_cut(0, 1)
+        assert not overlay.is_cut(1, 2)
+        overlay.restore(1)
+        assert not overlay.is_cut(0, 1)
 
     def test_fast_path_unsupported_base_propagates(self):
         class SlowModel:
@@ -188,6 +198,45 @@ class TestEngine:
         net.run(until=20.0)
         assert not engine.overlay.is_cut(1, 2)
 
+    def test_overlapping_partitions_heal_independently(self):
+        # The second partition outlives the first: the first heal must
+        # lift only the halves, never the 0 | 4 cut made after them.
+        net = SensorNetwork(Topology.grid(4, 3, 15.0), seed=5,
+                            config=tight_config())
+        engine = FaultEngine(
+            net,
+            FaultPlan((
+                Partition(groups=grid_halves(), at=10.0, heal_at=60.0),
+                Partition(groups=((0,), (4,)), at=30.0, heal_at=90.0),
+            )),
+        )
+        net.run(until=45.0)
+        assert engine.overlay.is_cut(1, 2) and engine.overlay.is_cut(0, 4)
+        net.run(until=70.0)
+        assert not engine.overlay.is_cut(1, 2)
+        assert engine.overlay.is_cut(0, 4)
+        net.run(until=95.0)
+        assert not engine.overlay.is_cut(0, 4)
+
+    def test_flap_heal_leaves_the_partition_in_force(self):
+        net = SensorNetwork(Topology.grid(4, 3, 15.0), seed=5,
+                            config=tight_config())
+        engine = FaultEngine(
+            net,
+            FaultPlan((
+                Partition(groups=grid_halves(), at=10.0, heal_at=60.0),
+                LinkFlap(a=0, b=1, at=20.0, down=5.0),
+                LinkFlap(a=1, b=2, at=20.0, down=5.0),
+            )),
+        )
+        net.run(until=22.0)
+        assert engine.overlay.is_cut(0, 1) and engine.overlay.is_cut(1, 2)
+        net.run(until=30.0)
+        assert not engine.overlay.is_cut(0, 1)
+        assert engine.overlay.is_cut(1, 2)      # the partition's cut
+        net.run(until=65.0)
+        assert not engine.overlay.is_cut(1, 2)
+
     def test_clock_skew_steps_engine_clock(self):
         net = self._network()
         engine = FaultEngine(
@@ -240,6 +289,28 @@ class TestEngine:
         reasons = {r.data["reason"] for r in collector.by_category("path.drop")}
         assert "fault-corruption" in reasons
 
+    def test_overlapping_corruption_windows_clear_only_their_own(self):
+        net = SensorNetwork(Topology.grid(4, 3, 15.0), seed=5,
+                            config=tight_config())
+        FaultEngine(
+            net,
+            FaultPlan((
+                FragmentCorruption(node=5, at=10.0, duration=50.0, rate=0.5),
+                FragmentCorruption(node=5, at=30.0, duration=60.0, rate=0.5),
+            )),
+        )
+        frag = net.stack(5).frag
+        net.run(until=20.0)
+        first = frag.inbound_filter
+        net.run(until=40.0)
+        second = frag.inbound_filter
+        assert first is not None and second is not None
+        assert second is not first      # the later window replaced it
+        net.run(until=70.0)
+        assert frag.inbound_filter is second    # the first heal left it
+        net.run(until=95.0)
+        assert frag.inbound_filter is None
+
     def test_brownout_defers_instead_of_raising(self):
         # A 10% duty cycle with traffic flowing through the MAC: any
         # transmission attempt during a sleep slice must defer to the
@@ -257,6 +328,32 @@ class TestEngine:
         assert net.stack(1).modem.sleeping is False
         assert "_transmit_head" not in mac.__dict__  # shadow removed
         assert engine.timeline[-1]["phase"] == "heal"
+
+    def test_brownout_defer_follows_the_wake_under_reversed_ties(self):
+        # A deferred attempt falls on the wake instant; it must run after
+        # the wake whatever the tie order, or it re-defers forever.
+        from tests.test_pins import pins
+
+        with pins.reversed_ties():
+            net = self._network()
+            FaultEngine(
+                net,
+                FaultPlan(
+                    (EnergyBrownout(node=1, at=5.0, duration=15.0,
+                                    duty_cycle=0.1, period=1.0),)
+                ),
+            )
+            for node in range(4):
+                net.stack(node).modem.receive_callback = lambda *args: None
+            for at in (5.3, 7.4, 9.9):
+                net.sim.schedule_at(at, net.stack(1).mac.enqueue, "x", 20)
+            profiler = net.sim.enable_profiler()
+            net.sim.run(until=30.0, max_events=100_000)
+        sites = {site["site"]: site["count"]
+                 for site in profiler.snapshot()["sites"]}
+        assert net.sim.now == 30.0
+        assert sites["fault.brownout-defer"] >= 1
+        assert net.stack(1).modem.fragments_sent == 3
 
     def test_timeline_replays_identically(self):
         def run():

@@ -328,10 +328,10 @@ class TestLocalRepair:
         assert index.bound_probes < index.set_builds * 35   # bucketed
         west = [n for n in members if n % 8 < 4]
         east = [n for n in members if n % 8 >= 4]
-        model.set_partition([west, east])
+        model.cut("partition", [west, east])
         assert 4 not in index.audible_from(3)
         assert_index_matches(index, model, members, members)
-        model.clear_partition()
+        model.restore("partition")
         assert 4 in index.audible_from(3)
         assert_index_matches(index, model, members, members)
         # A move with the fault landscape unchanged is repaired locally.
@@ -411,7 +411,7 @@ class TestUnknownChangeDropsEverything:
         topo.move_node(1, 3.0, 3.0)
         assert overlay.moved_since(before[0]) == [1]
         assert gilbert.moved_since(before[1]) == [1]
-        overlay.block_link(0, 1)
+        overlay.cut("flap", ((0,), (1,)))
         assert overlay.moved_since(before[0]) is None
         assert GilbertElliotLink(TablePropagation()).moved_since(
             ("gilbert", 0)
@@ -508,11 +508,11 @@ class TestRepairedIndexProperty:
                 pair = (node, nodes[other % len(nodes)])
                 cuts.append(pair)
                 if make_model is _overlay:
-                    model.block_link(*pair)
+                    model.cut(pair, ((pair[0],), (pair[1],)))
                 elif make_model is _table:
                     model.remove_link(*pair, symmetric=True)
             elif what == "heal" and cuts and make_model is _overlay:
-                model.unblock_link(*cuts.pop(pick % len(cuts)))
+                model.restore(cuts.pop(pick % len(cuts)))
             elif what == "query":       # member, detached or ghost sender
                 assert_index_matches(index, model, members, [node], now)
             elif what == "check":

@@ -3,7 +3,11 @@
 ``tests/pins.json`` holds.  Tier-1 runs under a random string-hash
 seed, so this also catches an outcome that starts to depend on it.
 The same run is held to the rule that lets the kernel pause the cyclic
-collector inside its loop: it leaves no cyclic garbage.
+collector inside its loop: it leaves no cyclic garbage.  Each preset is
+run once more with the kernel's ties reversed (events due at the same
+time and priority last in, first out) and must hash to the same pin:
+no outcome may depend on the order its same-instant events were
+scheduled in.
 
 A change that means to move an outcome re-pins with ``python
 scripts/pins.py --write`` and quotes the old -> new lines it prints.
@@ -35,3 +39,10 @@ def test_preset_outcome_matches_its_pin(name):
     assert pin == STORED["presets"][name]
     assert not garbage, (
         f"{name}: the run left cyclic garbage: {pins.top_types(garbage)}")
+
+
+@pytest.mark.parametrize("name", scenario_names())
+def test_preset_outcome_holds_with_ties_reversed(name):
+    with pins.reversed_ties():
+        pin, _ = pins.preset_pin(name)
+    assert pin == STORED["presets"][name]
