@@ -12,11 +12,12 @@
 # `plan_trial` over the scenario registry, the worker pool's serial
 # path, the content-addressed store, and cache-hit resume end to end)
 # with `repro report` over one of its store entries, a `repro run
-# --trace` / `trace summarize|paths` smoke over the run and
-# observability CLIs, the micro section's tiered mote build, the
-# `tracking` preset under `python -S` (site-packages off: the CLI runs
-# on the standard library alone, as the package declares no runtime
-# dependency), a refused non-boolean flag, a refused negative
+# --trace` / `trace summarize|paths|profile` smoke over the run and
+# observability CLIs, `faults validate` on a builtin plan, the micro
+# section's tiered mote build, the `tracking` preset under `python -S`
+# (site-packages off: the CLI runs on the standard library alone, as
+# the package declares no runtime dependency), a refused non-boolean
+# flag, a refused negative
 # `campaign run --max-trials` and `run --shards 0`, a NaN count refused
 # by name (`run dtn -p payload_bytes=NaN`), two process-shard
 # runs (`regional` and `line`) against the single queue, and the
@@ -145,6 +146,16 @@ grep -q "diffusion.tx" "$store/summary.txt" \
 python -m repro trace paths "$trace" > "$store/paths.txt"
 grep -q "data messages:" "$store/paths.txt" \
     || { echo "trace paths produced no report" >&2; exit 1; }
+python -m repro trace profile "$trace" > "$store/profile.txt"
+grep -q "events:" "$store/profile.txt" \
+    || { echo "trace profile printed no event count" >&2; exit 1; }
+
+# A builtin fault plan, written out as JSON, validates from the CLI.
+python -c 'import json; from repro.faults import builtin_plan
+print(json.dumps(builtin_plan("partition").to_json()))' > "$store/plan.json"
+validated="$(python -m repro faults validate "$store/plan.json")"
+grep -q "plan OK" <<<"$validated" \
+    || { echo "faults validate refused a builtin plan" >&2; exit 1; }
 
 # Process-transport smoke: repro.shard.process (the pipes, WorkerCrew
 # and the worker entry point) and the one-horizon round driven from the

@@ -1,7 +1,7 @@
 """Terminal line charts for the experiment harnesses.
 
 The paper's figures are two-to-four-series line plots; these helpers
-render the same shapes as ASCII so ``python -m repro.experiments.*``
+render the same shapes as ASCII so ``python -m repro experiments``
 shows the figure, not just the table, with no plotting dependency.
 """
 

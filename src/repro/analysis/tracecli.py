@@ -5,7 +5,7 @@ Subcommands::
     repro trace summarize run.jsonl
     repro trace paths     run.jsonl [--all] [--limit N]
     repro trace timeline  run.jsonl <trace-id>
-    repro trace profile   run.jsonl
+    repro trace profile   run.jsonl [--limit N]
 
 The traces come from ``python -m repro run <scenario> --trace
 run.jsonl`` (:mod:`repro.shard.cli`), which records any full-stack
@@ -13,14 +13,13 @@ scenario with full tracing, the metrics registry, and the kernel
 profiler enabled, and appends ``metrics.snapshot`` and
 ``kernel.profile`` records to the end of the log so these subcommands
 are self-contained; ``summarize`` also reads the sync-profile JSONL of
-a ``--shards`` run.
+a ``--shards`` run.  The flags are declared in :mod:`repro.__main__`,
+which imports this module only to run a trace subcommand.
 """
 
 from __future__ import annotations
 
-import argparse
 import sys
-from typing import List, Optional
 
 from repro.analysis.paths import (
     format_loss_table,
@@ -29,7 +28,6 @@ from repro.analysis.paths import (
     reconstruct_paths,
 )
 from repro.analysis.tracelog import load_trace, summarize_trace
-from repro.cliargs import positive_int
 
 
 def _run_summarize(args) -> int:
@@ -155,47 +153,8 @@ def _run_profile(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro trace",
-        description="analyse causal message traces",
-    )
-    sub = parser.add_subparsers(dest="trace_command", required=True)
-
-    summ = sub.add_parser("summarize", help="run-level statistics")
-    summ.add_argument("trace")
-    summ.set_defaults(func=_run_summarize)
-
-    paths = sub.add_parser(
-        "paths", help="per-message routes and loss attribution"
-    )
-    paths.add_argument("trace")
-    paths.add_argument(
-        "--all", action="store_true",
-        help="show undelivered messages too, not just delivered ones",
-    )
-    paths.add_argument("--limit", type=positive_int, default=10)
-    paths.set_defaults(func=_run_paths)
-
-    timeline = sub.add_parser(
-        "timeline", help="every event touching one trace id"
-    )
-    timeline.add_argument("trace")
-    timeline.add_argument("trace_id", help="e.g. 25.17 (origin.msg_id)")
-    timeline.set_defaults(func=_run_timeline)
-
-    profile = sub.add_parser("profile", help="kernel event-loop profile")
-    profile.add_argument("trace")
-    profile.add_argument("--limit", type=positive_int, default=15)
-    profile.set_defaults(func=_run_profile)
-
-    return parser
-
-
-def main(argv: Optional[List[str]] = None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
-
-
-if __name__ == "__main__":
-    sys.exit(main())
+def trace_command(args) -> int:
+    """Run ``args.action`` (``summarize|paths|timeline|profile``)."""
+    handlers = {"summarize": _run_summarize, "paths": _run_paths,
+                "timeline": _run_timeline, "profile": _run_profile}
+    return handlers[args.action](args)

@@ -16,60 +16,36 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Union
 
 from repro.sim import TraceBus, TraceRecord
-from repro.sim.trace import _jsonable, _jsonable_value  # noqa: F401  (re-export)
+from repro.sim.trace import record_line
 
 
 class TraceLogger:
-    """Streams trace records to a JSONL file (or an in-memory list).
+    """Streams trace records to a JSONL file.
 
     Usable as a context manager: on exit the logger unsubscribes from
     the bus (returning ``emit`` to its cheap no-listener path) and
     flushes and closes the file, so every record survives even when the
-    recording process is about to die.
+    recording process is about to die.  To keep records in memory
+    instead, use :class:`repro.sim.TraceCollector`.
     """
 
-    def __init__(
-        self,
-        bus: TraceBus,
-        path: Optional[Union[str, Path]] = None,
-    ) -> None:
-        self.path = Path(path) if path is not None else None
+    def __init__(self, bus: TraceBus, path: Union[str, Path]) -> None:
+        self.path = Path(path)
         self.records_written = 0
-        self._handle = self.path.open("w") if self.path else None
-        self._memory: List[TraceRecord] = []
+        self._handle = self.path.open("w")
         self._bus: Optional[TraceBus] = bus
         bus.subscribe("*", self._on_record)
 
     def _on_record(self, record: TraceRecord) -> None:
         self.records_written += 1
-        if self._handle is not None:
-            self._handle.write(
-                json.dumps(
-                    {
-                        "t": record.time,
-                        "cat": record.category,
-                        "node": record.node,
-                        "data": _jsonable(record.data),
-                    }
-                )
-                + "\n"
-            )
-        else:
-            self._memory.append(record)
-
-    @property
-    def records(self) -> List[TraceRecord]:
-        return list(self._memory)
+        self._handle.write(record_line(record))
 
     def close(self) -> None:
         """Stop recording: unsubscribe, flush, and close the file."""
         if self._bus is not None:
             self._bus.unsubscribe("*", self._on_record)
             self._bus = None
-        if self._handle is not None:
-            self._handle.flush()
-            self._handle.close()
-            self._handle = None
+        self._handle.close()  # flushes; a second close is a no-op
 
     def __enter__(self) -> "TraceLogger":
         return self

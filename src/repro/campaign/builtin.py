@@ -388,14 +388,14 @@ def hierarchy_campaign(quick: bool = False, root_seed: int = 3) -> Campaign:
         grid = {"mode": ["flat", "clustered", "rendezvous"]}
         fixed = {"columns": 10, "rows": 10, "region": 5, "duration": 30.0}
     else:
-        # 256 to 1024 nodes through four shards: the cross product of
-        # the sides, so the 512-node rectangles come along.
+        # 256 to 1024 nodes on one queue: the cross product of the
+        # sides, so the 512-node rectangles come along.
         grid = {
             "mode": ["flat", "clustered", "rendezvous"],
             "columns": [16, 32],
             "rows": [16, 32],
         }
-        fixed = {"region": 8, "duration": 90.0, "shards": 4}
+        fixed = {"region": 8, "duration": 90.0}
     return Campaign(
         name="hierarchy",
         trial="repro.campaign.builtin:hierarchy_trial",

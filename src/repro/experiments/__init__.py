@@ -1,8 +1,9 @@
 """Experiment harnesses for the paper artifacts that are not full-stack
 runs: Figure 11's matching cost and the Section 6.1 duty-cycle
 analysis.  Each module exposes a ``run_*`` function
-returning structured results and a ``main()`` that prints the
-paper-style table.
+returning structured results and a ``format_table`` that renders the
+paper-style table; ``python -m repro experiments --only fig11|duty``
+prints them.
 
 Figures 8 and 9 are not here: a full-stack experiment is a preset of
 the scenario registry (``python -m repro run fig8|fig9``) and its sweep

@@ -51,12 +51,3 @@ def format_table(rows: List[dict]) -> str:
             )
     return "\n".join(lines)
 
-
-def main() -> List[dict]:
-    rows = run_duty_cycle_analysis()
-    print(format_table(rows))
-    return rows
-
-
-if __name__ == "__main__":
-    main()

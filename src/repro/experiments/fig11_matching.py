@@ -186,14 +186,3 @@ def format_chart(measurements: List[MatchingMeasurement]) -> str:
         y_label="us",
     )
 
-
-def main(iterations: int = 2000) -> List[MatchingMeasurement]:
-    measurements = run_fig11(iterations=iterations)
-    print(format_table(measurements))
-    print()
-    print(format_chart(measurements))
-    return measurements
-
-
-if __name__ == "__main__":
-    main()

@@ -79,6 +79,13 @@ def run_figure(name: str, quick: bool, jobs: int) -> None:
             )
 
 
+def run_matching_cost(iterations: int) -> None:
+    measurements = fig11_matching.run_fig11(iterations=iterations)
+    print(fig11_matching.format_table(measurements))
+    print()
+    print(fig11_matching.format_chart(measurements))
+
+
 def run_traffic_model() -> None:
     model = TrafficModel()
     print("Section 6.1 analytical traffic model (B/event):")
@@ -114,8 +121,10 @@ def run_experiments(
     sections = {
         "fig8": lambda: run_figure("fig8", quick, jobs),
         "fig9": lambda: run_figure("fig9", quick, jobs),
-        "fig11": lambda: fig11_matching.main(iterations=500 if quick else 2000),
-        "duty": duty_cycle.main,
+        "fig11": lambda: run_matching_cost(500 if quick else 2000),
+        "duty": lambda: print(
+            duty_cycle.format_table(duty_cycle.run_duty_cycle_analysis())
+        ),
         "model": run_traffic_model,
         "micro": run_micro_footprint,
     }

@@ -16,9 +16,10 @@ A run is a :class:`~repro.shard.ShardPlan` over the scenario registry
 self-contained; with ``--shards`` it writes the sync profile's
 ``shard.stats`` / ``shard.profile`` / ``metrics.snapshot`` records
 instead.  ``run`` exits 0 iff every armed invariant held and no loss
-went unattributed; a param the recipe refuses is a usage error.  The
-flags are declared in :mod:`repro.__main__`, which imports this module
-(and with it the whole stack) only to run one of the two commands.
+went unattributed; a param the recipe refuses is a usage error.  As
+for every command, the flags are declared in :mod:`repro.__main__`,
+which imports this module (and with it the whole stack) only to run
+one of these two.
 """
 
 from __future__ import annotations

@@ -125,11 +125,17 @@ def _jsonable_value(value: Any) -> Any:
     return repr(value)
 
 
-def _jsonable(data: Dict) -> Dict:
-    """JSON-safe copy of a record's data: containers are serialized
-    recursively, bytes become hex, and only genuinely opaque objects
-    fall back to ``repr``."""
-    return {str(key): _jsonable_value(value) for key, value in data.items()}
+def record_line(record: TraceRecord) -> str:
+    """One record as a line of tracelog JSONL, what
+    :func:`repro.analysis.tracelog.load_trace` reads back: containers
+    are serialized recursively, bytes become hex, and only genuinely
+    opaque objects fall back to ``repr``."""
+    return json.dumps({
+        "t": record.time,
+        "cat": record.category,
+        "node": record.node,
+        "data": _jsonable_value(record.data),
+    }) + "\n"
 
 
 class FlightRecorder:
@@ -219,37 +225,16 @@ class FlightRecorder:
         """
         records = self.snapshot()
         last_time = records[-1].time if records else 0.0
+        header = TraceRecord(last_time, "flight.header", None, {
+            "reason": reason,
+            "records": len(records),
+            "records_seen": self.records_seen,
+            "per_node_capacity": self.PER_NODE_CAPACITY,
+            "nodes": sorted(k for k in self._rings if k is not None),
+            **context,
+        })
         with Path(path).open("w") as handle:
-            header = {
-                "t": last_time,
-                "cat": "flight.header",
-                "node": None,
-                "data": _jsonable(
-                    {
-                        "reason": reason,
-                        "records": len(records),
-                        "records_seen": self.records_seen,
-                        "per_node_capacity": self.PER_NODE_CAPACITY,
-                        "nodes": sorted(
-                            k for k in self._rings if k is not None
-                        ),
-                        **context,
-                    }
-                ),
-            }
-            handle.write(json.dumps(header) + "\n")
-            for record in records:
-                handle.write(
-                    json.dumps(
-                        {
-                            "t": record.time,
-                            "cat": record.category,
-                            "node": record.node,
-                            "data": _jsonable(record.data),
-                        }
-                    )
-                    + "\n"
-                )
+            handle.writelines(map(record_line, [header, *records]))
         self.dumps += 1
         return len(records)
 

@@ -15,7 +15,7 @@ from repro.analysis.tracelog import (
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import DistancePropagation, TablePropagation, Topology
-from repro.sim import TraceBus
+from repro.sim import TraceBus, TraceCollector
 from repro.testbed import SensorNetwork
 from repro.testbed.calibration import (
     LinkReport,
@@ -126,40 +126,39 @@ class TestIsiValidation:
 
 
 class TestTraceLogger:
-    def _run_network(self, bus_logger_path=None):
+    def _run_network(self, listen):
+        """A short 3-node run under the listener ``listen(bus)`` makes."""
         net = SensorNetwork(Topology.line(3, spacing=15.0), seed=4)
-        logger = TraceLogger(net.trace, path=bus_logger_path)
-        sub = AttributeVector.builder().eq(Key.TYPE, "t").build()
-        net.api(0).subscribe(sub, lambda a, m: None)
-        pub = net.api(2).publish(
-            AttributeVector.builder().actual(Key.TYPE, "t").build()
-        )
-        for i in range(5):
-            net.sim.schedule(
-                2.0 + i, net.api(2).send, pub,
-                AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
+        with listen(net.trace) as listener:
+            sub = AttributeVector.builder().eq(Key.TYPE, "t").build()
+            net.api(0).subscribe(sub, lambda a, m: None)
+            pub = net.api(2).publish(
+                AttributeVector.builder().actual(Key.TYPE, "t").build()
             )
-        net.run(until=15.0)
-        logger.close()
-        return logger
+            for i in range(5):
+                net.sim.schedule(
+                    2.0 + i, net.api(2).send, pub,
+                    AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
+                )
+            net.run(until=15.0)
+        return listener
 
     def test_in_memory_logging(self):
-        logger = self._run_network()
-        assert logger.records_written > 0
-        assert logger.records
-        categories = {r.category for r in logger.records}
+        collector = self._run_network(TraceCollector)
+        assert collector.records
+        categories = {r.category for r in collector.records}
         assert "diffusion.tx" in categories
 
     def test_file_round_trip(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        logger = self._run_network(bus_logger_path=path)
+        logger = self._run_network(lambda bus: TraceLogger(bus, path))
         records = load_trace(path)
         assert len(records) == logger.records_written
         assert records[0].time <= records[-1].time
 
     def test_summary_statistics(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        self._run_network(bus_logger_path=path)
+        self._run_network(lambda bus: TraceLogger(bus, path))
         summary = summarize_trace(load_trace(path))
         assert summary.record_count > 0
         assert summary.duration > 0
@@ -206,9 +205,8 @@ class TestTraceLogger:
         assert logger.records_written == 1
         assert len(load_trace(path)) == 1
 
-    def test_close_is_idempotent(self):
-        bus = TraceBus()
-        logger = TraceLogger(bus)
+    def test_close_is_idempotent(self, tmp_path):
+        logger = TraceLogger(TraceBus(), tmp_path / "trace.jsonl")
         logger.close()
         logger.close()
 

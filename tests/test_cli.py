@@ -1,5 +1,10 @@
 """Tests for the `python -m repro` command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.__main__ import EXAMPLES, main
@@ -26,8 +31,6 @@ class TestCli:
         assert "usage" in capsys.readouterr().out.lower()
 
     def test_example_names_match_disk(self):
-        from pathlib import Path
-
         examples_dir = Path(__file__).resolve().parents[1] / "examples"
         on_disk = {p.name for p in examples_dir.glob("*.py")}
         assert set(EXAMPLES.values()) == on_disk
@@ -36,6 +39,44 @@ class TestCli:
         assert main(["example", "quickstart"]) == 0
         out = capsys.readouterr().out
         assert "after interest propagation" in out
+
+
+class TestCommandTree:
+    """Every command is declared in one parser tree, `repro.__main__`."""
+
+    @pytest.mark.parametrize("path", [
+        ["campaign", "run"], ["campaign", "status"], ["campaign", "clean"],
+        ["campaign", "list"], ["trace", "summarize"], ["trace", "paths"],
+        ["trace", "timeline"], ["trace", "profile"], ["faults", "validate"],
+        ["run"], ["report"], ["experiments"], ["example"], ["info"],
+    ])
+    def test_every_command_path_has_help(self, path, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*path, "--help"])
+        assert exit_info.value.code == 0
+        assert f"usage: repro {' '.join(path)}" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("command", ["trace", "faults"])
+    def test_a_command_with_no_subcommand_prints_usage(self, command, capsys):
+        assert main([command]) == 2
+        assert f"usage: repro {command}" in capsys.readouterr().out
+
+    def test_building_the_tree_loads_no_command_stack(self):
+        # `info` parses through the whole tree; each handler, and the
+        # package behind it, loads only when its own command runs.
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src))
+        done = subprocess.run(
+            [sys.executable, "-X", "importtime", "-m", "repro", "info"],
+            capture_output=True, text=True, env=env, check=True,
+        )
+        imported = {line.rsplit("|", 1)[-1].strip()
+                    for line in done.stderr.splitlines()}
+        assert "repro.naming" in imported  # the log reads as expected
+        for package in ("repro.campaign", "repro.analysis", "repro.faults",
+                        "repro.shard"):
+            assert not any(name == package or name.startswith(package + ".")
+                           for name in imported), package
 
 
 class TestRunCli:
@@ -274,6 +315,16 @@ class TestCampaignCli:
 
         summary = summarize_campaign(load_trace(log))
         assert summary.trials == 4 and summary.done == 4
+
+    def test_unknown_campaign_is_a_usage_error_listing_the_names(
+        self, capsys
+    ):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "run", "nosuch"])
+        assert exit_info.value.code == 2
+        err = capsys.readouterr().err
+        assert "unknown campaign 'nosuch'" in err
+        assert "demo" in err and "resilience" in err
 
     def test_unknown_subcommand_prints_help(self, capsys):
         assert main(["campaign"]) == 2

@@ -323,7 +323,29 @@ class TestEngine:
                                 duty_cycle=0.1, period=1.0),)
             ),
         )
+        for node in range(4):
+            net.stack(node).modem.receive_callback = lambda *args: None
+        modem = net.stack(1).modem
+        sent = []  # (time, sleeping) at each fragment node 1 puts on air
+        transmit = modem.transmit_fragment
+
+        def recorded(*args, **kwargs):
+            sent.append((net.sim.now, modem.sleeping))
+            return transmit(*args, **kwargs)
+
+        modem.transmit_fragment = recorded
+        # One send inside each of three sleep slices; they wake at
+        # 5.9, 7.9 and 12.9.
+        for at in (5.3, 7.4, 12.5):
+            net.sim.schedule_at(at, net.stack(1).mac.enqueue, "x", 20)
+        profiler = net.sim.enable_profiler()
         net.run(until=30.0)
+        sites = {site["site"]: site["count"]
+                 for site in profiler.snapshot()["sites"]}
+        assert sites.get("fault.brownout-defer", 0) >= 1
+        assert [sleeping for _, sleeping in sent] == [False] * 3
+        for (time, _), wake in zip(sent, (5.9, 7.9, 12.9)):
+            assert wake - 1e-9 <= time < wake + 0.1
         mac = net.stack(1).mac
         assert net.stack(1).modem.sleeping is False
         assert "_transmit_head" not in mac.__dict__  # shadow removed

@@ -8,7 +8,6 @@ import pytest
 
 from repro.faults import FaultPlan, builtin_names, builtin_plan
 from repro.__main__ import main as repro_main
-from repro.faults.cli import main as faults_cli
 from repro.shard import ShardPlan, run_oracle
 
 #: reconvergence bound for all scenario assertions: repair must land
@@ -117,7 +116,7 @@ class TestCli:
     def test_validate_accepts_good_plan(self, tmp_path, capsys):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text(json.dumps(builtin_plan("partition").to_json()))
-        assert faults_cli(["validate", str(plan_file)]) == 0
+        assert repro_main(["faults", "validate", str(plan_file)]) == 0
         assert "plan OK" in capsys.readouterr().out
 
     def test_validate_rejects_bad_plan(self, tmp_path, capsys):
@@ -125,7 +124,7 @@ class TestCli:
         plan_file.write_text(json.dumps(
             {"actions": [{"kind": "node-crash", "node": 99, "at": 1.0}]}
         ))
-        assert faults_cli(["validate", str(plan_file)]) == 1
+        assert repro_main(["faults", "validate", str(plan_file)]) == 1
         assert "invalid plan" in capsys.readouterr().err
 
     @pytest.mark.parametrize("action", [
@@ -139,7 +138,7 @@ class TestCli:
     ):
         plan_file = tmp_path / "plan.json"
         plan_file.write_text('{"actions": [%s]}' % action)
-        assert faults_cli(["validate", str(plan_file)]) == 1
+        assert repro_main(["faults", "validate", str(plan_file)]) == 1
         assert "invalid plan: action 0 (node-crash): field 'at'" in (
             capsys.readouterr().err
         )

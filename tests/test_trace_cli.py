@@ -7,7 +7,6 @@ import json
 import pytest
 
 from repro.__main__ import main as repro_main
-from repro.analysis import tracecli
 from repro.analysis.tracelog import load_trace
 
 
@@ -51,7 +50,7 @@ class TestRecord:
 
 class TestSummarize:
     def test_reports_counts_and_metrics(self, recorded, capsys):
-        assert tracecli.main(["summarize", str(recorded)]) == 0
+        assert repro_main(["trace", "summarize", str(recorded)]) == 0
         stdout = capsys.readouterr().out
         assert "records:" in stdout
         assert "by category:" in stdout
@@ -62,7 +61,7 @@ class TestSummarize:
 
 class TestPaths:
     def test_shows_routes_and_loss_table(self, recorded, capsys):
-        assert tracecli.main(["paths", str(recorded)]) == 0
+        assert repro_main(["trace", "paths", str(recorded)]) == 0
         stdout = capsys.readouterr().out
         assert "data messages:" in stdout
         assert "delivered" in stdout
@@ -71,7 +70,7 @@ class TestPaths:
         assert "loss attribution" in stdout
 
     def test_all_flag_includes_undelivered(self, recorded, capsys):
-        assert tracecli.main(["paths", str(recorded), "--all"]) == 0
+        assert repro_main(["trace", "paths", str(recorded), "--all"]) == 0
         assert "data messages:" in capsys.readouterr().out
 
 
@@ -81,20 +80,20 @@ class TestTimeline:
         trace_id = next(
             r.data["trace"] for r in records if r.category == "app.deliver"
         )
-        assert tracecli.main(["timeline", str(recorded), trace_id]) == 0
+        assert repro_main(["trace", "timeline", str(recorded), trace_id]) == 0
         stdout = capsys.readouterr().out
         assert "path.origin" in stdout
         assert "app.deliver" in stdout
         assert "delivered at node" in stdout
 
     def test_unknown_trace_id_fails(self, recorded, capsys):
-        assert tracecli.main(["timeline", str(recorded), "999.999"]) == 1
+        assert repro_main(["trace", "timeline", str(recorded), "999.999"]) == 1
         assert "no records mention" in capsys.readouterr().err
 
 
 class TestProfile:
     def test_reports_event_loop_sites(self, recorded, capsys):
-        assert tracecli.main(["profile", str(recorded)]) == 0
+        assert repro_main(["trace", "profile", str(recorded)]) == 0
         stdout = capsys.readouterr().out
         assert "events:" in stdout
         assert "max queue depth:" in stdout
@@ -105,7 +104,7 @@ class TestProfile:
         bare.write_text(
             json.dumps({"t": 0.0, "cat": "diffusion.tx", "node": 1}) + "\n"
         )
-        assert tracecli.main(["profile", str(bare)]) == 1
+        assert repro_main(["trace", "profile", str(bare)]) == 1
         assert "no kernel.profile" in capsys.readouterr().err
 
 
@@ -176,7 +175,7 @@ class TestShards:
     def test_summarize_reads_sharded_output(self, shards_out, capsys):
         """`trace summarize` on a `run --shards 2 --trace` JSONL: merged
         shard metrics render as counters."""
-        assert tracecli.main(["summarize", str(shards_out)]) == 0
+        assert repro_main(["trace", "summarize", str(shards_out)]) == 0
         stdout = capsys.readouterr().out
         assert "shard.stats" in stdout
         assert "metrics:" in stdout
