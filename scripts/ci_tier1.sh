@@ -3,7 +3,7 @@
 # there), the perf harness's own tests, the benchmark's command on
 # `flood_1k_mobile` and `isi_fig8`, the ledger pins (every
 # BENCHMARK.json workload's outcome digest at seeds 11 and 23 against
-# tests/pins.json), the wide pins (29 fault, custody, energy and
+# tests/pins.json), the wide pins (30 fault, custody, energy and
 # 100-256 node oracle runs against the same file), both sets again with
 # same-instant ties reversed, scripts/mem_diff.sh run on one
 # checkout against itself, and the only out-of-process CLI
@@ -13,7 +13,9 @@
 # path, the content-addressed store, and cache-hit resume end to end)
 # with `repro report` over one of its store entries, a `repro run
 # --trace` / `trace summarize|paths|profile` smoke over the run and
-# observability CLIs, `faults validate` on a builtin plan, the micro
+# observability CLIs, `trace summarize` on a missing file refused as
+# a usage error, `faults validate` on a builtin plan, the brownout
+# fault on a duty-cycled MAC with its invariants held, the micro
 # section's tiered mote build, the `tracking` preset under `python -S`
 # (site-packages off: the CLI runs on the standard library alone, as
 # the package declares no runtime dependency), a refused non-boolean
@@ -149,6 +151,12 @@ grep -q "data messages:" "$store/paths.txt" \
 python -m repro trace profile "$trace" > "$store/profile.txt"
 grep -q "events:" "$store/profile.txt" \
     || { echo "trace profile printed no event count" >&2; exit 1; }
+# A file that is no trace is a usage error, not a traceback.
+rc=0
+refusal="$(python -m repro trace summarize "$store/no-such-trace.jsonl" \
+    2>&1 > /dev/null)" || rc=$?
+[ "$rc" -eq 2 ] && grep -q "cannot read trace" <<<"$refusal" \
+    || { echo "trace summarize on a missing file exited $rc: $refusal" >&2; exit 1; }
 
 # A builtin fault plan, written out as JSON, validates from the CLI.
 python -c 'import json; from repro.faults import builtin_plan
@@ -156,6 +164,11 @@ print(json.dumps(builtin_plan("partition").to_json()))' > "$store/plan.json"
 validated="$(python -m repro faults validate "$store/plan.json")"
 grep -q "plan OK" <<<"$validated" \
     || { echo "faults validate refused a builtin plan" >&2; exit 1; }
+
+# The brownout on a duty-cycled MAC: the fault lowers the MAC's own
+# duty cycle, and the monitors' invariants hold (exit 0).
+python -m repro run resilience -p fault=brownout -p duty_cycle=0.5 > /dev/null \
+    || { echo "brownout on a duty-cycled MAC failed its run" >&2; exit 1; }
 
 # Process-transport smoke: repro.shard.process (the pipes, WorkerCrew
 # and the worker entry point) and the one-horizon round driven from the

@@ -16,12 +16,13 @@ Three sets of runs are pinned:
   workload at seeds 11 and 23, from ``perf/workloads.py`` (imported,
   never edited); ``scripts/ci_tier1.sh`` checks these, as they take a
   few seconds each.
-- ``wide``: 29 runs the ``SMALL`` sizes do not reach — every builtin
-  fault plan at 120 s, the ``dtn`` / ``mule`` custody arms, the
-  16x16 ``regional`` and the 10x10 ``hierarchy`` modes, and the two
-  runs that price radio time: a duty-cycled ``line`` (its outcome's
-  ``energy`` section) and a custody ``dtn`` run whose energy budget
-  refuses blocks (~10 s, a ``scripts/ci_tier1.sh`` step).
+- ``wide``: 30 runs the ``SMALL`` sizes do not reach — every builtin
+  fault plan at 120 s and the brownout on a duty-cycled MAC, the
+  ``dtn`` / ``mule`` custody arms, the 16x16 ``regional`` and the
+  10x10 ``hierarchy`` modes, and the two runs that price radio time: a
+  duty-cycled ``line`` (its outcome's ``energy`` section) and a
+  custody ``dtn`` run whose energy budget refuses blocks (~10 s, a
+  ``scripts/ci_tier1.sh`` step).
 
 The preset and wide runs are also held to the rule that lets the
 kernel pause the cyclic collector inside its run loop: event code makes
@@ -150,6 +151,9 @@ def wide_plans() -> Dict[str, Any]:
         for seed in (1, 7):
             plans[f"resilience/{fault}/{seed}"] = ShardPlan(
                 "resilience", {"fault": fault}, seed, 120.0, 1)
+    # The brownout on a duty-cycled MAC: the two sleep schedules compose.
+    plans["resilience/brownout-duty/1"] = ShardPlan(
+        "resilience", {"fault": "brownout", "duty_cycle": 0.5}, 1, 120.0, 1)
     plans["resilience/fast"] = ShardPlan(
         "resilience", {"fault": "crash", "exploratory_interval": 5.0,
                        "send_interval": 0.5}, 1, 120.0, 1)

@@ -265,7 +265,7 @@ def main(argv=None) -> int:
     if args.command == "trace":
         from repro.analysis.tracecli import trace_command
 
-        return trace_command(args)
+        return trace_command(args, sub.choices["trace"])
     if args.command == "faults":
         return _validate_plan(args)
     if args.command == "run":

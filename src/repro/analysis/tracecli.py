@@ -14,7 +14,9 @@ profiler enabled, and appends ``metrics.snapshot`` and
 ``kernel.profile`` records to the end of the log so these subcommands
 are self-contained; ``summarize`` also reads the sync-profile JSONL of
 a ``--shards`` run.  The flags are declared in :mod:`repro.__main__`,
-which imports this module only to run a trace subcommand.
+which imports this module only to run a trace subcommand.  A file that
+cannot be read as a trace (missing, unreadable, or malformed before its
+last line) is a usage error: ``cannot read trace: ...``, exit 2.
 """
 
 from __future__ import annotations
@@ -30,8 +32,7 @@ from repro.analysis.paths import (
 from repro.analysis.tracelog import load_trace, summarize_trace
 
 
-def _run_summarize(args) -> int:
-    records = load_trace(args.trace)
+def _run_summarize(args, records) -> int:
     summary = summarize_trace(records)
     print(f"records:   {summary.record_count}")
     print(f"duration:  {summary.duration:.3f}s (simulated)")
@@ -72,8 +73,7 @@ def _run_summarize(args) -> int:
     return 0
 
 
-def _run_paths(args) -> int:
-    records = load_trace(args.trace)
+def _run_paths(args, records) -> int:
     paths = reconstruct_paths(records)
     data_paths = [
         p
@@ -98,10 +98,9 @@ def _run_paths(args) -> int:
     return 0
 
 
-def _run_timeline(args) -> int:
+def _run_timeline(args, records) -> int:
     from repro.analysis.paths import trace_timeline
 
-    records = load_trace(args.trace)
     timeline = trace_timeline(records, args.trace_id)
     if not timeline:
         print(f"no records mention trace {args.trace_id!r}", file=sys.stderr)
@@ -124,8 +123,7 @@ def _run_timeline(args) -> int:
     return 0
 
 
-def _run_profile(args) -> int:
-    records = load_trace(args.trace)
+def _run_profile(args, records) -> int:
     profile = None
     for record in records:
         if record.category == "kernel.profile":
@@ -153,8 +151,13 @@ def _run_profile(args) -> int:
     return 0
 
 
-def trace_command(args) -> int:
-    """Run ``args.action`` (``summarize|paths|timeline|profile``)."""
+def trace_command(args, parser) -> int:
+    """Run ``args.action`` (``summarize|paths|timeline|profile``) on the
+    records of ``args.trace``."""
     handlers = {"summarize": _run_summarize, "paths": _run_paths,
                 "timeline": _run_timeline, "profile": _run_profile}
-    return handlers[args.action](args)
+    try:
+        records = load_trace(args.trace)
+    except (OSError, ValueError) as exc:
+        parser.error(f"cannot read trace: {exc}")
+    return handlers[args.action](args, records)

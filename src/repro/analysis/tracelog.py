@@ -58,22 +58,25 @@ def load_trace(path: Union[str, Path]) -> List[TraceRecord]:
     """Read a JSONL trace back into records.
 
     A truncated final line (the writer died mid-record) is silently
-    dropped; a malformed line anywhere else is still an error.
+    dropped; a malformed line anywhere else, or a line that is not a
+    record, is a ``ValueError`` naming its line number.
     """
     records = []
     with Path(path).open() as handle:
         lines = [line.strip() for line in handle]
     while lines and not lines[-1]:
         lines.pop()
-    for lineno, line in enumerate(lines):
+    for lineno, line in enumerate(lines, 1):
         if not line:
             continue
         try:
             raw = json.loads(line)
-        except ValueError:
-            if lineno == len(lines) - 1:
+        except ValueError as exc:
+            if lineno == len(lines):
                 break
-            raise
+            raise ValueError(f"line {lineno}: {exc}") from None
+        if not (isinstance(raw, dict) and "t" in raw and "cat" in raw):
+            raise ValueError(f"line {lineno}: not a trace record")
         records.append(
             TraceRecord(
                 time=raw["t"],

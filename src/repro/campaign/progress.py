@@ -11,12 +11,12 @@ to the experiment harness itself.
 
 from __future__ import annotations
 
-import json
 import time
 from pathlib import Path
 from typing import Any, Dict, Optional, TextIO, Union
 
 from repro.sim import TraceBus
+from repro.sim.trace import TraceRecord, record_line
 
 
 class CampaignProgress:
@@ -135,10 +135,5 @@ class CampaignProgress:
         now = self.wall_time
         self.trace.emit(now, category, None, **data)
         if self._log is not None:
-            self._log.write(
-                json.dumps(
-                    {"t": now, "cat": category, "node": None, "data": data}
-                )
-                + "\n"
-            )
+            self._log.write(record_line(TraceRecord(now, category, None, data)))
             self._log.flush()

@@ -22,9 +22,9 @@ LinkFlap, Partition  :class:`~repro.faults.overlay.FaultOverlayPropagation`
                      neighborhood index invalidates correctly)
 ClockSkew            the engine's per-node :class:`NodeClock` registry
 FragmentCorruption   the fragmentation layer's ``inbound_filter`` hook
-EnergyBrownout       ``modem.sleeping`` toggled on a forced duty cycle,
-                     with the MAC's ``_transmit_head`` gated so a parked
-                     radio defers instead of raising
+EnergyBrownout       ``CsmaMac.set_duty_cycle``: the node's MAC runs at
+                     the least of its own duty cycle and every active
+                     brownout's, and its sleep schedule parks the radio
 ==================== =====================================================
 """
 
@@ -86,7 +86,9 @@ class FaultEngine:
             "faults.healed", lambda: len(self.timeline) - injected()
         )
         self._fault_seed = derive_seed(self.seed, "faults")
-        self._brownout_wake: Dict[int, float] = {}
+        # node -> the duty cycles its MAC is held under: the MAC's own
+        # (key None) and each active brownout's (key: action index)
+        self._duties: Dict[int, Dict[Optional[int], float]] = {}
         # action index -> the corruption filter its window installed
         self._filters: Dict[int, Callable] = {}
         self.overlay: Optional[FaultOverlayPropagation] = None
@@ -159,8 +161,10 @@ class FaultEngine:
             at(action.at + action.duration, self._corruption_off, index, action,
                name="fault.heal")
         elif isinstance(action, EnergyBrownout):
-            at(action.at, self._brownout_begin, index, action,
+            at(action.at, self._brownout_on, index, action,
                name="fault.brownout")
+            at(action.at + action.duration, self._brownout_off, index, action,
+               name="fault.heal")
         else:  # pragma: no cover - plan validation keeps this unreachable
             raise TypeError(f"unknown fault action {type(action).__name__}")
 
@@ -248,73 +252,18 @@ class FaultEngine:
 
     # -- energy brownout -----------------------------------------------------
 
-    def _brownout_begin(self, index: int, action: EnergyBrownout) -> None:
-        stack = self.network.stack(action.node)
-        mac = stack.mac
-        modem = stack.modem
-        engine = self
-
-        def gated_transmit_head() -> None:
-            # A parked radio must not transmit (the modem would raise);
-            # park the head fragment until the next wakeup instead.
-            # Instance-attribute shadowing intercepts every call site:
-            # _attempt looks _transmit_head up at call time.
-            if modem.sleeping:
-                wake = engine._brownout_wake.get(action.node, engine.network.sim.now)
-                # MAC work at priority 0: after the wake at that instant.
-                engine.network.sim.schedule_at(
-                    max(wake, engine.network.sim.now), mac._attempt,
-                    name="fault.brownout-defer",
-                )
-                return
-            type(mac)._transmit_head(mac)
-
-        mac._transmit_head = gated_transmit_head
+    def _brownout_on(self, index: int, action: EnergyBrownout) -> None:
+        mac = self.network.stack(action.node).mac
+        duties = self._duties.setdefault(action.node, {None: mac.duty_cycle})
+        duties[index] = action.duty_cycle
+        mac.set_duty_cycle(min(duties.values()))
         self._note(
             index, action, "inject",
             node=action.node, duty_cycle=action.duty_cycle,
         )
-        self._brownout_sleep(index, action, action.at + action.duration)
 
-    def _brownout_sleep(self, index: int, action: EnergyBrownout, end: float) -> None:
-        sim = self.network.sim
-        stack = self.network.stack(action.node)
-        if sim.now >= end:
-            self._brownout_finish(index, action)
-            return
-        if stack.modem.transmitting:
-            # Never park the radio mid-transmission; re-check just after
-            # the fragment clears the air (mirrors DutyCycledCsmaMac).
-            self._at(
-                sim.now + 0.001, self._brownout_sleep, index, action, end,
-                name="fault.brownout-retry",
-            )
-            return
-        stack.modem.sleeping = True
-        wake = min(sim.now + (1.0 - action.duty_cycle) * action.period, end)
-        self._brownout_wake[action.node] = wake
-        self._at(
-            wake, self._brownout_awake, index, action, end,
-            name="fault.brownout-wake",
-        )
-
-    def _brownout_awake(self, index: int, action: EnergyBrownout, end: float) -> None:
-        sim = self.network.sim
-        stack = self.network.stack(action.node)
-        stack.modem.sleeping = False
-        self._brownout_wake.pop(action.node, None)
-        if sim.now >= end:
-            self._brownout_finish(index, action)
-            return
-        self._at(
-            min(sim.now + action.duty_cycle * action.period, end),
-            self._brownout_sleep, index, action, end,
-            name="fault.brownout-sleep",
-        )
-
-    def _brownout_finish(self, index: int, action: EnergyBrownout) -> None:
-        stack = self.network.stack(action.node)
-        stack.modem.sleeping = False
-        stack.mac.__dict__.pop("_transmit_head", None)
-        self._brownout_wake.pop(action.node, None)
+    def _brownout_off(self, index: int, action: EnergyBrownout) -> None:
+        duties = self._duties[action.node]
+        del duties[index]
+        self.network.stack(action.node).mac.set_duty_cycle(min(duties.values()))
         self._note(index, action, "heal", node=action.node)

@@ -228,9 +228,10 @@ class FragmentCorruption:
 @dataclass(frozen=True)
 class EnergyBrownout:
     """Force ``node`` onto an emergency ``duty_cycle`` during
-    [``at``, ``at + duration``): the radio sleeps for the first
-    ``(1 - duty_cycle)`` of every ``period`` and transmissions defer to
-    the awake slice, as a browning-out node's power manager would."""
+    [``at``, ``at + duration``), as a browning-out node's power manager
+    would: its MAC listens for the first ``duty_cycle`` of every frame
+    (``CsmaMac.PERIOD``) and transmissions defer to that awake slice.  A
+    MAC already below ``duty_cycle`` keeps its own."""
 
     kind: ClassVar[str] = "energy-brownout"
 
@@ -238,14 +239,12 @@ class EnergyBrownout:
     at: float
     duration: float
     duty_cycle: float = 0.2
-    period: float = 1.0
 
     def validate(self, node_ids: Iterable[int]) -> None:
         _require(self.node in set(node_ids), f"unknown node {self.node}")
         _require(self.at >= 0.0, "brownout time must be non-negative")
         _require(self.duration > 0.0, "brownout duration must be positive")
         _require(0.0 < self.duty_cycle < 1.0, "duty_cycle must be in (0, 1)")
-        _require(self.period > 0.0, "period must be positive")
 
     def window(self) -> Tuple[float, Optional[float]]:
         return self.at, self.at + self.duration

@@ -33,10 +33,6 @@ class Mac:
     implementing :meth:`_schedule_attempt`.
     """
 
-    #: the fraction of time the radio listens; a duty-cycled MAC sets
-    #: its own, and the energy model prices idle listening by it.
-    duty_cycle = 1.0
-
     def __init__(
         self,
         sim: Simulator,

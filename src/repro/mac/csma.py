@@ -1,10 +1,28 @@
-"""Carrier-sense MAC without RTS/CTS or ARQ (the testbed MAC).
+"""Carrier-sense MAC without RTS/CTS or ARQ (the testbed MAC), with an
+optional sleep schedule.
 
 Before sending, the node listens; if the carrier is busy it backs off a
 random interval and tries again.  There is no ACK and no retransmission,
 and carrier sensing happens at the *sender* — so two sources that cannot
 hear each other (hidden terminals) happily collide at a common receiver,
 which the paper identifies as "endemic to our multihop topology".
+
+Section 6.1 adds: "energy-conscious protocols like PAMAS or TDMA are
+necessary for long-lived sensor networks.  We are currently
+experimenting with power-aware MAC approaches."  A ``duty_cycle`` below
+1 (:meth:`CsmaMac.set_duty_cycle`) gives the simplest such design (the
+scheme S-MAC later formalized): all nodes share a synchronized frame of
+``PERIOD`` seconds and keep their radios on only for the first
+``duty_cycle`` fraction of it.  Transmissions are deferred to awake windows; a sleeping radio hears
+nothing, so a transmission must also *fit* inside the window.  The MAC
+is the only writer of ``modem.sleeping``: anything else that wants the
+radio asleep (an energy brownout) sets the duty cycle.
+
+The energy win is exactly the paper's Pd analysis: the listen term
+scales by the duty cycle while send/receive stay proportional to
+traffic.  :func:`~repro.energy.radio_energy` prices a stack's radio
+time at its MAC's ``duty_cycle``, so the arithmetic agrees with the
+radio's actual sleep schedule.
 """
 
 from __future__ import annotations
@@ -13,8 +31,8 @@ import random
 from typing import Optional
 
 from repro.mac.base import Mac
-from repro.radio.modem import Modem
-from repro.sim import Simulator, TraceBus
+from repro.radio.modem import AIRTIME_BY_SIZE, Modem
+from repro.sim import Event, Simulator, TraceBus
 from repro.sim.rng import make_rng
 
 #: backoff after a busy carrier: ``MIN_BACKOFF`` plus a uniform draw in
@@ -27,7 +45,12 @@ INTERFRAME_GAP = 0.002
 
 
 class CsmaMac(Mac):
-    """Non-persistent CSMA with bounded exponential backoff."""
+    """Non-persistent CSMA with bounded exponential backoff, confined to
+    synchronized awake windows once :meth:`set_duty_cycle` puts
+    ``duty_cycle`` below 1."""
+
+    #: seconds per sleep frame, shared by every node (no run varies it).
+    PERIOD = 1.0
 
     def __init__(
         self,
@@ -47,6 +70,71 @@ class CsmaMac(Mac):
         self.max_backoff = MAX_BACKOFF
         self.interframe_gap = INTERFRAME_GAP
         self._backoff_stage = 0
+        #: the fraction of each frame the radio listens (set it with
+        #: set_duty_cycle); the energy model prices idle listening by it.
+        self.duty_cycle = 1.0
+        self.deferred_to_window = 0
+        # the pending dmac.schedule / dmac.retry event, below 1.0
+        self._frame_event: Optional[Event] = None
+
+    # -- sleep schedule ---------------------------------------------------------
+
+    def set_duty_cycle(self, duty_cycle: float) -> None:
+        """Listen for the first ``duty_cycle`` of every frame from now
+        on; 1.0 stops the schedule and leaves the radio awake."""
+        if not 0.0 < duty_cycle <= 1.0:
+            raise ValueError("duty_cycle must be within (0, 1]")
+        if duty_cycle == self.duty_cycle:
+            return
+        self.duty_cycle = duty_cycle
+        if self._frame_event is not None:
+            self._frame_event.cancel()
+            self._frame_event = None
+        if duty_cycle < 1.0:
+            self._apply_schedule()
+        else:
+            self.modem.sleeping = False
+
+    @property
+    def awake_span(self) -> float:
+        return self.duty_cycle * self.PERIOD
+
+    def is_awake(self, now: float) -> bool:
+        return (now % self.PERIOD) < self.awake_span
+
+    def next_wakeup(self, now: float) -> float:
+        """Absolute time of the next awake-window start (>= now)."""
+        frame_start = (now // self.PERIOD) * self.PERIOD
+        if now < frame_start + self.awake_span:
+            return now  # already awake
+        return frame_start + self.PERIOD
+
+    def window_time_left(self, now: float) -> float:
+        if not self.is_awake(now):
+            return 0.0
+        return self.awake_span - (now % self.PERIOD)
+
+    def _apply_schedule(self) -> None:
+        now = self.sim.now
+        if self.is_awake(now):
+            self.modem.sleeping = False
+            frame_start = (now // self.PERIOD) * self.PERIOD
+            next_change = frame_start + self.awake_span
+        else:
+            # Never park the radio mid-transmission; the schedule check
+            # reruns right after the fragment completes.
+            if self.modem.transmitting:
+                self._frame_event = self.sim.schedule(
+                    0.001, self._apply_schedule, name="dmac.retry"
+                )
+                return
+            self.modem.sleeping = True
+            next_change = self.next_wakeup(now + 1e-9)
+        self._frame_event = self.sim.schedule_at(
+            max(next_change, now + 1e-9), self._apply_schedule, name="dmac.schedule"
+        )
+
+    # -- transmission -------------------------------------------------------------
 
     def _schedule_attempt(self, first: bool) -> None:
         # A short jittered gap decorrelates nodes that queued a broadcast
@@ -55,9 +143,20 @@ class CsmaMac(Mac):
         self.sim.schedule(delay, self._attempt, name="csma.attempt")
 
     def _attempt(self) -> None:
-        if not self._queue:
+        queue = self._queue
+        if not queue:
             self._busy = False
             return
+        if self.duty_cycle < 1.0:
+            now = self.sim.now
+            if self.window_time_left(now) < AIRTIME_BY_SIZE[queue[0][1]]:
+                self.deferred_to_window += 1
+                wake = self.next_wakeup(now + 1e-9)
+                jitter = self.rng.random() * self.min_backoff
+                self.sim.schedule_at(
+                    max(wake, now) + jitter, self._attempt, name="dmac.defer"
+                )
+                return
         modem = self.modem
         if modem.channel.carrier_busy(modem.node_id) or modem.transmitting:
             self.stats.backoffs += 1

@@ -65,7 +65,7 @@ class Modem:
         self.channel = channel
         self.node_id = node_id
         self.transmitting = False
-        self.sleeping = False  # duty-cycled MACs park the radio here
+        self.sleeping = False  # only the MAC's sleep schedule sets it
         self.receive_callback: Optional[Callable[[Any, int, int, Optional[int]], None]] = None
         self._tx_done_callback: Optional[Callable[[], None]] = None
         self.bytes_sent = 0

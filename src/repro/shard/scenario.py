@@ -67,7 +67,7 @@ from repro.dtn.scenario import (
     duty_cycle_plan,
     mule_plan,
 )
-from repro.mac import CsmaMac, DutyCycledCsmaMac
+from repro.mac import CsmaMac
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import Channel, DistancePropagation, Modem, Topology
@@ -339,7 +339,7 @@ STACK_DEFAULTS: Dict[str, Any] = {
     # "grid" (columns x rows), "line" (nodes) or "isi" (Fig. 7)
     "shape": "grid", "columns": 10, "rows": 5, "nodes": 3, "spacing": 18.0,
     **_timers(SHORT_TIMERS),
-    # listen fraction of a 1 s frame (DutyCycledCsmaMac); None: plain CSMA
+    # listen fraction of the MAC's 1 s frame; None: plain CSMA
     "duty_cycle": None,
     # fault harness: a builtin plan's name, or a FaultPlan / its JSON
     "fault": None, "plan": None, "monitors": False,
@@ -745,22 +745,16 @@ class StackScenario(Scenario):
                     "duty_cycle MAC"
                 )
         isi = p["shape"] == "isi"
-        mac_factory = None
-        if duty_cycle is not None:
-
-            def mac_factory(sim, modem, rng):
-                return DutyCycledCsmaMac(
-                    sim, modem, duty_cycle=float(duty_cycle), rng=rng
-                )
-
         net = SensorNetwork(
             topology,
             config=DiffusionConfig(**{k: float(p[k]) for k in TIMER_KEYS}),
             seed=seed,
             propagation=isi_propagation(topology, seed) if isi else None,
-            mac_factory=mac_factory,
             nodes=owned,
         )
+        if duty_cycle is not None:
+            for stack in net.stacks.values():
+                stack.mac.set_duty_cycle(float(duty_cycle))
         harness = None
         if faulted:
             from repro.faults.scenarios import FaultHarness

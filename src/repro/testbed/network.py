@@ -159,7 +159,6 @@ class SensorNetwork:
         config: Optional[DiffusionConfig] = None,
         seed: int = 1,
         propagation=None,
-        mac_factory=None,
         channel_cls: Optional[type] = None,
         nodes: Optional[Iterable[int]] = None,
     ) -> None:
@@ -184,8 +183,6 @@ class SensorNetwork:
         # One reassembly-timeout FIFO for every node: partials then
         # expire in the order they were opened, across the network.
         self.reassembly = ReassemblyExpiry(self.sim)
-        # mac_factory(sim, modem, rng) -> Mac; None = CSMA.
-        self.mac_factory = mac_factory
         self.stacks: Dict[int, NodeStack] = {}
         # nodes: build stacks for this subset only (a shard builds just
         # its owned nodes against the full topology).  Per-node RNG
@@ -202,14 +199,10 @@ class SensorNetwork:
 
     def _build_node(self, node_id: int) -> None:
         modem = Modem(self.sim, self.channel, node_id)
-        mac_rng = self.seeds.stream(f"mac:{node_id}")
-        if self.mac_factory is not None:
-            mac = self.mac_factory(self.sim, modem, mac_rng)
-            # The factory signature predates the trace bus; route factory-
-            # built MACs onto the shared bus after the fact.
-            mac.trace = self.trace
-        else:
-            mac = CsmaMac(self.sim, modem, rng=mac_rng, trace=self.trace)
+        mac = CsmaMac(
+            self.sim, modem, rng=self.seeds.stream(f"mac:{node_id}"),
+            trace=self.trace,
+        )
         frag = FragmentationLayer(
             self.sim, mac, node_id,
             fragment_payload=RadioParams.fragment_payload,

@@ -21,7 +21,6 @@ from repro import AttributeVector, Key
 from repro.core import DiffusionConfig
 from repro.faults import FaultEngine, FaultPlan, NodeCrash
 from repro.faults.overlay import FaultOverlayPropagation
-from repro.mac import DutyCycledCsmaMac
 from repro.radio import (
     Channel,
     DistancePropagation,
@@ -86,16 +85,13 @@ def run_scenario(
             propagation, mean_good=4.0, mean_bad=1.5,
             bad_scale=bad_scale, seed=seed,
         )
-    mac_factory = None
-    if duty_cycle:
-        def mac_factory(sim, modem, rng):
-            return DutyCycledCsmaMac(
-                sim, modem, duty_cycle=0.5, rng=rng,
-            )
     net = SensorNetwork(
         topo, config=CONFIG, seed=seed, propagation=propagation,
-        mac_factory=mac_factory, channel_cls=channel_cls,
+        channel_cls=channel_cls,
     )
+    if duty_cycle:
+        for stack in net.stacks.values():
+            stack.mac.set_duty_cycle(0.5)
     assert type(net.channel) is channel_cls
 
     events = []

@@ -316,6 +316,32 @@ class TestCampaignCli:
         summary = summarize_campaign(load_trace(log))
         assert summary.trials == 4 and summary.done == 4
 
+    def test_log_lines_are_tracelog_records(self, capsys, tmp_path):
+        """The log goes through the tracelog encoder: each line reads
+        back through ``load_trace``, byte-equal to the hand-built
+        ``{"t", "cat", "node", "data"}`` line the log used to write."""
+        import json
+
+        from repro.analysis import load_trace
+
+        store = str(tmp_path / "store")
+        log = tmp_path / "log.jsonl"
+        for status in ("done", "cached"):       # a run, then its rerun
+            assert main(["campaign", "run", "demo", "--quick", "--store",
+                         store, "--log", str(log)]) == 0
+            lines = log.read_text().splitlines(keepends=True)
+            records = load_trace(log)
+            assert len(records) == len(lines) == 6
+            assert [r.category for r in records] == (
+                ["campaign.begin"] + ["campaign.trial"] * 4 + ["campaign.end"]
+            )
+            assert {r.data["status"] for r in records[1:5]} == {status}
+            for line, record in zip(lines, records):
+                assert line == json.dumps({
+                    "t": record.time, "cat": record.category,
+                    "node": None, "data": record.data,
+                }) + "\n"
+
     def test_unknown_campaign_is_a_usage_error_listing_the_names(
         self, capsys
     ):

@@ -1,11 +1,11 @@
-"""Tests for the duty-cycled CSMA MAC."""
+"""Tests for the CSMA MAC's sleep schedule (``duty_cycle`` below 1)."""
 
 import random
 
 import pytest
 
 from repro.energy import radio_energy
-from repro.mac import DutyCycledCsmaMac, Mac
+from repro.mac import CsmaMac
 from repro.radio import Channel, Modem, TablePropagation
 from repro.sim import SeedSequence, Simulator
 
@@ -18,9 +18,8 @@ def make_net(duty_cycle, n_nodes=2, links=None):
     modems, macs = [], []
     for i in range(n_nodes):
         modem = Modem(sim, channel, node_id=i)
-        mac = DutyCycledCsmaMac(
-            sim, modem, duty_cycle=duty_cycle, rng=random.Random(40 + i),
-        )
+        mac = CsmaMac(sim, modem, rng=random.Random(40 + i))
+        mac.set_duty_cycle(duty_cycle)
         modems.append(modem)
         macs.append(mac)
     return sim, channel, modems, macs
@@ -57,8 +56,11 @@ class TestSchedule:
         sim = Simulator()
         channel = Channel(sim, TablePropagation({}))
         modem = Modem(sim, channel, node_id=0)
-        with pytest.raises(ValueError):
-            DutyCycledCsmaMac(sim, modem, duty_cycle=0.0)
+        mac = CsmaMac(sim, modem)
+        for duty in (0.0, 1.5, float("nan")):
+            with pytest.raises(ValueError):
+                mac.set_duty_cycle(duty)
+        assert mac.duty_cycle == 1.0
 
     def test_full_duty_cycle_never_sleeps(self):
         sim, channel, modems, macs = make_net(1.0)
@@ -73,7 +75,61 @@ class TestSchedule:
         cycle; a plain MAC always listens."""
         sim, channel, modems, macs = make_net(0.25)
         assert macs[0].duty_cycle == 0.25
-        assert Mac.duty_cycle == 1.0
+        sim = Simulator()
+        modem = Modem(sim, Channel(sim, TablePropagation({})), node_id=0)
+        assert CsmaMac(sim, modem).duty_cycle == 1.0
+
+
+class TestSetDutyCycle:
+    def test_full_duty_cycle_schedules_nothing_and_draws_nothing(self):
+        sim = Simulator()
+        modem = Modem(sim, Channel(sim, TablePropagation({})), node_id=0)
+        rng = random.Random(5)
+        state = rng.getstate()
+        mac = CsmaMac(sim, modem, rng=rng)
+        mac.set_duty_cycle(1.0)
+        assert sim.pending == 0 and rng.getstate() == state
+
+    def test_lowering_then_restoring_the_duty_cycle(self):
+        sim, channel, modems, macs = make_net(1.0)
+        mac, modem = macs[0], modems[0]
+        sim.run(until=2.5)
+        mac.set_duty_cycle(0.2)         # mid-frame: asleep until 3.0
+        assert modem.sleeping and sim.pending == 1
+        mac.set_duty_cycle(0.2)         # unchanged: nothing rescheduled
+        assert sim.pending == 1
+        sim.run(until=3.1)
+        assert not modem.sleeping       # the frame's awake slice
+        sim.run(until=3.5)
+        assert modem.sleeping
+        mac.set_duty_cycle(1.0)
+        assert not modem.sleeping and sim.pending == 0
+        sim.run(until=10.0)
+        assert not modem.sleeping
+
+    def test_raising_the_duty_cycle_widens_the_awake_slice(self):
+        sim, channel, modems, macs = make_net(0.2)
+        sim.run(until=4.3)
+        assert modems[0].sleeping
+        macs[0].set_duty_cycle(0.5)     # 4.3 is inside the wider slice
+        assert not modems[0].sleeping
+        sim.run(until=4.6)
+        assert modems[0].sleeping
+
+    def test_never_parks_a_radio_mid_transmission(self):
+        sim, channel, modems, macs = make_net(1.0)
+        Sink(modems[1])
+        macs[0].enqueue("x", 27)
+        sim.run(until=0.5)
+        sim.schedule_at(0.5, macs[0].enqueue, "y", 27)
+        while not modems[0].transmitting:
+            sim.step()
+        macs[0].set_duty_cycle(0.1)     # a sleep slice, radio on air
+        assert not modems[0].sleeping
+        while modems[0].transmitting:
+            sim.step()
+        sim.run(until=sim.now + 0.002)  # the dmac.retry after the fragment
+        assert modems[0].sleeping
 
 
 class TestDeferral:
@@ -101,11 +157,9 @@ class TestDeferral:
         channel = Channel(sim, TablePropagation({(0, 1): 1.0}),
                           seeds=SeedSequence(1))
         sender_modem = Modem(sim, channel, node_id=0)
-        sender = DutyCycledCsmaMac(sim, sender_modem, duty_cycle=1.0,
-                                   rng=random.Random(1))
+        sender = CsmaMac(sim, sender_modem, rng=random.Random(1))
         receiver_modem = Modem(sim, channel, node_id=1)
-        receiver = DutyCycledCsmaMac(sim, receiver_modem, duty_cycle=0.1,
-                                     rng=random.Random(2))
+        CsmaMac(sim, receiver_modem, rng=random.Random(2)).set_duty_cycle(0.1)
         sink = Sink(receiver_modem)
         for i in range(50):
             sim.schedule(i * 0.35, sender.enqueue, f"m{i}", 20)

@@ -134,6 +134,15 @@ class TestJson:
                               "severity": 9}]}
             )
 
+    def test_brownout_period_is_an_unknown_field(self):
+        # The frame is the MAC's own (CsmaMac.PERIOD), not the plan's.
+        with pytest.raises(PlanError, match="unknown field 'period'"):
+            FaultPlan.from_json(
+                {"actions": [{"kind": "energy-brownout", "node": 1,
+                              "at": 1.0, "duration": 5.0, "duty_cycle": 0.2,
+                              "period": 1.0}]}
+            )
+
     def test_missing_required_field_rejected(self):
         with pytest.raises(PlanError, match="node-crash"):
             FaultPlan.from_json({"actions": [{"kind": "node-crash", "at": 1.0}]})

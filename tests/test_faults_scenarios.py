@@ -100,6 +100,48 @@ class TestDeterminism:
         assert restored["fault"] == "brownout"
 
 
+class TestBrownoutUnderDutyCycle:
+    """The ``brownout`` plan on a duty-cycled network: one sleep schedule
+    per radio, so the relay's MAC runs the brownout's 20% and every
+    fragment it starts falls in that frame's awake slice."""
+
+    @pytest.mark.parametrize("reverse_ties", [False, True])
+    def test_relay_runs_the_brownout_duty_cycle(self, reverse_ties):
+        import contextlib
+
+        from repro.faults.scenarios import RELAY
+        from repro.shard.runner import build_whole
+        from tests.test_pins import pins
+
+        order = pins.reversed_ties() if reverse_ties else contextlib.nullcontext()
+        with order:
+            net = build_whole(ShardPlan(
+                "resilience", {"fault": "brownout", "duty_cycle": 0.5},
+                1, 120.0, 1,
+            ))
+            stack = net.network.stack(RELAY)
+            starts, duties = [], {}
+            transmit = stack.modem.transmit_fragment
+
+            def recorded(*args, **kwargs):
+                starts.append(net.sim.now)
+                return transmit(*args, **kwargs)
+
+            stack.modem.transmit_fragment = recorded
+            for t in (39.9, 40.0, 55.5, 69.9, 70.0, 100.0):
+                net.sim.schedule_at(
+                    t, lambda t=t: duties.__setitem__(t, stack.mac.duty_cycle),
+                    priority=1,
+                )
+            net.sim.run(until=120.0)
+        assert duties == {39.9: 0.5, 40.0: 0.2, 55.5: 0.2, 69.9: 0.2,
+                          70.0: 0.5, 100.0: 0.5}
+        browned = [t for t in starts if 40.0 <= t < 70.0]
+        assert browned, "the relay forwards during the brownout"
+        assert [t for t in browned if t % 1.0 >= 0.2] == []
+        assert net.outcome()["invariants_ok"]
+
+
 class TestBuiltins:
     def test_every_builtin_plan_validates_on_the_grid(self):
         for name in builtin_names():

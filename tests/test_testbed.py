@@ -231,33 +231,19 @@ class TestIsiTestbed:
         assert net.node(FIG8_SINK).config.interest_interval == 30.0
 
 
-class TestMacFactory:
-    def test_custom_mac_deployed_on_every_node(self):
-        from repro.mac import DutyCycledCsmaMac
-
-        def factory(sim, modem, rng):
-            return DutyCycledCsmaMac(
-                sim, modem, duty_cycle=0.5, rng=rng,
-            )
-
-        net = SensorNetwork(Topology.line(3, spacing=15.0), mac_factory=factory)
+class TestDutyCycledNetwork:
+    def test_duty_cycle_set_on_every_mac(self):
+        net = SensorNetwork(Topology.line(3, spacing=15.0))
         for node_id in net.node_ids():
-            mac = net.stack(node_id).mac
-            assert isinstance(mac, DutyCycledCsmaMac)
-            assert mac.duty_cycle == 0.5
+            net.stack(node_id).mac.set_duty_cycle(0.5)
+        for node_id in net.node_ids():
+            assert net.stack(node_id).mac.duty_cycle == 0.5
             assert net.stack(node_id).radio_energy(10.0).listen == 5.0
 
     def test_duty_cycled_network_still_delivers(self):
-        from repro.mac import DutyCycledCsmaMac
-
-        def factory(sim, modem, rng):
-            return DutyCycledCsmaMac(
-                sim, modem, duty_cycle=0.3, rng=rng,
-            )
-
-        net = SensorNetwork(
-            Topology.line(3, spacing=15.0), seed=8, mac_factory=factory
-        )
+        net = SensorNetwork(Topology.line(3, spacing=15.0), seed=8)
+        for node_id in net.node_ids():
+            net.stack(node_id).mac.set_duty_cycle(0.3)
         received = []
         sub = AttributeVector.builder().eq(Key.TYPE, "t").build()
         net.api(0).subscribe(sub, lambda a, m: received.append(a))

@@ -108,6 +108,42 @@ class TestProfile:
         assert "no kernel.profile" in capsys.readouterr().err
 
 
+class TestUnreadableTrace:
+    """A file that is no trace is a usage error on every subcommand,
+    like ``repro report`` on a file that is no result."""
+
+    BAD = {
+        "missing": None,
+        "directory": "",
+        "malformed-middle-line": (
+            '{"t": 1.0, "cat": "tx", "node": 1, "data": {}}\n'
+            "not json at all\n"
+            '{"t": 3.0, "cat": "rx", "node": 2, "data": {}}\n'
+        ),
+        "not-a-record": '[1, 2]\n{"t": 1.0, "cat": "tx", "node": 1}\n',
+        "not-utf8": b"\xff\xfe\x00garbage\n",
+    }
+
+    @pytest.mark.parametrize("kind", sorted(BAD))
+    @pytest.mark.parametrize("action, extra", [
+        ("summarize", []), ("paths", []), ("timeline", ["1.1"]),
+        ("profile", []),
+    ])
+    def test_is_a_usage_error(self, tmp_path, capsys, action, extra, kind):
+        path = tmp_path / "bad.jsonl"
+        content = self.BAD[kind]
+        if kind == "directory":
+            path.mkdir()
+        elif isinstance(content, bytes):
+            path.write_bytes(content)
+        elif content is not None:
+            path.write_text(content)
+        with pytest.raises(SystemExit) as exit_info:
+            repro_main(["trace", action, str(path), *extra])
+        assert exit_info.value.code == 2
+        assert "cannot read trace:" in capsys.readouterr().err
+
+
 class TestDispatch:
     def test_module_entrypoint_routes_trace(self, tmp_path, capsys):
         out = tmp_path / "m.jsonl"
