@@ -4,8 +4,8 @@ public name there that no run calls.
 
     python scripts/knob_audit.py
 
-A *run* is any file under ``src/ benchmarks/ perf/``: the code that
-runs the simulator, its benchmarks and the ledger workloads.  Nothing
+A *run* is any file under ``src/ perf/``: the code that runs the
+simulator, its experiments and claims, and the ledger workloads.  Nothing
 under ``tests/`` or ``examples/`` counts.  A value only tests set is
 one value in use, so it is a constant a test can monkeypatch; a name
 only tests reach is code no run executes; an example narrates a
@@ -61,7 +61,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXCLUDED_CLASSES = {"RandomWaypointMobility"}
 #: the runs: where a call sets a knob and a reference calls a name (not
 #: tests/, not examples/).
-RUN_DIRS = ("src", "benchmarks", "perf")
+RUN_DIRS = ("src", "perf")
 #: a campaign's ``"module:function"`` trial reference.
 MODULE_FUNCTION = re.compile(r"[\w.]+:(\w+)")
 DEFINITIONS = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)

@@ -196,20 +196,24 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="command")
 
-    exp = sub.add_parser("experiments", help="regenerate the paper's figures")
+    exp = sub.add_parser(
+        "experiments",
+        help="regenerate the paper's figures and check its claims",
+    )
     exp.add_argument(
         "--quick", action="store_true",
-        help="reduced trials and durations (~20x faster, noisier CIs)",
+        help="reduced trials and durations (~20x faster, noisier CIs); "
+        "prints each claim beside its band without judging it",
     )
     exp.add_argument(
         "--only",
         action="append",
-        choices=["fig8", "fig9", "fig11", "duty", "model", "micro"],
+        choices=["fig8", "fig9", "fig11", "duty", "model", "micro", "ablations"],
         help="run a single section (repeatable)",
     )
     exp.add_argument(
         "--jobs", type=positive_int, default=1,
-        help="worker processes for the fig8 / fig9 campaign trials",
+        help="worker processes for the campaign trials",
     )
     exp.add_argument(
         "--output", metavar="FILE",

@@ -25,8 +25,7 @@ class TraceLogger:
     Usable as a context manager: on exit the logger unsubscribes from
     the bus (returning ``emit`` to its cheap no-listener path) and
     flushes and closes the file, so every record survives even when the
-    recording process is about to die.  To keep records in memory
-    instead, use :class:`repro.sim.TraceCollector`.
+    recording process is about to die.
     """
 
     def __init__(self, bus: TraceBus, path: Union[str, Path]) -> None:

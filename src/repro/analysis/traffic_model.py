@@ -100,10 +100,10 @@ class TrafficModel:
         with_agg = self.bytes_per_event(sources, aggregated=True)
         return 1.0 - with_agg / without
 
-    def table(self, max_sources: int = 4):
-        """Rows mirroring Figure 8's two curves."""
+    def table(self):
+        """Rows mirroring Figure 8's two curves, 1-4 sources."""
         rows = []
-        for sources in range(1, max_sources + 1):
+        for sources in range(1, 5):
             rows.append(
                 {
                     "sources": sources,

@@ -8,11 +8,13 @@ processes and its results content-addressed.  Every full-stack campaign
 scenario registry (:mod:`repro.shard.scenario`) run by the one
 :func:`plan_trial`, whose result is the plan's whole outcome;
 :func:`report_table` reads its tables off those outcomes.  ``demo`` is
-a toy, and ``scale-aggregation`` / ``ablation-push-pull`` are protocol
-logic on an :class:`~repro.testbed.IdealNetwork`, no MAC and no radio,
-which is not something a stack preset builds.  ``benchmarks/`` and
-``python -m repro experiments`` run these campaigns instead of private
-copies.
+a toy.  The rest are trial functions of their own: protocol logic on
+an :class:`~repro.testbed.IdealNetwork`, no MAC and no radio
+(``scale-aggregation``, ``ablation-push-pull``, ``ablation-latency``,
+``ablation-gear``), or a testbed variant no preset param names
+(``ablation-reinforcement``, ``ablation-multipath``, ``bulk-transfer``).
+``python -m repro experiments`` runs these campaigns and judges the
+paper's claims over their outcomes (:mod:`repro.campaign.claims`).
 """
 
 from __future__ import annotations
@@ -62,7 +64,7 @@ def demo_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
 
 # ---------------------------------------------------------------------------
 # scale-aggregation — the simulation-era 49-node savings study
-# (Section 6.1's cited 3-5x band; see benchmarks/test_scale_aggregation.py)
+# (Section 6.1's cited 3-5x band; the SCALE rows of repro.campaign.claims)
 
 SCALE_GRID = 7
 SCALE_DATA_INTERVAL = 0.5
@@ -188,7 +190,6 @@ def plan_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
 
 # ---------------------------------------------------------------------------
 # ablation-dutycycle — energy vs delivery across MAC duty cycles
-# (see benchmarks/test_ablation_dutycycle.py)
 
 
 def dutycycle_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
@@ -208,7 +209,6 @@ def dutycycle_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
 
 # ---------------------------------------------------------------------------
 # ablation-push-pull — one-phase push vs two-phase pull crossover
-# (see benchmarks/test_ablation_push_pull.py)
 
 
 def pushpull_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
@@ -273,6 +273,302 @@ def pushpull_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
         fixed={"duration": 150.0 if quick else 300.0},
         seeds=[0],
         description="push vs pull diffusion as the sink:source ratio varies",
+    )
+
+
+# ---------------------------------------------------------------------------
+# ablation-latency — what aggregation costs in latency (Section 6.1)
+
+#: the counting filter's hold time, and the events each variant carries.
+LATENCY_HOLD = 0.5
+LATENCY_EVENTS = 40
+
+
+def latency_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Y topology, sources 3 and 4 -> relay 2 -> relay 1 -> sink 0, the
+    ``filter`` (``none`` / ``suppression`` / ``counting``) on every
+    node; the mean generation-to-sink latency of each distinct event."""
+    from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
+    from repro.filters import CountingAggregationFilter, SuppressionFilter
+    from repro.naming import AttributeVector
+    from repro.naming.keys import Key
+    from repro.sim import Simulator
+    from repro.testbed import IdealNetwork
+
+    variant = params["filter"]
+    sim = Simulator()
+    net = IdealNetwork(sim, delay=0.01)
+    config = DiffusionConfig(
+        reinforcement_jitter=0.05, exploratory_interval=10.0
+    )
+    nodes = {
+        i: DiffusionNode(sim, i, net.add_node(i), config=config)
+        for i in range(5)
+    }
+    apis = {i: DiffusionRouting(node) for i, node in nodes.items()}
+    for a, b in [(0, 1), (1, 2), (2, 3), (2, 4)]:
+        net.connect(a, b)
+    for node in nodes.values():
+        if variant == "suppression":
+            SuppressionFilter(node)
+        elif variant == "counting":
+            CountingAggregationFilter(node, delay=LATENCY_HOLD)
+    generated: Dict[int, float] = {}
+    latency: Dict[int, float] = {}
+
+    def on_event(attrs, message):
+        sequence = attrs.value_of(Key.SEQUENCE)
+        if sequence in generated and sequence not in latency:
+            latency[sequence] = sim.now - generated[sequence]
+
+    apis[0].subscribe(
+        AttributeVector.builder().eq(Key.TYPE, "det").build(), on_event
+    )
+    pubs = {
+        i: apis[i].publish(
+            AttributeVector.builder().actual(Key.TYPE, "det").build()
+        )
+        for i in (3, 4)
+    }
+    for sequence in range(LATENCY_EVENTS):
+        generated[sequence] = when = 2.0 + sequence * 2.0
+        for source in (3, 4):
+            sim.schedule(
+                when, apis[source].send, pubs[source],
+                AttributeVector.builder().actual(Key.SEQUENCE, sequence).build(),
+            )
+    sim.run(until=2.0 + LATENCY_EVENTS * 2.0 + 20.0)
+    return {
+        "mean_latency": sum(latency.values()) / max(1, len(latency)),
+        "delivered": len(latency),
+        "generated": LATENCY_EVENTS,
+    }
+
+
+def latency_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
+    return Campaign(
+        name="ablation-latency",
+        trial="repro.campaign.builtin:latency_trial",
+        grid={"filter": ["none", "suppression", "counting"]},
+        seeds=[0],
+        description="event latency with no filter, suppression, counting",
+    )
+
+
+# ---------------------------------------------------------------------------
+# ablation-gear — geographic interest pruning (paper ref [39])
+
+GEAR_GRID = 6
+GEAR_SPACING = 10.0
+
+
+def gear_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """A 6x6 ideal grid; the center queries the bottom-left 2x2 corner,
+    with or without a :class:`~repro.filters.GearFilter` on each node."""
+    from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
+    from repro.core.messages import MessageType
+    from repro.filters import GearFilter
+    from repro.naming import AttributeVector
+    from repro.naming.keys import Key
+    from repro.radio import Topology
+    from repro.sim import Simulator
+    from repro.testbed import IdealNetwork
+
+    topology = Topology.grid(
+        columns=GEAR_GRID, rows=GEAR_GRID, spacing=GEAR_SPACING
+    )
+    sim = Simulator()
+    net = IdealNetwork(sim, delay=0.005)
+    config = DiffusionConfig(reinforcement_jitter=0.05)
+    nodes = {}
+    for node_id in topology.node_ids():
+        nodes[node_id] = DiffusionNode(
+            sim, node_id, net.add_node(node_id), config=config
+        )
+        if params["gear"]:
+            GearFilter(nodes[node_id], topology, slack=2.0)
+    for i in topology.node_ids():
+        if i % GEAR_GRID < GEAR_GRID - 1:
+            net.connect(i, i + 1)
+        if i < GEAR_GRID * (GEAR_GRID - 1):
+            net.connect(i, i + GEAR_GRID)
+    corner = (
+        AttributeVector.builder()
+        .eq(Key.TYPE, "det")
+        .ge(Key.X_COORD, -1.0).le(Key.X_COORD, GEAR_SPACING + 1.0)
+        .ge(Key.Y_COORD, -1.0).le(Key.Y_COORD, GEAR_SPACING + 1.0)
+        .build()
+    )
+    center = (GEAR_GRID // 2) * GEAR_GRID + GEAR_GRID // 2
+    DiffusionRouting(nodes[center]).subscribe(corner, lambda a, m: None)
+    sim.run(until=3.0)
+    region = (0, 1, GEAR_GRID, GEAR_GRID + 1)
+    return {
+        "interest_transmissions": sum(
+            node.stats.messages_by_type[MessageType.INTEREST]
+            for node in nodes.values()
+        ),
+        "region_reached": all(len(nodes[i].gradients) == 1 for i in region),
+    }
+
+
+def gear_campaign(quick: bool = False, root_seed: int = 1) -> Campaign:
+    return Campaign(
+        name="ablation-gear",
+        trial="repro.campaign.builtin:gear_trial",
+        grid={"gear": [False, True]},
+        seeds=[0],
+        description="interest flood cost with and without GEAR pruning",
+    )
+
+
+# ---------------------------------------------------------------------------
+# ablation-reinforcement, ablation-multipath — the Figure 8 workload at
+# two sources, unsuppressed, on a DiffusionConfig no preset param names
+
+
+def _surveillance(network, duration: float) -> Dict[str, Any]:
+    from repro.apps import SurveillanceExperiment
+    from repro.testbed import FIG8_SINK, FIG8_SOURCES
+
+    result = SurveillanceExperiment(
+        network, FIG8_SINK, FIG8_SOURCES[:2], suppression=False
+    ).run(duration=duration)
+    return {
+        "delivery_ratio": result.delivery_ratio,
+        "bytes_per_event": result.bytes_per_event,
+    }
+
+
+def reinforcement_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """Two-phase pull (``reinforcement`` true) or pure flooding."""
+    from repro.core import DiffusionConfig
+    from repro.testbed import isi_testbed_network
+
+    config = DiffusionConfig(enable_reinforcement=bool(params["reinforcement"]))
+    network = isi_testbed_network(seed=seed, config=config)
+    return _surveillance(network, float(params["duration"]))
+
+
+def reinforcement_campaign(quick: bool = False, root_seed: int = 31) -> Campaign:
+    return Campaign(
+        name="ablation-reinforcement",
+        trial="repro.campaign.builtin:reinforcement_trial",
+        grid={"reinforcement": [True, False]},
+        fixed={"duration": 300.0 if quick else 900.0},
+        seeds=[root_seed, root_seed + 1],
+        description="two-phase pull vs pure flooding on the testbed",
+    )
+
+
+def multipath_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """``multipath_degree`` reinforced paths under Gilbert-Elliott
+    intermittence (Section 6.4's "intermittent connectivity")."""
+    from repro.core import DiffusionConfig
+    from repro.radio import DistancePropagation, GilbertElliotLink
+    from repro.testbed import SensorNetwork
+    from repro.testbed.isi import (
+        ISI_FULL_RANGE,
+        ISI_MAX_RANGE,
+        isi_testbed_topology,
+    )
+
+    topology = isi_testbed_topology()
+    base = DistancePropagation(
+        topology, full_range=ISI_FULL_RANGE, max_range=ISI_MAX_RANGE,
+        asymmetry=0.10, seed=seed,
+    )
+    flaky = GilbertElliotLink(
+        base, mean_good=60.0, mean_bad=12.0, bad_scale=0.2, seed=seed
+    )
+    network = SensorNetwork(
+        topology,
+        config=DiffusionConfig(
+            multipath_degree=int(params["multipath_degree"])
+        ),
+        seed=seed,
+        propagation=flaky,
+    )
+    return _surveillance(network, float(params["duration"]))
+
+
+def multipath_campaign(quick: bool = False, root_seed: int = 41) -> Campaign:
+    return Campaign(
+        name="ablation-multipath",
+        trial="repro.campaign.builtin:multipath_trial",
+        grid={"multipath_degree": [1, 2]},
+        fixed={"duration": 300.0 if quick else 900.0},
+        seeds=[root_seed + trial for trial in range(2 if quick else 3)],
+        description="delivery under intermittent links, 1 vs 2 paths",
+    )
+
+
+# ---------------------------------------------------------------------------
+# ablation-ratio — the exploratory:data ratio on the live testbed
+
+
+def ratio_campaign(quick: bool = False, root_seed: int = 17) -> Campaign:
+    return Campaign(
+        name="ablation-ratio",
+        trial=PLAN_TRIAL,
+        # Data every 6 s: exploratory every 30 s is 1:5, every 120 s 1:20.
+        grid={"exploratory_interval": [30.0, 120.0]},
+        fixed={
+            "scenario": "fig8", "sources": 2, "suppression": True,
+            "duration": 300.0 if quick else 900.0,
+        },
+        seeds=[root_seed],
+        description="bytes per event vs the exploratory interval",
+    )
+
+
+# ---------------------------------------------------------------------------
+# bulk-transfer — Section 3.1's retransmission scheme across the testbed
+
+TRANSFER_SENDER = 25
+TRANSFER_RECEIVER = 39
+TRANSFER_BYTES = 2048
+
+
+def transfer_trial(params: Dict[str, Any], seed: int) -> Dict[str, Any]:
+    """A 2 KB object from node 25 to node 39 with NACK repair."""
+    import hashlib
+
+    from repro.testbed import isi_testbed_network
+    from repro.transfer import BlockReceiver, BlockSender, split_object
+
+    network = isi_testbed_network(seed=seed)
+    payload = bytes((i * 31 + seed) % 256 for i in range(TRANSFER_BYTES))
+    obj = split_object("obj", payload)
+    completions: List[Any] = []
+    BlockReceiver(
+        network.api(TRANSFER_RECEIVER),
+        object_id=obj.object_id,
+        on_complete=lambda data, stats: completions.append((data, stats)),
+        quiet_timeout=6.0,
+        max_repair_rounds=30,
+    )
+    sender = BlockSender(network.api(TRANSFER_SENDER), block_interval=0.8)
+    network.sim.schedule(2.0, sender.offer, obj, 0.0)
+    network.run(until=float(params["duration"]))
+    data, stats = completions[0] if completions else (None, None)
+    return {
+        "blocks": obj.block_count,
+        "intact": data is not None
+        and hashlib.sha1(data).hexdigest() == obj.checksum(),
+        "completed_at": stats.completed_at if stats else None,
+        "repair_rounds": stats.repair_rounds if stats else None,
+        "repairs_served": sender.repairs_served,
+    }
+
+
+def transfer_campaign(quick: bool = False, root_seed: int = 13) -> Campaign:
+    return Campaign(
+        name="bulk-transfer",
+        trial="repro.campaign.builtin:transfer_trial",
+        fixed={"duration": 900.0},
+        seeds=[root_seed, root_seed + 1],
+        description="a 2 KB object across the testbed, NACK repair",
     )
 
 
@@ -445,6 +741,12 @@ CAMPAIGNS: Dict[str, Callable[..., Campaign]] = {
     "scale-aggregation": scale_campaign,
     "ablation-dutycycle": dutycycle_campaign,
     "ablation-push-pull": pushpull_campaign,
+    "ablation-latency": latency_campaign,
+    "ablation-gear": gear_campaign,
+    "ablation-reinforcement": reinforcement_campaign,
+    "ablation-multipath": multipath_campaign,
+    "ablation-ratio": ratio_campaign,
+    "bulk-transfer": transfer_campaign,
     "fig8": fig8_campaign,
     "fig9": fig9_campaign,
     "resilience": resilience_campaign,
@@ -492,15 +794,10 @@ def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
         return format_table(rows, "value", title="demo: value by x")
     if name == "scale-aggregation":
         rows = aggregate(outcomes, "bytes_per_event", by=("suppression",))
-        table = format_table(
+        return format_table(
             rows, "B/event",
             title="49 nodes, 5 sources, 5 sinks, exploratory:data 1:100",
         )
-        by_supp = {row.params["suppression"]: row.ci.mean for row in rows}
-        if True in by_supp and False in by_supp and by_supp[True]:
-            factor = by_supp[False] / by_supp[True]
-            table += f"\nsavings factor: {factor:.1f}x (paper cites 3-5x)"
-        return table
     if name == "ablation-dutycycle":
         from repro.shard.scenario import get_scenario, stream_sends
 

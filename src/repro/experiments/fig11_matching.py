@@ -16,6 +16,11 @@ The paper measured ~500 µs/match on a 66 MHz 486; we report host-CPU
 times and verify the *shape*: linear growth and the ordering of the
 four lines.  Attribute order is randomized per measurement, as in the
 paper.
+
+Section 6.3's proposed optimization, segregating actuals from formals
+(:func:`~repro.naming.one_way_match_segregated`), is timed beside
+Figure 2's one-way scan on the ``match/IS`` sets
+(:func:`measure_segregation`).
 """
 
 from __future__ import annotations
@@ -24,9 +29,15 @@ import enum
 import random
 import time
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
-from repro.naming import Attribute, Operator, two_way_match
+from repro.naming import (
+    Attribute,
+    Operator,
+    one_way_match,
+    one_way_match_segregated,
+    two_way_match,
+)
 from repro.naming.keys import ClassValue, Key
 
 
@@ -100,6 +111,12 @@ class MatchingMeasurement:
     matched: bool
 
 
+#: Figure 11's x axis: set-B sizes from Figure 10's 6 attributes to 30.
+SIZES = (6, 10, 14, 18, 22, 26, 30)
+#: timed rounds per point; the fastest one is kept.
+ROUNDS = 20
+
+
 def measure_matching(
     variant: MatchingVariant,
     set_b_size: int,
@@ -123,30 +140,67 @@ def measure_matching(
         raise AssertionError(
             f"variant {variant} expected match={expected}, got {result}"
         )
-    start = time.perf_counter()
-    for _ in range(iterations):
-        two_way_match(set_a, set_b)
-    elapsed = time.perf_counter() - start
     return MatchingMeasurement(
         variant=variant,
         set_b_size=set_b_size,
-        seconds_per_match=elapsed / iterations,
+        seconds_per_match=_seconds_per_match(
+            two_way_match, set_a, set_b, iterations
+        ),
         matched=result,
     )
 
 
-def run_fig11(
-    sizes=(6, 10, 14, 18, 22, 26, 30),
-    iterations: int = 2000,
-) -> List[MatchingMeasurement]:
-    """All four Figure 11 lines across set-B sizes."""
+def _seconds_per_match(match, set_a, set_b, iterations: int) -> float:
+    """Per-match time of the fastest of :data:`ROUNDS` equal rounds of
+    ``iterations`` calls: the round the host disturbed least."""
+    per_round = max(1, iterations // ROUNDS)
+    best = float("inf")
+    for _ in range(ROUNDS):
+        start = time.perf_counter()
+        for _ in range(per_round):
+            match(set_a, set_b)
+        best = min(best, time.perf_counter() - start)
+    return best / per_round
+
+
+def run_fig11(iterations: int = 2000) -> List[MatchingMeasurement]:
+    """All four Figure 11 lines across the set-B :data:`SIZES`."""
     measurements = []
     for variant in MatchingVariant:
-        for size in sizes:
+        for size in SIZES:
             measurements.append(
                 measure_matching(variant, size, iterations=iterations)
             )
     return measurements
+
+
+def measure_segregation(iterations: int) -> List[Tuple[int, float, float]]:
+    """``(|B|, Figure 2 s, segregated s)`` per one-way match of set A
+    against the ``match/IS`` set B at each of :data:`SIZES`."""
+    rows = []
+    for size in SIZES:
+        set_a = build_set_a()
+        set_b = build_set_b(size, MatchingVariant.MATCH_IS)
+        if not one_way_match_segregated(set_a, set_b):
+            raise AssertionError(f"segregated matcher missed at |B|={size}")
+        rows.append((
+            size,
+            _seconds_per_match(one_way_match, set_a, set_b, iterations),
+            _seconds_per_match(
+                one_way_match_segregated, set_a, set_b, iterations
+            ),
+        ))
+    return rows
+
+
+def format_segregation(rows: List[Tuple[int, float, float]]) -> str:
+    lines = [
+        "Section 6.3 — microseconds per one-way match (match/IS sets)",
+        f"{'|B|':>5}{'Figure 2':>14}{'segregated':>14}",
+    ]
+    for size, scan, segregated in rows:
+        lines.append(f"{size:>5}{scan * 1e6:>14.2f}{segregated * 1e6:>14.2f}")
+    return "\n".join(lines)
 
 
 def format_table(measurements: List[MatchingMeasurement]) -> str:

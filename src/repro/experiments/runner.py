@@ -1,10 +1,14 @@
-"""``python -m repro experiments`` — the EXPERIMENTS.md-style report.
+"""``python -m repro experiments`` — the EXPERIMENTS.md-style report,
+and the paper's claims judged over it.
 
-Figures 8 and 9 are the ``fig8`` / ``fig9`` campaigns of
-:mod:`repro.campaign.builtin` run through the campaign pool, so
-``--jobs N`` spreads their *trials* over N worker processes; the other
-sections are sub-second and run here.  The flags (``--quick --only
---jobs --output``) are declared in :mod:`repro.__main__`.
+A section runs the sources its rows of :data:`repro.campaign.claims.CLAIMS`
+name, each once: a campaign of :mod:`repro.campaign.builtin` through the
+campaign pool (``--jobs N`` spreads its *trials* over N worker
+processes), or an in-process source (``claims.SOURCES``).  It prints each
+source's table, then one line per claim row.  On the full grids a row is
+``PASS`` or ``MISS`` and any miss makes the exit status 1; ``--quick``
+prints the values beside their bands and judges nothing.  The flags
+(``--quick --only --jobs --output``) are declared in :mod:`repro.__main__`.
 """
 
 from __future__ import annotations
@@ -13,11 +17,11 @@ import contextlib
 import io
 import sys
 import time
-from typing import List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.analysis import TrafficModel
 from repro.analysis.charts import line_chart
-from repro.campaign import get_campaign, report_table, run_campaign
+from repro.campaign import CAMPAIGNS, get_campaign, report_table, run_campaign
+from repro.campaign import claims
 from repro.campaign.builtin import (
     FIG8_COLUMNS,
     FIG9_COLUMNS,
@@ -25,10 +29,6 @@ from repro.campaign.builtin import (
     fig9_pivot,
 )
 from repro.experiments import duty_cycle, fig11_matching
-from repro.micro import tiered_trial
-from repro.micro.footprint import footprint_report
-
-EXPERIMENT_ORDER = ("fig8", "fig9", "fig11", "duty", "model", "micro")
 
 #: figure -> (its pivot, its curves, chart title, x label, y label)
 FIGURES = {
@@ -44,22 +44,7 @@ FIGURES = {
 }
 
 
-def savings_at(table, sources: int) -> float:
-    """Fractional traffic saved by suppression, off a ``fig8_pivot``."""
-    return 1.0 - table[sources][True].mean / table[sources][False].mean
-
-
-def loss_reduction_at(table, num_lights: int) -> float:
-    """Percentage points of loss removed by nesting, off a ``fig9_pivot``."""
-    return table[num_lights][True].mean - table[num_lights][False].mean
-
-
-def run_figure(name: str, quick: bool, jobs: int) -> None:
-    """Run one figure's campaign; print its table, chart and headline."""
-    report = run_campaign(get_campaign(name, quick=quick), jobs=jobs)
-    if not report.ok:
-        errors = [o.error for o in report.outcomes if o.error]
-        raise RuntimeError(f"{name}: campaign did not finish: {errors[:1]}")
+def print_figure(name: str, report) -> None:
     make_pivot, columns, title, x_label, y_label = FIGURES[name]
     table = make_pivot(report.outcomes)
     curves = {
@@ -69,25 +54,17 @@ def run_figure(name: str, quick: bool, jobs: int) -> None:
     print(report_table(name, report))
     print()
     print(line_chart(curves, title=title, x_label=x_label, y_label=y_label))
-    if name == "fig8":
-        print(f"savings at 4 sources: {savings_at(table, 4):.0%} (paper: 42%)")
-    else:
-        for n in sorted(table):
-            print(
-                f"loss reduction from nesting at {n} sensor(s): "
-                f"{loss_reduction_at(table, n):.0f} points (paper: 15-30)"
-            )
 
 
-def run_matching_cost(iterations: int) -> None:
-    measurements = fig11_matching.run_fig11(iterations=iterations)
-    print(fig11_matching.format_table(measurements))
+def print_matching_cost(matching) -> None:
+    print(fig11_matching.format_table(matching["fig11"]))
     print()
-    print(fig11_matching.format_chart(measurements))
+    print(fig11_matching.format_chart(matching["fig11"]))
+    print()
+    print(fig11_matching.format_segregation(matching["segregation"]))
 
 
-def run_traffic_model() -> None:
-    model = TrafficModel()
+def print_traffic_model(model) -> None:
     print("Section 6.1 analytical traffic model (B/event):")
     print(f"{'sources':>8} {'aggregated':>12} {'unaggregated':>14}")
     for row in model.table():
@@ -101,35 +78,73 @@ def run_traffic_model() -> None:
     )
 
 
-def run_micro_footprint() -> None:
-    report = footprint_report()
+def print_micro_footprint(micro) -> None:
     print("Section 4.3 micro-diffusion footprint:")
-    for key, value in report.items():
+    for key, value in micro["footprint"].items():
         print(f"   {key}: {value}")
-    tiered = tiered_trial()
+    tiered = micro["tiered"]
     print("tiered motes behind a gateway (4-mote chain, ideal links):")
     print(f"   photo samples delivered to the user: {tiered['delivered']}")
     print(f"   interests bridged down: {tiered['interests_bridged']}")
     print(f"   data messages bridged up: {tiered['data_bridged']}")
 
 
+#: in-process source -> how its table prints
+PRINTERS = {
+    "matching": print_matching_cost,
+    "duty-model": lambda model: print(
+        duty_cycle.format_table(duty_cycle.run_duty_cycle_analysis(model))
+    ),
+    "traffic-model": print_traffic_model,
+    "micro": print_micro_footprint,
+}
+
+
+def run_source(name: str, quick: bool, jobs: int) -> Any:
+    """Run one source, print its table, and return what its rows read:
+    a campaign's trial outcomes, or the in-process source's value."""
+    if name not in CAMPAIGNS:
+        value = claims.SOURCES[name](quick)
+        PRINTERS[name](value)
+        return value
+    campaign = get_campaign(name, quick=quick)
+    report = run_campaign(campaign, jobs=jobs)
+    if not report.ok:
+        errors = [o.error for o in report.outcomes if o.error]
+        raise RuntimeError(f"{name}: campaign did not finish: {errors[:1]}")
+    if name in FIGURES:
+        print_figure(name, report)
+    else:
+        print(f"{name}: {campaign.description}")
+        print(report_table(name, report))
+    return report.outcomes
+
+
+def run_section(name: str, quick: bool, jobs: int) -> int:
+    """Print one section's tables and claim lines; return its misses."""
+    rows = claims.section_claims(name)
+    data: Dict[str, Any] = {}
+    for claim in rows:
+        if claim.source not in data:
+            data[claim.source] = run_source(claim.source, quick, jobs)
+            print()
+    misses = 0
+    for claim in rows:
+        value = claim.metric(data[claim.source])
+        misses += not (quick or claim.holds(value))
+        print(claims.claim_line(claim, value, judged=not quick))
+    return misses
+
+
 def run_experiments(
     quick: bool, only: Optional[List[str]], jobs: int, output: Optional[str]
 ) -> int:
     """Run the ``only`` sections (default all) in report order, echoing
-    each as it finishes; ``output`` also gets them, fenced for markdown."""
-    sections = {
-        "fig8": lambda: run_figure("fig8", quick, jobs),
-        "fig9": lambda: run_figure("fig9", quick, jobs),
-        "fig11": lambda: run_matching_cost(500 if quick else 2000),
-        "duty": lambda: print(
-            duty_cycle.format_table(duty_cycle.run_duty_cycle_analysis())
-        ),
-        "model": run_traffic_model,
-        "micro": run_micro_footprint,
-    }
+    each as it finishes; ``output`` also gets them, fenced for markdown.
+    Exit status 1 if a full-grid claim missed its band."""
     captured: List[str] = []
-    for name in EXPERIMENT_ORDER:
+    misses = 0
+    for name in claims.SECTIONS:
         if only and name not in only:
             continue
         buffer = io.StringIO()
@@ -137,7 +152,7 @@ def run_experiments(
             print("=" * 72)
             print(f"[{name}]")
             start = time.time()
-            sections[name]()
+            misses += run_section(name, quick, jobs)
             print(f"({name} took {time.time() - start:.1f}s)")
             print()
         sys.stdout.write(buffer.getvalue())
@@ -148,4 +163,6 @@ def run_experiments(
             handle.write("".join(captured))
             handle.write("```\n")
         print(f"report written to {output}")
-    return 0
+    if misses:
+        print(f"{misses} claim(s) missed their band", file=sys.stderr)
+    return 1 if misses else 0

@@ -99,27 +99,31 @@ class CsmaMac(Mac):
     def awake_span(self) -> float:
         return self.duty_cycle * self.PERIOD
 
+    def _slice_end(self, now: float) -> float:
+        """The end of the awake slice of ``now``'s frame, derived from
+        the frame index (``k * PERIOD + awake_span``) exactly as the
+        schedule event that lands on it was, so the event reads its own
+        edge as the edge: ``now % PERIOD`` can fall just short of it
+        (``8.2 % 1.0`` is 0.19999999999999929)."""
+        return (now // self.PERIOD) * self.PERIOD + self.awake_span
+
     def is_awake(self, now: float) -> bool:
-        return (now % self.PERIOD) < self.awake_span
+        return now < self._slice_end(now)
 
     def next_wakeup(self, now: float) -> float:
         """Absolute time of the next awake-window start (>= now)."""
-        frame_start = (now // self.PERIOD) * self.PERIOD
-        if now < frame_start + self.awake_span:
+        if self.is_awake(now):
             return now  # already awake
-        return frame_start + self.PERIOD
+        return (now // self.PERIOD) * self.PERIOD + self.PERIOD
 
     def window_time_left(self, now: float) -> float:
-        if not self.is_awake(now):
-            return 0.0
-        return self.awake_span - (now % self.PERIOD)
+        return max(0.0, self._slice_end(now) - now)
 
     def _apply_schedule(self) -> None:
         now = self.sim.now
         if self.is_awake(now):
             self.modem.sleeping = False
-            frame_start = (now // self.PERIOD) * self.PERIOD
-            next_change = frame_start + self.awake_span
+            next_change = self._slice_end(now)
         else:
             # Never park the radio mid-transmission; the schedule check
             # reruns right after the fragment completes.

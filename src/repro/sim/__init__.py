@@ -17,7 +17,6 @@ from repro.sim.rng import SeedSequence, derive_seed, make_rng
 from repro.sim.trace import (
     FlightRecorder,
     TraceBus,
-    TraceCollector,
     TraceRecord,
     trace_id_of,
 )
@@ -36,7 +35,6 @@ __all__ = [
     "use_registry",
     "FlightRecorder",
     "TraceBus",
-    "TraceCollector",
     "TraceRecord",
     "trace_id_of",
 ]

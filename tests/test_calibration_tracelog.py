@@ -15,7 +15,7 @@ from repro.analysis.tracelog import (
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import DistancePropagation, TablePropagation, Topology
-from repro.sim import TraceBus, TraceCollector
+from repro.sim import TraceBus
 from repro.testbed import SensorNetwork
 from repro.testbed.calibration import (
     LinkReport,
@@ -24,6 +24,7 @@ from repro.testbed.calibration import (
     usable_graph,
     validate_isi,
 )
+from tests.tracing import TraceCollector
 
 
 class TestLinkReports:

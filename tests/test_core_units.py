@@ -18,7 +18,8 @@ from repro.core.filter_api import Filter, GRADIENT_FILTER_PRIORITY
 from repro.core.messages import make_data, make_interest, make_reinforcement
 from repro.naming import AttributeVector
 from repro.naming.keys import ClassValue, Key
-from repro.sim import Simulator, TraceBus, TraceCollector
+from repro.sim import Simulator, TraceBus
+from tests.tracing import TraceCollector
 
 
 def light_interest() -> AttributeVector:

@@ -1,16 +1,25 @@
-"""Every ``repro.*`` name API.md and DESIGN.md put in backticks imports.
+"""Every ``repro.*`` name API.md and DESIGN.md put in backticks imports,
+and every ``python -m repro`` command README.md, EXPERIMENTS.md and
+DESIGN.md give parses.
 
-The two documents are the reference a reader follows into the code, so
-a name they give must exist: a module is imported, and the rest of the
+The documents are the reference a reader follows into the code, so a
+name they give must exist: a module is imported, and the rest of the
 dotted name is looked up as attributes.  A name left behind after its
-code was removed or renamed fails here.
+code was removed or renamed fails here.  A command is run through the
+real command tree with ``--help`` appended, so a subcommand or flag the
+tree does not have fails without running anything.
 """
 
+import contextlib
 import importlib
+import io
 import re
+import shlex
 from pathlib import Path
 
 import pytest
+
+from repro.__main__ import main as repro_main
 
 ROOT = Path(__file__).resolve().parent.parent
 DOCS = ("API.md", "DESIGN.md")
@@ -68,3 +77,61 @@ def test_a_removed_name_is_caught():
     with pytest.raises(AttributeError):
         resolve("repro.energy.EnergyLedger")
     resolve("repro.energy.radio_energy")
+
+
+COMMAND_DOCS = ("README.md", "EXPERIMENTS.md", "DESIGN.md")
+#: a command in an inline code span (which may wrap a line), or on a
+#: line of a fenced block, up to its comment.
+COMMAND_SPAN = re.compile(r"`(?:PYTHONPATH=\S+ )?python -m repro\b([^`]*)`")
+COMMAND_LINE = re.compile(r"^\$?\s*(?:PYTHONPATH=\S+ )?python -m repro\b(.*?)(?:\s+#.*)?$")
+
+
+def doc_commands(text):
+    """The argument lists of every ``python -m repro`` command in
+    ``text``: ``[--quick]`` counts as ``--quick``, and ``a|b`` as ``a``."""
+    text = text.replace("\\\n", " ")
+    found = [span for span in COMMAND_SPAN.findall(FENCE.sub("", text))]
+    for block in FENCE.findall(text):
+        for line in block.splitlines():
+            match = COMMAND_LINE.match(line)
+            if match:
+                found.append(match.group(1))
+    return [
+        [token.strip("[]").split("|")[0] for token in shlex.split(args)]
+        for args in found
+    ]
+
+
+def help_exit_code(argv):
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            repro_main(argv + ["--help"])
+    except SystemExit as exit:
+        return exit.code
+    return None
+
+
+@pytest.mark.parametrize("doc", COMMAND_DOCS)
+def test_every_documented_command_parses(doc):
+    commands = doc_commands((ROOT / doc).read_text())
+    assert commands, f"{doc} gives no python -m repro command"
+    refused = [
+        " ".join(argv) for argv in commands if help_exit_code(argv) != 0
+    ]
+    assert not refused, refused
+
+
+def test_a_command_the_tree_lacks_is_caught():
+    commands = doc_commands(
+        "run `python -m repro campaign report\nresilience` or\n"
+        "```console\n$ python -m repro run line \\\n    -p nodes=3  # a chain\n```\n"
+        "and `python -m repro experiments [--quick] --only fig11|duty`"
+    )
+    assert commands == [
+        ["campaign", "report", "resilience"],
+        ["experiments", "--quick", "--only", "fig11"],
+        ["run", "line", "-p", "nodes=3"],
+    ]
+    assert help_exit_code(commands[0]) == 2
+    assert help_exit_code(commands[1]) == 0

@@ -107,6 +107,19 @@ class TestSetDutyCycle:
         sim.run(until=10.0)
         assert not modem.sleeping
 
+    def test_two_schedule_events_per_frame(self):
+        """Each frame costs its sleep edge and the next wake edge, and
+        no more: the slice end is the frame index's, so the event that
+        lands on 8.2 does not read ``8.2 % 1.0`` = 0.1999... as awake
+        and wake the radio for one more event at 8.2 + 1e-9."""
+        sim, channel, modems, macs = make_net(1.0, n_nodes=1)
+        macs[0].set_duty_cycle(0.2)
+        profiler = sim.enable_profiler()
+        sim.run(until=10.0)
+        sites = {s["site"]: s["count"] for s in profiler.snapshot()["sites"]}
+        assert sites == {"dmac.schedule": 20}
+        assert not modems[0].sleeping       # 10.0 opens the eleventh slice
+
     def test_raising_the_duty_cycle_widens_the_awake_slice(self):
         sim, channel, modems, macs = make_net(0.2)
         sim.run(until=4.3)

@@ -18,8 +18,8 @@ from repro.faults import (
 )
 from repro.faults.scenarios import grid_halves
 from repro.radio import DistancePropagation, ReferenceChannel, Topology
-from repro.sim import TraceCollector
 from repro.testbed import SensorNetwork
+from tests.tracing import TraceCollector
 
 
 def line_topology(n=4, spacing=12.0):

@@ -4,7 +4,7 @@ there is reached by a run.
 ``scripts/knob_audit.py`` lists each defaulted parameter or config
 field of any package under ``src/repro`` that no run sets, and each
 public module-level function or class that no run refers to.  A run
-is a file under ``src/``, ``benchmarks/`` or ``perf/``; ``tests/`` and
+is a file under ``src/`` or ``perf/``; ``tests/`` and
 ``examples/`` are not runs, so a value only a test sets counts as
 unset.  Such a knob is one value in use: it becomes the constant it
 always is, which a test can monkeypatch.  Such a name is code no run
@@ -118,7 +118,7 @@ def test_allowlist_is_short_and_reasoned():
 def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
     """The audit over a small tree: a name only ``tests/`` calls, a
     name only an example calls and a name only a docstring mentions are
-    printed; a name a benchmark calls is not."""
+    printed; a name the perf harness calls is not."""
     files = {
         "scripts/knob_audit.py": SCRIPT.read_text(),
         "src/repro/__init__.py": "",
@@ -135,7 +135,7 @@ def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
                 return 3
 
 
-            def from_benchmark():
+            def from_harness():
                 return 4
         """,
         "tests/test_demo.py": """
@@ -145,12 +145,12 @@ def test_names_reached_only_from_tests_or_docstrings_are_found(tmp_path):
             def test_only_tests():
                 assert only_tests() == 1
         """,
-        "benchmarks/test_demo.py": """
-            from repro.demo import from_benchmark
+        "perf/demo.py": """
+            from repro.demo import from_harness
 
 
-            def test_from_benchmark(benchmark):
-                assert benchmark(from_benchmark) == 4
+            def run():
+                return from_harness()
         """,
         "examples/demo.py": """
             # only_tests() is named in a comment and imported, never called.
@@ -183,12 +183,12 @@ def test_knobs_in_every_package_are_audited(tmp_path):
                     self.rate = rate
                     self.size = size
         """,
-        "benchmarks/test_sensor.py": """
+        "perf/sensor.py": """
             from repro.apps.sensor import Sensor
 
 
-            def test_sensor():
-                assert Sensor(rate=2.0).size == 112
+            def run():
+                return Sensor(rate=2.0).size
         """,
     })
     assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
@@ -198,7 +198,7 @@ def test_knobs_in_every_package_are_audited(tmp_path):
 
 def test_knob_only_tests_set_is_found(tmp_path):
     """A test is not a run: a knob only ``tests/`` sets is printed, one
-    a benchmark sets is not."""
+    the perf harness sets is not."""
     _write_tree(tmp_path, {
         "scripts/knob_audit.py": SCRIPT.read_text(),
         "src/repro/__init__.py": "",
@@ -215,12 +215,12 @@ def test_knob_only_tests_set_is_found(tmp_path):
             def test_radio():
                 assert Radio(bitrate=9_600.0).payload == 27
         """,
-        "benchmarks/test_radio.py": """
+        "perf/radio.py": """
             from repro.radio import Radio
 
 
-            def test_radio():
-                assert Radio(payload=27).bitrate == 13_000.0
+            def run():
+                return Radio(payload=27).bitrate
         """,
     })
     assert _audit(tmp_path / "scripts" / "knob_audit.py") == [
@@ -251,12 +251,12 @@ def test_a_class_defined_in_a_function_reaches_its_base(tmp_path):
 
                 return _Timed(timeout=2.0)
         """,
-        "benchmarks/test_run.py": """
+        "perf/run.py": """
             from repro.run import arm
 
 
-            def test_arm():
-                assert arm().rounds == 6
+            def run():
+                return arm().rounds
         """,
     })
     assert _audit(tmp_path / "scripts" / "knob_audit.py") == [

@@ -14,8 +14,9 @@ from repro.core.messages import make_data, make_reinforcement
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import Topology
-from repro.sim import TraceCollector, TraceRecord, trace_id_of
+from repro.sim import TraceRecord, trace_id_of
 from repro.testbed import SensorNetwork
+from tests.tracing import TraceCollector
 
 
 class TestTraceIdentity:

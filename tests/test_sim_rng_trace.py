@@ -1,7 +1,7 @@
 """Tests for RNG stream derivation and the trace bus."""
 
 from repro.sim import SeedSequence, TraceBus, make_rng
-from repro.sim.trace import TraceCollector
+from tests.tracing import TraceCollector
 
 
 class TestRng:

@@ -22,7 +22,10 @@ from repro.core.messages import make_data
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.shard import ShardPlan, build_whole, run_oracle
-from repro.sim import Simulator, metrics
+from repro.radio import Topology
+from repro.sim import Simulator, metrics, use_registry
+from repro.testbed import SensorNetwork
+from tests.tracing import TraceCollector
 
 SRC = Path(repro.__file__).parent
 HOT_LAYERS = ("core", "radio", "mac", "link")
@@ -176,6 +179,49 @@ def test_untraced_run_evaluates_no_trace_argument(monkeypatch):
     attrs = AttributeVector.builder().actual(Key.TYPE, "x").build()
     with pytest.raises(AssertionError, match="formatted a trace id"):
         node._transmit(make_data(attrs, origin=1, exploratory=True))
+
+
+def _track_line(seed: int):
+    """Figure 1's cycle: a 5-node chain, node 4 sending twenty events
+    one second apart to a sink at node 0."""
+    net = SensorNetwork(Topology.line(5, spacing=15.0), seed=seed)
+    received = []
+    net.api(0).subscribe(
+        AttributeVector.builder()
+        .eq(Key.TYPE, "track").actual(Key.INTERVAL, 1000).build(),
+        lambda a, m: received.append(net.sim.now),
+    )
+    pub = net.api(4).publish(
+        AttributeVector.builder().actual(Key.TYPE, "track").build()
+    )
+    for i in range(20):
+        net.sim.schedule(
+            3.0 + i, net.api(4).send, pub,
+            AttributeVector.builder().actual(Key.SEQUENCE, i).build(),
+        )
+    return net, received
+
+
+def test_an_unobserved_run_leaves_the_bus_without_listeners():
+    net, received = _track_line(5)
+    net.run(until=30.0)
+    assert received
+    assert all(not listeners for listeners in net.trace._listeners.values())
+
+
+def test_an_observed_run_records_what_it_delivered():
+    """With a collector and a registry attached, the trace carries the
+    transmissions and deliveries, and the registry's delivery counter
+    agrees with what the application received."""
+    with use_registry() as registry:
+        net, received = _track_line(3)
+        with TraceCollector(net.trace) as collector:
+            net.run(until=30.0)
+        snapshot = registry.snapshot()
+    assert received
+    categories = {record.category for record in collector.records}
+    assert {"diffusion.tx", "app.deliver"} <= categories
+    assert snapshot["counters"]["diffusion.delivered"] == len(received)
 
 
 #: what an unmetered run may call in ``repro/sim/metrics.py``: the shared
