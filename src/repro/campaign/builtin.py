@@ -895,4 +895,26 @@ def report_table(name: str, report: "CampaignReport") -> str:  # noqa: F821
             format_table(delivery, "delivery"),
         ]
         return "\n".join(lines)
-    return f"({len([o for o in outcomes if o.ok])} successful trials)"
+    return "\n".join(
+        [f"({len([o for o in outcomes if o.ok])} successful trials)"]
+        + _claim_lines(name, outcomes)
+    )
+
+
+def _claim_lines(name: str, outcomes) -> List[str]:
+    """One unjudged line per claims row read off campaign ``name``: the
+    row's value beside its band (a value its trials cannot give — a
+    partial run — reads as the error that stopped it)."""
+    from repro.campaign.claims import CLAIMS, claim_line
+
+    lines = []
+    for claim in CLAIMS:
+        if claim.source != name:
+            continue
+        try:
+            value = claim.metric(outcomes)
+        except (ArithmeticError, LookupError, ValueError) as exc:
+            lines.append(f"----  {claim.id:<9} {claim.what}: no value ({exc})")
+            continue
+        lines.append(claim_line(claim, value, judged=False))
+    return lines

@@ -25,7 +25,7 @@ import bisect
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple, Union
 
 from repro.core.cache import DataCache
 from repro.core.config import DiffusionConfig
@@ -84,14 +84,23 @@ class Publication:
     last_exploratory: Optional[float] = None
 
 
+#: every message type, in declaration order: the keys of each node's
+#: per-type counters.
+_MESSAGE_TYPES: Tuple[MessageType, ...] = tuple(MessageType)
+
+
 class NodeStats:
     """Traffic counters for experiments (bytes/messages by type)."""
 
     def __init__(self) -> None:
         self.bytes_sent: int = 0
         self.messages_sent: int = 0
-        self.bytes_by_type: Dict[MessageType, int] = {t: 0 for t in MessageType}
-        self.messages_by_type: Dict[MessageType, int] = {t: 0 for t in MessageType}
+        self.bytes_by_type: Dict[MessageType, int] = dict.fromkeys(
+            _MESSAGE_TYPES, 0
+        )
+        self.messages_by_type: Dict[MessageType, int] = dict.fromkeys(
+            _MESSAGE_TYPES, 0
+        )
         self.messages_received: int = 0
         self.events_delivered: int = 0
         #: data with no gradient to follow, ``messages_dropped_negative``
@@ -117,7 +126,7 @@ class DiffusionNode:
         transport,
         config: Optional[DiffusionConfig] = None,
         trace: Optional[TraceBus] = None,
-        rng: Optional[random.Random] = None,
+        rng: Union[random.Random, Callable[[], random.Random], None] = None,
     ) -> None:
         self.sim = sim
         self.node_id = node_id
@@ -125,44 +134,52 @@ class DiffusionNode:
         self.config = config or DiffusionConfig()
         self.config.validate()
         self.trace = trace or TraceBus()
-        self.rng = rng or random.Random(node_id)
+        # A stream, its factory, or None: see :attr:`rng`.
+        self._rng = rng
         self.stats = stats = NodeStats()
         registry = current_registry()
-        registry.counter("diffusion.tx.messages", lambda: stats.messages_sent)
-        registry.counter("diffusion.tx.bytes", lambda: stats.bytes_sent)
-        # Per-message-class accounting (interest / data / exploratory /
-        # reinforcement / control): each class sums its message types.
-        for label, types in _CLASS_TYPES.items():
+        if registry:
             registry.counter(
-                "diffusion.tx.messages",
-                lambda types=types: sum(
-                    stats.messages_by_type[t] for t in types
-                ),
-                **{CLASS_LABEL: label},
+                "diffusion.tx.messages", lambda: stats.messages_sent
+            )
+            registry.counter("diffusion.tx.bytes", lambda: stats.bytes_sent)
+            # Per-message-class accounting (interest / data / exploratory /
+            # reinforcement / control): each class sums its message types.
+            for label, types in _CLASS_TYPES.items():
+                registry.counter(
+                    "diffusion.tx.messages",
+                    lambda types=types: sum(
+                        stats.messages_by_type[t] for t in types
+                    ),
+                    **{CLASS_LABEL: label},
+                )
+                registry.counter(
+                    "diffusion.tx.bytes",
+                    lambda types=types: sum(
+                        stats.bytes_by_type[t] for t in types
+                    ),
+                    **{CLASS_LABEL: label},
+                )
+            registry.counter(
+                "diffusion.rx.messages", lambda: stats.messages_received
             )
             registry.counter(
-                "diffusion.tx.bytes",
-                lambda types=types: sum(stats.bytes_by_type[t] for t in types),
-                **{CLASS_LABEL: label},
+                "diffusion.delivered", lambda: stats.events_delivered
             )
-        registry.counter(
-            "diffusion.rx.messages", lambda: stats.messages_received
-        )
-        registry.counter("diffusion.delivered", lambda: stats.events_delivered)
-        registry.counter(
-            "diffusion.drops", lambda: stats.duplicates_suppressed,
-            reason="cache-suppression",
-        )
-        registry.counter(
-            "diffusion.drops",
-            lambda: stats.messages_dropped_no_route
-            - stats.messages_dropped_negative,
-            reason="no-route",
-        )
-        registry.counter(
-            "diffusion.drops", lambda: stats.messages_dropped_negative,
-            reason="negative-reinforcement",
-        )
+            registry.counter(
+                "diffusion.drops", lambda: stats.duplicates_suppressed,
+                reason="cache-suppression",
+            )
+            registry.counter(
+                "diffusion.drops",
+                lambda: stats.messages_dropped_no_route
+                - stats.messages_dropped_negative,
+                reason="no-route",
+            )
+            registry.counter(
+                "diffusion.drops", lambda: stats.messages_dropped_negative,
+                reason="negative-reinforcement",
+            )
 
         self.gradients = GradientTable()
         # Entries are forgotten after DataCache's default 60 s.
@@ -190,6 +207,22 @@ class DiffusionNode:
         )
         self._filters.append(self._gradient_filter)
         self._schedule_sweep()
+
+    @property
+    def rng(self) -> random.Random:
+        """The jitter stream (interest and reinforcement delays).
+
+        It is built on the first draw: the ``rng`` factory is called
+        then (a network passes one per node, and most nodes of a large
+        run never draw), and a node given neither a stream nor a factory
+        draws from ``random.Random(node_id)``.
+        """
+        rng = self._rng
+        if not isinstance(rng, random.Random):
+            rng = self._rng = (
+                random.Random(self.node_id) if rng is None else rng()
+            )
+        return rng
 
     # ------------------------------------------------------------------
     # Filter pipeline

@@ -111,8 +111,9 @@ class CustodyAgent:
         self.contacts = 0
         self.acks_sent = 0
         registry = current_registry()
-        registry.counter("dtn.reinjections", lambda: self.reinjections)
-        registry.counter("dtn.acks_sent", lambda: self.acks_sent)
+        if registry:
+            registry.counter("dtn.reinjections", lambda: self.reinjections)
+            registry.counter("dtn.acks_sent", lambda: self.acks_sent)
         self._retry: Dict[BlockKey, object] = {}
         #: key -> time custody last left this node via handoff; a
         #: hold-down against two dark neighbors ping-ponging a block

@@ -87,9 +87,12 @@ class CustodyStore:
         self.refused_energy = 0
         self.depth_high_water = 0
         registry = current_registry()
-        registry.counter("dtn.custody.accepted", lambda: self.accepted)
-        registry.counter("dtn.custody.transferred", lambda: self.transferred)
-        registry.counter("dtn.custody.expired", lambda: self.expired)
+        if registry:
+            registry.counter("dtn.custody.accepted", lambda: self.accepted)
+            registry.counter(
+                "dtn.custody.transferred", lambda: self.transferred
+            )
+            registry.counter("dtn.custody.expired", lambda: self.expired)
 
     # -- queries ---------------------------------------------------------
 

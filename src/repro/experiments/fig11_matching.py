@@ -33,6 +33,7 @@ from typing import List, Tuple
 
 from repro.naming import (
     Attribute,
+    AttributeVector,
     Operator,
     one_way_match,
     one_way_match_segregated,
@@ -176,11 +177,16 @@ def run_fig11(iterations: int = 2000) -> List[MatchingMeasurement]:
 
 def measure_segregation(iterations: int) -> List[Tuple[int, float, float]]:
     """``(|B|, Figure 2 s, segregated s)`` per one-way match of set A
-    against the ``match/IS`` set B at each of :data:`SIZES`."""
+    against the ``match/IS`` set B at each of :data:`SIZES`.
+
+    Both sets are :class:`AttributeVector` s, as on the forwarding path,
+    so the segregated matcher reads B's key index off the vector's
+    cached profile: the table times the segregated search, not the
+    index build."""
     rows = []
     for size in SIZES:
-        set_a = build_set_a()
-        set_b = build_set_b(size, MatchingVariant.MATCH_IS)
+        set_a = AttributeVector(build_set_a())
+        set_b = AttributeVector(build_set_b(size, MatchingVariant.MATCH_IS))
         if not one_way_match_segregated(set_a, set_b):
             raise AssertionError(f"segregated matcher missed at |B|={size}")
         rows.append((

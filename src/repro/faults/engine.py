@@ -76,15 +76,17 @@ class FaultEngine:
         #: scenarios share these via :meth:`clock`.
         self.clocks: Dict[int, NodeClock] = {}
         self.fragments_corrupted = 0
-        # The timeline, counted by phase, is the inject / heal counters.
-        def injected() -> int:
-            return sum(1 for e in self.timeline if e["phase"] == "inject")
-
         registry = current_registry()
-        registry.counter("faults.injected", injected)
-        registry.counter(
-            "faults.healed", lambda: len(self.timeline) - injected()
-        )
+        if registry:
+            # The timeline, counted by phase, is the inject / heal
+            # counters.
+            def injected() -> int:
+                return sum(1 for e in self.timeline if e["phase"] == "inject")
+
+            registry.counter("faults.injected", injected)
+            registry.counter(
+                "faults.healed", lambda: len(self.timeline) - injected()
+            )
         self._fault_seed = derive_seed(self.seed, "faults")
         # node -> the duty cycles its MAC is held under: the MAC's own
         # (key None) and each active brownout's (key: action index)

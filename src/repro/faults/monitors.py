@@ -125,9 +125,11 @@ class MonitorSuite:
         self.max_entries = max_entries
         self.max_hops = self.HOPS_PER_NODE * len(network.node_ids())
         self.violations: List[Violation] = []
-        current_registry().counter(
-            "faults.violations", lambda: len(self.violations)
-        )
+        registry = current_registry()
+        if registry:
+            registry.counter(
+                "faults.violations", lambda: len(self.violations)
+            )
         # (node, trace) -> hop count at first transmission
         self._tx_hops: Dict[Tuple[int, str], int] = {}
         # (node, object, index) -> trace id, mirrored from custody.* events

@@ -87,8 +87,13 @@ class ClusterService:
         # briefly (invalidated by every announcement heard).
         self._head_cache: Optional[Tuple[float, int]] = None
         registry = current_registry()
-        registry.counter("hierarchy.announces", lambda: self.announces_sent)
-        registry.counter("hierarchy.reelections", lambda: self.reelections)
+        if registry:
+            registry.counter(
+                "hierarchy.announces", lambda: self.announces_sent
+            )
+            registry.counter(
+                "hierarchy.reelections", lambda: self.reelections
+            )
         # The tiebreak decorrelates head placement from node numbering.
         # Announced, never recomputed by receivers.
         self._tiebreak = splitmix64(node.node_id ^ TIEBREAK_MIX) & 0xFFFF

@@ -93,11 +93,12 @@ def _suppression_counts() -> Dict[str, int]:
     ``hierarchy.suppressed{class=...}`` counter."""
     counts = {"interest": 0, "exploratory": 0}
     registry = current_registry()
-    for kind in counts:
-        registry.counter(
-            "hierarchy.suppressed", lambda kind=kind: counts[kind],
-            **{CLASS_LABEL: kind},
-        )
+    if registry:
+        for kind in counts:
+            registry.counter(
+                "hierarchy.suppressed", lambda kind=kind: counts[kind],
+                **{CLASS_LABEL: kind},
+            )
     return counts
 
 
@@ -129,9 +130,11 @@ class ClusteredPolicy(ForwardPolicy):
         self.refresh_damping = float(damping)
         self.suppressed = _suppression_counts()
         self.fallbacks_fired = 0
-        current_registry().counter(
-            "hierarchy.fallbacks_fired", lambda: self.fallbacks_fired
-        )
+        registry = current_registry()
+        if registry:
+            registry.counter(
+                "hierarchy.fallbacks_fired", lambda: self.fallbacks_fired
+            )
 
     # -- deferral machinery --------------------------------------------
 

@@ -159,14 +159,15 @@ class FragmentationLayer:
         self.messages_delivered = 0
         self.messages_incomplete = 0
         registry = current_registry()
-        registry.counter("frag.messages_sent", lambda: self.messages_sent)
-        registry.counter(
-            "frag.messages_delivered", lambda: self.messages_delivered
-        )
-        registry.counter(
-            "frag.drops", lambda: self.messages_incomplete,
-            reason="reassembly-failure",
-        )
+        if registry:
+            registry.counter("frag.messages_sent", lambda: self.messages_sent)
+            registry.counter(
+                "frag.messages_delivered", lambda: self.messages_delivered
+            )
+            registry.counter(
+                "frag.drops", lambda: self.messages_incomplete,
+                reason="reassembly-failure",
+            )
         self.mac.modem.receive_callback = self.on_fragment
 
     def fragments_for(self, nbytes: int) -> int:

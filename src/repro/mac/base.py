@@ -47,12 +47,15 @@ class Mac:
         self.stats = stats = MacStats()
         self.trace = trace or TraceBus()
         registry = current_registry()
-        registry.counter("mac.enqueued", lambda: stats.enqueued)
-        registry.counter("mac.transmitted", lambda: stats.transmitted)
-        registry.counter("mac.backoffs", lambda: stats.backoffs)
-        registry.counter(
-            "mac.drops", lambda: stats.dropped_queue_full, reason="queue-full"
-        )
+        if registry:
+            registry.counter("mac.enqueued", lambda: stats.enqueued)
+            registry.counter("mac.transmitted", lambda: stats.transmitted)
+            registry.counter("mac.backoffs", lambda: stats.backoffs)
+            registry.counter(
+                "mac.drops", lambda: stats.dropped_queue_full,
+                reason="queue-full",
+            )
+        # Unmetered, this is the null histogram: its observe does nothing.
         self._m_queue_depth = registry.histogram("mac.queue_depth")
         self._queue: Deque[Tuple[Any, int, Optional[int]]] = deque()
         self._busy = False

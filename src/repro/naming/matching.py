@@ -11,15 +11,17 @@ Two implementations are provided:
   Figure 2, kept as the reference and for the Figure 11 benchmark.
 * :func:`one_way_match_segregated` — the optimization the paper suggests
   in Section 6.3 ("segregating actuals from formals can reduce search
-  time"), indexing B's actuals by key first.
+  time"), indexing B's actuals by key first (once per vector, when B is
+  an :class:`~repro.naming.vector.AttributeVector`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Iterable, List, Optional, Sequence
 
 from repro.naming.attribute import Attribute
+from repro.naming.engine import profile_of
 
 
 @dataclass
@@ -71,12 +73,12 @@ def one_way_match_segregated(
 
     Formals in B are never consulted ("since formals cannot match other
     formals there is no need to compare them" — Section 6.3), so the scan
-    over B happens once instead of once per formal in A.
+    over B happens once instead of once per formal in A.  The index is
+    B's :class:`~repro.naming.engine.MatchProfile`, which an
+    :class:`~repro.naming.vector.AttributeVector` caches (built once per
+    vector) and a plain sequence builds per call.
     """
-    actuals: Dict[int, List[Attribute]] = {}
-    for attr_b in b:
-        if attr_b.is_actual:
-            actuals.setdefault(attr_b.key, []).append(attr_b)
+    actuals = profile_of(b).actuals_by_key
     for attr_a in a:
         if not attr_a.is_formal:
             continue

@@ -137,20 +137,25 @@ class Channel:
         self.dropped_collision = 0
         self.dropped_half_duplex = 0
         registry = current_registry()
-        registry.counter("channel.fragments_sent", lambda: self.fragments_sent)
-        registry.counter(
-            "channel.fragments_delivered", lambda: self.fragments_delivered
-        )
-        registry.counter(
-            "channel.drops", lambda: self.dropped_collision, reason="collision"
-        )
-        registry.counter(
-            "channel.drops", lambda: self.dropped_half_duplex,
-            reason="half-duplex",
-        )
-        registry.counter(
-            "channel.drops", lambda: self.fragments_lost, reason="channel-loss"
-        )
+        if registry:
+            registry.counter(
+                "channel.fragments_sent", lambda: self.fragments_sent
+            )
+            registry.counter(
+                "channel.fragments_delivered", lambda: self.fragments_delivered
+            )
+            registry.counter(
+                "channel.drops", lambda: self.dropped_collision,
+                reason="collision",
+            )
+            registry.counter(
+                "channel.drops", lambda: self.dropped_half_duplex,
+                reason="half-duplex",
+            )
+            registry.counter(
+                "channel.drops", lambda: self.fragments_lost,
+                reason="channel-loss",
+            )
         # Carrier-sense cost accounting: links examined per query — one
         # per (source, listener) PRR actually looked up here, N in the
         # reference scan (tests/test_channel_equivalence.py::

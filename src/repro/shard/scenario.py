@@ -19,11 +19,13 @@ one fixed order: the network for the owned nodes → the fault harness
 a flight recorder is named) → the workload → the propagation mode (iff
 named).  Each optional layer is imported by the build that arms it, so
 a run that arms none loads no :mod:`repro.faults`, custody stack or
-:mod:`repro.hierarchy`.  Each step schedules kernel events
-as it is constructed, and events at equal time and priority run in
-scheduling order; fault events carry their own priorities, so a crash
-at t=40.0 runs before the resilience stream's send due at the same
-instant (5.0 + 35 x 1.0) whatever order the build scheduled them in,
+:mod:`repro.hierarchy`; likewise the fusion, nested-query and time-sync
+applications load only in the presets that run them.  Each step
+schedules kernel events as it is constructed, and events at equal time
+and priority run in scheduling order; fault events carry their own
+priorities, so a crash at t=40.0 runs before the resilience stream's
+send due at the same instant (5.0 + 35 x 1.0) whatever order the build
+scheduled them in,
 and ``tests/test_pins.py`` holds every preset's outcome equal with the
 kernel's ties reversed.  Every option is a param with a
 per-preset default, so presets differ only by their defaults and by the
@@ -48,16 +50,7 @@ import math
 from dataclasses import asdict, dataclass
 from typing import TYPE_CHECKING, Any, Callable, Dict, List, Optional, Tuple
 
-from repro.apps.fusion import (
-    FusionFilter,
-    MovingTarget,
-    ProximitySensor,
-    SAMPLE_INTERVAL,
-    TrackingSink,
-)
-from repro.apps.nestedquery import NestedQueryExperiment
 from repro.apps.surveillance import SurveillanceExperiment
-from repro.apps.timesync import SyncCoordinator, SyncParticipant, TimeBeacon
 from repro.core import DiffusionConfig
 from repro.core.node import MESSAGE_CLASS_LABELS
 from repro.dtn.scenario import (
@@ -540,6 +533,8 @@ def arm_surveillance(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
 def arm_nested_query(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     """Figure 9: ``num_lights`` light sensors trigger the audio node,
     asked by the user in one ``nested`` query or in two flat ones."""
+    from repro.apps.nestedquery import NestedQueryExperiment
+
     experiment = NestedQueryExperiment(
         net, user_id=FIG9_USER, audio_id=FIG9_AUDIO,
         light_ids=_role_nodes(net, p, "num_lights", FIG9_LIGHTS),
@@ -558,6 +553,14 @@ def arm_tracking(net, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     crosses the grid, every other node reports when it senses it, and
     :class:`FusionFilter` at two central relays merges each epoch's
     reports into one estimate on the way to the sink's track."""
+    from repro.apps.fusion import (
+        SAMPLE_INTERVAL,
+        FusionFilter,
+        MovingTarget,
+        ProximitySensor,
+        TrackingSink,
+    )
+
     _whole_network(net, "the tracking application")
     # Enters from the left and leaves past sensing range on the right.
     target = MovingTarget(start=(-20.0, 22.0), end=(90.0, 22.0), speed=1.5,
@@ -618,6 +621,12 @@ def arm_time_sync(network, p, seed, harness) -> Callable[[], Dict[str, Any]]:
     hears every beacon directly and observation differences are pure
     clock offset (no path-delay bias), which is RBS's operating
     assumption."""
+    from repro.apps.timesync import (
+        SyncCoordinator,
+        SyncParticipant,
+        TimeBeacon,
+    )
+
     engine = harness.engine
     # Start the participant clocks deterministically off-true, so the
     # first sync rounds do real work before the fault ever lands.

@@ -209,14 +209,19 @@ class ShardRuntime:
         self.stats = stats = ShardStats(rank=rank, owned=len(self.owned))
         registry = current_registry()
         self._registry = registry
-        registry.counter("shard.rounds", lambda: stats.rounds, shard=rank)
-        registry.counter("shard.exports", lambda: stats.exports, shard=rank)
-        registry.counter(
-            "shard.ghosts_admitted", lambda: stats.ghosts_admitted, shard=rank
-        )
-        registry.counter(
-            "shard.exchange_bytes", lambda: stats.exchange_bytes, shard=rank
-        )
+        if registry:
+            registry.counter("shard.rounds", lambda: stats.rounds, shard=rank)
+            registry.counter(
+                "shard.exports", lambda: stats.exports, shard=rank
+            )
+            registry.counter(
+                "shard.ghosts_admitted", lambda: stats.ghosts_admitted,
+                shard=rank,
+            )
+            registry.counter(
+                "shard.exchange_bytes", lambda: stats.exchange_bytes,
+                shard=rank,
+            )
         # Profiler instruments: window spans/sizes as distributions (the
         # p95 window span is what tells you whether sync overhead comes
         # from many tiny windows or a few stalls), plus per-term window

@@ -186,10 +186,11 @@ class Simulator:
         # Queue health: the counters read the attributes above, so the
         # hot path pays nothing for them.
         registry = current_registry()
-        registry.counter("kernel.compactions", lambda: self.compactions)
-        registry.counter(
-            "kernel.cancelled_events", lambda: self.cancelled_events
-        )
+        if registry:
+            registry.counter("kernel.compactions", lambda: self.compactions)
+            registry.counter(
+                "kernel.cancelled_events", lambda: self.cancelled_events
+            )
 
     def enable_profiler(self) -> KernelProfiler:
         """Attach (or return the existing) event-loop profiler."""

@@ -13,6 +13,7 @@ priced at its MAC's duty cycle.
 from __future__ import annotations
 
 import random
+from functools import partial
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting
@@ -208,13 +209,15 @@ class SensorNetwork:
             fragment_payload=RadioParams.fragment_payload,
             trace=self.trace, expiry=self.reassembly,
         )
+        # The jitter stream is seeded on the node's first draw, which
+        # most nodes of a large run never make.
         diffusion = DiffusionNode(
             self.sim,
             node_id,
             transport=frag,
             config=self.config,
             trace=self.trace,
-            rng=self.seeds.stream(f"diffusion:{node_id}"),
+            rng=partial(self.seeds.stream, f"diffusion:{node_id}"),
         )
         api = DiffusionRouting(diffusion)
         self.stacks[node_id] = NodeStack(

@@ -86,15 +86,20 @@ class BlockReceiver:
         self.stats = stats = TransferStats(object_id=object_id)
         self.acks_sent = 0
         registry = current_registry()
-        registry.counter(
-            "transfer.blocks_received", lambda: stats.blocks_received
-        )
-        registry.counter(
-            "transfer.duplicate_blocks", lambda: stats.duplicate_blocks
-        )
-        registry.counter("transfer.repair_rounds", lambda: stats.repair_rounds)
-        registry.counter("transfer.completed", lambda: int(stats.complete))
-        registry.counter("transfer.acks_sent", lambda: self.acks_sent)
+        if registry:
+            registry.counter(
+                "transfer.blocks_received", lambda: stats.blocks_received
+            )
+            registry.counter(
+                "transfer.duplicate_blocks", lambda: stats.duplicate_blocks
+            )
+            registry.counter(
+                "transfer.repair_rounds", lambda: stats.repair_rounds
+            )
+            registry.counter(
+                "transfer.completed", lambda: int(stats.complete)
+            )
+            registry.counter("transfer.acks_sent", lambda: self.acks_sent)
         self._blocks: Dict[int, bytes] = {}
         self._quiet_timer = None
         self._failed = False

@@ -91,12 +91,19 @@ class BlockSender:
         #: to attribute every lost block to a cause.
         self.block_traces: Dict[Tuple[str, int], List[str]] = {}
         registry = current_registry()
-        registry.counter("transfer.blocks_sent", lambda: self.blocks_sent)
-        registry.counter(
-            "transfer.repairs_served", lambda: self.repairs_served
-        )
-        registry.counter("transfer.retransmits", lambda: self.retransmits)
-        registry.counter("transfer.acks_received", lambda: self.acks_received)
+        if registry:
+            registry.counter(
+                "transfer.blocks_sent", lambda: self.blocks_sent
+            )
+            registry.counter(
+                "transfer.repairs_served", lambda: self.repairs_served
+            )
+            registry.counter(
+                "transfer.retransmits", lambda: self.retransmits
+            )
+            registry.counter(
+                "transfer.acks_received", lambda: self.acks_received
+            )
         self._publications: Dict[str, PublicationHandle] = {}
         self._acked: Dict[str, Set[int]] = {}
         self._retry: Dict[Tuple[str, int], object] = {}

@@ -1,5 +1,7 @@
 """Tests for the sensor applications over the full simulated stack."""
 
+import pytest
+
 from repro.apps import (
     DetectionSource,
     LightSensor,
@@ -193,3 +195,26 @@ class TestLightSensor:
         assert len(reports) >= 7
         epochs = {a.value_of(Key.TIMESTAMP) for a in reports}
         assert epochs == {0}
+
+
+class TestLazyNames:
+    """``repro.apps`` resolves the nested-query, fusion and time-sync
+    names on first access (tests/test_import_floor.py checks that a run
+    not using them leaves their modules unloaded)."""
+
+    def test_every_exported_name_resolves_to_its_module(self):
+        import importlib
+
+        import repro.apps as apps
+
+        for name in apps.__all__:
+            value = getattr(apps, name)
+            module = apps._LAZY.get(name)
+            if module is not None:
+                assert value is getattr(importlib.import_module(module), name)
+
+    def test_an_unknown_name_is_an_attribute_error(self):
+        import repro.apps as apps
+
+        with pytest.raises(AttributeError, match="NoSuchApp"):
+            apps.NoSuchApp

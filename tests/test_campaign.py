@@ -599,6 +599,26 @@ class TestBuiltinSweeps:
         table = report_table("hierarchy", run_campaign(full))
         assert table.splitlines()[1].split()[:3] == ["columns", "rows", "mode"]
 
+    def test_a_campaign_without_a_table_prints_its_claims_values(self):
+        """The fallback table: the trial count, then each claims row
+        read off the campaign with its value beside its band."""
+        from repro.campaign.claims import CLAIMS, claim_line
+
+        report = run_campaign(get_campaign("ablation-gear", quick=True))
+        lines = report_table("ablation-gear", report).splitlines()
+        rows = [c for c in CLAIMS if c.source == "ablation-gear"]
+        assert len(rows) == 2
+        assert lines == ["(2 successful trials)"] + [
+            claim_line(c, c.metric(report.outcomes), judged=False)
+            for c in rows
+        ]
+        partial = run_campaign(
+            get_campaign("ablation-gear", quick=True), max_trials=1
+        )
+        lines = report_table("ablation-gear", partial).splitlines()
+        assert lines[0] == "(1 successful trials)" and len(lines) == 3
+        assert all("no value (division by zero)" in line for line in lines[1:])
+
 
 class TestPlanTrial:
     """Every full-stack campaign is one trial function over the

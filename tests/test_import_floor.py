@@ -4,10 +4,11 @@ Every module a run imports is in the memory its forked rounds inherit,
 so the floor of a run's peak RSS is its import set.  The layers a
 one-queue run that arms no option never calls — the campaign layer, the
 analysis layer, the process transport with :mod:`multiprocessing`, the
-fault harness, the custody stack, the bulk-transfer scheme and
-:mod:`pickle` — must not be loaded by importing what
-``perf/workloads.py`` imports, nor by building and running the
-``fig8``, ``flood``, ``mobility`` and ``regional`` presets.
+fault harness, the custody stack, the bulk-transfer scheme,
+:mod:`pickle` and the applications of the other presets — must not be
+loaded by importing what ``perf/workloads.py`` imports, nor by building
+and running the ``fig8``, ``flood``, ``mobility`` and ``regional``
+presets.
 """
 
 import json
@@ -32,15 +33,23 @@ ARMED_ONLY = (
     "pickle",
 )
 
-#: modules only a campaign, a report, a process-shard run or an armed
-#: option needs.
+#: the applications only the presets that run them load: ``fig9``
+#: (nested query), ``tracking`` (fusion) and ``timesync``.
+PRESET_APPS = (
+    "repro.apps.fusion",
+    "repro.apps.nestedquery",
+    "repro.apps.timesync",
+)
+
+#: modules only a campaign, a report, a process-shard run, an armed
+#: option or another preset's application needs.
 KEPT_OUT = (
     "repro.campaign",
     "repro.analysis",
     "repro.shard.process",
     "multiprocessing",
     "concurrent.futures",
-) + ARMED_ONLY
+) + ARMED_ONLY + PRESET_APPS
 
 #: the presets the ledger's one-queue workloads build: none arms an option.
 PLAIN_RUNS = ("fig8", "flood", "mobility", "regional")
@@ -105,3 +114,10 @@ def test_armed_runs_load_their_layers():
     loaded = _loaded_after((), ("resilience", "dtn"))
     assert set(ARMED_ONLY) - {"pickle"} <= loaded
     assert "pickle" in _loaded_after((), ("flood",), shards=2)
+
+
+def test_preset_runs_load_their_applications():
+    """The probe sees a deferred application load when it happens: each
+    comes back in the preset that runs it."""
+    loaded = _loaded_after((), ("fig9", "tracking", "timesync"))
+    assert set(PRESET_APPS) <= loaded

@@ -268,3 +268,83 @@ class TestStackIntegration:
         net = SensorNetwork(Topology.line(2, spacing=15.0), seed=2)
         net.run(until=1.0)
         assert NULL_REGISTRY.empty
+
+
+#: what a metered three-node ``SensorNetwork`` build registers: counter
+#: name -> readers (one per node, or one for the channel and kernel).
+METERED_BUILD = {
+    "channel.drops{reason=channel-loss}": 1,
+    "channel.drops{reason=collision}": 1,
+    "channel.drops{reason=half-duplex}": 1,
+    "channel.fragments_delivered": 1,
+    "channel.fragments_sent": 1,
+    "diffusion.delivered": 3,
+    "diffusion.drops{reason=cache-suppression}": 3,
+    "diffusion.drops{reason=negative-reinforcement}": 3,
+    "diffusion.drops{reason=no-route}": 3,
+    "diffusion.rx.messages": 3,
+    "diffusion.tx.bytes": 3,
+    "diffusion.tx.bytes{class=control}": 3,
+    "diffusion.tx.bytes{class=data}": 3,
+    "diffusion.tx.bytes{class=exploratory}": 3,
+    "diffusion.tx.bytes{class=interest}": 3,
+    "diffusion.tx.bytes{class=reinforcement}": 3,
+    "diffusion.tx.messages": 3,
+    "diffusion.tx.messages{class=control}": 3,
+    "diffusion.tx.messages{class=data}": 3,
+    "diffusion.tx.messages{class=exploratory}": 3,
+    "diffusion.tx.messages{class=interest}": 3,
+    "diffusion.tx.messages{class=reinforcement}": 3,
+    "frag.drops{reason=reassembly-failure}": 3,
+    "frag.messages_delivered": 3,
+    "frag.messages_sent": 3,
+    "kernel.cancelled_events": 1,
+    "kernel.compactions": 1,
+    "mac.backoffs": 3,
+    "mac.drops{reason=queue-full}": 3,
+    "mac.enqueued": 3,
+    "mac.transmitted": 3,
+}
+
+
+class TestRegistrationOnlyWhenMetered:
+    """A build hands counter readers to a registry only when one is
+    installed: the null registry would drop them, and a 1,024-node
+    build would make ~25 per node for nothing."""
+
+    @pytest.fixture
+    def registrations(self, monkeypatch):
+        calls = []
+        register = MetricsRegistry.counter
+
+        def spy(registry, name, read, **labels):
+            calls.append(name)
+            register(registry, name, read, **labels)
+
+        monkeypatch.setattr(MetricsRegistry, "counter", spy)
+        return calls
+
+    @staticmethod
+    def build():
+        from repro.radio import Topology
+        from repro.testbed import SensorNetwork
+
+        return SensorNetwork(Topology.line(3, spacing=15.0), seed=2)
+
+    def test_unmetered_build_creates_no_counter_reader(self, registrations):
+        net = self.build()
+        assert registrations == []
+        # The MAC still holds the null histogram its enqueue observes.
+        assert isinstance(net.stack(0).mac._m_queue_depth, _NullInstrument)
+
+    def test_metered_build_registers_every_counter(self, registrations):
+        with use_registry() as registry:
+            net = self.build()
+        assert {
+            name: len(readers) for name, readers in registry._counters.items()
+        } == METERED_BUILD
+        assert len(registrations) == sum(METERED_BUILD.values())
+        assert sorted(registry._histograms) == ["mac.queue_depth"]
+        assert net.stack(0).mac._m_queue_depth is (
+            registry._histograms["mac.queue_depth"]
+        )

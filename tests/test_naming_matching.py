@@ -155,6 +155,20 @@ class TestSegregatedMatch:
         assert one_way_match_segregated(a, b, seg)
         assert seg.comparisons <= ref.comparisons
 
+    @pytest.mark.parametrize("a,b", CASES)
+    def test_a_vector_reads_its_cached_index(self, a, b):
+        """On an AttributeVector B the key index is the vector's cached
+        profile's: the verdict and the counts are those of a list."""
+        vector = AttributeVector(b)
+        listed, cached = MatchStats(), MatchStats()
+        verdict = one_way_match_segregated(a, b, listed)
+        assert one_way_match_segregated(a, vector, cached) == verdict
+        assert one_way_match_segregated(a, vector) == verdict
+        assert (cached.formals_tested, cached.comparisons) == (
+            listed.formals_tested, listed.comparisons
+        )
+        assert vector.match_profile() is vector.match_profile()
+
 
 class TestTwoWayMatch:
     def test_subscription_matches_publication(self):

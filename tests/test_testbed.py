@@ -1,12 +1,14 @@
 """Tests for network builders and the ISI testbed model."""
 
+import random
+
 import pytest
 
 from repro.core import DiffusionConfig, DiffusionNode, DiffusionRouting, MessageType
 from repro.naming import AttributeVector
 from repro.naming.keys import Key
 from repro.radio import DistancePropagation, Topology
-from repro.sim import Simulator
+from repro.sim import SeedSequence, Simulator
 from repro.testbed import (
     FIG8_SINK,
     FIG8_SOURCES,
@@ -125,6 +127,29 @@ class TestSensorNetwork:
         assert run(5) == run(5)
         # A different seed gives (almost surely) different timings.
         assert run(5) != run(6) or len(run(5)) != len(run(6))
+
+    def test_jitter_stream_is_seeded_on_first_draw(self):
+        net = SensorNetwork(Topology.line(3, spacing=15.0), seed=4)
+        issued = net.seeds._issued
+        assert not [label for label in issued if label.startswith("diffusion:")]
+        # A stream is derived from its label, not from when it is built:
+        # the lazy stream draws what an eager one draws.
+        eager = SeedSequence(4).stream("diffusion:1")
+        draws = [net.node(1).rng.random() for _ in range(5)]
+        assert draws == [eager.random() for _ in range(5)]
+        assert net.node(1).rng is net.seeds.stream("diffusion:1")
+        assert "diffusion:0" not in issued and "diffusion:2" not in issued
+
+    def test_a_subscription_draws_from_the_nodes_stream(self):
+        net = SensorNetwork(Topology.line(3, spacing=15.0), seed=4)
+        sub = AttributeVector.builder().eq(Key.TYPE, "t").build()
+        net.api(0).subscribe(sub, lambda a, m: None)
+        assert "diffusion:0" in net.seeds._issued
+        assert "diffusion:1" not in net.seeds._issued
+
+    def test_a_node_without_a_stream_draws_from_its_id(self):
+        node = DiffusionNode(Simulator(), 7, transport=None)
+        assert node.rng.random() == random.Random(7).random()
 
     def test_fail_node_goes_silent(self):
         # Spacing chosen so 0 and 2 are far out of range of each other
