@@ -16,7 +16,6 @@ from repro.experiments.fig11_matching import (
     MatchingVariant,
     build_set_a,
     build_set_b,
-    measure_matching,
     run_fig11,
 )
 from repro.experiments.duty_cycle import run_duty_cycle_analysis
@@ -25,7 +24,6 @@ __all__ = [
     "MatchingVariant",
     "build_set_a",
     "build_set_b",
-    "measure_matching",
     "run_fig11",
     "run_duty_cycle_analysis",
 ]

@@ -118,85 +118,90 @@ SIZES = (6, 10, 14, 18, 22, 26, 30)
 ROUNDS = 20
 
 
-def measure_matching(
-    variant: MatchingVariant,
-    set_b_size: int,
-    iterations: int = 2000,
-) -> MatchingMeasurement:
-    """Time ``iterations`` two-way matches and normalize.
+def _matching_point(variant: MatchingVariant, set_b_size: int):
+    """Sets A and B for one Figure 11 point, checked to give the
+    variant's verdict.
 
     "The order of attributes in each set is randomized each experiment"
-    — we shuffle once per measurement, as reordering inside the timed
-    loop would measure the shuffle instead.
+    — we shuffle once per point, as reordering inside the timed loop
+    would measure the shuffle instead.
     """
     rng = random.Random(42)
     set_a = build_set_a()
     set_b = build_set_b(set_b_size, variant)
     rng.shuffle(set_a)
     rng.shuffle(set_b)
-    expected = variant.matches
     # Warm-up and correctness check outside the timed region.
-    result = two_way_match(set_a, set_b)
-    if result != expected:
+    if two_way_match(set_a, set_b) != variant.matches:
         raise AssertionError(
-            f"variant {variant} expected match={expected}, got {result}"
+            f"{variant.value} expected match={variant.matches} "
+            f"at |B|={set_b_size}"
         )
-    return MatchingMeasurement(
-        variant=variant,
-        set_b_size=set_b_size,
-        seconds_per_match=_seconds_per_match(
-            two_way_match, set_a, set_b, iterations
-        ),
-        matched=result,
-    )
+    return set_a, set_b
 
 
-def _seconds_per_match(match, set_a, set_b, iterations: int) -> float:
-    """Per-match time of the fastest of :data:`ROUNDS` equal rounds of
-    ``iterations`` calls: the round the host disturbed least."""
+def _seconds_per_match(matchers, pairs, iterations: int) -> List[List[float]]:
+    """Per-call time of each of ``matchers`` on each ``(set_a, set_b)``
+    of ``pairs``, one list per pair.
+
+    Each of :data:`ROUNDS` rounds times every matcher on every pair
+    once, in turn, over ``iterations / ROUNDS`` calls, so a host
+    slowdown lands on all the points of a round alike; each point keeps
+    its fastest round, the one the host disturbed least."""
     per_round = max(1, iterations // ROUNDS)
-    best = float("inf")
+    best = [[float("inf")] * len(matchers) for _ in pairs]
     for _ in range(ROUNDS):
-        start = time.perf_counter()
-        for _ in range(per_round):
-            match(set_a, set_b)
-        best = min(best, time.perf_counter() - start)
-    return best / per_round
+        for (set_a, set_b), row in zip(pairs, best):
+            for i, match in enumerate(matchers):
+                start = time.perf_counter()
+                for _ in range(per_round):
+                    match(set_a, set_b)
+                row[i] = min(row[i], time.perf_counter() - start)
+    return [[seconds / per_round for seconds in row] for row in best]
 
 
 def run_fig11(iterations: int = 2000) -> List[MatchingMeasurement]:
-    """All four Figure 11 lines across the set-B :data:`SIZES`."""
-    measurements = []
-    for variant in MatchingVariant:
-        for size in SIZES:
-            measurements.append(
-                measure_matching(variant, size, iterations=iterations)
-            )
-    return measurements
+    """All four Figure 11 lines across the set-B :data:`SIZES`: the
+    mean cost of one two-way match per point, every point timed in the
+    same rounds."""
+    grid = [(variant, size) for variant in MatchingVariant for size in SIZES]
+    pairs = [_matching_point(variant, size) for variant, size in grid]
+    return [
+        MatchingMeasurement(
+            variant=variant,
+            set_b_size=size,
+            seconds_per_match=seconds,
+            matched=variant.matches,
+        )
+        for (variant, size), (seconds,) in zip(
+            grid, _seconds_per_match((two_way_match,), pairs, iterations)
+        )
+    ]
 
 
 def measure_segregation(iterations: int) -> List[Tuple[int, float, float]]:
     """``(|B|, Figure 2 s, segregated s)`` per one-way match of set A
-    against the ``match/IS`` set B at each of :data:`SIZES`.
+    against the ``match/IS`` set B at each of :data:`SIZES`, both
+    matchers at every size timed in the same rounds.
 
     Both sets are :class:`AttributeVector` s, as on the forwarding path,
     so the segregated matcher reads B's key index off the vector's
     cached profile: the table times the segregated search, not the
     index build."""
-    rows = []
+    pairs = []
     for size in SIZES:
         set_a = AttributeVector(build_set_a())
         set_b = AttributeVector(build_set_b(size, MatchingVariant.MATCH_IS))
         if not one_way_match_segregated(set_a, set_b):
             raise AssertionError(f"segregated matcher missed at |B|={size}")
-        rows.append((
-            size,
-            _seconds_per_match(one_way_match, set_a, set_b, iterations),
-            _seconds_per_match(
-                one_way_match_segregated, set_a, set_b, iterations
-            ),
-        ))
-    return rows
+        pairs.append((set_a, set_b))
+    rows = _seconds_per_match(
+        (one_way_match, one_way_match_segregated), pairs, iterations
+    )
+    return [
+        (size, scan, segregated)
+        for size, (scan, segregated) in zip(SIZES, rows)
+    ]
 
 
 def format_segregation(rows: List[Tuple[int, float, float]]) -> str:

@@ -14,8 +14,8 @@ as a mobile node both islands can reach does.  A flap of the ``a``–``b``
 link is the cut ``((a,), (b,))``.  :meth:`restore` lifts only its own
 key's cut, so overlapping faults heal independently of schedule order.
 
-The overlay honors the radio fast-path contract
-(:class:`~repro.radio.propagation.FastPathPropagation`): its epoch token
+The overlay answers the whole propagation contract
+(:class:`~repro.radio.propagation.PropagationModel`): its epoch token
 pairs an overlay version counter with the base epoch, and every
 :meth:`cut` and :meth:`restore` bumps the version — so a
 :class:`~repro.radio.neighborhood.NeighborhoodIndex` built over the
@@ -76,11 +76,9 @@ class FaultOverlayPropagation:
             return 0.0
         return self.base.link_prr(src, dst, now)
 
-    # -- fast-path protocol (repro.radio.neighborhood) -----------------------
+    # -- the rest of the contract (repro.radio.neighborhood) -----------------
 
     def prr_epoch(self) -> object:
-        # Raises AttributeError when the base model does not support the
-        # fast path; supports_fast_path treats that as "reference scan".
         return (self._version, self.base.prr_epoch())
 
     def link_prr_bound(self, src: int, dst: int) -> float:
@@ -98,18 +96,16 @@ class FaultOverlayPropagation:
     def audible_reach(self) -> Optional[float]:
         # A cut only removes links, so the base's spatial bound still
         # covers every audible pair.
-        reach = getattr(self.base, "audible_reach", None)
-        return reach() if reach is not None else None
+        return self.base.audible_reach()
 
     @property
     def topology(self):
-        return getattr(self.base, "topology", None)
+        return self.base.topology
 
     def moved_since(self, epoch: Tuple[int, object]) -> Optional[List[int]]:
         # A cut or heal since ``epoch`` can change bounds anywhere in
         # the network; only with the fault landscape unchanged is the
         # base's list of movers the whole story.
-        moved = getattr(self.base, "moved_since", None)
-        if moved is None or epoch[0] != self._version:
+        if epoch[0] != self._version:
             return None
-        return moved(epoch[1])
+        return self.base.moved_since(epoch[1])

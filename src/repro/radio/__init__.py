@@ -8,10 +8,9 @@ medium where hidden terminals corrupt overlapping transmissions.
 
 from repro.radio.channel import Channel, Transmission
 from repro.radio.modem import BROADCAST_ADDRESS, Modem, RadioParams
-from repro.radio.neighborhood import NeighborhoodIndex, supports_fast_path
+from repro.radio.neighborhood import NeighborhoodIndex
 from repro.radio.propagation import (
     DistancePropagation,
-    FastPathPropagation,
     GilbertElliotLink,
     PropagationModel,
     TablePropagation,
@@ -27,12 +26,10 @@ __all__ = [
     "RadioParams",
     "BROADCAST_ADDRESS",
     "PropagationModel",
-    "FastPathPropagation",
     "DistancePropagation",
     "TablePropagation",
     "GilbertElliotLink",
     "NeighborhoodIndex",
-    "supports_fast_path",
     "Position",
     "Topology",
 ]

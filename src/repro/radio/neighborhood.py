@@ -29,8 +29,8 @@ reference scan.  Invalidation is two-tier:
 Both what a set build looks at and what an epoch change drops are kept
 local to the nodes involved whenever the model lets them be:
 
-* **Builds.**  Over a model that offers ``audible_reach()`` and a
-  ``topology``, members are bucketed into reach-sized grid cells
+* **Builds.**  Over a model whose ``audible_reach()`` and ``topology``
+  both answer, members are bucketed into reach-sized grid cells
   (:class:`CellBuckets`) and a set build probes only the 3x3 block
   around the sender; a model with no spatial bound
   (``TablePropagation``) gets the scan over every member.
@@ -47,7 +47,7 @@ local to the nodes involved whenever the model lets them be:
   were first seen at, so a member moving near one drops that ghost's
   sets; a ghost that itself moves loses its own sets and links, and —
   sitting in no set — disturbs nothing else.
-* **The fallback.**  ``moved_since`` missing or answering ``None`` (a
+* **The fallback.**  ``moved_since`` answering ``None`` (a
   table edit, a cut or heal, a node placed, an index that fell behind
   the topology's bounded move journal), or no buckets to look senders
   up in: every set, every memo entry and the buckets are dropped.
@@ -61,34 +61,7 @@ from __future__ import annotations
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 
-def supports_fast_path(model) -> bool:
-    """Can ``model`` back a :class:`NeighborhoodIndex`?
-
-    True when the model implements the fast-path protocol
-    (:class:`~repro.radio.propagation.FastPathPropagation`) end to end —
-    a Gilbert–Elliot overlay on an unsupported base model answers
-    ``prr_epoch`` with AttributeError, which is how delegation failures
-    surface here.
-    """
-    if not all(
-        hasattr(model, name)
-        for name in ("prr_epoch", "link_prr_bound", "link_prr_window")
-    ):
-        return False
-    try:
-        model.prr_epoch()
-    except AttributeError:
-        return False
-    return True
-
-
 Cell = Tuple[int, int]
-
-
-def _audible_reach(model) -> Optional[float]:
-    """The model's spatial bound, or None when it offers none."""
-    reach = getattr(model, "audible_reach", None)
-    return reach() if reach is not None else None
 
 
 class CellBuckets:
@@ -143,19 +116,13 @@ class NeighborhoodIndex:
 
     Membership (which nodes exist) is pushed in by the channel via
     :meth:`add_node` / :meth:`remove_node`; link data is pulled lazily
-    from the propagation model and repaired (or, when the model cannot
-    say what changed, dropped wholesale) whenever its ``prr_epoch()``
-    token changes.
+    from the propagation model
+    (:class:`~repro.radio.propagation.PropagationModel`) and repaired
+    (or, when the model cannot say what changed, dropped wholesale)
+    whenever its ``prr_epoch()`` token changes.
     """
 
     def __init__(self, propagation, carrier_threshold: float) -> None:
-        if not supports_fast_path(propagation):
-            raise ValueError(
-                f"{type(propagation).__name__} does not implement the "
-                "radio fast-path protocol (prr_epoch/link_prr_bound/"
-                "link_prr_window); run it on "
-                "repro.radio.reference.ReferenceChannel instead"
-            )
         self.propagation = propagation
         self.carrier_threshold = carrier_threshold
         # Member -> attach rank.  Insertion order is attach order, which
@@ -220,10 +187,7 @@ class NeighborhoodIndex:
         """
         epoch = self.propagation.prr_epoch()
         if epoch != self._epoch:
-            moved_since = getattr(self.propagation, "moved_since", None)
-            moved = (
-                moved_since(self._epoch) if moved_since is not None else None
-            )
+            moved = self.propagation.moved_since(self._epoch)
             self._epoch = epoch
             self._invalidate(moved)
 
@@ -278,8 +242,8 @@ class NeighborhoodIndex:
         """Members by cell, bucketed on first use after a reset; None
         over a model that does not bound audibility in space."""
         if self._cells is None:
-            reach = _audible_reach(self.propagation)
-            topology = getattr(self.propagation, "topology", None)
+            reach = self.propagation.audible_reach()
+            topology = self.propagation.topology
             if reach is not None and topology is not None:
                 cells = CellBuckets(reach)
                 for node in self._order:
@@ -371,8 +335,8 @@ class BoundaryIndex:
     Invalidation rides the same ``prr_epoch()`` token as
     :class:`NeighborhoodIndex`, without the repair: all sets drop when
     it moves (mobility crossing the cut is just a topology version
-    bump).  When the model offers an ``audible_reach()`` spatial bound
-    and positions are available, the rebuild buckets foreign nodes into
+    bump).  When the model's ``audible_reach()`` and ``topology`` both
+    answer, the rebuild buckets foreign nodes into
     reach-sized grid cells (:class:`CellBuckets`) and probes only
     geometrically plausible pairs — O(boundary), not O(owned x foreign),
     which is what keeps 10k-node sharded rebuilds affordable under
@@ -384,23 +348,13 @@ class BoundaryIndex:
         propagation,
         owned: Iterable[int],
         foreign: Iterable[int],
-        topology=None,
     ) -> None:
-        if not supports_fast_path(propagation):
-            raise ValueError(
-                f"{type(propagation).__name__} does not implement the "
-                "radio fast-path protocol required for boundary queries"
-            )
         self.propagation = propagation
         self.owned = sorted(owned)
         self.foreign = sorted(foreign)
         overlap = set(self.owned) & set(self.foreign)
         if overlap:
             raise ValueError(f"cut is not a partition: {sorted(overlap)}")
-        self.topology = (
-            topology if topology is not None
-            else getattr(propagation, "topology", None)
-        )
         self._epoch: object = None
         self._built = False
         # owned src -> foreign listeners, and foreign src -> owned
@@ -428,8 +382,8 @@ class BoundaryIndex:
         Falls back to the full cross product when no spatial bound is
         available (table models, extreme asymmetry).
         """
-        reach = _audible_reach(self.propagation)
-        topo = self.topology
+        reach = self.propagation.audible_reach()
+        topo = self.propagation.topology
         if reach is None or topo is None:
             for o in self.owned:
                 for f in self.foreign:

@@ -10,11 +10,11 @@ here:
   plus a static per-directed-link perturbation so A→B and B→A differ.
 * :class:`GilbertElliotLink` overlays a two-state (good/bad) process per
   link for intermittent connectivity.
-* :class:`TablePropagation` pins explicit per-link PRRs, used by unit
-  tests and by calibrated testbed scenarios.
+* :class:`TablePropagation` pins explicit per-link PRRs, the link
+  table the channel and MAC unit tests use in place of geometry.
 
-All three implement the :class:`FastPathPropagation` protocol consumed
-by :mod:`repro.radio.neighborhood`: bounds that may overestimate (never
+Each answers the whole :class:`PropagationModel` contract consumed by
+:mod:`repro.radio.neighborhood`: bounds that may overestimate (never
 underestimate) build the cached candidate sets, and every exact PRR
 still comes from the scalar methods below.
 """
@@ -30,17 +30,12 @@ from repro.radio.topology import Topology
 
 class PropagationModel(Protocol):
     """Answers: with what probability does a fragment from ``src`` reach
-    ``dst`` at time ``now``?  Zero means out of range (inaudible)."""
+    ``dst`` at time ``now``?  Zero means out of range (inaudible).
 
-    def link_prr(self, src: int, dst: int, now: float) -> float:
-        ...  # pragma: no cover
+    Every model answers the whole contract, which is what lets
+    :mod:`repro.radio.neighborhood` cache who hears whom:
 
-
-class FastPathPropagation(PropagationModel, Protocol):
-    """Optional extension consumed by :mod:`repro.radio.neighborhood`.
-
-    A model supporting the radio fast path additionally promises:
-
+    * :meth:`link_prr` — the exact PRR.
     * :meth:`prr_epoch` — an opaque version token.  While the token is
       unchanged, :meth:`link_prr_bound` is constant per directed link
       and :meth:`link_prr_window` results remain valid until their own
@@ -59,21 +54,23 @@ class FastPathPropagation(PropagationModel, Protocol):
       rather than the global epoch, because flips are discovered lazily
       at query time — a global counter alone could not invalidate a
       memoized link the moment its own state silently changed.
-
-    Two further methods are optional; the index observes whether the
-    model has them and scans every member / drops every cache when not:
-
-    * ``audible_reach()`` with a ``topology`` attribute — a planar
-      distance beyond which no link is ever audible (``None`` = no such
-      bound), and the positions it applies to.  Candidate sets are then
-      built from the reach-sized grid cells around the sender only.
-    * ``moved_since(epoch)`` — given an earlier :meth:`prr_epoch` token,
+    * :meth:`audible_reach` with the :attr:`topology` it applies to — a
+      planar distance beyond which no link is ever audible.  Candidate
+      sets are then built from the reach-sized grid cells around the
+      sender only.  ``None`` for either means no spatial bound, and the
+      index scans every member.
+    * :meth:`moved_since` — given an earlier :meth:`prr_epoch` token,
       the nodes whose position changed since, *provided nothing else
-      that feeds a bound did*; ``None`` = unknown.  With an answer the
-      index repairs the neighbourhoods of those nodes and keeps the
-      rest; with ``None`` it starts over.  An overlay delegates to its
-      base only while its own part of the token is unchanged.
+      that feeds a bound did*.  With a list the index repairs the
+      neighbourhoods of those nodes and keeps the rest; ``None`` means
+      unknown, and it starts over.  An overlay delegates to its base
+      only while its own part of the token is unchanged.
     """
+
+    topology: Optional[Topology]
+
+    def link_prr(self, src: int, dst: int, now: float) -> float:
+        ...  # pragma: no cover
 
     def prr_epoch(self) -> object:
         ...  # pragma: no cover
@@ -82,6 +79,12 @@ class FastPathPropagation(PropagationModel, Protocol):
         ...  # pragma: no cover
 
     def link_prr_window(self, src: int, dst: int, now: float) -> Tuple[float, float]:
+        ...  # pragma: no cover
+
+    def audible_reach(self) -> Optional[float]:
+        ...  # pragma: no cover
+
+    def moved_since(self, epoch) -> Optional[List[int]]:
         ...  # pragma: no cover
 
 
@@ -143,7 +146,7 @@ class DistancePropagation:
         perturbed = distance * self._link_factor(src, dst)
         return self.base_prr(perturbed)
 
-    # -- fast-path protocol (repro.radio.neighborhood) ----------------------
+    # -- the rest of the contract (repro.radio.neighborhood) ----------------
 
     def prr_epoch(self) -> object:
         return self.topology.version
@@ -187,6 +190,9 @@ class DistancePropagation:
 class TablePropagation:
     """Explicit per-directed-link PRRs; absent links are out of range."""
 
+    #: Table links are not geometric: no positions to bound them by.
+    topology = None
+
     def __init__(self, links: Optional[Dict[Tuple[int, int], float]] = None) -> None:
         self._links: Dict[Tuple[int, int], float] = {}
         self._version = 0
@@ -210,10 +216,7 @@ class TablePropagation:
     def link_prr(self, src: int, dst: int, now: float) -> float:
         return self._links.get((src, dst), 0.0)
 
-    def links(self) -> Dict[Tuple[int, int], float]:
-        return dict(self._links)
-
-    # -- fast-path protocol (repro.radio.neighborhood) ----------------------
+    # -- the rest of the contract (repro.radio.neighborhood) ----------------
 
     def prr_epoch(self) -> object:
         return self._version
@@ -226,6 +229,10 @@ class TablePropagation:
 
     def audible_reach(self) -> Optional[float]:
         # Table links are not geometric; no spatial bound exists.
+        return None
+
+    def moved_since(self, epoch: int) -> Optional[List[int]]:
+        # Every token change is a table edit, which no mover list covers.
         return None
 
 
@@ -248,6 +255,8 @@ class GilbertElliotLink:
     ) -> None:
         if mean_good <= 0 or mean_bad <= 0:
             raise ValueError("dwell times must be positive")
+        if not 0.0 <= bad_scale <= 1.0:
+            raise ValueError(f"bad_scale must be within [0, 1], got {bad_scale}")
         self.base = base
         self.mean_good = mean_good
         self.mean_bad = mean_bad
@@ -255,10 +264,6 @@ class GilbertElliotLink:
         self.seed = seed
         # Per-link: (state_is_good, state_entered_at, state_ends_at, rng)
         self._state: Dict[Tuple[int, int], list] = {}
-        #: state flips discovered so far (observability; per-link window
-        #: expiries — not this counter — carry the cache invalidation,
-        #: since flips are only discovered lazily at query time).
-        self.flips = 0
 
     def _advance(self, link: Tuple[int, int], now: float) -> list:
         state = self._state.get(link)
@@ -273,7 +278,6 @@ class GilbertElliotLink:
             state[1] = state[2]
             mean = self.mean_good if state[0] else self.mean_bad
             state[2] = state[1] + state[3].expovariate(1.0 / mean)
-            self.flips += 1
         return state
 
     def link_prr(self, src: int, dst: int, now: float) -> float:
@@ -284,18 +288,16 @@ class GilbertElliotLink:
             return prr
         return prr * self.bad_scale
 
-    # -- fast-path protocol (repro.radio.neighborhood) ----------------------
+    # -- the rest of the contract (repro.radio.neighborhood) ----------------
 
     def prr_epoch(self) -> object:
-        # Raises AttributeError when the base model does not support the
-        # fast path, which is exactly how supports_fast_path detects it.
         return ("gilbert", self.base.prr_epoch())
 
     def link_prr_bound(self, src: int, dst: int) -> float:
         # State-independent: good state passes the base PRR through
-        # unchanged, bad state scales it, so the per-epoch maximum is
-        # the base bound (times bad_scale if that somehow exceeds 1).
-        return self.base.link_prr_bound(src, dst) * max(1.0, self.bad_scale)
+        # unchanged and bad state scales it by at most 1, so the
+        # per-epoch maximum is the base bound.
+        return self.base.link_prr_bound(src, dst)
 
     def link_prr_window(self, src: int, dst: int, now: float) -> Tuple[float, float]:
         base_prr, base_expiry = self.base.link_prr_window(src, dst, now)
@@ -308,15 +310,13 @@ class GilbertElliotLink:
     def audible_reach(self) -> Optional[float]:
         # The overlay scales PRRs but never resurrects a zero link, so
         # the base model's spatial bound carries over unchanged.
-        reach = getattr(self.base, "audible_reach", None)
-        return reach() if reach is not None else None
+        return self.base.audible_reach()
 
     @property
     def topology(self) -> Optional[Topology]:
-        return getattr(self.base, "topology", None)
+        return self.base.topology
 
     def moved_since(self, epoch: Tuple[str, object]) -> Optional[List[int]]:
         # The overlay's own part of the token never changes: flips are
         # carried by the per-link windows.
-        moved = getattr(self.base, "moved_since", None)
-        return moved(epoch[1]) if moved is not None else None
+        return self.base.moved_since(epoch[1])

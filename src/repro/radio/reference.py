@@ -9,9 +9,9 @@ nothing from the propagation model beyond ``link_prr``.  Every verdict
 :class:`~repro.radio.channel.Channel`: each reception event runs the
 fast path's one verdict loop over a single lane, so the two can differ
 only in *which* links they examine, which is exactly what
-tests/test_channel_equivalence.py compares.
-It is also what runs a propagation model that predates the fast-path
-protocol (:func:`~repro.radio.neighborhood.supports_fast_path`).
+tests/test_channel_equivalence.py compares.  That suite is its one
+caller: every propagation model answers the whole contract, so every
+run builds :class:`~repro.radio.channel.Channel`.
 """
 
 from __future__ import annotations

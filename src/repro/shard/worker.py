@@ -273,7 +273,7 @@ class ShardRuntime:
                 n for n in topology.node_ids() if n not in owned_set
             ]
             self.boundary: Optional[BoundaryIndex] = BoundaryIndex(
-                self.net.propagation, self.owned, foreign, topology
+                self.net.propagation, self.owned, foreign
             )
             self._frontier = self.boundary.boundary_senders()
             self._epoch = self.net.propagation.prr_epoch()

@@ -25,9 +25,7 @@ from repro.radio import (
     DistancePropagation,
     Modem,
     RadioParams,
-    ReferenceChannel,
     Topology,
-    supports_fast_path,
 )
 from repro.sim import SeedSequence, Simulator, TraceBus
 
@@ -160,7 +158,7 @@ class SensorNetwork:
         config: Optional[DiffusionConfig] = None,
         seed: int = 1,
         propagation=None,
-        channel_cls: Optional[type] = None,
+        channel_cls: type = Channel,
         nodes: Optional[Iterable[int]] = None,
     ) -> None:
         self.topology = topology
@@ -170,14 +168,8 @@ class SensorNetwork:
         self.trace = TraceBus()
         self.seeds = SeedSequence(seed)
         self.propagation = propagation or DistancePropagation(topology, seed=seed)
-        # channel_cls: None = Channel when the propagation model supports
-        # the neighborhood fast path, else the reference O(N) scan (the
-        # equivalence suite passes it to compare the two).
-        if channel_cls is None:
-            channel_cls = (
-                Channel if supports_fast_path(self.propagation)
-                else ReferenceChannel
-            )
+        # channel_cls: the equivalence suite passes ReferenceChannel to
+        # hold Channel to the O(N) scan over the same network.
         self.channel = channel_cls(
             self.sim, self.propagation, seeds=self.seeds, trace=self.trace
         )

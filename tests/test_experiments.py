@@ -19,9 +19,11 @@ from repro.experiments import (
     MatchingVariant,
     build_set_a,
     build_set_b,
-    measure_matching,
     run_duty_cycle_analysis,
+    run_fig11,
 )
+from repro.experiments import fig11_matching
+from repro.experiments.fig11_matching import SIZES, measure_segregation
 from repro.experiments.fig11_matching import format_chart as fig11_chart
 from repro.experiments.fig11_matching import format_table as fig11_table
 from repro.experiments.duty_cycle import format_table as duty_table
@@ -114,16 +116,25 @@ class TestFig11Harness:
 
     @pytest.mark.parametrize("variant", list(MatchingVariant))
     def test_measure_validates_expected_outcome(self, variant):
-        m = measure_matching(variant, 10, iterations=50)
-        assert m.matched == variant.matches
-        assert m.seconds_per_match > 0
+        line = [m for m in run_fig11(iterations=20) if m.variant is variant]
+        assert [m.set_b_size for m in line] == list(SIZES)
+        assert all(m.matched == variant.matches for m in line)
+        assert all(m.seconds_per_match > 0 for m in line)
+
+    def test_a_wrong_verdict_is_refused(self, monkeypatch):
+        monkeypatch.setattr(
+            fig11_matching, "two_way_match", lambda a, b: False
+        )
+        with pytest.raises(AssertionError, match="match/is"):
+            run_fig11(iterations=20)
+
+    def test_segregation_rows_pair_both_matchers(self):
+        rows = measure_segregation(20)
+        assert [row[0] for row in rows] == list(SIZES)
+        assert all(scan > 0 and segregated > 0 for _, scan, segregated in rows)
 
     def test_formatting(self):
-        measurements = [
-            measure_matching(v, s, iterations=20)
-            for v in MatchingVariant
-            for s in (6, 10)
-        ]
+        measurements = run_fig11(iterations=20)
         table = fig11_table(measurements)
         assert "match/eq" in table
         chart = fig11_chart(measurements)

@@ -106,15 +106,6 @@ class TestOverlay:
         overlay.restore(1)
         assert not overlay.is_cut(0, 1)
 
-    def test_fast_path_unsupported_base_propagates(self):
-        class SlowModel:
-            def link_prr(self, src, dst, now):
-                return 1.0
-
-        overlay = FaultOverlayPropagation(SlowModel())
-        with pytest.raises(AttributeError):
-            overlay.prr_epoch()
-
 
 class TestEngine:
     def _network(self, **config_overrides):
@@ -135,11 +126,9 @@ class TestEngine:
         assert net.channel.index.audible_from(0) == [1, 2]
 
     def test_link_plan_on_reference_channel_needs_no_index(self):
-        class SlowModel:
-            def link_prr(self, src, dst, now):
-                return 1.0 if abs(src - dst) == 1 else 0.0
-
-        net = SensorNetwork(line_topology(2), seed=5, propagation=SlowModel())
+        net = SensorNetwork(
+            line_topology(2), seed=5, channel_cls=ReferenceChannel
+        )
         engine = FaultEngine(
             net, FaultPlan((LinkFlap(a=0, b=1, at=5.0, down=2.0),))
         )

@@ -51,9 +51,10 @@ ALLOWED = {
     "repro.radio.propagation:TablePropagation.remove_link(symmetric)": (
         "the link-table oracle's one-way cuts"
     ),
-    "repro.radio.propagation:FastPathPropagation": (
-        "the protocol the channel's neighborhood-index contract is "
-        "written against"
+    "repro.radio.reference:ReferenceChannel": (
+        "the O(N) scan the equivalence suite holds the fast path to; "
+        "every propagation model answers the whole contract, so no run "
+        "builds it"
     ),
     "repro.testbed.calibration:validate_isi": (
         "checks the testbed geometry against the paper's text"

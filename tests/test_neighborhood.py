@@ -8,7 +8,6 @@ import hypothesis.strategies as st
 import pytest
 from hypothesis import given, settings
 
-from repro import AttributeVector, Key
 from repro.faults.overlay import FaultOverlayPropagation
 from repro.mac import CsmaMac
 from repro.radio.neighborhood import BoundaryIndex
@@ -21,10 +20,8 @@ from repro.radio import (
     ReferenceChannel,
     TablePropagation,
     Topology,
-    supports_fast_path,
 )
 from repro.sim import SeedSequence, Simulator
-from repro.testbed import SensorNetwork
 
 
 def make_net(links, n_nodes=3, channel_cls=Channel):
@@ -32,56 +29,6 @@ def make_net(links, n_nodes=3, channel_cls=Channel):
     channel = channel_cls(sim, TablePropagation(links), seeds=SeedSequence(1))
     modems = [Modem(sim, channel, node_id=i) for i in range(n_nodes)]
     return sim, channel, modems
-
-
-class LegacyModel:
-    """A propagation model that predates the fast-path protocol."""
-
-    def link_prr(self, src, dst, now):
-        return 1.0 if src != dst else 0.0
-
-
-class TestFastPathSupport:
-    def test_builtin_models_support(self):
-        topo = Topology.line(2)
-        assert supports_fast_path(DistancePropagation(topo))
-        assert supports_fast_path(TablePropagation({}))
-        assert supports_fast_path(
-            GilbertElliotLink(DistancePropagation(topo))
-        )
-
-    def test_legacy_model_not_supported(self):
-        assert not supports_fast_path(LegacyModel())
-        # Gilbert-Elliot delegates its epoch, so wrapping a legacy model
-        # is detected as unsupported too.
-        assert not supports_fast_path(GilbertElliotLink(LegacyModel()))
-
-    def test_channel_auto_detects(self):
-        topo = Topology.line(2)
-        assert type(SensorNetwork(topo).channel) is Channel
-        legacy = SensorNetwork(topo, propagation=LegacyModel())
-        assert type(legacy.channel) is ReferenceChannel
-
-    def test_forcing_index_on_legacy_model_rejected(self):
-        with pytest.raises(ValueError, match="ReferenceChannel"):
-            Channel(Simulator(), LegacyModel())
-
-    def test_legacy_model_still_delivers(self):
-        net = SensorNetwork(Topology.line(2), propagation=LegacyModel())
-        got = []
-        net.api(0).subscribe(
-            AttributeVector.builder().eq(Key.TYPE, "legacy").build(),
-            lambda attrs, msg: got.append(msg),
-        )
-        pub = net.api(1).publish(
-            AttributeVector.builder().actual(Key.TYPE, "legacy").build()
-        )
-        net.sim.schedule(
-            2.0, net.api(1).send, pub,
-            AttributeVector.builder().actual(Key.SEQUENCE, 0).build(),
-        )
-        net.run(until=10.0)
-        assert len(got) == 1
 
 
 class TestNeighborhoodIndex:

@@ -191,10 +191,3 @@ class TestValidation:
         prop = DistancePropagation(topo, seed=1)
         with pytest.raises(ValueError, match="not a partition"):
             BoundaryIndex(prop, [0, 1, 2], [2, 3])
-
-    def test_non_fast_path_model_is_rejected(self):
-        class Opaque:
-            pass
-
-        with pytest.raises(ValueError, match="fast-path"):
-            BoundaryIndex(Opaque(), [0], [1])

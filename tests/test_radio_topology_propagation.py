@@ -2,12 +2,16 @@
 
 import pytest
 
+from repro.faults.overlay import FaultOverlayPropagation
 from repro.radio import (
+    Channel,
     DistancePropagation,
     GilbertElliotLink,
+    NeighborhoodIndex,
     TablePropagation,
     Topology,
 )
+from repro.testbed import SensorNetwork
 
 
 class TestTopology:
@@ -163,3 +167,64 @@ class TestGilbertElliot:
         base = TablePropagation()
         with pytest.raises(ValueError):
             GilbertElliotLink(base, mean_good=0.0)
+
+    @pytest.mark.parametrize("bad_scale", [-0.1, 1.5])
+    def test_bad_scale_outside_unit_interval_is_refused(self, bad_scale):
+        with pytest.raises(ValueError, match="bad_scale"):
+            GilbertElliotLink(TablePropagation(), bad_scale=bad_scale)
+
+
+def _spaced_line():
+    # 25 m apart: neighbours are audible, two hops (50 m) are not.
+    return Topology.line(3, spacing=25.0)
+
+
+BASES = {
+    "distance": lambda topo: DistancePropagation(topo, seed=2),
+    "table": lambda topo: TablePropagation(
+        {(0, 1): 1.0, (1, 0): 1.0, (1, 2): 1.0, (2, 1): 1.0}
+    ),
+}
+WRAPPERS = {
+    "bare": lambda model: model,
+    "gilbert": lambda model: GilbertElliotLink(model, seed=3),
+    "overlay": FaultOverlayPropagation,
+    "overlay+gilbert": lambda model: FaultOverlayPropagation(
+        GilbertElliotLink(model, seed=3)
+    ),
+}
+CASES = [(b, w) for b in BASES for w in WRAPPERS]
+
+
+def _model(base, wrapper, topo):
+    return WRAPPERS[wrapper](BASES[base](topo))
+
+
+@pytest.mark.parametrize("base,wrapper", CASES)
+class TestPropagationContract:
+    """Every model and every stack of overlays answers the whole
+    ``PropagationModel`` contract; ``None`` is an answer, not a gap."""
+
+    def test_answers_every_member(self, base, wrapper):
+        topo = _spaced_line()
+        model = _model(base, wrapper, topo)
+        assert model.link_prr(0, 1, 0.0) > 0.0
+        assert model.link_prr_bound(0, 1) >= model.link_prr(0, 1, 0.0)
+        prr, expires = model.link_prr_window(0, 1, 0.0)
+        assert prr == model.link_prr(0, 1, 0.0) and expires > 0.0
+        geometric = base == "distance"
+        reach = model.audible_reach()
+        assert reach > 0.0 if geometric else reach is None
+        assert model.topology is (topo if geometric else None)
+        # Nothing moved since the current token: a list when the model
+        # can say so, None (unknown) for a table.
+        moved = model.moved_since(model.prr_epoch())
+        assert moved == ([] if geometric else None)
+
+    def test_network_builds_a_neighborhood_index(self, base, wrapper):
+        topo = _spaced_line()
+        net = SensorNetwork(topo, seed=2, propagation=_model(base, wrapper, topo))
+        assert type(net.channel) is Channel
+        assert isinstance(net.channel.index, NeighborhoodIndex)
+        assert net.channel.index.audible_from(0) == [1]
+        assert net.channel.index.audible_from(1) == [0, 2]
